@@ -102,15 +102,22 @@ def dataset_from_csv(path) -> Dataset:
             if not row:
                 continue
             if len(row) != 3:
-                raise FrontdoorLabError(f"malformed dataset row in {path}: {row}")
-            for value, values, mask in ((row[0], xs, mx), (row[1], zs, mz)):
-                if value == NA_TOKEN:
-                    values.append(np.nan)
-                    mask.append(False)
-                else:
-                    values.append(float(value))
-                    mask.append(True)
-            ys.append(float(row[2]))
+                raise FrontdoorLabError(
+                    f"malformed dataset row in {path} line {reader.line_num}: {row}"
+                )
+            try:
+                for value, values, mask in ((row[0], xs, mx), (row[1], zs, mz)):
+                    if value == NA_TOKEN:
+                        values.append(np.nan)
+                        mask.append(False)
+                    else:
+                        values.append(float(value))
+                        mask.append(True)
+                ys.append(float(row[2]))
+            except ValueError as exc:
+                raise FrontdoorLabError(
+                    f"malformed dataset row in {path} line {reader.line_num}: {exc}"
+                ) from exc
     return Dataset(
         x_star=np.array(xs),
         z_star=np.array(zs),

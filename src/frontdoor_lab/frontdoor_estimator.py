@@ -81,6 +81,13 @@ class FittedPair:
             raise FrontdoorLabError("mediator and outcome must share training rows")
 
 
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) < 0):
+        raise FrontdoorLabError("grid must be a nonempty sorted vector")
+    return grid
+
+
 @dataclass(frozen=True)
 class EffectEstimate:
     """Estimated interventional mean curve and outcome quantile bands."""
@@ -93,9 +100,7 @@ class EffectEstimate:
     method: MethodTag
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) < 0):
-            raise FrontdoorLabError("grid must be a nonempty sorted vector")
+        grid = _checked_grid(self.grid)
         per = np.asarray(self.per_imputation_ace, dtype=float)
         if per.shape != (per.shape[0], len(grid)):
             raise FrontdoorLabError("per-imputation matrix shape mismatch")
@@ -210,9 +215,7 @@ def estimate_effect(
 ) -> EffectEstimate:
     """Fit and estimate on every completed copy, pooling curves by averaging."""
     config = config or EstimatorConfig()
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) < 0):
-        raise FrontdoorLabError("grid must be a nonempty sorted vector")
+    grid = _checked_grid(grid)
     ace_rows, q05_rows, q95_rows = [], [], []
     for i, completed in enumerate(datasets.completed):
         pair = fit_pair(completed, config)
@@ -252,9 +255,7 @@ def complete_case_effect(
         m_x=np.ones(int(keep.sum()), dtype=bool),
         m_z=np.ones(int(keep.sum()), dtype=bool),
     )
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) < 0):
-        raise FrontdoorLabError("grid must be a nonempty sorted vector")
+    grid = _checked_grid(grid)
     pair = fit_pair(complete, config)
     ace, q05, q95 = _curves_for_pair(pair, grid, config, "cc")
     per_imputation = ace[None, :]
@@ -304,22 +305,30 @@ def effect_from_csv(path) -> tuple[EffectEstimate, np.ndarray]:
         if not header or header[0] != "x" or "oracle_ace" not in header:
             raise FrontdoorLabError(f"unexpected effect-curve header in {path}")
         m = sum(1 for name in header if name.startswith("ace_imp_"))
-        rows = [row for row in reader if row]
-    grid = np.array([float(r[0]) for r in rows])
-    pooled = np.array([float(r[1]) for r in rows])
-    # contiguous (m, grid) layout so the pooled-mean identity reproduces the
-    # writer's summation order bit for bit
-    per = np.ascontiguousarray(np.array([[float(v) for v in r[2 : 2 + m]] for r in rows]).T)
-    q05 = np.array([float(r[2 + m]) for r in rows])
-    q95 = np.array([float(r[3 + m]) for r in rows])
-    oracle = np.array([float(r[4 + m]) for r in rows])
-    method = MethodTag(rows[0][5 + m])
+        table, methods = [], []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                table.append([float(v) for v in row[: 5 + m]])
+                methods.append(MethodTag(row[5 + m]))
+            except (ValueError, IndexError) as exc:
+                raise FrontdoorLabError(
+                    f"malformed effect-curve row in {path} line {reader.line_num}: {row}"
+                ) from exc
+    if not table:
+        raise FrontdoorLabError(f"no effect-curve rows in {path}")
+    # one contiguous row per column, so ``per`` has the (m, grid) layout that
+    # makes the pooled-mean identity reproduce the writer's summation order
+    columns = np.ascontiguousarray(np.array(table).T)
+    grid, pooled, per = columns[0], columns[1], columns[2 : 2 + m]
+    q05, q95, oracle = columns[2 + m], columns[3 + m], columns[4 + m]
     estimate = EffectEstimate(
         grid=grid,
         per_imputation_ace=per,
         pooled_ace=pooled,
         q05=q05,
         q95=q95,
-        method=method,
+        method=methods[0],
     )
     return estimate, oracle

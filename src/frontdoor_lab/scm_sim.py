@@ -192,69 +192,6 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
     )
 
 
-# ----------------------------------------------------------------- config io
-
-
-def scm_config_to_text(cfg: ScmConfig) -> str:
-    lines = [
-        f"sigma_z = {cfg.sigma_z!r}",
-        f"z_amplitude = {cfg.z_amplitude!r}",
-        f"y_shift = {cfg.y_shift!r}",
-        f"y_linear = {cfg.y_linear!r}",
-        f"u_coef = {cfg.u_coef!r}",
-        f"x_prime_low = {cfg.x_prime_range[0]!r}",
-        f"x_prime_high = {cfg.x_prime_range[1]!r}",
-        f"miss_x_a = {cfg.miss_x_params[0]!r}",
-        f"miss_x_b = {cfg.miss_x_params[1]!r}",
-        f"miss_z_a = {cfg.miss_z_params[0]!r}",
-        f"miss_z_b = {cfg.miss_z_params[1]!r}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def scm_config_from_text(text: str) -> ScmConfig:
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = (part.strip() for part in line.partition("="))
-        if not sep:
-            raise FrontdoorLabError(f"line {lineno}: expected 'key = value'")
-        try:
-            values[key] = float(value)
-        except ValueError as exc:
-            raise FrontdoorLabError(f"line {lineno}: bad value for {key}") from exc
-    base = ScmConfig()
-    known = {
-        "sigma_z", "z_amplitude", "y_shift", "y_linear", "u_coef",
-        "x_prime_low", "x_prime_high", "miss_x_a", "miss_x_b",
-        "miss_z_a", "miss_z_b",
-    }
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise FrontdoorLabError(f"unknown keys: {unknown}")
-    return ScmConfig(
-        sigma_z=values.get("sigma_z", base.sigma_z),
-        z_amplitude=values.get("z_amplitude", base.z_amplitude),
-        y_shift=values.get("y_shift", base.y_shift),
-        y_linear=values.get("y_linear", base.y_linear),
-        u_coef=values.get("u_coef", base.u_coef),
-        x_prime_range=(
-            values.get("x_prime_low", base.x_prime_range[0]),
-            values.get("x_prime_high", base.x_prime_range[1]),
-        ),
-        miss_x_params=(
-            values.get("miss_x_a", base.miss_x_params[0]),
-            values.get("miss_x_b", base.miss_x_params[1]),
-        ),
-        miss_z_params=(
-            values.get("miss_z_a", base.miss_z_params[0]),
-            values.get("miss_z_b", base.miss_z_params[1]),
-        ),
-    )
-
-
 # ----------------------------------------------------------------- population io
 
 
@@ -283,6 +220,15 @@ def population_from_csv(path) -> Population:
         for row in reader:
             if not row:
                 continue
-            for name, value in zip(("u", "x", "z", "y"), row):
-                columns[name].append(float(value))
+            if len(row) != 4:
+                raise FrontdoorLabError(
+                    f"malformed population row in {path} line {reader.line_num}: {row}"
+                )
+            try:
+                for name, value in zip(("u", "x", "z", "y"), row):
+                    columns[name].append(float(value))
+            except ValueError as exc:
+                raise FrontdoorLabError(
+                    f"malformed population row in {path} line {reader.line_num}: {exc}"
+                ) from exc
     return Population(**{k: np.array(v) for k, v in columns.items()})

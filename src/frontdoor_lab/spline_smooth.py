@@ -9,8 +9,13 @@ penalty limit is the ordinary least squares line.
 
 Smoothness is selected by generalized cross-validation, n * RSS / (n - edf)^2,
 minimized over a fixed grid of penalty weights with ties broken toward the
-smoother fit.  Additive models cycle penalized backfitting over the terms,
-reselecting the penalty for each term from its current partial residuals.
+smoother fit.  Each term is solved for the whole grid from one generalized
+eigendecomposition (the Demmler-Reinsch form): the affine null-space block is
+profiled out, the remaining block is whitened by the penalty, and edf, RSS and
+GCV then follow in closed form for every weight.  Coefficients and fitted
+values are formed only at the chosen weight.  Additive models cycle penalized
+backfitting over the terms, reselecting the penalty for each term from its
+current partial residuals.
 
 Prediction inside the knot span evaluates the B-spline; beyond the span the
 fit continues linearly with the end slope.
@@ -24,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
 
@@ -178,11 +183,16 @@ class AdditiveFit:
 class _PenalizedDesign:
     """Cached design pieces for one smooth term over a fixed penalty grid.
 
-    Solves the penalized normal equations in a basis split between the penalty
-    null space (affine coefficient sequences) and its orthogonal complement,
-    eliminating the penalized block first.  Both partial solves stay well
-    conditioned even at extreme penalty weights, so affine responses are
-    reproduced to machine precision for any weight.
+    The coefficients are split between the penalty null space (affine
+    coefficient sequences, ``_Q1``) and its orthogonal complement (``_Q2``).
+    Profiling out the affine block exactly leaves ``(K + lam S) gamma = r``
+    for the penalized block, with ``K = C - L A^-1 L'``.  One generalized
+    eigendecomposition ``K W = S W diag(mu)`` with ``W' S W = I`` diagonalizes
+    that system for every weight at once (the Demmler-Reinsch form), so edf,
+    RSS and GCV over the whole grid are closed-form sums over ``mu``.  Whitening
+    by the data-free penalty ``S`` rather than by ``K`` keeps the decomposition
+    well posed when the design is rank-deficient.  An affine response leaves
+    ``r`` at zero, so it is reproduced for any weight.
     """
 
     def __init__(self, basis: SplineBasis, x: np.ndarray, lambdas: Sequence[float]):
@@ -190,8 +200,7 @@ class _PenalizedDesign:
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.B = design_matrix(basis, x)
         self.n = len(x)
-        self.BtB = self.B.T @ self.B
-        self.P = penalty_matrix(basis)
+        BtB = self.B.T @ self.B
 
         p = basis.dim
         # orthonormal null-space basis built by explicit Gram-Schmidt so the
@@ -202,111 +211,72 @@ class _PenalizedDesign:
         self._Q1 = np.column_stack([q_const, q_slope])
         q_full, _ = np.linalg.qr(self._Q1, mode="complete")
         self._Q2 = q_full[:, 2:]  # penalized complement
-        self._A = self._Q1.T @ self.BtB @ self._Q1
-        self._L = self._Q2.T @ self.BtB @ self._Q1
-        self._C = self._Q2.T @ self.BtB @ self._Q2
-        self._S = self._Q2.T @ self.P @ self._Q2
-
-        self._factors = []
-        self._schur = []
-        g_transformed = np.vstack([self._Q1.T @ self.BtB, self._Q2.T @ self.BtB])
-        edf = []
-        for lam in self.lambdas:
-            factor = self._factorize(self._C + lam * self._S)
-            if factor is None:
-                schur = self._A
-            else:
-                schur = self._A - self._L.T @ cho_solve(factor, self._L)
-            self._factors.append(factor)
-            self._schur.append(schur)
-            solution = self._block_solve(factor, schur, g_transformed)
-            edf.append(float(np.trace(solution)))
-        self.edf = np.array(edf)
-
-    @staticmethod
-    def _factorize(matrix: np.ndarray):
-        if matrix.shape[0] == 0:
-            return None
+        self._A = self._Q1.T @ BtB @ self._Q1
+        self._L = self._Q2.T @ BtB @ self._Q1
+        self._S = self._Q2.T @ penalty_matrix(basis) @ self._Q2
         try:
-            return cho_factor(matrix)
-        except LinAlgError:
-            ridge = 1e-10 * np.trace(matrix)
-            try:
-                return cho_factor(matrix + ridge * np.eye(len(matrix)))
-            except LinAlgError as exc:
-                raise SingularSystem(
-                    "penalized normal equations are numerically singular"
-                ) from exc
-
-    def _block_solve(self, factor, schur, rhs: np.ndarray) -> np.ndarray:
-        """Solve (BtB + lam P) beta = rhs columns in the split basis.
-
-        ``rhs`` is already transformed: rows 0..1 are the null-space block,
-        the rest the penalized block.  Returns beta in original coordinates.
-        """
-        r1, r2 = rhs[:2], rhs[2:]
-        if factor is None:
-            delta = self._solve_small(schur, r1)
-            return self._Q1 @ delta
-        w = cho_solve(factor, r2)
-        delta = self._solve_small(schur, r1 - self._L.T @ w)
-        gamma = cho_solve(factor, r2 - self._L @ delta)
-        return self._Q1 @ delta + self._Q2 @ gamma
-
-    @staticmethod
-    def _solve_small(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.solve(matrix, rhs)
+            self._A_inv = np.linalg.inv(self._A)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
                 "penalized normal equations are numerically singular"
             ) from exc
 
-    def solve_all(self, y: np.ndarray):
-        """Coefficients, fitted values, RSS and GCV for every grid weight."""
+        K = self._Q2.T @ BtB @ self._Q2 - self._L @ self._A_inv @ self._L.T
+        mu, self._W = eigh(K, self._S)
+        # a zero weight leaves the directions the data do not see undetermined
+        zero_mu = mu.min(initial=np.inf) <= 1e-10 * mu.max(initial=0.0)
+        self._singular = (self.lambdas == 0) & zero_mu
+        self._mu = np.clip(mu, 0.0, None)
+        mu, lam = self._mu[:, None], self.lambdas
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.edf = 2.0 + np.sum(mu / (mu + lam), axis=0)
+            # RSS(lam) = RSS of the affine fit - sum_i c_i^2 * _rss_drop[i, lam]
+            self._rss_drop = (mu + 2 * lam) / (mu + lam) ** 2
+
+    def select(self, y: np.ndarray, index: int | None = None):
+        """(index, beta, fitted, gcv) at grid weight ``index``, or at the GCV
+        minimizer when ``index`` is None, ties toward the larger weight."""
         bty = self.B.T @ y
-        rhs = np.concatenate([self._Q1.T @ bty, self._Q2.T @ bty])[:, None]
-        betas = np.empty((self.basis.dim, len(self.lambdas)))
-        for i, (factor, schur) in enumerate(zip(self._factors, self._schur)):
-            betas[:, i] = self._block_solve(factor, schur, rhs)[:, 0]
-        fitted = self.B @ betas
-        rss = np.sum((y[:, None] - fitted) ** 2, axis=0)
+        delta = self._A_inv @ (self._Q1.T @ bty)
+        beta_affine = self._Q1 @ delta
+        residual_affine = y - self.B @ beta_affine
+        c = self._W.T @ (self._Q2.T @ bty - self._L @ delta)
+        rss = residual_affine @ residual_affine - (c * c) @ self._rss_drop
+        # rounding can push the RSS of an exact fit just below zero
+        rss = np.maximum(rss, 0.0)
         gcv = np.full(len(self.lambdas), np.inf)
         denom = self.n - self.edf
-        ok = denom > 1e-8 * max(self.n, 1)
+        ok = (denom > 1e-8 * max(self.n, 1)) & ~self._singular
         gcv[ok] = self.n * rss[ok] / denom[ok] ** 2
-        return betas, fitted, rss, gcv
+        if index is None:
+            index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
+        if self._singular[index]:
+            raise SingularSystem("penalized normal equations are numerically singular")
+        gamma = self._W @ (c / (self._mu + self.lambdas[index]))
+        beta = beta_affine - self._Q1 @ (self._A_inv @ (self._L.T @ gamma)) + self._Q2 @ gamma
+        return index, beta, self.B @ beta, float(gcv[index])
 
-    def select(self, y: np.ndarray):
-        """Index of the GCV-minimizing weight, ties toward the larger weight."""
-        betas, fitted, rss, gcv = self.solve_all(y)
-        best = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
-        return best, betas[:, best], fitted[:, best], gcv[best]
-
-    def fit_at(self, y: np.ndarray, index: int) -> PenalizedSplineFit:
-        betas, fitted, rss, gcv = self.solve_all(y)
-        return self._package(y, betas, fitted, gcv, index)
-
-    def select_fit(self, y: np.ndarray) -> PenalizedSplineFit:
-        betas, fitted, rss, gcv = self.solve_all(y)
-        best = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
-        return self._package(y, betas, fitted, gcv, best)
-
-    def _package(self, y, betas, fitted, gcv, index) -> PenalizedSplineFit:
+    def fit(self, y: np.ndarray, index: int | None = None) -> PenalizedSplineFit:
+        index, beta, fitted, gcv = self.select(y, index)
         return PenalizedSplineFit(
             basis=self.basis,
-            coefficients=betas[:, index],
+            coefficients=beta,
             lam=float(self.lambdas[index]),
             edf=float(self.edf[index]),
-            residuals=y - fitted[:, index],
-            gcv=float(gcv[index]),
+            residuals=y - fitted,
+            gcv=gcv,
         )
 
 
 def fit_penalized(
     y: np.ndarray, x: np.ndarray, basis: SplineBasis, lam: float
 ) -> PenalizedSplineFit:
-    """Minimize ||y - B beta||^2 + lam * beta' P beta for one penalty weight."""
+    """Minimize ||y - B beta||^2 + lam * beta' P beta for one penalty weight.
+
+    Raises SingularSystem for ``lam = 0`` when the data leave some basis
+    direction undetermined, as with fewer distinct covariate values than
+    basis columns.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if len(y) != len(x):
@@ -317,8 +287,7 @@ def fit_penalized(
         )
     if lam < 0:
         raise FrontdoorLabError("penalty weight must be nonnegative")
-    design = _PenalizedDesign(basis, x, [lam])
-    return design.fit_at(y, 0)
+    return _PenalizedDesign(basis, x, [lam]).fit(y, 0)
 
 
 def select_lambda(
@@ -334,13 +303,11 @@ def select_lambda(
         raise FrontdoorLabError("penalty grid must be nonempty")
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise FrontdoorLabError("penalty grid must be finite and nonnegative")
-    order = np.argsort(grid)
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if len(y) != len(x):
         raise FrontdoorLabError("y and x must have equal length")
-    design = _PenalizedDesign(basis, x, grid[order])
-    return design.select_fit(y)
+    return _PenalizedDesign(basis, x, np.sort(grid)).fit(y)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import re
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -192,6 +193,28 @@ class TestErrorPaths:
         (tmp_path / "completed_02.csv").write_text("garbage,header\n1,2\n")
         assert main(["estimate", "--config", str(config)]) == 2
         assert "error: invalid-input:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name, corrupt",
+        [
+            ("impute", "observed.csv", lambda cells: ["abc"] + cells[1:]),
+            ("evaluate", "population.csv", lambda cells: cells[:2] + ["abc"] + cells[3:]),
+            ("evaluate", "effect_mi.csv", lambda cells: cells[:1] + ["oops"] + cells[2:]),
+            ("evaluate", "effect_cc.csv", lambda cells: cells[:3]),
+        ],
+        ids=["dataset-bad-cell", "population-bad-cell", "effect-bad-cell", "effect-short-row"],
+    )
+    def test_malformed_csv_body(self, pipeline_dir, tmp_path, capsys, command, name, corrupt):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        lines = (run / name).read_text().splitlines()
+        lines[1] = ",".join(corrupt(lines[1].split(",")))
+        (run / name).write_text("\n".join(lines) + "\n")
+        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
+        assert main([command] + config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert name in err and "line 2" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from frontdoor_lab.errors import ConfigError, FrontdoorLabError
+from frontdoor_lab.errors import ConfigError
 from frontdoor_lab.runconfig import RunConfig, config_to_text, parse_config
-from frontdoor_lab.scm_sim import ScmConfig, scm_config_from_text, scm_config_to_text
+from frontdoor_lab.scm_sim import ScmConfig
 
 
 class TestRunConfig:
@@ -48,14 +48,6 @@ class TestRunConfig:
 
 class TestScmConfigText:
     def test_round_trip(self):
-        cfg = ScmConfig(sigma_z=0.2, miss_x_params=(1.5, -0.5))
-        assert scm_config_from_text(scm_config_to_text(cfg)) == cfg
-
-    def test_partial_text_keeps_defaults(self):
-        cfg = scm_config_from_text("y_shift = 0.7\n")
-        assert cfg.y_shift == 0.7
-        assert cfg.sigma_z == ScmConfig().sigma_z
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(FrontdoorLabError):
-            scm_config_from_text("gamma = 2\n")
+        scm = ScmConfig(sigma_z=0.2, miss_x_params=(1.5, -0.5))
+        cfg = parse_config(config_to_text(RunConfig(scm=scm)))
+        assert cfg.scm == scm

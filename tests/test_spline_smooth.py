@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from frontdoor_lab.errors import FrontdoorLabError, TooFewDistinctValues
+from frontdoor_lab.errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
 from frontdoor_lab.scm_sim import ScmConfig, generate_population, std_normal_cdf, std_normal_pdf
 from frontdoor_lab.spline_smooth import (
     AdditiveConfig,
     AdditiveFit,
     NoConvergenceWarning,
+    SplineBasis,
     additive_fit_from_text,
     additive_fit_to_text,
     build_basis,
@@ -27,6 +28,14 @@ def make_xy(n=400, seed=0, noise=0.1):
     x = rng.uniform(-2, 2, n)
     y = np.sin(2 * x) + noise * rng.standard_normal(n)
     return x, y
+
+
+def four_valued_data(seed=12):
+    """A cubic basis on four distinct covariate values: six columns, rank four."""
+    rng = np.random.default_rng(seed)
+    x = np.repeat([0.0, 1.0, 2.0, 3.0], 30)
+    basis = SplineBasis(knots=np.unique(x), degree=3, boundary=(-0.15, 3.15))
+    return x, x**2 + rng.standard_normal(len(x)), basis
 
 
 class TestBuildBasis:
@@ -112,10 +121,17 @@ class TestFitPenalized:
             fit = fit_penalized(y, x, basis, lam)
             assert 1.0 <= fit.edf <= basis.dim + 1e-9
 
-    def test_influence_trace_two_ways(self):
-        x, y = make_xy(150, seed=9)
-        basis = build_basis(x, 8)
-        lam = 2.5
+    @pytest.mark.parametrize(
+        "case, lam",
+        [("smooth", 1e-6), ("smooth", 2.5), ("smooth", 1e6), ("four_valued", 1.0)],
+        ids=["tiny_penalty", "moderate_penalty", "huge_penalty", "rank_deficient"],
+    )
+    def test_influence_trace_two_ways(self, case, lam):
+        if case == "smooth":
+            x, y = make_xy(150, seed=9)
+            basis = build_basis(x, 8)
+        else:
+            x, y, basis = four_valued_data()
         B = design_matrix(basis, x)
         P = penalty_matrix(basis)
         M = B.T @ B + lam * P
@@ -124,6 +140,16 @@ class TestFitPenalized:
         assert trace_direct == pytest.approx(float(leverages.sum()), abs=1e-6)
         fit = fit_penalized(y, x, basis, lam)
         assert fit.edf == pytest.approx(trace_direct, abs=1e-6)
+        beta_direct = np.linalg.solve(M, B.T @ y)
+        scale = float(np.max(np.abs(beta_direct)))
+        assert np.max(np.abs(fit.coefficients - beta_direct)) < 1e-8 * scale
+
+    def test_zero_penalty_rank_deficient_basis_is_singular(self):
+        # two basis directions are determined neither by the data nor by a
+        # zero penalty
+        x, y, basis = four_valued_data()
+        with pytest.raises(SingularSystem):
+            fit_penalized(y, x, basis, 0.0)
 
     def test_length_mismatch(self):
         x, y = make_xy(100, seed=10)
