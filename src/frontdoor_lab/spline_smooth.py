@@ -15,7 +15,12 @@ profiled out, the remaining block is whitened by the penalty, and edf, RSS and
 GCV then follow in closed form for every weight.  Coefficients and fitted
 values are formed only at the chosen weight.  Additive models cycle penalized
 backfitting over the terms, reselecting the penalty for each term from its
-current partial residuals.
+current partial residuals.  They start from the joint penalized solution,
+whose normal equations are assembled from per-term Gram blocks rather than
+from a stacked design.  A term's design keeps its Gram matrix and column sums
+and stores the basis matrix sparse; ``fit_additive`` reuses the designs of
+the last few covariate columns it saw, so chained-equation imputation, which
+refits the same columns cycle after cycle, builds each of them once.
 
 Prediction inside the knot span evaluates the B-spline; beyond the span the
 fit continues linearly with the end slope.
@@ -24,12 +29,14 @@ fit continues linearly with the end slope.
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.sparse import csr_array
 
 from .errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
 
@@ -181,7 +188,13 @@ class AdditiveFit:
 
 
 class _PenalizedDesign:
-    """Cached design pieces for one smooth term over a fixed penalty grid.
+    """Design pieces for one smooth term over a fixed penalty grid.
+
+    A design depends only on the covariate column and the grid, so
+    ``fit_additive`` reuses it across fits (see ``_design_for``).  It keeps
+    the Gram matrix ``B'B`` and the column sums of ``B`` for the joint start,
+    and stores ``B`` itself sparse: each row has at most ``degree + 1``
+    nonzeros.
 
     The coefficients are split between the penalty null space (affine
     coefficient sequences, ``_Q1``) and its orthogonal complement (``_Q2``).
@@ -198,9 +211,11 @@ class _PenalizedDesign:
     def __init__(self, basis: SplineBasis, x: np.ndarray, lambdas: Sequence[float]):
         self.basis = basis
         self.lambdas = np.asarray(lambdas, dtype=float)
-        self.B = design_matrix(basis, x)
+        B = design_matrix(basis, x)
         self.n = len(x)
-        BtB = self.B.T @ self.B
+        self._BtB = BtB = B.T @ B
+        self._col_sums = B.sum(axis=0)
+        self.B = csr_array(B)
 
         p = basis.dim
         # orthonormal null-space basis built by explicit Gram-Schmidt so the
@@ -211,6 +226,8 @@ class _PenalizedDesign:
         self._Q1 = np.column_stack([q_const, q_slope])
         q_full, _ = np.linalg.qr(self._Q1, mode="complete")
         self._Q2 = q_full[:, 2:]  # penalized complement
+        # the joint fit's coordinates: the term without its constant direction
+        self._T = np.column_stack([self._Q1[:, 1:], self._Q2])
         self._A = self._Q1.T @ BtB @ self._Q1
         self._L = self._Q2.T @ BtB @ self._Q1
         self._S = self._Q2.T @ penalty_matrix(basis) @ self._Q2
@@ -320,32 +337,78 @@ class AdditiveConfig:
     tol: float = 1e-6
 
 
-def _joint_fit(y: np.ndarray, designs: list[_PenalizedDesign], indices: list[int]):
+# One chained-equation cycle fits five covariate columns: the mediator and the
+# outcome on the rows with observed treatment, then treatment magnitude, sign
+# and the outcome on the rows with observed mediator.  Holding five designs
+# keeps the two outcome columns, fixed across cycles and chains, and lets the
+# sign and magnitude fits of one cycle share theirs.
+_DESIGN_MEMO_SIZE = 5
+_design_memo: OrderedDict[tuple, _PenalizedDesign] = OrderedDict()
+
+
+def _design_for(column: np.ndarray, n_knots: int, grid: np.ndarray) -> _PenalizedDesign:
+    """The additive-model design of ``column``, reused while it is among the
+    ``_DESIGN_MEMO_SIZE`` most recently used."""
+    key = (column.tobytes(), n_knots, grid.tobytes())
+    design = _design_memo.get(key)
+    if design is None:
+        design = _PenalizedDesign(_basis_for_covariate(column, n_knots), column, grid)
+        _design_memo[key] = design
+        if len(_design_memo) > _DESIGN_MEMO_SIZE:
+            _design_memo.popitem(last=False)
+    else:
+        _design_memo.move_to_end(key)
+    return design
+
+
+def _joint_normal_equations(y: np.ndarray, designs: list[_PenalizedDesign]):
+    """Unpenalized normal equations of the stacked design [1, B_1 T_1, ..., B_k T_k].
+
+    ``T_j`` drops term j's constant direction (the intercept column carries
+    it).  The matrix is assembled from Gram blocks, ``T_i' B_i'B_j T_j``, and
+    the right-hand side from ``T_j' B_j'y``; the stacked design is never
+    formed.  Returns the matrix and the right-hand side.
+    """
+    sizes = [1] + [d._T.shape[1] for d in designs]
+    bounds = np.cumsum([0] + sizes)
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    M = np.empty((bounds[-1], bounds[-1]))
+    rhs = np.empty(bounds[-1])
+    M[0, 0] = len(y)
+    rhs[0] = np.sum(y)
+    for i, (design, block) in enumerate(zip(designs, blocks[1:])):
+        M[0, block] = M[block, 0] = design._col_sums @ design._T
+        M[block, block] = design._T.T @ design._BtB @ design._T
+        rhs[block] = design._T.T @ (design.B.T @ y)
+        for other, other_block in zip(designs[i + 1 :], blocks[i + 2 :]):
+            cross = (design.B.T @ other.B).toarray()
+            M[block, other_block] = design._T.T @ cross @ other._T
+            M[other_block, block] = M[block, other_block].T
+    return M, rhs
+
+
+def _joint_fit(
+    normal: tuple[np.ndarray, np.ndarray],
+    designs: list[_PenalizedDesign],
+    indices: list[int],
+):
     """Solve all terms at once for fixed per-term penalty weights.
 
-    Each term is reparameterized without its constant direction (a global
-    intercept column carries it), which makes the stacked system nonsingular.
+    ``normal`` holds the unpenalized normal equations from
+    ``_joint_normal_equations``; each term's penalty is added to its block.
+    Without their constant directions the penalized system is nonsingular.
     Returns the intercept and the per-term coefficient vectors in the original
     basis coordinates.
     """
-    n = len(y)
-    transforms = []
-    blocks = [np.ones((n, 1))]
-    penalties = [np.zeros((1, 1))]
+    M, rhs = normal
+    M = M.copy()
+    offset = 1
     for design, index in zip(designs, indices):
-        transform = np.column_stack([design._Q1[:, 1:], design._Q2])
-        transforms.append(transform)
-        blocks.append(design.B @ transform)
-        lam = design.lambdas[index]
-        pen = np.zeros((transform.shape[1],) * 2)
-        pen[1:, 1:] = lam * design._S
-        penalties.append(pen)
-    G = np.hstack(blocks)
-    M = G.T @ G
-    offset = 0
-    for pen in penalties:
-        k = pen.shape[0]
-        M[offset : offset + k, offset : offset + k] += pen
+        # the first column of T is the unpenalized slope
+        k = design._T.shape[1]
+        M[offset + 1 : offset + k, offset + 1 : offset + k] += (
+            design.lambdas[index] * design._S
+        )
         offset += k
     try:
         factor = cho_factor(M)
@@ -354,13 +417,13 @@ def _joint_fit(y: np.ndarray, designs: list[_PenalizedDesign], indices: list[int
             factor = cho_factor(M + 1e-10 * np.trace(M) * np.eye(len(M)))
         except LinAlgError as exc:
             raise SingularSystem("joint additive system is singular") from exc
-    coef = cho_solve(factor, G.T @ y)
+    coef = cho_solve(factor, rhs)
     intercept = float(coef[0])
     betas = []
     offset = 1
-    for design, transform in zip(designs, transforms):
-        k = transform.shape[1]
-        betas.append(transform @ coef[offset : offset + k])
+    for design in designs:
+        k = design._T.shape[1]
+        betas.append(design._T @ coef[offset : offset + k])
         offset += k
     return intercept, betas
 
@@ -392,10 +455,7 @@ def fit_additive(
             raise FrontdoorLabError("covariates must match the response length")
 
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
-    designs = [
-        _PenalizedDesign(_basis_for_covariate(column, config.n_knots), column, grid)
-        for column in columns
-    ]
+    designs = [_design_for(column, config.n_knots, grid) for column in columns]
 
     n_terms = len(designs)
     intercept = float(np.mean(y))
@@ -409,8 +469,9 @@ def fit_additive(
     try:
         centered = y - intercept
         chosen = [design.select(centered)[0] for design in designs]
+        normal = _joint_normal_equations(y, designs)
         for _ in range(5):
-            joint_intercept, joint_betas = _joint_fit(y, designs, chosen)
+            joint_intercept, joint_betas = _joint_fit(normal, designs, chosen)
             values = [d.B @ b for d, b in zip(designs, joint_betas)]
             for j in range(n_terms):
                 center = float(np.mean(values[j]))
@@ -546,24 +607,56 @@ def spline_fit_to_text(fit: PenalizedSplineFit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spline_fit_from_lines(lines: list[str]) -> PenalizedSplineFit:
-    fields = {}
+def _parse_pair(text: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in text.split())
+    return lo, hi
+
+
+def _read_fields(lines: list[str], what: str, parsers: dict) -> dict:
+    """Parse ``key value`` lines, one parser per required key.
+
+    A missing key or a value its parser rejects raises FrontdoorLabError
+    naming the field.
+    """
+    raw = {}
     for line in lines:
         key, _, rest = line.partition(" ")
-        fields[key] = rest
-    lo, hi = (float(v) for v in fields["boundary"].split())
+        raw[key] = rest
+    values = {}
+    for key, parse in parsers.items():
+        if key not in raw:
+            raise FrontdoorLabError(f"{what}: missing field '{key}'")
+        try:
+            values[key] = parse(raw[key])
+        except ValueError as exc:
+            raise FrontdoorLabError(f"{what}: bad field '{key}': {exc}") from exc
+    return values
+
+
+_SPLINE_FIELDS = {
+    "degree": int,
+    "boundary": _parse_pair,
+    "knots": _parse_vector,
+    "coefficients": _parse_vector,
+    "lambda": float,
+    "edf": float,
+    "gcv": float,
+    "residuals": _parse_vector,
+}
+
+
+def _spline_fit_from_lines(lines: list[str]) -> PenalizedSplineFit:
+    fields = _read_fields(lines, "penalized spline", _SPLINE_FIELDS)
     basis = SplineBasis(
-        knots=_parse_vector(fields["knots"]),
-        degree=int(fields["degree"]),
-        boundary=(lo, hi),
+        knots=fields["knots"], degree=fields["degree"], boundary=fields["boundary"]
     )
     return PenalizedSplineFit(
         basis=basis,
-        coefficients=_parse_vector(fields["coefficients"]),
-        lam=float(fields["lambda"]),
-        edf=float(fields["edf"]),
-        residuals=_parse_vector(fields["residuals"]),
-        gcv=float(fields["gcv"]),
+        coefficients=fields["coefficients"],
+        lam=fields["lambda"],
+        edf=fields["edf"],
+        residuals=fields["residuals"],
+        gcv=fields["gcv"],
     )
 
 
@@ -591,27 +684,30 @@ def additive_fit_from_text(text: str) -> AdditiveFit:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "additive_fit":
         raise FrontdoorLabError("not a serialized additive fit")
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "term":
-        key, _, rest = lines[i].partition(" ")
-        header[key] = rest
-        i += 1
+    # the header, then one block per "term" marker
+    blocks: list[list[str]] = [[]]
+    for line in lines[1:]:
+        if line == "term":
+            blocks.append([])
+        else:
+            blocks[-1].append(line)
+    header = _read_fields(
+        blocks[0],
+        "additive fit",
+        {
+            "intercept": float,
+            "converged": lambda text: bool(int(text)),
+            "residuals": _parse_vector,
+        },
+    )
     terms = []
-    while i < len(lines):
-        assert lines[i] == "term"
-        i += 1
-        if lines[i] != "penalized_spline":
-            raise FrontdoorLabError("malformed term block")
-        i += 1
-        block = []
-        while i < len(lines) and lines[i] != "term":
-            block.append(lines[i])
-            i += 1
-        terms.append(_spline_fit_from_lines(block))
+    for block in blocks[1:]:
+        if not block or block[0] != "penalized_spline":
+            raise FrontdoorLabError("malformed term block: expected 'penalized_spline'")
+        terms.append(_spline_fit_from_lines(block[1:]))
     return AdditiveFit(
         terms=tuple(terms),
-        intercept=float(header["intercept"]),
-        residuals=_parse_vector(header["residuals"]),
-        converged=bool(int(header["converged"])),
+        intercept=header["intercept"],
+        residuals=header["residuals"],
+        converged=header["converged"],
     )

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from frontdoor_lab import spline_smooth
 from frontdoor_lab.errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
 from frontdoor_lab.scm_sim import ScmConfig, generate_population, std_normal_cdf, std_normal_pdf
 from frontdoor_lab.spline_smooth import (
@@ -354,6 +357,92 @@ class TestFitAdditive:
         with pytest.raises(FrontdoorLabError):
             fit_additive(np.zeros(10), [])
 
+    def test_repeated_columns_reuse_their_designs(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        columns = [rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)]
+        y = np.sin(2 * columns[0]) + columns[1] + 0.1 * rng.standard_normal(300)
+        spline_smooth._design_memo.clear()
+        built = []
+
+        def counting_design_matrix(basis, x):
+            built.append(len(x))
+            return design_matrix(basis, x)
+
+        monkeypatch.setattr(spline_smooth, "design_matrix", counting_design_matrix)
+        first = fit_additive(y, columns)
+        second = fit_additive(y, columns)
+        assert len(built) == len(columns)
+        assert first.intercept == second.intercept
+        assert np.array_equal(first.residuals, second.residuals)
+        for a, b in zip(first.terms, second.terms):
+            assert np.array_equal(a.coefficients, b.coefficients)
+            assert np.array_equal(a.residuals, b.residuals)
+            assert (a.lam, a.edf, a.gcv) == (b.lam, b.edf, b.gcv)
+
+        for _ in range(spline_smooth._DESIGN_MEMO_SIZE + 2):
+            fit_additive(y, [rng.uniform(-1, 1, 300)])
+        assert len(spline_smooth._design_memo) <= spline_smooth._DESIGN_MEMO_SIZE
+
+
+class TestJointFit:
+    """The Gram-block joint start against the stacked penalized system."""
+
+    @staticmethod
+    def stacked_solution(y, columns, designs, indices):
+        # [1, B_1 T_1, ..., B_k T_k] formed and solved directly
+        blocks = [np.ones((len(y), 1))]
+        penalties = [np.zeros((1, 1))]
+        transforms = []
+        for column, design, index in zip(columns, designs, indices):
+            T = np.column_stack([design._Q1[:, 1:], design._Q2])
+            transforms.append(T)
+            blocks.append(design_matrix(design.basis, column) @ T)
+            penalties.append(design.lambdas[index] * T.T @ penalty_matrix(design.basis) @ T)
+        G = np.hstack(blocks)
+        M = G.T @ G
+        offset = 0
+        for pen in penalties:
+            k = len(pen)
+            M[offset : offset + k, offset : offset + k] += pen
+            offset += k
+        coef = np.linalg.solve(M, G.T @ y)
+        betas, offset = [], 1
+        for T in transforms:
+            betas.append(T @ coef[offset : offset + T.shape[1]])
+            offset += T.shape[1]
+        return float(coef[0]), betas
+
+    @pytest.mark.parametrize(
+        "shape, indices",
+        [("two_terms", [8, 14]), ("mediator_block", [10, 12, 3])],
+        ids=["two_terms", "mediator_block"],
+    )
+    def test_matches_stacked_system(self, shape, indices):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal(600)
+        if shape == "two_terms":
+            z = x + rng.standard_normal(600)
+            columns = [x, z]
+            y = np.sin(x) + 0.5 * z + 0.1 * rng.standard_normal(600)
+        else:
+            outcome = x + rng.standard_normal(600)
+            columns = [np.abs(x), np.where(x >= 0, 1.0, -1.0), outcome]
+            y = x + 0.3 * outcome + 0.1 * rng.standard_normal(600)
+        grid = np.sort(default_lambda_grid())
+        designs = [
+            spline_smooth._PenalizedDesign(
+                spline_smooth._basis_for_covariate(c, 20), c, grid
+            )
+            for c in columns
+        ]
+        assert designs[1].basis.degree == (3 if shape == "two_terms" else 1)
+        normal = spline_smooth._joint_normal_equations(y, designs)
+        intercept, betas = spline_smooth._joint_fit(normal, designs, indices)
+        ref_intercept, ref_betas = self.stacked_solution(y, columns, designs, indices)
+        got = np.concatenate([[intercept], *betas])
+        want = np.concatenate([[ref_intercept], *ref_betas])
+        assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
 
 class TestSerialization:
     def test_spline_round_trip(self):
@@ -374,3 +463,29 @@ class TestSerialization:
         back = additive_fit_from_text(additive_fit_to_text(fit))
         pts = np.column_stack([np.linspace(-1, 1, 40), np.linspace(-1, 1, 40)])
         assert np.array_equal(predict(back, pts), predict(fit, pts))
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("additive_missing_field", "missing field 'converged'"),
+            ("spline_bad_degree", "bad field 'degree'"),
+            ("trailing_term", "malformed term block"),
+            ("bad_coefficients", "bad field 'coefficients'"),
+        ],
+        ids=["additive_missing_field", "spline_bad_degree", "trailing_term", "bad_coefficients"],
+    )
+    def test_malformed_text_raises_frontdoor_error(self, case, message):
+        x, y = make_xy(120, seed=29)
+        spline_text = spline_fit_to_text(select_lambda(y, x, build_basis(x, 8)))
+        additive_text = additive_fit_to_text(fit_additive(y, [x]))
+        reader, text = {
+            "additive_missing_field": (additive_fit_from_text, "additive_fit\nintercept 1\n"),
+            "spline_bad_degree": (spline_fit_from_text, "penalized_spline\ndegree x\n"),
+            "trailing_term": (additive_fit_from_text, additive_text + "term\n"),
+            "bad_coefficients": (
+                spline_fit_from_text,
+                re.sub(r"(?m)^coefficients .*$", "coefficients a b", spline_text),
+            ),
+        }[case]
+        with pytest.raises(FrontdoorLabError, match=message):
+            reader(text)
