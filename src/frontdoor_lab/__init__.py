@@ -57,7 +57,6 @@ from .scm_sim import (
     std_normal_pdf,
 )
 from .spline_smooth import (
-    AdditiveConfig,
     AdditiveFit,
     PenalizedSplineFit,
     SplineBasis,
@@ -71,7 +70,6 @@ from .spline_smooth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveConfig",
     "AdditiveFit",
     "CompletedDatasets",
     "Dag",

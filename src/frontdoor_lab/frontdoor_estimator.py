@@ -23,7 +23,7 @@ a missing cell first and serves as the biased benchmark.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,11 +33,9 @@ from .dataset import Dataset
 from .errors import EmptyResidualPool, FrontdoorLabError, TooFewCompleteRows
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
-    AdditiveConfig,
     AdditiveFit,
     PenalizedSplineFit,
     build_basis,
-    default_lambda_grid,
     fit_additive,
     predict,
     select_lambda,
@@ -47,9 +45,6 @@ from .spline_smooth import (
 @dataclass(frozen=True)
 class EstimatorConfig:
     n_knots: int = 20
-    lambda_grid: tuple[float, ...] = field(
-        default_factory=lambda: tuple(default_lambda_grid())
-    )
     mediator_draws_per_row: int = 1
     distribution_draws: int | None = None  # None: one pass over the rows
     seed: int = 0
@@ -122,11 +117,8 @@ def fit_pair(data: Dataset, config: EstimatorConfig | None = None) -> FittedPair
     x = np.array(data.x_star)
     z = np.array(data.z_star)
     y = np.array(data.y_star)
-    grid = np.asarray(config.lambda_grid, dtype=float)
-    mediator = select_lambda(z, x, build_basis(x, config.n_knots), grid)
-    outcome = fit_additive(
-        y, [x, z], AdditiveConfig(n_knots=config.n_knots, lambda_grid=tuple(grid))
-    )
+    mediator = select_lambda(z, x, build_basis(x, config.n_knots))
+    outcome = fit_additive(y, [x, z], config.n_knots)
     return FittedPair(mediator=mediator, outcome=outcome, x_train=x)
 
 

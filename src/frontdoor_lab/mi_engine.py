@@ -17,7 +17,7 @@ fills the magnitude, and the product reconstructs the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from scipy.stats import ks_2samp
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset
 from .errors import AllMissingColumn, FrontdoorLabError, NothingToImpute
-from .spline_smooth import AdditiveConfig, fit_additive, predict
+from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
 SIGN_PROB_CLAMP = (0.01, 0.99)
 
@@ -37,16 +37,13 @@ class ImputationConfig:
     cycles: int = 10
     donors: int = 5
     seed: int = 0
-    visit_order: tuple[str, ...] = ("x", "z")
-    smooth: AdditiveConfig = field(default_factory=AdditiveConfig)
+    n_knots: int = DEFAULT_N_KNOTS
 
     def __post_init__(self):
         if self.m < 2:
             raise FrontdoorLabError("need at least two imputations")
         if self.cycles < 1 or self.donors < 1:
             raise FrontdoorLabError("cycles and donors must be >= 1")
-        if sorted(self.visit_order) != ["x", "z"]:
-            raise FrontdoorLabError("visit_order must be a permutation of ('x', 'z')")
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ def pmm_impute(
     predictors: Sequence[np.ndarray],
     donors: int,
     seed: int,
-    smooth: AdditiveConfig | None = None,
+    n_knots: int = DEFAULT_N_KNOTS,
 ) -> np.ndarray:
     """Predictive-mean-matching imputations for the missing entries of target.
 
@@ -186,7 +183,7 @@ def pmm_impute(
         if not np.all(np.isfinite(column)):
             raise FrontdoorLabError("predictors must be complete")
 
-    fit = fit_additive(target[observed], [c[observed] for c in columns], smooth)
+    fit = fit_additive(target[observed], [c[observed] for c in columns], n_knots)
     obs_pred = predict(fit, [c[observed] for c in columns])
     miss_pred = predict(fit, [c[missing] for c in columns])
     rng = rng_from(seed, "pmm")
@@ -198,7 +195,7 @@ def impute_sign(
     observed: np.ndarray,
     predictors: Sequence[np.ndarray],
     seed: int,
-    smooth: AdditiveConfig | None = None,
+    n_knots: int = DEFAULT_N_KNOTS,
 ) -> np.ndarray:
     """Draw +-1 signs for the missing rows from a clamped additive model.
 
@@ -212,7 +209,7 @@ def impute_sign(
     if not missing.any() or not observed.any():
         raise NothingToImpute("sign target needs both observed and missing entries")
     columns = [np.asarray(p, dtype=float) for p in predictors]
-    fit = fit_additive(sign01[observed], [c[observed] for c in columns], smooth)
+    fit = fit_additive(sign01[observed], [c[observed] for c in columns], n_knots)
     prob = np.clip(
         predict(fit, [c[missing] for c in columns]), SIGN_PROB_CLAMP[0], SIGN_PROB_CLAMP[1]
     )
@@ -239,34 +236,33 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
         x_work = np.array(start.x_star)
         z_work = np.array(start.z_star)
         for cycle in range(cfg.cycles):
-            for block in cfg.visit_order:
-                if block == "x" and miss_x.any():
-                    signs = impute_sign(
-                        (np.sign(x_work) >= 0).astype(float),
-                        data.m_x,
-                        [z_work, y],
-                        mix_seed(cfg.seed, chain, cycle, "sign"),
-                        cfg.smooth,
-                    )
-                    magnitudes = pmm_impute(
-                        np.abs(x_work),
-                        data.m_x,
-                        [z_work, y],
-                        cfg.donors,
-                        mix_seed(cfg.seed, chain, cycle, "magnitude"),
-                        cfg.smooth,
-                    )
-                    x_work[miss_x] = signs * magnitudes
-                elif block == "z" and miss_z.any():
-                    magnitude, sign = decompose_x(x_work)
-                    z_work[miss_z] = pmm_impute(
-                        z_work,
-                        data.m_z,
-                        [magnitude, sign, y],
-                        cfg.donors,
-                        mix_seed(cfg.seed, chain, cycle, "mediator"),
-                        cfg.smooth,
-                    )
+            if miss_x.any():
+                signs = impute_sign(
+                    (np.sign(x_work) >= 0).astype(float),
+                    data.m_x,
+                    [z_work, y],
+                    mix_seed(cfg.seed, chain, cycle, "sign"),
+                    cfg.n_knots,
+                )
+                magnitudes = pmm_impute(
+                    np.abs(x_work),
+                    data.m_x,
+                    [z_work, y],
+                    cfg.donors,
+                    mix_seed(cfg.seed, chain, cycle, "magnitude"),
+                    cfg.n_knots,
+                )
+                x_work[miss_x] = signs * magnitudes
+            if miss_z.any():
+                magnitude, sign = decompose_x(x_work)
+                z_work[miss_z] = pmm_impute(
+                    z_work,
+                    data.m_z,
+                    [magnitude, sign, y],
+                    cfg.donors,
+                    mix_seed(cfg.seed, chain, cycle, "mediator"),
+                    cfg.n_knots,
+                )
             for name, work, miss in (("x", x_work, miss_x), ("z", z_work, miss_z)):
                 if miss.any():
                     trace.append(

@@ -17,7 +17,6 @@ from .errors import ConfigError
 from .frontdoor_estimator import EstimatorConfig
 from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
-from .spline_smooth import AdditiveConfig
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class RunConfig:
             cycles=self.cycles,
             donors=self.donors,
             seed=mix_seed(self.seed, "impute"),
-            smooth=AdditiveConfig(n_knots=self.n_knots),
+            n_knots=self.n_knots,
         )
 
     def estimator_config(self, label: str) -> EstimatorConfig:

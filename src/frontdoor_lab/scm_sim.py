@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.special import erf
@@ -66,23 +65,9 @@ class ScmConfig:
             raise FrontdoorLabError("x_prime_range must satisfy low < high")
 
 
-class PopulationRow(tuple):
-    """One latent population draw (u, x, z, y)."""
-
-    __slots__ = ()
-
-    def __new__(cls, u: float, x: float, z: float, y: float):
-        return super().__new__(cls, (u, x, z, y))
-
-    u = property(lambda self: self[0])
-    x = property(lambda self: self[1])
-    z = property(lambda self: self[2])
-    y = property(lambda self: self[3])
-
-
 @dataclass(frozen=True)
 class Population:
-    """Sequence of PopulationRow, stored columnwise."""
+    """Latent population draws (u, x, z, y), stored columnwise."""
 
     u: np.ndarray
     x: np.ndarray
@@ -91,13 +76,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.u)
-
-    def __getitem__(self, i: int) -> PopulationRow:
-        return PopulationRow(self.u[i], self.x[i], self.z[i], self.y[i])
-
-    def __iter__(self) -> Iterator[PopulationRow]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def std_normal_pdf(x):

@@ -13,14 +13,14 @@ smoother fit.  Each term is solved for the whole grid from one generalized
 eigendecomposition (the Demmler-Reinsch form): the affine null-space block is
 profiled out, the remaining block is whitened by the penalty, and edf, RSS and
 GCV then follow in closed form for every weight.  Coefficients and fitted
-values are formed only at the chosen weight.  Additive models cycle penalized
+values are formed only at the chosen weight.  Additive models start from the
+joint penalized solution, whose normal equations are assembled from per-term
+Gram blocks rather than from a stacked design, and then cycle penalized
 backfitting over the terms, reselecting the penalty for each term from its
-current partial residuals.  They start from the joint penalized solution,
-whose normal equations are assembled from per-term Gram blocks rather than
-from a stacked design.  A term's design keeps its Gram matrix and column sums
-and stores the basis matrix sparse; ``fit_additive`` reuses the designs of
-the last few covariate columns it saw, so chained-equation imputation, which
-refits the same columns cycle after cycle, builds each of them once.
+current partial residuals.  A term's design keeps its Gram matrix and column
+sums and stores the basis matrix sparse; ``fit_additive`` reuses the designs
+of the last few covariate columns it saw, so chained-equation imputation,
+which refits the same columns cycle after cycle, builds each of them once.
 
 Prediction inside the knot span evaluates the B-spline; beyond the span the
 fit continues linearly with the end slope.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,8 +50,17 @@ def default_lambda_grid() -> np.ndarray:
     return np.logspace(-6.0, 6.0, 25)
 
 
+# additive models select every term's penalty from this grid
+LAMBDA_GRID = default_lambda_grid()
+LAMBDA_GRID.setflags(write=False)
+# backfitting stops once no fitted component moves more than BACKFIT_TOL,
+# or warns after BACKFIT_MAX_CYCLES cycles
+BACKFIT_MAX_CYCLES = 50
+BACKFIT_TOL = 1e-6
+
+
 class NoConvergenceWarning(UserWarning):
-    """Backfitting hit its cycle cap; the best iterate was returned."""
+    """Backfitting hit its cycle cap; the last iterate was returned."""
 
 
 @dataclass(frozen=True)
@@ -285,6 +294,15 @@ class _PenalizedDesign:
         )
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinite entry raises
+    FrontdoorLabError rather than yielding NaN coefficients."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise FrontdoorLabError(f"{name} values must be finite")
+    return values
+
+
 def fit_penalized(
     y: np.ndarray, x: np.ndarray, basis: SplineBasis, lam: float
 ) -> PenalizedSplineFit:
@@ -294,8 +312,8 @@ def fit_penalized(
     direction undetermined, as with fewer distinct covariate values than
     basis columns.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+    y = _finite(y, "response")
+    x = _finite(x, "covariate")
     if len(y) != len(x):
         raise FrontdoorLabError("y and x must have equal length")
     if len(y) < basis.dim:
@@ -320,21 +338,11 @@ def select_lambda(
         raise FrontdoorLabError("penalty grid must be nonempty")
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise FrontdoorLabError("penalty grid must be finite and nonnegative")
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+    y = _finite(y, "response")
+    x = _finite(x, "covariate")
     if len(y) != len(x):
         raise FrontdoorLabError("y and x must have equal length")
     return _PenalizedDesign(basis, x, np.sort(grid)).fit(y)
-
-
-@dataclass(frozen=True)
-class AdditiveConfig:
-    n_knots: int = DEFAULT_N_KNOTS
-    lambda_grid: tuple[float, ...] = field(
-        default_factory=lambda: tuple(default_lambda_grid())
-    )
-    max_cycles: int = 50
-    tol: float = 1e-6
 
 
 # One chained-equation cycle fits five covariate columns: the mediator and the
@@ -346,13 +354,15 @@ _DESIGN_MEMO_SIZE = 5
 _design_memo: OrderedDict[tuple, _PenalizedDesign] = OrderedDict()
 
 
-def _design_for(column: np.ndarray, n_knots: int, grid: np.ndarray) -> _PenalizedDesign:
+def _design_for(column: np.ndarray, n_knots: int) -> _PenalizedDesign:
     """The additive-model design of ``column``, reused while it is among the
     ``_DESIGN_MEMO_SIZE`` most recently used."""
-    key = (column.tobytes(), n_knots, grid.tobytes())
+    key = (column.tobytes(), n_knots)
     design = _design_memo.get(key)
     if design is None:
-        design = _PenalizedDesign(_basis_for_covariate(column, n_knots), column, grid)
+        design = _PenalizedDesign(
+            _basis_for_covariate(column, n_knots), column, LAMBDA_GRID
+        )
         _design_memo[key] = design
         if len(_design_memo) > _DESIGN_MEMO_SIZE:
             _design_memo.popitem(last=False)
@@ -431,69 +441,62 @@ def _joint_fit(
 def fit_additive(
     y: np.ndarray,
     covariates: Sequence[np.ndarray],
-    config: AdditiveConfig | None = None,
+    n_knots: int = DEFAULT_N_KNOTS,
 ) -> AdditiveFit:
-    """Backfit y = intercept + sum_j f_j(x_j) + noise.
+    """Fit y = intercept + sum_j f_j(x_j) + noise in two stages.
 
-    Each cycle refits every term to its partial residuals with GCV reselection
-    of the penalty, then recenters the term so the fitted components sum to
-    zero over the training data.  Stops when no fitted component moved more
-    than ``tol``, or warns and returns the best iterate after ``max_cycles``.
+    The joint start solves all terms at once for the current penalty picks,
+    reselects each term's pick by GCV on its partial residuals and re-solves,
+    at most five times.  Solving jointly settles at once the directions that
+    strongly dependent covariates share, where backfitting alone would creep.
 
-    Backfitting is initialized at the joint penalized solution for the current
-    penalty picks (reselecting them a few times), so the slowly mixing
-    directions of strongly dependent covariates are already resolved when the
-    cycling starts; the loop then just confirms the fixed point.
+    Backfitting then cycles over the terms: each is refitted to its partial
+    residuals with GCV reselection of its penalty and recentered so the fitted
+    components sum to zero over the training data.  It stops when no fitted
+    component moved more than ``BACKFIT_TOL``, or warns and returns the last
+    iterate after ``BACKFIT_MAX_CYCLES``.  The joint re-solves cannot replace
+    this loop: when a pick changes, a joint re-solve moves every term at once,
+    and on a small imputation fit the picks can alternate between two sets
+    indefinitely (the known weak spot of performance iteration; Gu 1992,
+    JCGS).  Backfitting moves one term at a time and reaches a fixed point of
+    the per-term selections, usually in one cycle after the joint start.
     """
-    config = config or AdditiveConfig()
-    y = np.asarray(y, dtype=float)
+    y = _finite(y, "response")
     if len(covariates) == 0:
         raise FrontdoorLabError("need at least one covariate")
-    columns = [np.asarray(c, dtype=float) for c in covariates]
+    columns = [_finite(c, "covariate") for c in covariates]
     for column in columns:
         if len(column) != len(y):
             raise FrontdoorLabError("covariates must match the response length")
 
-    grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
-    designs = [_design_for(column, config.n_knots, grid) for column in columns]
-
+    designs = [_design_for(column, n_knots) for column in columns]
     n_terms = len(designs)
-    intercept = float(np.mean(y))
-    fitted = [np.zeros(len(y)) for _ in range(n_terms)]
-    betas = [np.zeros(d.basis.dim) for d in designs]
-    chosen = [0] * n_terms
     gcvs = [np.inf] * n_terms
-    converged = False
 
-    # initialization: joint solves until the per-term penalty picks stabilize
-    try:
-        centered = y - intercept
-        chosen = [design.select(centered)[0] for design in designs]
-        normal = _joint_normal_equations(y, designs)
-        for _ in range(5):
-            joint_intercept, joint_betas = _joint_fit(normal, designs, chosen)
-            values = [d.B @ b for d, b in zip(designs, joint_betas)]
-            for j in range(n_terms):
-                center = float(np.mean(values[j]))
-                joint_betas[j] = joint_betas[j] - center
-                values[j] = values[j] - center
-                joint_intercept += center
-            intercept, betas, fitted = joint_intercept, joint_betas, values
-            picks = []
-            for j, design in enumerate(designs):
-                partial = y - intercept - sum(
-                    fitted[k] for k in range(n_terms) if k != j
-                )
-                picks.append(design.select(partial)[0])
-            if picks == chosen:
-                break
-            chosen = picks
-    except SingularSystem:
-        intercept = float(np.mean(y))
-        fitted = [np.zeros(len(y)) for _ in range(n_terms)]
-        betas = [np.zeros(d.basis.dim) for d in designs]
-        chosen = [0] * n_terms
-    for _ in range(config.max_cycles):
+    # joint start: joint solves until the per-term penalty picks stabilize
+    intercept = float(np.mean(y))
+    centered = y - intercept
+    chosen = [design.select(centered)[0] for design in designs]
+    normal = _joint_normal_equations(y, designs)
+    for _ in range(5):
+        joint_intercept, joint_betas = _joint_fit(normal, designs, chosen)
+        values = [d.B @ b for d, b in zip(designs, joint_betas)]
+        for j in range(n_terms):
+            center = float(np.mean(values[j]))
+            joint_betas[j] = joint_betas[j] - center
+            values[j] = values[j] - center
+            joint_intercept += center
+        intercept, betas, fitted = joint_intercept, joint_betas, values
+        picks = []
+        for j, design in enumerate(designs):
+            partial = y - intercept - sum(fitted[k] for k in range(n_terms) if k != j)
+            picks.append(design.select(partial)[0])
+        if picks == chosen:
+            break
+        chosen = picks
+
+    converged = False
+    for _ in range(BACKFIT_MAX_CYCLES):
         max_change = 0.0
         for j, design in enumerate(designs):
             partial = y - intercept - sum(fitted[k] for k in range(n_terms) if k != j)
@@ -509,12 +512,13 @@ def fit_additive(
             betas[j] = beta
             chosen[j] = index
             gcvs[j] = gcv
-        if max_change < config.tol:
+        if max_change < BACKFIT_TOL:
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"backfitting did not reach tol={config.tol} in {config.max_cycles} cycles",
+            f"backfitting did not reach tol={BACKFIT_TOL} "
+            f"in {BACKFIT_MAX_CYCLES} cycles",
             NoConvergenceWarning,
         )
 

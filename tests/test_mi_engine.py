@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from frontdoor_lab._seeds import mix_seed
 from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import AllMissingColumn, FrontdoorLabError, NothingToImpute
 from frontdoor_lab.mi_engine import (
@@ -15,7 +18,9 @@ from frontdoor_lab.mi_engine import (
     pmm_impute,
     run_mice,
 )
+from frontdoor_lab.runconfig import RunConfig
 from frontdoor_lab.scm_sim import ScmConfig, apply_missingness, generate_population
+from frontdoor_lab.spline_smooth import NoConvergenceWarning
 
 SCM = ScmConfig()
 
@@ -254,13 +259,24 @@ class TestRunMice:
         assert len(result.trace) == 2 * 3 * 2  # chains x cycles x variables
         assert {t.variable for t in result.trace} == {"x", "z"}
 
+    def test_small_run_backfitting_converges(self):
+        # the 140-row fits of this run need the backfitting loop: joint
+        # re-solves alone alternate between two sets of penalty picks
+        cfg = RunConfig(seed=6, n=150, m=2)
+        population = generate_population(
+            cfg.scm, cfg.n, mix_seed(cfg.seed, "population")
+        )
+        data = apply_missingness(cfg.scm, population, mix_seed(cfg.seed, "missingness"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NoConvergenceWarning)
+            result = run_mice(data, cfg.imputation_config())
+        assert result.m == 2
+
     def test_config_validation(self):
         with pytest.raises(FrontdoorLabError):
             ImputationConfig(m=1)
         with pytest.raises(FrontdoorLabError):
             ImputationConfig(donors=0)
-        with pytest.raises(FrontdoorLabError):
-            ImputationConfig(visit_order=("x", "x"))
 
 
 class TestCompletedDatasets:

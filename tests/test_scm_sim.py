@@ -94,9 +94,6 @@ class TestGeneratePopulation:
     def test_sequence_protocol(self):
         pop = generate_population(CFG, 5, seed=1)
         assert len(pop) == 5
-        row = pop[2]
-        assert row.x == pop.x[2] and row.y == pop.y[2]
-        assert len(list(pop)) == 5
 
 
 class TestIntervene:

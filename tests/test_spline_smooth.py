@@ -7,7 +7,6 @@ from frontdoor_lab import spline_smooth
 from frontdoor_lab.errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
 from frontdoor_lab.scm_sim import ScmConfig, generate_population, std_normal_cdf, std_normal_pdf
 from frontdoor_lab.spline_smooth import (
-    AdditiveConfig,
     AdditiveFit,
     NoConvergenceWarning,
     SplineBasis,
@@ -324,8 +323,7 @@ class TestFitAdditive:
         x1 = rng.uniform(-1, 1, 1000)
         x2 = rng.uniform(-1, 1, 1000)
         y = np.sin(3 * x1) + np.cos(2 * x2) + 0.1 * rng.standard_normal(1000)
-        cfg = AdditiveConfig()
-        fit = fit_additive(y, [x1, x2], cfg)
+        fit = fit_additive(y, [x1, x2])
         assert fit.converged
         # one more manual cycle moves every component by less than the tolerance
         from frontdoor_lab.spline_smooth import _spline_values
@@ -338,19 +336,21 @@ class TestFitAdditive:
             partial = y - fit.intercept - sum(
                 components[k] for k in range(2) if k != j
             )
-            refit = select_lambda(partial, col, term.basis, cfg.lambda_grid)
+            refit = select_lambda(partial, col, term.basis)
             refit_vals = predict(refit, col)
             refit_vals = refit_vals - refit_vals.mean()
             assert float(np.max(np.abs(refit_vals - components[j]))) < 1e-5
 
-    def test_cycle_cap_warns(self):
+    def test_cycle_cap_warns(self, monkeypatch):
         rng = np.random.default_rng(25)
         x1 = rng.uniform(-1, 1, 400)
         x2 = x1 + 1e-3 * rng.standard_normal(400)  # nearly collinear smooths
         y = np.sin(4 * x1) + 0.1 * rng.standard_normal(400)
+        # an unreachable tolerance forces the cycle cap
+        monkeypatch.setattr(spline_smooth, "BACKFIT_MAX_CYCLES", 1)
+        monkeypatch.setattr(spline_smooth, "BACKFIT_TOL", 0.0)
         with pytest.warns(NoConvergenceWarning):
-            # an unreachable tolerance forces the cycle cap
-            fit = fit_additive(y, [x1, x2], AdditiveConfig(max_cycles=1, tol=0.0))
+            fit = fit_additive(y, [x1, x2])
         assert fit.converged is False
 
     def test_empty_covariates_rejected(self):
@@ -442,6 +442,37 @@ class TestJointFit:
         got = np.concatenate([[intercept], *betas])
         want = np.concatenate([[ref_intercept], *ref_betas])
         assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "entry, target, value",
+        [
+            ("select_lambda", "response", np.nan),
+            ("fit_penalized", "response", np.nan),
+            ("fit_additive", "response", np.nan),
+            ("fit_additive", "covariate", np.nan),
+            ("fit_additive", "covariate", np.inf),
+        ],
+        ids=[
+            "select_lambda-nan_response",
+            "fit_penalized-nan_response",
+            "fit_additive-nan_response",
+            "fit_additive-nan_covariate",
+            "fit_additive-inf_covariate",
+        ],
+    )
+    def test_rejected_with_frontdoor_error(self, entry, target, value):
+        x, y = make_xy(200, seed=31)
+        basis = build_basis(x, 20)
+        (y if target == "response" else x)[17] = value
+        fits = {
+            "select_lambda": lambda: select_lambda(y, x, basis),
+            "fit_penalized": lambda: fit_penalized(y, x, basis, 1.0),
+            "fit_additive": lambda: fit_additive(y, [x]),
+        }
+        with pytest.raises(FrontdoorLabError, match=f"{target} values must be finite"):
+            fits[entry]()
 
 
 class TestSerialization:
