@@ -32,6 +32,7 @@ from .errors import (
     NodeNotObserved,
     OverlappingSets,
     UnknownNode,
+    read_utf8,
 )
 
 
@@ -352,8 +353,7 @@ def dag_to_text(g: Dag) -> str:
 
 
 def load_graph(path) -> Dag:
-    with open(path, "r", encoding="utf-8") as handle:
-        return dag_from_text(handle.read())
+    return dag_from_text(read_utf8(path, GraphFormatError))
 
 
 # ------------------------------------------------------------- built-ins

@@ -12,11 +12,14 @@ directory, so stages can be rerun or inspected independently:
   ``imputation_diagnostics.csv``.
 * ``estimate``  reads the completed copies plus ``observed.csv``; writes
   ``effect_mi.csv`` and ``effect_cc.csv``.
-* ``evaluate``  compares both curve files against the closed-form truth.
+* ``evaluate``  compares both curve files, and the imputed mediator mean in
+  ``imputation_diagnostics.csv``, against the truth; writes ``evaluation.csv``.
 * ``plot``      emits the three SVG figures.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 missing input file,
-4 numeric failure.  Errors print a single machine-parsable line to stderr.
+Every CSV uses the table format of :mod:`frontdoor_lab.dataset`.  Exit codes:
+0 success, 2 usage or malformed input (a file that is not UTF-8, a config value
+no stage can use), 3 missing input file, 4 numeric failure.  Errors print a
+single machine-parsable line to stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .causal_graph import (
     load_graph,
     mar_holds,
 )
+from .dataset import _float_cells, _read_table, _write_table
 from .dataset import dataset_from_csv, dataset_to_csv
 from .errors import FrontdoorLabError, MissingInput, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
@@ -50,6 +54,7 @@ from .frontdoor_estimator import (
     fit_pair,
 )
 from .mi_engine import (
+    DIAGNOSTICS_HEADER,
     CompletedDatasets,
     diagnostics_to_csv,
     imputation_diagnostics,
@@ -241,11 +246,28 @@ def _error_stats(estimate, oracle, lo=-2.0, hi=2.0):
     }
 
 
+def _imputed_z_means(path: Path, m: int) -> list[float]:
+    """Mean of the imputed mediator cells of copies 1..m, as ``impute`` recorded them."""
+    rows = _read_table(
+        path,
+        "imputation diagnostics",
+        lambda h: h == DIAGNOSTICS_HEADER,
+        lambda row: (row[0], int(row[1]), row[2], [float(v) for v in row[3:]]),
+    )
+    return [
+        numbers[0]
+        for variable, index, side, numbers in rows
+        if variable == "z" and side == "imputed" and index <= m
+    ]
+
+
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     mi, oracle_mi = effect_from_csv(_require(out / "effect_mi.csv"))
     cc, oracle_cc = effect_from_csv(_require(out / "effect_cc.csv"))
+    if not np.array_equal(mi.grid, cc.grid):
+        raise FrontdoorLabError("effect_mi.csv and effect_cc.csv hold different grids")
     for label, estimate, oracle in (("mi", mi, oracle_mi), ("cc", cc, oracle_cc)):
         stats = _error_stats(estimate, oracle)
         print(
@@ -261,38 +283,29 @@ def cmd_evaluate(args) -> int:
     cc_stats = _error_stats(cc, oracle_cc)
     print(f"cc_overestimates={str(cc_stats['inner_mean_signed'] > 0).lower()}")
 
-    population_path = out / "population.csv"
-    observed_path = out / "observed.csv"
-    completed = _completed_paths(out, cfg.m)
-    if population_path.exists() and observed_path.exists() and all(p.exists() for p in completed):
+    names = ("population.csv", "observed.csv", "imputation_diagnostics.csv")
+    population_path, observed_path, diagnostics_path = (out / name for name in names)
+    if population_path.exists() and observed_path.exists() and diagnostics_path.exists():
         population = population_from_csv(population_path)
         observed = dataset_from_csv(observed_path)
-        if len(population) == observed.n:
-            masked = ~observed.m_z
-            if masked.any():
-                true_mean = float(np.mean(population.z[masked]))
-                pooled = float(
-                    np.mean(
-                        [
-                            np.mean(dataset_from_csv(p).z_star[masked])
-                            for p in completed
-                        ]
-                    )
-                )
-                print(
-                    f"imputed_z_pooled_mean={pooled:.4f} true_masked_z_mean={true_mean:.4f} "
-                    f"gap={pooled - true_mean:+.4f}"
-                )
+        means = _imputed_z_means(diagnostics_path, cfg.m)
+        if len(population) == observed.n and means and len(means) == cfg.m:
+            true_mean = float(np.mean(population.z[~observed.m_z]))
+            pooled = float(np.mean(means))
+            print(
+                f"imputed_z_pooled_mean={pooled:.4f} true_masked_z_mean={true_mean:.4f} "
+                f"gap={pooled - true_mean:+.4f}"
+            )
 
-    lines = ["x,oracle,mi_pooled,mi_error,cc_pooled,cc_error"]
-    for j in range(len(mi.grid)):
-        values = (
-            mi.grid[j], oracle_mi[j], mi.pooled_ace[j],
-            mi.pooled_ace[j] - oracle_mi[j], cc.pooled_ace[j],
-            cc.pooled_ace[j] - oracle_cc[j],
-        )
-        lines.append(",".join(repr(float(v)) for v in values))
-    (out / "evaluation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = (
+        mi.grid, oracle_mi, mi.pooled_ace, mi.pooled_ace - oracle_mi,
+        cc.pooled_ace, cc.pooled_ace - oracle_cc,
+    )
+    _write_table(
+        out / "evaluation.csv",
+        ["x", "oracle", "mi_pooled", "mi_error", "cc_pooled", "cc_error"],
+        [_float_cells(column) for column in columns],
+    )
     print(f"wrote {out / 'evaluation.csv'}")
     return 0
 

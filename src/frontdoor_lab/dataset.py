@@ -7,19 +7,25 @@ value physically cannot leak to a downstream consumer; access is through
 optional-returning accessors or the ``observed_*`` views.
 
 Serialization is CSV with header ``x,z,y`` and the literal token ``NA`` for a
-masked cell; the round trip is lossless including the mask.
+masked cell; the round trip is lossless including the mask.  Every stage
+artifact uses this table format (``_write_table`` / ``_read_table``): cells
+are the shortest round-trip float text, lines end in CRLF, text is UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
+from math import isfinite
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import FrontdoorLabError
+from .errors import FrontdoorLabError, read_utf8
 
 NA_TOKEN = "NA"
+DATASET_HEADER = ["x", "z", "y"]
 
 
 @dataclass(frozen=True)
@@ -82,46 +88,75 @@ class Dataset:
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "z", "y"])
-        for i in range(data.n):
-            x = repr(float(data.x_star[i])) if data.m_x[i] else NA_TOKEN
-            z = repr(float(data.z_star[i])) if data.m_z[i] else NA_TOKEN
-            writer.writerow([x, z, repr(float(data.y_star[i]))])
+    x, z = _float_cells(data.x_star, data.m_x), _float_cells(data.z_star, data.m_z)
+    _write_table(path, DATASET_HEADER, [x, z, _float_cells(data.y_star)])
 
 
 def dataset_from_csv(path) -> Dataset:
-    xs, zs, ys, mx, mz = [], [], [], [], []
+    rows = _read_table(path, "dataset", lambda h: h == DATASET_HEADER, _dataset_row)
+    x, z, y = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, 3).T
+    # only the NA token parses to NaN, so the masks follow from the values
+    return Dataset(x_star=x, z_star=z, y_star=y, m_x=~np.isnan(x), m_z=~np.isnan(z))
+
+
+def _dataset_row(row: list[str]) -> tuple[float, float, float]:
+    x, z, y = row
+    return _finite(x, NA_TOKEN), _finite(z, NA_TOKEN), _finite(y)
+
+
+def _finite(cell: str, na: str | None = None) -> float:
+    """``cell`` as a finite float, or NaN when it is the ``na`` token."""
+    value = np.nan if cell == na else float(cell)
+    if cell != na and not isfinite(value):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return value
+
+
+def _float_cells(values, mask=None) -> Iterator[str]:
+    """Shortest round-trip text of each value; ``NA`` where ``mask`` is False."""
+    # one Python float at a time: a whole column as a list would sit in memory
+    cells = map(repr, map(float, np.asarray(values, dtype=float)))
+    if mask is None:
+        return cells
+    return (cell if seen else NA_TOKEN for cell, seen in zip(cells, mask.tolist()))
+
+
+def _write_table(path, header: list[str], columns) -> None:
+    """Write equal-length columns of cell text under ``header``.
+
+    Cells go unquoted: callers pass only ``repr`` floats, ints, fixed tokens
+    and enum values, which never hold a comma, a quote or a line break.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join(cells) + "\r\n" for cells in zip(*columns, strict=True))
+
+
+def _read_table(path, kind: str, header_ok: Callable, parse: Callable) -> Iterator:
+    """Yield ``parse(row)`` for each non-blank data row of a CSV table.
+
+    A header ``header_ok`` rejects, a row as wide as the header that ``parse``
+    rejects with ``ValueError``, any other row width, bytes that are not UTF-8
+    and a table without rows raise :class:`FrontdoorLabError` naming the file.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["x", "z", "y"]:
-            raise FrontdoorLabError(f"unexpected dataset header in {path}: {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FrontdoorLabError(
-                    f"malformed dataset row in {path} line {reader.line_num}: {row}"
-                )
-            try:
-                for value, values, mask in ((row[0], xs, mx), (row[1], zs, mz)):
-                    if value == NA_TOKEN:
-                        values.append(np.nan)
-                        mask.append(False)
-                    else:
-                        values.append(float(value))
-                        mask.append(True)
-                ys.append(float(row[2]))
-            except ValueError as exc:
-                raise FrontdoorLabError(
-                    f"malformed dataset row in {path} line {reader.line_num}: {exc}"
-                ) from exc
-    return Dataset(
-        x_star=np.array(xs),
-        z_star=np.array(zs),
-        y_star=np.array(ys),
-        m_x=np.array(mx, dtype=bool),
-        m_z=np.array(mz, dtype=bool),
-    )
+        rows = 0
+        try:
+            header = next(reader, None)
+            if header is None or not header_ok(header):
+                raise FrontdoorLabError(f"unexpected {kind} header in {path}: {header}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells under {len(header)} columns")
+                yield parse(row)
+                rows += 1
+        except UnicodeDecodeError:
+            read_utf8(path)  # raises, naming the line of the first bad byte
+            raise
+        except (ValueError, csv.Error) as exc:
+            raise FrontdoorLabError(
+                f"malformed {kind} row in {path} line {reader.line_num}: {exc}"
+            ) from exc
+    if not rows:
+        raise FrontdoorLabError(f"no {kind} rows in {path}")

@@ -2,8 +2,11 @@
 
 The CLI maps these onto exit codes: malformed inputs (GraphFormatError,
 ConfigError) are usage errors, NumericError subclasses signal a numeric
-failure in a fitting or estimation step.
+failure in a fitting or estimation step.  ``read_utf8`` turns an input
+file that is not UTF-8 text into one of these errors.
 """
+
+from pathlib import Path
 
 
 class FrontdoorLabError(Exception):
@@ -93,3 +96,18 @@ class TooFewCompleteRows(NumericError):
 
 class EmptyResidualPool(NumericError):
     pass
+
+
+# ---------------------------------------------------------------- input text
+
+
+def read_utf8(path, error: type[FrontdoorLabError] = FrontdoorLabError) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises ``error`` naming its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{path} line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text"
+        ) from None

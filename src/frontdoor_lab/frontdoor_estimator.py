@@ -22,14 +22,13 @@ a missing cell first and serves as the biased benchmark.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ._seeds import mix_seed, rng_from
-from .dataset import Dataset
+from .dataset import Dataset, _float_cells, _read_table, _write_table
 from .errors import EmptyResidualPool, FrontdoorLabError, TooFewCompleteRows
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
@@ -264,60 +263,37 @@ def complete_case_effect(
 # ----------------------------------------------------------------- CSV
 
 
+def _effect_header(m: int) -> list[str]:
+    imputations = [f"ace_imp_{i + 1}" for i in range(m)]
+    return ["x", "pooled_ace", *imputations, "q05", "q95", "oracle_ace", "method"]
+
+
 def effect_to_csv(estimate: EffectEstimate, oracle: np.ndarray, path) -> None:
     """Write the curve table consumed by the evaluation and plot stages."""
     oracle = np.asarray(oracle, dtype=float)
     if oracle.shape != estimate.grid.shape:
         raise FrontdoorLabError("oracle curve must match the grid")
-    m = estimate.m
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["x", "pooled_ace"]
-            + [f"ace_imp_{i + 1}" for i in range(m)]
-            + ["q05", "q95", "oracle_ace", "method"]
-        )
-        for j in range(len(estimate.grid)):
-            writer.writerow(
-                [repr(float(estimate.grid[j])), repr(float(estimate.pooled_ace[j]))]
-                + [repr(float(v)) for v in estimate.per_imputation_ace[:, j]]
-                + [
-                    repr(float(estimate.q05[j])),
-                    repr(float(estimate.q95[j])),
-                    repr(float(oracle[j])),
-                    estimate.method.value,
-                ]
-            )
+    numbers = (estimate.grid, estimate.pooled_ace, *estimate.per_imputation_ace)
+    numbers += (estimate.q05, estimate.q95, oracle)
+    method = [estimate.method.value] * len(estimate.grid)
+    _write_table(path, _effect_header(estimate.m), [*map(_float_cells, numbers), method])
 
 
 def effect_from_csv(path) -> tuple[EffectEstimate, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "x" or "oracle_ace" not in header:
-            raise FrontdoorLabError(f"unexpected effect-curve header in {path}")
-        m = sum(1 for name in header if name.startswith("ace_imp_"))
-        table, methods = [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                table.append([float(v) for v in row[: 5 + m]])
-                methods.append(MethodTag(row[5 + m]))
-            except (ValueError, IndexError) as exc:
-                raise FrontdoorLabError(
-                    f"malformed effect-curve row in {path} line {reader.line_num}: {row}"
-                ) from exc
-    if not table:
-        raise FrontdoorLabError(f"no effect-curve rows in {path}")
+    table, methods = zip(
+        *_read_table(
+            path,
+            "effect-curve",
+            lambda h: h == _effect_header(len(h) - 6),
+            lambda row: ([float(v) for v in row[:-1]], MethodTag(row[-1])),
+        )
+    )
     # one contiguous row per column, so ``per`` has the (m, grid) layout that
     # makes the pooled-mean identity reproduce the writer's summation order
-    columns = np.ascontiguousarray(np.array(table).T)
-    grid, pooled, per = columns[0], columns[1], columns[2 : 2 + m]
-    q05, q95, oracle = columns[2 + m], columns[3 + m], columns[4 + m]
+    grid, pooled, *per, q05, q95, oracle = np.ascontiguousarray(np.array(table).T)
     estimate = EffectEstimate(
         grid=grid,
-        per_imputation_ace=per,
+        per_imputation_ace=np.array(per),
         pooled_ace=pooled,
         q05=q05,
         q95=q95,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from ._seeds import mix_seed, rng_from
-from .dataset import Dataset
+from .dataset import Dataset, _write_table
 from .errors import AllMissingColumn, FrontdoorLabError, NothingToImpute
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
@@ -335,16 +335,14 @@ def imputation_diagnostics(result: CompletedDatasets) -> list[DiagnosticRow]:
     return rows
 
 
+_DECILES = [f"d{i}" for i in range(1, 10)]
+DIAGNOSTICS_HEADER = ["variable", "dataset_index", "side", "mean", "sd", *_DECILES, "ks"]
+
+
 def diagnostics_to_csv(rows: Sequence[DiagnosticRow], path) -> None:
-    header = "variable,dataset_index,side,mean,sd," + ",".join(
-        f"d{i}" for i in range(1, 10)
-    ) + ",ks"
-    lines = [header]
-    for row in rows:
-        deciles = ",".join(repr(v) for v in row.deciles)
-        lines.append(
-            f"{row.variable},{row.dataset_index},{row.side},{row.mean!r},{row.sd!r},"
-            f"{deciles},{row.ks!r}"
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    table = [
+        [row.variable, str(row.dataset_index), row.side]
+        + [repr(v) for v in (row.mean, row.sd, *row.deciles, row.ks)]
+        for row in rows
+    ]
+    _write_table(path, DIAGNOSTICS_HEADER, zip(*table))

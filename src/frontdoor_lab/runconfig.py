@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import mix_seed
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .frontdoor_estimator import EstimatorConfig
 from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
@@ -33,6 +33,18 @@ class RunConfig:
     distribution_draws: int = 0  # 0: one pass over the dataset rows
     subsample: int = 500
     scm: ScmConfig = field(default_factory=ScmConfig)
+
+    def __post_init__(self):
+        # rejected here, before any stage runs: no stage can use these values
+        lo, hi, count = self.grid
+        if self.n_knots < 4:
+            raise ConfigError(f"n_knots must be >= 4, got {self.n_knots}")
+        if count < 1:
+            raise ConfigError(f"grid count must be >= 1, got {count}")
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"grid bounds must be finite with lo <= hi, got {lo}:{hi}")
+        if self.subsample < 1:
+            raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
 
     def grid_values(self) -> np.ndarray:
         lo, hi, count = self.grid
@@ -149,5 +161,4 @@ def config_to_text(cfg: RunConfig) -> str:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read(), base)
+    return parse_config(read_utf8(path, ConfigError), base)

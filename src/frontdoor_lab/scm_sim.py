@@ -23,13 +23,13 @@ frozen, so identical inputs reproduce identical outputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.special import erf
 
-from .dataset import Dataset
+from .dataset import Dataset, _float_cells, _read_table, _write_table
 from .errors import FrontdoorLabError, InvalidCount
 
 _TWO_PI = 2.0 * np.pi
@@ -38,6 +38,8 @@ _TWO_PI = 2.0 * np.pi
 _STREAM_POPULATION = 11
 _STREAM_MISSINGNESS = 13
 _STREAM_INTERVENTION = 17
+
+POPULATION_HEADER = ["u", "x", "z", "y"]
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -174,39 +176,13 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
 
 
 def population_to_csv(population: Population, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u", "x", "z", "y"])
-        for i in range(len(population)):
-            writer.writerow(
-                [
-                    repr(float(population.u[i])),
-                    repr(float(population.x[i])),
-                    repr(float(population.z[i])),
-                    repr(float(population.y[i])),
-                ]
-            )
+    columns = [_float_cells(getattr(population, name)) for name in POPULATION_HEADER]
+    _write_table(path, POPULATION_HEADER, columns)
 
 
 def population_from_csv(path) -> Population:
-    columns = {"u": [], "x": [], "z": [], "y": []}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["u", "x", "z", "y"]:
-            raise FrontdoorLabError(f"unexpected population header in {path}: {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise FrontdoorLabError(
-                    f"malformed population row in {path} line {reader.line_num}: {row}"
-                )
-            try:
-                for name, value in zip(("u", "x", "z", "y"), row):
-                    columns[name].append(float(value))
-            except ValueError as exc:
-                raise FrontdoorLabError(
-                    f"malformed population row in {path} line {reader.line_num}: {exc}"
-                ) from exc
-    return Population(**{k: np.array(v) for k, v in columns.items()})
+    rows = _read_table(
+        path, "population", lambda h: h == POPULATION_HEADER, lambda row: list(map(float, row))
+    )
+    table = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, 4)
+    return Population(*np.ascontiguousarray(table.T))

@@ -8,6 +8,7 @@ import pytest
 from frontdoor_lab.cli import main
 from frontdoor_lab.dataset import dataset_from_csv
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
+from frontdoor_lab.scm_sim import population_from_csv
 from frontdoor_lab.spline_smooth import spline_fit_from_text
 
 CONFIG_TEXT = """\
@@ -102,6 +103,27 @@ class TestEvaluateOutput:
         assert re.search(r"cc_overestimates=(true|false)", out)
         assert "imputed_z_pooled_mean=" in out
 
+    def test_imputed_mean_from_diagnostics(self, pipeline_dir, tmp_path, capsys):
+        # the line impute's diagnostics give must equal the mean over the
+        # completed copies, which evaluate no longer reads
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        masked = ~dataset_from_csv(run / "observed.csv").m_z
+        true_mean = float(np.mean(population_from_csv(run / "population.csv").z[masked]))
+        pooled = float(np.mean([
+            np.mean(dataset_from_csv(path).z_star[masked])
+            for path in sorted(run.glob("completed_*.csv"))
+        ]))
+        expected = (
+            f"imputed_z_pooled_mean={pooled:.4f} true_masked_z_mean={true_mean:.4f} "
+            f"gap={pooled - true_mean:+.4f}"
+        )
+        for path in run.glob("completed_*.csv"):
+            path.unlink()
+        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
+        assert main(["evaluate"] + config) == 0
+        assert expected in capsys.readouterr().out.splitlines()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -115,12 +137,12 @@ class TestDeterminism:
             assert main(["simulate", "--config", str(config)]) == 0
             assert main(["impute", "--config", str(config)]) == 0
             assert main(["estimate", "--config", str(config)]) == 0
+            assert main(["evaluate", "--config", str(config)]) == 0
             runs.append(out)
-        for name in (
-            "population.csv", "observed.csv",
-            "completed_01.csv", "completed_02.csv",
-            "effect_mi.csv", "effect_cc.csv",
-        ):
+        names = sorted(path.name for path in runs[0].glob("*.csv"))
+        assert names == sorted(path.name for path in runs[1].glob("*.csv"))
+        assert len(names) == 8
+        for name in names:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
@@ -201,8 +223,12 @@ class TestErrorPaths:
             ("evaluate", "population.csv", lambda cells: cells[:2] + ["abc"] + cells[3:]),
             ("evaluate", "effect_mi.csv", lambda cells: cells[:1] + ["oops"] + cells[2:]),
             ("evaluate", "effect_cc.csv", lambda cells: cells[:3]),
+            ("impute", "observed.csv", lambda cells: ["nan"] + cells[1:]),
         ],
-        ids=["dataset-bad-cell", "population-bad-cell", "effect-bad-cell", "effect-short-row"],
+        ids=[
+            "dataset-bad-cell", "population-bad-cell", "effect-bad-cell", "effect-short-row",
+            "dataset-nonfinite-cell",
+        ],
     )
     def test_malformed_csv_body(self, pipeline_dir, tmp_path, capsys, command, name, corrupt):
         run = tmp_path / "run"
@@ -215,6 +241,53 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input:")
         assert name in err and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "n_knots = 3",
+            "grid = -3:3:-1",
+            "grid = -3:3:0",
+            "grid = nan:1:5",
+            "grid = -3:inf:5",
+            "grid = 3:-3:5",
+            "subsample = 0",
+            "subsample = -1",
+        ],
+        ids=[
+            "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
+            "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
+        ],
+    )
+    def test_config_value_no_stage_can_use(self, tmp_path, capsys, line):
+        out = tmp_path / "run"
+        config = tmp_path / "config.txt"
+        config.write_text(f"n = 600\nm = 2\nout = {out}\n{line}\n")
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-input:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, name, content",
+        [
+            ("simulate", "config.txt", b"seed = 1\nout = caf\xe9\n"),
+            ("identify", "bad.graph", b"node A observed\n\xff\n"),
+            ("impute", "observed.csv", b"\xff\xfex,z,y\r\n1.0,2.0,3.0\r\n"),
+        ],
+        ids=["config", "graph", "observed_csv"],
+    )
+    def test_input_not_utf8(self, tmp_path, capsys, command, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        source = {
+            "simulate": ["--config", str(path)],
+            "identify": ["--graph", str(path)],
+            "impute": [],  # reads observed.csv from --out
+        }[command]
+        assert main([command, "--out", str(tmp_path)] + source) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert name in err and "not UTF-8" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

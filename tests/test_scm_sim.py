@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from frontdoor_lab.dataset import Dataset, dataset_from_csv, dataset_to_csv
 from frontdoor_lab.errors import FrontdoorLabError, InvalidCount
+from frontdoor_lab.frontdoor_estimator import EffectEstimate, MethodTag, effect_to_csv
 from frontdoor_lab.scm_sim import (
     Population,
     ScmConfig,
@@ -298,3 +301,59 @@ class TestCsvRoundTrips:
         dataset_to_csv(data, p1)
         dataset_to_csv(data, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_writers_match_csv_module(self, tmp_path):
+        # the format the tables had when each writer ran its own csv.writer
+        # loop: repr cells, NA for a masked cell, CRLF line ends
+        edge = np.array([-0.0, 5e-324, 0.1 + 0.2, 1e16])
+        observed = np.array([True, False, True, False])
+
+        def reference(header, rows):
+            path = tmp_path / "reference.csv"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                writer.writerows(rows)
+            return path.read_bytes()
+
+        def cell(value, seen=True):
+            return repr(float(value)) if seen else "NA"
+
+        data = Dataset(
+            x_star=edge, z_star=edge[::-1], y_star=edge, m_x=observed, m_z=~observed
+        )
+        dataset_to_csv(data, tmp_path / "observed.csv")
+        assert (tmp_path / "observed.csv").read_bytes() == reference(
+            ["x", "z", "y"],
+            [
+                [cell(x, mx), cell(z, mz), cell(y)]
+                for x, z, y, mx, mz in zip(edge, edge[::-1], edge, observed, ~observed)
+            ],
+        )
+
+        pop = Population(u=edge, x=edge[::-1], z=-edge, y=edge + 1.0)
+        population_to_csv(pop, tmp_path / "population.csv")
+        assert (tmp_path / "population.csv").read_bytes() == reference(
+            ["u", "x", "z", "y"],
+            [[cell(v) for v in row] for row in zip(pop.u, pop.x, pop.z, pop.y)],
+        )
+
+        estimate = EffectEstimate(
+            grid=edge,
+            per_imputation_ace=edge[None, :],
+            pooled_ace=edge,
+            q05=edge - 1.0,
+            q95=edge + 1.0,
+            method=MethodTag.COMPLETE_CASE,
+        )
+        oracle = edge[::-1]
+        effect_to_csv(estimate, oracle, tmp_path / "effect.csv")
+        assert (tmp_path / "effect.csv").read_bytes() == reference(
+            ["x", "pooled_ace", "ace_imp_1", "q05", "q95", "oracle_ace", "method"],
+            [
+                [cell(x), cell(p), cell(a), cell(lo), cell(hi), cell(o), "CompleteCase"]
+                for x, p, a, lo, hi, o in zip(
+                    edge, edge, edge, edge - 1.0, edge + 1.0, oracle
+                )
+            ],
+        )
