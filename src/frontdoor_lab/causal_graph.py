@@ -12,10 +12,10 @@ Graphs can be declared in a plain-text format, one declaration per line::
     node X observed
     edge U X
 
-Two graphs ship with the package: the four-node mediation structure with a
-latent confounder (``frontdoor_dag``) and its study-design expansion with
-measurement copies, missingness indicators and sampling indicators
-(``frontdoor_design_dag``).
+Two graph files ship with the package under ``graphs/``: the four-node
+mediation structure with a latent confounder (``frontdoor_dag``) and its
+study-design expansion with measurement copies, missingness indicators and
+sampling indicators (``frontdoor_design_dag``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -129,61 +131,22 @@ def build_dag(
         table[name] = Node(name, kind)
 
     seen: set[tuple[str, str]] = set()
+    parents: dict[str, list[str]] = {name: [] for name in table}
     for parent, child in edges:
         if parent not in table:
             raise UnknownNode(f"edge endpoint not declared: {parent!r}")
         if child not in table:
             raise UnknownNode(f"edge endpoint not declared: {child!r}")
-        if parent == child:
-            raise CycleDetected([parent, child])
         if (parent, child) in seen:
             raise DuplicateEdge(f"duplicate edge: {parent} -> {child}")
         seen.add((parent, child))
+        parents[child].append(parent)
 
-    cycle = _find_cycle(table, seen)
-    if cycle is not None:
-        raise CycleDetected(cycle)
+    try:
+        TopologicalSorter(parents).prepare()
+    except CycleError as exc:
+        raise CycleDetected(exc.args[1]) from None  # in edge direction, first == last
     return Dag(table, seen)
-
-
-def _find_cycle(nodes: dict[str, Node], edges: set[tuple[str, str]]):
-    """Return one directed cycle as a node list, or None if acyclic."""
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    for p, c in edges:
-        children[p].append(c)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    trail: list[str] = []
-
-    def visit(start: str):
-        stack = [(start, iter(sorted(children[start])))]
-        color[start] = GREY
-        trail.append(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color[child] == GREY:
-                    i = trail.index(child)
-                    return trail[i:] + [child]
-                if color[child] == WHITE:
-                    color[child] = GREY
-                    trail.append(child)
-                    stack.append((child, iter(sorted(children[child]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                trail.pop()
-                stack.pop()
-        return None
-
-    for name in sorted(nodes):
-        if color[name] == WHITE:
-            found = visit(name)
-            if found is not None:
-                return found
-    return None
 
 
 # ------------------------------------------------------------- separation
@@ -358,13 +321,12 @@ def load_graph(path) -> Dag:
 
 # ------------------------------------------------------------- built-ins
 
+_GRAPHS = Path(__file__).parent / "graphs"
+
 
 def frontdoor_dag() -> Dag:
     """Mediation structure with a latent confounder of treatment and outcome."""
-    return build_dag(
-        nodes=[("U", "latent"), ("X", "observed"), ("Z", "observed"), ("Y", "observed")],
-        edges=[("U", "X"), ("U", "Y"), ("X", "Z"), ("Z", "Y")],
-    )
+    return load_graph(_GRAPHS / "frontdoor.graph")
 
 
 def frontdoor_design_dag() -> Dag:
@@ -376,35 +338,4 @@ def frontdoor_design_dag() -> Dag:
     recorded copy of its variable, and both missingness indicators are driven
     by the outcome.
     """
-    return build_dag(
-        nodes=[
-            ("U", "latent"),
-            ("X", "latent"),
-            ("Z", "latent"),
-            ("Y", "latent"),
-            ("X*", "observed"),
-            ("Z*", "observed"),
-            ("Y*", "observed"),
-            ("M_X", "observed"),
-            ("M_Z", "observed"),
-            ("m_1", "observed"),
-            ("m_Omega", "observed"),
-        ],
-        edges=[
-            ("U", "X"),
-            ("U", "Y"),
-            ("X", "Z"),
-            ("Z", "Y"),
-            ("X", "X*"),
-            ("Z", "Z*"),
-            ("Y", "Y*"),
-            ("Y", "M_X"),
-            ("Y", "M_Z"),
-            ("M_X", "X*"),
-            ("M_Z", "Z*"),
-            ("m_Omega", "m_1"),
-            ("m_1", "X*"),
-            ("m_1", "Z*"),
-            ("m_1", "Y*"),
-        ],
-    )
+    return load_graph(_GRAPHS / "frontdoor_design.graph")

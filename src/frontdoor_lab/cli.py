@@ -47,11 +47,12 @@ from .dataset import dataset_from_csv, dataset_to_csv
 from .errors import FrontdoorLabError, MissingInput, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
+    MethodTag,
+    _fitted_pairs,
+    _pooled_effect,
     complete_case_effect,
     effect_from_csv,
     effect_to_csv,
-    estimate_effect,
-    fit_pair,
 )
 from .mi_engine import (
     DIAGNOSTICS_HEADER,
@@ -201,6 +202,19 @@ def cmd_impute(args) -> int:
     return 0
 
 
+def _saving_models(pairs, models: Path):
+    """Pass each (pair, label) on after writing its two fitted regressions."""
+    models.mkdir(exist_ok=True)
+    for i, (pair, label) in enumerate(pairs, start=1):
+        (models / f"mediator_{i:02d}.txt").write_text(
+            spline_fit_to_text(pair.mediator), encoding="utf-8"
+        )
+        (models / f"outcome_{i:02d}.txt").write_text(
+            additive_fit_to_text(pair.outcome), encoding="utf-8"
+        )
+        yield pair, label
+
+
 def cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
@@ -211,21 +225,14 @@ def cmd_estimate(args) -> int:
     bundle = CompletedDatasets(source=data, completed=completed)
     grid = cfg.grid_values()
     oracle = oracle_ace(cfg.scm, grid)
+    mi_config = cfg.estimator_config("mi")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoConvergenceWarning)
-        mi = estimate_effect(bundle, grid, cfg.estimator_config("mi"))
-        cc = complete_case_effect(data, grid, cfg.estimator_config("cc"))
+        pairs = _fitted_pairs(bundle.completed, mi_config)
         if args.save_models:
-            models = out / "models"
-            models.mkdir(exist_ok=True)
-            for i, copy in enumerate(completed, start=1):
-                pair = fit_pair(copy, cfg.estimator_config("mi"))
-                (models / f"mediator_{i:02d}.txt").write_text(
-                    spline_fit_to_text(pair.mediator), encoding="utf-8"
-                )
-                (models / f"outcome_{i:02d}.txt").write_text(
-                    additive_fit_to_text(pair.outcome), encoding="utf-8"
-                )
+            pairs = _saving_models(pairs, out / "models")
+        mi = _pooled_effect(pairs, grid, mi_config, MethodTag.MULTIPLE_IMPUTATION)
+        cc = complete_case_effect(data, grid, cfg.estimator_config("cc"))
     effect_to_csv(mi, oracle, out / "effect_mi.csv")
     effect_to_csv(cc, oracle, out / "effect_cc.csv")
     print(f"wrote {out / 'effect_mi.csv'}")
@@ -268,6 +275,8 @@ def cmd_evaluate(args) -> int:
     cc, oracle_cc = effect_from_csv(_require(out / "effect_cc.csv"))
     if not np.array_equal(mi.grid, cc.grid):
         raise FrontdoorLabError("effect_mi.csv and effect_cc.csv hold different grids")
+    if cfg.m != mi.m:
+        raise FrontdoorLabError(f"m = {cfg.m}, but effect_mi.csv holds {mi.m} imputations")
     for label, estimate, oracle in (("mi", mi, oracle_mi), ("cc", cc, oracle_cc)):
         stats = _error_stats(estimate, oracle)
         print(

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _float_cells, _read_table, _write_table
-from .errors import EmptyResidualPool, FrontdoorLabError, TooFewCompleteRows
+from .errors import ConfigError, EmptyResidualPool, FrontdoorLabError, TooFewCompleteRows
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
     AdditiveFit,
@@ -45,12 +46,16 @@ from .spline_smooth import (
 class EstimatorConfig:
     n_knots: int = 20
     mediator_draws_per_row: int = 1
-    distribution_draws: int | None = None  # None: one pass over the rows
+    distribution_draws: int = 0  # 0: one pass over the rows
     seed: int = 0
 
     def __post_init__(self):
         if self.mediator_draws_per_row < 1:
-            raise FrontdoorLabError("mediator_draws_per_row must be >= 1")
+            raise ConfigError(
+                f"mediator_draws_per_row must be >= 1, got {self.mediator_draws_per_row}"
+            )
+        if self.distribution_draws < 0:
+            raise ConfigError(f"distribution_draws must be >= 0, got {self.distribution_draws}")
 
 
 class MethodTag(Enum):
@@ -199,18 +204,23 @@ def _curves_for_pair(
     return ace, q05, q95
 
 
-def estimate_effect(
-    datasets: CompletedDatasets,
+def _fitted_pairs(copies: Iterable[Dataset], config: EstimatorConfig):
+    """Fit each completed copy in turn, labelled for its random streams."""
+    for i, completed in enumerate(copies):
+        yield fit_pair(completed, config), f"imp{i}"
+
+
+def _pooled_effect(
+    pairs: Iterable[tuple[FittedPair, str]],
     grid: np.ndarray,
-    config: EstimatorConfig | None = None,
+    config: EstimatorConfig,
+    method: MethodTag,
 ) -> EffectEstimate:
-    """Fit and estimate on every completed copy, pooling curves by averaging."""
-    config = config or EstimatorConfig()
+    """Curves of each (pair, label), pooled by averaging; one pair is held at a time."""
     grid = _checked_grid(grid)
     ace_rows, q05_rows, q95_rows = [], [], []
-    for i, completed in enumerate(datasets.completed):
-        pair = fit_pair(completed, config)
-        ace, q05, q95 = _curves_for_pair(pair, grid, config, f"imp{i}")
+    for pair, label in pairs:
+        ace, q05, q95 = _curves_for_pair(pair, grid, config, label)
         ace_rows.append(ace)
         q05_rows.append(q05)
         q95_rows.append(q95)
@@ -221,8 +231,19 @@ def estimate_effect(
         pooled_ace=per_imputation.mean(axis=0),
         q05=np.vstack(q05_rows).mean(axis=0),
         q95=np.vstack(q95_rows).mean(axis=0),
-        method=MethodTag.MULTIPLE_IMPUTATION,
+        method=method,
     )
+
+
+def estimate_effect(
+    datasets: CompletedDatasets,
+    grid: np.ndarray,
+    config: EstimatorConfig | None = None,
+) -> EffectEstimate:
+    """Fit and estimate on every completed copy, pooling curves by averaging."""
+    config = config or EstimatorConfig()
+    pairs = _fitted_pairs(datasets.completed, config)
+    return _pooled_effect(pairs, grid, config, MethodTag.MULTIPLE_IMPUTATION)
 
 
 def complete_case_effect(
@@ -246,18 +267,8 @@ def complete_case_effect(
         m_x=np.ones(int(keep.sum()), dtype=bool),
         m_z=np.ones(int(keep.sum()), dtype=bool),
     )
-    grid = _checked_grid(grid)
     pair = fit_pair(complete, config)
-    ace, q05, q95 = _curves_for_pair(pair, grid, config, "cc")
-    per_imputation = ace[None, :]
-    return EffectEstimate(
-        grid=grid,
-        per_imputation_ace=per_imputation,
-        pooled_ace=per_imputation.mean(axis=0),
-        q05=q05,
-        q95=q95,
-        method=MethodTag.COMPLETE_CASE,
-    )
+    return _pooled_effect([(pair, "cc")], grid, config, MethodTag.COMPLETE_CASE)
 
 
 # ----------------------------------------------------------------- CSV

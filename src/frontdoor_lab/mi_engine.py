@@ -25,7 +25,7 @@ from scipy.stats import ks_2samp
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _write_table
-from .errors import AllMissingColumn, FrontdoorLabError, NothingToImpute
+from .errors import AllMissingColumn, ConfigError, FrontdoorLabError, NothingToImpute
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
 SIGN_PROB_CLAMP = (0.01, 0.99)
@@ -41,9 +41,13 @@ class ImputationConfig:
 
     def __post_init__(self):
         if self.m < 2:
-            raise FrontdoorLabError("need at least two imputations")
+            raise ConfigError(f"need at least two imputations, got m = {self.m}")
         if self.cycles < 1 or self.donors < 1:
-            raise FrontdoorLabError("cycles and donors must be >= 1")
+            raise ConfigError(
+                f"cycles and donors must be >= 1, got {self.cycles} and {self.donors}"
+            )
+        if self.n_knots < 4:
+            raise ConfigError(f"n_knots must be >= 4, got {self.n_knots}")
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,18 @@ A run is fully described by one flat key-value text file (``key = value`` per
 line, ``#`` comments).  The same resolved configuration is echoed into the
 output directory, so any run can be reproduced from that file alone; every
 stage derives its random streams from the single root seed.
+
+The config keys are the fields of :class:`RunConfig` and of its
+:class:`ScmConfig`, in declaration order; a pair field of ``ScmConfig`` has
+one key per half.  Each key is parsed and written by its declared type:
+ints with ``str``, floats with ``repr``, strings raw and tuples as
+``:``-separated parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,10 +42,11 @@ class RunConfig:
     scm: ScmConfig = field(default_factory=ScmConfig)
 
     def __post_init__(self):
-        # rejected here, before any stage runs: no stage can use these values
+        # rejected here, before any stage runs: no stage can use these values;
+        # building the stage configs runs their own checks
+        self.imputation_config()
+        self.estimator_config("check")
         lo, hi, count = self.grid
-        if self.n_knots < 4:
-            raise ConfigError(f"n_knots must be >= 4, got {self.n_knots}")
         if count < 1:
             raise ConfigError(f"grid count must be >= 1, got {count}")
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
@@ -63,25 +71,57 @@ class RunConfig:
         return EstimatorConfig(
             n_knots=self.n_knots,
             mediator_draws_per_row=self.mediator_draws,
-            distribution_draws=self.distribution_draws or None,
+            distribution_draws=self.distribution_draws,
             seed=mix_seed(self.seed, "estimate", label),
         )
 
 
-_INT_KEYS = {
-    "seed", "n", "m", "cycles", "donors", "n_knots",
-    "mediator_draws", "distribution_draws", "subsample",
+# the two config keys of each ScmConfig field that holds a pair
+_PAIR_KEYS = {
+    "x_prime_range": ("x_prime_low", "x_prime_high"),
+    "miss_x_params": ("miss_x_a", "miss_x_b"),
+    "miss_z_params": ("miss_z_a", "miss_z_b"),
 }
-_SCM_FLOAT_KEYS = {
-    "sigma_z", "z_amplitude", "y_shift", "y_linear", "u_coef",
-    "x_prime_low", "x_prime_high",
-    "miss_x_a", "miss_x_b", "miss_z_a", "miss_z_b",
-}
+
+
+def _typed_fields(cls) -> list[tuple[str, type]]:
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls)]
+
+
+_RUN_FIELDS = [(name, kind) for name, kind in _typed_fields(RunConfig) if kind is not ScmConfig]
+_SCM_FIELDS = _typed_fields(ScmConfig)
+
+
+def _entries(cfg: RunConfig) -> list[tuple[str, type, object]]:
+    """Every config key with its type and its value in ``cfg``, in file order."""
+    entries = [(name, kind, getattr(cfg, name)) for name, kind in _RUN_FIELDS]
+    for name, kind in _SCM_FIELDS:
+        value = getattr(cfg.scm, name)
+        if name in _PAIR_KEYS:
+            entries += zip(_PAIR_KEYS[name], get_args(kind), value)
+        else:
+            entries.append((name, kind, value))
+    return entries
+
+
+def _parse(kind, text: str):
+    if get_origin(kind) is tuple:
+        parts = text.split(":")
+        return tuple(_parse(k, part) for k, part in zip(get_args(kind), parts, strict=True))
+    return kind(text)
+
+
+def _format(kind, value) -> str:
+    if get_origin(kind) is tuple:
+        return ":".join(_format(k, v) for k, v in zip(get_args(kind), value))
+    return repr(value) if kind is float else str(value)
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
-    scm_kwargs: dict[str, float] = {}
+    entries = _entries(base or RunConfig())
+    kinds = {key: kind for key, kind, _ in entries}
+    values = {key: value for key, _, value in entries}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,75 +129,21 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key not in kinds:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                cfg = replace(cfg, **{key: int(value)})
-            elif key == "out":
-                cfg = replace(cfg, out=value)
-            elif key == "grid":
-                lo, hi, count = value.split(":")
-                cfg = replace(cfg, grid=(float(lo), float(hi), int(count)))
-            elif key in _SCM_FLOAT_KEYS:
-                scm_kwargs[key] = float(value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            values[key] = _parse(kinds[key], value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: cannot parse {raw!r}") from exc
-    if scm_kwargs:
-        cfg = replace(cfg, scm=_scm_with(cfg.scm, scm_kwargs))
-    return cfg
-
-
-def _scm_with(scm: ScmConfig, values: dict[str, float]) -> ScmConfig:
-    kwargs = {
-        "sigma_z": values.get("sigma_z", scm.sigma_z),
-        "z_amplitude": values.get("z_amplitude", scm.z_amplitude),
-        "y_shift": values.get("y_shift", scm.y_shift),
-        "y_linear": values.get("y_linear", scm.y_linear),
-        "u_coef": values.get("u_coef", scm.u_coef),
-        "x_prime_range": (
-            values.get("x_prime_low", scm.x_prime_range[0]),
-            values.get("x_prime_high", scm.x_prime_range[1]),
-        ),
-        "miss_x_params": (
-            values.get("miss_x_a", scm.miss_x_params[0]),
-            values.get("miss_x_b", scm.miss_x_params[1]),
-        ),
-        "miss_z_params": (
-            values.get("miss_z_a", scm.miss_z_params[0]),
-            values.get("miss_z_b", scm.miss_z_params[1]),
-        ),
+    scm = {
+        name: tuple(values[k] for k in _PAIR_KEYS[name]) if name in _PAIR_KEYS else values[name]
+        for name, _ in _SCM_FIELDS
     }
-    return ScmConfig(**kwargs)
+    return RunConfig(**{name: values[name] for name, _ in _RUN_FIELDS}, scm=ScmConfig(**scm))
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    lo, hi, count = cfg.grid
-    lines = [
-        f"seed = {cfg.seed}",
-        f"n = {cfg.n}",
-        f"m = {cfg.m}",
-        f"grid = {lo!r}:{hi!r}:{count}",
-        f"out = {cfg.out}",
-        f"cycles = {cfg.cycles}",
-        f"donors = {cfg.donors}",
-        f"n_knots = {cfg.n_knots}",
-        f"mediator_draws = {cfg.mediator_draws}",
-        f"distribution_draws = {cfg.distribution_draws}",
-        f"subsample = {cfg.subsample}",
-        f"sigma_z = {cfg.scm.sigma_z!r}",
-        f"z_amplitude = {cfg.scm.z_amplitude!r}",
-        f"y_shift = {cfg.scm.y_shift!r}",
-        f"y_linear = {cfg.scm.y_linear!r}",
-        f"u_coef = {cfg.scm.u_coef!r}",
-        f"x_prime_low = {cfg.scm.x_prime_range[0]!r}",
-        f"x_prime_high = {cfg.scm.x_prime_range[1]!r}",
-        f"miss_x_a = {cfg.scm.miss_x_params[0]!r}",
-        f"miss_x_b = {cfg.scm.miss_x_params[1]!r}",
-        f"miss_z_a = {cfg.scm.miss_z_params[0]!r}",
-        f"miss_z_b = {cfg.scm.miss_z_params[1]!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format(kind, value)}\n" for key, kind, value in _entries(cfg))
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import erf
 
 from .dataset import Dataset, _float_cells, _read_table, _write_table
-from .errors import FrontdoorLabError, InvalidCount
+from .errors import ConfigError, InvalidCount
 
 _TWO_PI = 2.0 * np.pi
 
@@ -61,10 +61,10 @@ class ScmConfig:
 
     def __post_init__(self):
         if not self.sigma_z > 0:
-            raise FrontdoorLabError("sigma_z must be positive")
+            raise ConfigError("sigma_z must be positive")
         low, high = self.x_prime_range
         if not low < high:
-            raise FrontdoorLabError("x_prime_range must satisfy low < high")
+            raise ConfigError("x_prime_range must satisfy low < high")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from frontdoor_lab import cli, frontdoor_estimator
 from frontdoor_lab.cli import main
 from frontdoor_lab.dataset import dataset_from_csv
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
@@ -30,6 +31,17 @@ def pipeline_dir(tmp_path_factory):
     for command in ("simulate", "impute", "estimate", "plot", "evaluate"):
         extra = ["--save-models"] if command == "estimate" else []
         assert main([command, "--config", str(config)] + extra) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def run_m3(tmp_path_factory):
+    """A small run imputed and estimated with m = 3."""
+    out = tmp_path_factory.mktemp("run_m3")
+    config = out / "config.txt"
+    config.write_text(f"seed = 2\nn = 600\nm = 3\ngrid = -1:1:3\nout = {out}\n")
+    for command in ("simulate", "impute", "estimate"):
+        assert main([command, "--config", str(config)]) == 0
     return out
 
 
@@ -74,6 +86,27 @@ class TestPipelineArtifacts:
         assert len(outcome.terms) == 2
         points = np.column_stack([np.linspace(-1, 1, 5), np.linspace(0, 1, 5)])
         assert np.all(np.isfinite(predict(outcome, points)))
+
+    def test_save_models_reuses_the_fitted_pairs(self, run_m3, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        calls = []
+        fit_pair = frontdoor_estimator.fit_pair
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit_pair(*args, **kwargs)
+
+        monkeypatch.setattr(frontdoor_estimator, "fit_pair", counted)
+        monkeypatch.setattr(cli, "fit_pair", counted, raising=False)
+        config = ["--config", str(run_m3 / "config.txt"), "--out", str(run)]
+        assert main(["estimate", "--save-models"] + config) == 0
+        assert len(calls) == 3 + 1  # one pair per completed copy plus the complete-case pair
+        saved = sorted(path.name for path in (run / "models").iterdir())
+        kinds = ("mediator", "outcome")
+        assert saved == [f"{kind}_{i:02d}.txt" for kind in kinds for i in (1, 2, 3)]
+        for name in ("effect_mi.csv", "effect_cc.csv"):
+            assert (run / name).read_bytes() == (run_m3 / name).read_bytes(), name
 
     def test_svgs_are_well_formed_xml(self, pipeline_dir):
         for name in ("scatter_matrix.svg", "true_vs_conditional.svg", "estimated_effects.svg"):
@@ -253,10 +286,16 @@ class TestErrorPaths:
             "grid = 3:-3:5",
             "subsample = 0",
             "subsample = -1",
+            "m = 1",
+            "cycles = 0",
+            "donors = 0",
+            "mediator_draws = 0",
+            "distribution_draws = -1",
         ],
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
+            "m_1", "cycles_0", "donors_0", "mediator_draws_0", "distribution_draws_negative",
         ],
     )
     def test_config_value_no_stage_can_use(self, tmp_path, capsys, line):
@@ -288,6 +327,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input:")
         assert name in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize("m", [4, 2], ids=["m_above", "m_below"])
+    def test_evaluate_m_disagrees_with_effect_file(self, run_m3, capsys, m):
+        config = ["--config", str(run_m3 / "config.txt"), "--m", str(m)]
+        assert main(["evaluate"] + config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert "effect_mi.csv" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

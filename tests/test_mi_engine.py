@@ -6,7 +6,7 @@ from scipy.stats import ks_2samp
 
 from frontdoor_lab._seeds import mix_seed
 from frontdoor_lab.dataset import Dataset
-from frontdoor_lab.errors import AllMissingColumn, FrontdoorLabError, NothingToImpute
+from frontdoor_lab.errors import AllMissingColumn, ConfigError, FrontdoorLabError, NothingToImpute
 from frontdoor_lab.mi_engine import (
     CompletedDatasets,
     ImputationConfig,
@@ -277,6 +277,8 @@ class TestRunMice:
             ImputationConfig(m=1)
         with pytest.raises(FrontdoorLabError):
             ImputationConfig(donors=0)
+        with pytest.raises(ConfigError, match="n_knots"):
+            ImputationConfig(n_knots=3)
 
 
 class TestCompletedDatasets:

@@ -46,6 +46,77 @@ class TestRunConfig:
         assert cfg.estimator_config("mi").seed == a  # deterministic derivation
 
 
+DEFAULT_TEXT = """\
+seed = 1
+n = 20000
+m = 10
+grid = -3.0:3.0:41
+out = out
+cycles = 10
+donors = 5
+n_knots = 20
+mediator_draws = 1
+distribution_draws = 0
+subsample = 500
+sigma_z = 0.1
+z_amplitude = 4.0
+y_shift = 0.5
+y_linear = 0.3
+u_coef = -0.1
+x_prime_low = -2.0
+x_prime_high = 2.0
+miss_x_a = 2.0
+miss_x_b = -1.0
+miss_z_a = -1.0
+miss_z_b = 4.0
+"""
+
+# every key set away from its default, in the order config_to_text writes them
+ALL_KEYS_TEXT = """\
+seed = 17
+n = 4242
+m = 4
+grid = -1.5:2.25:7
+out = some dir/run
+cycles = 3
+donors = 2
+n_knots = 9
+mediator_draws = 2
+distribution_draws = 300
+subsample = 77
+sigma_z = 0.25
+z_amplitude = 3.5
+y_shift = 0.125
+y_linear = -0.7
+u_coef = 0.2
+x_prime_low = -1.0
+x_prime_high = 3.0
+miss_x_a = 1.5
+miss_x_b = -0.5
+miss_z_a = 0.75
+miss_z_b = 2.0
+"""
+
+
+class TestConfigText:
+    def test_default_text(self):
+        assert config_to_text(RunConfig()) == DEFAULT_TEXT
+
+    def test_all_keys_round_trip(self):
+        cfg = parse_config(ALL_KEYS_TEXT)
+        default = RunConfig()
+        for name in ("seed", "n", "m", "grid", "out", "cycles", "donors", "n_knots",
+                     "mediator_draws", "distribution_draws", "subsample"):
+            assert getattr(cfg, name) != getattr(default, name), name
+        for name in ("sigma_z", "z_amplitude", "y_shift", "y_linear", "u_coef"):
+            assert getattr(cfg.scm, name) != getattr(default.scm, name), name
+        assert cfg.scm.x_prime_range == (-1.0, 3.0)
+        assert cfg.scm.miss_x_params == (1.5, -0.5)
+        assert cfg.scm.miss_z_params == (0.75, 2.0)
+        assert config_to_text(cfg) == ALL_KEYS_TEXT
+        assert parse_config(config_to_text(cfg)) == cfg
+
+
 class TestScmConfigText:
     def test_round_trip(self):
         scm = ScmConfig(sigma_z=0.2, miss_x_params=(1.5, -0.5))
