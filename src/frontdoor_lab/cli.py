@@ -336,8 +336,7 @@ def cmd_plot(args) -> int:
         draws = intervene_generate(
             cfg.scm, float(x), 200000, mix_seed(cfg.seed, "plot-truth", j)
         )
-        true_q05[j] = float(np.quantile(draws, 0.05))
-        true_q95[j] = float(np.quantile(draws, 0.95))
+        true_q05[j], true_q95[j] = np.quantile(draws, [0.05, 0.95])
     curves = effect_curves_svg(mi, cc, oracle, true_q05, true_q95)
 
     for name, text in (

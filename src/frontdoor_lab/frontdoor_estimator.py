@@ -15,6 +15,11 @@ the intervention.  Adding resampled outcome residuals to the same plug-in
 values yields draws whose empirical quantiles estimate the quantiles of the
 interventional outcome distribution.
 
+Because the outcome model sees the observed x_i, its intercept plus treatment
+term at the training rows does not depend on the target x: each fitted pair
+evaluates it once (``FittedPair.treatment_part``), and each grid point
+evaluates only the outcome's mediator term at the fresh draws.
+
 With multiply imputed data the procedure runs once per completed copy and the
 curves are pooled by averaging; a complete-case variant drops every row with
 a missing cell first and serves as the biased benchmark.
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -35,6 +41,7 @@ from .mi_engine import CompletedDatasets
 from .spline_smooth import (
     AdditiveFit,
     PenalizedSplineFit,
+    _spline_values,
     build_basis,
     fit_additive,
     predict,
@@ -78,12 +85,35 @@ class FittedPair:
             == len(self.x_train)
         ):
             raise FrontdoorLabError("mediator and outcome must share training rows")
+        if len(self.outcome.terms) != 2:
+            raise FrontdoorLabError(
+                "outcome model needs treatment and mediator terms, got "
+                f"{len(self.outcome.terms)} terms"
+            )
+
+    @cached_property
+    def treatment_part(self) -> np.ndarray:
+        """Outcome intercept plus treatment term at the training rows (read-only).
+
+        Summed in ``predict``'s order, so adding the mediator term gives the
+        full outcome prediction bit for bit.
+        """
+        treatment = self.outcome.terms[0]
+        part = np.full(len(self.x_train), self.outcome.intercept)
+        part += _spline_values(treatment.basis, treatment.coefficients, self.x_train)
+        part.flags.writeable = False
+        return part
 
 
 def _checked_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) < 0):
-        raise FrontdoorLabError("grid must be a nonempty sorted vector")
+    if (
+        grid.ndim != 1
+        or len(grid) == 0
+        or not np.all(np.isfinite(grid))
+        or np.any(np.diff(grid) < 0)
+    ):
+        raise FrontdoorLabError("grid must be a nonempty sorted vector of finite values")
     return grid
 
 
@@ -152,12 +182,15 @@ def ace_at(
     One mediator draw per dataset row (or ``draws_per_row`` averaged), with
     the outcome model evaluated at the observed row treatments.
     """
+    if draws_per_row < 1:
+        raise FrontdoorLabError("draw count must be >= 1")
     rng = rng_from(seed, "ace")
     n = len(pair.x_train)
     total = 0.0
     for _ in range(draws_per_row):
         z_draws = _mediator_draws(pair, x, n, rng)
-        total += float(np.mean(predict(pair.outcome, [pair.x_train, z_draws])))
+        values = pair.treatment_part + predict(pair.outcome.terms[1], z_draws)
+        total += float(np.mean(values))
     return total / draws_per_row
 
 
@@ -178,7 +211,7 @@ def distribution_at(
     rng = rng_from(seed, "distribution")
     rows = np.arange(n_draws) % len(pair.x_train)
     z_draws = _mediator_draws(pair, x, n_draws, rng)
-    values = predict(pair.outcome, [pair.x_train[rows], z_draws])
+    values = pair.treatment_part[rows] + predict(pair.outcome.terms[1], z_draws)
     return values + pool[rng.integers(0, len(pool), n_draws)]
 
 
@@ -199,8 +232,7 @@ def _curves_for_pair(
         draws = distribution_at(
             pair, float(x), n_draws, mix_seed(config.seed, label, "dist", j)
         )
-        q05[j] = float(np.quantile(draws, 0.05))
-        q95[j] = float(np.quantile(draws, 0.95))
+        q05[j], q95[j] = np.quantile(draws, [0.05, 0.95])
     return ace, q05, q95
 
 
@@ -253,6 +285,7 @@ def complete_case_effect(
 ) -> EffectEstimate:
     """Benchmark estimate using only the rows with no missing cells."""
     config = config or EstimatorConfig()
+    grid = _checked_grid(grid)  # before the fit, so a bad grid costs nothing
     keep = data.complete_mask()
     basis_dim = config.n_knots + 2
     if int(keep.sum()) < 10 * basis_dim:

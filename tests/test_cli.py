@@ -171,11 +171,15 @@ class TestDeterminism:
             assert main(["impute", "--config", str(config)]) == 0
             assert main(["estimate", "--config", str(config)]) == 0
             assert main(["evaluate", "--config", str(config)]) == 0
+            assert main(["plot", "--config", str(config)]) == 0
             runs.append(out)
         names = sorted(path.name for path in runs[0].glob("*.csv"))
         assert names == sorted(path.name for path in runs[1].glob("*.csv"))
         assert len(names) == 8
-        for name in names:
+        figures = sorted(path.name for path in runs[0].glob("*.svg"))
+        assert figures == sorted(path.name for path in runs[1].glob("*.svg"))
+        assert len(figures) == 3
+        for name in names + figures:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 

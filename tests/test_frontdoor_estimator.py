@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from frontdoor_lab import frontdoor_estimator
+from frontdoor_lab._seeds import rng_from
 from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import (
     EmptyResidualPool,
@@ -33,6 +35,7 @@ from frontdoor_lab.scm_sim import (
     std_normal_cdf,
     std_normal_pdf,
 )
+from frontdoor_lab.spline_smooth import predict
 
 from oracles import mean_u_given_x_quadrature
 
@@ -94,6 +97,97 @@ class TestFitPair:
             pytest.skip("masking produced no missing cells")
         with pytest.raises(FrontdoorLabError):
             fit_pair(data)
+
+
+@pytest.fixture
+def no_fitting(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_pair reached")
+
+    monkeypatch.setattr(frontdoor_estimator, "fit_pair", refuse)
+
+
+BAD_GRIDS = [
+    pytest.param([np.nan], id="nan"),
+    pytest.param([0.0, np.inf], id="inf"),
+    pytest.param([-np.inf, 0.0], id="-inf"),
+    pytest.param([1.0, -1.0], id="unsorted"),
+]
+
+
+class TestTreatmentPart:
+    def test_outcome_needs_two_terms(self, scm_pair):
+        one_term = dataclasses.replace(
+            scm_pair.outcome, terms=scm_pair.outcome.terms[:1]
+        )
+        with pytest.raises(FrontdoorLabError, match="treatment and mediator"):
+            FittedPair(
+                mediator=scm_pair.mediator, outcome=one_term, x_train=scm_pair.x_train
+            )
+
+    def test_evaluated_once_per_pair(self, scm_pair, monkeypatch):
+        calls = []
+        evaluate = frontdoor_estimator._spline_values
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(frontdoor_estimator, "_spline_values", counting)
+        pair = FittedPair(scm_pair.mediator, scm_pair.outcome, scm_pair.x_train)
+        for j, x in enumerate((-1.0, 0.0, 2.5)):
+            ace_at(pair, x, seed=j, draws_per_row=2)
+            distribution_at(pair, x, 500, seed=j)
+        assert len(calls) == 1
+        assert pair.treatment_part is pair.treatment_part
+
+    def test_read_only(self, scm_pair):
+        part = scm_pair.treatment_part
+        assert part.shape == scm_pair.x_train.shape
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+
+
+class TestFullOutcomeReference:
+    """ace_at and distribution_at equal the full additive prediction bit for bit.
+
+    The reference draws from the same random streams and evaluates
+    ``predict(outcome, [x_train[rows], z_draws])`` in one call.
+    """
+
+    # 7.0 lies beyond the mediator's knots: the centre extrapolates, and so
+    # does the outcome's mediator term at about a fifth of the draws
+    TARGETS = (-3.5, 0.2, 7.0)
+
+    @staticmethod
+    def full_prediction(pair, x, rows, rng):
+        pool = pair.mediator.residuals
+        center = float(predict(pair.mediator, float(x))[0])
+        z_draws = center + pool[rng.integers(0, len(pool), len(rows))]
+        return predict(pair.outcome, [pair.x_train[rows], z_draws])
+
+    @pytest.mark.parametrize("draws_per_row", [1, 3])
+    def test_ace_at(self, scm_pair, draws_per_row):
+        rows = np.arange(len(scm_pair.x_train))
+        for j, x in enumerate(self.TARGETS):
+            rng = rng_from(j, "ace")
+            total = 0.0
+            for _ in range(draws_per_row):
+                total += float(np.mean(self.full_prediction(scm_pair, x, rows, rng)))
+            expected = total / draws_per_row
+            assert np.array_equal(ace_at(scm_pair, x, j, draws_per_row), expected)
+
+    @pytest.mark.parametrize("size", ["n", "n//3", "2n+7"])
+    def test_distribution_at(self, scm_pair, size):
+        n = len(scm_pair.x_train)
+        n_draws = {"n": n, "n//3": n // 3, "2n+7": 2 * n + 7}[size]
+        pool = scm_pair.outcome.residuals
+        for j, x in enumerate(self.TARGETS):
+            rng = rng_from(j, "distribution")
+            values = self.full_prediction(scm_pair, x, np.arange(n_draws) % n, rng)
+            expected = values + pool[rng.integers(0, len(pool), n_draws)]
+            assert np.array_equal(distribution_at(scm_pair, x, n_draws, j), expected)
 
 
 class TestDrawMediator:
@@ -187,6 +281,11 @@ class TestAceAt:
             )
             assert float(np.std(averaged)) < 0.75 * float(np.std(single))
 
+    @pytest.mark.parametrize("draws_per_row", [0, -1])
+    def test_draw_count_below_one_rejected(self, scm_pair, draws_per_row):
+        with pytest.raises(FrontdoorLabError, match="draw count must be >= 1"):
+            ace_at(scm_pair, 0.0, seed=1, draws_per_row=draws_per_row)
+
 
 class TestDistributionAt:
     def test_degenerate_pools_and_constant_fit(self):
@@ -272,6 +371,12 @@ class TestEstimateEffect:
         with pytest.raises(FrontdoorLabError):
             estimate_effect(bundle, np.array([1.0, -1.0]), EstimatorConfig(seed=92))
 
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_bad_grid_rejected_before_fitting(self, grid, no_fitting):
+        bundle = self.make_bundle(n=300, m=2)
+        with pytest.raises(FrontdoorLabError, match="grid must be"):
+            estimate_effect(bundle, np.array(grid), EstimatorConfig(seed=92))
+
     def test_frontdoor_agrees_with_direct_regression_when_unconfounded(self):
         # without the latent confounder both routes estimate the same curve
         cfg_unconfounded = ScmConfig(u_coef=0.0)
@@ -316,6 +421,13 @@ class TestCompleteCase:
         )
         with pytest.raises(TooFewCompleteRows):
             complete_case_effect(data, np.array([0.0]), EstimatorConfig(seed=99))
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_bad_grid_rejected_before_fitting(self, grid, no_fitting):
+        pop = generate_population(SCM, 300, seed=95)
+        data = complete_dataset(pop.x, pop.z, pop.y)
+        with pytest.raises(FrontdoorLabError, match="grid must be"):
+            complete_case_effect(data, np.array(grid), EstimatorConfig(seed=96))
 
 
 class TestEffectCsv:
