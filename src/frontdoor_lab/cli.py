@@ -5,7 +5,7 @@ directory, so stages can be rerun or inspected independently:
 
 * ``simulate``  writes ``population.csv`` (latent table, for evaluation
   only), ``observed.csv`` (masked table with NA tokens) and the resolved
-  ``run_config.txt``.
+  ``run_config.txt``, which the later stages read as their base settings.
 * ``identify``  reports the identification and missing-at-random checks for
   a graph file (or the two bundled graphs).
 * ``impute``    reads ``observed.csv``; writes ``completed_XX.csv`` and
@@ -73,22 +73,33 @@ from .scm_sim import (
 from .spline_smooth import NoConvergenceWarning, additive_fit_to_text, spline_fit_to_text
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
+def _resolve_config(args, recorded: bool = True) -> RunConfig:
+    """The run settings: defaults < ``run_config.txt`` < ``--config`` < flags.
+
+    The run record that ``simulate`` wrote into the output directory is read
+    when ``recorded`` is set and the file exists, so a later stage keeps the
+    settings of the run whose files it reads.  The output directory itself
+    is never taken from the record.
+    """
+    config = None
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise MissingInput(path)
-        cfg = load_config(path, cfg)
-    overrides = {}
-    for name in ("seed", "n", "m"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        config = Path(args.config)
+        if not config.exists():
+            raise MissingInput(config)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "n", "m", "out")
+        if getattr(args, name, None) is not None
+    }
+
+    def resolve(base: RunConfig) -> RunConfig:
+        cfg = load_config(config, base) if config else base
+        return replace(cfg, **overrides) if overrides else cfg
+
+    cfg = resolve(RunConfig())
+    record = Path(cfg.out) / "run_config.txt"
+    if recorded and record.exists():
+        cfg = replace(resolve(load_config(record)), out=cfg.out)
     return cfg
 
 
@@ -106,7 +117,7 @@ def _completed_paths(out: Path, m: int) -> list[Path]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, recorded=False)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     population = generate_population(cfg.scm, cfg.n, mix_seed(cfg.seed, "population"))

@@ -3,8 +3,8 @@
 A :class:`Dataset` holds the recorded columns ``x_star``, ``z_star`` and the
 always-observed ``y_star`` plus boolean masks ``m_x`` / ``m_z`` where True
 means the cell is observed.  Masked cells are stored as NaN, so the underlying
-value physically cannot leak to a downstream consumer; access is through
-optional-returning accessors or the ``observed_*`` views.
+value physically cannot leak to a downstream consumer: a consumer selects the
+observed cells of a column with its mask.
 
 Serialization is CSV with header ``x,z,y`` and the literal token ``NA`` for a
 masked cell; the round trip is lossless including the mask.  Every stage
@@ -66,18 +66,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.y_star)
-
-    def x_value(self, i: int) -> float | None:
-        return float(self.x_star[i]) if self.m_x[i] else None
-
-    def z_value(self, i: int) -> float | None:
-        return float(self.z_star[i]) if self.m_z[i] else None
-
-    def observed_x(self) -> np.ndarray:
-        return self.x_star[self.m_x]
-
-    def observed_z(self) -> np.ndarray:
-        return self.z_star[self.m_z]
 
     def complete_mask(self) -> np.ndarray:
         """Rows with no missing cell."""

@@ -96,10 +96,8 @@ def truth_vs_conditional_svg(
 
     grid = np.linspace(-3.0, 3.0, 121)
     truth = oracle_ace(cfg, grid)
-    cond_fit = select_lambda(
-        data.y_star[data.m_x], data.x_star[data.m_x],
-        build_basis(data.x_star[data.m_x], 20),
-    )
+    observed_x = data.x_star[data.m_x]
+    cond_fit = select_lambda(data.y_star[data.m_x], observed_x, build_basis(observed_x))
     conditional = predict(cond_fit, grid)
 
     exp_grid = np.linspace(-3.0, 3.0, 25)

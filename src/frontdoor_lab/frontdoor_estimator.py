@@ -39,6 +39,7 @@ from .dataset import Dataset, _float_cells, _read_table, _write_table
 from .errors import ConfigError, EmptyResidualPool, FrontdoorLabError, TooFewCompleteRows
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
+    DEFAULT_N_KNOTS,
     AdditiveFit,
     PenalizedSplineFit,
     _spline_values,
@@ -51,7 +52,7 @@ from .spline_smooth import (
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    n_knots: int = 20
+    n_knots: int = DEFAULT_N_KNOTS
     mediator_draws_per_row: int = 1
     distribution_draws: int = 0  # 0: one pass over the rows
     seed: int = 0

@@ -161,6 +161,14 @@ def _nearest_donor_values(
     return sorted_values[picked]
 
 
+def _complete_columns(predictors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The predictors as float columns; a NaN or infinite cell raises."""
+    columns = [np.asarray(p, dtype=float) for p in predictors]
+    if not all(np.all(np.isfinite(column)) for column in columns):
+        raise FrontdoorLabError("predictors must be complete")
+    return columns
+
+
 def pmm_impute(
     target: np.ndarray,
     observed: np.ndarray,
@@ -182,10 +190,7 @@ def pmm_impute(
     missing = ~observed
     if not missing.any() or not observed.any():
         raise NothingToImpute("target needs both observed and missing entries")
-    columns = [np.asarray(p, dtype=float) for p in predictors]
-    for column in columns:
-        if not np.all(np.isfinite(column)):
-            raise FrontdoorLabError("predictors must be complete")
+    columns = _complete_columns(predictors)
 
     fit = fit_additive(target[observed], [c[observed] for c in columns], n_knots)
     obs_pred = predict(fit, [c[observed] for c in columns])
@@ -212,7 +217,7 @@ def impute_sign(
     missing = ~observed
     if not missing.any() or not observed.any():
         raise NothingToImpute("sign target needs both observed and missing entries")
-    columns = [np.asarray(p, dtype=float) for p in predictors]
+    columns = _complete_columns(predictors)
     fit = fit_additive(sign01[observed], [c[observed] for c in columns], n_knots)
     prob = np.clip(
         predict(fit, [c[missing] for c in columns]), SIGN_PROB_CLAMP[0], SIGN_PROB_CLAMP[1]

@@ -24,6 +24,7 @@ from .errors import ConfigError, read_utf8
 from .frontdoor_estimator import EstimatorConfig
 from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
+from .spline_smooth import DEFAULT_N_KNOTS
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class RunConfig:
     out: str = "out"
     cycles: int = 10
     donors: int = 5
-    n_knots: int = 20
+    n_knots: int = DEFAULT_N_KNOTS
     mediator_draws: int = 1
     distribution_draws: int = 0  # 0: one pass over the dataset rows
     subsample: int = 500

@@ -8,16 +8,17 @@ response is reproduced unshrunk for every penalty weight, and the infinite
 penalty limit is the ordinary least squares line.
 
 Smoothness is selected by generalized cross-validation, n * RSS / (n - edf)^2,
-minimized over a fixed grid of penalty weights with ties broken toward the
-smoother fit.  Each term is solved for the whole grid from one generalized
-eigendecomposition (the Demmler-Reinsch form): the affine null-space block is
-profiled out, the remaining block is whitened by the penalty, and edf, RSS and
-GCV then follow in closed form for every weight.  Coefficients and fitted
-values are formed only at the chosen weight.  Additive models start from the
-joint penalized solution, whose normal equations are assembled from per-term
-Gram blocks rather than from a stacked design, and then cycle penalized
-backfitting over the terms, reselecting the penalty for each term from its
-current partial residuals.  A term's design keeps its Gram matrix and column
+minimized over ``LAMBDA_GRID``, one fixed grid of 25 penalty weights
+log-spaced over [1e-6, 1e6], with ties broken toward the smoother fit.  Each
+term is solved for the whole grid from one generalized eigendecomposition (the
+Demmler-Reinsch form): the affine null-space block is profiled out, the
+remaining block is whitened by the penalty, and edf, RSS and GCV then follow
+in closed form for every weight.  Coefficients and fitted values are formed
+only at the chosen weight.  Additive models start from the joint penalized
+solution, whose normal equations are assembled from per-term Gram blocks
+rather than from a stacked design, and then cycle penalized backfitting over
+the terms, reselecting the penalty for each term from its current partial
+residuals.  A term's design keeps its Gram matrix and column
 sums and stores the basis matrix sparse; ``fit_additive`` reuses the designs
 of the last few covariate columns it saw, so chained-equation imputation,
 which refits the same columns cycle after cycle, builds each of them once.
@@ -42,16 +43,9 @@ from .errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
 
 DEFAULT_N_KNOTS = 20
 DEFAULT_DEGREE = 3
-BOUNDARY_MARGIN = 0.05
 
-
-def default_lambda_grid() -> np.ndarray:
-    """25 penalty weights, log-spaced over [1e-6, 1e6]."""
-    return np.logspace(-6.0, 6.0, 25)
-
-
-# additive models select every term's penalty from this grid
-LAMBDA_GRID = default_lambda_grid()
+# every GCV selection picks its penalty weight from this grid
+LAMBDA_GRID = np.logspace(-6.0, 6.0, 25)
 LAMBDA_GRID.setflags(write=False)
 # backfitting stops once no fitted component moves more than BACKFIT_TOL,
 # or warns after BACKFIT_MAX_CYCLES cycles
@@ -69,7 +63,6 @@ class SplineBasis:
 
     knots: np.ndarray
     degree: int
-    boundary: tuple[float, float]
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -104,8 +97,8 @@ class SplineBasis:
 def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
     """Cubic basis with ``n_knots`` knots at empirical quantiles of ``x``.
 
-    Quantiles are taken over the deduplicated values; the boundary is the data
-    range extended by 5 percent on each side.
+    Quantiles are taken over the deduplicated values, so the knot span is the
+    data range; prediction beyond it continues linearly.
     """
     if n_knots < 4:
         raise FrontdoorLabError(f"n_knots must be >= 4, got {n_knots}")
@@ -119,12 +112,7 @@ def _quantile_basis(x: np.ndarray, n_knots: int, degree: int) -> SplineBasis:
             f"need >= {n_knots} distinct covariate values, got {len(distinct)}"
         )
     knots = np.quantile(distinct, np.linspace(0.0, 1.0, n_knots))
-    margin = BOUNDARY_MARGIN * (distinct[-1] - distinct[0])
-    return SplineBasis(
-        knots=knots,
-        degree=degree,
-        boundary=(float(distinct[0] - margin), float(distinct[-1] + margin)),
-    )
+    return SplineBasis(knots=knots, degree=degree)
 
 
 def _basis_for_covariate(x: np.ndarray, n_knots: int) -> SplineBasis:
@@ -140,13 +128,7 @@ def _basis_for_covariate(x: np.ndarray, n_knots: int) -> SplineBasis:
         raise TooFewDistinctValues("covariate is constant")
     if len(distinct) >= 4:
         return _quantile_basis(x, min(n_knots, len(distinct)), DEFAULT_DEGREE)
-    span = distinct[-1] - distinct[0]
-    margin = BOUNDARY_MARGIN * span
-    return SplineBasis(
-        knots=distinct,
-        degree=1,
-        boundary=(float(distinct[0] - margin), float(distinct[-1] + margin)),
-    )
+    return SplineBasis(knots=distinct, degree=1)
 
 
 def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
@@ -303,6 +285,17 @@ def _finite(values, name: str) -> np.ndarray:
     return values
 
 
+def _checked_design(
+    y, x, basis: SplineBasis, lambdas: Sequence[float]
+) -> tuple[np.ndarray, _PenalizedDesign]:
+    """The checked response and the design of ``x`` over ``lambdas``."""
+    y = _finite(y, "response")
+    x = _finite(x, "covariate")
+    if len(y) != len(x):
+        raise FrontdoorLabError("y and x must have equal length")
+    return y, _PenalizedDesign(basis, x, lambdas)
+
+
 def fit_penalized(
     y: np.ndarray, x: np.ndarray, basis: SplineBasis, lam: float
 ) -> PenalizedSplineFit:
@@ -312,37 +305,24 @@ def fit_penalized(
     direction undetermined, as with fewer distinct covariate values than
     basis columns.
     """
-    y = _finite(y, "response")
-    x = _finite(x, "covariate")
-    if len(y) != len(x):
-        raise FrontdoorLabError("y and x must have equal length")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise FrontdoorLabError(f"penalty weight must be finite and nonnegative, got {lam}")
     if len(y) < basis.dim:
         raise FrontdoorLabError(
             f"need at least {basis.dim} observations for a {basis.dim}-dim basis"
         )
-    if lam < 0:
-        raise FrontdoorLabError("penalty weight must be nonnegative")
-    return _PenalizedDesign(basis, x, [lam]).fit(y, 0)
+    y, design = _checked_design(y, x, basis, [lam])
+    return design.fit(y, 0)
 
 
-def select_lambda(
-    y: np.ndarray, x: np.ndarray, basis: SplineBasis, grid: Sequence[float] | None = None
-) -> PenalizedSplineFit:
-    """Fit over a penalty grid and return the GCV minimizer.
+def select_lambda(y: np.ndarray, x: np.ndarray, basis: SplineBasis) -> PenalizedSplineFit:
+    """Fit over ``LAMBDA_GRID`` and return the GCV minimizer.
 
     Ties go to the larger penalty weight.  The returned fit is identical to
     ``fit_penalized`` at the winning weight.
     """
-    grid = default_lambda_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise FrontdoorLabError("penalty grid must be nonempty")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise FrontdoorLabError("penalty grid must be finite and nonnegative")
-    y = _finite(y, "response")
-    x = _finite(x, "covariate")
-    if len(y) != len(x):
-        raise FrontdoorLabError("y and x must have equal length")
-    return _PenalizedDesign(basis, x, np.sort(grid)).fit(y)
+    y, design = _checked_design(y, x, basis, LAMBDA_GRID)
+    return design.fit(y)
 
 
 # One chained-equation cycle fits five covariate columns: the mediator and the
@@ -600,7 +580,6 @@ def spline_fit_to_text(fit: PenalizedSplineFit) -> str:
     lines = [
         "penalized_spline",
         f"degree {fit.basis.degree}",
-        f"boundary {fit.basis.boundary[0]!r} {fit.basis.boundary[1]!r}",
         "knots " + _format_vector(fit.basis.knots),
         "coefficients " + _format_vector(fit.coefficients),
         f"lambda {fit.lam!r}",
@@ -611,16 +590,11 @@ def spline_fit_to_text(fit: PenalizedSplineFit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    lo, hi = (float(v) for v in text.split())
-    return lo, hi
-
-
 def _read_fields(lines: list[str], what: str, parsers: dict) -> dict:
     """Parse ``key value`` lines, one parser per required key.
 
     A missing key or a value its parser rejects raises FrontdoorLabError
-    naming the field.
+    naming the field.  Keys without a parser are ignored.
     """
     raw = {}
     for line in lines:
@@ -639,7 +613,6 @@ def _read_fields(lines: list[str], what: str, parsers: dict) -> dict:
 
 _SPLINE_FIELDS = {
     "degree": int,
-    "boundary": _parse_pair,
     "knots": _parse_vector,
     "coefficients": _parse_vector,
     "lambda": float,
@@ -651,11 +624,8 @@ _SPLINE_FIELDS = {
 
 def _spline_fit_from_lines(lines: list[str]) -> PenalizedSplineFit:
     fields = _read_fields(lines, "penalized spline", _SPLINE_FIELDS)
-    basis = SplineBasis(
-        knots=fields["knots"], degree=fields["degree"], boundary=fields["boundary"]
-    )
     return PenalizedSplineFit(
-        basis=basis,
+        basis=SplineBasis(knots=fields["knots"], degree=fields["degree"]),
         coefficients=fields["coefficients"],
         lam=fields["lambda"],
         edf=fields["edf"],

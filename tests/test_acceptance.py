@@ -39,11 +39,7 @@ from frontdoor_lab.scm_sim import (
     intervene_generate,
     oracle_ace,
 )
-from frontdoor_lab.spline_smooth import (
-    build_basis,
-    default_lambda_grid,
-    fit_penalized,
-)
+from frontdoor_lab.spline_smooth import LAMBDA_GRID, build_basis, fit_penalized
 
 from oracles import d_separated_bruteforce, missingness_rates_quadrature, random_dag
 from frontdoor_lab.causal_graph import d_separated
@@ -261,7 +257,7 @@ def test_criterion_7_property_suites():
     affine = 1.3 - 0.8 * x
     null_worst = max(
         float(np.max(np.abs(fit_penalized(affine, x, basis, lam).residuals)))
-        for lam in [*default_lambda_grid(), 1e12]
+        for lam in [*LAMBDA_GRID, 1e12]
     )
     assert null_worst <= 1e-8
     noisy = affine + rng.standard_normal(600)

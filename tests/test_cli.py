@@ -9,7 +9,8 @@ from frontdoor_lab import cli, frontdoor_estimator
 from frontdoor_lab.cli import main
 from frontdoor_lab.dataset import dataset_from_csv
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
-from frontdoor_lab.scm_sim import population_from_csv
+from frontdoor_lab.runconfig import load_config
+from frontdoor_lab.scm_sim import oracle_ace, population_from_csv
 from frontdoor_lab.spline_smooth import spline_fit_from_text
 
 CONFIG_TEXT = """\
@@ -362,6 +363,29 @@ class TestErrorPaths:
 
 
 class TestFlagPrecedence:
+    def test_later_stages_use_the_recorded_run(self, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text(
+            f"seed = 8\nn = 600\nm = 2\ngrid = -1:1:3\nsigma_z = 0.5\nout = {tmp_path}\n"
+        )
+        assert main(["simulate", "--config", str(config)]) == 0
+        for command in ("impute", "estimate"):
+            assert main([command, "--out", str(tmp_path)]) == 0
+        _, oracle = effect_from_csv(tmp_path / "effect_mi.csv")
+        recorded = load_config(config)
+        assert np.array_equal(oracle, oracle_ace(recorded.scm, recorded.grid_values()))
+        assert len(list(tmp_path.glob("completed_*.csv"))) == 2
+
+    def test_config_and_flags_override_the_recorded_run(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["simulate", "--out", str(run), "--n", "600", "--m", "2"]) == 0
+        config = tmp_path / "config.txt"
+        config.write_text("m = 3\n")
+        assert main(["impute", "--config", str(config), "--out", str(run)]) == 0
+        assert "wrote 3 completed datasets" in capsys.readouterr().out
+        assert main(["impute", "--config", str(config), "--out", str(run), "--m", "2"]) == 0
+        assert "wrote 2 completed datasets" in capsys.readouterr().out
+
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text(f"seed = 7\nn = 800\nout = {tmp_path / 'from_config'}\n")

@@ -141,11 +141,14 @@ class TestPmmImpute:
             pmm_impute(np.ones(5), np.ones(5, dtype=bool), [np.arange(5.0)], 3, 1)
 
     def test_incomplete_predictor_rejected(self):
-        target = np.array([1.0, 2.0, np.nan])
+        target = np.array([1.0, 0.0, np.nan])
         observed = np.array([True, True, False])
-        bad = np.array([1.0, np.nan, 3.0])
-        with pytest.raises(FrontdoorLabError):
-            pmm_impute(target, observed, [bad], donors=1, seed=1)
+        # a gap on an observed row, then one on the row to impute
+        for bad in (np.array([1.0, np.nan, 3.0]), np.array([1.0, 2.0, np.nan])):
+            with pytest.raises(FrontdoorLabError, match="predictors must be complete"):
+                pmm_impute(target, observed, [bad], donors=1, seed=1)
+            with pytest.raises(FrontdoorLabError, match="predictors must be complete"):
+                impute_sign(target, observed, [bad], seed=1)
 
 
 class TestImputeSign:

@@ -233,10 +233,7 @@ class TestDataset:
             m_x=np.array([True, False]),
             m_z=np.array([True, True]),
         )
-        assert data.x_value(0) == 1.0
-        assert data.x_value(1) is None
         assert np.isnan(data.x_star[1])  # true value physically absent
-        assert data.observed_x().tolist() == [1.0]
         assert data.complete_mask().tolist() == [True, False]
 
     def test_y_must_be_complete(self):

@@ -7,13 +7,13 @@ from frontdoor_lab import spline_smooth
 from frontdoor_lab.errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
 from frontdoor_lab.scm_sim import ScmConfig, generate_population, std_normal_cdf, std_normal_pdf
 from frontdoor_lab.spline_smooth import (
+    LAMBDA_GRID,
     AdditiveFit,
     NoConvergenceWarning,
     SplineBasis,
     additive_fit_from_text,
     additive_fit_to_text,
     build_basis,
-    default_lambda_grid,
     design_matrix,
     fit_additive,
     fit_penalized,
@@ -36,7 +36,7 @@ def four_valued_data(seed=12):
     """A cubic basis on four distinct covariate values: six columns, rank four."""
     rng = np.random.default_rng(seed)
     x = np.repeat([0.0, 1.0, 2.0, 3.0], 30)
-    basis = SplineBasis(knots=np.unique(x), degree=3, boundary=(-0.15, 3.15))
+    basis = SplineBasis(knots=np.unique(x), degree=3)
     return x, x**2 + rng.standard_normal(len(x)), basis
 
 
@@ -48,9 +48,6 @@ class TestBuildBasis:
         assert len(basis.knots) == 10
         assert basis.dim == 10 + 3 - 1
         assert np.allclose(basis.knots, np.linspace(0, 1, 10), atol=0.05)
-        lo, hi = basis.boundary
-        assert lo < x.min() and hi > x.max()
-        assert lo == pytest.approx(x.min() - 0.05 * (x.max() - x.min()))
 
     def test_constant_covariate_rejected(self):
         with pytest.raises(TooFewDistinctValues):
@@ -159,6 +156,12 @@ class TestFitPenalized:
         with pytest.raises(FrontdoorLabError):
             fit_penalized(y[:-1], x, basis, 1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_unusable_penalty_weight_rejected(self, lam):
+        x, y = make_xy(100, seed=14)
+        with pytest.raises(FrontdoorLabError, match="penalty weight must be finite"):
+            fit_penalized(y, x, build_basis(x, 8), lam)
+
 
 class TestSelectLambda:
     def test_recovers_smooth_sine(self):
@@ -178,17 +181,11 @@ class TestSelectLambda:
         fit = select_lambda(y, x, build_basis(x, 20))
         assert fit.edf < 4.0
 
-    def test_single_element_grid(self):
-        x, y = make_xy(300, seed=12)
-        basis = build_basis(x, 10)
-        fit = select_lambda(y, x, basis, grid=[3.7])
-        assert fit.lam == 3.7
-
     def test_selected_weight_is_grid_member_and_gcv_finite(self):
         x, y = make_xy(500, seed=13)
         basis = build_basis(x, 15)
-        grid = default_lambda_grid()
-        fit = select_lambda(y, x, basis, grid)
+        grid = LAMBDA_GRID
+        fit = select_lambda(y, x, basis)
         assert fit.lam in grid
         assert np.isfinite(fit.gcv)
         # agree with a manual scan over fit_penalized
@@ -196,11 +193,6 @@ class TestSelectLambda:
         best = min(range(len(grid)), key=lambda i: (manual[i].gcv, -grid[i]))
         assert fit.lam == grid[best]
         assert np.allclose(fit.coefficients, manual[best].coefficients)
-
-    def test_empty_grid_rejected(self):
-        x, y = make_xy(100, seed=14)
-        with pytest.raises(FrontdoorLabError):
-            select_lambda(y, x, build_basis(x, 8), grid=[])
 
 
 class TestPredict:
@@ -212,12 +204,13 @@ class TestPredict:
     def test_linear_extrapolation_beyond_boundary(self):
         x, y = make_xy(400, seed=16)
         fit = select_lambda(y, x, build_basis(x, 15))
-        hi = fit.basis.boundary[1]
+        # beyond the knot span the fit continues linearly
+        hi = fit.basis.knots[-1]
         delta = 0.13
         v0, v1, v2 = predict(fit, np.array([hi, hi + delta, hi + 2 * delta]))
         slope = (v1 - v0) / delta
         assert v2 == pytest.approx(v0 + 2 * delta * slope, abs=1e-9)
-        lo = fit.basis.boundary[0]
+        lo = fit.basis.knots[0]
         w0, w1, w2 = predict(fit, np.array([lo, lo - delta, lo - 2 * delta]))
         assert w2 == pytest.approx(w0 - 2 * delta * ((w0 - w1) / -delta) * -1, abs=1e-9)
 
@@ -428,10 +421,9 @@ class TestJointFit:
             outcome = x + rng.standard_normal(600)
             columns = [np.abs(x), np.where(x >= 0, 1.0, -1.0), outcome]
             y = x + 0.3 * outcome + 0.1 * rng.standard_normal(600)
-        grid = np.sort(default_lambda_grid())
         designs = [
             spline_smooth._PenalizedDesign(
-                spline_smooth._basis_for_covariate(c, 20), c, grid
+                spline_smooth._basis_for_covariate(c, 20), c, LAMBDA_GRID
             )
             for c in columns
         ]
@@ -484,6 +476,16 @@ class TestSerialization:
         assert np.array_equal(predict(back, pts), predict(fit, pts))
         assert back.lam == fit.lam and back.edf == fit.edf
         assert np.array_equal(back.residuals, fit.residuals)
+
+    def test_text_with_a_field_no_longer_written_loads(self):
+        # model files of earlier versions hold a "boundary" line
+        x, y = make_xy(200, seed=26)
+        fit = select_lambda(y, x, build_basis(x, 10))
+        text = spline_fit_to_text(fit).replace("\nknots ", "\nboundary -2.2 2.2\nknots ", 1)
+        assert "boundary" in text
+        back = spline_fit_from_text(text)
+        pts = np.linspace(-3, 3, 50)
+        assert np.array_equal(predict(back, pts), predict(fit, pts))
 
     def test_additive_round_trip(self):
         rng = np.random.default_rng(27)
