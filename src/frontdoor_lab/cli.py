@@ -8,8 +8,8 @@ directory, so stages can be rerun or inspected independently:
   ``run_config.txt``, which the later stages read as their base settings.
 * ``identify``  reports the identification and missing-at-random checks for
   a graph file (or the two bundled graphs).
-* ``impute``    reads ``observed.csv``; writes ``completed_XX.csv`` and
-  ``imputation_diagnostics.csv``.
+* ``impute``    reads ``observed.csv``; writes ``completed_XX.csv``,
+  ``imputation_diagnostics.csv`` and the chain trace ``imputation_trace.csv``.
 * ``estimate``  reads the completed copies plus ``observed.csv``; writes
   ``effect_mi.csv`` and ``effect_cc.csv``.
 * ``evaluate``  compares both curve files, and the imputed mediator mean in
@@ -18,8 +18,9 @@ directory, so stages can be rerun or inspected independently:
 
 Every CSV uses the table format of :mod:`frontdoor_lab.dataset`.  Exit codes:
 0 success, 2 usage or malformed input (a file that is not UTF-8, a config value
-no stage can use), 3 missing input file, 4 numeric failure.  Errors print a
-single machine-parsable line to stderr.
+no stage can use, a value that contradicts the recorded run), 3 missing input
+file, 4 numeric failure.  Errors print a single machine-parsable line to
+stderr.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .causal_graph import (
 )
 from .dataset import _float_cells, _read_table, _write_table
 from .dataset import dataset_from_csv, dataset_to_csv
-from .errors import FrontdoorLabError, MissingInput, NumericError
+from .errors import ConfigError, FrontdoorLabError, MissingInput, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
     MethodTag,
@@ -60,8 +61,9 @@ from .mi_engine import (
     diagnostics_to_csv,
     imputation_diagnostics,
     run_mice,
+    trace_to_csv,
 )
-from .runconfig import RunConfig, config_to_text, load_config
+from .runconfig import RunConfig, config_to_text, load_config, simulate_key_changes
 from .scm_sim import (
     apply_missingness,
     generate_population,
@@ -79,7 +81,9 @@ def _resolve_config(args, recorded: bool = True) -> RunConfig:
     The run record that ``simulate`` wrote into the output directory is read
     when ``recorded`` is set and the file exists, so a later stage keeps the
     settings of the run whose files it reads.  The output directory itself
-    is never taken from the record.
+    is never taken from the record.  A ``--config`` or flag value that
+    contradicts a recorded key ``simulate`` fixed (the seed, the sample size,
+    the mechanism) raises ConfigError; an equal value passes.
     """
     config = None
     if args.config:
@@ -99,7 +103,11 @@ def _resolve_config(args, recorded: bool = True) -> RunConfig:
     cfg = resolve(RunConfig())
     record = Path(cfg.out) / "run_config.txt"
     if recorded and record.exists():
-        cfg = replace(resolve(load_config(record)), out=cfg.out)
+        kept = load_config(record)
+        cfg = replace(resolve(kept), out=cfg.out)
+        changed = simulate_key_changes(cfg, kept)
+        if changed:
+            raise ConfigError(f"contradicts the run recorded in {record}: {'; '.join(changed)}")
     return cfg
 
 
@@ -208,8 +216,10 @@ def cmd_impute(args) -> int:
     for path, completed in zip(_completed_paths(out, cfg.m), result.completed):
         dataset_to_csv(completed, path)
     diagnostics_to_csv(imputation_diagnostics(result), out / "imputation_diagnostics.csv")
+    trace_to_csv(result.trace, out / "imputation_trace.csv")
     print(f"wrote {cfg.m} completed datasets to {out}")
     print(f"wrote {out / 'imputation_diagnostics.csv'}")
+    print(f"wrote {out / 'imputation_trace.csv'}")
     return 0
 
 

@@ -52,6 +52,9 @@ class ImputationConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """Mean and sd of one variable's imputed cells after one cycle of one
+    chain; chain k (from 1) fills completed copy k, cycles count from 1."""
+
     chain: int
     cycle: int
     variable: str
@@ -276,8 +279,8 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
                 if miss.any():
                     trace.append(
                         TraceRow(
-                            chain=chain,
-                            cycle=cycle,
+                            chain=chain + 1,
+                            cycle=cycle + 1,
                             variable=name,
                             mean=float(np.mean(work[miss])),
                             sd=float(np.std(work[miss])),
@@ -355,3 +358,14 @@ def diagnostics_to_csv(rows: Sequence[DiagnosticRow], path) -> None:
         for row in rows
     ]
     _write_table(path, DIAGNOSTICS_HEADER, zip(*table))
+
+
+TRACE_HEADER = ["chain", "cycle", "variable", "mean", "sd"]
+
+
+def trace_to_csv(rows: Sequence[TraceRow], path) -> None:
+    table = [
+        [str(row.chain), str(row.cycle), row.variable, repr(row.mean), repr(row.sd)]
+        for row in rows
+    ]
+    _write_table(path, TRACE_HEADER, zip(*table))

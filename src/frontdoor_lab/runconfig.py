@@ -147,5 +147,23 @@ def config_to_text(cfg: RunConfig) -> str:
     return "".join(f"{key} = {_format(kind, value)}\n" for key, kind, value in _entries(cfg))
 
 
+# the keys that the files ``simulate`` writes depend on: the seed, the sample
+# size and every ScmConfig key
+_SIMULATE_KEYS = {"seed", "n"} | {
+    key for name, _ in _SCM_FIELDS for key in _PAIR_KEYS.get(name, (name,))
+}
+
+
+def simulate_key_changes(cfg: RunConfig, recorded: RunConfig) -> list[str]:
+    """``key = value (recorded: value)`` for each key that ``simulate`` fixed
+    and on which ``cfg`` differs from ``recorded``."""
+    kept = {key: value for key, _, value in _entries(recorded)}
+    return [
+        f"{key} = {_format(kind, value)} (recorded: {_format(kind, kept[key])})"
+        for key, kind, value in _entries(cfg)
+        if key in _SIMULATE_KEYS and value != kept[key]
+    ]
+
+
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     return parse_config(read_utf8(path, ConfigError), base)

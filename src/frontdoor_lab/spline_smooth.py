@@ -134,7 +134,20 @@ def _basis_for_covariate(x: np.ndarray, n_knots: int) -> SplineBasis:
 def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
     """Dense basis evaluation matrix; all x must lie within the knot span."""
     x = np.asarray(x, dtype=float)
-    return BSpline.design_matrix(x, basis.full_knots, basis.degree).toarray()
+    if x.size == 0:
+        raise FrontdoorLabError("need at least one design point")
+    # checked here so scipy skips its own span check, a Python loop over x;
+    # a NaN fails both comparisons
+    lo, hi = float(basis.knots[0]), float(basis.knots[-1])
+    x_lo, x_hi = float(x.min()), float(x.max())
+    if not (lo <= x_lo and x_hi <= hi):
+        raise FrontdoorLabError(
+            f"design points must lie within the knot span [{lo!r}, {hi!r}], "
+            f"got [{x_lo!r}, {x_hi!r}]"
+        )
+    return BSpline.design_matrix(
+        x, basis.full_knots, basis.degree, extrapolate=True
+    ).toarray()
 
 
 def penalty_matrix(basis: SplineBasis) -> np.ndarray:
@@ -249,7 +262,9 @@ class _PenalizedDesign:
         beta_affine = self._Q1 @ delta
         residual_affine = y - self.B @ beta_affine
         c = self._W.T @ (self._Q2.T @ bty - self._L @ delta)
-        rss = residual_affine @ residual_affine - (c * c) @ self._rss_drop
+        # not `@`: OpenBLAS threads a ddot over 10,000 rows, and its idle threads spin
+        rss_affine = np.einsum("i,i->", residual_affine, residual_affine)
+        rss = rss_affine - (c * c) @ self._rss_drop
         # rounding can push the RSS of an exact fit just below zero
         rss = np.maximum(rss, 0.0)
         gcv = np.full(len(self.lambdas), np.inf)

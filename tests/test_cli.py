@@ -51,7 +51,7 @@ class TestPipelineArtifacts:
         expected = [
             "population.csv", "observed.csv", "run_config.txt",
             "completed_01.csv", "completed_02.csv", "imputation_diagnostics.csv",
-            "effect_mi.csv", "effect_cc.csv", "evaluation.csv",
+            "imputation_trace.csv", "effect_mi.csv", "effect_cc.csv", "evaluation.csv",
             "scatter_matrix.svg", "true_vs_conditional.svg", "estimated_effects.svg",
         ]
         for name in expected:
@@ -65,6 +65,25 @@ class TestPipelineArtifacts:
     def test_completed_copies_are_complete(self, pipeline_dir):
         data = dataset_from_csv(pipeline_dir / "completed_01.csv")
         assert data.is_complete()
+
+    def test_chain_trace_has_one_row_per_chain_cycle_and_variable(self, pipeline_dir):
+        lines = (pipeline_dir / "imputation_trace.csv").read_bytes().decode().split("\r\n")
+        assert lines[0] == "chain,cycle,variable,mean,sd"
+        rows = [line.split(",") for line in lines[1:] if line]
+        cycles = load_config(pipeline_dir / "run_config.txt").cycles
+        expected = [
+            [str(chain), str(cycle), variable]
+            for chain in (1, 2)
+            for cycle in range(1, cycles + 1)
+            for variable in ("x", "z")
+        ]
+        assert [row[:3] for row in rows] == expected
+        means = {row[2]: float(row[3]) for row in rows if row[0] == "2"}
+        completed = dataset_from_csv(pipeline_dir / "completed_02.csv")
+        observed = dataset_from_csv(pipeline_dir / "observed.csv")
+        # the last cycle's means are those of the imputed cells of the copy
+        assert means["z"] == float(np.mean(completed.z_star[~observed.m_z]))
+        assert means["x"] == float(np.mean(completed.x_star[~observed.m_x]))
 
     def test_effect_csv_readable_and_method_tagged(self, pipeline_dir):
         mi, oracle = effect_from_csv(pipeline_dir / "effect_mi.csv")
@@ -176,7 +195,7 @@ class TestDeterminism:
             runs.append(out)
         names = sorted(path.name for path in runs[0].glob("*.csv"))
         assert names == sorted(path.name for path in runs[1].glob("*.csv"))
-        assert len(names) == 8
+        assert len(names) == 9
         figures = sorted(path.name for path in runs[0].glob("*.svg"))
         assert figures == sorted(path.name for path in runs[1].glob("*.svg"))
         assert len(figures) == 3
@@ -385,6 +404,39 @@ class TestFlagPrecedence:
         assert "wrote 3 completed datasets" in capsys.readouterr().out
         assert main(["impute", "--config", str(config), "--out", str(run), "--m", "2"]) == 0
         assert "wrote 2 completed datasets" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "given, named",
+        [
+            (["--seed", "2"], "seed = 2 (recorded: 1)"),
+            (["--n", "900"], "n = 900 (recorded: 600)"),
+            (["--config", "sigma_z = 0.5\n"], "sigma_z = 0.5"),
+        ],
+        ids=["seed_flag", "n_flag", "mechanism_key_in_config"],
+    )
+    def test_a_value_contradicting_the_recorded_run_exits_2(
+        self, tmp_path, capsys, given, named
+    ):
+        run = tmp_path / "run"
+        assert main(["simulate", "--out", str(run), "--n", "600", "--m", "2", "--seed", "1"]) == 0
+        assert main(["impute", "--out", str(run)]) == 0
+        capsys.readouterr()
+        if given[0] == "--config":
+            config = tmp_path / "config.txt"
+            config.write_text(given[1])
+            given = ["--config", str(config)]
+        assert main(["estimate", "--out", str(run)] + given) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input: contradicts the run recorded in")
+        assert named in err
+        assert not (run / "effect_mi.csv").exists()
+
+    def test_values_equal_to_the_recorded_run_pass(self, tmp_path):
+        run = tmp_path / "run"
+        assert main(["simulate", "--out", str(run), "--n", "600", "--m", "2", "--seed", "1"]) == 0
+        config = tmp_path / "config.txt"
+        config.write_text("seed = 1\nn = 600\nsigma_z = 0.1\n")  # 0.1: the default
+        assert main(["impute", "--out", str(run), "--config", str(config), "--n", "600"]) == 0
 
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

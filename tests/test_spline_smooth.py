@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,25 @@ class TestBuildBasis:
     def test_small_n_knots_rejected(self):
         with pytest.raises(FrontdoorLabError):
             build_basis(np.linspace(0, 1, 50), n_knots=3)
+
+
+class TestDesignMatrix:
+    def test_rows_sum_to_one_on_the_closed_span(self):
+        x = np.linspace(0, 1, 50)
+        B = design_matrix(build_basis(x, 8), x)
+        assert B.shape == (50, 10)
+        assert np.allclose(B.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(1.5, "within the knot span"), (np.nan, "within the knot span"), (None, "at least one")],
+        ids=["out_of_span", "nan", "empty"],
+    )
+    def test_unusable_points_raise_frontdoor_error(self, bad, message):
+        basis = build_basis(np.linspace(0, 1, 50), 8)
+        points = np.array([]) if bad is None else np.array([0.2, bad, 0.7])
+        with pytest.raises(FrontdoorLabError, match=message):
+            design_matrix(basis, points)
 
 
 class TestFitPenalized:
@@ -193,6 +216,40 @@ class TestSelectLambda:
         best = min(range(len(grid)), key=lambda i: (manual[i].gcv, -grid[i]))
         assert fit.lam == grid[best]
         assert np.allclose(fit.coefficients, manual[best].coefficients)
+
+
+# prints the text of one GCV selection on 20,000 rows, a size where OpenBLAS
+# splits a vector dot product across its threads
+_SELECT_20K = """
+import numpy as np
+from frontdoor_lab.spline_smooth import build_basis, select_lambda, spline_fit_to_text
+rng = np.random.default_rng(0)
+x = rng.uniform(-2, 2, 20000)
+y = np.sin(2 * x) + 0.1 * rng.standard_normal(20000)
+print(spline_fit_to_text(select_lambda(y, x, build_basis(x))), end="")
+"""
+
+
+class TestBlasThreads:
+    def test_fit_text_does_not_depend_on_thread_count(self):
+        """One selection gives the same text on one BLAS thread as on two.
+
+        On a machine with one CPU OpenBLAS runs a single thread either way,
+        so the test passes there without exercising the split.
+        """
+        src = str(Path(spline_smooth.__file__).resolve().parents[1])
+        texts = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", _SELECT_20K],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            texts.append(done.stdout)
+        assert texts[0].startswith("penalized_spline\n")
+        assert texts[0] == texts[1]
 
 
 class TestPredict:
