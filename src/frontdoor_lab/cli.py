@@ -75,15 +75,15 @@ from .scm_sim import (
 from .spline_smooth import NoConvergenceWarning, additive_fit_to_text, spline_fit_to_text
 
 
-def _resolve_config(args, recorded: bool = True) -> RunConfig:
+def _resolve_config(args) -> RunConfig:
     """The run settings: defaults < ``run_config.txt`` < ``--config`` < flags.
 
     The run record that ``simulate`` wrote into the output directory is read
-    when ``recorded`` is set and the file exists, so a later stage keeps the
-    settings of the run whose files it reads.  The output directory itself
-    is never taken from the record.  A ``--config`` or flag value that
-    contradicts a recorded key ``simulate`` fixed (the seed, the sample size,
-    the mechanism) raises ConfigError; an equal value passes.
+    when the file exists, so every stage, ``simulate`` included, keeps the
+    settings of the run whose files it reads or rewrites.  The output
+    directory itself is never taken from the record.  A ``--config`` or flag
+    value that contradicts a recorded key ``simulate`` fixed (the seed, the
+    sample size, the mechanism) raises ConfigError; an equal value passes.
     """
     config = None
     if args.config:
@@ -102,7 +102,7 @@ def _resolve_config(args, recorded: bool = True) -> RunConfig:
 
     cfg = resolve(RunConfig())
     record = Path(cfg.out) / "run_config.txt"
-    if recorded and record.exists():
+    if record.exists():
         kept = load_config(record)
         cfg = replace(resolve(kept), out=cfg.out)
         changed = simulate_key_changes(cfg, kept)
@@ -125,7 +125,7 @@ def _completed_paths(out: Path, m: int) -> list[Path]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args, recorded=False)
+    cfg = _resolve_config(args)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     population = generate_population(cfg.scm, cfg.n, mix_seed(cfg.seed, "population"))
@@ -247,8 +247,19 @@ def cmd_estimate(args) -> int:
     grid = cfg.grid_values()
     oracle = oracle_ace(cfg.scm, grid)
     mi_config = cfg.estimator_config("mi")
+    nonconverged = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoConvergenceWarning)
+        # count the outcome fits that hit the backfitting cycle cap; show any other warning
+        warnings.simplefilter("always", NoConvergenceWarning)
+        show = warnings.showwarning
+
+        def count(message, category, *rest):
+            if issubclass(category, NoConvergenceWarning):
+                nonconverged.append(message)
+            else:
+                show(message, category, *rest)
+
+        warnings.showwarning = count
         pairs = _fitted_pairs(bundle.completed, mi_config)
         if args.save_models:
             pairs = _saving_models(pairs, out / "models")
@@ -258,6 +269,7 @@ def cmd_estimate(args) -> int:
     effect_to_csv(cc, oracle, out / "effect_cc.csv")
     print(f"wrote {out / 'effect_mi.csv'}")
     print(f"wrote {out / 'effect_cc.csv'}")
+    print(f"nonconverged_fits={len(nonconverged)}")
     return 0
 
 
@@ -347,10 +359,8 @@ def cmd_plot(args) -> int:
     mi, oracle = effect_from_csv(_require(out / "effect_mi.csv"))
     cc, _ = effect_from_csv(_require(out / "effect_cc.csv"))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoConvergenceWarning)
-        scatter = scatter_matrix_svg(data, cfg.subsample, cfg.seed)
-        truth_panel = truth_vs_conditional_svg(cfg.scm, data, cfg.subsample, cfg.seed)
+    scatter = scatter_matrix_svg(data, cfg.subsample, cfg.seed)
+    truth_panel = truth_vs_conditional_svg(cfg.scm, data, cfg.subsample, cfg.seed)
     true_q05 = np.empty(len(mi.grid))
     true_q95 = np.empty(len(mi.grid))
     for j, x in enumerate(mi.grid):
@@ -392,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("identify", help="graph identification and MAR report")
-    common(p)
     p.add_argument("--graph", help="graph file (defaults to both bundled graphs)")
     p.add_argument("--treatment", default="X", help="treatment node name")
     p.set_defaults(func=cmd_identify)

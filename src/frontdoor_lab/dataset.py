@@ -1,21 +1,22 @@
-"""Rectangular observed dataset with an explicit per-cell missingness mask.
+"""Rectangular observed dataset whose NaN cells are its missingness record.
 
 A :class:`Dataset` holds the recorded columns ``x_star``, ``z_star`` and the
-always-observed ``y_star`` plus boolean masks ``m_x`` / ``m_z`` where True
-means the cell is observed.  Masked cells are stored as NaN, so the underlying
-value physically cannot leak to a downstream consumer: a consumer selects the
-observed cells of a column with its mask.
+always-observed ``y_star``; a missing x or z cell is NaN.  The masks ``m_x`` /
+``m_z`` (True where observed) are read off the columns, and no constructor
+takes a mask: ``scm_sim.apply_missingness``, the only code that hides a value,
+stores NaN in its place, so a masked value cannot leak to a consumer.
 
 Serialization is CSV with header ``x,z,y`` and the literal token ``NA`` for a
-masked cell; the round trip is lossless including the mask.  Every stage
-artifact uses this table format (``_write_table`` / ``_read_table``): cells
-are the shortest round-trip float text, lines end in CRLF, text is UTF-8.
+missing cell; the round trip is lossless.  Every stage artifact uses this
+table format (``_write_table`` / ``_read_table``): cells are the shortest
+round-trip float text, lines end in CRLF, text is UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import isfinite
 from typing import Callable, Iterator
@@ -33,35 +34,31 @@ class Dataset:
     x_star: np.ndarray
     z_star: np.ndarray
     y_star: np.ndarray
-    m_x: np.ndarray
-    m_z: np.ndarray
 
     def __post_init__(self):
         n = len(self.y_star)
-        arrays = {}
-        # copies, never views: the stored arrays are frozen and must not
-        # alias caller-owned data
         for name in ("x_star", "z_star", "y_star"):
+            # a copy, never a view: the stored arrays are frozen and must not
+            # alias caller-owned data
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or len(arr) != n:
                 raise FrontdoorLabError(f"column {name} must be 1-d of length {n}")
-            arrays[name] = arr
-        for name in ("m_x", "m_z"):
-            mask = np.array(getattr(self, name), dtype=bool)
-            if mask.shape != (n,):
-                raise FrontdoorLabError(f"mask {name} must be 1-d of length {n}")
-            arrays[name] = mask
-        if not np.all(np.isfinite(arrays["y_star"])):
-            raise FrontdoorLabError("y column must be fully observed and finite")
-        for col, mask in (("x_star", "m_x"), ("z_star", "m_z")):
-            values = arrays[col]
-            if not np.all(np.isfinite(values[arrays[mask]])):
-                raise FrontdoorLabError(f"observed cells of {col} must be finite")
-            # overwrite masked cells with the NaN sentinel
-            arrays[col] = np.where(arrays[mask], values, np.nan)
-        for name, arr in arrays.items():
+            if np.isinf(arr).any():
+                raise FrontdoorLabError(f"column {name} must hold no infinite value")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if np.isnan(self.y_star).any():
+            raise FrontdoorLabError("y column must be fully observed")
+
+    @cached_property
+    def m_x(self) -> np.ndarray:
+        """True where the x cell is observed (read-only)."""
+        return _observed(self.x_star)
+
+    @cached_property
+    def m_z(self) -> np.ndarray:
+        """True where the z cell is observed (read-only)."""
+        return _observed(self.z_star)
 
     @property
     def n(self) -> int:
@@ -75,6 +72,12 @@ class Dataset:
         return bool(self.complete_mask().all())
 
 
+def _observed(column: np.ndarray) -> np.ndarray:
+    mask = ~np.isnan(column)
+    mask.setflags(write=False)
+    return mask
+
+
 def dataset_to_csv(data: Dataset, path) -> None:
     x, z = _float_cells(data.x_star, data.m_x), _float_cells(data.z_star, data.m_z)
     _write_table(path, DATASET_HEADER, [x, z, _float_cells(data.y_star)])
@@ -83,8 +86,7 @@ def dataset_to_csv(data: Dataset, path) -> None:
 def dataset_from_csv(path) -> Dataset:
     rows = _read_table(path, "dataset", lambda h: h == DATASET_HEADER, _dataset_row)
     x, z, y = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, 3).T
-    # only the NA token parses to NaN, so the masks follow from the values
-    return Dataset(x_star=x, z_star=z, y_star=y, m_x=~np.isnan(x), m_z=~np.isnan(z))
+    return Dataset(x_star=x, z_star=z, y_star=y)
 
 
 def _dataset_row(row: list[str]) -> tuple[float, float, float]:

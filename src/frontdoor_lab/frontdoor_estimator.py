@@ -295,11 +295,7 @@ def complete_case_effect(
             f"got {int(keep.sum())}"
         )
     complete = Dataset(
-        x_star=data.x_star[keep],
-        z_star=data.z_star[keep],
-        y_star=data.y_star[keep],
-        m_x=np.ones(int(keep.sum()), dtype=bool),
-        m_z=np.ones(int(keep.sum()), dtype=bool),
+        x_star=data.x_star[keep], z_star=data.z_star[keep], y_star=data.y_star[keep]
     )
     pair = fit_pair(complete, config)
     return _pooled_effect([(pair, "cc")], grid, config, MethodTag.COMPLETE_CASE)

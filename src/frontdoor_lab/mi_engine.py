@@ -122,14 +122,7 @@ def initialize(data: Dataset, seed: int) -> Dataset:
         if n_miss:
             out[~mask] = rng.choice(pool, size=n_miss, replace=True)
         filled[name] = out
-    n = data.n
-    return Dataset(
-        x_star=filled["x"],
-        z_star=filled["z"],
-        y_star=np.array(data.y_star),
-        m_x=np.ones(n, dtype=bool),
-        m_z=np.ones(n, dtype=bool),
-    )
+    return Dataset(x_star=filled["x"], z_star=filled["z"], y_star=data.y_star)
 
 
 def _nearest_donor_values(
@@ -286,15 +279,7 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
                             sd=float(np.std(work[miss])),
                         )
                     )
-        completed.append(
-            Dataset(
-                x_star=x_work.copy(),
-                z_star=z_work.copy(),
-                y_star=y.copy(),
-                m_x=np.ones(data.n, dtype=bool),
-                m_z=np.ones(data.n, dtype=bool),
-            )
-        )
+        completed.append(Dataset(x_star=x_work, z_star=z_work, y_star=y))
     return CompletedDatasets(source=data, completed=tuple(completed), trace=tuple(trace))
 
 

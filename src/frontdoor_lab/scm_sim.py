@@ -153,7 +153,8 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
     """Mask the recorded copies of X and Z from the realized outcomes.
 
     Each row keeps X with probability Phi(a_x + b_x * y) and Z with
-    probability Phi(a_z + b_z * y), independently; Y is always kept.
+    probability Phi(a_z + b_z * y), independently; Y is always kept.  A
+    masked cell is stored as NaN; this is the only code that hides a value.
     """
     if len(population) == 0:
         raise InvalidCount("population must be nonempty")
@@ -164,11 +165,9 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
     m_x = rng.random(len(y)) < std_normal_cdf(ax + bx * y)
     m_z = rng.random(len(y)) < std_normal_cdf(az + bz * y)
     return Dataset(
-        x_star=population.x,
-        z_star=population.z,
+        x_star=np.where(m_x, population.x, np.nan),
+        z_star=np.where(m_z, population.z, np.nan),
         y_star=y,
-        m_x=m_x,
-        m_z=m_z,
     )
 
 

@@ -1,11 +1,12 @@
 import re
 import shutil
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from frontdoor_lab import cli, frontdoor_estimator
+from frontdoor_lab import cli, frontdoor_estimator, spline_smooth
 from frontdoor_lab.cli import main
 from frontdoor_lab.dataset import dataset_from_csv
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
@@ -128,6 +129,40 @@ class TestPipelineArtifacts:
         for name in ("effect_mi.csv", "effect_cc.csv"):
             assert (run / name).read_bytes() == (run_m3 / name).read_bytes(), name
 
+    # with one cycle, the 3 copies' outcome fits and the complete-case one do not converge
+    @pytest.mark.parametrize("cap, count", [(None, 0), (1, 3 + 1)], ids=["default", "one_cycle"])
+    def test_estimate_counts_nonconverged_fits(
+        self, run_m3, tmp_path, monkeypatch, capsys, cap, count
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        if cap is not None:
+            # one backfitting cycle with a zero tolerance: no outcome fit converges
+            monkeypatch.setattr(spline_smooth, "BACKFIT_MAX_CYCLES", cap)
+            monkeypatch.setattr(spline_smooth, "BACKFIT_TOL", 0.0)
+        config = ["--config", str(run_m3 / "config.txt"), "--out", str(run)]
+        assert main(["estimate"] + config) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"nonconverged_fits={count}"
+
+    def test_counting_nonconverged_fits_shows_every_other_warning(
+        self, run_m3, tmp_path, monkeypatch, capsys
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        complete_case_effect = cli.complete_case_effect
+
+        def warning(*args):
+            warnings.warn("fit", spline_smooth.NoConvergenceWarning)
+            warnings.warn("other", UserWarning)
+            return complete_case_effect(*args)
+
+        monkeypatch.setattr(cli, "complete_case_effect", warning)
+        config = ["--config", str(run_m3 / "config.txt"), "--out", str(run)]
+        with pytest.warns(UserWarning) as shown:
+            assert main(["estimate"] + config) == 0
+        assert [(w.category, str(w.message)) for w in shown] == [(UserWarning, "other")]
+        assert capsys.readouterr().out.splitlines()[-1] == "nonconverged_fits=1"
+
     def test_svgs_are_well_formed_xml(self, pipeline_dir):
         for name in ("scatter_matrix.svg", "true_vs_conditional.svg", "estimated_effects.svg"):
             root = ET.fromstring((pipeline_dir / name).read_text())
@@ -242,6 +277,16 @@ class TestIdentify:
         assert code == 3
         assert "error: input-missing:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--config", "/nonexistent"], ["--seed", "9"], ["--n", "5"], ["--m", "3"], ["--out", "x"]],
+        ids=["config", "seed", "n", "m", "out"],
+    )
+    def test_flags_it_does_not_read_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["identify"] + flag)
+        assert exc.value.code == 2
+
     def test_malformed_graph_file(self, tmp_path, capsys):
         graph = tmp_path / "bad.graph"
         graph.write_text("node A observed\nedge A\n")
@@ -343,11 +388,11 @@ class TestErrorPaths:
         path = tmp_path / name
         path.write_bytes(content)
         source = {
-            "simulate": ["--config", str(path)],
+            "simulate": ["--out", str(tmp_path), "--config", str(path)],
             "identify": ["--graph", str(path)],
-            "impute": [],  # reads observed.csv from --out
+            "impute": ["--out", str(tmp_path)],  # reads observed.csv from --out
         }[command]
-        assert main([command, "--out", str(tmp_path)] + source) == 2
+        assert main([command] + source) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input:")
         assert name in err and "not UTF-8" in err
@@ -430,6 +475,25 @@ class TestFlagPrecedence:
         assert err.startswith("error: invalid-input: contradicts the run recorded in")
         assert named in err
         assert not (run / "effect_mi.csv").exists()
+
+    def test_simulate_refuses_a_directory_recorded_for_another_run(self, tmp_path, capsys):
+        run = tmp_path / "r"
+        flags = ["--out", str(run), "--n", "600", "--m", "2"]
+        for command in (["simulate", "--seed", "1"], ["impute"], ["estimate"]):
+            assert main(command + flags) == 0
+        names = ("population.csv", "observed.csv", "run_config.txt")
+        before = {name: (run / name).read_bytes() for name in names}
+        capsys.readouterr()
+        assert main(["simulate", "--seed", "2"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input: contradicts the run recorded in")
+        assert "seed = 2 (recorded: 1)" in err
+        assert {name: (run / name).read_bytes() for name in names} == before
+        # repeating the record, or naming none of its keys, reruns the recorded run
+        for again in (["--seed", "1"], []):
+            assert main(["simulate"] + again + flags) == 0
+            assert {name: (run / name).read_bytes() for name in names} == before
+        assert main(["evaluate"] + flags) == 0
 
     def test_values_equal_to_the_recorded_run_pass(self, tmp_path):
         run = tmp_path / "run"

@@ -43,11 +43,7 @@ SCM = ScmConfig()
 
 
 def complete_dataset(x, z, y):
-    n = len(y)
-    return Dataset(
-        x_star=x, z_star=z, y_star=y,
-        m_x=np.ones(n, dtype=bool), m_z=np.ones(n, dtype=bool),
-    )
+    return Dataset(x_star=x, z_star=z, y_star=y)
 
 
 @pytest.fixture(scope="module")
@@ -413,12 +409,8 @@ class TestCompleteCase:
         x = rng.uniform(-1, 1, n)
         z = rng.uniform(-1, 1, n)
         y = rng.standard_normal(n)
-        m_z = np.zeros(n, dtype=bool)
-        m_z[:100] = True  # < 10 x basis dimension
-        data = Dataset(
-            x_star=x, z_star=np.where(m_z, z, np.nan), y_star=y,
-            m_x=np.ones(n, dtype=bool), m_z=m_z,
-        )
+        z[100:] = np.nan  # 100 complete rows, < 10 x basis dimension
+        data = Dataset(x_star=x, z_star=z, y_star=y)
         with pytest.raises(TooFewCompleteRows):
             complete_case_effect(data, np.array([0.0]), EstimatorConfig(seed=99))
 

@@ -32,11 +32,7 @@ def make_incomplete(n=2000, seed=1):
 
 
 def complete_dataset(x, z, y):
-    n = len(y)
-    return Dataset(
-        x_star=x, z_star=z, y_star=y,
-        m_x=np.ones(n, dtype=bool), m_z=np.ones(n, dtype=bool),
-    )
+    return Dataset(x_star=x, z_star=z, y_star=y)
 
 
 class TestDecompose:
@@ -70,8 +66,6 @@ class TestInitialize:
             x_star=x,
             z_star=np.array([0.1, 0.2, 0.3, 0.4]),
             y_star=np.zeros(4),
-            m_x=np.array([True, True, True, False]),
-            m_z=np.ones(4, dtype=bool),
         )
         out = initialize(data, seed=4)
         assert out.is_complete()
@@ -83,8 +77,6 @@ class TestInitialize:
             x_star=np.full(3, np.nan),
             z_star=np.array([1.0, 2.0, 3.0]),
             y_star=np.zeros(3),
-            m_x=np.zeros(3, dtype=bool),
-            m_z=np.ones(3, dtype=bool),
         )
         with pytest.raises(AllMissingColumn):
             initialize(data, seed=5)

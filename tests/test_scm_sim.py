@@ -1,4 +1,5 @@
 import csv
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -227,14 +228,31 @@ class TestScmConfigValidation:
 class TestDataset:
     def test_masked_cell_returns_none(self):
         data = Dataset(
-            x_star=np.array([1.0, 2.0]),
+            x_star=np.array([1.0, np.nan]),
             z_star=np.array([3.0, 4.0]),
             y_star=np.array([5.0, 6.0]),
-            m_x=np.array([True, False]),
-            m_z=np.array([True, True]),
         )
-        assert np.isnan(data.x_star[1])  # true value physically absent
+        assert data.m_x.tolist() == [True, False]
         assert data.complete_mask().tolist() == [True, False]
+
+    def test_masks_are_read_off_the_columns(self):
+        x = np.array([1.0, np.nan, 3.0])
+        data = Dataset(x_star=x, z_star=x[::-1], y_star=np.zeros(3))
+        assert np.array_equal(data.m_x, ~np.isnan(data.x_star))
+        assert np.array_equal(data.m_z, ~np.isnan(data.z_star))
+        with pytest.raises(FrozenInstanceError):
+            data.m_x = np.ones(3, dtype=bool)
+        with pytest.raises(ValueError):
+            data.m_z[0] = False
+        with pytest.raises(TypeError):
+            Dataset(x_star=x, z_star=x, y_star=np.zeros(3), m_x=np.ones(3, dtype=bool))
+
+    @pytest.mark.parametrize("column", ["x_star", "z_star", "y_star"])
+    def test_infinite_cell_rejected(self, column):
+        columns = {name: np.zeros(2) for name in ("x_star", "z_star", "y_star")}
+        columns[column] = np.array([0.0, -np.inf])
+        with pytest.raises(FrontdoorLabError, match="infinite"):
+            Dataset(**columns)
 
     def test_y_must_be_complete(self):
         with pytest.raises(FrontdoorLabError):
@@ -242,8 +260,6 @@ class TestDataset:
                 x_star=np.array([1.0]),
                 z_star=np.array([1.0]),
                 y_star=np.array([np.nan]),
-                m_x=np.array([True]),
-                m_z=np.array([True]),
             )
 
     def test_columns_are_immutable(self):
@@ -251,8 +267,6 @@ class TestDataset:
             x_star=np.array([1.0]),
             z_star=np.array([1.0]),
             y_star=np.array([1.0]),
-            m_x=np.array([True]),
-            m_z=np.array([True]),
         )
         with pytest.raises(ValueError):
             data.x_star[0] = 9.0
@@ -263,8 +277,6 @@ class TestDataset:
                 x_star=np.array([1.0, 2.0]),
                 z_star=np.array([1.0]),
                 y_star=np.array([1.0]),
-                m_x=np.array([True]),
-                m_z=np.array([True]),
             )
 
 
@@ -317,7 +329,9 @@ class TestCsvRoundTrips:
             return repr(float(value)) if seen else "NA"
 
         data = Dataset(
-            x_star=edge, z_star=edge[::-1], y_star=edge, m_x=observed, m_z=~observed
+            x_star=np.where(observed, edge, np.nan),
+            z_star=np.where(~observed, edge[::-1], np.nan),
+            y_star=edge,
         )
         dataset_to_csv(data, tmp_path / "observed.csv")
         assert (tmp_path / "observed.csv").read_bytes() == reference(
