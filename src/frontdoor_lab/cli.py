@@ -8,10 +8,12 @@ directory, so stages can be rerun or inspected independently:
   ``run_config.txt``, which the later stages read as their base settings.
 * ``identify``  reports the identification and missing-at-random checks for
   a graph file (or the two bundled graphs).
-* ``impute``    reads ``observed.csv``; writes ``completed_XX.csv``,
-  ``imputation_diagnostics.csv`` and the chain trace ``imputation_trace.csv``.
+* ``impute``    reads ``observed.csv``; writes ``completed_XX.csv`` (replacing
+  every copy of an earlier run), ``imputation_diagnostics.csv`` and the chain
+  trace ``imputation_trace.csv``.
 * ``estimate``  reads the completed copies plus ``observed.csv``; writes
-  ``effect_mi.csv`` and ``effect_cc.csv``.
+  ``effect_mi.csv`` and ``effect_cc.csv``, and with ``--save-models`` the
+  fitted regressions to ``models/``, replacing every model of an earlier run.
 * ``evaluate``  compares both curve files, and the imputed mediator mean in
   ``imputation_diagnostics.csv``, against the truth; writes ``evaluation.csv``.
 * ``plot``      emits the three SVG figures.
@@ -213,6 +215,9 @@ def cmd_impute(args) -> int:
     out = Path(cfg.out)
     data = dataset_from_csv(_require(out / "observed.csv"))
     result = run_mice(data, cfg.imputation_config())
+    # a rerun with a smaller m leaves no copy of the earlier run behind
+    for path in out.glob("completed_*.csv"):
+        path.unlink()
     for path, completed in zip(_completed_paths(out, cfg.m), result.completed):
         dataset_to_csv(completed, path)
     diagnostics_to_csv(imputation_diagnostics(result), out / "imputation_diagnostics.csv")
@@ -224,8 +229,11 @@ def cmd_impute(args) -> int:
 
 
 def _saving_models(pairs, models: Path):
-    """Pass each (pair, label) on after writing its two fitted regressions."""
+    """Pass each (pair, label) on after writing its two fitted regressions,
+    replacing every model file of an earlier run."""
     models.mkdir(exist_ok=True)
+    for path in [*models.glob("mediator_*.txt"), *models.glob("outcome_*.txt")]:
+        path.unlink()
     for i, (pair, label) in enumerate(pairs, start=1):
         (models / f"mediator_{i:02d}.txt").write_text(
             spline_fit_to_text(pair.mediator), encoding="utf-8"

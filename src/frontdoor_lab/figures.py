@@ -15,7 +15,7 @@ from ._seeds import rng_from
 from .dataset import Dataset
 from .frontdoor_estimator import EffectEstimate
 from .scm_sim import ScmConfig, intervene_generate, oracle_ace
-from .spline_smooth import build_basis, predict, select_lambda
+from .spline_smooth import predict, select_lambda
 from .svgfig import Axes, Canvas
 
 TRUTH_COLOR = "#222222"
@@ -96,8 +96,7 @@ def truth_vs_conditional_svg(
 
     grid = np.linspace(-3.0, 3.0, 121)
     truth = oracle_ace(cfg, grid)
-    observed_x = data.x_star[data.m_x]
-    cond_fit = select_lambda(data.y_star[data.m_x], observed_x, build_basis(observed_x))
+    cond_fit = select_lambda(data.y_star[data.m_x], data.x_star[data.m_x])
     conditional = predict(cond_fit, grid)
 
     exp_grid = np.linspace(-3.0, 3.0, 25)

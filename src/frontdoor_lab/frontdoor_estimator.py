@@ -43,7 +43,6 @@ from .spline_smooth import (
     AdditiveFit,
     PenalizedSplineFit,
     _spline_values,
-    build_basis,
     fit_additive,
     predict,
     select_lambda,
@@ -152,7 +151,7 @@ def fit_pair(data: Dataset, config: EstimatorConfig | None = None) -> FittedPair
     x = np.array(data.x_star)
     z = np.array(data.z_star)
     y = np.array(data.y_star)
-    mediator = select_lambda(z, x, build_basis(x, config.n_knots))
+    mediator = select_lambda(z, x, config.n_knots)
     outcome = fit_additive(y, [x, z], config.n_knots)
     return FittedPair(mediator=mediator, outcome=outcome, x_train=x)
 

@@ -18,10 +18,11 @@ only at the chosen weight.  Additive models start from the joint penalized
 solution, whose normal equations are assembled from per-term Gram blocks
 rather than from a stacked design, and then cycle penalized backfitting over
 the terms, reselecting the penalty for each term from its current partial
-residuals.  A term's design keeps its Gram matrix and column
-sums and stores the basis matrix sparse; ``fit_additive`` reuses the designs
-of the last few covariate columns it saw, so chained-equation imputation,
-which refits the same columns cycle after cycle, builds each of them once.
+residuals.  A term's design keeps its Gram matrix and column sums and stores
+the basis matrix sparse.  Every GCV fit, a single smooth or an additive term,
+takes its basis by one rule and its design from one cache of recent columns, so
+imputation builds each repeated column's design once and a mediator smooth
+shares its design with the outcome model's treatment term.
 
 Prediction inside the knot span evaluates the B-spline; beyond the span the
 fit continues linearly with the end slope.
@@ -29,8 +30,8 @@ fit continues linearly with the end slope.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,13 +117,14 @@ def _quantile_basis(x: np.ndarray, n_knots: int, degree: int) -> SplineBasis:
 
 
 def _basis_for_covariate(x: np.ndarray, n_knots: int) -> SplineBasis:
-    """Basis for an additive-model term, degrading for low-cardinality covariates.
+    """Basis of a GCV fit: ``build_basis``, degrading for low-cardinality covariates.
 
     Covariates with fewer distinct values than requested knots get all distinct
     values as knots; with two or three distinct values the degree drops to one,
     which makes binary indicators plain linear terms.
     """
-    x = np.asarray(x, dtype=float)
+    if n_knots < 4:
+        raise FrontdoorLabError(f"n_knots must be >= 4, got {n_knots}")
     distinct = np.unique(x)
     if len(distinct) < 2:
         raise TooFewDistinctValues("covariate is constant")
@@ -194,8 +196,8 @@ class AdditiveFit:
 class _PenalizedDesign:
     """Design pieces for one smooth term over a fixed penalty grid.
 
-    A design depends only on the covariate column and the grid, so
-    ``fit_additive`` reuses it across fits (see ``_design_for``).  It keeps
+    A design depends only on the covariate column and the grid, so GCV fits
+    reuse it across calls (see ``_design_for``).  It keeps
     the Gram matrix ``B'B`` and the column sums of ``B`` for the joint start,
     and stores ``B`` itself sparse: each row has at most ``degree + 1``
     nonzeros.
@@ -291,24 +293,21 @@ class _PenalizedDesign:
         )
 
 
-def _finite(values, name: str) -> np.ndarray:
-    """``values`` as a float array; a NaN or infinite entry raises
-    FrontdoorLabError rather than yielding NaN coefficients."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise FrontdoorLabError(f"{name} values must be finite")
-    return values
-
-
-def _checked_design(
-    y, x, basis: SplineBasis, lambdas: Sequence[float]
-) -> tuple[np.ndarray, _PenalizedDesign]:
-    """The checked response and the design of ``x`` over ``lambdas``."""
-    y = _finite(y, "response")
-    x = _finite(x, "covariate")
-    if len(y) != len(x):
-        raise FrontdoorLabError("y and x must have equal length")
-    return y, _PenalizedDesign(basis, x, lambdas)
+def _checked_inputs(y, covariates) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The response and covariates as float arrays; no covariate, a NaN or
+    infinite value or a length mismatch raises FrontdoorLabError."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise FrontdoorLabError("response values must be finite")
+    if len(covariates) == 0:
+        raise FrontdoorLabError("need at least one covariate")
+    columns = [np.asarray(c, dtype=float) for c in covariates]
+    for column in columns:
+        if not np.all(np.isfinite(column)):
+            raise FrontdoorLabError("covariate values must be finite")
+        if len(column) != len(y):
+            raise FrontdoorLabError("covariates must match the response length")
+    return y, columns
 
 
 def fit_penalized(
@@ -326,18 +325,21 @@ def fit_penalized(
         raise FrontdoorLabError(
             f"need at least {basis.dim} observations for a {basis.dim}-dim basis"
         )
-    y, design = _checked_design(y, x, basis, [lam])
-    return design.fit(y, 0)
+    y, (x,) = _checked_inputs(y, [x])
+    return _PenalizedDesign(basis, x, [lam]).fit(y, 0)
 
 
-def select_lambda(y: np.ndarray, x: np.ndarray, basis: SplineBasis) -> PenalizedSplineFit:
+def select_lambda(
+    y: np.ndarray, x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS
+) -> PenalizedSplineFit:
     """Fit over ``LAMBDA_GRID`` and return the GCV minimizer.
 
+    The basis and design are an additive term's on ``x`` (``_design_for``).
     Ties go to the larger penalty weight.  The returned fit is identical to
-    ``fit_penalized`` at the winning weight.
+    ``fit_penalized`` on that basis at the winning weight.
     """
-    y, design = _checked_design(y, x, basis, LAMBDA_GRID)
-    return design.fit(y)
+    y, (x,) = _checked_inputs(y, [x])
+    return _design_for(x.tobytes(), n_knots).fit(y)
 
 
 # One chained-equation cycle fits five covariate columns: the mediator and the
@@ -346,24 +348,14 @@ def select_lambda(y: np.ndarray, x: np.ndarray, basis: SplineBasis) -> Penalized
 # keeps the two outcome columns, fixed across cycles and chains, and lets the
 # sign and magnitude fits of one cycle share theirs.
 _DESIGN_MEMO_SIZE = 5
-_design_memo: OrderedDict[tuple, _PenalizedDesign] = OrderedDict()
 
 
-def _design_for(column: np.ndarray, n_knots: int) -> _PenalizedDesign:
-    """The additive-model design of ``column``, reused while it is among the
-    ``_DESIGN_MEMO_SIZE`` most recently used."""
-    key = (column.tobytes(), n_knots)
-    design = _design_memo.get(key)
-    if design is None:
-        design = _PenalizedDesign(
-            _basis_for_covariate(column, n_knots), column, LAMBDA_GRID
-        )
-        _design_memo[key] = design
-        if len(_design_memo) > _DESIGN_MEMO_SIZE:
-            _design_memo.popitem(last=False)
-    else:
-        _design_memo.move_to_end(key)
-    return design
+@functools.lru_cache(maxsize=_DESIGN_MEMO_SIZE)
+def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
+    """The GCV design of every fit on the float64 column with these bytes, reused
+    while it is among the ``_DESIGN_MEMO_SIZE`` most recently used."""
+    x = np.frombuffer(column)
+    return _PenalizedDesign(_basis_for_covariate(x, n_knots), x, LAMBDA_GRID)
 
 
 def _joint_normal_equations(y: np.ndarray, designs: list[_PenalizedDesign]):
@@ -456,15 +448,8 @@ def fit_additive(
     JCGS).  Backfitting moves one term at a time and reaches a fixed point of
     the per-term selections, usually in one cycle after the joint start.
     """
-    y = _finite(y, "response")
-    if len(covariates) == 0:
-        raise FrontdoorLabError("need at least one covariate")
-    columns = [_finite(c, "covariate") for c in covariates]
-    for column in columns:
-        if len(column) != len(y):
-            raise FrontdoorLabError("covariates must match the response length")
-
-    designs = [_design_for(column, n_knots) for column in columns]
+    y, columns = _checked_inputs(y, covariates)
+    designs = [_design_for(column.tobytes(), n_knots) for column in columns]
     n_terms = len(designs)
     gcvs = [np.inf] * n_terms
 

@@ -213,6 +213,34 @@ class TestEvaluateOutput:
         assert expected in capsys.readouterr().out.splitlines()
 
 
+class TestRerunWithFewerImputations:
+    def test_impute_leaves_no_copy_of_the_larger_run(self, run_m3, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        config = tmp_path / "c.txt"
+        config.write_text("cycles = 3\n")
+        assert main(["impute", "--out", str(run), "--m", "2", "--config", str(config)]) == 0
+        assert sorted(path.name for path in run.glob("completed_*.csv")) == [
+            "completed_01.csv",
+            "completed_02.csv",
+        ]
+        capsys.readouterr()
+        # the recorded run still says m = 3, and its third copy is gone
+        assert main(["estimate", "--out", str(run), "--save-models"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: input-missing:") and "completed_03.csv" in err
+
+    def test_estimate_leaves_no_model_of_the_larger_run(self, run_m3, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        assert main(["estimate", "--out", str(run), "--save-models"]) == 0
+        assert len(list((run / "models").iterdir())) == 3 + 3
+        assert main(["estimate", "--out", str(run), "--m", "2", "--save-models"]) == 0
+        saved = sorted(path.name for path in (run / "models").iterdir())
+        kinds = ("mediator", "outcome")
+        assert saved == [f"{kind}_{i:02d}.txt" for kind in kinds for i in (1, 2)]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         runs = []

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from frontdoor_lab import frontdoor_estimator
+from frontdoor_lab import frontdoor_estimator, spline_smooth
 from frontdoor_lab._seeds import rng_from
 from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import (
@@ -35,7 +35,7 @@ from frontdoor_lab.scm_sim import (
     std_normal_cdf,
     std_normal_pdf,
 )
-from frontdoor_lab.spline_smooth import predict
+from frontdoor_lab.spline_smooth import design_matrix, predict
 
 from oracles import mean_u_given_x_quadrature
 
@@ -93,6 +93,31 @@ class TestFitPair:
             pytest.skip("masking produced no missing cells")
         with pytest.raises(FrontdoorLabError):
             fit_pair(data)
+
+    def test_mediator_and_outcome_share_the_treatment_design(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        x = rng.uniform(-3, 3, 500)
+        z = 4 * std_normal_pdf(x) + 0.1 * rng.standard_normal(500)
+        y = std_normal_pdf(z - 0.5) + 0.3 * z + 0.1 * rng.standard_normal(500)
+        built = []
+
+        def counting_design_matrix(basis, points):
+            built.append(len(points))
+            return design_matrix(basis, points)
+
+        monkeypatch.setattr(spline_smooth, "design_matrix", counting_design_matrix)
+        fit_pair(complete_dataset(x, z, y))
+        # one design for the treatment column, one for the mediator column
+        assert built == [500, 500]
+
+    def test_treatment_with_fewer_values_than_knots(self):
+        rng = np.random.default_rng(55)
+        x = rng.choice(np.linspace(-2, 2, 10), 600)
+        z = 4 * std_normal_pdf(x) + 0.1 * rng.standard_normal(600)
+        y = std_normal_pdf(z - 0.5) + 0.3 * z + 0.1 * rng.standard_normal(600)
+        pair = fit_pair(complete_dataset(x, z, y), EstimatorConfig(n_knots=20))
+        assert np.allclose(pair.mediator.basis.knots, np.unique(x), rtol=0, atol=1e-12)
+        assert np.array_equal(pair.mediator.basis.knots, pair.outcome.terms[0].basis.knots)
 
 
 @pytest.fixture
@@ -382,9 +407,9 @@ class TestEstimateEffect:
         grid = np.linspace(-2, 2, 9)
         est = estimate_effect(bundle, grid, EstimatorConfig(seed=94))
 
-        from frontdoor_lab.spline_smooth import build_basis, predict, select_lambda
+        from frontdoor_lab.spline_smooth import predict, select_lambda
 
-        direct = select_lambda(pop.y, pop.x, build_basis(pop.x, 20))
+        direct = select_lambda(pop.y, pop.x, 20)
         gap = est.pooled_ace - predict(direct, grid)
         assert float(np.max(np.abs(gap))) < 0.02
 

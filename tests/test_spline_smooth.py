@@ -191,7 +191,7 @@ class TestSelectLambda:
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, 2000)
         y = np.sin(2 * np.pi * x) + 0.1 * rng.standard_normal(2000)
-        fit = select_lambda(y, x, build_basis(x, 20))
+        fit = select_lambda(y, x, 20)
         grid = np.linspace(0.02, 0.98, 200)
         rmse = np.sqrt(np.mean((predict(fit, grid) - np.sin(2 * np.pi * grid)) ** 2))
         assert rmse < 0.03
@@ -201,14 +201,14 @@ class TestSelectLambda:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, 2000)
         y = rng.standard_normal(2000)
-        fit = select_lambda(y, x, build_basis(x, 20))
+        fit = select_lambda(y, x, 20)
         assert fit.edf < 4.0
 
     def test_selected_weight_is_grid_member_and_gcv_finite(self):
         x, y = make_xy(500, seed=13)
         basis = build_basis(x, 15)
         grid = LAMBDA_GRID
-        fit = select_lambda(y, x, basis)
+        fit = select_lambda(y, x, 15)
         assert fit.lam in grid
         assert np.isfinite(fit.gcv)
         # agree with a manual scan over fit_penalized
@@ -222,11 +222,11 @@ class TestSelectLambda:
 # splits a vector dot product across its threads
 _SELECT_20K = """
 import numpy as np
-from frontdoor_lab.spline_smooth import build_basis, select_lambda, spline_fit_to_text
+from frontdoor_lab.spline_smooth import select_lambda, spline_fit_to_text
 rng = np.random.default_rng(0)
 x = rng.uniform(-2, 2, 20000)
 y = np.sin(2 * x) + 0.1 * rng.standard_normal(20000)
-print(spline_fit_to_text(select_lambda(y, x, build_basis(x))), end="")
+print(spline_fit_to_text(select_lambda(y, x)), end="")
 """
 
 
@@ -255,12 +255,12 @@ class TestBlasThreads:
 class TestPredict:
     def test_training_points_return_fitted_values(self):
         x, y = make_xy(400, seed=15)
-        fit = select_lambda(y, x, build_basis(x, 15))
+        fit = select_lambda(y, x, 15)
         assert np.allclose(predict(fit, x), y - fit.residuals, atol=1e-10)
 
     def test_linear_extrapolation_beyond_boundary(self):
         x, y = make_xy(400, seed=16)
-        fit = select_lambda(y, x, build_basis(x, 15))
+        fit = select_lambda(y, x, 15)
         # beyond the knot span the fit continues linearly
         hi = fit.basis.knots[-1]
         delta = 0.13
@@ -275,13 +275,13 @@ class TestPredict:
         # smooth of the mediator on the treatment, evaluated in the sparse tail
         cfg = ScmConfig()
         pop = generate_population(cfg, 20000, seed=17)
-        fit = select_lambda(pop.z, pop.x, build_basis(pop.x, 20))
+        fit = select_lambda(pop.z, pop.x, 20)
         truth = 4 * std_normal_pdf(3.0)
         assert float(predict(fit, 3.0)[0]) == pytest.approx(truth, abs=0.05)
 
     def test_scalar_point(self):
         x, y = make_xy(200, seed=18)
-        fit = select_lambda(y, x, build_basis(x, 10))
+        fit = select_lambda(y, x, 10)
         out = predict(fit, 0.5)
         assert out.shape == (1,)
 
@@ -349,7 +349,7 @@ class TestFitAdditive:
     def test_single_covariate_matches_select_lambda(self):
         x, y = make_xy(600, seed=22)
         additive = fit_additive(y, [x])
-        single = select_lambda(y, x, build_basis(x, 20))
+        single = select_lambda(y, x, 20)
         assert np.allclose(
             predict(additive, [x]), predict(single, x), atol=1e-8
         )
@@ -386,7 +386,7 @@ class TestFitAdditive:
             partial = y - fit.intercept - sum(
                 components[k] for k in range(2) if k != j
             )
-            refit = select_lambda(partial, col, term.basis)
+            refit = select_lambda(partial, col)
             refit_vals = predict(refit, col)
             refit_vals = refit_vals - refit_vals.mean()
             assert float(np.max(np.abs(refit_vals - components[j]))) < 1e-5
@@ -407,11 +407,21 @@ class TestFitAdditive:
         with pytest.raises(FrontdoorLabError):
             fit_additive(np.zeros(10), [])
 
+    @pytest.mark.parametrize("entry", ["fit_additive", "select_lambda"])
+    def test_small_n_knots_rejected(self, entry):
+        x, y = make_xy(200, seed=32)
+        fits = {
+            "fit_additive": lambda: fit_additive(y, [x], n_knots=3),
+            "select_lambda": lambda: select_lambda(y, x, 3),
+        }
+        with pytest.raises(FrontdoorLabError, match="n_knots must be >= 4"):
+            fits[entry]()
+
     def test_repeated_columns_reuse_their_designs(self, monkeypatch):
         rng = np.random.default_rng(28)
         columns = [rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)]
         y = np.sin(2 * columns[0]) + columns[1] + 0.1 * rng.standard_normal(300)
-        spline_smooth._design_memo.clear()
+        spline_smooth._design_for.cache_clear()
         built = []
 
         def counting_design_matrix(basis, x):
@@ -431,7 +441,7 @@ class TestFitAdditive:
 
         for _ in range(spline_smooth._DESIGN_MEMO_SIZE + 2):
             fit_additive(y, [rng.uniform(-1, 1, 300)])
-        assert len(spline_smooth._design_memo) <= spline_smooth._DESIGN_MEMO_SIZE
+        assert spline_smooth._design_for.cache_info().currsize <= spline_smooth._DESIGN_MEMO_SIZE
 
 
 class TestJointFit:
@@ -516,7 +526,7 @@ class TestNonFiniteInput:
         basis = build_basis(x, 20)
         (y if target == "response" else x)[17] = value
         fits = {
-            "select_lambda": lambda: select_lambda(y, x, basis),
+            "select_lambda": lambda: select_lambda(y, x, 20),
             "fit_penalized": lambda: fit_penalized(y, x, basis, 1.0),
             "fit_additive": lambda: fit_additive(y, [x]),
         }
@@ -527,7 +537,7 @@ class TestNonFiniteInput:
 class TestSerialization:
     def test_spline_round_trip(self):
         x, y = make_xy(200, seed=26)
-        fit = select_lambda(y, x, build_basis(x, 10))
+        fit = select_lambda(y, x, 10)
         back = spline_fit_from_text(spline_fit_to_text(fit))
         pts = np.linspace(-3, 3, 50)
         assert np.array_equal(predict(back, pts), predict(fit, pts))
@@ -537,7 +547,7 @@ class TestSerialization:
     def test_text_with_a_field_no_longer_written_loads(self):
         # model files of earlier versions hold a "boundary" line
         x, y = make_xy(200, seed=26)
-        fit = select_lambda(y, x, build_basis(x, 10))
+        fit = select_lambda(y, x, 10)
         text = spline_fit_to_text(fit).replace("\nknots ", "\nboundary -2.2 2.2\nknots ", 1)
         assert "boundary" in text
         back = spline_fit_from_text(text)
@@ -566,7 +576,7 @@ class TestSerialization:
     )
     def test_malformed_text_raises_frontdoor_error(self, case, message):
         x, y = make_xy(120, seed=29)
-        spline_text = spline_fit_to_text(select_lambda(y, x, build_basis(x, 8)))
+        spline_text = spline_fit_to_text(select_lambda(y, x, 8))
         additive_text = additive_fit_to_text(fit_additive(y, [x]))
         reader, text = {
             "additive_missing_field": (additive_fit_from_text, "additive_fit\nintercept 1\n"),
