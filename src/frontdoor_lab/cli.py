@@ -18,6 +18,9 @@ directory, so stages can be rerun or inspected independently:
   ``imputation_diagnostics.csv``, against the truth; writes ``evaluation.csv``.
 * ``plot``      emits the three SVG figures.
 
+``evaluate`` and ``plot`` require ``effect_mi.csv`` to hold only
+``MultipleImputation`` rows and ``effect_cc.csv`` only ``CompleteCase`` rows.
+
 Every CSV uses the table format of :mod:`frontdoor_lab.dataset`.  Exit codes:
 0 success, 2 usage or malformed input (a file that is not UTF-8, a config value
 no stage can use, a value that contradicts the recorded run), 3 missing input
@@ -309,11 +312,21 @@ def _imputed_z_means(path: Path, m: int) -> list[float]:
     ]
 
 
+def _effect_of(out: Path, name: str, method: MethodTag):
+    """The curve table ``out/name``, which must hold ``method``'s estimates."""
+    estimate, oracle = effect_from_csv(_require(out / name))
+    if estimate.method is not method:
+        raise FrontdoorLabError(
+            f"{out / name} holds {estimate.method.value} estimates, not {method.value}"
+        )
+    return estimate, oracle
+
+
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    mi, oracle_mi = effect_from_csv(_require(out / "effect_mi.csv"))
-    cc, oracle_cc = effect_from_csv(_require(out / "effect_cc.csv"))
+    mi, oracle_mi = _effect_of(out, "effect_mi.csv", MethodTag.MULTIPLE_IMPUTATION)
+    cc, oracle_cc = _effect_of(out, "effect_cc.csv", MethodTag.COMPLETE_CASE)
     if not np.array_equal(mi.grid, cc.grid):
         raise FrontdoorLabError("effect_mi.csv and effect_cc.csv hold different grids")
     if cfg.m != mi.m:
@@ -364,8 +377,8 @@ def cmd_plot(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     data = dataset_from_csv(_require(out / "observed.csv"))
-    mi, oracle = effect_from_csv(_require(out / "effect_mi.csv"))
-    cc, _ = effect_from_csv(_require(out / "effect_cc.csv"))
+    mi, oracle = _effect_of(out, "effect_mi.csv", MethodTag.MULTIPLE_IMPUTATION)
+    cc, _ = _effect_of(out, "effect_cc.csv", MethodTag.COMPLETE_CASE)
 
     scatter = scatter_matrix_svg(data, cfg.subsample, cfg.seed)
     truth_panel = truth_vs_conditional_svg(cfg.scm, data, cfg.subsample, cfg.seed)

@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from ._seeds import mix_seed, rng_from
-from .dataset import Dataset, _float_cells, _read_table, _write_table
+from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
 from .errors import ConfigError, EmptyResidualPool, FrontdoorLabError, TooFewCompleteRows
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
@@ -320,14 +320,19 @@ def effect_to_csv(estimate: EffectEstimate, oracle: np.ndarray, path) -> None:
 
 
 def effect_from_csv(path) -> tuple[EffectEstimate, np.ndarray]:
+    """Read a curve table; a non-finite number or a mix of method tags raises."""
     table, methods = zip(
         *_read_table(
             path,
             "effect-curve",
             lambda h: h == _effect_header(len(h) - 6),
-            lambda row: ([float(v) for v in row[:-1]], MethodTag(row[-1])),
+            lambda row: ([_finite(v) for v in row[:-1]], MethodTag(row[-1])),
         )
     )
+    tags = set(methods)
+    if len(tags) > 1:
+        mixed = ", ".join(sorted(tag.value for tag in tags))
+        raise FrontdoorLabError(f"effect-curve rows in {path} mix methods: {mixed}")
     # one contiguous row per column, so ``per`` has the (m, grid) layout that
     # makes the pooled-mean identity reproduce the writer's summation order
     grid, pooled, *per, q05, q95, oracle = np.ascontiguousarray(np.array(table).T)

@@ -1,7 +1,11 @@
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,21 @@ class TestDeterminism:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is most of the import time of scipy, and the program
+        # computes its one KS statistic with numpy; no timing is asserted
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, frontdoor_lab.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+
 class TestSimulate:
     def test_tiny_run_row_count(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--n", "10", "--seed", "1"]) == 0
@@ -354,10 +373,14 @@ class TestErrorPaths:
             ("evaluate", "effect_mi.csv", lambda cells: cells[:1] + ["oops"] + cells[2:]),
             ("evaluate", "effect_cc.csv", lambda cells: cells[:3]),
             ("impute", "observed.csv", lambda cells: ["nan"] + cells[1:]),
+            ("evaluate", "effect_mi.csv", lambda cells: cells[:-4] + ["nan"] + cells[-3:]),
+            ("evaluate", "effect_cc.csv", lambda cells: cells[:-3] + ["inf"] + cells[-2:]),
+            ("evaluate", "effect_mi.csv", lambda cells: cells[:-2] + ["-inf"] + cells[-1:]),
         ],
         ids=[
             "dataset-bad-cell", "population-bad-cell", "effect-bad-cell", "effect-short-row",
-            "dataset-nonfinite-cell",
+            "dataset-nonfinite-cell", "effect-nan-q05", "effect-inf-q95",
+            "effect-inf-oracle",
         ],
     )
     def test_malformed_csv_body(self, pipeline_dir, tmp_path, capsys, command, name, corrupt):
@@ -371,6 +394,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input:")
         assert name in err and "line 2" in err
+
+    def test_effect_rows_mixing_methods(self, pipeline_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        lines = (run / "effect_mi.csv").read_text().splitlines()
+        lines[-1] = lines[-1].replace("MultipleImputation", "CompleteCase")
+        (run / "effect_mi.csv").write_text("\n".join(lines) + "\n")
+        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
+        assert main(["evaluate"] + config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input: effect-curve rows in")
+        assert "mix methods: CompleteCase, MultipleImputation" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "plot"])
+    def test_swapped_effect_files(self, pipeline_dir, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        (run / "effect_mi.csv").rename(run / "swap.csv")
+        (run / "effect_cc.csv").rename(run / "effect_mi.csv")
+        (run / "swap.csv").rename(run / "effect_cc.csv")
+        names = ("evaluation.csv", "estimated_effects.svg")
+        written = {name: (run / name).read_bytes() for name in names}
+        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
+        assert main([command] + config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert "effect_mi.csv holds CompleteCase estimates, not MultipleImputation" in err
+        assert {name: (run / name).read_bytes() for name in written} == written
 
     @pytest.mark.parametrize(
         "line",

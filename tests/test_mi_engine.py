@@ -10,6 +10,7 @@ from frontdoor_lab.errors import AllMissingColumn, ConfigError, FrontdoorLabErro
 from frontdoor_lab.mi_engine import (
     CompletedDatasets,
     ImputationConfig,
+    _ks_statistic,
     decompose_x,
     diagnostics_to_csv,
     imputation_diagnostics,
@@ -337,3 +338,51 @@ class TestDiagnostics:
             "variable,dataset_index,side,mean,sd,d1,d2,d3,d4,d5,d6,d7,d8,d9,ks"
         )
         assert len(lines) == 1 + len(rows)
+
+
+class TestKsStatistic:
+    """``_ks_statistic`` against scipy's ``ks_2samp``, kept here as the reference."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0]),
+            ([0.0], [0.0]),
+            ([5.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+            ([0.5, 0.5, 1.5, 2.5, 2.5, 2.5, 3.0], [0.5, 1.0, 2.5, 4.0]),
+        ],
+        ids=["ties", "one-each-equal", "one-against-six", "ties-unequal-sizes"],
+    )
+    def test_equals_exact_ks_2samp(self, a, b):
+        assert _ks_statistic(a, b) == ks_2samp(a, b, method="exact").statistic
+
+    def test_equals_exact_ks_2samp_on_random_tied_samples(self):
+        rng = np.random.default_rng(50)
+        for n_a, n_b in [(7, 13), (20, 9), (31, 31), (12, 40)]:
+            a = rng.integers(0, 6, n_a).astype(float)
+            b = rng.integers(1, 8, n_b).astype(float)
+            assert _ks_statistic(a, b) == ks_2samp(a, b, method="exact").statistic
+
+    def test_matches_default_ks_2samp_at_desk_sizes(self):
+        # about the observed and imputed mediator cells of one desk copy
+        rng = np.random.default_rng(51)
+        observed = rng.normal(size=18400)
+        imputed = np.round(rng.normal(0.05, 1.0, size=1600), 2)
+        expected = ks_2samp(observed, imputed).statistic
+        assert abs(_ks_statistic(observed, imputed) - expected) <= 1e-15
+
+    def test_symmetric_and_in_unit_interval(self):
+        rng = np.random.default_rng(52)
+        for n_a, n_b in [(1, 1), (3, 50), (200, 17)]:
+            a = rng.normal(size=n_a)
+            b = np.round(rng.normal(0.3, 2.0, size=n_b), 1)
+            d = _ks_statistic(a, b)
+            assert d == _ks_statistic(b, a)
+            assert 0.0 <= d <= 1.0
+        assert _ks_statistic([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert _ks_statistic([1.0, 2.0], [3.0, 4.0]) == 1.0
+
+    @pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([], [])])
+    def test_empty_sample_rejected(self, a, b):
+        with pytest.raises(FrontdoorLabError):
+            _ks_statistic(a, b)
