@@ -271,11 +271,12 @@ def cmd_estimate(args) -> int:
                 show(message, category, *rest)
 
         warnings.showwarning = count
+        # first, so too few complete rows fail before any imputed copy is fitted
+        cc = complete_case_effect(data, grid, cfg.estimator_config("cc"))
         pairs = _fitted_pairs(bundle.completed, mi_config)
         if args.save_models:
             pairs = _saving_models(pairs, out / "models")
         mi = _pooled_effect(pairs, grid, mi_config, MethodTag.MULTIPLE_IMPUTATION)
-        cc = complete_case_effect(data, grid, cfg.estimator_config("cc"))
     effect_to_csv(mi, oracle, out / "effect_mi.csv")
     effect_to_csv(cc, oracle, out / "effect_cc.csv")
     print(f"wrote {out / 'effect_mi.csv'}")

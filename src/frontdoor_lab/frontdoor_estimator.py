@@ -85,6 +85,9 @@ class FittedPair:
             == len(self.x_train)
         ):
             raise FrontdoorLabError("mediator and outcome must share training rows")
+        # the lengths agree, so this keeps both residual pools non-empty
+        if len(self.x_train) == 0:
+            raise EmptyResidualPool("fitted pair has no training rows")
         if len(self.outcome.terms) != 2:
             raise FrontdoorLabError(
                 "outcome model needs treatment and mediator terms, got "
@@ -160,8 +163,6 @@ def _mediator_draws(
     pair: FittedPair, x: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     pool = pair.mediator.residuals
-    if len(pool) == 0:
-        raise EmptyResidualPool("mediator residual pool is empty")
     center = float(predict(pair.mediator, float(x))[0])
     return center + pool[rng.integers(0, len(pool), n)]
 
@@ -206,8 +207,6 @@ def distribution_at(
     if n_draws < 1:
         raise FrontdoorLabError("draw count must be >= 1")
     pool = pair.outcome.residuals
-    if len(pool) == 0:
-        raise EmptyResidualPool("outcome residual pool is empty")
     rng = rng_from(seed, "distribution")
     rows = np.arange(n_draws) % len(pair.x_train)
     z_draws = _mediator_draws(pair, x, n_draws, rng)

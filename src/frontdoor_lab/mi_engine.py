@@ -241,15 +241,16 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
         z_work = np.array(start.z_star)
         for cycle in range(cfg.cycles):
             if miss_x.any():
+                magnitude, sign = decompose_x(x_work)
                 signs = impute_sign(
-                    (np.sign(x_work) >= 0).astype(float),
+                    (sign > 0).astype(float),
                     data.m_x,
                     [z_work, y],
                     mix_seed(cfg.seed, chain, cycle, "sign"),
                     cfg.n_knots,
                 )
                 magnitudes = pmm_impute(
-                    np.abs(x_work),
+                    magnitude,
                     data.m_x,
                     [z_work, y],
                     cfg.donors,

@@ -20,9 +20,10 @@ rather than from a stacked design, and then cycle penalized backfitting over
 the terms, reselecting the penalty for each term from its current partial
 residuals.  A term's design keeps its Gram matrix and column sums and stores
 the basis matrix sparse.  Every GCV fit, a single smooth or an additive term,
-takes its basis by one rule and its design from one cache of recent columns, so
-imputation builds each repeated column's design once and a mediator smooth
-shares its design with the outcome model's treatment term.
+takes its basis from ``build_basis``, the one rule for knots and degree, and
+its design from one cache of recent columns, so imputation builds each
+repeated column's design once and a mediator smooth shares its design with the
+outcome model's treatment term.
 
 Prediction inside the knot span evaluates the B-spline; beyond the span the
 fit continues linearly with the end slope.
@@ -96,41 +97,28 @@ class SplineBasis:
 
 
 def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
-    """Cubic basis with ``n_knots`` knots at empirical quantiles of ``x``.
+    """The basis of every spline fit on ``x``: cubic, with ``n_knots`` knots
+    at empirical quantiles of the distinct finite values.
 
     Quantiles are taken over the deduplicated values, so the knot span is the
-    data range; prediction beyond it continues linearly.
+    data range; prediction beyond it continues linearly.  A covariate with
+    fewer distinct values than ``n_knots`` gets one knot per distinct value;
+    with two or three distinct values the degree drops to one, which makes a
+    binary indicator a plain linear term.  A constant covariate raises
+    TooFewDistinctValues.
     """
     if n_knots < 4:
         raise FrontdoorLabError(f"n_knots must be >= 4, got {n_knots}")
-    return _quantile_basis(np.asarray(x, dtype=float), n_knots, DEFAULT_DEGREE)
-
-
-def _quantile_basis(x: np.ndarray, n_knots: int, degree: int) -> SplineBasis:
+    x = np.asarray(x, dtype=float)
     distinct = np.unique(x[np.isfinite(x)])
-    if len(distinct) < n_knots:
-        raise TooFewDistinctValues(
-            f"need >= {n_knots} distinct covariate values, got {len(distinct)}"
-        )
-    knots = np.quantile(distinct, np.linspace(0.0, 1.0, n_knots))
-    return SplineBasis(knots=knots, degree=degree)
-
-
-def _basis_for_covariate(x: np.ndarray, n_knots: int) -> SplineBasis:
-    """Basis of a GCV fit: ``build_basis``, degrading for low-cardinality covariates.
-
-    Covariates with fewer distinct values than requested knots get all distinct
-    values as knots; with two or three distinct values the degree drops to one,
-    which makes binary indicators plain linear terms.
-    """
-    if n_knots < 4:
-        raise FrontdoorLabError(f"n_knots must be >= 4, got {n_knots}")
-    distinct = np.unique(x)
     if len(distinct) < 2:
-        raise TooFewDistinctValues("covariate is constant")
-    if len(distinct) >= 4:
-        return _quantile_basis(x, min(n_knots, len(distinct)), DEFAULT_DEGREE)
-    return SplineBasis(knots=distinct, degree=1)
+        raise TooFewDistinctValues(
+            f"need >= 2 distinct covariate values, got {len(distinct)}"
+        )
+    if len(distinct) < 4:
+        return SplineBasis(knots=distinct, degree=1)
+    knots = np.quantile(distinct, np.linspace(0.0, 1.0, min(n_knots, len(distinct))))
+    return SplineBasis(knots=knots, degree=DEFAULT_DEGREE)
 
 
 def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
@@ -334,9 +322,10 @@ def select_lambda(
 ) -> PenalizedSplineFit:
     """Fit over ``LAMBDA_GRID`` and return the GCV minimizer.
 
-    The basis and design are an additive term's on ``x`` (``_design_for``).
-    Ties go to the larger penalty weight.  The returned fit is identical to
-    ``fit_penalized`` on that basis at the winning weight.
+    The basis is ``build_basis(x, n_knots)`` and the design an additive
+    term's on ``x`` (``_design_for``).  Ties go to the larger penalty weight.
+    The returned fit is identical to ``fit_penalized`` on that basis at the
+    winning weight.
     """
     y, (x,) = _checked_inputs(y, [x])
     return _design_for(x.tobytes(), n_knots).fit(y)
@@ -355,7 +344,7 @@ def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
     """The GCV design of every fit on the float64 column with these bytes, reused
     while it is among the ``_DESIGN_MEMO_SIZE`` most recently used."""
     x = np.frombuffer(column)
-    return _PenalizedDesign(_basis_for_covariate(x, n_knots), x, LAMBDA_GRID)
+    return _PenalizedDesign(build_basis(x, n_knots), x, LAMBDA_GRID)
 
 
 def _joint_normal_equations(y: np.ndarray, designs: list[_PenalizedDesign]):

@@ -495,14 +495,20 @@ class TestErrorPaths:
             main(["not-a-command"])
         assert exc.value.code == 2
 
-    def test_numeric_failure_exit_code(self, tmp_path, capsys):
+    def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # complete-case threshold cannot be met at this sample size
         config = tmp_path / "config.txt"
         config.write_text(f"seed = 6\nn = 150\nm = 2\ngrid = -1:1:3\nout = {tmp_path}\n")
         assert main(["simulate", "--config", str(config)]) == 0
         assert main(["impute", "--config", str(config)]) == 0
-        assert main(["estimate", "--config", str(config)]) == 4
-        assert "error: numeric-failure:" in capsys.readouterr().err
+        # and it fails before any completed copy is fitted or a model file replaced
+        calls = []
+        monkeypatch.setattr(frontdoor_estimator, "fit_pair", lambda *a: calls.append(1))
+        monkeypatch.setattr(cli, "fit_pair", lambda *a: calls.append(1), raising=False)
+        assert main(["estimate", "--save-models", "--config", str(config)]) == 4
+        assert "error: numeric-failure: complete-case" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "models").exists()
 
 
 class TestFlagPrecedence:

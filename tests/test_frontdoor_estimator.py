@@ -240,13 +240,12 @@ class TestDrawMediator:
         assert float(np.std(draws)) == pytest.approx(SCM.sigma_z, abs=0.01)
 
     def test_empty_pool_rejected(self, scm_pair):
-        broken = FittedPair(
-            mediator=dataclasses.replace(scm_pair.mediator, residuals=np.array([])),
-            outcome=dataclasses.replace(scm_pair.outcome, residuals=np.array([])),
-            x_train=np.array([]),
-        )
         with pytest.raises(EmptyResidualPool):
-            draw_mediator(broken, 0.0, 10, seed=57)
+            FittedPair(
+                mediator=dataclasses.replace(scm_pair.mediator, residuals=np.array([])),
+                outcome=dataclasses.replace(scm_pair.outcome, residuals=np.array([])),
+                x_train=np.array([]),
+            )
 
 
 class TestAceAt:

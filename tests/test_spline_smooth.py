@@ -66,8 +66,19 @@ class TestBuildBasis:
         assert np.allclose(basis.knots, expected)
 
     def test_too_few_distinct(self):
-        with pytest.raises(TooFewDistinctValues):
-            build_basis(np.array([1.0, 2.0, 3.0] * 10), n_knots=4)
+        # two or three distinct values: a linear basis on those values
+        basis = build_basis(np.array([1.0, 2.0, 3.0] * 10), n_knots=4)
+        assert basis.degree == 1
+        assert np.array_equal(basis.knots, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n_distinct", [4, 9, 14])
+    def test_fewer_distinct_than_knots_uses_every_value(self, n_distinct):
+        rng = np.random.default_rng(n_distinct)
+        distinct = np.sort(rng.uniform(-2, 2, n_distinct))
+        basis = build_basis(np.concatenate([distinct, distinct[::-1]]), n_knots=15)
+        assert basis.degree == 3
+        assert basis.dim == n_distinct + 2
+        assert np.allclose(basis.knots, distinct, rtol=0, atol=1e-12)
 
     def test_small_n_knots_rejected(self):
         with pytest.raises(FrontdoorLabError):
@@ -204,8 +215,14 @@ class TestSelectLambda:
         fit = select_lambda(y, x, 20)
         assert fit.edf < 4.0
 
-    def test_selected_weight_is_grid_member_and_gcv_finite(self):
+    @pytest.mark.parametrize(
+        "n_values", [None, 2, 3, 6], ids=["continuous", "binary", "three_valued", "six_valued"]
+    )
+    def test_selected_weight_is_grid_member_and_gcv_finite(self, n_values):
         x, y = make_xy(500, seed=13)
+        if n_values is not None:
+            # the same draws on a covariate with few distinct values
+            x = np.round((x + 2) / 4 * (n_values - 1))
         basis = build_basis(x, 15)
         grid = LAMBDA_GRID
         fit = select_lambda(y, x, 15)
@@ -489,9 +506,7 @@ class TestJointFit:
             columns = [np.abs(x), np.where(x >= 0, 1.0, -1.0), outcome]
             y = x + 0.3 * outcome + 0.1 * rng.standard_normal(600)
         designs = [
-            spline_smooth._PenalizedDesign(
-                spline_smooth._basis_for_covariate(c, 20), c, LAMBDA_GRID
-            )
+            spline_smooth._PenalizedDesign(build_basis(c, 20), c, LAMBDA_GRID)
             for c in columns
         ]
         assert designs[1].basis.degree == (3 if shape == "two_terms" else 1)
