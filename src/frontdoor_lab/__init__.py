@@ -53,6 +53,7 @@ from .scm_sim import (
     generate_population,
     intervene_generate,
     oracle_ace,
+    oracle_quantiles,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "load_graph",
     "mar_holds",
     "oracle_ace",
+    "oracle_quantiles",
     "parse_config",
     "pmm_impute",
     "predict",

@@ -16,7 +16,11 @@ directory, so stages can be rerun or inspected independently:
   fitted regressions to ``models/``, replacing every model of an earlier run.
 * ``evaluate``  compares both curve files, and the imputed mediator mean in
   ``imputation_diagnostics.csv``, against the truth; writes ``evaluation.csv``.
-* ``plot``      emits the three SVG figures.
+* ``plot``      emits the three SVG figures.  The true 5 / 95 % bands of the
+  effect figure are exact interventional quantiles from
+  :func:`frontdoor_lab.scm_sim.oracle_quantiles` (quadrature over the
+  mediator noise), computed once for the whole grid; the true mean is the
+  ``oracle_ace`` column of ``effect_mi.csv``.
 
 ``evaluate`` and ``plot`` require ``effect_mi.csv`` to hold only
 ``MultipleImputation`` rows and ``effect_cc.csv`` only ``CompleteCase`` rows.
@@ -72,8 +76,8 @@ from .runconfig import RunConfig, config_to_text, load_config, simulate_key_chan
 from .scm_sim import (
     apply_missingness,
     generate_population,
-    intervene_generate,
     oracle_ace,
+    oracle_quantiles,
     population_from_csv,
     population_to_csv,
 )
@@ -383,13 +387,7 @@ def cmd_plot(args) -> int:
 
     scatter = scatter_matrix_svg(data, cfg.subsample, cfg.seed)
     truth_panel = truth_vs_conditional_svg(cfg.scm, data, cfg.subsample, cfg.seed)
-    true_q05 = np.empty(len(mi.grid))
-    true_q95 = np.empty(len(mi.grid))
-    for j, x in enumerate(mi.grid):
-        draws = intervene_generate(
-            cfg.scm, float(x), 200000, mix_seed(cfg.seed, "plot-truth", j)
-        )
-        true_q05[j], true_q95[j] = np.quantile(draws, [0.05, 0.95])
+    true_q05, true_q95 = oracle_quantiles(cfg.scm, mi.grid, (0.05, 0.95)).T
     curves = effect_curves_svg(mi, cc, oracle, true_q05, true_q95)
 
     for name, text in (

@@ -14,20 +14,21 @@ realized outcome: M_X ~ Bernoulli(Phi(a_x + b_x * y)) and
 M_Z ~ Bernoulli(Phi(a_z + b_z * y)) with indicator 1 meaning observed; Y is
 always recorded.
 
-The module also provides the interventional ground truth: Monte Carlo draws
-of Y under do(X = x) and the closed-form mean response, used to benchmark
-the estimators.  Generation is a pure function of (config, n, seed); normal
-variates come from numpy's Generator (ziggurat sampling) with the draw order
-frozen, so identical inputs reproduce identical outputs.
+The module also provides the interventional ground truth used to benchmark
+the estimators: Monte Carlo draws of Y under do(X = x), the closed-form mean
+response and the quantiles of Y by quadrature over the mediator noise.
+Generation is a pure function of (config, n, seed); normal variates come from
+numpy's Generator (ziggurat sampling) with the draw order frozen, so
+identical inputs reproduce identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, ndtr, ndtri
 
 from .dataset import Dataset, _float_cells, _read_table, _write_table
 from .errors import ConfigError, InvalidCount
@@ -38,6 +39,11 @@ _TWO_PI = 2.0 * np.pi
 _STREAM_POPULATION = 11
 _STREAM_MISSINGNESS = 13
 _STREAM_INTERVENTION = 17
+
+# oracle_quantiles: equal-probability strata of the mediator noise, and the
+# cap on bracketed Newton steps per quantile (bisection alone needs about 50)
+_QUANTILE_STRATA = 2048
+_NEWTON_MAX_STEPS = 100
 
 POPULATION_HEADER = ["u", "x", "z", "y"]
 
@@ -60,11 +66,16 @@ class ScmConfig:
     miss_z_params: tuple[float, float] = (-1.0, 4.0)
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if not self.sigma_z > 0:
             raise ConfigError("sigma_z must be positive")
         low, high = self.x_prime_range
-        if not low < high:
-            raise ConfigError("x_prime_range must satisfy low < high")
+        # a width past the float range is what Generator.uniform cannot draw from
+        if not (low < high and np.isfinite(float(high) - float(low))):
+            raise ConfigError("x_prime_range must satisfy low < high with a finite width")
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,71 @@ def oracle_ace(cfg: ScmConfig, x):
     bump = np.exp(-((m - cfg.y_shift) ** 2) / (2.0 * v)) / np.sqrt(_TWO_PI * v)
     out = np.asarray(bump + cfg.y_linear * m)
     return float(out) if out.ndim == 0 else out
+
+
+def oracle_quantiles(cfg: ScmConfig, x, probs) -> np.ndarray:
+    """Exact quantiles of Y under do(X = x) at the probabilities ``probs``.
+
+    Given Z, Y is normal with mean h(Z) = phi(Z - y_shift) + y_linear * Z and
+    sd |u_coef|, so its CDF is F(y) = E Phi((y - h(Z)) / |u_coef|) with
+    Z ~ N(z_amplitude * phi(x), sigma_z^2).  The expectation is a mean over
+    equal-probability strata of Z, each represented by its midpoint
+    ndtri((k + 1/2) / K).  F(y) = p is solved by Newton steps kept inside the
+    bracket [min h, max h] + |u_coef| ndtri(p), starting from the quantile of
+    the moment-matched normal.  With u_coef = 0, F is a step function and the
+    quantile interpolates the sorted h values between the strata midpoints.
+
+    At the default mechanism, at sigma_z = 0.5 and at u_coef = 0 the result
+    is within 2e-5 of the same rule with 16 times the strata.  When |u_coef|
+    is nonzero but far below the gap between neighbouring h values, F is
+    nearly a staircase and the error grows towards that gap (3e-4 at
+    sigma_z = 2, u_coef = 1e-4).
+
+    Returns an array of shape ``shape(x) + shape(probs)``; each probability
+    must lie in (0, 1).
+    """
+    probs = np.asarray(probs, dtype=float)
+    if not np.all((probs > 0) & (probs < 1)):
+        raise ValueError(f"probabilities must lie in (0, 1), got {probs}")
+    xs = np.asarray(x, dtype=float)
+    midpoints = (np.arange(_QUANTILE_STRATA) + 0.5) / _QUANTILE_STRATA
+    noise = cfg.sigma_z * ndtri(midpoints)
+    scale = abs(cfg.u_coef)
+    out = np.empty(xs.shape + probs.shape)
+    for index in np.ndindex(xs.shape):
+        z = cfg.z_amplitude * std_normal_pdf(xs[index]) + noise
+        h = np.sort(std_normal_pdf(z - cfg.y_shift) + cfg.y_linear * z)
+        if scale == 0:
+            out[index] = np.interp(probs, midpoints, h)
+        else:
+            out[index] = [_normal_mixture_quantile(h, scale, p) for p in probs]
+    return out
+
+
+def _normal_mixture_quantile(h: np.ndarray, scale: float, p: float) -> float:
+    """The y with mean(Phi((y - h) / scale)) = p, for sorted h and scale > 0."""
+    shift = scale * ndtri(p)
+    lo, hi = h[0] + shift, h[-1] + shift  # F(lo) <= p <= F(hi)
+    y = min(max(np.mean(h) + np.sqrt(np.var(h) + scale**2) * ndtri(p), lo), hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        t = (y - h) / scale
+        gap = np.mean(ndtr(t)) - p
+        if gap == 0:
+            return y
+        if gap < 0:
+            lo = y
+        else:
+            hi = y
+        slope = np.mean(std_normal_pdf(t)) / scale
+        # the Newton step if it stays inside the bracket, else bisection
+        if slope * (y - hi) < gap < slope * (y - lo):
+            step = y - gap / slope
+        else:
+            step = 0.5 * (lo + hi)
+        if abs(step - y) <= 1e-12 * max(1.0, abs(y)):
+            return step
+        y = step
+    return y
 
 
 def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Dataset:

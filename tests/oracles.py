@@ -170,3 +170,35 @@ def missingness_rates_quadrature(
             [np.sum(weights * hide_x), np.sum(weights * hide_z), np.sum(weights * hide_x * hide_z)]
         )
     return float(total[0]), float(total[1]), float(total[2])
+
+
+def interventional_quantile_bisection(cfg, x: float, p: float, n: int = 20001) -> float:
+    """Quantile of Y under do(X = x) by trapezoid quadrature and bisection.
+
+    Re-derives the intervened mechanism (Z ~ N(z_amplitude phi(x),
+    sigma_z^2), Y | Z ~ N(phi(Z - y_shift) + y_linear Z, u_coef^2)) and
+    integrates the CDF of Y with the trapezoid rule over Z on n equally
+    spaced points within 10 sigma_z of the mean; u_coef must be nonzero.
+    The root of F(y) = p is bisected inside [min h, max h] widened by
+    10 |u_coef|.
+    """
+    def phi(t):
+        return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+
+    mean = cfg.z_amplitude * phi(x)
+    z = np.linspace(mean - 10 * cfg.sigma_z, mean + 10 * cfg.sigma_z, n)
+    density = phi((z - mean) / cfg.sigma_z) / cfg.sigma_z
+    h = phi(z - cfg.y_shift) + cfg.y_linear * z
+    scale = abs(cfg.u_coef)
+
+    def cdf(y):
+        return np.trapezoid(density * ndtr((y - h) / scale), z)
+
+    lo, hi = h.min() - 10 * scale, h.max() + 10 * scale
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -38,6 +38,7 @@ from frontdoor_lab.scm_sim import (
     generate_population,
     intervene_generate,
     oracle_ace,
+    oracle_quantiles,
 )
 from frontdoor_lab.spline_smooth import LAMBDA_GRID, build_basis, fit_penalized
 
@@ -196,9 +197,7 @@ def test_criterion_5_quantile_bands(desk_run):
     details = []
     for x in (-1.0, 0.0, 1.0):
         j = int(np.argmin(np.abs(grid - x)))
-        truth = intervene_generate(SCM, x, 10**6, seed=int(3000 + 10 * x))
-        t05 = float(np.quantile(truth, 0.05))
-        t95 = float(np.quantile(truth, 0.95))
+        t05, t95 = oracle_quantiles(SCM, x, (0.05, 0.95))
         e05 = float(desk_run["mi"].q05[j]) - t05
         e95 = float(desk_run["mi"].q95[j]) - t95
         worst = max(worst, abs(e05), abs(e95))

@@ -439,17 +439,29 @@ class TestErrorPaths:
             "donors = 0",
             "mediator_draws = 0",
             "distribution_draws = -1",
+            "x_prime_low = -1e308\nx_prime_high = 1e308",
         ],
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
             "m_1", "cycles_0", "donors_0", "mediator_draws_0", "distribution_draws_negative",
+            "x_prime_width_overflows",
         ],
     )
     def test_config_value_no_stage_can_use(self, tmp_path, capsys, line):
         out = tmp_path / "run"
         config = tmp_path / "config.txt"
         config.write_text(f"n = 600\nm = 2\nout = {out}\n{line}\n")
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-input:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["sigma_z", "u_coef", "x_prime_low", "miss_x_a", "miss_z_b"])
+    def test_non_finite_mechanism_value(self, tmp_path, capsys, key, value):
+        out = tmp_path / "run"
+        config = tmp_path / "config.txt"
+        config.write_text(f"n = 600\nm = 2\nout = {out}\n{key} = {value}\n")
         assert main(["simulate", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: invalid-input:")
         assert not out.exists()

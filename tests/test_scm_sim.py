@@ -1,5 +1,6 @@
 import csv
 from dataclasses import FrozenInstanceError
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,13 +15,19 @@ from frontdoor_lab.scm_sim import (
     generate_population,
     intervene_generate,
     oracle_ace,
+    oracle_quantiles,
     population_from_csv,
     population_to_csv,
     std_normal_cdf,
     std_normal_pdf,
 )
 
-from oracles import missingness_rates_quadrature, normal_cdf_series, trapezoid_integral
+from oracles import (
+    interventional_quantile_bisection,
+    missingness_rates_quadrature,
+    normal_cdf_series,
+    trapezoid_integral,
+)
 
 CFG = ScmConfig()
 
@@ -152,6 +159,61 @@ class TestOracleAce:
         curve = oracle_ace(CFG, xs)
         assert curve.shape == (5,)
         assert curve[2] == pytest.approx(oracle_ace(CFG, 0.0))
+
+
+class TestOracleQuantiles:
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, ScmConfig(sigma_z=0.5), ScmConfig(sigma_z=2.0, u_coef=0.01)],
+        ids=["default", "sigma_z_0.5", "sigma_z_2_u_coef_0.01"],
+    )
+    def test_matches_bisection_reference(self, cfg):
+        # sigma_z = 2, u_coef = 0.01 is where Gauss-Hermite over Z breaks down
+        probs = (0.05, 0.5, 0.95)
+        for x in (-2.0, 0.0, 1.5):
+            reference = [interventional_quantile_bisection(cfg, x, p) for p in probs]
+            assert np.allclose(oracle_quantiles(cfg, x, probs), reference, rtol=0, atol=1e-4)
+
+    def test_noise_free_outcome_maps_mediator_quantiles(self):
+        # with u_coef = 0 and h increasing (y_linear = 0.3), the p-quantile of
+        # Y = h(Z) is h at the p-quantile of Z
+        cfg = ScmConfig(u_coef=0.0)
+        probs = (0.05, 0.3, 0.95)
+        for x in (-2.0, 0.0, 1.5):
+            m = cfg.z_amplitude * std_normal_pdf(x)
+            z = np.array([m + cfg.sigma_z * NormalDist().inv_cdf(p) for p in probs])
+            expected = std_normal_pdf(z - 0.5) + 0.3 * z
+            assert np.allclose(oracle_quantiles(cfg, x, probs), expected, rtol=0, atol=1e-4)
+
+    def test_degenerate_noise(self):
+        cfg = ScmConfig(sigma_z=1e-12, u_coef=0.0)
+        m = 4 * std_normal_pdf(1.0)
+        expected = std_normal_pdf(m - 0.5) + 0.3 * m
+        assert np.allclose(oracle_quantiles(cfg, 1.0, (0.05, 0.95)), expected, rtol=0, atol=1e-9)
+
+    def test_matches_monte_carlo(self):
+        # the share of draws below each oracle quantile is p within 4 binomial SE
+        probs = np.array([0.05, 0.5, 0.95])
+        n = 200000
+        for i, x in enumerate((-3.0, 0.0, 1.0)):
+            draws = intervene_generate(CFG, x, n, seed=300 + i)
+            quantiles = oracle_quantiles(CFG, x, probs)
+            below = np.mean(draws[:, None] <= quantiles[None, :], axis=0)
+            assert np.all(np.abs(below - probs) < 4 * np.sqrt(probs * (1 - probs) / n))
+
+    def test_scalar_and_array_x(self):
+        xs = np.linspace(-2, 2, 5)
+        bands = oracle_quantiles(CFG, xs, (0.05, 0.95))
+        assert bands.shape == (5, 2)
+        assert np.all(bands[:, 0] < bands[:, 1])
+        single = oracle_quantiles(CFG, 0.0, (0.05, 0.95))
+        assert single.shape == (2,)
+        assert np.array_equal(single, bands[2])
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, float("nan")])
+    def test_rejects_probability_outside_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            oracle_quantiles(CFG, 0.0, (0.5, p))
 
 
 class TestApplyMissingness:
