@@ -11,9 +11,10 @@ directory, so stages can be rerun or inspected independently:
 * ``impute``    reads ``observed.csv``; writes ``completed_XX.csv`` (replacing
   every copy of an earlier run), ``imputation_diagnostics.csv`` and the chain
   trace ``imputation_trace.csv``.
-* ``estimate``  reads the completed copies plus ``observed.csv``; writes
-  ``effect_mi.csv`` and ``effect_cc.csv``, and with ``--save-models`` the
-  fitted regressions to ``models/``, replacing every model of an earlier run.
+* ``estimate``  reads the completed copies plus ``observed.csv``, runs
+  ``complete_case_effect`` and ``estimate_effect``, writes ``effect_mi.csv``
+  and ``effect_cc.csv``, and with ``--save-models`` the fitted regressions to
+  ``models/``, replacing every model of an earlier run.
 * ``evaluate``  compares both curve files, and the imputed mediator mean in
   ``imputation_diagnostics.csv``, against the truth; writes ``evaluation.csv``.
 * ``plot``      emits the three SVG figures.  The true 5 / 95 % bands of the
@@ -58,11 +59,10 @@ from .errors import ConfigError, FrontdoorLabError, MissingInput, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
     MethodTag,
-    _fitted_pairs,
-    _pooled_effect,
     complete_case_effect,
     effect_from_csv,
     effect_to_csv,
+    estimate_effect,
 )
 from .mi_engine import (
     DIAGNOSTICS_HEADER,
@@ -136,9 +136,10 @@ def _completed_paths(out: Path, m: int) -> list[Path]:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # drawn first, so a mechanism that overflows leaves no directory behind
     population = generate_population(cfg.scm, cfg.n, mix_seed(cfg.seed, "population"))
     data = apply_missingness(cfg.scm, population, mix_seed(cfg.seed, "missingness"))
+    out.mkdir(parents=True, exist_ok=True)
     population_to_csv(population, out / "population.csv")
     dataset_to_csv(data, out / "observed.csv")
     (out / "run_config.txt").write_text(config_to_text(cfg), encoding="utf-8")
@@ -235,57 +236,46 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def _saving_models(pairs, models: Path):
-    """Pass each (pair, label) on after writing its two fitted regressions,
-    replacing every model file of an earlier run."""
-    models.mkdir(exist_ok=True)
-    for path in [*models.glob("mediator_*.txt"), *models.glob("outcome_*.txt")]:
-        path.unlink()
-    for i, (pair, label) in enumerate(pairs, start=1):
-        (models / f"mediator_{i:02d}.txt").write_text(
-            spline_fit_to_text(pair.mediator), encoding="utf-8"
-        )
-        (models / f"outcome_{i:02d}.txt").write_text(
-            additive_fit_to_text(pair.outcome), encoding="utf-8"
-        )
-        yield pair, label
+def _save_models(pair, models: Path, i: int) -> None:
+    """Write the two fitted regressions of imputed copy i (from 1); copy 1
+    first replaces every model file of an earlier run."""
+    if i == 1:
+        models.mkdir(exist_ok=True)
+        for path in [*models.glob("mediator_*.txt"), *models.glob("outcome_*.txt")]:
+            path.unlink()
+    for kind, text in (
+        ("mediator", spline_fit_to_text(pair.mediator)),
+        ("outcome", additive_fit_to_text(pair.outcome)),
+    ):
+        (models / f"{kind}_{i:02d}.txt").write_text(text, encoding="utf-8")
 
 
 def cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     data = dataset_from_csv(_require(out / "observed.csv"))
-    completed = tuple(
-        dataset_from_csv(_require(path)) for path in _completed_paths(out, cfg.m)
-    )
-    bundle = CompletedDatasets(source=data, completed=completed)
+    paths = _completed_paths(out, cfg.m)
+    bundle = CompletedDatasets(data, tuple(dataset_from_csv(_require(p)) for p in paths))
     grid = cfg.grid_values()
     oracle = oracle_ace(cfg.scm, grid)
-    mi_config = cfg.estimator_config("mi")
-    nonconverged = []
+    converged = []  # one flag per outcome fit: the complete-case pair's, then copy 1..m's
+
+    def on_pair(pair):
+        converged.append(pair.outcome.converged)
+        if args.save_models and len(converged) > 1:
+            _save_models(pair, out / "models", len(converged) - 1)
+
     with warnings.catch_warnings():
-        # count the outcome fits that hit the backfitting cycle cap; show any other warning
-        warnings.simplefilter("always", NoConvergenceWarning)
-        show = warnings.showwarning
-
-        def count(message, category, *rest):
-            if issubclass(category, NoConvergenceWarning):
-                nonconverged.append(message)
-            else:
-                show(message, category, *rest)
-
-        warnings.showwarning = count
+        # the pairs report their own convergence; any other warning is shown
+        warnings.simplefilter("ignore", NoConvergenceWarning)
         # first, so too few complete rows fail before any imputed copy is fitted
-        cc = complete_case_effect(data, grid, cfg.estimator_config("cc"))
-        pairs = _fitted_pairs(bundle.completed, mi_config)
-        if args.save_models:
-            pairs = _saving_models(pairs, out / "models")
-        mi = _pooled_effect(pairs, grid, mi_config, MethodTag.MULTIPLE_IMPUTATION)
+        cc = complete_case_effect(data, grid, cfg.estimator_config("cc"), on_pair)
+        mi = estimate_effect(bundle, grid, cfg.estimator_config("mi"), on_pair)
     effect_to_csv(mi, oracle, out / "effect_mi.csv")
     effect_to_csv(cc, oracle, out / "effect_cc.csv")
     print(f"wrote {out / 'effect_mi.csv'}")
     print(f"wrote {out / 'effect_cc.csv'}")
-    print(f"nonconverged_fits={len(nonconverged)}")
+    print(f"nonconverged_fits={converged.count(False)}")
     return 0
 
 

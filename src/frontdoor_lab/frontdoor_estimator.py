@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -235,22 +235,21 @@ def _curves_for_pair(
     return ace, q05, q95
 
 
-def _fitted_pairs(copies: Iterable[Dataset], config: EstimatorConfig):
-    """Fit each completed copy in turn, labelled for its random streams."""
-    for i, completed in enumerate(copies):
-        yield fit_pair(completed, config), f"imp{i}"
-
-
 def _pooled_effect(
-    pairs: Iterable[tuple[FittedPair, str]],
+    copies: Iterable[tuple[Dataset, str]],
     grid: np.ndarray,
     config: EstimatorConfig,
     method: MethodTag,
+    on_pair: Callable[[FittedPair], object] | None,
 ) -> EffectEstimate:
-    """Curves of each (pair, label), pooled by averaging; one pair is held at a time."""
+    """Fit each (dataset, label), hand the pair to ``on_pair``, then compute
+    its curves; pools the curves by averaging, holding one pair at a time."""
     grid = _checked_grid(grid)
     ace_rows, q05_rows, q95_rows = [], [], []
-    for pair, label in pairs:
+    for data, label in copies:
+        pair = fit_pair(data, config)
+        if on_pair is not None:
+            on_pair(pair)
         ace, q05, q95 = _curves_for_pair(pair, grid, config, label)
         ace_rows.append(ace)
         q05_rows.append(q05)
@@ -270,21 +269,25 @@ def estimate_effect(
     datasets: CompletedDatasets,
     grid: np.ndarray,
     config: EstimatorConfig | None = None,
+    on_pair: Callable[[FittedPair], object] | None = None,
 ) -> EffectEstimate:
-    """Fit and estimate on every completed copy, pooling curves by averaging."""
+    """Fit and estimate on every completed copy, pooling curves by averaging;
+    ``on_pair`` gets each copy's :class:`FittedPair` in copy order, after its
+    fit and before its curves.  Only one pair is held at a time."""
     config = config or EstimatorConfig()
-    pairs = _fitted_pairs(datasets.completed, config)
-    return _pooled_effect(pairs, grid, config, MethodTag.MULTIPLE_IMPUTATION)
+    copies = ((completed, f"imp{i}") for i, completed in enumerate(datasets.completed))
+    return _pooled_effect(copies, grid, config, MethodTag.MULTIPLE_IMPUTATION, on_pair)
 
 
 def complete_case_effect(
     data: Dataset,
     grid: np.ndarray,
     config: EstimatorConfig | None = None,
+    on_pair: Callable[[FittedPair], object] | None = None,
 ) -> EffectEstimate:
-    """Benchmark estimate using only the rows with no missing cells."""
+    """Benchmark estimate using only the rows with no missing cells; ``on_pair``
+    gets its one pair after the fit and before the curves."""
     config = config or EstimatorConfig()
-    grid = _checked_grid(grid)  # before the fit, so a bad grid costs nothing
     keep = data.complete_mask()
     basis_dim = config.n_knots + 2
     if int(keep.sum()) < 10 * basis_dim:
@@ -295,8 +298,7 @@ def complete_case_effect(
     complete = Dataset(
         x_star=data.x_star[keep], z_star=data.z_star[keep], y_star=data.y_star[keep]
     )
-    pair = fit_pair(complete, config)
-    return _pooled_effect([(pair, "cc")], grid, config, MethodTag.COMPLETE_CASE)
+    return _pooled_effect([(complete, "cc")], grid, config, MethodTag.COMPLETE_CASE, on_pair)
 
 
 # ----------------------------------------------------------------- CSV

@@ -111,17 +111,22 @@ def std_normal_cdf(x):
 def generate_population(cfg: ScmConfig, n: int, seed: int) -> Population:
     """Draw n i.i.d. rows from the structural mechanism.
 
-    Draw order is frozen: U, then X', then eps_Z, each as one block.
+    Draw order is frozen: U, then X', then eps_Z, each as one block.  Raises
+    ConfigError when the parameters push Z or Y past the float range.
     """
     if n < 1:
         raise InvalidCount(f"population size must be >= 1, got {n}")
     rng = _rng(seed, _STREAM_POPULATION)
     u = rng.standard_normal(n)
     x_prime = rng.uniform(cfg.x_prime_range[0], cfg.x_prime_range[1], n)
-    eps_z = cfg.sigma_z * rng.standard_normal(n)
-    x = x_prime + u
-    z = cfg.z_amplitude * std_normal_pdf(x) + eps_z
-    y = std_normal_pdf(z - cfg.y_shift) + cfg.y_linear * z + cfg.u_coef * u
+    # z and y are checked below; a huge x is exact, its density underflows to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps_z = cfg.sigma_z * rng.standard_normal(n)
+        x = x_prime + u
+        z = cfg.z_amplitude * std_normal_pdf(x) + eps_z
+        y = std_normal_pdf(z - cfg.y_shift) + cfg.y_linear * z + cfg.u_coef * u
+    if not (np.isfinite(z).all() and np.isfinite(y).all()):
+        raise ConfigError("the mechanism overflows the float range: z or y is not finite")
     return Population(u=u, x=x, z=z, y=y)
 
 

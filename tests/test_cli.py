@@ -151,6 +151,9 @@ class TestPipelineArtifacts:
     def test_counting_nonconverged_fits_shows_every_other_warning(
         self, run_m3, tmp_path, monkeypatch, capsys
     ):
+        # estimate holds back every NoConvergenceWarning and shows any other
+        # warning; it counts the fitted pairs that did not converge, so a bare
+        # warning, which is no fit, leaves the count at 0
         run = tmp_path / "run"
         shutil.copytree(run_m3, run)
         complete_case_effect = cli.complete_case_effect
@@ -165,7 +168,7 @@ class TestPipelineArtifacts:
         with pytest.warns(UserWarning) as shown:
             assert main(["estimate"] + config) == 0
         assert [(w.category, str(w.message)) for w in shown] == [(UserWarning, "other")]
-        assert capsys.readouterr().out.splitlines()[-1] == "nonconverged_fits=1"
+        assert capsys.readouterr().out.splitlines()[-1] == "nonconverged_fits=0"
 
     def test_svgs_are_well_formed_xml(self, pipeline_dir):
         for name in ("scatter_matrix.svg", "true_vs_conditional.svg", "estimated_effects.svg"):
@@ -440,12 +443,13 @@ class TestErrorPaths:
             "mediator_draws = 0",
             "distribution_draws = -1",
             "x_prime_low = -1e308\nx_prime_high = 1e308",
+            "sigma_z = 1e308",
         ],
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
             "m_1", "cycles_0", "donors_0", "mediator_draws_0", "distribution_draws_negative",
-            "x_prime_width_overflows",
+            "x_prime_width_overflows", "sigma_z_overflows",
         ],
     )
     def test_config_value_no_stage_can_use(self, tmp_path, capsys, line):

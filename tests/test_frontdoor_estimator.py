@@ -446,6 +446,89 @@ class TestCompleteCase:
             complete_case_effect(data, np.array(grid), EstimatorConfig(seed=96))
 
 
+class TestOnPair:
+    GRID = np.array([-1.0, 1.0])
+
+    def make_bundle(self, m=3, n=3000):
+        # the copies fill a quarter of the mediator cells differently, so each
+        # pair can be traced to the copy it was fitted on
+        pop = generate_population(SCM, n, seed=100)
+        masked = np.arange(n) % 4 == 0
+        source = complete_dataset(pop.x, np.where(masked, np.nan, pop.z), pop.y)
+        copies = tuple(
+            complete_dataset(pop.x, np.where(masked, np.roll(pop.z, k), pop.z), pop.y)
+            for k in range(m)
+        )
+        return CompletedDatasets(source=source, completed=copies)
+
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """(dataset, pair) of every fit_pair call, in call order."""
+        calls = []
+
+        def recording(data, config=None):
+            pair = fit_pair(data, config)
+            calls.append((data, pair))
+            return pair
+
+        monkeypatch.setattr(frontdoor_estimator, "fit_pair", recording)
+        return calls
+
+    def test_sees_each_fitted_pair_once_in_copy_order(self, fitted):
+        bundle = self.make_bundle()
+        seen = []
+        estimate_effect(bundle, self.GRID, EstimatorConfig(seed=104), on_pair=seen.append)
+        assert len(fitted) == len(seen) == bundle.m == 3
+        for copy, (data, pair), passed in zip(bundle.completed, fitted, seen):
+            assert data is copy
+            assert passed is pair
+
+    def test_complete_case_calls_back_once(self, fitted):
+        data = self.make_bundle(m=1).completed[0]
+        seen = []
+        complete_case_effect(data, self.GRID, EstimatorConfig(seed=105), on_pair=seen.append)
+        assert len(fitted) == len(seen) == 1
+        assert seen[0] is fitted[0][1]
+
+    @pytest.mark.parametrize("complete_case", [False, True], ids=["mi", "cc"])
+    def test_estimate_unchanged_by_the_callback(self, complete_case):
+        bundle = self.make_bundle(m=2)
+        config = EstimatorConfig(seed=106)
+
+        def run(**on_pair):
+            if complete_case:
+                return complete_case_effect(bundle.completed[0], self.GRID, config, **on_pair)
+            return estimate_effect(bundle, self.GRID, config, **on_pair)
+
+        plain, called_back = run(), run(on_pair=lambda pair: None)
+        assert called_back.method is plain.method
+        for name in ("grid", "per_imputation_ace", "pooled_ace", "q05", "q95"):
+            assert np.array_equal(getattr(called_back, name), getattr(plain, name)), name
+
+    def test_pairs_stream_one_at_a_time(self, monkeypatch):
+        # each pair's curves are computed before the next copy is fitted, so
+        # only one pair is alive at a time
+        events = []
+
+        def logged(name, function):
+            def wrapper(*args, **kwargs):
+                result = function(*args, **kwargs)
+                events.append(name)
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(frontdoor_estimator, "fit_pair", logged("fit", fit_pair))
+        monkeypatch.setattr(frontdoor_estimator, "ace_at", logged("ace", ace_at))
+        estimate_effect(
+            self.make_bundle(),
+            self.GRID,
+            EstimatorConfig(seed=107),
+            on_pair=lambda pair: events.append("pair"),
+        )
+        assert events == ["fit", "pair", "ace", "ace"] * 3
+
+
 class TestEffectCsv:
     def test_round_trip(self, tmp_path):
         pop = generate_population(SCM, 3000, seed=100)
