@@ -246,28 +246,20 @@ def bidirected_path_exists(g: Dag, a: str, b: str) -> bool:
     for name in (a, b):
         if g.is_latent(name):
             raise NodeNotObserved(f"query node must be observed: {name!r}")
-    if a == b:
-        return False
-    return _latent_edge_reachable(g, a, b)
+    return a != b and b in _latent_edge_reach(g, a)
 
 
-def _latent_edge_reachable(g: Dag, a: str, b: str) -> bool:
-    adjacency: dict[str, set[str]] = {n: set() for n in g.node_names}
-    for parent, child in g.edges:
-        if g.is_latent(parent) or g.is_latent(child):
-            adjacency[parent].add(child)
-            adjacency[child].add(parent)
+def _latent_edge_reach(g: Dag, a: str) -> set[str]:
+    """``a`` and every node joined to it by a path of latent-touching edges."""
     seen = {a}
     queue = deque([a])
     while queue:
         node = queue.popleft()
-        for neighbour in adjacency[node]:
-            if neighbour == b:
-                return True
-            if neighbour not in seen:
+        for neighbour in g.parents(node) | g.children(node):
+            if neighbour not in seen and (g.is_latent(node) or g.is_latent(neighbour)):
                 seen.add(neighbour)
                 queue.append(neighbour)
-    return False
+    return seen
 
 
 def frontdoor_identifiable(g: Dag, x: str) -> bool:
@@ -275,15 +267,12 @@ def frontdoor_identifiable(g: Dag, x: str) -> bool:
 
     This is the child criterion for identifying the causal effect of ``x``
     by frontdoor-style adjustment; a node with no children passes vacuously.
+    A latent child always fails it: the edge from ``x`` to that child touches
+    a latent node, so the child is reached through that edge alone.
     """
     if g.is_latent(x):
         raise NodeNotObserved(f"treatment node must be observed: {x!r}")
-    for child in g.children(x):
-        if g.is_latent(child):
-            return False  # the x -> child edge itself touches a latent node
-        if _latent_edge_reachable(g, x, child):
-            return False
-    return True
+    return not g.children(x) & _latent_edge_reach(g, x)
 
 
 # ------------------------------------------------------------- text format

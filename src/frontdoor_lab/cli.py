@@ -16,7 +16,8 @@ directory, so stages can be rerun or inspected independently:
   and ``effect_cc.csv``, and with ``--save-models`` the fitted regressions to
   ``models/``, replacing every model of an earlier run.
 * ``evaluate``  compares both curve files, and the imputed mediator mean in
-  ``imputation_diagnostics.csv``, against the truth; writes ``evaluation.csv``.
+  ``imputation_diagnostics.csv`` when the mediator had missing cells, against
+  the truth; writes ``evaluation.csv``.
 * ``plot``      emits the three SVG figures.  The true 5 / 95 % bands of the
   effect figure are exact interventional quantiles from
   :func:`frontdoor_lab.scm_sim.oracle_quantiles` (quadrature over the
@@ -24,7 +25,8 @@ directory, so stages can be rerun or inspected independently:
   ``oracle_ace`` column of ``effect_mi.csv``.
 
 ``evaluate`` and ``plot`` require ``effect_mi.csv`` to hold only
-``MultipleImputation`` rows and ``effect_cc.csv`` only ``CompleteCase`` rows.
+``MultipleImputation`` rows and ``effect_cc.csv`` only ``CompleteCase`` rows,
+both on one grid and with one ``oracle_ace`` column, as ``estimate`` writes them.
 
 Every CSV uses the table format of :mod:`frontdoor_lab.dataset`.  Exit codes:
 0 success, 2 usage or malformed input (a file that is not UTF-8, a config value
@@ -279,17 +281,11 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _error_stats(estimate, oracle, lo=-2.0, hi=2.0):
-    errors = estimate.pooled_ace - oracle
-    inner = (estimate.grid >= lo - 1e-9) & (estimate.grid <= hi + 1e-9)
-    return {
-        "max_abs": float(np.max(np.abs(errors))),
-        "mean_abs": float(np.mean(np.abs(errors))),
-        "mean_signed": float(np.mean(errors)),
-        "inner_max_abs": float(np.max(np.abs(errors[inner]))) if inner.any() else float("nan"),
-        "inner_mean_abs": float(np.mean(np.abs(errors[inner]))) if inner.any() else float("nan"),
-        "inner_mean_signed": float(np.mean(errors[inner])) if inner.any() else float("nan"),
-    }
+def _error_summary(errors: np.ndarray) -> tuple[float, float, float]:
+    """Max and mean absolute error and mean signed error; nan for no error."""
+    if len(errors) == 0:
+        return (float("nan"),) * 3
+    return float(np.max(np.abs(errors))), float(np.mean(np.abs(errors))), float(np.mean(errors))
 
 
 def _imputed_z_means(path: Path, m: int) -> list[float]:
@@ -299,6 +295,7 @@ def _imputed_z_means(path: Path, m: int) -> list[float]:
         "imputation diagnostics",
         lambda h: h == DIAGNOSTICS_HEADER,
         lambda row: (row[0], int(row[1]), row[2], [float(v) for v in row[3:]]),
+        empty_ok=True,  # no row: nothing was imputed
     )
     return [
         numbers[0]
@@ -307,39 +304,44 @@ def _imputed_z_means(path: Path, m: int) -> list[float]:
     ]
 
 
-def _effect_of(out: Path, name: str, method: MethodTag):
-    """The curve table ``out/name``, which must hold ``method``'s estimates."""
-    estimate, oracle = effect_from_csv(_require(out / name))
-    if estimate.method is not method:
-        raise FrontdoorLabError(
-            f"{out / name} holds {estimate.method.value} estimates, not {method.value}"
-        )
-    return estimate, oracle
+def _run_estimates(out: Path):
+    """``(mi, cc, truth)`` from the two effect files in ``out``: each file must hold
+    only its own method's rows, and both one grid and one ``oracle_ace`` column."""
+    curves = []
+    for name, method in (
+        ("effect_mi.csv", MethodTag.MULTIPLE_IMPUTATION),
+        ("effect_cc.csv", MethodTag.COMPLETE_CASE),
+    ):
+        estimate, truth = effect_from_csv(_require(out / name))
+        if estimate.method is not method:
+            raise FrontdoorLabError(
+                f"{out / name} holds {estimate.method.value} estimates, not {method.value}"
+            )
+        curves.append((estimate, truth))
+    (mi, truth), (cc, cc_truth) = curves
+    for what, a, b in (("grids", mi.grid, cc.grid), ("oracle_ace columns", truth, cc_truth)):
+        if not np.array_equal(a, b):
+            raise FrontdoorLabError(f"effect_mi.csv and effect_cc.csv hold different {what}")
+    return mi, cc, truth
 
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    mi, oracle_mi = _effect_of(out, "effect_mi.csv", MethodTag.MULTIPLE_IMPUTATION)
-    cc, oracle_cc = _effect_of(out, "effect_cc.csv", MethodTag.COMPLETE_CASE)
-    if not np.array_equal(mi.grid, cc.grid):
-        raise FrontdoorLabError("effect_mi.csv and effect_cc.csv hold different grids")
+    mi, cc, truth = _run_estimates(out)
     if cfg.m != mi.m:
         raise FrontdoorLabError(f"m = {cfg.m}, but effect_mi.csv holds {mi.m} imputations")
-    for label, estimate, oracle in (("mi", mi, oracle_mi), ("cc", cc, oracle_cc)):
-        stats = _error_stats(estimate, oracle)
-        print(
-            f"method={label} max_abs_error={stats['max_abs']:.4f} "
-            f"mean_abs_error={stats['mean_abs']:.4f} "
-            f"mean_signed_error={stats['mean_signed']:+.4f}"
-        )
-        print(
-            f"method={label} region=[-2,2] max_abs_error={stats['inner_max_abs']:.4f} "
-            f"mean_abs_error={stats['inner_mean_abs']:.4f} "
-            f"mean_signed_error={stats['inner_mean_signed']:+.4f}"
-        )
-    cc_stats = _error_stats(cc, oracle_cc)
-    print(f"cc_overestimates={str(cc_stats['inner_mean_signed'] > 0).lower()}")
+    inner = (mi.grid >= -2.0 - 1e-9) & (mi.grid <= 2.0 + 1e-9)
+    for label, estimate in (("mi", mi), ("cc", cc)):
+        errors = estimate.pooled_ace - truth
+        for region, part in (("", errors), (" region=[-2,2]", errors[inner])):
+            max_abs, mean_abs, signed = _error_summary(part)
+            print(
+                f"method={label}{region} max_abs_error={max_abs:.4f} "
+                f"mean_abs_error={mean_abs:.4f} mean_signed_error={signed:+.4f}"
+            )
+    # the last summary is the complete-case error on [-2, 2]
+    print(f"cc_overestimates={str(signed > 0).lower()}")
 
     names = ("population.csv", "observed.csv", "imputation_diagnostics.csv")
     population_path, observed_path, diagnostics_path = (out / name for name in names)
@@ -356,8 +358,8 @@ def cmd_evaluate(args) -> int:
             )
 
     columns = (
-        mi.grid, oracle_mi, mi.pooled_ace, mi.pooled_ace - oracle_mi,
-        cc.pooled_ace, cc.pooled_ace - oracle_cc,
+        mi.grid, truth, mi.pooled_ace, mi.pooled_ace - truth,
+        cc.pooled_ace, cc.pooled_ace - truth,
     )
     _write_table(
         out / "evaluation.csv",
@@ -372,13 +374,12 @@ def cmd_plot(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     data = dataset_from_csv(_require(out / "observed.csv"))
-    mi, oracle = _effect_of(out, "effect_mi.csv", MethodTag.MULTIPLE_IMPUTATION)
-    cc, _ = _effect_of(out, "effect_cc.csv", MethodTag.COMPLETE_CASE)
+    mi, cc, truth = _run_estimates(out)
 
     scatter = scatter_matrix_svg(data, cfg.subsample, cfg.seed)
     truth_panel = truth_vs_conditional_svg(cfg.scm, data, cfg.subsample, cfg.seed)
     true_q05, true_q95 = oracle_quantiles(cfg.scm, mi.grid, (0.05, 0.95)).T
-    curves = effect_curves_svg(mi, cc, oracle, true_q05, true_q95)
+    curves = effect_curves_svg(mi, cc, truth, true_q05, true_q95)
 
     for name, text in (
         ("scatter_matrix.svg", scatter),

@@ -122,12 +122,13 @@ def _write_table(path, header: list[str], columns) -> None:
         handle.writelines(",".join(cells) + "\r\n" for cells in zip(*columns, strict=True))
 
 
-def _read_table(path, kind: str, header_ok: Callable, parse: Callable) -> Iterator:
+def _read_table(path, kind: str, header_ok: Callable, parse: Callable, empty_ok=False) -> Iterator:
     """Yield ``parse(row)`` for each non-blank data row of a CSV table.
 
     A header ``header_ok`` rejects, a row as wide as the header that ``parse``
     rejects with ``ValueError``, any other row width, bytes that are not UTF-8
-    and a table without rows raise :class:`FrontdoorLabError` naming the file.
+    and, unless ``empty_ok``, a table without rows raise
+    :class:`FrontdoorLabError` naming the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -148,5 +149,5 @@ def _read_table(path, kind: str, header_ok: Callable, parse: Callable) -> Iterat
             raise FrontdoorLabError(
                 f"malformed {kind} row in {path} line {reader.line_num}: {exc}"
             ) from exc
-    if not rows:
+    if not rows and not empty_ok:
         raise FrontdoorLabError(f"no {kind} rows in {path}")

@@ -26,6 +26,8 @@ CONDITIONAL_COLOR = "#2a8f4e"
 
 
 def _padded_limits(values: np.ndarray, pad: float = 0.06) -> tuple[float, float]:
+    if len(values) == 0:  # a subsample with no observed cell in the column
+        values = np.array([-1.0, 1.0])
     lo = float(np.nanmin(values))
     hi = float(np.nanmax(values))
     span = (hi - lo) or 1.0

@@ -156,12 +156,29 @@ def _nearest_donor_values(
     return sorted_values[picked]
 
 
-def _complete_columns(predictors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The predictors as float columns; a NaN or infinite cell raises."""
+def _observed_fit(
+    target: np.ndarray,
+    observed: np.ndarray,
+    predictors: Sequence[np.ndarray],
+    n_knots: int,
+    name: str,
+):
+    """The additive model of ``target`` on the predictors fitted over the observed
+    rows, the observed target values, and the predictor columns at the observed
+    and at the missing rows.  Raises NothingToImpute unless ``name`` has both
+    observed and missing entries, and FrontdoorLabError for an incomplete predictor."""
+    observed = np.asarray(observed, dtype=bool)
+    target = np.asarray(target, dtype=float)
+    missing = ~observed
+    if not missing.any() or not observed.any():
+        raise NothingToImpute(f"{name} needs both observed and missing entries")
     columns = [np.asarray(p, dtype=float) for p in predictors]
     if not all(np.all(np.isfinite(column)) for column in columns):
         raise FrontdoorLabError("predictors must be complete")
-    return columns
+    known = target[observed]
+    at_obs = [c[observed] for c in columns]
+    fit = fit_additive(known, at_obs, n_knots)
+    return fit, known, at_obs, [c[missing] for c in columns]
 
 
 def pmm_impute(
@@ -180,18 +197,11 @@ def pmm_impute(
     nearest rows by predicted mean, drawn uniformly.  Returns one value per
     missing row, in row order; every value belongs to the observed support.
     """
-    observed = np.asarray(observed, dtype=bool)
-    target = np.asarray(target, dtype=float)
-    missing = ~observed
-    if not missing.any() or not observed.any():
-        raise NothingToImpute("target needs both observed and missing entries")
-    columns = _complete_columns(predictors)
-
-    fit = fit_additive(target[observed], [c[observed] for c in columns], n_knots)
-    obs_pred = predict(fit, [c[observed] for c in columns])
-    miss_pred = predict(fit, [c[missing] for c in columns])
+    fit, known, at_obs, at_miss = _observed_fit(target, observed, predictors, n_knots, "target")
+    obs_pred = predict(fit, at_obs)
+    miss_pred = predict(fit, at_miss)
     rng = rng_from(seed, "pmm")
-    return _nearest_donor_values(target[observed], obs_pred, miss_pred, donors, rng)
+    return _nearest_donor_values(known, obs_pred, miss_pred, donors, rng)
 
 
 def impute_sign(
@@ -207,16 +217,8 @@ def impute_sign(
     predictions are clamped to [0.01, 0.99] and used as Bernoulli success
     probabilities.
     """
-    observed = np.asarray(observed, dtype=bool)
-    sign01 = np.asarray(sign01, dtype=float)
-    missing = ~observed
-    if not missing.any() or not observed.any():
-        raise NothingToImpute("sign target needs both observed and missing entries")
-    columns = _complete_columns(predictors)
-    fit = fit_additive(sign01[observed], [c[observed] for c in columns], n_knots)
-    prob = np.clip(
-        predict(fit, [c[missing] for c in columns]), SIGN_PROB_CLAMP[0], SIGN_PROB_CLAMP[1]
-    )
+    fit, _, _, at_miss = _observed_fit(sign01, observed, predictors, n_knots, "sign target")
+    prob = np.clip(predict(fit, at_miss), SIGN_PROB_CLAMP[0], SIGN_PROB_CLAMP[1])
     rng = rng_from(seed, "sign")
     return np.where(rng.random(len(prob)) < prob, 1.0, -1.0)
 

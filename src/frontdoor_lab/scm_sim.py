@@ -236,15 +236,20 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
     Each row keeps X with probability Phi(a_x + b_x * y) and Z with
     probability Phi(a_z + b_z * y), independently; Y is always kept.  A
     masked cell is stored as NaN; this is the only code that hides a value.
+    Raises ConfigError when a + b * y passes the float range for some row.
     """
     if len(population) == 0:
         raise InvalidCount("population must be nonempty")
     rng = _rng(seed, _STREAM_MISSINGNESS)
-    ax, bx = cfg.miss_x_params
-    az, bz = cfg.miss_z_params
     y = population.y
-    m_x = rng.random(len(y)) < std_normal_cdf(ax + bx * y)
-    m_z = rng.random(len(y)) < std_normal_cdf(az + bz * y)
+    kept = []
+    for a, b in (cfg.miss_x_params, cfg.miss_z_params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            index = a + b * y
+        if not np.isfinite(index).all():
+            raise ConfigError("missingness overflows the float range: a + b * y is not finite")
+        kept.append(rng.random(len(y)) < std_normal_cdf(index))
+    m_x, m_z = kept
     return Dataset(
         x_star=np.where(m_x, population.x, np.nan),
         z_star=np.where(m_z, population.z, np.nan),

@@ -442,24 +442,29 @@ def fit_additive(
     n_terms = len(designs)
     gcvs = [np.inf] * n_terms
 
+    def partial_residual(j):
+        return y - intercept - sum(fitted[k] for k in range(n_terms) if k != j)
+
+    def recentered(beta, values):
+        """The term moved to mean zero; its mean goes into the intercept."""
+        nonlocal intercept
+        center = float(np.mean(values))
+        # shifting every coefficient shifts the in-span fit by the same
+        # constant (the basis sums to one), so centering is exact
+        intercept += center
+        return beta - center, values - center
+
     # joint start: joint solves until the per-term penalty picks stabilize
     intercept = float(np.mean(y))
     centered = y - intercept
     chosen = [design.select(centered)[0] for design in designs]
     normal = _joint_normal_equations(y, designs)
     for _ in range(5):
-        joint_intercept, joint_betas = _joint_fit(normal, designs, chosen)
-        values = [d.B @ b for d, b in zip(designs, joint_betas)]
+        intercept, betas = _joint_fit(normal, designs, chosen)
+        fitted = [d.B @ b for d, b in zip(designs, betas)]
         for j in range(n_terms):
-            center = float(np.mean(values[j]))
-            joint_betas[j] = joint_betas[j] - center
-            values[j] = values[j] - center
-            joint_intercept += center
-        intercept, betas, fitted = joint_intercept, joint_betas, values
-        picks = []
-        for j, design in enumerate(designs):
-            partial = y - intercept - sum(fitted[k] for k in range(n_terms) if k != j)
-            picks.append(design.select(partial)[0])
+            betas[j], fitted[j] = recentered(betas[j], fitted[j])
+        picks = [design.select(partial_residual(j))[0] for j, design in enumerate(designs)]
         if picks == chosen:
             break
         chosen = picks
@@ -468,14 +473,8 @@ def fit_additive(
     for _ in range(BACKFIT_MAX_CYCLES):
         max_change = 0.0
         for j, design in enumerate(designs):
-            partial = y - intercept - sum(fitted[k] for k in range(n_terms) if k != j)
-            index, beta, values, gcv = design.select(partial)
-            center = float(np.mean(values))
-            # shifting every coefficient shifts the in-span fit by the same
-            # constant (the basis sums to one), so centering is exact
-            beta = beta - center
-            values = values - center
-            intercept += center
+            index, beta, values, gcv = design.select(partial_residual(j))
+            beta, values = recentered(beta, values)
             max_change = max(max_change, float(np.max(np.abs(values - fitted[j]))))
             fitted[j] = values
             betas[j] = beta

@@ -256,6 +256,21 @@ class TestFrontdoorIdentifiable:
         with pytest.raises(UnknownNode):
             frontdoor_identifiable(frontdoor_dag(), "Q")
 
+    def test_agrees_with_child_criterion_on_random_graphs(self):
+        # the graphs of TestBidirectedPaths's brute-force comparison
+        rng = np.random.default_rng(4)
+        outcomes = []
+        for _ in range(80):
+            g = random_dag(rng, int(rng.integers(3, 7)), 0.4, 0.4)
+            for x in sorted(n for n in g.node_names if not g.is_latent(n)):
+                blocked = any(
+                    g.is_latent(child) or bidirected_path_bruteforce(g, x, child)
+                    for child in g.children(x)
+                )
+                assert frontdoor_identifiable(g, x) is not blocked, (g, x)
+                outcomes.append(blocked)
+        assert len(outcomes) > 100 and 0 < sum(outcomes) < len(outcomes)
+
 
 class TestTextFormat:
     def test_round_trip(self):

@@ -12,7 +12,8 @@ import pytest
 
 from frontdoor_lab import cli, frontdoor_estimator, spline_smooth
 from frontdoor_lab.cli import main
-from frontdoor_lab.dataset import dataset_from_csv
+from frontdoor_lab.dataset import Dataset, dataset_from_csv
+from frontdoor_lab.figures import scatter_matrix_svg
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
 from frontdoor_lab.runconfig import load_config
 from frontdoor_lab.scm_sim import oracle_ace, population_from_csv
@@ -175,6 +176,11 @@ class TestPipelineArtifacts:
             root = ET.fromstring((pipeline_dir / name).read_text())
             assert root.tag.endswith("svg")
 
+    def test_scatter_matrix_of_a_subsample_with_no_observed_x(self):
+        data = Dataset(x_star=np.array([np.nan]), z_star=np.array([0.5]), y_star=np.array([1.0]))
+        root = ET.fromstring(scatter_matrix_svg(data, subsample=1, seed=1))
+        assert root.tag.endswith("svg")
+
     def test_scatter_layer_has_subsample_points(self, pipeline_dir):
         text = (pipeline_dir / "true_vs_conditional.svg").read_text()
         match = re.search(r'<g class="scatter-points">(.*?)</g>', text, re.S)
@@ -218,6 +224,23 @@ class TestEvaluateOutput:
         config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
         assert main(["evaluate"] + config) == 0
         assert expected in capsys.readouterr().out.splitlines()
+
+    def test_run_with_nothing_missing(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "n = 400\nm = 2\ncycles = 1\nmiss_x_a = 50\nmiss_x_b = 0\n"
+            f"miss_z_a = 50\nmiss_z_b = 0\nout = {tmp_path}\n"
+        )
+        for command in ("simulate", "impute", "estimate"):
+            assert main([command, "--config", str(config)]) == 0
+        # nothing was imputed, so impute's diagnostics table holds only its header
+        assert len((tmp_path / "imputation_diagnostics.csv").read_text().splitlines()) == 1
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "method=mi" in out and "cc_overestimates=" in out
+        assert "imputed_z_pooled_mean" not in out
+        assert main(["plot", "--config", str(config)]) == 0
 
 
 class TestRerunWithFewerImputations:
@@ -426,6 +449,31 @@ class TestErrorPaths:
         assert "effect_mi.csv holds CompleteCase estimates, not MultipleImputation" in err
         assert {name: (run / name).read_bytes() for name in written} == written
 
+    @pytest.mark.parametrize("command", ["evaluate", "plot"])
+    @pytest.mark.parametrize(
+        "column, what", [("x", "grids"), ("oracle_ace", "oracle_ace columns")],
+        ids=["grid", "oracle_ace"],
+    )
+    def test_effect_files_that_disagree(
+        self, pipeline_dir, tmp_path, capsys, command, column, what
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        lines = (run / "effect_cc.csv").read_text().splitlines()
+        index = lines[0].split(",").index(column)
+        cells = lines[1].split(",")
+        cells[index] = repr(float(cells[index]) - 0.5)
+        lines[1] = ",".join(cells)
+        (run / "effect_cc.csv").write_text("\n".join(lines) + "\n")
+        names = ("evaluation.csv", "estimated_effects.svg")
+        written = {name: (run / name).read_bytes() for name in names}
+        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
+        assert main([command] + config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert f"effect_mi.csv and effect_cc.csv hold different {what}" in err
+        assert {name: (run / name).read_bytes() for name in written} == written
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -444,12 +492,13 @@ class TestErrorPaths:
             "distribution_draws = -1",
             "x_prime_low = -1e308\nx_prime_high = 1e308",
             "sigma_z = 1e308",
+            "u_coef = 4e307",
         ],
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
             "m_1", "cycles_0", "donors_0", "mediator_draws_0", "distribution_draws_negative",
-            "x_prime_width_overflows", "sigma_z_overflows",
+            "x_prime_width_overflows", "sigma_z_overflows", "missingness_index_overflows",
         ],
     )
     def test_config_value_no_stage_can_use(self, tmp_path, capsys, line):
