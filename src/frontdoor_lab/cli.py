@@ -30,14 +30,17 @@ both on one grid and with one ``oracle_ace`` column, as ``estimate`` writes them
 
 Every CSV uses the table format of :mod:`frontdoor_lab.dataset`.  Exit codes:
 0 success, 2 usage or malformed input (a file that is not UTF-8, a config value
-no stage can use, a value that contradicts the recorded run), 3 missing input
-file, 4 numeric failure.  Errors print a single machine-parsable line to
-stderr.
+no stage can use, a value that contradicts the recorded run, a path that exists
+but cannot be used), 3 absent input path, 4 numeric failure; :func:`main` alone
+maps a failure to its code and prints one machine-parsable line to stderr.
+Each stage writes all its files before its report, so a reader that closes
+standard output early (``| head``) cannot cut it short, and it exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -57,7 +60,7 @@ from .causal_graph import (
 )
 from .dataset import _float_cells, _read_table, _write_table
 from .dataset import dataset_from_csv, dataset_to_csv
-from .errors import ConfigError, FrontdoorLabError, MissingInput, NumericError
+from .errors import ConfigError, FrontdoorLabError, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
     MethodTag,
@@ -96,11 +99,7 @@ def _resolve_config(args) -> RunConfig:
     value that contradicts a recorded key ``simulate`` fixed (the seed, the
     sample size, the mechanism) raises ConfigError; an equal value passes.
     """
-    config = None
-    if args.config:
-        config = Path(args.config)
-        if not config.exists():
-            raise MissingInput(config)
+    config = Path(args.config) if args.config else None
     overrides = {
         name: getattr(args, name)
         for name in ("seed", "n", "m", "out")
@@ -120,12 +119,6 @@ def _resolve_config(args) -> RunConfig:
         if changed:
             raise ConfigError(f"contradicts the run recorded in {record}: {'; '.join(changed)}")
     return cfg
-
-
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise MissingInput(path)
-    return path
 
 
 def _completed_paths(out: Path, m: int) -> list[Path]:
@@ -206,7 +199,7 @@ def _identify_report(graph: Dag, label: str, treatment: str) -> list[str]:
 def cmd_identify(args) -> int:
     treatment = args.treatment
     if args.graph:
-        path = _require(Path(args.graph))
+        path = Path(args.graph)
         graphs = [(load_graph(path), str(path))]
     else:
         graphs = [
@@ -223,7 +216,7 @@ def cmd_identify(args) -> int:
 def cmd_impute(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    data = dataset_from_csv(_require(out / "observed.csv"))
+    data = dataset_from_csv(out / "observed.csv")
     result = run_mice(data, cfg.imputation_config())
     # a rerun with a smaller m leaves no copy of the earlier run behind
     for path in out.glob("completed_*.csv"):
@@ -255,9 +248,9 @@ def _save_models(pair, models: Path, i: int) -> None:
 def cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    data = dataset_from_csv(_require(out / "observed.csv"))
+    data = dataset_from_csv(out / "observed.csv")
     paths = _completed_paths(out, cfg.m)
-    bundle = CompletedDatasets(data, tuple(dataset_from_csv(_require(p)) for p in paths))
+    bundle = CompletedDatasets(data, tuple(dataset_from_csv(p) for p in paths))
     grid = cfg.grid_values()
     oracle = oracle_ace(cfg.scm, grid)
     converged = []  # one flag per outcome fit: the complete-case pair's, then copy 1..m's
@@ -312,7 +305,7 @@ def _run_estimates(out: Path):
         ("effect_mi.csv", MethodTag.MULTIPLE_IMPUTATION),
         ("effect_cc.csv", MethodTag.COMPLETE_CASE),
     ):
-        estimate, truth = effect_from_csv(_require(out / name))
+        estimate, truth = effect_from_csv(out / name)
         if estimate.method is not method:
             raise FrontdoorLabError(
                 f"{out / name} holds {estimate.method.value} estimates, not {method.value}"
@@ -332,16 +325,17 @@ def cmd_evaluate(args) -> int:
     if cfg.m != mi.m:
         raise FrontdoorLabError(f"m = {cfg.m}, but effect_mi.csv holds {mi.m} imputations")
     inner = (mi.grid >= -2.0 - 1e-9) & (mi.grid <= 2.0 + 1e-9)
+    report = []
     for label, estimate in (("mi", mi), ("cc", cc)):
         errors = estimate.pooled_ace - truth
         for region, part in (("", errors), (" region=[-2,2]", errors[inner])):
             max_abs, mean_abs, signed = _error_summary(part)
-            print(
+            report.append(
                 f"method={label}{region} max_abs_error={max_abs:.4f} "
                 f"mean_abs_error={mean_abs:.4f} mean_signed_error={signed:+.4f}"
             )
-    # the last summary is the complete-case error on [-2, 2]
-    print(f"cc_overestimates={str(signed > 0).lower()}")
+    # the last summary is the complete-case error on [-2, 2]: nan with no grid point there
+    report.append(f"cc_overestimates={'nan' if np.isnan(signed) else str(signed > 0).lower()}")
 
     names = ("population.csv", "observed.csv", "imputation_diagnostics.csv")
     population_path, observed_path, diagnostics_path = (out / name for name in names)
@@ -352,7 +346,7 @@ def cmd_evaluate(args) -> int:
         if len(population) == observed.n and means and len(means) == cfg.m:
             true_mean = float(np.mean(population.z[~observed.m_z]))
             pooled = float(np.mean(means))
-            print(
+            report.append(
                 f"imputed_z_pooled_mean={pooled:.4f} true_masked_z_mean={true_mean:.4f} "
                 f"gap={pooled - true_mean:+.4f}"
             )
@@ -366,28 +360,28 @@ def cmd_evaluate(args) -> int:
         ["x", "oracle", "mi_pooled", "mi_error", "cc_pooled", "cc_error"],
         [_float_cells(column) for column in columns],
     )
-    print(f"wrote {out / 'evaluation.csv'}")
+    print("\n".join([*report, f"wrote {out / 'evaluation.csv'}"]))
     return 0
 
 
 def cmd_plot(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    data = dataset_from_csv(_require(out / "observed.csv"))
+    data = dataset_from_csv(out / "observed.csv")
     mi, cc, truth = _run_estimates(out)
 
     scatter = scatter_matrix_svg(data, cfg.subsample, cfg.seed)
     truth_panel = truth_vs_conditional_svg(cfg.scm, data, cfg.subsample, cfg.seed)
     true_q05, true_q95 = oracle_quantiles(cfg.scm, mi.grid, (0.05, 0.95)).T
     curves = effect_curves_svg(mi, cc, truth, true_q05, true_q95)
-
-    for name, text in (
+    figures = (
         ("scatter_matrix.svg", scatter),
         ("true_vs_conditional.svg", truth_panel),
         ("estimated_effects.svg", curves),
-    ):
+    )
+    for name, text in figures:
         (out / name).write_text(text, encoding="utf-8")
-        print(f"wrote {out / name}")
+    print("\n".join(f"wrote {out / name}" for name, _ in figures))
     return 0
 
 
@@ -441,10 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except MissingInput as exc:
-        print(f"error: input-missing: {exc.path}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout after the files were written; the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (FileNotFoundError, NotADirectoryError) as exc:  # the path is absent
+        print(f"error: input-missing: {exc.filename}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the path exists but cannot be used, say a directory
+        print(f"error: invalid-input: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 2
     except NumericError as exc:
         print(f"error: numeric-failure: {exc}", file=sys.stderr)
         return 4

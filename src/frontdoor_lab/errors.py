@@ -3,7 +3,9 @@
 The CLI maps these onto exit codes: malformed inputs (GraphFormatError,
 ConfigError) are usage errors, NumericError subclasses signal a numeric
 failure in a fitting or estimation step.  ``read_utf8`` turns an input
-file that is not UTF-8 text into one of these errors.
+file that is not UTF-8 text into one of these errors.  An ``OSError`` is
+not wrapped: ``cli.main`` maps an absent path to exit 3 and any other OS
+failure, naming its path, to exit 2.
 """
 
 from pathlib import Path
@@ -65,14 +67,6 @@ class NothingToImpute(FrontdoorLabError):
 
 class ConfigError(FrontdoorLabError):
     """A run configuration file or value could not be parsed."""
-
-
-class MissingInput(FrontdoorLabError):
-    """A pipeline stage was invoked before its input file exists."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        super().__init__(f"expected input not found: {self.path}")
 
 
 # ---------------------------------------------------------------- numerics

@@ -54,6 +54,8 @@ class RunConfig:
             raise ConfigError(f"grid bounds must be finite with lo <= hi, got {lo}:{hi}")
         if self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
+        if not self.out:  # Path("") is the working directory
+            raise ConfigError("out must name a directory, got an empty value")
 
     def grid_values(self) -> np.ndarray:
         lo, hi, count = self.grid

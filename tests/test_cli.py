@@ -242,6 +242,20 @@ class TestEvaluateOutput:
         assert "imputed_z_pooled_mean" not in out
         assert main(["plot", "--config", str(config)]) == 0
 
+    def test_no_grid_point_in_the_inner_region(self, run_m3, tmp_path, capsys):
+        # with no grid point in [-2, 2] the region summaries are nan, and so
+        # is the verdict drawn from them
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        config = tmp_path / "c.txt"
+        config.write_text("grid = 2.5:3:3\n")
+        for command in ("estimate", "evaluate"):
+            assert main([command, "--config", str(config), "--out", str(run)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        region = [line for line in lines if "region=[-2,2]" in line]
+        assert len(region) == 2 and all("max_abs_error=nan" in line for line in region)
+        assert "cc_overestimates=nan" in lines
+
 
 class TestRerunWithFewerImputations:
     def test_impute_leaves_no_copy_of_the_larger_run(self, run_m3, tmp_path, capsys):
@@ -374,6 +388,72 @@ class TestErrorPaths:
         assert err.startswith("error: input-missing:")
         assert "observed.csv" in err
 
+    @pytest.mark.parametrize(
+        "argv, obstacle, kind, code, named",
+        [
+            ("simulate --config {t}/x", "x", "dir", 2, "x"),
+            ("identify --graph {t}/x", "x", "dir", 2, "x"),
+            ("simulate --out {t}/x", "x", "file", 2, "x"),
+            ("simulate --out {t}/run", "run/run_config.txt", "dir", 2, "run/run_config.txt"),
+            ("impute --out {t}/run", "run/observed.csv", "dir", 2, "run/observed.csv"),
+            ("estimate --save-models --out {t}/run", "run/models", "file", 2, "run/models"),
+            ("evaluate --out {t}/run", "run/evaluation.csv", "dir", 2, "run/evaluation.csv"),
+            ("plot --out {t}/run", "run/scatter_matrix.svg", "dir", 2, "run/scatter_matrix.svg"),
+            ("impute --out {t}/x", "x", "file", 3, "x/observed.csv"),
+        ],
+        ids=[
+            "config_is_dir", "graph_is_dir", "simulate_out_is_file", "record_is_dir",
+            "observed_is_dir", "models_is_file", "evaluation_is_dir", "svg_is_dir",
+            "impute_out_is_file",
+        ],
+    )
+    def test_os_failure_is_one_error_line(
+        self, run_m3, tmp_path, capsys, argv, obstacle, kind, code, named
+    ):
+        # a path the stage cannot use ends in one error line that names it:
+        # an absent path (such as FILE/observed.csv) exits 3, any other OS
+        # failure 2, and no exception escapes main
+        shutil.copytree(run_m3, tmp_path / "run")
+        path = tmp_path / obstacle
+        if path.is_file():
+            path.unlink()
+        if kind == "dir":
+            path.mkdir()
+        else:
+            path.write_text("")
+        assert main([arg.format(t=tmp_path) for arg in argv.split()]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        label = {2: "invalid-input", 3: "input-missing"}[code]
+        assert line.startswith(f"error: {label}: ") and line.endswith(str(tmp_path / named))
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_stdout_closed_by_its_reader(self, run_m3, tmp_path, unbuffered):
+        # like `evaluate | head -n 0`: the reader is gone before the stage prints,
+        # so every file is written first and the stage exits 0 in silence
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for command in ("evaluate", "plot"):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "frontdoor_lab.cli", command, "--out", str(run)],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+                )
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (0, b"")
+        names = ("evaluation.csv", "scatter_matrix.svg", "true_vs_conditional.svg",
+                 "estimated_effects.svg")
+        assert all((run / name).is_file() for name in names)
+
     def test_population_not_read_by_impute_or_estimate(self, tmp_path):
         config = tmp_path / "config.txt"
         config.write_text(f"seed = 4\nn = 600\nm = 2\ngrid = -1:1:3\nout = {tmp_path}\n")
@@ -493,21 +573,25 @@ class TestErrorPaths:
             "x_prime_low = -1e308\nx_prime_high = 1e308",
             "sigma_z = 1e308",
             "u_coef = 4e307",
+            "out =",
         ],
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
             "m_1", "cycles_0", "donors_0", "mediator_draws_0", "distribution_draws_negative",
             "x_prime_width_overflows", "sigma_z_overflows", "missingness_index_overflows",
+            "out_empty",
         ],
     )
-    def test_config_value_no_stage_can_use(self, tmp_path, capsys, line):
+    def test_config_value_no_stage_can_use(self, tmp_path, capsys, monkeypatch, line):
+        # an empty out would name the working directory, so the run starts there
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "run"
         config = tmp_path / "config.txt"
         config.write_text(f"n = 600\nm = 2\nout = {out}\n{line}\n")
         assert main(["simulate", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: invalid-input:")
-        assert not out.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["config.txt"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["sigma_z", "u_coef", "x_prime_low", "miss_x_a", "miss_z_b"])
