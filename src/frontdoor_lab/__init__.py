@@ -31,7 +31,6 @@ from .frontdoor_estimator import (
     ace_at,
     complete_case_effect,
     distribution_at,
-    draw_mediator,
     estimate_effect,
     fit_pair,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "dataset_to_csv",
     "decompose_x",
     "distribution_at",
-    "draw_mediator",
     "estimate_effect",
     "fit_additive",
     "fit_pair",

@@ -17,7 +17,8 @@ directory, so stages can be rerun or inspected independently:
   ``models/``, replacing every model of an earlier run.
 * ``evaluate``  compares both curve files, and the imputed mediator mean in
   ``imputation_diagnostics.csv`` when the mediator had missing cells, against
-  the truth; writes ``evaluation.csv``.
+  the truth, and reports how far the imputed copies' curves spread; writes
+  ``evaluation.csv``.
 * ``plot``      emits the three SVG figures.  The true 5 / 95 % bands of the
   effect figure are exact interventional quantiles from
   :func:`frontdoor_lab.scm_sim.oracle_quantiles` (quadrature over the
@@ -134,7 +135,10 @@ def cmd_simulate(args) -> int:
     # drawn first, so a mechanism that overflows leaves no directory behind
     population = generate_population(cfg.scm, cfg.n, mix_seed(cfg.seed, "population"))
     data = apply_missingness(cfg.scm, population, mix_seed(cfg.seed, "missingness"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except NotADirectoryError as exc:  # a regular file on the path: not an absent input
+        raise FrontdoorLabError(f"{exc.strerror}: {exc.filename}") from None
     population_to_csv(population, out / "population.csv")
     dataset_to_csv(data, out / "observed.csv")
     (out / "run_config.txt").write_text(config_to_text(cfg), encoding="utf-8")
@@ -351,13 +355,21 @@ def cmd_evaluate(args) -> int:
                 f"gap={pooled - true_mean:+.4f}"
             )
 
+    # how far the imputations move the estimate: the between-copy sd of the
+    # ACE, and the standard error of the pooled mean it implies
+    between_sd = np.std(mi.per_imputation_ace, axis=0, ddof=1)
+    sd_max = float(np.max(between_sd[inner])) if inner.any() else float("nan")
+    report.append(
+        f"mi_between_sd_max={sd_max:.4f} mi_pooled_se_max={sd_max / np.sqrt(mi.m):.4f}"
+    )
+
     columns = (
         mi.grid, truth, mi.pooled_ace, mi.pooled_ace - truth,
-        cc.pooled_ace, cc.pooled_ace - truth,
+        cc.pooled_ace, cc.pooled_ace - truth, between_sd,
     )
     _write_table(
         out / "evaluation.csv",
-        ["x", "oracle", "mi_pooled", "mi_error", "cc_pooled", "cc_error"],
+        ["x", "oracle", "mi_pooled", "mi_error", "cc_pooled", "cc_error", "mi_between_sd"],
         [_float_cells(column) for column in columns],
     )
     print("\n".join([*report, f"wrote {out / 'evaluation.csv'}"]))

@@ -2,23 +2,28 @@
 
 For a complete dataset the estimator fits two regressions: the mediator on
 the treatment (one penalized smooth) and the outcome on treatment and
-mediator (an additive fit), both keeping their training residual pools.  The
-interventional mean at a target treatment value x is then
+mediator (an additive fit ``T(x) + f_z(z)``), both keeping their training
+residual pools.  The plug-in interventional mean at a target treatment value
+x is the front-door double sum (Pearl, *Causality*, 2009, section 3.3.2)
 
-    mean over rows i of  E_hat(Y | X = x_i, Z = z_i~)
+    mean over rows i and mediator residuals e_j of  E_hat(Y | X = x_i, Z = c(x) + e_j)
 
-where each z_i~ is the mediator prediction at the *target* x plus a residual
-resampled from the mediator pool, while the outcome model is evaluated at the
-*observed* x_i.  Averaging over the rows integrates the empirical treatment
-distribution; the mediator draws integrate the mediator distribution under
-the intervention.  Adding resampled outcome residuals to the same plug-in
-values yields draws whose empirical quantiles estimate the quantiles of the
-interventional outcome distribution.
+where ``c(x)`` is the mediator prediction at the *target* x, while the
+outcome model is evaluated at the *observed* x_i.  Averaging over the rows
+integrates the empirical treatment distribution; averaging over the whole
+residual pool integrates the mediator distribution under the intervention.
+Because the outcome model is additive, the n x n sum splits into
+``mean_i T(x_i) + mean_j f_z(c(x) + e_j)`` and costs O(n); it draws nothing.
+
+The quantile bands do draw: each row is paired with a mediator residual and
+an outcome residual resampled from their pools, and the empirical quantiles
+of those plug-in values estimate the quantiles of the interventional outcome
+distribution.
 
 Because the outcome model sees the observed x_i, its intercept plus treatment
 term at the training rows does not depend on the target x: each fitted pair
 evaluates it once (``FittedPair.treatment_part``), and each grid point
-evaluates only the outcome's mediator term at the fresh draws.
+evaluates only the outcome's mediator term.
 
 With multiply imputed data the procedure runs once per completed copy and the
 curves are pooled by averaging; a complete-case variant drops every row with
@@ -52,15 +57,10 @@ from .spline_smooth import (
 @dataclass(frozen=True)
 class EstimatorConfig:
     n_knots: int = DEFAULT_N_KNOTS
-    mediator_draws_per_row: int = 1
     distribution_draws: int = 0  # 0: one pass over the rows
-    seed: int = 0
+    seed: int = 0  # seeds the quantile bands' draws
 
     def __post_init__(self):
-        if self.mediator_draws_per_row < 1:
-            raise ConfigError(
-                f"mediator_draws_per_row must be >= 1, got {self.mediator_draws_per_row}"
-            )
         if self.distribution_draws < 0:
             raise ConfigError(f"distribution_draws must be >= 0, got {self.distribution_draws}")
 
@@ -159,40 +159,16 @@ def fit_pair(data: Dataset, config: EstimatorConfig | None = None) -> FittedPair
     return FittedPair(mediator=mediator, outcome=outcome, x_train=x)
 
 
-def _mediator_draws(
-    pair: FittedPair, x: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    pool = pair.mediator.residuals
-    center = float(predict(pair.mediator, float(x))[0])
-    return center + pool[rng.integers(0, len(pool), n)]
-
-
-def draw_mediator(pair: FittedPair, x: float, n: int, seed: int) -> np.ndarray:
-    """Mediator draws under the intervention: prediction at x plus resampled
-    training residuals."""
-    if n < 1:
-        raise FrontdoorLabError("draw count must be >= 1")
-    return _mediator_draws(pair, x, n, rng_from(seed, "mediator-draws"))
-
-
-def ace_at(
-    pair: FittedPair, x: float, seed: int, draws_per_row: int = 1
-) -> float:
+def ace_at(pair: FittedPair, x: float) -> float:
     """Plug-in interventional mean at one target treatment value.
 
-    One mediator draw per dataset row (or ``draws_per_row`` averaged), with
-    the outcome model evaluated at the observed row treatments.
+    The exact mean over every (row, mediator residual) pair: the rows'
+    treatment part plus the outcome's mediator term averaged over the
+    prediction at x shifted by each residual of the mediator pool.
     """
-    if draws_per_row < 1:
-        raise FrontdoorLabError("draw count must be >= 1")
-    rng = rng_from(seed, "ace")
-    n = len(pair.x_train)
-    total = 0.0
-    for _ in range(draws_per_row):
-        z_draws = _mediator_draws(pair, x, n, rng)
-        values = pair.treatment_part + predict(pair.outcome.terms[1], z_draws)
-        total += float(np.mean(values))
-    return total / draws_per_row
+    center = float(predict(pair.mediator, float(x))[0])
+    mediator_term = predict(pair.outcome.terms[1], center + pair.mediator.residuals)
+    return float(np.mean(pair.treatment_part)) + float(np.mean(mediator_term))
 
 
 def distribution_at(
@@ -200,18 +176,20 @@ def distribution_at(
 ) -> np.ndarray:
     """Draws from the estimated interventional outcome distribution at x.
 
-    Cycles over the dataset rows, pairing each with a fresh mediator draw and
-    a resampled outcome residual; empirical quantiles of the result estimate
-    the interventional quantiles.
+    Cycles over the dataset rows, pairing each with a mediator draw (the
+    prediction at x plus a resampled mediator residual) and a resampled
+    outcome residual; empirical quantiles of the result estimate the
+    interventional quantiles.
     """
     if n_draws < 1:
         raise FrontdoorLabError("draw count must be >= 1")
-    pool = pair.outcome.residuals
+    mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
     rng = rng_from(seed, "distribution")
     rows = np.arange(n_draws) % len(pair.x_train)
-    z_draws = _mediator_draws(pair, x, n_draws, rng)
+    center = float(predict(pair.mediator, float(x))[0])
+    z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n_draws)]
     values = pair.treatment_part[rows] + predict(pair.outcome.terms[1], z_draws)
-    return values + pool[rng.integers(0, len(pool), n_draws)]
+    return values + outcome_pool[rng.integers(0, len(outcome_pool), n_draws)]
 
 
 def _curves_for_pair(
@@ -222,12 +200,7 @@ def _curves_for_pair(
     q05 = np.empty(len(grid))
     q95 = np.empty(len(grid))
     for j, x in enumerate(grid):
-        ace[j] = ace_at(
-            pair,
-            float(x),
-            mix_seed(config.seed, label, "ace", j),
-            config.mediator_draws_per_row,
-        )
+        ace[j] = ace_at(pair, float(x))
         draws = distribution_at(
             pair, float(x), n_draws, mix_seed(config.seed, label, "dist", j)
         )

@@ -37,7 +37,6 @@ class RunConfig:
     cycles: int = 10
     donors: int = 5
     n_knots: int = DEFAULT_N_KNOTS
-    mediator_draws: int = 1
     distribution_draws: int = 0  # 0: one pass over the dataset rows
     subsample: int = 500
     scm: ScmConfig = field(default_factory=ScmConfig)
@@ -73,7 +72,6 @@ class RunConfig:
     def estimator_config(self, label: str) -> EstimatorConfig:
         return EstimatorConfig(
             n_knots=self.n_knots,
-            mediator_draws_per_row=self.mediator_draws,
             distribution_draws=self.distribution_draws,
             seed=mix_seed(self.seed, "estimate", label),
         )
@@ -168,4 +166,11 @@ def simulate_key_changes(cfg: RunConfig, recorded: RunConfig) -> list[str]:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    return parse_config(read_utf8(path, ConfigError), base)
+    """The config in the file ``path``; an error names it, as ``<path> line N: …``
+    for a line it cannot read and ``<path>: …`` for a value no stage can use."""
+    text = read_utf8(path, ConfigError)
+    try:
+        return parse_config(text, base)
+    except ConfigError as exc:
+        where = f"{path} " if str(exc).startswith("line ") else f"{path}: "
+        raise ConfigError(where + str(exc)) from None

@@ -255,6 +255,22 @@ class TestEvaluateOutput:
         region = [line for line in lines if "region=[-2,2]" in line]
         assert len(region) == 2 and all("max_abs_error=nan" in line for line in region)
         assert "cc_overestimates=nan" in lines
+        assert "mi_between_sd_max=nan mi_pooled_se_max=nan" in lines
+
+    def test_between_imputation_spread(self, run_m3, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        assert main(["evaluate", "--out", str(run)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        per_copy = effect_from_csv(run / "effect_mi.csv")[0].per_imputation_ace
+        header, *rows = (run / "evaluation.csv").read_text().splitlines()
+        assert header.split(",")[-1] == "mi_between_sd"
+        between_sd = np.array([float(row.split(",")[-1]) for row in rows])
+        variance = np.var(per_copy, axis=0, ddof=1)
+        assert np.allclose(between_sd**2, variance, rtol=1e-12, atol=0)
+        sd_max = float(np.max(between_sd))  # the whole grid lies in [-2, 2]
+        expected = f"mi_between_sd_max={sd_max:.4f} mi_pooled_se_max={sd_max / np.sqrt(3):.4f}"
+        assert lines[-2] == expected
 
 
 class TestRerunWithFewerImputations:
@@ -394,6 +410,7 @@ class TestErrorPaths:
             ("simulate --config {t}/x", "x", "dir", 2, "x"),
             ("identify --graph {t}/x", "x", "dir", 2, "x"),
             ("simulate --out {t}/x", "x", "file", 2, "x"),
+            ("simulate --out {t}/x/sub", "x", "file", 2, "x/sub"),
             ("simulate --out {t}/run", "run/run_config.txt", "dir", 2, "run/run_config.txt"),
             ("impute --out {t}/run", "run/observed.csv", "dir", 2, "run/observed.csv"),
             ("estimate --save-models --out {t}/run", "run/models", "file", 2, "run/models"),
@@ -402,7 +419,8 @@ class TestErrorPaths:
             ("impute --out {t}/x", "x", "file", 3, "x/observed.csv"),
         ],
         ids=[
-            "config_is_dir", "graph_is_dir", "simulate_out_is_file", "record_is_dir",
+            "config_is_dir", "graph_is_dir", "simulate_out_is_file",
+            "simulate_out_under_file", "record_is_dir",
             "observed_is_dir", "models_is_file", "evaluation_is_dir", "svg_is_dir",
             "impute_out_is_file",
         ],
@@ -568,7 +586,6 @@ class TestErrorPaths:
             "m = 1",
             "cycles = 0",
             "donors = 0",
-            "mediator_draws = 0",
             "distribution_draws = -1",
             "x_prime_low = -1e308\nx_prime_high = 1e308",
             "sigma_z = 1e308",
@@ -578,7 +595,7 @@ class TestErrorPaths:
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
-            "m_1", "cycles_0", "donors_0", "mediator_draws_0", "distribution_draws_negative",
+            "m_1", "cycles_0", "donors_0", "distribution_draws_negative",
             "x_prime_width_overflows", "sigma_z_overflows", "missingness_index_overflows",
             "out_empty",
         ],
@@ -635,9 +652,31 @@ class TestErrorPaths:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
-        config.write_text("flux_capacitance = 12\n")
+        config.write_text("seed = 3\nflux_capacitance = 12\n")
         assert main(["simulate", "--config", str(config)]) == 2
-        assert "error: invalid-input:" in capsys.readouterr().err
+        expected = f"error: invalid-input: {config} line 2: unknown key 'flux_capacitance'\n"
+        assert capsys.readouterr().err == expected
+
+    def test_config_value_error_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text("seed = 3\nm = 1\n")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        expected = f"error: invalid-input: {config}: need at least two imputations, got m = 1\n"
+        assert capsys.readouterr().err == expected
+        assert [path.name for path in tmp_path.iterdir()] == ["config.txt"]
+
+    def test_recorded_config_error_names_the_record(self, run_m3, tmp_path, capsys):
+        # mediator_draws, a key no longer read, sat at line 9 of older records
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        record = run / "run_config.txt"
+        lines = record.read_text().splitlines(keepends=True)
+        record.write_text("".join([*lines[:8], "mediator_draws = 1\n", *lines[8:]]))
+        files = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+        assert main(["estimate", "--out", str(run)]) == 2
+        expected = f"error: invalid-input: {record} line 9: unknown key 'mediator_draws'\n"
+        assert capsys.readouterr().err == expected
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == files
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,6 @@ from frontdoor_lab.frontdoor_estimator import (
     ace_at,
     complete_case_effect,
     distribution_at,
-    draw_mediator,
     effect_from_csv,
     effect_to_csv,
     estimate_effect,
@@ -157,7 +156,7 @@ class TestTreatmentPart:
         monkeypatch.setattr(frontdoor_estimator, "_spline_values", counting)
         pair = FittedPair(scm_pair.mediator, scm_pair.outcome, scm_pair.x_train)
         for j, x in enumerate((-1.0, 0.0, 2.5)):
-            ace_at(pair, x, seed=j, draws_per_row=2)
+            ace_at(pair, x)
             distribution_at(pair, x, 500, seed=j)
         assert len(calls) == 1
         assert pair.treatment_part is pair.treatment_part
@@ -170,15 +169,39 @@ class TestTreatmentPart:
             part[0] = 0.0
 
 
-class TestFullOutcomeReference:
-    """ace_at and distribution_at equal the full additive prediction bit for bit.
+@pytest.fixture(scope="module")
+def small_pair():
+    """A fitted pair small enough for the n x n front-door double sum."""
+    pop = generate_population(SCM, 300, seed=57)
+    return fit_pair(complete_dataset(pop.x, pop.z, pop.y))
 
-    The reference draws from the same random streams and evaluates
-    ``predict(outcome, [x_train[rows], z_draws])`` in one call.
+
+def mediator_draws_of(pair, x, n_draws, seed, monkeypatch):
+    """The mediator values ``distribution_at`` feeds the outcome's mediator term."""
+    seen = []
+
+    def recording(model, points):
+        if model is pair.outcome.terms[1]:
+            seen.append(np.array(points))
+        return predict(model, points)
+
+    monkeypatch.setattr(frontdoor_estimator, "predict", recording)
+    distribution_at(pair, x, n_draws, seed)
+    [draws] = seen
+    return draws
+
+
+class TestFullOutcomeReference:
+    """ace_at and distribution_at agree with the full additive prediction.
+
+    ``ace_at`` is checked against the n x n front-door double sum over every
+    (row, mediator residual) pair; ``distribution_at`` bit for bit against the
+    same random stream evaluated by ``predict(outcome, [x_train[rows], z_draws])``
+    in one call.
     """
 
     # 7.0 lies beyond the mediator's knots: the centre extrapolates, and so
-    # does the outcome's mediator term at about a fifth of the draws
+    # does the outcome's mediator term at some of the shifted values
     TARGETS = (-3.5, 0.2, 7.0)
 
     @staticmethod
@@ -188,16 +211,14 @@ class TestFullOutcomeReference:
         z_draws = center + pool[rng.integers(0, len(pool), len(rows))]
         return predict(pair.outcome, [pair.x_train[rows], z_draws])
 
-    @pytest.mark.parametrize("draws_per_row", [1, 3])
-    def test_ace_at(self, scm_pair, draws_per_row):
-        rows = np.arange(len(scm_pair.x_train))
-        for j, x in enumerate(self.TARGETS):
-            rng = rng_from(j, "ace")
-            total = 0.0
-            for _ in range(draws_per_row):
-                total += float(np.mean(self.full_prediction(scm_pair, x, rows, rng)))
-            expected = total / draws_per_row
-            assert np.array_equal(ace_at(scm_pair, x, j, draws_per_row), expected)
+    def test_ace_at(self, small_pair):
+        n = len(small_pair.x_train)
+        for x in self.TARGETS:
+            center = float(predict(small_pair.mediator, x)[0])
+            mediator = center + small_pair.mediator.residuals
+            points = [np.repeat(small_pair.x_train, n), np.tile(mediator, n)]
+            expected = float(np.mean(predict(small_pair.outcome, points)))
+            assert ace_at(small_pair, x) == pytest.approx(expected, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("size", ["n", "n//3", "2n+7"])
     def test_distribution_at(self, scm_pair, size):
@@ -212,31 +233,37 @@ class TestFullOutcomeReference:
 
 
 class TestDrawMediator:
-    def test_zero_residual_pool_returns_prediction(self, scm_pair):
-        from frontdoor_lab.spline_smooth import predict
+    """The mediator under the intervention: the prediction at x plus a
+    residual of the mediator pool, summed over in ``ace_at`` and drawn in
+    ``distribution_at``."""
 
+    def test_zero_residual_pool_returns_prediction(self, scm_pair, monkeypatch):
         degenerate = FittedPair(
             mediator=dataclasses.replace(
                 scm_pair.mediator, residuals=np.zeros_like(scm_pair.mediator.residuals)
             ),
-            outcome=scm_pair.outcome,
+            outcome=dataclasses.replace(
+                scm_pair.outcome, residuals=np.zeros_like(scm_pair.outcome.residuals)
+            ),
             x_train=scm_pair.x_train,
         )
-        draws = draw_mediator(degenerate, 1.0, 50, seed=54)
-        assert np.allclose(draws, predict(scm_pair.mediator, 1.0)[0])
+        center = predict(scm_pair.mediator, 1.0)
+        mediator_term = float(predict(scm_pair.outcome.terms[1], center)[0])
+        expected = float(np.mean(scm_pair.treatment_part)) + mediator_term
+        assert ace_at(degenerate, 1.0) == pytest.approx(expected, rel=0, abs=1e-12)
+        draws = mediator_draws_of(degenerate, 1.0, 50, 54, monkeypatch)
+        assert np.array_equal(draws, np.full(50, center[0]))
 
-    def test_draw_mean_matches_prediction(self, scm_pair):
-        from frontdoor_lab.spline_smooth import predict
-
-        draws = draw_mediator(scm_pair, 0.5, 40000, seed=55)
+    def test_draw_mean_matches_prediction(self, scm_pair, monkeypatch):
+        draws = mediator_draws_of(scm_pair, 0.5, 40000, 55, monkeypatch)
         pool_sd = float(np.std(scm_pair.mediator.residuals))
         center = float(predict(scm_pair.mediator, 0.5)[0])
         assert float(np.mean(draws)) == pytest.approx(
             center, abs=3 * pool_sd / np.sqrt(40000)
         )
 
-    def test_draw_spread_matches_mediator_noise(self, scm_pair):
-        draws = draw_mediator(scm_pair, 1.0, 40000, seed=56)
+    def test_draw_spread_matches_mediator_noise(self, scm_pair, monkeypatch):
+        draws = mediator_draws_of(scm_pair, 1.0, 40000, 56, monkeypatch)
         assert float(np.std(draws)) == pytest.approx(SCM.sigma_z, abs=0.01)
 
     def test_empty_pool_rejected(self, scm_pair):
@@ -256,7 +283,7 @@ class TestAceAt:
         y = np.full(500, 2.5)
         pair = fit_pair(complete_dataset(x, z, y))
         for target in (-0.7, 0.0, 1.3):
-            assert ace_at(pair, target, seed=59) == pytest.approx(2.5, abs=1e-7)
+            assert ace_at(pair, target) == pytest.approx(2.5, abs=1e-7)
 
     def test_unconfounded_linear_mechanism(self):
         rng = np.random.default_rng(60)
@@ -266,13 +293,13 @@ class TestAceAt:
         y = 0.3 * z + 0.05 * rng.standard_normal(n)
         pair = fit_pair(complete_dataset(x, z, y))
         for target in (-1.0, 0.5, 1.0):
-            assert ace_at(pair, target, seed=61) == pytest.approx(0.3 * target, abs=0.01)
+            assert ace_at(pair, target) == pytest.approx(0.3 * target, abs=0.01)
 
     def test_matches_oracle_on_complete_data(self, scm_pair):
-        assert ace_at(scm_pair, 3.0, seed=62) == pytest.approx(
+        assert ace_at(scm_pair, 3.0) == pytest.approx(
             oracle_ace(SCM, 3.0), abs=0.05
         )
-        assert ace_at(scm_pair, 0.0, seed=63) == pytest.approx(
+        assert ace_at(scm_pair, 0.0) == pytest.approx(
             oracle_ace(SCM, 0.0), abs=0.03
         )
 
@@ -282,29 +309,9 @@ class TestAceAt:
         rng = np.random.default_rng(65)
         perm = rng.permutation(len(pop))
         shuffled = complete_dataset(pop.x[perm], pop.z[perm], pop.y[perm])
-        cfg = EstimatorConfig(seed=66)
-        a = np.mean([ace_at(fit_pair(data, cfg), 1.0, seed=s) for s in range(67, 73)])
-        b = np.mean(
-            [ace_at(fit_pair(shuffled, cfg), 1.0, seed=s) for s in range(73, 79)]
-        )
-        assert float(a) == pytest.approx(float(b), abs=0.01)
-
-    def test_extra_draws_reduce_monte_carlo_noise(self):
-        pop = generate_population(SCM, 2000, seed=80)
-        pair = fit_pair(complete_dataset(pop.x, pop.z, pop.y))
-        for target in (-1.0, 0.0, 1.0):
-            single = np.array(
-                [ace_at(pair, target, seed=s) for s in range(100, 150)]
-            )
-            averaged = np.array(
-                [ace_at(pair, target, seed=s, draws_per_row=4) for s in range(150, 200)]
-            )
-            assert float(np.std(averaged)) < 0.75 * float(np.std(single))
-
-    @pytest.mark.parametrize("draws_per_row", [0, -1])
-    def test_draw_count_below_one_rejected(self, scm_pair, draws_per_row):
-        with pytest.raises(FrontdoorLabError, match="draw count must be >= 1"):
-            ace_at(scm_pair, 0.0, seed=1, draws_per_row=draws_per_row)
+        a = ace_at(fit_pair(data), 1.0)
+        b = ace_at(fit_pair(shuffled), 1.0)
+        assert a == pytest.approx(b, rel=0, abs=1e-12)
 
 
 class TestDistributionAt:
@@ -385,6 +392,14 @@ class TestEstimateEffect:
         bundle = self.make_bundle(n=3000, m=1)
         est = estimate_effect(bundle, np.array([-1.0, 1.0]), EstimatorConfig(seed=91))
         assert np.array_equal(est.pooled_ace, est.per_imputation_ace[0])
+
+    def test_seed_moves_only_the_quantile_bands(self):
+        bundle = self.make_bundle(n=3000, m=2)
+        grid = np.array([-1.0, 0.5])
+        a = estimate_effect(bundle, grid, EstimatorConfig(seed=1))
+        b = estimate_effect(bundle, grid, EstimatorConfig(seed=2))
+        assert np.array_equal(a.per_imputation_ace, b.per_imputation_ace)
+        assert not np.array_equal(a.q05, b.q05)
 
     def test_unsorted_grid_rejected(self):
         bundle = self.make_bundle(n=3000, m=2)

@@ -55,7 +55,6 @@ out = out
 cycles = 10
 donors = 5
 n_knots = 20
-mediator_draws = 1
 distribution_draws = 0
 subsample = 500
 sigma_z = 0.1
@@ -81,7 +80,6 @@ out = some dir/run
 cycles = 3
 donors = 2
 n_knots = 9
-mediator_draws = 2
 distribution_draws = 300
 subsample = 77
 sigma_z = 0.25
@@ -106,7 +104,7 @@ class TestConfigText:
         cfg = parse_config(ALL_KEYS_TEXT)
         default = RunConfig()
         for name in ("seed", "n", "m", "grid", "out", "cycles", "donors", "n_knots",
-                     "mediator_draws", "distribution_draws", "subsample"):
+                     "distribution_draws", "subsample"):
             assert getattr(cfg, name) != getattr(default, name), name
         for name in ("sigma_z", "z_amplitude", "y_shift", "y_linear", "u_coef"):
             assert getattr(cfg.scm, name) != getattr(default.scm, name), name
