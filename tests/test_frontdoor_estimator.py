@@ -211,14 +211,28 @@ class TestFullOutcomeReference:
         z_draws = center + pool[rng.integers(0, len(pool), len(rows))]
         return predict(pair.outcome, [pair.x_train[rows], z_draws])
 
-    def test_ace_at(self, small_pair):
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_ace_at(self, small_pair, copies):
+        # an exact mean is unchanged when the rows and both residual pools
+        # are repeated, so every copy count meets the same double sum
+        replicated = FittedPair(
+            mediator=dataclasses.replace(
+                small_pair.mediator,
+                residuals=np.tile(small_pair.mediator.residuals, copies),
+            ),
+            outcome=dataclasses.replace(
+                small_pair.outcome,
+                residuals=np.tile(small_pair.outcome.residuals, copies),
+            ),
+            x_train=np.tile(small_pair.x_train, copies),
+        )
         n = len(small_pair.x_train)
         for x in self.TARGETS:
             center = float(predict(small_pair.mediator, x)[0])
             mediator = center + small_pair.mediator.residuals
             points = [np.repeat(small_pair.x_train, n), np.tile(mediator, n)]
             expected = float(np.mean(predict(small_pair.outcome, points)))
-            assert ace_at(small_pair, x) == pytest.approx(expected, rel=0, abs=1e-12)
+            assert ace_at(replicated, x) == pytest.approx(expected, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("size", ["n", "n//3", "2n+7"])
     def test_distribution_at(self, scm_pair, size):
