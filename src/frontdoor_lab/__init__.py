@@ -27,7 +27,6 @@ from .frontdoor_estimator import (
     EffectEstimate,
     EstimatorConfig,
     FittedPair,
-    MethodTag,
     ace_at,
     complete_case_effect,
     distribution_at,
@@ -78,7 +77,6 @@ __all__ = [
     "EstimatorConfig",
     "FittedPair",
     "ImputationConfig",
-    "MethodTag",
     "PenalizedSplineFit",
     "Population",
     "RunConfig",

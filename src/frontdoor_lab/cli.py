@@ -12,22 +12,19 @@ directory, so stages can be rerun or inspected independently:
   every copy of an earlier run), ``imputation_diagnostics.csv`` and the chain
   trace ``imputation_trace.csv``.
 * ``estimate``  reads the completed copies plus ``observed.csv``, runs
-  ``complete_case_effect`` and ``estimate_effect``, writes ``effect_mi.csv``
-  and ``effect_cc.csv``, and with ``--save-models`` the fitted regressions to
-  ``models/``, replacing every model of an earlier run.
-* ``evaluate``  compares both curve files, and the imputed mediator mean in
-  ``imputation_diagnostics.csv`` when the mediator had missing cells, against
-  the truth, and reports how far the imputed copies' curves spread; writes
-  ``evaluation.csv``.
+  ``complete_case_effect`` and ``estimate_effect``, writes both curves with
+  the true mean to the one table ``effects.csv``, and with ``--save-models``
+  the fitted regressions to ``models/``, replacing every model of an earlier
+  run.
+* ``evaluate``  compares both curves of ``effects.csv``, and the imputed
+  mediator mean in ``imputation_diagnostics.csv`` when the mediator had
+  missing cells, against the truth, and reports how far the imputed copies'
+  curves spread; writes ``evaluation.csv``.
 * ``plot``      emits the three SVG figures.  The true 5 / 95 % bands of the
   effect figure are exact interventional quantiles from
   :func:`frontdoor_lab.scm_sim.oracle_quantiles` (quadrature over the
   mediator noise), computed once for the whole grid; the true mean is the
-  ``oracle_ace`` column of ``effect_mi.csv``.
-
-``evaluate`` and ``plot`` require ``effect_mi.csv`` to hold only
-``MultipleImputation`` rows and ``effect_cc.csv`` only ``CompleteCase`` rows,
-both on one grid and with one ``oracle_ace`` column, as ``estimate`` writes them.
+  ``oracle_ace`` column of ``effects.csv``.
 
 Every CSV uses the table format of :mod:`frontdoor_lab.dataset`.  Exit codes:
 0 success, 2 usage or malformed input (a file that is not UTF-8, a config value
@@ -59,12 +56,11 @@ from .causal_graph import (
     load_graph,
     mar_holds,
 )
-from .dataset import _float_cells, _read_table, _write_table
+from .dataset import _finite, _float_cells, _read_table, _write_table
 from .dataset import dataset_from_csv, dataset_to_csv
 from .errors import ConfigError, FrontdoorLabError, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
-    MethodTag,
     complete_case_effect,
     effect_from_csv,
     effect_to_csv,
@@ -270,10 +266,8 @@ def cmd_estimate(args) -> int:
         # first, so too few complete rows fail before any imputed copy is fitted
         cc = complete_case_effect(data, grid, cfg.estimator_config("cc"), on_pair)
         mi = estimate_effect(bundle, grid, cfg.estimator_config("mi"), on_pair)
-    effect_to_csv(mi, oracle, out / "effect_mi.csv")
-    effect_to_csv(cc, oracle, out / "effect_cc.csv")
-    print(f"wrote {out / 'effect_mi.csv'}")
-    print(f"wrote {out / 'effect_cc.csv'}")
+    effect_to_csv(mi, cc, oracle, out / "effects.csv")
+    print(f"wrote {out / 'effects.csv'}")
     print(f"nonconverged_fits={converged.count(False)}")
     return 0
 
@@ -291,7 +285,7 @@ def _imputed_z_means(path: Path, m: int) -> list[float]:
         path,
         "imputation diagnostics",
         lambda h: h == DIAGNOSTICS_HEADER,
-        lambda row: (row[0], int(row[1]), row[2], [float(v) for v in row[3:]]),
+        lambda row: (row[0], int(row[1]), row[2], [_finite(v) for v in row[3:]]),
         empty_ok=True,  # no row: nothing was imputed
     )
     return [
@@ -301,33 +295,13 @@ def _imputed_z_means(path: Path, m: int) -> list[float]:
     ]
 
 
-def _run_estimates(out: Path):
-    """``(mi, cc, truth)`` from the two effect files in ``out``: each file must hold
-    only its own method's rows, and both one grid and one ``oracle_ace`` column."""
-    curves = []
-    for name, method in (
-        ("effect_mi.csv", MethodTag.MULTIPLE_IMPUTATION),
-        ("effect_cc.csv", MethodTag.COMPLETE_CASE),
-    ):
-        estimate, truth = effect_from_csv(out / name)
-        if estimate.method is not method:
-            raise FrontdoorLabError(
-                f"{out / name} holds {estimate.method.value} estimates, not {method.value}"
-            )
-        curves.append((estimate, truth))
-    (mi, truth), (cc, cc_truth) = curves
-    for what, a, b in (("grids", mi.grid, cc.grid), ("oracle_ace columns", truth, cc_truth)):
-        if not np.array_equal(a, b):
-            raise FrontdoorLabError(f"effect_mi.csv and effect_cc.csv hold different {what}")
-    return mi, cc, truth
-
-
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    mi, cc, truth = _run_estimates(out)
+    effects = out / "effects.csv"
+    mi, cc, truth = effect_from_csv(effects)
     if cfg.m != mi.m:
-        raise FrontdoorLabError(f"m = {cfg.m}, but effect_mi.csv holds {mi.m} imputations")
+        raise FrontdoorLabError(f"m = {cfg.m}, but {effects} holds {mi.m} imputations")
     inner = (mi.grid >= -2.0 - 1e-9) & (mi.grid <= 2.0 + 1e-9)
     report = []
     for label, estimate in (("mi", mi), ("cc", cc)):
@@ -346,9 +320,20 @@ def cmd_evaluate(args) -> int:
     if population_path.exists() and observed_path.exists() and diagnostics_path.exists():
         population = population_from_csv(population_path)
         observed = dataset_from_csv(observed_path)
-        means = _imputed_z_means(diagnostics_path, cfg.m)
-        if len(population) == observed.n and means and len(means) == cfg.m:
-            true_mean = float(np.mean(population.z[~observed.m_z]))
+        if len(population) != observed.n:
+            raise FrontdoorLabError(
+                f"{population_path} holds {len(population)} rows, "
+                f"but {observed_path} holds {observed.n}"
+            )
+        masked = ~observed.m_z
+        if masked.any():
+            means = _imputed_z_means(diagnostics_path, mi.m)
+            if len(means) != mi.m:
+                raise FrontdoorLabError(
+                    f"{diagnostics_path} holds imputed mediator means of {len(means)} "
+                    f"copies, but {effects} holds {mi.m} imputations"
+                )
+            true_mean = float(np.mean(population.z[masked]))
             pooled = float(np.mean(means))
             report.append(
                 f"imputed_z_pooled_mean={pooled:.4f} true_masked_z_mean={true_mean:.4f} "
@@ -380,7 +365,7 @@ def cmd_plot(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     data = dataset_from_csv(out / "observed.csv")
-    mi, cc, truth = _run_estimates(out)
+    mi, cc, truth = effect_from_csv(out / "effects.csv")
 
     scatter = scatter_matrix_svg(data, cfg.subsample, cfg.seed)
     truth_panel = truth_vs_conditional_svg(cfg.scm, data, cfg.subsample, cfg.seed)

@@ -114,8 +114,8 @@ def _float_cells(values, mask=None) -> Iterator[str]:
 def _write_table(path, header: list[str], columns) -> None:
     """Write equal-length columns of cell text under ``header``.
 
-    Cells go unquoted: callers pass only ``repr`` floats, ints, fixed tokens
-    and enum values, which never hold a comma, a quote or a line break.
+    Cells go unquoted: callers pass only ``repr`` floats, ints and fixed
+    tokens, which never hold a comma, a quote or a line break.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\r\n")

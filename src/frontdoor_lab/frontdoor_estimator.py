@@ -27,13 +27,13 @@ evaluates only the outcome's mediator term.
 
 With multiply imputed data the procedure runs once per completed copy and the
 curves are pooled by averaging; a complete-case variant drops every row with
-a missing cell first and serves as the biased benchmark.
+a missing cell first and serves as the biased benchmark.  Both curves and the
+true mean go to one table per run (:func:`effect_to_csv`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -63,11 +63,6 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.distribution_draws < 0:
             raise ConfigError(f"distribution_draws must be >= 0, got {self.distribution_draws}")
-
-
-class MethodTag(Enum):
-    MULTIPLE_IMPUTATION = "MultipleImputation"
-    COMPLETE_CASE = "CompleteCase"
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,6 @@ class EffectEstimate:
     pooled_ace: np.ndarray
     q05: np.ndarray
     q95: np.ndarray
-    method: MethodTag
 
     def __post_init__(self):
         grid = _checked_grid(self.grid)
@@ -212,7 +206,6 @@ def _pooled_effect(
     copies: Iterable[tuple[Dataset, str]],
     grid: np.ndarray,
     config: EstimatorConfig,
-    method: MethodTag,
     on_pair: Callable[[FittedPair], object] | None,
 ) -> EffectEstimate:
     """Fit each (dataset, label), hand the pair to ``on_pair``, then compute
@@ -234,7 +227,6 @@ def _pooled_effect(
         pooled_ace=per_imputation.mean(axis=0),
         q05=np.vstack(q05_rows).mean(axis=0),
         q95=np.vstack(q95_rows).mean(axis=0),
-        method=method,
     )
 
 
@@ -249,7 +241,7 @@ def estimate_effect(
     fit and before its curves.  Only one pair is held at a time."""
     config = config or EstimatorConfig()
     copies = ((completed, f"imp{i}") for i, completed in enumerate(datasets.completed))
-    return _pooled_effect(copies, grid, config, MethodTag.MULTIPLE_IMPUTATION, on_pair)
+    return _pooled_effect(copies, grid, config, on_pair)
 
 
 def complete_case_effect(
@@ -271,51 +263,51 @@ def complete_case_effect(
     complete = Dataset(
         x_star=data.x_star[keep], z_star=data.z_star[keep], y_star=data.y_star[keep]
     )
-    return _pooled_effect([(complete, "cc")], grid, config, MethodTag.COMPLETE_CASE, on_pair)
+    return _pooled_effect([(complete, "cc")], grid, config, on_pair)
 
 
 # ----------------------------------------------------------------- CSV
 
 
 def _effect_header(m: int) -> list[str]:
-    imputations = [f"ace_imp_{i + 1}" for i in range(m)]
-    return ["x", "pooled_ace", *imputations, "q05", "q95", "oracle_ace", "method"]
+    per_copy = [f"mi_ace_{i + 1}" for i in range(m)]
+    mi = ["mi_pooled_ace", *per_copy, "mi_q05", "mi_q95"]
+    return ["x", "oracle_ace", *mi, "cc_ace", "cc_q05", "cc_q95"]
 
 
-def effect_to_csv(estimate: EffectEstimate, oracle: np.ndarray, path) -> None:
-    """Write the curve table consumed by the evaluation and plot stages."""
+def effect_to_csv(mi: EffectEstimate, cc: EffectEstimate, oracle: np.ndarray, path) -> None:
+    """Write the run's one curve table, read by the evaluation and plot stages.
+
+    One row per grid point holds the true interventional mean, the pooled
+    and per-copy imputation curves with their bands, and the complete-case
+    curve with its bands.  Curves on different grids, a complete-case
+    estimate of more than one curve or an oracle of another shape raise.
+    """
     oracle = np.asarray(oracle, dtype=float)
-    if oracle.shape != estimate.grid.shape:
+    if not np.array_equal(mi.grid, cc.grid):
+        raise FrontdoorLabError("imputation and complete-case curves must share one grid")
+    if cc.m != 1:
+        raise FrontdoorLabError(f"complete-case estimate must hold one curve, got {cc.m}")
+    if oracle.shape != mi.grid.shape:
         raise FrontdoorLabError("oracle curve must match the grid")
-    numbers = (estimate.grid, estimate.pooled_ace, *estimate.per_imputation_ace)
-    numbers += (estimate.q05, estimate.q95, oracle)
-    method = [estimate.method.value] * len(estimate.grid)
-    _write_table(path, _effect_header(estimate.m), [*map(_float_cells, numbers), method])
+    numbers = (mi.grid, oracle, mi.pooled_ace, *mi.per_imputation_ace, mi.q05, mi.q95)
+    numbers += (cc.pooled_ace, cc.q05, cc.q95)
+    _write_table(path, _effect_header(mi.m), [_float_cells(column) for column in numbers])
 
 
-def effect_from_csv(path) -> tuple[EffectEstimate, np.ndarray]:
-    """Read a curve table; a non-finite number or a mix of method tags raises."""
-    table, methods = zip(
-        *_read_table(
-            path,
-            "effect-curve",
-            lambda h: h == _effect_header(len(h) - 6),
-            lambda row: ([_finite(v) for v in row[:-1]], MethodTag(row[-1])),
-        )
+def effect_from_csv(path) -> tuple[EffectEstimate, EffectEstimate, np.ndarray]:
+    """Read a curve table as ``(mi, cc, oracle)``; the header's width gives
+    ``m``, and a non-finite number raises."""
+    table = _read_table(
+        path,
+        "effect-curve",
+        lambda h: h == _effect_header(len(h) - 8),
+        lambda row: [_finite(v) for v in row],
     )
-    tags = set(methods)
-    if len(tags) > 1:
-        mixed = ", ".join(sorted(tag.value for tag in tags))
-        raise FrontdoorLabError(f"effect-curve rows in {path} mix methods: {mixed}")
     # one contiguous row per column, so ``per`` has the (m, grid) layout that
     # makes the pooled-mean identity reproduce the writer's summation order
-    grid, pooled, *per, q05, q95, oracle = np.ascontiguousarray(np.array(table).T)
-    estimate = EffectEstimate(
-        grid=grid,
-        per_imputation_ace=np.array(per),
-        pooled_ace=pooled,
-        q05=q05,
-        q95=q95,
-        method=methods[0],
+    grid, oracle, pooled, *per, q05, q95, cc_ace, cc_q05, cc_q95 = np.ascontiguousarray(
+        np.array(list(table)).T
     )
-    return estimate, oracle
+    mi = EffectEstimate(grid, np.array(per), pooled, q05, q95)
+    return mi, EffectEstimate(grid, cc_ace[None, :], cc_ace, cc_q05, cc_q95), oracle

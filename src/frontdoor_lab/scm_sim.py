@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
-from .dataset import Dataset, _float_cells, _read_table, _write_table
+from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
 from .errors import ConfigError, InvalidCount
 
 _TWO_PI = 2.0 * np.pi
@@ -267,7 +267,7 @@ def population_to_csv(population: Population, path) -> None:
 
 def population_from_csv(path) -> Population:
     rows = _read_table(
-        path, "population", lambda h: h == POPULATION_HEADER, lambda row: list(map(float, row))
+        path, "population", lambda h: h == POPULATION_HEADER, lambda row: list(map(_finite, row))
     )
     table = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, 4)
     return Population(*np.ascontiguousarray(table.T))

@@ -57,7 +57,7 @@ class TestPipelineArtifacts:
         expected = [
             "population.csv", "observed.csv", "run_config.txt",
             "completed_01.csv", "completed_02.csv", "imputation_diagnostics.csv",
-            "imputation_trace.csv", "effect_mi.csv", "effect_cc.csv", "evaluation.csv",
+            "imputation_trace.csv", "effects.csv", "evaluation.csv",
             "scatter_matrix.svg", "true_vs_conditional.svg", "estimated_effects.svg",
         ]
         for name in expected:
@@ -92,11 +92,13 @@ class TestPipelineArtifacts:
         assert means["x"] == float(np.mean(completed.x_star[~observed.m_x]))
 
     def test_effect_csv_readable_and_method_tagged(self, pipeline_dir):
-        mi, oracle = effect_from_csv(pipeline_dir / "effect_mi.csv")
-        cc, _ = effect_from_csv(pipeline_dir / "effect_cc.csv")
-        assert mi.method.value == "MultipleImputation"
-        assert cc.method.value == "CompleteCase"
+        # each curve's columns carry its method's prefix
+        header = (pipeline_dir / "effects.csv").read_text().splitlines()[0].split(",")
+        assert header[2:7] == ["mi_pooled_ace", "mi_ace_1", "mi_ace_2", "mi_q05", "mi_q95"]
+        assert header[7:] == ["cc_ace", "cc_q05", "cc_q95"]
+        mi, cc, oracle = effect_from_csv(pipeline_dir / "effects.csv")
         assert mi.per_imputation_ace.shape == (2, 9)
+        assert cc.per_imputation_ace.shape == (1, 9)
         assert len(oracle) == 9
 
     def test_saved_models_round_trip(self, pipeline_dir):
@@ -131,8 +133,7 @@ class TestPipelineArtifacts:
         saved = sorted(path.name for path in (run / "models").iterdir())
         kinds = ("mediator", "outcome")
         assert saved == [f"{kind}_{i:02d}.txt" for kind in kinds for i in (1, 2, 3)]
-        for name in ("effect_mi.csv", "effect_cc.csv"):
-            assert (run / name).read_bytes() == (run_m3 / name).read_bytes(), name
+        assert (run / "effects.csv").read_bytes() == (run_m3 / "effects.csv").read_bytes()
 
     # with one cycle, the 3 copies' outcome fits and the complete-case one do not converge
     @pytest.mark.parametrize("cap, count", [(None, 0), (1, 3 + 1)], ids=["default", "one_cycle"])
@@ -188,7 +189,7 @@ class TestPipelineArtifacts:
         assert len(re.findall("<circle", match.group(1))) == 300
 
     def test_cc_gap_consistent_between_plot_data_and_evaluation(self, pipeline_dir):
-        cc, oracle = effect_from_csv(pipeline_dir / "effect_cc.csv")
+        _, cc, oracle = effect_from_csv(pipeline_dir / "effects.csv")
         signed = float(np.mean(cc.pooled_ace - oracle))
         rows = (pipeline_dir / "evaluation.csv").read_text().splitlines()[1:]
         cc_errors = [float(r.split(",")[5]) for r in rows]
@@ -262,7 +263,7 @@ class TestEvaluateOutput:
         shutil.copytree(run_m3, run)
         assert main(["evaluate", "--out", str(run)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        per_copy = effect_from_csv(run / "effect_mi.csv")[0].per_imputation_ace
+        per_copy = effect_from_csv(run / "effects.csv")[0].per_imputation_ace
         header, *rows = (run / "evaluation.csv").read_text().splitlines()
         assert header.split(",")[-1] == "mi_between_sd"
         between_sd = np.array([float(row.split(",")[-1]) for row in rows])
@@ -318,7 +319,7 @@ class TestDeterminism:
             runs.append(out)
         names = sorted(path.name for path in runs[0].glob("*.csv"))
         assert names == sorted(path.name for path in runs[1].glob("*.csv"))
-        assert len(names) == 9
+        assert len(names) == 8
         figures = sorted(path.name for path in runs[0].glob("*.svg"))
         assert figures == sorted(path.name for path in runs[1].glob("*.svg"))
         assert len(figures) == 3
@@ -494,17 +495,22 @@ class TestErrorPaths:
         [
             ("impute", "observed.csv", lambda cells: ["abc"] + cells[1:]),
             ("evaluate", "population.csv", lambda cells: cells[:2] + ["abc"] + cells[3:]),
-            ("evaluate", "effect_mi.csv", lambda cells: cells[:1] + ["oops"] + cells[2:]),
-            ("evaluate", "effect_cc.csv", lambda cells: cells[:3]),
+            ("evaluate", "effects.csv", lambda cells: cells[:2] + ["oops"] + cells[3:]),
+            ("evaluate", "effects.csv", lambda cells: cells[:3]),
             ("impute", "observed.csv", lambda cells: ["nan"] + cells[1:]),
-            ("evaluate", "effect_mi.csv", lambda cells: cells[:-4] + ["nan"] + cells[-3:]),
-            ("evaluate", "effect_cc.csv", lambda cells: cells[:-3] + ["inf"] + cells[-2:]),
-            ("evaluate", "effect_mi.csv", lambda cells: cells[:-2] + ["-inf"] + cells[-1:]),
+            ("evaluate", "effects.csv", lambda cells: cells[:-5] + ["nan"] + cells[-4:]),
+            ("evaluate", "effects.csv", lambda cells: cells[:-1] + ["inf"]),
+            ("evaluate", "effects.csv", lambda cells: cells[:1] + ["-inf"] + cells[2:]),
+            ("evaluate", "population.csv", lambda cells: cells[:2] + ["inf"] + cells[3:]),
+            (
+                "evaluate", "imputation_diagnostics.csv",
+                lambda cells: cells[:3] + ["nan"] + cells[4:],
+            ),
         ],
         ids=[
             "dataset-bad-cell", "population-bad-cell", "effect-bad-cell", "effect-short-row",
             "dataset-nonfinite-cell", "effect-nan-q05", "effect-inf-q95",
-            "effect-inf-oracle",
+            "effect-inf-oracle", "population-nonfinite-cell", "diagnostics-nonfinite-mean",
         ],
     )
     def test_malformed_csv_body(self, pipeline_dir, tmp_path, capsys, command, name, corrupt):
@@ -518,59 +524,6 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input:")
         assert name in err and "line 2" in err
-
-    def test_effect_rows_mixing_methods(self, pipeline_dir, tmp_path, capsys):
-        run = tmp_path / "run"
-        shutil.copytree(pipeline_dir, run)
-        lines = (run / "effect_mi.csv").read_text().splitlines()
-        lines[-1] = lines[-1].replace("MultipleImputation", "CompleteCase")
-        (run / "effect_mi.csv").write_text("\n".join(lines) + "\n")
-        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
-        assert main(["evaluate"] + config) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid-input: effect-curve rows in")
-        assert "mix methods: CompleteCase, MultipleImputation" in err
-
-    @pytest.mark.parametrize("command", ["evaluate", "plot"])
-    def test_swapped_effect_files(self, pipeline_dir, tmp_path, capsys, command):
-        run = tmp_path / "run"
-        shutil.copytree(pipeline_dir, run)
-        (run / "effect_mi.csv").rename(run / "swap.csv")
-        (run / "effect_cc.csv").rename(run / "effect_mi.csv")
-        (run / "swap.csv").rename(run / "effect_cc.csv")
-        names = ("evaluation.csv", "estimated_effects.svg")
-        written = {name: (run / name).read_bytes() for name in names}
-        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
-        assert main([command] + config) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid-input:")
-        assert "effect_mi.csv holds CompleteCase estimates, not MultipleImputation" in err
-        assert {name: (run / name).read_bytes() for name in written} == written
-
-    @pytest.mark.parametrize("command", ["evaluate", "plot"])
-    @pytest.mark.parametrize(
-        "column, what", [("x", "grids"), ("oracle_ace", "oracle_ace columns")],
-        ids=["grid", "oracle_ace"],
-    )
-    def test_effect_files_that_disagree(
-        self, pipeline_dir, tmp_path, capsys, command, column, what
-    ):
-        run = tmp_path / "run"
-        shutil.copytree(pipeline_dir, run)
-        lines = (run / "effect_cc.csv").read_text().splitlines()
-        index = lines[0].split(",").index(column)
-        cells = lines[1].split(",")
-        cells[index] = repr(float(cells[index]) - 0.5)
-        lines[1] = ",".join(cells)
-        (run / "effect_cc.csv").write_text("\n".join(lines) + "\n")
-        names = ("evaluation.csv", "estimated_effects.svg")
-        written = {name: (run / name).read_bytes() for name in names}
-        config = ["--config", str(pipeline_dir / "config.txt"), "--out", str(run)]
-        assert main([command] + config) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid-input:")
-        assert f"effect_mi.csv and effect_cc.csv hold different {what}" in err
-        assert {name: (run / name).read_bytes() for name in written} == written
 
     @pytest.mark.parametrize(
         "line",
@@ -648,7 +601,36 @@ class TestErrorPaths:
         assert main(["evaluate"] + config) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input:")
-        assert "effect_mi.csv" in err
+        assert "effects.csv" in err
+
+    def test_evaluate_population_of_another_size(self, pipeline_dir, tmp_path, capsys):
+        # as when population.csv of an n = 2000 run is copied into an n = 3000 run
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        lines = (run / "population.csv").read_text().splitlines()
+        (run / "population.csv").write_text("\n".join(lines[:-1]) + "\n")
+        written = (run / "evaluation.csv").read_bytes()
+        assert main(["evaluate", "--out", str(run)]) == 2
+        expected = (
+            f"error: invalid-input: {run / 'population.csv'} holds 1199 rows, "
+            f"but {run / 'observed.csv'} holds 1200\n"
+        )
+        assert capsys.readouterr().err == expected
+        assert (run / "evaluation.csv").read_bytes() == written
+
+    def test_evaluate_diagnostics_of_fewer_copies(self, run_m3, tmp_path, capsys):
+        # impute reran with m = 2 after estimate at m = 3
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        assert main(["impute", "--out", str(run), "--m", "2"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(run)]) == 2
+        expected = (
+            f"error: invalid-input: {run / 'imputation_diagnostics.csv'} holds imputed "
+            f"mediator means of 2 copies, but {run / 'effects.csv'} holds 3 imputations\n"
+        )
+        assert capsys.readouterr().err == expected
+        assert not (run / "evaluation.csv").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
@@ -708,7 +690,7 @@ class TestFlagPrecedence:
         assert main(["simulate", "--config", str(config)]) == 0
         for command in ("impute", "estimate"):
             assert main([command, "--out", str(tmp_path)]) == 0
-        _, oracle = effect_from_csv(tmp_path / "effect_mi.csv")
+        _, _, oracle = effect_from_csv(tmp_path / "effects.csv")
         recorded = load_config(config)
         assert np.array_equal(oracle, oracle_ace(recorded.scm, recorded.grid_values()))
         assert len(list(tmp_path.glob("completed_*.csv"))) == 2
@@ -747,7 +729,7 @@ class TestFlagPrecedence:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input: contradicts the run recorded in")
         assert named in err
-        assert not (run / "effect_mi.csv").exists()
+        assert not (run / "effects.csv").exists()
 
     def test_simulate_refuses_a_directory_recorded_for_another_run(self, tmp_path, capsys):
         run = tmp_path / "r"

@@ -15,7 +15,6 @@ from frontdoor_lab.frontdoor_estimator import (
     EffectEstimate,
     EstimatorConfig,
     FittedPair,
-    MethodTag,
     ace_at,
     complete_case_effect,
     distribution_at,
@@ -387,7 +386,6 @@ class TestEstimateEffect:
         bundle = self.make_bundle()
         grid = np.array([-1.0, 0.0, 1.0])
         est = estimate_effect(bundle, grid, EstimatorConfig(seed=88))
-        assert est.method is MethodTag.MULTIPLE_IMPUTATION
         for i in range(est.m):
             assert np.max(np.abs(est.per_imputation_ace[i] - est.pooled_ace)) < 0.01
 
@@ -453,7 +451,6 @@ class TestCompleteCase:
             grid,
             EstimatorConfig(seed=97),
         )
-        assert cc.method is MethodTag.COMPLETE_CASE
         assert np.max(np.abs(cc.pooled_ace - mi.pooled_ace)) < 0.01
 
     def test_too_few_complete_rows(self):
@@ -530,7 +527,6 @@ class TestOnPair:
             return estimate_effect(bundle, self.GRID, config, **on_pair)
 
         plain, called_back = run(), run(on_pair=lambda pair: None)
-        assert called_back.method is plain.method
         for name in ("grid", "per_imputation_ace", "pooled_ace", "q05", "q95"):
             assert np.array_equal(getattr(called_back, name), getattr(plain, name)), name
 
@@ -558,52 +554,71 @@ class TestOnPair:
         assert events == ["fit", "pair", "ace", "ace"] * 3
 
 
+def curve(grid, per):
+    """An estimate from per-copy curves, with bands one below and above."""
+    per = np.atleast_2d(per)
+    return EffectEstimate(
+        grid=grid,
+        per_imputation_ace=per,
+        pooled_ace=per.mean(axis=0),
+        q05=np.full(len(grid), -1.0),
+        q95=np.full(len(grid), 1.0),
+    )
+
+
 class TestEffectCsv:
     def test_round_trip(self, tmp_path):
         pop = generate_population(SCM, 3000, seed=100)
         data = complete_dataset(pop.x, pop.z, pop.y)
         bundle = CompletedDatasets(source=data, completed=(data, data))
         grid = np.linspace(-1, 1, 5)
-        est = estimate_effect(bundle, grid, EstimatorConfig(seed=101))
+        mi = estimate_effect(bundle, grid, EstimatorConfig(seed=101))
+        cc = complete_case_effect(data, grid, EstimatorConfig(seed=102))
         oracle = oracle_ace(SCM, grid)
-        path = tmp_path / "effect.csv"
-        effect_to_csv(est, oracle, path)
-        back, oracle_back = effect_from_csv(path)
-        assert np.array_equal(back.grid, est.grid)
-        assert np.array_equal(back.per_imputation_ace, est.per_imputation_ace)
-        assert np.array_equal(back.pooled_ace, est.pooled_ace)
-        assert np.array_equal(back.q05, est.q05)
+        path = tmp_path / "effects.csv"
+        effect_to_csv(mi, cc, oracle, path)
+        mi_back, cc_back, oracle_back = effect_from_csv(path)
+        for back, est in ((mi_back, mi), (cc_back, cc)):
+            for name in ("grid", "per_imputation_ace", "pooled_ace", "q05", "q95"):
+                assert np.array_equal(getattr(back, name), getattr(est, name)), name
         assert np.array_equal(oracle_back, oracle)
-        assert back.method is MethodTag.MULTIPLE_IMPUTATION
 
     def test_round_trip_many_imputations(self, tmp_path):
         # ten rows: the pooled-mean identity must survive the file layout
         rng = np.random.default_rng(104)
         grid = np.linspace(-3, 3, 41)
-        per = rng.standard_normal((10, len(grid)))
-        est = EffectEstimate(
-            grid=grid,
-            per_imputation_ace=per,
-            pooled_ace=per.mean(axis=0),
-            q05=np.full(len(grid), -1.0),
-            q95=np.full(len(grid), 1.0),
-            method=MethodTag.MULTIPLE_IMPUTATION,
-        )
-        path = tmp_path / "effect.csv"
-        effect_to_csv(est, np.zeros(len(grid)), path)
-        back, _ = effect_from_csv(path)
-        assert np.array_equal(back.pooled_ace, est.pooled_ace)
-        assert np.array_equal(back.per_imputation_ace, est.per_imputation_ace)
+        mi = curve(grid, rng.standard_normal((10, len(grid))))
+        path = tmp_path / "effects.csv"
+        effect_to_csv(mi, curve(grid, np.zeros(len(grid))), np.zeros(len(grid)), path)
+        back, _, _ = effect_from_csv(path)
+        assert np.array_equal(back.pooled_ace, mi.pooled_ace)
+        assert np.array_equal(back.per_imputation_ace, mi.per_imputation_ace)
 
     def test_header_contract(self, tmp_path):
-        pop = generate_population(SCM, 3000, seed=102)
-        data = complete_dataset(pop.x, pop.z, pop.y)
-        bundle = CompletedDatasets(source=data, completed=(data,))
-        est = estimate_effect(bundle, np.array([0.0]), EstimatorConfig(seed=103))
-        path = tmp_path / "effect.csv"
-        effect_to_csv(est, oracle_ace(SCM, np.array([0.0])), path)
+        grid = np.array([0.0])
+        path = tmp_path / "effects.csv"
+        effect_to_csv(curve(grid, [[1.0], [2.0]]), curve(grid, [3.0]), np.zeros(1), path)
         header = path.read_text().splitlines()[0]
-        assert header == "x,pooled_ace,ace_imp_1,q05,q95,oracle_ace,method"
+        assert header == (
+            "x,oracle_ace,mi_pooled_ace,mi_ace_1,mi_ace_2,mi_q05,mi_q95,cc_ace,cc_q05,cc_q95"
+        )
+
+    @pytest.mark.parametrize(
+        "cc_grid, cc_per, oracle_len",
+        [([-1.0, 0.5], [[0.0, 0.0]], 2), ([-1.0, 1.0], [[0.0, 0.0]] * 2, 2),
+         ([-1.0, 1.0], [[0.0, 0.0]], 3)],
+        ids=["grids_differ", "cc_two_curves", "oracle_shape"],
+    )
+    def test_writer_refuses_curves_that_do_not_fit_one_table(
+        self, tmp_path, cc_grid, cc_per, oracle_len
+    ):
+        grid = np.array([-1.0, 1.0])
+        mi = curve(grid, [[0.0, 1.0], [1.0, 2.0]])
+        cc = curve(np.array(cc_grid), np.array(cc_per))
+        path = tmp_path / "effects.csv"
+        with pytest.raises(FrontdoorLabError):
+            effect_to_csv(mi, cc, np.zeros(oracle_len), path)
+        assert not path.exists()
 
 
 class TestEffectEstimateInvariants:
@@ -615,7 +630,6 @@ class TestEffectEstimateInvariants:
                 pooled_ace=np.array([1.0]),
                 q05=np.array([2.0]),
                 q95=np.array([1.0]),
-                method=MethodTag.MULTIPLE_IMPUTATION,
             )
 
     def test_pooled_mismatch_rejected(self):
@@ -626,5 +640,4 @@ class TestEffectEstimateInvariants:
                 pooled_ace=np.array([1.2]),
                 q05=np.array([0.0]),
                 q95=np.array([1.0]),
-                method=MethodTag.MULTIPLE_IMPUTATION,
             )

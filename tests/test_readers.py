@@ -27,9 +27,9 @@ VALID = {
     dataset_from_csv: "x,z,y\r\n1.0,NA,0.5\r\nNA,2.0,-1.0\r\n0.0,1.5,2.0\r\n",
     population_from_csv: "u,x,z,y\r\n0.1,0.2,0.3,0.4\r\n-1.0,0.0,1.0,2.0\r\n",
     effect_from_csv: (
-        "x,pooled_ace,ace_imp_1,ace_imp_2,q05,q95,oracle_ace,method\r\n"
-        "-1.0,1.0,1.0,1.0,0.5,1.5,1.0,MultipleImputation\r\n"
-        "1.0,2.0,2.0,2.0,1.5,2.5,2.0,MultipleImputation\r\n"
+        "x,oracle_ace,mi_pooled_ace,mi_ace_1,mi_ace_2,mi_q05,mi_q95,cc_ace,cc_q05,cc_q95\r\n"
+        "-1.0,1.0,1.0,1.0,1.0,0.5,1.5,1.25,0.75,1.75\r\n"
+        "1.0,2.0,2.0,2.0,2.0,1.5,2.5,2.25,1.75,2.75\r\n"
     ),
     load_config: CONFIG,
     parse_config: CONFIG,
@@ -42,7 +42,7 @@ VALID = {
 }
 # the readers' own vocabulary
 TOKENS = [
-    "x,z,y", "u,x,z,y", "MultipleImputation", "CompleteCase",
+    "x,z,y", "u,x,z,y", "mi_ace_1", "mi_ace_3", "cc_ace",
     "NA", "nan", "inf", "-inf", "1e999", "0", "-0.0", "1.5", "-2", "3", "5e-324",
     ":", "=", ",", "#", "seed", "n", "m", "grid", "out", "sigma_z", "x_prime_low",
     "node", "edge", "observed", "latent", "X", "Z",

@@ -7,7 +7,7 @@ import pytest
 
 from frontdoor_lab.dataset import Dataset, dataset_from_csv, dataset_to_csv
 from frontdoor_lab.errors import FrontdoorLabError, InvalidCount
-from frontdoor_lab.frontdoor_estimator import EffectEstimate, MethodTag, effect_to_csv
+from frontdoor_lab.frontdoor_estimator import EffectEstimate, effect_to_csv
 from frontdoor_lab.scm_sim import (
     Population,
     ScmConfig,
@@ -411,22 +411,22 @@ class TestCsvRoundTrips:
             [[cell(v) for v in row] for row in zip(pop.u, pop.x, pop.z, pop.y)],
         )
 
-        estimate = EffectEstimate(
-            grid=edge,
-            per_imputation_ace=edge[None, :],
-            pooled_ace=edge,
-            q05=edge - 1.0,
-            q95=edge + 1.0,
-            method=MethodTag.COMPLETE_CASE,
+        per = np.vstack([edge, 3.0 * edge])
+        mi = EffectEstimate(
+            grid=edge, per_imputation_ace=per, pooled_ace=per.mean(axis=0),
+            q05=edge - 1.0, q95=edge + 1.0,
+        )
+        cc = EffectEstimate(
+            grid=edge, per_imputation_ace=-edge[None, :], pooled_ace=-edge,
+            q05=-edge - 2.0, q95=-edge + 2.0,
         )
         oracle = edge[::-1]
-        effect_to_csv(estimate, oracle, tmp_path / "effect.csv")
-        assert (tmp_path / "effect.csv").read_bytes() == reference(
-            ["x", "pooled_ace", "ace_imp_1", "q05", "q95", "oracle_ace", "method"],
-            [
-                [cell(x), cell(p), cell(a), cell(lo), cell(hi), cell(o), "CompleteCase"]
-                for x, p, a, lo, hi, o in zip(
-                    edge, edge, edge, edge - 1.0, edge + 1.0, oracle
-                )
-            ],
+        effect_to_csv(mi, cc, oracle, tmp_path / "effects.csv")
+        header = "x,oracle_ace,mi_pooled_ace,mi_ace_1,mi_ace_2,mi_q05,mi_q95,cc_ace,cc_q05,cc_q95"
+        columns = (
+            edge, oracle, per.mean(axis=0), edge, 3.0 * edge, edge - 1.0, edge + 1.0,
+            -edge, -edge - 2.0, -edge + 2.0,
+        )
+        assert (tmp_path / "effects.csv").read_bytes() == reference(
+            header.split(","), [[cell(v) for v in row] for row in zip(*columns)]
         )
