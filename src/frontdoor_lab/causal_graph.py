@@ -27,15 +27,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import (
-    CycleDetected,
-    DuplicateEdge,
-    GraphFormatError,
-    NodeNotObserved,
-    OverlappingSets,
-    UnknownNode,
-    read_utf8,
-)
+from .errors import FrontdoorLabError, read_utf8
 
 
 class NodeKind(Enum):
@@ -99,7 +91,7 @@ class Dag:
 
     def _require(self, name: str) -> None:
         if name not in self._nodes:
-            raise UnknownNode(f"unknown node: {name!r}")
+            raise FrontdoorLabError(f"unknown node: {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dag):
@@ -118,15 +110,15 @@ def build_dag(
 
     ``nodes`` is a list of (name, kind) pairs where kind is a
     :class:`NodeKind` or one of the strings ``"observed"`` / ``"latent"``.
-    Raises :class:`UnknownNode`, :class:`DuplicateEdge` or
-    :class:`CycleDetected` on invalid input.
+    Raises :class:`FrontdoorLabError` for an undeclared endpoint, a duplicate
+    node or edge, or a directed cycle, which its message spells out.
     """
     table: dict[str, Node] = {}
     for name, kind in nodes:
         if not name:
-            raise GraphFormatError("node names must be nonempty")
+            raise FrontdoorLabError("node names must be nonempty")
         if name in table:
-            raise GraphFormatError(f"node declared twice: {name!r}")
+            raise FrontdoorLabError(f"node declared twice: {name!r}")
         kind = NodeKind(kind) if not isinstance(kind, NodeKind) else kind
         table[name] = Node(name, kind)
 
@@ -134,18 +126,19 @@ def build_dag(
     parents: dict[str, list[str]] = {name: [] for name in table}
     for parent, child in edges:
         if parent not in table:
-            raise UnknownNode(f"edge endpoint not declared: {parent!r}")
+            raise FrontdoorLabError(f"edge endpoint not declared: {parent!r}")
         if child not in table:
-            raise UnknownNode(f"edge endpoint not declared: {child!r}")
+            raise FrontdoorLabError(f"edge endpoint not declared: {child!r}")
         if (parent, child) in seen:
-            raise DuplicateEdge(f"duplicate edge: {parent} -> {child}")
+            raise FrontdoorLabError(f"duplicate edge: {parent} -> {child}")
         seen.add((parent, child))
         parents[child].append(parent)
 
     try:
         TopologicalSorter(parents).prepare()
     except CycleError as exc:
-        raise CycleDetected(exc.args[1]) from None  # in edge direction, first == last
+        # in edge direction, first == last
+        raise FrontdoorLabError("cycle detected: " + " -> ".join(exc.args[1])) from None
     return Dag(table, seen)
 
 
@@ -156,7 +149,7 @@ def _as_name_set(g: Dag, nodes: Iterable[str], label: str) -> frozenset[str]:
     out = frozenset(nodes)
     for name in out:
         if name not in g.node_names:
-            raise UnknownNode(f"unknown node in {label}: {name!r}")
+            raise FrontdoorLabError(f"unknown node in {label}: {name!r}")
     return out
 
 
@@ -178,7 +171,7 @@ def d_separated(
     set_b = _as_name_set(g, b, "second set")
     set_c = _as_name_set(g, c, "conditioning set")
     if set_a & set_b or set_a & set_c or set_b & set_c:
-        raise OverlappingSets("query sets must be pairwise disjoint")
+        raise FrontdoorLabError("query sets must be pairwise disjoint")
     if not set_a or not set_b:
         return True
     reachable = _reachable(g, set_a, set_c)
@@ -245,7 +238,7 @@ def bidirected_path_exists(g: Dag, a: str, b: str) -> bool:
     """
     for name in (a, b):
         if g.is_latent(name):
-            raise NodeNotObserved(f"query node must be observed: {name!r}")
+            raise FrontdoorLabError(f"query node must be observed: {name!r}")
     return a != b and b in _latent_edge_reach(g, a)
 
 
@@ -271,7 +264,7 @@ def frontdoor_identifiable(g: Dag, x: str) -> bool:
     a latent node, so the child is reached through that edge alone.
     """
     if g.is_latent(x):
-        raise NodeNotObserved(f"treatment node must be observed: {x!r}")
+        raise FrontdoorLabError(f"treatment node must be observed: {x!r}")
     return not g.children(x) & _latent_edge_reach(g, x)
 
 
@@ -292,7 +285,7 @@ def dag_from_text(text: str) -> Dag:
         elif parts[0] == "edge" and len(parts) == 3:
             edges.append((parts[1], parts[2]))
         else:
-            raise GraphFormatError(f"line {lineno}: cannot parse {raw!r}")
+            raise FrontdoorLabError(f"line {lineno}: cannot parse {raw!r}")
     return build_dag(nodes, edges)
 
 
@@ -305,7 +298,7 @@ def dag_to_text(g: Dag) -> str:
 
 
 def load_graph(path) -> Dag:
-    return dag_from_text(read_utf8(path, GraphFormatError))
+    return dag_from_text(read_utf8(path))
 
 
 # ------------------------------------------------------------- built-ins

@@ -58,7 +58,7 @@ from .causal_graph import (
 )
 from .dataset import _finite, _float_cells, _read_table, _write_table
 from .dataset import dataset_from_csv, dataset_to_csv
-from .errors import ConfigError, FrontdoorLabError, NumericError
+from .errors import FrontdoorLabError, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
     complete_case_effect,
@@ -94,7 +94,7 @@ def _resolve_config(args) -> RunConfig:
     settings of the run whose files it reads or rewrites.  The output
     directory itself is never taken from the record.  A ``--config`` or flag
     value that contradicts a recorded key ``simulate`` fixed (the seed, the
-    sample size, the mechanism) raises ConfigError; an equal value passes.
+    sample size, the mechanism) raises FrontdoorLabError; an equal value passes.
     """
     config = Path(args.config) if args.config else None
     overrides = {
@@ -114,7 +114,9 @@ def _resolve_config(args) -> RunConfig:
         cfg = replace(resolve(kept), out=cfg.out)
         changed = simulate_key_changes(cfg, kept)
         if changed:
-            raise ConfigError(f"contradicts the run recorded in {record}: {'; '.join(changed)}")
+            raise FrontdoorLabError(
+                f"contradicts the run recorded in {record}: {'; '.join(changed)}"
+            )
     return cfg
 
 
@@ -324,6 +326,16 @@ def cmd_evaluate(args) -> int:
             raise FrontdoorLabError(
                 f"{population_path} holds {len(population)} rows, "
                 f"but {observed_path} holds {observed.n}"
+            )
+        # every kept cell is a copy of its population cell: y always, x and z when observed
+        kept = (observed.x_star, observed.z_star, observed.y_star)
+        if not all(
+            np.array_equal(cells, np.where(np.isnan(cells), np.nan, truth), equal_nan=True)
+            for cells, truth in zip(kept, (population.x, population.z, population.y))
+        ):
+            raise FrontdoorLabError(
+                f"{population_path} is not the population of {observed_path}: "
+                "an observed cell differs"
             )
         masked = ~observed.m_z
         if masked.any():

@@ -1,107 +1,34 @@
-"""Exception types shared across the toolkit.
+"""The two exception classes of the toolkit, one per exit code.
 
-The CLI maps these onto exit codes: malformed inputs (GraphFormatError,
-ConfigError) are usage errors, NumericError subclasses signal a numeric
-failure in a fitting or estimation step.  ``read_utf8`` turns an input
-file that is not UTF-8 text into one of these errors.  An ``OSError`` is
-not wrapped: ``cli.main`` maps an absent path to exit 3 and any other OS
-failure, naming its path, to exit 2.
+Every error this package raises is a :class:`FrontdoorLabError`.  The CLI
+prints it as ``error: invalid-input: <detail>`` and exits 2, except for its
+one subclass :class:`NumericError` (a fit or estimate that the data cannot
+support: a singular system, too few distinct values, complete rows or
+residuals), which it prints as ``error: numeric-failure: <detail>`` and exits
+4.  A library user catches these two names.  ``read_utf8`` turns an input
+file that is not UTF-8 text into a :class:`FrontdoorLabError`.  An
+``OSError`` is not wrapped: ``cli.main`` maps an absent path to exit 3 and
+any other OS failure, naming its path, to exit 2.
 """
 
 from pathlib import Path
 
 
 class FrontdoorLabError(Exception):
-    """Base class for every error raised by this package."""
-
-
-# ---------------------------------------------------------------- graphs
-
-
-class GraphError(FrontdoorLabError):
-    pass
-
-
-class CycleDetected(GraphError):
-    """The edge set contains a directed cycle."""
-
-    def __init__(self, cycle):
-        self.cycle = list(cycle)
-        super().__init__("cycle detected: " + " -> ".join(self.cycle))
-
-
-class UnknownNode(GraphError):
-    pass
-
-
-class DuplicateEdge(GraphError):
-    pass
-
-
-class OverlappingSets(GraphError):
-    """Query sets passed to a separation test are not disjoint."""
-
-
-class NodeNotObserved(GraphError):
-    pass
-
-
-class GraphFormatError(GraphError):
-    """A graph text file could not be parsed."""
-
-
-# ---------------------------------------------------------------- data
-
-
-class InvalidCount(FrontdoorLabError):
-    pass
-
-
-class AllMissingColumn(FrontdoorLabError):
-    pass
-
-
-class NothingToImpute(FrontdoorLabError):
-    pass
-
-
-class ConfigError(FrontdoorLabError):
-    """A run configuration file or value could not be parsed."""
-
-
-# ---------------------------------------------------------------- numerics
+    """Malformed input or a value no stage can use (CLI exit 2)."""
 
 
 class NumericError(FrontdoorLabError):
-    pass
+    """A numeric failure in a fitting or estimation step (CLI exit 4)."""
 
 
-class SingularSystem(NumericError):
-    """The penalized normal equations are numerically singular."""
-
-
-class TooFewDistinctValues(NumericError):
-    pass
-
-
-class TooFewCompleteRows(NumericError):
-    pass
-
-
-class EmptyResidualPool(NumericError):
-    pass
-
-
-# ---------------------------------------------------------------- input text
-
-
-def read_utf8(path, error: type[FrontdoorLabError] = FrontdoorLabError) -> str:
-    """The text of ``path``; a byte that is not UTF-8 raises ``error`` naming its line."""
+def read_utf8(path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises naming its line."""
     raw = Path(path).read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise error(
+        raise FrontdoorLabError(
             f"{path} line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text"
         ) from None

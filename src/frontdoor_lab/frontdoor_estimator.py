@@ -41,7 +41,7 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import ConfigError, EmptyResidualPool, FrontdoorLabError, TooFewCompleteRows
+from .errors import FrontdoorLabError, NumericError
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
     DEFAULT_N_KNOTS,
@@ -57,12 +57,7 @@ from .spline_smooth import (
 @dataclass(frozen=True)
 class EstimatorConfig:
     n_knots: int = DEFAULT_N_KNOTS
-    distribution_draws: int = 0  # 0: one pass over the rows
     seed: int = 0  # seeds the quantile bands' draws
-
-    def __post_init__(self):
-        if self.distribution_draws < 0:
-            raise ConfigError(f"distribution_draws must be >= 0, got {self.distribution_draws}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class FittedPair:
             raise FrontdoorLabError("mediator and outcome must share training rows")
         # the lengths agree, so this keeps both residual pools non-empty
         if len(self.x_train) == 0:
-            raise EmptyResidualPool("fitted pair has no training rows")
+            raise NumericError("fitted pair has no training rows")
         if len(self.outcome.terms) != 2:
             raise FrontdoorLabError(
                 "outcome model needs treatment and mediator terms, got "
@@ -189,14 +184,13 @@ def distribution_at(
 def _curves_for_pair(
     pair: FittedPair, grid: np.ndarray, config: EstimatorConfig, label
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n_draws = config.distribution_draws or len(pair.x_train)
     ace = np.empty(len(grid))
     q05 = np.empty(len(grid))
     q95 = np.empty(len(grid))
     for j, x in enumerate(grid):
         ace[j] = ace_at(pair, float(x))
         draws = distribution_at(
-            pair, float(x), n_draws, mix_seed(config.seed, label, "dist", j)
+            pair, float(x), len(pair.x_train), mix_seed(config.seed, label, "dist", j)
         )
         q05[j], q95[j] = np.quantile(draws, [0.05, 0.95])
     return ace, q05, q95
@@ -256,7 +250,7 @@ def complete_case_effect(
     keep = data.complete_mask()
     basis_dim = config.n_knots + 2
     if int(keep.sum()) < 10 * basis_dim:
-        raise TooFewCompleteRows(
+        raise NumericError(
             f"complete-case analysis needs >= {10 * basis_dim} complete rows, "
             f"got {int(keep.sum())}"
         )

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _write_table
-from .errors import AllMissingColumn, ConfigError, FrontdoorLabError, NothingToImpute
+from .errors import FrontdoorLabError
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
 SIGN_PROB_CLAMP = (0.01, 0.99)
@@ -40,13 +40,13 @@ class ImputationConfig:
 
     def __post_init__(self):
         if self.m < 2:
-            raise ConfigError(f"need at least two imputations, got m = {self.m}")
+            raise FrontdoorLabError(f"need at least two imputations, got m = {self.m}")
         if self.cycles < 1 or self.donors < 1:
-            raise ConfigError(
+            raise FrontdoorLabError(
                 f"cycles and donors must be >= 1, got {self.cycles} and {self.donors}"
             )
         if self.n_knots < 4:
-            raise ConfigError(f"n_knots must be >= 4, got {self.n_knots}")
+            raise FrontdoorLabError(f"n_knots must be >= 4, got {self.n_knots}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def initialize(data: Dataset, seed: int) -> Dataset:
     ):
         pool = values[mask]
         if len(pool) == 0:
-            raise AllMissingColumn(f"column {name} has no observed values")
+            raise FrontdoorLabError(f"column {name} has no observed values")
         out = np.array(values)
         n_miss = int((~mask).sum())
         if n_miss:
@@ -165,13 +165,13 @@ def _observed_fit(
 ):
     """The additive model of ``target`` on the predictors fitted over the observed
     rows, the observed target values, and the predictor columns at the observed
-    and at the missing rows.  Raises NothingToImpute unless ``name`` has both
-    observed and missing entries, and FrontdoorLabError for an incomplete predictor."""
+    and at the missing rows.  Raises FrontdoorLabError unless ``name`` has both
+    observed and missing entries and every predictor is complete."""
     observed = np.asarray(observed, dtype=bool)
     target = np.asarray(target, dtype=float)
     missing = ~observed
     if not missing.any() or not observed.any():
-        raise NothingToImpute(f"{name} needs both observed and missing entries")
+        raise FrontdoorLabError(f"{name} needs both observed and missing entries")
     columns = [np.asarray(p, dtype=float) for p in predictors]
     if not all(np.all(np.isfinite(column)) for column in columns):
         raise FrontdoorLabError("predictors must be complete")

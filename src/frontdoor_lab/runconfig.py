@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from ._seeds import mix_seed
-from .errors import ConfigError, read_utf8
+from .errors import FrontdoorLabError, read_utf8
 from .frontdoor_estimator import EstimatorConfig
 from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
@@ -37,24 +37,22 @@ class RunConfig:
     cycles: int = 10
     donors: int = 5
     n_knots: int = DEFAULT_N_KNOTS
-    distribution_draws: int = 0  # 0: one pass over the dataset rows
     subsample: int = 500
     scm: ScmConfig = field(default_factory=ScmConfig)
 
     def __post_init__(self):
         # rejected here, before any stage runs: no stage can use these values;
-        # building the stage configs runs their own checks
+        # building the imputation config runs its own checks
         self.imputation_config()
-        self.estimator_config("check")
         lo, hi, count = self.grid
         if count < 1:
-            raise ConfigError(f"grid count must be >= 1, got {count}")
+            raise FrontdoorLabError(f"grid count must be >= 1, got {count}")
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"grid bounds must be finite with lo <= hi, got {lo}:{hi}")
+            raise FrontdoorLabError(f"grid bounds must be finite with lo <= hi, got {lo}:{hi}")
         if self.subsample < 1:
-            raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
+            raise FrontdoorLabError(f"subsample must be >= 1, got {self.subsample}")
         if not self.out:  # Path("") is the working directory
-            raise ConfigError("out must name a directory, got an empty value")
+            raise FrontdoorLabError("out must name a directory, got an empty value")
 
     def grid_values(self) -> np.ndarray:
         lo, hi, count = self.grid
@@ -72,7 +70,6 @@ class RunConfig:
     def estimator_config(self, label: str) -> EstimatorConfig:
         return EstimatorConfig(
             n_knots=self.n_knots,
-            distribution_draws=self.distribution_draws,
             seed=mix_seed(self.seed, "estimate", label),
         )
 
@@ -128,14 +125,14 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise FrontdoorLabError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in kinds:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise FrontdoorLabError(f"line {lineno}: unknown key {key!r}")
         try:
             values[key] = _parse(kinds[key], value)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: cannot parse {raw!r}") from exc
+            raise FrontdoorLabError(f"line {lineno}: cannot parse {raw!r}") from exc
     scm = {
         name: tuple(values[k] for k in _PAIR_KEYS[name]) if name in _PAIR_KEYS else values[name]
         for name, _ in _SCM_FIELDS
@@ -168,9 +165,9 @@ def simulate_key_changes(cfg: RunConfig, recorded: RunConfig) -> list[str]:
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     """The config in the file ``path``; an error names it, as ``<path> line N: …``
     for a line it cannot read and ``<path>: …`` for a value no stage can use."""
-    text = read_utf8(path, ConfigError)
+    text = read_utf8(path)
     try:
         return parse_config(text, base)
-    except ConfigError as exc:
+    except FrontdoorLabError as exc:
         where = f"{path} " if str(exc).startswith("line ") else f"{path}: "
-        raise ConfigError(where + str(exc)) from None
+        raise FrontdoorLabError(where + str(exc)) from None

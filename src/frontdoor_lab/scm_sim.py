@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
 from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import ConfigError, InvalidCount
+from .errors import FrontdoorLabError
 
 _TWO_PI = 2.0 * np.pi
 
@@ -69,13 +69,13 @@ class ScmConfig:
         for field in fields(self):
             value = getattr(self, field.name)
             if not np.all(np.isfinite(value)):
-                raise ConfigError(f"{field.name} must be finite, got {value}")
+                raise FrontdoorLabError(f"{field.name} must be finite, got {value}")
         if not self.sigma_z > 0:
-            raise ConfigError("sigma_z must be positive")
+            raise FrontdoorLabError("sigma_z must be positive")
         low, high = self.x_prime_range
         # a width past the float range is what Generator.uniform cannot draw from
         if not (low < high and np.isfinite(float(high) - float(low))):
-            raise ConfigError("x_prime_range must satisfy low < high with a finite width")
+            raise FrontdoorLabError("x_prime_range must satisfy low < high with a finite width")
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,10 @@ def generate_population(cfg: ScmConfig, n: int, seed: int) -> Population:
     """Draw n i.i.d. rows from the structural mechanism.
 
     Draw order is frozen: U, then X', then eps_Z, each as one block.  Raises
-    ConfigError when the parameters push Z or Y past the float range.
+    FrontdoorLabError when the parameters push Z or Y past the float range.
     """
     if n < 1:
-        raise InvalidCount(f"population size must be >= 1, got {n}")
+        raise FrontdoorLabError(f"population size must be >= 1, got {n}")
     rng = _rng(seed, _STREAM_POPULATION)
     u = rng.standard_normal(n)
     x_prime = rng.uniform(cfg.x_prime_range[0], cfg.x_prime_range[1], n)
@@ -126,7 +126,7 @@ def generate_population(cfg: ScmConfig, n: int, seed: int) -> Population:
         z = cfg.z_amplitude * std_normal_pdf(x) + eps_z
         y = std_normal_pdf(z - cfg.y_shift) + cfg.y_linear * z + cfg.u_coef * u
     if not (np.isfinite(z).all() and np.isfinite(y).all()):
-        raise ConfigError("the mechanism overflows the float range: z or y is not finite")
+        raise FrontdoorLabError("the mechanism overflows the float range: z or y is not finite")
     return Population(u=u, x=x, z=z, y=y)
 
 
@@ -138,7 +138,7 @@ def intervene_generate(cfg: ScmConfig, x: float, n: int, seed: int) -> np.ndarra
     distribution of Y.
     """
     if n < 1:
-        raise InvalidCount(f"draw count must be >= 1, got {n}")
+        raise FrontdoorLabError(f"draw count must be >= 1, got {n}")
     rng = _rng(seed, _STREAM_INTERVENTION)
     u = rng.standard_normal(n)
     eps_z = cfg.sigma_z * rng.standard_normal(n)
@@ -188,7 +188,7 @@ def oracle_quantiles(cfg: ScmConfig, x, probs) -> np.ndarray:
     """
     probs = np.asarray(probs, dtype=float)
     if not np.all((probs > 0) & (probs < 1)):
-        raise ValueError(f"probabilities must lie in (0, 1), got {probs}")
+        raise FrontdoorLabError(f"probabilities must lie in (0, 1), got {probs}")
     xs = np.asarray(x, dtype=float)
     midpoints = (np.arange(_QUANTILE_STRATA) + 0.5) / _QUANTILE_STRATA
     noise = cfg.sigma_z * ndtri(midpoints)
@@ -236,10 +236,10 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
     Each row keeps X with probability Phi(a_x + b_x * y) and Z with
     probability Phi(a_z + b_z * y), independently; Y is always kept.  A
     masked cell is stored as NaN; this is the only code that hides a value.
-    Raises ConfigError when a + b * y passes the float range for some row.
+    Raises FrontdoorLabError when a + b * y passes the float range for some row.
     """
     if len(population) == 0:
-        raise InvalidCount("population must be nonempty")
+        raise FrontdoorLabError("population must be nonempty")
     rng = _rng(seed, _STREAM_MISSINGNESS)
     y = population.y
     kept = []
@@ -247,7 +247,9 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
         with np.errstate(over="ignore", invalid="ignore"):
             index = a + b * y
         if not np.isfinite(index).all():
-            raise ConfigError("missingness overflows the float range: a + b * y is not finite")
+            raise FrontdoorLabError(
+                "missingness overflows the float range: a + b * y is not finite"
+            )
         kept.append(rng.random(len(y)) < std_normal_cdf(index))
     m_x, m_z = kept
     return Dataset(

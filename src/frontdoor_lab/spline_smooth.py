@@ -41,7 +41,7 @@ from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse import csr_array
 
-from .errors import FrontdoorLabError, SingularSystem, TooFewDistinctValues
+from .errors import FrontdoorLabError, NumericError
 
 DEFAULT_N_KNOTS = 20
 DEFAULT_DEGREE = 3
@@ -105,14 +105,14 @@ def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
     fewer distinct values than ``n_knots`` gets one knot per distinct value;
     with two or three distinct values the degree drops to one, which makes a
     binary indicator a plain linear term.  A constant covariate raises
-    TooFewDistinctValues.
+    NumericError.
     """
     if n_knots < 4:
         raise FrontdoorLabError(f"n_knots must be >= 4, got {n_knots}")
     x = np.asarray(x, dtype=float)
     distinct = np.unique(x[np.isfinite(x)])
     if len(distinct) < 2:
-        raise TooFewDistinctValues(
+        raise NumericError(
             f"need >= 2 distinct covariate values, got {len(distinct)}"
         )
     if len(distinct) < 4:
@@ -228,7 +228,7 @@ class _PenalizedDesign:
         try:
             self._A_inv = np.linalg.inv(self._A)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
+            raise NumericError(
                 "penalized normal equations are numerically singular"
             ) from exc
 
@@ -264,7 +264,7 @@ class _PenalizedDesign:
         if index is None:
             index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
         if self._singular[index]:
-            raise SingularSystem("penalized normal equations are numerically singular")
+            raise NumericError("penalized normal equations are numerically singular")
         gamma = self._W @ (c / (self._mu + self.lambdas[index]))
         beta = beta_affine - self._Q1 @ (self._A_inv @ (self._L.T @ gamma)) + self._Q2 @ gamma
         return index, beta, self.B @ beta, float(gcv[index])
@@ -303,7 +303,7 @@ def fit_penalized(
 ) -> PenalizedSplineFit:
     """Minimize ||y - B beta||^2 + lam * beta' P beta for one penalty weight.
 
-    Raises SingularSystem for ``lam = 0`` when the data leave some basis
+    Raises NumericError for ``lam = 0`` when the data leave some basis
     direction undetermined, as with fewer distinct covariate values than
     basis columns.
     """
@@ -402,7 +402,7 @@ def _joint_fit(
         try:
             factor = cho_factor(M + 1e-10 * np.trace(M) * np.eye(len(M)))
         except LinAlgError as exc:
-            raise SingularSystem("joint additive system is singular") from exc
+            raise NumericError("joint additive system is singular") from exc
     coef = cho_solve(factor, rhs)
     intercept = float(coef[0])
     betas = []

@@ -539,7 +539,6 @@ class TestErrorPaths:
             "m = 1",
             "cycles = 0",
             "donors = 0",
-            "distribution_draws = -1",
             "x_prime_low = -1e308\nx_prime_high = 1e308",
             "sigma_z = 1e308",
             "u_coef = 4e307",
@@ -548,7 +547,7 @@ class TestErrorPaths:
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
-            "m_1", "cycles_0", "donors_0", "distribution_draws_negative",
+            "m_1", "cycles_0", "donors_0",
             "x_prime_width_overflows", "sigma_z_overflows", "missingness_index_overflows",
             "out_empty",
         ],
@@ -618,6 +617,36 @@ class TestErrorPaths:
         assert capsys.readouterr().err == expected
         assert (run / "evaluation.csv").read_bytes() == written
 
+    @pytest.mark.parametrize("swap", ["another_run", "x", "z", "y"])
+    def test_evaluate_population_of_another_run(self, pipeline_dir, tmp_path, capsys, swap):
+        # the population.csv of a seed-10 run of the same size, or this run's
+        # with one cell moved that observed.csv also holds
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        population = run / "population.csv"
+        if swap == "another_run":
+            other = tmp_path / "other"
+            assert main(["simulate", "--out", str(other), "--seed", "10", "--n", "1200"]) == 0
+            shutil.copy(other / "population.csv", population)
+        else:
+            observed = (run / "observed.csv").read_text().splitlines()
+            column = "xzy".index(swap)
+            row = next(i for i, line in enumerate(observed) if "NA" not in line and i > 0)
+            lines = population.read_text().splitlines()
+            cells = lines[row].split(",")
+            cells[column + 1] = repr(float(cells[column + 1]) + 1.0)  # after the u column
+            lines[row] = ",".join(cells)
+            population.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        written = (run / "evaluation.csv").read_bytes()
+        assert main(["evaluate", "--out", str(run)]) == 2
+        expected = (
+            f"error: invalid-input: {population} is not the population of "
+            f"{run / 'observed.csv'}: an observed cell differs\n"
+        )
+        assert capsys.readouterr().err == expected
+        assert (run / "evaluation.csv").read_bytes() == written
+
     def test_evaluate_diagnostics_of_fewer_copies(self, run_m3, tmp_path, capsys):
         # impute reran with m = 2 after estimate at m = 3
         run = tmp_path / "run"
@@ -647,16 +676,21 @@ class TestErrorPaths:
         assert capsys.readouterr().err == expected
         assert [path.name for path in tmp_path.iterdir()] == ["config.txt"]
 
-    def test_recorded_config_error_names_the_record(self, run_m3, tmp_path, capsys):
-        # mediator_draws, a key no longer read, sat at line 9 of older records
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mediator_draws", 1), ("distribution_draws", 0)],
+        ids=["mediator_draws", "distribution_draws"],
+    )
+    def test_recorded_config_error_names_the_record(self, run_m3, tmp_path, capsys, key, value):
+        # keys no longer read, each of which sat at line 9 of older records
         run = tmp_path / "run"
         shutil.copytree(run_m3, run)
         record = run / "run_config.txt"
         lines = record.read_text().splitlines(keepends=True)
-        record.write_text("".join([*lines[:8], "mediator_draws = 1\n", *lines[8:]]))
+        record.write_text("".join([*lines[:8], f"{key} = {value}\n", *lines[8:]]))
         files = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
         assert main(["estimate", "--out", str(run)]) == 2
-        expected = f"error: invalid-input: {record} line 9: unknown key 'mediator_draws'\n"
+        expected = f"error: invalid-input: {record} line 9: unknown key '{key}'\n"
         assert capsys.readouterr().err == expected
         assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == files
 

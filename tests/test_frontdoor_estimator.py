@@ -6,11 +6,7 @@ import pytest
 from frontdoor_lab import frontdoor_estimator, spline_smooth
 from frontdoor_lab._seeds import rng_from
 from frontdoor_lab.dataset import Dataset
-from frontdoor_lab.errors import (
-    EmptyResidualPool,
-    FrontdoorLabError,
-    TooFewCompleteRows,
-)
+from frontdoor_lab.errors import FrontdoorLabError, NumericError
 from frontdoor_lab.frontdoor_estimator import (
     EffectEstimate,
     EstimatorConfig,
@@ -280,7 +276,7 @@ class TestDrawMediator:
         assert float(np.std(draws)) == pytest.approx(SCM.sigma_z, abs=0.01)
 
     def test_empty_pool_rejected(self, scm_pair):
-        with pytest.raises(EmptyResidualPool):
+        with pytest.raises(NumericError, match="^fitted pair has no training rows$"):
             FittedPair(
                 mediator=dataclasses.replace(scm_pair.mediator, residuals=np.array([])),
                 outcome=dataclasses.replace(scm_pair.outcome, residuals=np.array([])),
@@ -461,7 +457,9 @@ class TestCompleteCase:
         y = rng.standard_normal(n)
         z[100:] = np.nan  # 100 complete rows, < 10 x basis dimension
         data = Dataset(x_star=x, z_star=z, y_star=y)
-        with pytest.raises(TooFewCompleteRows):
+        with pytest.raises(
+            NumericError, match=r"^complete-case analysis needs >= 220 complete rows, got 100$"
+        ):
             complete_case_effect(data, np.array([0.0]), EstimatorConfig(seed=99))
 
     @pytest.mark.parametrize("grid", BAD_GRIDS)

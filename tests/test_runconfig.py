@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frontdoor_lab.errors import ConfigError
+from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.runconfig import RunConfig, config_to_text, parse_config
 from frontdoor_lab.scm_sim import ScmConfig
 
@@ -28,13 +28,15 @@ class TestRunConfig:
         assert cfg.seed == 3
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(FrontdoorLabError, match="^line 1: unknown key 'bogus'$"):
             parse_config("bogus = 1\n")
 
     def test_malformed_line(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            FrontdoorLabError, match="^line 1: expected 'key = value', got 'seed 3'$"
+        ):
             parse_config("seed 3\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(FrontdoorLabError, match="^line 1: cannot parse 'grid = 1:2'$"):
             parse_config("grid = 1:2\n")
 
     def test_derived_configs_share_root_seed(self):
@@ -55,7 +57,6 @@ out = out
 cycles = 10
 donors = 5
 n_knots = 20
-distribution_draws = 0
 subsample = 500
 sigma_z = 0.1
 z_amplitude = 4.0
@@ -80,7 +81,6 @@ out = some dir/run
 cycles = 3
 donors = 2
 n_knots = 9
-distribution_draws = 300
 subsample = 77
 sigma_z = 0.25
 z_amplitude = 3.5
@@ -104,7 +104,7 @@ class TestConfigText:
         cfg = parse_config(ALL_KEYS_TEXT)
         default = RunConfig()
         for name in ("seed", "n", "m", "grid", "out", "cycles", "donors", "n_knots",
-                     "distribution_draws", "subsample"):
+                     "subsample"):
             assert getattr(cfg, name) != getattr(default, name), name
         for name in ("sigma_z", "z_amplitude", "y_shift", "y_linear", "u_coef"):
             assert getattr(cfg.scm, name) != getattr(default.scm, name), name

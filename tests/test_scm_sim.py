@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frontdoor_lab.dataset import Dataset, dataset_from_csv, dataset_to_csv
-from frontdoor_lab.errors import FrontdoorLabError, InvalidCount
+from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.frontdoor_estimator import EffectEstimate, effect_to_csv
 from frontdoor_lab.scm_sim import (
     Population,
@@ -76,7 +76,7 @@ class TestDensities:
 
 class TestGeneratePopulation:
     def test_rejects_bad_count(self):
-        with pytest.raises(InvalidCount):
+        with pytest.raises(FrontdoorLabError, match="^population size must be >= 1, got 0$"):
             generate_population(CFG, 0, seed=1)
 
     def test_mediator_noise_within_six_sigma(self):
@@ -130,7 +130,7 @@ class TestIntervene:
             assert float(np.std(draws)) == pytest.approx(delta_sd, abs=0.005)
 
     def test_rejects_bad_count(self):
-        with pytest.raises(InvalidCount):
+        with pytest.raises(FrontdoorLabError, match="^draw count must be >= 1, got 0$"):
             intervene_generate(CFG, 0.0, 0, seed=1)
 
 
@@ -212,7 +212,7 @@ class TestOracleQuantiles:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, float("nan")])
     def test_rejects_probability_outside_unit_interval(self, p):
-        with pytest.raises(ValueError):
+        with pytest.raises(FrontdoorLabError, match="probabilities"):
             oracle_quantiles(CFG, 0.0, (0.5, p))
 
 
@@ -273,7 +273,7 @@ class TestApplyMissingness:
 
     def test_rejects_empty(self):
         empty = Population(u=np.array([]), x=np.array([]), z=np.array([]), y=np.array([]))
-        with pytest.raises(InvalidCount):
+        with pytest.raises(FrontdoorLabError, match="^population must be nonempty$"):
             apply_missingness(CFG, empty, seed=1)
 
 
