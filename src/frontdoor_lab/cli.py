@@ -14,8 +14,8 @@ directory, so stages can be rerun or inspected independently:
 * ``estimate``  reads the completed copies plus ``observed.csv``, runs
   ``complete_case_effect`` and ``estimate_effect``, writes both curves with
   the true mean to the one table ``effects.csv``, and with ``--save-models``
-  the fitted regressions to ``models/``, replacing every model of an earlier
-  run.
+  the fitted regressions as JSON to ``models/mediator_XX.json`` and
+  ``models/outcome_XX.json``, replacing every model of an earlier run.
 * ``evaluate``  compares both curves of ``effects.csv``, and the imputed
   mediator mean in ``imputation_diagnostics.csv`` when the mediator had
   missing cells, against the truth, and reports how far the imputed copies'
@@ -83,7 +83,7 @@ from .scm_sim import (
     population_from_csv,
     population_to_csv,
 )
-from .spline_smooth import NoConvergenceWarning, additive_fit_to_text, spline_fit_to_text
+from .spline_smooth import NoConvergenceWarning, fit_to_json
 
 
 def _resolve_config(args) -> RunConfig:
@@ -234,17 +234,15 @@ def cmd_impute(args) -> int:
 
 
 def _save_models(pair, models: Path, i: int) -> None:
-    """Write the two fitted regressions of imputed copy i (from 1); copy 1
-    first replaces every model file of an earlier run."""
+    """Write the two fitted regressions of imputed copy i (from 1) as JSON;
+    copy 1 first replaces every model file of an earlier run, ``.txt`` files
+    of older versions included."""
     if i == 1:
         models.mkdir(exist_ok=True)
-        for path in [*models.glob("mediator_*.txt"), *models.glob("outcome_*.txt")]:
+        for path in [*models.glob("mediator_*"), *models.glob("outcome_*")]:
             path.unlink()
-    for kind, text in (
-        ("mediator", spline_fit_to_text(pair.mediator)),
-        ("outcome", additive_fit_to_text(pair.outcome)),
-    ):
-        (models / f"{kind}_{i:02d}.txt").write_text(text, encoding="utf-8")
+    for kind, fit in (("mediator", pair.mediator), ("outcome", pair.outcome)):
+        (models / f"{kind}_{i:02d}.json").write_text(fit_to_json(fit), encoding="utf-8")
 
 
 def cmd_estimate(args) -> int:

@@ -26,12 +26,15 @@ repeated column's design once and a mediator smooth shares its design with the
 outcome model's treatment term.
 
 Prediction inside the knot span evaluates the B-spline; beyond the span the
-fit continues linearly with the end slope.
+fit continues linearly with the end slope.  ``fit_to_json`` writes a fit as
+one JSON object and ``fit_from_json`` reads it back bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,6 +70,8 @@ class SplineBasis:
     degree: int
 
     def __post_init__(self):
+        if type(self.degree) is not int or self.degree < 1:
+            raise FrontdoorLabError(f"degree must be an int >= 1, got {self.degree!r}")
         knots = np.asarray(self.knots, dtype=float)
         if knots.ndim != 1 or len(knots) < 2:
             raise FrontdoorLabError("need at least two knots")
@@ -546,6 +551,9 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
             raise FrontdoorLabError(
                 f"expected {len(fit.terms)} covariate columns, got {len(columns)}"
             )
+        lengths = [len(column) for column in columns]
+        if len(set(lengths)) > 1:
+            raise FrontdoorLabError(f"covariate columns must have equal lengths, got {lengths}")
         total = np.full(len(columns[0]), fit.intercept)
         for term, column in zip(fit.terms, columns):
             total += _spline_values(term.basis, term.coefficients, column)
@@ -556,120 +564,79 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
 # ------------------------------------------------------------- serialization
 
 
-def _format_vector(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _smooth_fields(fit: PenalizedSplineFit) -> dict:
+    return {
+        "degree": fit.basis.degree,
+        "knots": fit.basis.knots.tolist(),
+        "coefficients": fit.coefficients.tolist(),
+        "lambda": float(fit.lam),
+        "edf": float(fit.edf),
+        "gcv": float(fit.gcv),
+    }
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split()]) if text.strip() else np.array([])
+def fit_to_json(fit: PenalizedSplineFit | AdditiveFit) -> str:
+    """One line of JSON for a fitted smooth, or for an additive fit with its
+    residuals once, not per term.  Floats are written by ``repr``: ``fit_from_json``
+    gives back every bit, and rejects a fit with a non-finite number."""
+    if isinstance(fit, AdditiveFit):
+        fields = {
+            "intercept": float(fit.intercept),
+            "converged": bool(fit.converged),
+            "terms": [_smooth_fields(term) for term in fit.terms],
+        }
+    else:
+        fields = _smooth_fields(fit)
+    fields["residuals"] = fit.residuals.tolist()
+    return json.dumps(fields) + "\n"
 
 
-def spline_fit_to_text(fit: PenalizedSplineFit) -> str:
-    lines = [
-        "penalized_spline",
-        f"degree {fit.basis.degree}",
-        "knots " + _format_vector(fit.basis.knots),
-        "coefficients " + _format_vector(fit.coefficients),
-        f"lambda {fit.lam!r}",
-        f"edf {fit.edf!r}",
-        f"gcv {fit.gcv!r}",
-        "residuals " + _format_vector(fit.residuals),
-    ]
-    return "\n".join(lines) + "\n"
+def _number(value) -> float:
+    # not isinstance: a JSON true or false is a bool, and so an int
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
-def _read_fields(lines: list[str], what: str, parsers: dict) -> dict:
-    """Parse ``key value`` lines, one parser per required key.
-
-    A missing key or a value its parser rejects raises FrontdoorLabError
-    naming the field.  Keys without a parser are ignored.
-    """
-    raw = {}
-    for line in lines:
-        key, _, rest = line.partition(" ")
-        raw[key] = rest
-    values = {}
-    for key, parse in parsers.items():
-        if key not in raw:
-            raise FrontdoorLabError(f"{what}: missing field '{key}'")
-        try:
-            values[key] = parse(raw[key])
-        except ValueError as exc:
-            raise FrontdoorLabError(f"{what}: bad field '{key}': {exc}") from exc
-    return values
+def _vector(values) -> np.ndarray:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of numbers, got {type(values).__name__}")
+    return np.array([_number(v) for v in values], dtype=float)
 
 
-_SPLINE_FIELDS = {
-    "degree": int,
-    "knots": _parse_vector,
-    "coefficients": _parse_vector,
-    "lambda": float,
-    "edf": float,
-    "gcv": float,
-    "residuals": _parse_vector,
-}
-
-
-def _spline_fit_from_lines(lines: list[str]) -> PenalizedSplineFit:
-    fields = _read_fields(lines, "penalized spline", _SPLINE_FIELDS)
+def _smooth_from_fields(fields: dict, residuals) -> PenalizedSplineFit:
     return PenalizedSplineFit(
-        basis=SplineBasis(knots=fields["knots"], degree=fields["degree"]),
-        coefficients=fields["coefficients"],
-        lam=fields["lambda"],
-        edf=fields["edf"],
-        residuals=fields["residuals"],
-        gcv=fields["gcv"],
+        basis=SplineBasis(knots=_vector(fields["knots"]), degree=fields["degree"]),
+        coefficients=_vector(fields["coefficients"]),
+        lam=_number(fields["lambda"]),
+        edf=_number(fields["edf"]),
+        residuals=_vector(residuals),
+        gcv=_number(fields["gcv"]),
     )
 
 
-def spline_fit_from_text(text: str) -> PenalizedSplineFit:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "penalized_spline":
-        raise FrontdoorLabError("not a serialized penalized spline")
-    return _spline_fit_from_lines(lines[1:])
-
-
-def additive_fit_to_text(fit: AdditiveFit) -> str:
-    blocks = [
-        "additive_fit",
-        f"intercept {fit.intercept!r}",
-        f"converged {int(fit.converged)}",
-        "residuals " + _format_vector(fit.residuals),
-    ]
-    for term in fit.terms:
-        blocks.append("term")
-        blocks.append(spline_fit_to_text(term).rstrip("\n"))
-    return "\n".join(blocks) + "\n"
-
-
-def additive_fit_from_text(text: str) -> AdditiveFit:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "additive_fit":
-        raise FrontdoorLabError("not a serialized additive fit")
-    # the header, then one block per "term" marker
-    blocks: list[list[str]] = [[]]
-    for line in lines[1:]:
-        if line == "term":
-            blocks.append([])
-        else:
-            blocks[-1].append(line)
-    header = _read_fields(
-        blocks[0],
-        "additive fit",
-        {
-            "intercept": float,
-            "converged": lambda text: bool(int(text)),
-            "residuals": _parse_vector,
-        },
-    )
-    terms = []
-    for block in blocks[1:]:
-        if not block or block[0] != "penalized_spline":
-            raise FrontdoorLabError("malformed term block: expected 'penalized_spline'")
-        terms.append(_spline_fit_from_lines(block[1:]))
-    return AdditiveFit(
-        terms=tuple(terms),
-        intercept=header["intercept"],
-        residuals=header["residuals"],
-        converged=header["converged"],
-    )
+def fit_from_json(text: str) -> PenalizedSplineFit | AdditiveFit:
+    """The smooth or additive fit that ``fit_to_json`` wrote; each additive
+    term gets the fit's residuals, as ``fit_additive`` gives them.  Malformed
+    text, a missing field or a non-finite number raises FrontdoorLabError."""
+    try:
+        fields = json.loads(text)
+        if not isinstance(fields, dict):
+            raise TypeError(f"expected a JSON object, got {type(fields).__name__}")
+        if "terms" not in fields:
+            return _smooth_from_fields(fields, fields["residuals"])
+        terms = fields["terms"]
+        if not isinstance(terms, list) or not terms:
+            raise ValueError("'terms' must be a non-empty list")
+        if not isinstance(fields["converged"], bool):
+            raise TypeError("'converged' must be true or false")
+        return AdditiveFit(
+            terms=tuple(_smooth_from_fields(term, fields["residuals"]) for term in terms),
+            intercept=_number(fields["intercept"]),
+            residuals=_vector(fields["residuals"]),
+            converged=fields["converged"],
+        )
+    except KeyError as exc:
+        raise FrontdoorLabError(f"fitted model: missing field {exc}") from None
+    except (FrontdoorLabError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+        raise FrontdoorLabError(f"fitted model: {exc}") from None

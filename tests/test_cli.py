@@ -17,7 +17,7 @@ from frontdoor_lab.figures import scatter_matrix_svg
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
 from frontdoor_lab.runconfig import load_config
 from frontdoor_lab.scm_sim import oracle_ace, population_from_csv
-from frontdoor_lab.spline_smooth import spline_fit_from_text
+from frontdoor_lab.spline_smooth import AdditiveFit, PenalizedSplineFit, fit_from_json, predict
 
 CONFIG_TEXT = """\
 # small smoke-test run
@@ -102,16 +102,10 @@ class TestPipelineArtifacts:
         assert len(oracle) == 9
 
     def test_saved_models_round_trip(self, pipeline_dir):
-        from frontdoor_lab.spline_smooth import additive_fit_from_text, predict
-
-        mediator = spline_fit_from_text(
-            (pipeline_dir / "models" / "mediator_01.txt").read_text()
-        )
-        assert mediator.basis.degree == 3
-        outcome = additive_fit_from_text(
-            (pipeline_dir / "models" / "outcome_01.txt").read_text()
-        )
-        assert len(outcome.terms) == 2
+        mediator = fit_from_json((pipeline_dir / "models" / "mediator_01.json").read_text())
+        assert isinstance(mediator, PenalizedSplineFit) and mediator.basis.degree == 3
+        outcome = fit_from_json((pipeline_dir / "models" / "outcome_01.json").read_text())
+        assert isinstance(outcome, AdditiveFit) and len(outcome.terms) == 2
         points = np.column_stack([np.linspace(-1, 1, 5), np.linspace(0, 1, 5)])
         assert np.all(np.isfinite(predict(outcome, points)))
 
@@ -132,7 +126,7 @@ class TestPipelineArtifacts:
         assert len(calls) == 3 + 1  # one pair per completed copy plus the complete-case pair
         saved = sorted(path.name for path in (run / "models").iterdir())
         kinds = ("mediator", "outcome")
-        assert saved == [f"{kind}_{i:02d}.txt" for kind in kinds for i in (1, 2, 3)]
+        assert saved == [f"{kind}_{i:02d}.json" for kind in kinds for i in (1, 2, 3)]
         assert (run / "effects.csv").read_bytes() == (run_m3 / "effects.csv").read_bytes()
 
     # with one cycle, the 3 copies' outcome fits and the complete-case one do not converge
@@ -296,10 +290,12 @@ class TestRerunWithFewerImputations:
         shutil.copytree(run_m3, run)
         assert main(["estimate", "--out", str(run), "--save-models"]) == 0
         assert len(list((run / "models").iterdir())) == 3 + 3
+        # a model file of an older version, which wrote text
+        (run / "models" / "outcome_03.txt").write_text("additive_fit\n")
         assert main(["estimate", "--out", str(run), "--m", "2", "--save-models"]) == 0
         saved = sorted(path.name for path in (run / "models").iterdir())
         kinds = ("mediator", "outcome")
-        assert saved == [f"{kind}_{i:02d}.txt" for kind in kinds for i in (1, 2)]
+        assert saved == [f"{kind}_{i:02d}.json" for kind in kinds for i in (1, 2)]
 
 
 class TestDeterminism:

@@ -14,12 +14,12 @@ from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
 from frontdoor_lab.runconfig import load_config, parse_config
 from frontdoor_lab.scm_sim import population_from_csv
-from frontdoor_lab.spline_smooth import additive_fit_from_text, spline_fit_from_text
+from frontdoor_lab.spline_smooth import fit_from_json
 
 # one valid input per format; drawn edits of it reach the checks past the header
-SPLINE = (
-    "penalized_spline\ndegree 3\nknots -1.0 0.0 1.0\ncoefficients 0.5 0.0 1.0 2.0 -1.0\n"
-    "lambda 1.0\nedf 2.5\ngcv 0.1\nresiduals 0.1 -0.1 0.0\n"
+TERM = (
+    '{"degree": 3, "knots": [-1.0, 0.0, 1.0], "coefficients": [0.5, 0.0, 1.0, 2.0, -1.0], '
+    '"lambda": 1.0, "edf": 2.5, "gcv": 0.1}'
 )
 CONFIG = "seed = 1\nn = 10\nm = 2\ngrid = -1:1:3\nsigma_z = 0.5\nmiss_x_a = 2.0 # note\n"
 GRAPH = "# comment\nnode U latent\nnode X observed\nnode Z observed\nedge U X\nedge X Z\n"
@@ -35,9 +35,9 @@ VALID = {
     parse_config: CONFIG,
     load_graph: GRAPH,
     dag_from_text: GRAPH,
-    spline_fit_from_text: SPLINE,
-    additive_fit_from_text: (
-        "additive_fit\nintercept 0.5\nconverged 1\nresiduals 0.1 -0.1 0.0\nterm\n" + SPLINE
+    fit_from_json: (
+        '{"intercept": 0.5, "converged": true, "terms": [' + TERM + ", " + TERM + "], "
+        '"residuals": [0.1, -0.1, 0.0]}'
     ),
 }
 # the readers' own vocabulary
@@ -46,8 +46,9 @@ TOKENS = [
     "NA", "nan", "inf", "-inf", "1e999", "0", "-0.0", "1.5", "-2", "3", "5e-324",
     ":", "=", ",", "#", "seed", "n", "m", "grid", "out", "sigma_z", "x_prime_low",
     "node", "edge", "observed", "latent", "X", "Z",
-    "penalized_spline", "additive_fit", "term", "degree", "knots", "coefficients",
-    "lambda", "edf", "gcv", "residuals", "intercept", "converged",
+    '"degree"', '"knots"', '"coefficients"', '"lambda"', '"edf"', '"gcv"', '"residuals"',
+    '"intercept"', '"converged"', '"terms"', "{", "}", "[", "]", '"', "NaN", "Infinity",
+    "true", "null", "9" * 400,
     "\x00", "\ufeff",
 ]
 SEPARATORS = [" ", ",", "\n", "\r\n", ""]
@@ -89,7 +90,7 @@ def _with_bad_byte(text: str, at: int, bad: bool) -> bytes:
 
 
 FILE_READERS = [dataset_from_csv, population_from_csv, effect_from_csv, load_config, load_graph]
-TEXT_READERS = [parse_config, dag_from_text, spline_fit_from_text, additive_fit_from_text]
+TEXT_READERS = [parse_config, dag_from_text, fit_from_json]
 # derandomized, so a run checks the same inputs every time
 EXAMPLES = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 

@@ -14,18 +14,17 @@ from frontdoor_lab.spline_smooth import (
     LAMBDA_GRID,
     AdditiveFit,
     NoConvergenceWarning,
+    PenalizedSplineFit,
     SplineBasis,
-    additive_fit_from_text,
-    additive_fit_to_text,
     build_basis,
     design_matrix,
     fit_additive,
+    fit_from_json,
     fit_penalized,
+    fit_to_json,
     penalty_matrix,
     predict,
     select_lambda,
-    spline_fit_from_text,
-    spline_fit_to_text,
 )
 
 
@@ -83,6 +82,11 @@ class TestBuildBasis:
     def test_small_n_knots_rejected(self):
         with pytest.raises(FrontdoorLabError):
             build_basis(np.linspace(0, 1, 50), n_knots=3)
+
+    @pytest.mark.parametrize("degree", [0, -1, 2.5])
+    def test_degree_must_be_a_positive_int(self, degree):
+        with pytest.raises(FrontdoorLabError, match=f"^degree must be an int >= 1, got {degree}$"):
+            SplineBasis(np.linspace(-1, 1, 6), degree=degree)
 
 
 class TestDesignMatrix:
@@ -241,11 +245,11 @@ class TestSelectLambda:
 # splits a vector dot product across its threads
 _SELECT_20K = """
 import numpy as np
-from frontdoor_lab.spline_smooth import select_lambda, spline_fit_to_text
+from frontdoor_lab.spline_smooth import fit_to_json, select_lambda
 rng = np.random.default_rng(0)
 x = rng.uniform(-2, 2, 20000)
 y = np.sin(2 * x) + 0.1 * rng.standard_normal(20000)
-print(spline_fit_to_text(select_lambda(y, x)), end="")
+print(fit_to_json(select_lambda(y, x)), end="")
 """
 
 
@@ -267,7 +271,7 @@ class TestBlasThreads:
             )
             assert done.returncode == 0, done.stderr
             texts.append(done.stdout)
-        assert texts[0].startswith("penalized_spline\n")
+        assert texts[0].startswith('{"degree": 3, ')
         assert texts[0] == texts[1]
 
 
@@ -303,6 +307,15 @@ class TestPredict:
         fit = select_lambda(y, x, 10)
         out = predict(fit, 0.5)
         assert out.shape == (1,)
+
+    @pytest.mark.parametrize("lengths", [[3, 1], [1, 2], [2, 3]], ids=["3_1", "1_2", "2_3"])
+    def test_additive_columns_of_unequal_length_rejected(self, lengths):
+        rng = np.random.default_rng(20)
+        x1, x2 = rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200)
+        fit = fit_additive(x1 + x2 + 0.1 * rng.standard_normal(200), [x1, x2])
+        columns = [np.linspace(-1, 1, length) for length in lengths]
+        with pytest.raises(FrontdoorLabError, match=re.escape(f"equal lengths, got {lengths}")):
+            predict(fit, columns)
 
 
 class TestFitAdditive:
@@ -551,25 +564,30 @@ class TestNonFiniteInput:
             fits[entry]()
 
 
+def assert_same_smooth(back: PenalizedSplineFit, fit: PenalizedSplineFit):
+    """Every field of the two smooths equal bit for bit."""
+    assert type(back.basis.degree) is int and back.basis.degree == fit.basis.degree
+    vectors = [
+        (back.basis.knots, fit.basis.knots),
+        (back.coefficients, fit.coefficients),
+        (back.residuals, fit.residuals),
+    ]
+    for got, want in vectors:
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+    scalars = [(back.lam, fit.lam), (back.edf, fit.edf), (back.gcv, fit.gcv)]
+    for got, want in scalars:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestSerialization:
     def test_spline_round_trip(self):
         x, y = make_xy(200, seed=26)
         fit = select_lambda(y, x, 10)
-        back = spline_fit_from_text(spline_fit_to_text(fit))
-        pts = np.linspace(-3, 3, 50)
-        assert np.array_equal(predict(back, pts), predict(fit, pts))
-        assert back.lam == fit.lam and back.edf == fit.edf
-        assert np.array_equal(back.residuals, fit.residuals)
-
-    def test_text_with_a_field_no_longer_written_loads(self):
-        # model files of earlier versions hold a "boundary" line
-        x, y = make_xy(200, seed=26)
-        fit = select_lambda(y, x, 10)
-        text = spline_fit_to_text(fit).replace("\nknots ", "\nboundary -2.2 2.2\nknots ", 1)
-        assert "boundary" in text
-        back = spline_fit_from_text(text)
-        pts = np.linspace(-3, 3, 50)
-        assert np.array_equal(predict(back, pts), predict(fit, pts))
+        text = fit_to_json(fit)
+        back = fit_from_json(text)
+        assert isinstance(back, PenalizedSplineFit)
+        assert_same_smooth(back, fit)
+        assert fit_to_json(back) == text
 
     def test_additive_round_trip(self):
         rng = np.random.default_rng(27)
@@ -577,32 +595,42 @@ class TestSerialization:
         x2 = rng.uniform(-1, 1, 300)
         y = np.sin(2 * x1) + x2 + 0.1 * rng.standard_normal(300)
         fit = fit_additive(y, [x1, x2])
-        back = additive_fit_from_text(additive_fit_to_text(fit))
-        pts = np.column_stack([np.linspace(-1, 1, 40), np.linspace(-1, 1, 40)])
-        assert np.array_equal(predict(back, pts), predict(fit, pts))
+        text = fit_to_json(fit)
+        back = fit_from_json(text)
+        assert isinstance(back, AdditiveFit)
+        assert np.float64(back.intercept).tobytes() == np.float64(fit.intercept).tobytes()
+        assert back.converged is fit.converged is True
+        assert back.residuals.tobytes() == fit.residuals.tobytes()
+        assert len(back.terms) == len(fit.terms) == 2
+        for back_term, term in zip(back.terms, fit.terms):
+            assert_same_smooth(back_term, term)
+        # the residuals are written once, not once per term
+        assert text.count('"residuals"') == 1
+        assert fit_to_json(back) == text
 
     @pytest.mark.parametrize(
         "case, message",
         [
-            ("additive_missing_field", "missing field 'converged'"),
-            ("spline_bad_degree", "bad field 'degree'"),
-            ("trailing_term", "malformed term block"),
-            ("bad_coefficients", "bad field 'coefficients'"),
+            ("additive_missing_field", "^fitted model: missing field 'converged'$"),
+            ("spline_bad_degree", "^fitted model: degree must be an int >= 1, got 2.5$"),
+            ("empty_terms", "^fitted model: 'terms' must be a non-empty list$"),
+            ("bad_coefficients", "^fitted model: expected a finite number, got nan$"),
+            ("deep_nesting", "^fitted model: maximum recursion depth exceeded"),
         ],
-        ids=["additive_missing_field", "spline_bad_degree", "trailing_term", "bad_coefficients"],
+        ids=["additive_missing_field", "spline_bad_degree", "empty_terms", "bad_coefficients",
+             "deep_nesting"],
     )
     def test_malformed_text_raises_frontdoor_error(self, case, message):
         x, y = make_xy(120, seed=29)
-        spline_text = spline_fit_to_text(select_lambda(y, x, 8))
-        additive_text = additive_fit_to_text(fit_additive(y, [x]))
-        reader, text = {
-            "additive_missing_field": (additive_fit_from_text, "additive_fit\nintercept 1\n"),
-            "spline_bad_degree": (spline_fit_from_text, "penalized_spline\ndegree x\n"),
-            "trailing_term": (additive_fit_from_text, additive_text + "term\n"),
-            "bad_coefficients": (
-                spline_fit_from_text,
-                re.sub(r"(?m)^coefficients .*$", "coefficients a b", spline_text),
-            ),
+        spline_text = fit_to_json(select_lambda(y, x, 8))
+        additive_text = fit_to_json(fit_additive(y, [x]))
+        text = {
+            "additive_missing_field": additive_text.replace('"converged": true, ', ""),
+            "spline_bad_degree": spline_text.replace('"degree": 3,', '"degree": 2.5,'),
+            "empty_terms": re.sub(r'("terms": \[).*(\], "residuals")', r"\1\2", additive_text),
+            "bad_coefficients": re.sub(r'("coefficients": \[)[^,]*', r"\1NaN", spline_text),
+            "deep_nesting": "[" * 100000,
         }[case]
+        assert text not in (spline_text, additive_text)
         with pytest.raises(FrontdoorLabError, match=message):
-            reader(text)
+            fit_from_json(text)
