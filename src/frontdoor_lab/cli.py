@@ -33,6 +33,8 @@ but cannot be used), 3 absent input path, 4 numeric failure; :func:`main` alone
 maps a failure to its code and prints one machine-parsable line to stderr.
 Each stage writes all its files before its report, so a reader that closes
 standard output early (``| head``) cannot cut it short, and it exits 0.
+``impute`` and ``estimate`` end their reports with ``nonconverged_fits=<K>``,
+the number of their fits whose backfitting stopped at its cycle cap.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,7 +84,7 @@ from .scm_sim import (
     population_from_csv,
     population_to_csv,
 )
-from .spline_smooth import NoConvergenceWarning, fit_to_json
+from .spline_smooth import fit_to_json
 
 
 def _resolve_config(args) -> RunConfig:
@@ -230,6 +231,7 @@ def cmd_impute(args) -> int:
     print(f"wrote {cfg.m} completed datasets to {out}")
     print(f"wrote {out / 'imputation_diagnostics.csv'}")
     print(f"wrote {out / 'imputation_trace.csv'}")
+    print(f"nonconverged_fits={result.nonconverged_fits}")
     return 0
 
 
@@ -260,12 +262,9 @@ def cmd_estimate(args) -> int:
         if args.save_models and len(converged) > 1:
             _save_models(pair, out / "models", len(converged) - 1)
 
-    with warnings.catch_warnings():
-        # the pairs report their own convergence; any other warning is shown
-        warnings.simplefilter("ignore", NoConvergenceWarning)
-        # first, so too few complete rows fail before any imputed copy is fitted
-        cc = complete_case_effect(data, grid, cfg.estimator_config("cc"), on_pair)
-        mi = estimate_effect(bundle, grid, cfg.estimator_config("mi"), on_pair)
+    # first, so too few complete rows fail before any imputed copy is fitted
+    cc = complete_case_effect(data, grid, cfg.estimator_config("cc"), on_pair)
+    mi = estimate_effect(bundle, grid, cfg.estimator_config("mi"), on_pair)
     effect_to_csv(mi, cc, oracle, out / "effects.csv")
     print(f"wrote {out / 'effects.csv'}")
     print(f"nonconverged_fits={converged.count(False)}")

@@ -63,11 +63,12 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class CompletedDatasets:
-    """The m completed copies of one incomplete dataset, plus chain traces."""
+    """The m completed copies of an incomplete dataset, chain traces, non-converged fits."""
 
     source: Dataset
     completed: tuple[Dataset, ...]
     trace: tuple[TraceRow, ...] = ()
+    nonconverged_fits: int = 0
 
     def __post_init__(self):
         if len(self.completed) == 0:
@@ -188,20 +189,20 @@ def pmm_impute(
     donors: int,
     seed: int,
     n_knots: int = DEFAULT_N_KNOTS,
-) -> np.ndarray:
+) -> tuple[np.ndarray, bool]:
     """Predictive-mean-matching imputations for the missing entries of target.
 
     Fits an additive spline model of the target on the predictors over the
-    observed rows, computes predicted means everywhere, and imputes each
-    missing row with the observed target value of one of the `donors`
-    nearest rows by predicted mean, drawn uniformly.  Returns one value per
-    missing row, in row order; every value belongs to the observed support.
+    observed rows and imputes each missing row with the observed target value
+    of one of the `donors` nearest rows by predicted mean, drawn uniformly.
+    Returns one value per missing row, in row order, each from the observed
+    support, and whether the fit converged.
     """
     fit, known, at_obs, at_miss = _observed_fit(target, observed, predictors, n_knots, "target")
     obs_pred = predict(fit, at_obs)
     miss_pred = predict(fit, at_miss)
     rng = rng_from(seed, "pmm")
-    return _nearest_donor_values(known, obs_pred, miss_pred, donors, rng)
+    return _nearest_donor_values(known, obs_pred, miss_pred, donors, rng), fit.converged
 
 
 def impute_sign(
@@ -210,17 +211,17 @@ def impute_sign(
     predictors: Sequence[np.ndarray],
     seed: int,
     n_knots: int = DEFAULT_N_KNOTS,
-) -> np.ndarray:
+) -> tuple[np.ndarray, bool]:
     """Draw +-1 signs for the missing rows from a clamped additive model.
 
-    The 0/1-coded sign is regressed on the predictors over observed rows;
-    predictions are clamped to [0.01, 0.99] and used as Bernoulli success
-    probabilities.
+    The 0/1-coded sign is regressed on the predictors over observed rows; its
+    predictions, clamped to [0.01, 0.99], are Bernoulli success probabilities.
+    Returns the signs and whether the fit converged.
     """
     fit, _, _, at_miss = _observed_fit(sign01, observed, predictors, n_knots, "sign target")
     prob = np.clip(predict(fit, at_miss), SIGN_PROB_CLAMP[0], SIGN_PROB_CLAMP[1])
     rng = rng_from(seed, "sign")
-    return np.where(rng.random(len(prob)) < prob, 1.0, -1.0)
+    return np.where(rng.random(len(prob)) < prob, 1.0, -1.0), fit.converged
 
 
 def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
@@ -231,12 +232,14 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
     (mediator, outcome) and reconstruct it, then impute the mediator from
     (treatment magnitude, treatment sign, outcome).  Missingness masks come
     from the source dataset; observed cells are never touched.
+    ``nonconverged_fits`` counts the fits that stopped at the backfitting cap.
     """
     miss_x = ~data.m_x
     miss_z = ~data.m_z
     y = np.array(data.y_star)
     completed = []
     trace: list[TraceRow] = []
+    converged: list[bool] = []  # one flag per imputation fit
     for chain in range(cfg.m):
         start = initialize(data, mix_seed(cfg.seed, "chain", chain))
         x_work = np.array(start.x_star)
@@ -244,14 +247,14 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
         for cycle in range(cfg.cycles):
             if miss_x.any():
                 magnitude, sign = decompose_x(x_work)
-                signs = impute_sign(
+                signs, sign_converged = impute_sign(
                     (sign > 0).astype(float),
                     data.m_x,
                     [z_work, y],
                     mix_seed(cfg.seed, chain, cycle, "sign"),
                     cfg.n_knots,
                 )
-                magnitudes = pmm_impute(
+                magnitudes, magnitude_converged = pmm_impute(
                     magnitude,
                     data.m_x,
                     [z_work, y],
@@ -260,9 +263,10 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
                     cfg.n_knots,
                 )
                 x_work[miss_x] = signs * magnitudes
+                converged += [sign_converged, magnitude_converged]
             if miss_z.any():
                 magnitude, sign = decompose_x(x_work)
-                z_work[miss_z] = pmm_impute(
+                z_work[miss_z], z_converged = pmm_impute(
                     z_work,
                     data.m_z,
                     [magnitude, sign, y],
@@ -270,6 +274,7 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
                     mix_seed(cfg.seed, chain, cycle, "mediator"),
                     cfg.n_knots,
                 )
+                converged.append(z_converged)
             for name, work, miss in (("x", x_work, miss_x), ("z", z_work, miss_z)):
                 if miss.any():
                     trace.append(
@@ -282,7 +287,7 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
                         )
                     )
         completed.append(Dataset(x_star=x_work, z_star=z_work, y_star=y))
-    return CompletedDatasets(source=data, completed=tuple(completed), trace=tuple(trace))
+    return CompletedDatasets(data, tuple(completed), tuple(trace), converged.count(False))
 
 
 # ------------------------------------------------------------- diagnostics

@@ -25,6 +25,7 @@ its design from one cache of recent columns, so imputation builds each
 repeated column's design once and a mediator smooth shares its design with the
 outcome model's treatment term.
 
+Backfitting that reaches its cycle cap reports ``converged=False``.
 Prediction inside the knot span evaluates the B-spline; beyond the span the
 fit continues linearly with the end slope.  ``fit_to_json`` writes a fit as
 one JSON object and ``fit_from_json`` reads it back bit for bit.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,13 +53,9 @@ DEFAULT_DEGREE = 3
 LAMBDA_GRID = np.logspace(-6.0, 6.0, 25)
 LAMBDA_GRID.setflags(write=False)
 # backfitting stops once no fitted component moves more than BACKFIT_TOL,
-# or warns after BACKFIT_MAX_CYCLES cycles
+# or reports converged=False after BACKFIT_MAX_CYCLES cycles
 BACKFIT_MAX_CYCLES = 50
 BACKFIT_TOL = 1e-6
-
-
-class NoConvergenceWarning(UserWarning):
-    """Backfitting hit its cycle cap; the last iterate was returned."""
 
 
 @dataclass(frozen=True)
@@ -434,12 +430,12 @@ def fit_additive(
     Backfitting then cycles over the terms: each is refitted to its partial
     residuals with GCV reselection of its penalty and recentered so the fitted
     components sum to zero over the training data.  It stops when no fitted
-    component moved more than ``BACKFIT_TOL``, or warns and returns the last
-    iterate after ``BACKFIT_MAX_CYCLES``.  The joint re-solves cannot replace
-    this loop: when a pick changes, a joint re-solve moves every term at once,
-    and on a small imputation fit the picks can alternate between two sets
-    indefinitely (the known weak spot of performance iteration; Gu 1992,
-    JCGS).  Backfitting moves one term at a time and reaches a fixed point of
+    component moved more than ``BACKFIT_TOL``, or returns the last iterate
+    with ``converged=False`` after ``BACKFIT_MAX_CYCLES``.  The joint re-solves
+    cannot replace this loop: when a pick changes, a joint re-solve moves every
+    term at once, and on a small imputation fit the picks can alternate between
+    two sets indefinitely (the known weak spot of performance iteration; Gu
+    1992, JCGS).  Backfitting moves one term at a time and reaches a fixed point of
     the per-term selections, usually in one cycle after the joint start.
     """
     y, columns = _checked_inputs(y, covariates)
@@ -488,22 +484,16 @@ def fit_additive(
         if max_change < BACKFIT_TOL:
             converged = True
             break
-    if not converged:
-        warnings.warn(
-            f"backfitting did not reach tol={BACKFIT_TOL} "
-            f"in {BACKFIT_MAX_CYCLES} cycles",
-            NoConvergenceWarning,
-        )
 
-    total = intercept + sum(fitted)
-    residuals = y - total
+    residuals = y - (intercept + sum(fitted))
+    residuals.setflags(write=False)  # every term holds this one array
     terms = tuple(
         PenalizedSplineFit(
             basis=design.basis,
             coefficients=betas[j],
             lam=float(design.lambdas[chosen[j]]),
             edf=float(design.edf[chosen[j]]),
-            residuals=residuals.copy(),
+            residuals=residuals,
             gcv=float(gcvs[j]),
         )
         for j, design in enumerate(designs)
@@ -546,7 +536,7 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
         if isinstance(points, np.ndarray) and points.ndim == 2:
             columns = [points[:, j] for j in range(points.shape[1])]
         else:
-            columns = [np.asarray(c, dtype=float) for c in points]
+            columns = [np.atleast_1d(np.asarray(c, dtype=float)) for c in points]
         if len(columns) != len(fit.terms):
             raise FrontdoorLabError(
                 f"expected {len(fit.terms)} covariate columns, got {len(columns)}"
@@ -578,7 +568,7 @@ def _smooth_fields(fit: PenalizedSplineFit) -> dict:
 def fit_to_json(fit: PenalizedSplineFit | AdditiveFit) -> str:
     """One line of JSON for a fitted smooth, or for an additive fit with its
     residuals once, not per term.  Floats are written by ``repr``: ``fit_from_json``
-    gives back every bit, and rejects a fit with a non-finite number."""
+    gives back every bit.  Both refuse a non-finite number with FrontdoorLabError."""
     if isinstance(fit, AdditiveFit):
         fields = {
             "intercept": float(fit.intercept),
@@ -588,7 +578,10 @@ def fit_to_json(fit: PenalizedSplineFit | AdditiveFit) -> str:
     else:
         fields = _smooth_fields(fit)
     fields["residuals"] = fit.residuals.tolist()
-    return json.dumps(fields) + "\n"
+    try:
+        return json.dumps(fields, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FrontdoorLabError(f"fitted model: {exc}") from None
 
 
 def _number(value) -> float:
@@ -604,36 +597,38 @@ def _vector(values) -> np.ndarray:
     return np.array([_number(v) for v in values], dtype=float)
 
 
-def _smooth_from_fields(fields: dict, residuals) -> PenalizedSplineFit:
+def _smooth_from_fields(fields: dict, residuals: np.ndarray) -> PenalizedSplineFit:
     return PenalizedSplineFit(
         basis=SplineBasis(knots=_vector(fields["knots"]), degree=fields["degree"]),
         coefficients=_vector(fields["coefficients"]),
         lam=_number(fields["lambda"]),
         edf=_number(fields["edf"]),
-        residuals=_vector(residuals),
+        residuals=residuals,
         gcv=_number(fields["gcv"]),
     )
 
 
 def fit_from_json(text: str) -> PenalizedSplineFit | AdditiveFit:
-    """The smooth or additive fit that ``fit_to_json`` wrote; each additive
-    term gets the fit's residuals, as ``fit_additive`` gives them.  Malformed
+    """The smooth or additive fit that ``fit_to_json`` wrote; its additive terms
+    share the fit's read-only residuals, as ``fit_additive`` gives them.  Malformed
     text, a missing field or a non-finite number raises FrontdoorLabError."""
     try:
         fields = json.loads(text)
         if not isinstance(fields, dict):
             raise TypeError(f"expected a JSON object, got {type(fields).__name__}")
+        residuals = _vector(fields["residuals"])
         if "terms" not in fields:
-            return _smooth_from_fields(fields, fields["residuals"])
+            return _smooth_from_fields(fields, residuals)
         terms = fields["terms"]
         if not isinstance(terms, list) or not terms:
             raise ValueError("'terms' must be a non-empty list")
         if not isinstance(fields["converged"], bool):
             raise TypeError("'converged' must be true or false")
+        residuals.setflags(write=False)
         return AdditiveFit(
-            terms=tuple(_smooth_from_fields(term, fields["residuals"]) for term in terms),
+            terms=tuple(_smooth_from_fields(term, residuals) for term in terms),
             intercept=_number(fields["intercept"]),
-            residuals=_vector(fields["residuals"]),
+            residuals=residuals,
             converged=fields["converged"],
         )
     except KeyError as exc:

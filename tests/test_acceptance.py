@@ -14,7 +14,6 @@ reached from those equations and is printed for reference only.
 """
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -81,13 +80,16 @@ def desk_run(oracle_gate):
     grid = np.append(np.linspace(-2.0, 2.0, 21), 3.0)
     population = generate_population(SCM, DESK_N, seed=ROOT_SEED)
     data = apply_missingness(SCM, population, seed=ROOT_SEED)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        completed = run_mice(
-            data, ImputationConfig(m=DESK_M, cycles=10, donors=5, seed=ROOT_SEED)
-        )
-        mi = estimate_effect(completed, grid, EstimatorConfig(seed=ROOT_SEED))
-        cc = complete_case_effect(data, grid, EstimatorConfig(seed=ROOT_SEED))
+    completed = run_mice(data, ImputationConfig(m=DESK_M, cycles=10, donors=5, seed=ROOT_SEED))
+    assert completed.nonconverged_fits == 0
+    converged = []  # one flag per outcome fit, as estimate counts them
+
+    def on_pair(pair):
+        converged.append(pair.outcome.converged)
+
+    mi = estimate_effect(completed, grid, EstimatorConfig(seed=ROOT_SEED), on_pair)
+    cc = complete_case_effect(data, grid, EstimatorConfig(seed=ROOT_SEED), on_pair)
+    assert converged.count(False) == 0
     return {
         "grid": grid,
         "inner": slice(0, 21),
@@ -270,10 +272,9 @@ def test_criterion_7_property_suites():
     population = generate_population(SCM, 2500, seed=79)
     data = apply_missingness(SCM, population, seed=79)
     cfg = ImputationConfig(m=3, cycles=4, seed=80)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        first = run_mice(data, cfg)
-        second = run_mice(data, cfg)
+    first = run_mice(data, cfg)
+    second = run_mice(data, cfg)
+    assert first.nonconverged_fits == second.nonconverged_fits == 0
     magnitude_pool = set(np.abs(data.x_star[data.m_x]).tolist())
     z_pool = set(data.z_star[data.m_z].tolist())
     for one, two in zip(first.completed, second.completed):

@@ -1,9 +1,10 @@
+import contextlib
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
-import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -29,6 +30,18 @@ subsample = 300
 """
 
 
+def run_stage(argv):
+    """Run one stage in-process: it exits 0, and impute and estimate report
+    that every fit converged.  Its output still reaches sys.stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    sys.stdout.write(out.getvalue())
+    assert code == 0
+    if argv[0] in ("impute", "estimate"):
+        assert out.getvalue().splitlines()[-1] == "nonconverged_fits=0"
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """One full small-scale run via the CLI, shared by the read-only tests."""
@@ -37,7 +50,7 @@ def pipeline_dir(tmp_path_factory):
     config.write_text(CONFIG_TEXT + f"out = {out}\n")
     for command in ("simulate", "impute", "estimate", "plot", "evaluate"):
         extra = ["--save-models"] if command == "estimate" else []
-        assert main([command, "--config", str(config)] + extra) == 0
+        run_stage([command, "--config", str(config)] + extra)
     return out
 
 
@@ -48,7 +61,7 @@ def run_m3(tmp_path_factory):
     config = out / "config.txt"
     config.write_text(f"seed = 2\nn = 600\nm = 3\ngrid = -1:1:3\nout = {out}\n")
     for command in ("simulate", "impute", "estimate"):
-        assert main([command, "--config", str(config)]) == 0
+        run_stage([command, "--config", str(config)])
     return out
 
 
@@ -122,7 +135,7 @@ class TestPipelineArtifacts:
         monkeypatch.setattr(frontdoor_estimator, "fit_pair", counted)
         monkeypatch.setattr(cli, "fit_pair", counted, raising=False)
         config = ["--config", str(run_m3 / "config.txt"), "--out", str(run)]
-        assert main(["estimate", "--save-models"] + config) == 0
+        run_stage(["estimate", "--save-models"] + config)
         assert len(calls) == 3 + 1  # one pair per completed copy plus the complete-case pair
         saved = sorted(path.name for path in (run / "models").iterdir())
         kinds = ("mediator", "outcome")
@@ -144,27 +157,21 @@ class TestPipelineArtifacts:
         assert main(["estimate"] + config) == 0
         assert capsys.readouterr().out.splitlines()[-1] == f"nonconverged_fits={count}"
 
-    def test_counting_nonconverged_fits_shows_every_other_warning(
-        self, run_m3, tmp_path, monkeypatch, capsys
+    # with one cycle, none of the 3 fits of each of the 3 chains' 10 cycles converges
+    @pytest.mark.parametrize(
+        "cap, count", [(None, 0), (1, 3 * 3 * 10)], ids=["default", "one_cycle"]
+    )
+    def test_impute_counts_nonconverged_fits(
+        self, run_m3, tmp_path, monkeypatch, capsys, cap, count
     ):
-        # estimate holds back every NoConvergenceWarning and shows any other
-        # warning; it counts the fitted pairs that did not converge, so a bare
-        # warning, which is no fit, leaves the count at 0
         run = tmp_path / "run"
         shutil.copytree(run_m3, run)
-        complete_case_effect = cli.complete_case_effect
-
-        def warning(*args):
-            warnings.warn("fit", spline_smooth.NoConvergenceWarning)
-            warnings.warn("other", UserWarning)
-            return complete_case_effect(*args)
-
-        monkeypatch.setattr(cli, "complete_case_effect", warning)
+        if cap is not None:
+            monkeypatch.setattr(spline_smooth, "BACKFIT_MAX_CYCLES", cap)
+            monkeypatch.setattr(spline_smooth, "BACKFIT_TOL", 0.0)
         config = ["--config", str(run_m3 / "config.txt"), "--out", str(run)]
-        with pytest.warns(UserWarning) as shown:
-            assert main(["estimate"] + config) == 0
-        assert [(w.category, str(w.message)) for w in shown] == [(UserWarning, "other")]
-        assert capsys.readouterr().out.splitlines()[-1] == "nonconverged_fits=0"
+        assert main(["impute"] + config) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"nonconverged_fits={count}"
 
     def test_svgs_are_well_formed_xml(self, pipeline_dir):
         for name in ("scatter_matrix.svg", "true_vs_conditional.svg", "estimated_effects.svg"):
@@ -227,7 +234,7 @@ class TestEvaluateOutput:
             f"miss_z_a = 50\nmiss_z_b = 0\nout = {tmp_path}\n"
         )
         for command in ("simulate", "impute", "estimate"):
-            assert main([command, "--config", str(config)]) == 0
+            run_stage([command, "--config", str(config)])
         # nothing was imputed, so impute's diagnostics table holds only its header
         assert len((tmp_path / "imputation_diagnostics.csv").read_text().splitlines()) == 1
         capsys.readouterr()
@@ -245,7 +252,7 @@ class TestEvaluateOutput:
         config = tmp_path / "c.txt"
         config.write_text("grid = 2.5:3:3\n")
         for command in ("estimate", "evaluate"):
-            assert main([command, "--config", str(config), "--out", str(run)]) == 0
+            run_stage([command, "--config", str(config), "--out", str(run)])
         lines = capsys.readouterr().out.splitlines()
         region = [line for line in lines if "region=[-2,2]" in line]
         assert len(region) == 2 and all("max_abs_error=nan" in line for line in region)
@@ -274,7 +281,7 @@ class TestRerunWithFewerImputations:
         shutil.copytree(run_m3, run)
         config = tmp_path / "c.txt"
         config.write_text("cycles = 3\n")
-        assert main(["impute", "--out", str(run), "--m", "2", "--config", str(config)]) == 0
+        run_stage(["impute", "--out", str(run), "--m", "2", "--config", str(config)])
         assert sorted(path.name for path in run.glob("completed_*.csv")) == [
             "completed_01.csv",
             "completed_02.csv",
@@ -288,11 +295,11 @@ class TestRerunWithFewerImputations:
     def test_estimate_leaves_no_model_of_the_larger_run(self, run_m3, tmp_path):
         run = tmp_path / "run"
         shutil.copytree(run_m3, run)
-        assert main(["estimate", "--out", str(run), "--save-models"]) == 0
+        run_stage(["estimate", "--out", str(run), "--save-models"])
         assert len(list((run / "models").iterdir())) == 3 + 3
         # a model file of an older version, which wrote text
         (run / "models" / "outcome_03.txt").write_text("additive_fit\n")
-        assert main(["estimate", "--out", str(run), "--m", "2", "--save-models"]) == 0
+        run_stage(["estimate", "--out", str(run), "--m", "2", "--save-models"])
         saved = sorted(path.name for path in (run / "models").iterdir())
         kinds = ("mediator", "outcome")
         assert saved == [f"{kind}_{i:02d}.json" for kind in kinds for i in (1, 2)]
@@ -308,8 +315,8 @@ class TestDeterminism:
                 f"seed = 3\nn = 500\nm = 2\ngrid = -1:1:5\nout = {out}\n"
             )
             assert main(["simulate", "--config", str(config)]) == 0
-            assert main(["impute", "--config", str(config)]) == 0
-            assert main(["estimate", "--config", str(config)]) == 0
+            run_stage(["impute", "--config", str(config)])
+            run_stage(["estimate", "--config", str(config)])
             assert main(["evaluate", "--config", str(config)]) == 0
             assert main(["plot", "--config", str(config)]) == 0
             runs.append(out)
@@ -474,14 +481,14 @@ class TestErrorPaths:
         config.write_text(f"seed = 4\nn = 600\nm = 2\ngrid = -1:1:3\nout = {tmp_path}\n")
         assert main(["simulate", "--config", str(config)]) == 0
         (tmp_path / "population.csv").unlink()
-        assert main(["impute", "--config", str(config)]) == 0
-        assert main(["estimate", "--config", str(config)]) == 0
+        run_stage(["impute", "--config", str(config)])
+        run_stage(["estimate", "--config", str(config)])
 
     def test_corrupt_completed_file(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text(f"seed = 5\nn = 600\nm = 2\ngrid = -1:1:3\nout = {tmp_path}\n")
         assert main(["simulate", "--config", str(config)]) == 0
-        assert main(["impute", "--config", str(config)]) == 0
+        run_stage(["impute", "--config", str(config)])
         (tmp_path / "completed_02.csv").write_text("garbage,header\n1,2\n")
         assert main(["estimate", "--config", str(config)]) == 2
         assert "error: invalid-input:" in capsys.readouterr().err
@@ -647,7 +654,7 @@ class TestErrorPaths:
         # impute reran with m = 2 after estimate at m = 3
         run = tmp_path / "run"
         shutil.copytree(run_m3, run)
-        assert main(["impute", "--out", str(run), "--m", "2"]) == 0
+        run_stage(["impute", "--out", str(run), "--m", "2"])
         capsys.readouterr()
         assert main(["evaluate", "--out", str(run)]) == 2
         expected = (
@@ -700,7 +707,7 @@ class TestErrorPaths:
         config = tmp_path / "config.txt"
         config.write_text(f"seed = 6\nn = 150\nm = 2\ngrid = -1:1:3\nout = {tmp_path}\n")
         assert main(["simulate", "--config", str(config)]) == 0
-        assert main(["impute", "--config", str(config)]) == 0
+        run_stage(["impute", "--config", str(config)])
         # and it fails before any completed copy is fitted or a model file replaced
         calls = []
         monkeypatch.setattr(frontdoor_estimator, "fit_pair", lambda *a: calls.append(1))
@@ -719,7 +726,7 @@ class TestFlagPrecedence:
         )
         assert main(["simulate", "--config", str(config)]) == 0
         for command in ("impute", "estimate"):
-            assert main([command, "--out", str(tmp_path)]) == 0
+            run_stage([command, "--out", str(tmp_path)])
         _, _, oracle = effect_from_csv(tmp_path / "effects.csv")
         recorded = load_config(config)
         assert np.array_equal(oracle, oracle_ace(recorded.scm, recorded.grid_values()))
@@ -730,9 +737,9 @@ class TestFlagPrecedence:
         assert main(["simulate", "--out", str(run), "--n", "600", "--m", "2"]) == 0
         config = tmp_path / "config.txt"
         config.write_text("m = 3\n")
-        assert main(["impute", "--config", str(config), "--out", str(run)]) == 0
+        run_stage(["impute", "--config", str(config), "--out", str(run)])
         assert "wrote 3 completed datasets" in capsys.readouterr().out
-        assert main(["impute", "--config", str(config), "--out", str(run), "--m", "2"]) == 0
+        run_stage(["impute", "--config", str(config), "--out", str(run), "--m", "2"])
         assert "wrote 2 completed datasets" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -749,7 +756,7 @@ class TestFlagPrecedence:
     ):
         run = tmp_path / "run"
         assert main(["simulate", "--out", str(run), "--n", "600", "--m", "2", "--seed", "1"]) == 0
-        assert main(["impute", "--out", str(run)]) == 0
+        run_stage(["impute", "--out", str(run)])
         capsys.readouterr()
         if given[0] == "--config":
             config = tmp_path / "config.txt"
@@ -765,7 +772,7 @@ class TestFlagPrecedence:
         run = tmp_path / "r"
         flags = ["--out", str(run), "--n", "600", "--m", "2"]
         for command in (["simulate", "--seed", "1"], ["impute"], ["estimate"]):
-            assert main(command + flags) == 0
+            run_stage(command + flags)
         names = ("population.csv", "observed.csv", "run_config.txt")
         before = {name: (run / name).read_bytes() for name in names}
         capsys.readouterr()
@@ -785,7 +792,7 @@ class TestFlagPrecedence:
         assert main(["simulate", "--out", str(run), "--n", "600", "--m", "2", "--seed", "1"]) == 0
         config = tmp_path / "config.txt"
         config.write_text("seed = 1\nn = 600\nsigma_z = 0.1\n")  # 0.1: the default
-        assert main(["impute", "--out", str(run), "--config", str(config), "--n", "600"]) == 0
+        run_stage(["impute", "--out", str(run), "--config", str(config), "--n", "600"])
 
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

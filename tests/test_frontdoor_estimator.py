@@ -40,12 +40,24 @@ def complete_dataset(x, z, y):
     return Dataset(x_star=x, z_star=z, y_star=y)
 
 
+def assert_converged(pair):
+    """An ``on_pair`` callback: the outcome's backfitting converged."""
+    assert pair.outcome.converged
+
+
+def fit_converged(data, config=None):
+    """``fit_pair`` whose outcome's backfitting converged."""
+    pair = fit_pair(data, config)
+    assert_converged(pair)
+    return pair
+
+
 @pytest.fixture(scope="module")
 def scm_pair():
     """One fitted pair on fully observed simulator output at desk scale."""
     pop = generate_population(SCM, 20000, seed=50)
     data = complete_dataset(pop.x, pop.z, pop.y)
-    return fit_pair(data, EstimatorConfig(seed=51))
+    return fit_converged(data, EstimatorConfig(seed=51))
 
 
 class TestFitPair:
@@ -54,7 +66,7 @@ class TestFitPair:
         x = rng.uniform(-3, 3, 4000)
         z = 4 * std_normal_pdf(x)
         y = std_normal_pdf(z - 0.5) + 0.3 * z
-        pair = fit_pair(complete_dataset(x, z, y))
+        pair = fit_converged(complete_dataset(x, z, y))
         assert float(np.std(pair.mediator.residuals)) < 1e-3
 
     def test_mediator_prediction_at_center(self, scm_pair):
@@ -100,7 +112,7 @@ class TestFitPair:
             return design_matrix(basis, points)
 
         monkeypatch.setattr(spline_smooth, "design_matrix", counting_design_matrix)
-        fit_pair(complete_dataset(x, z, y))
+        fit_converged(complete_dataset(x, z, y))
         # one design for the treatment column, one for the mediator column
         assert built == [500, 500]
 
@@ -109,7 +121,7 @@ class TestFitPair:
         x = rng.choice(np.linspace(-2, 2, 10), 600)
         z = 4 * std_normal_pdf(x) + 0.1 * rng.standard_normal(600)
         y = std_normal_pdf(z - 0.5) + 0.3 * z + 0.1 * rng.standard_normal(600)
-        pair = fit_pair(complete_dataset(x, z, y), EstimatorConfig(n_knots=20))
+        pair = fit_converged(complete_dataset(x, z, y), EstimatorConfig(n_knots=20))
         assert np.allclose(pair.mediator.basis.knots, np.unique(x), rtol=0, atol=1e-12)
         assert np.array_equal(pair.mediator.basis.knots, pair.outcome.terms[0].basis.knots)
 
@@ -168,7 +180,7 @@ class TestTreatmentPart:
 def small_pair():
     """A fitted pair small enough for the n x n front-door double sum."""
     pop = generate_population(SCM, 300, seed=57)
-    return fit_pair(complete_dataset(pop.x, pop.z, pop.y))
+    return fit_converged(complete_dataset(pop.x, pop.z, pop.y))
 
 
 def mediator_draws_of(pair, x, n_draws, seed, monkeypatch):
@@ -290,7 +302,7 @@ class TestAceAt:
         x = rng.uniform(-1, 1, 500)
         z = rng.uniform(-1, 1, 500)
         y = np.full(500, 2.5)
-        pair = fit_pair(complete_dataset(x, z, y))
+        pair = fit_converged(complete_dataset(x, z, y))
         for target in (-0.7, 0.0, 1.3):
             assert ace_at(pair, target) == pytest.approx(2.5, abs=1e-7)
 
@@ -300,7 +312,7 @@ class TestAceAt:
         x = rng.uniform(-2, 2, n)
         z = x + 0.1 * rng.standard_normal(n)
         y = 0.3 * z + 0.05 * rng.standard_normal(n)
-        pair = fit_pair(complete_dataset(x, z, y))
+        pair = fit_converged(complete_dataset(x, z, y))
         for target in (-1.0, 0.5, 1.0):
             assert ace_at(pair, target) == pytest.approx(0.3 * target, abs=0.01)
 
@@ -318,8 +330,8 @@ class TestAceAt:
         rng = np.random.default_rng(65)
         perm = rng.permutation(len(pop))
         shuffled = complete_dataset(pop.x[perm], pop.z[perm], pop.y[perm])
-        a = ace_at(fit_pair(data), 1.0)
-        b = ace_at(fit_pair(shuffled), 1.0)
+        a = ace_at(fit_converged(data), 1.0)
+        b = ace_at(fit_converged(shuffled), 1.0)
         assert a == pytest.approx(b, rel=0, abs=1e-12)
 
 
@@ -328,7 +340,7 @@ class TestDistributionAt:
         rng = np.random.default_rng(81)
         x = rng.uniform(-1, 1, 400)
         z = rng.uniform(-1, 1, 400)
-        pair = fit_pair(complete_dataset(x, z, np.full(400, 1.5)))
+        pair = fit_converged(complete_dataset(x, z, np.full(400, 1.5)))
         frozen = FittedPair(
             mediator=dataclasses.replace(
                 pair.mediator, residuals=np.zeros_like(pair.mediator.residuals)
@@ -381,31 +393,37 @@ class TestEstimateEffect:
     def test_identical_copies_pool_tightly(self):
         bundle = self.make_bundle()
         grid = np.array([-1.0, 0.0, 1.0])
-        est = estimate_effect(bundle, grid, EstimatorConfig(seed=88))
+        est = estimate_effect(bundle, grid, EstimatorConfig(seed=88), on_pair=assert_converged)
         for i in range(est.m):
             assert np.max(np.abs(est.per_imputation_ace[i] - est.pooled_ace)) < 0.01
 
     def test_pooled_is_exact_mean(self):
         bundle = self.make_bundle(n=3000)
-        est = estimate_effect(bundle, np.array([0.0, 1.0]), EstimatorConfig(seed=89))
+        est = estimate_effect(
+            bundle, np.array([0.0, 1.0]), EstimatorConfig(seed=89), on_pair=assert_converged
+        )
         assert np.array_equal(est.pooled_ace, est.per_imputation_ace.mean(axis=0))
 
     def test_single_point_grid(self):
         bundle = self.make_bundle(n=3000, m=2)
-        est = estimate_effect(bundle, np.array([0.5]), EstimatorConfig(seed=90))
+        est = estimate_effect(
+            bundle, np.array([0.5]), EstimatorConfig(seed=90), on_pair=assert_converged
+        )
         assert est.pooled_ace.shape == (1,)
         assert est.q05.shape == (1,)
 
     def test_single_copy_pool_is_that_curve(self):
         bundle = self.make_bundle(n=3000, m=1)
-        est = estimate_effect(bundle, np.array([-1.0, 1.0]), EstimatorConfig(seed=91))
+        est = estimate_effect(
+            bundle, np.array([-1.0, 1.0]), EstimatorConfig(seed=91), on_pair=assert_converged
+        )
         assert np.array_equal(est.pooled_ace, est.per_imputation_ace[0])
 
     def test_seed_moves_only_the_quantile_bands(self):
         bundle = self.make_bundle(n=3000, m=2)
         grid = np.array([-1.0, 0.5])
-        a = estimate_effect(bundle, grid, EstimatorConfig(seed=1))
-        b = estimate_effect(bundle, grid, EstimatorConfig(seed=2))
+        a = estimate_effect(bundle, grid, EstimatorConfig(seed=1), on_pair=assert_converged)
+        b = estimate_effect(bundle, grid, EstimatorConfig(seed=2), on_pair=assert_converged)
         assert np.array_equal(a.per_imputation_ace, b.per_imputation_ace)
         assert not np.array_equal(a.q05, b.q05)
 
@@ -427,7 +445,7 @@ class TestEstimateEffect:
         data = complete_dataset(pop.x, pop.z, pop.y)
         bundle = CompletedDatasets(source=data, completed=(data,))
         grid = np.linspace(-2, 2, 9)
-        est = estimate_effect(bundle, grid, EstimatorConfig(seed=94))
+        est = estimate_effect(bundle, grid, EstimatorConfig(seed=94), on_pair=assert_converged)
 
         from frontdoor_lab.spline_smooth import predict, select_lambda
 
@@ -441,11 +459,12 @@ class TestCompleteCase:
         pop = generate_population(SCM, 8000, seed=95)
         data = complete_dataset(pop.x, pop.z, pop.y)
         grid = np.array([-1.0, 0.0, 1.0])
-        cc = complete_case_effect(data, grid, EstimatorConfig(seed=96))
+        cc = complete_case_effect(data, grid, EstimatorConfig(seed=96), on_pair=assert_converged)
         mi = estimate_effect(
             CompletedDatasets(source=data, completed=(data,)),
             grid,
             EstimatorConfig(seed=97),
+            on_pair=assert_converged,
         )
         assert np.max(np.abs(cc.pooled_ace - mi.pooled_ace)) < 0.01
 
@@ -491,7 +510,7 @@ class TestOnPair:
         calls = []
 
         def recording(data, config=None):
-            pair = fit_pair(data, config)
+            pair = fit_converged(data, config)
             calls.append((data, pair))
             return pair
 
@@ -524,7 +543,7 @@ class TestOnPair:
                 return complete_case_effect(bundle.completed[0], self.GRID, config, **on_pair)
             return estimate_effect(bundle, self.GRID, config, **on_pair)
 
-        plain, called_back = run(), run(on_pair=lambda pair: None)
+        plain, called_back = run(), run(on_pair=assert_converged)
         for name in ("grid", "per_imputation_ace", "pooled_ace", "q05", "q95"):
             assert np.array_equal(getattr(called_back, name), getattr(plain, name)), name
 
@@ -541,7 +560,7 @@ class TestOnPair:
 
             return wrapper
 
-        monkeypatch.setattr(frontdoor_estimator, "fit_pair", logged("fit", fit_pair))
+        monkeypatch.setattr(frontdoor_estimator, "fit_pair", logged("fit", fit_converged))
         monkeypatch.setattr(frontdoor_estimator, "ace_at", logged("ace", ace_at))
         estimate_effect(
             self.make_bundle(),
@@ -570,8 +589,8 @@ class TestEffectCsv:
         data = complete_dataset(pop.x, pop.z, pop.y)
         bundle = CompletedDatasets(source=data, completed=(data, data))
         grid = np.linspace(-1, 1, 5)
-        mi = estimate_effect(bundle, grid, EstimatorConfig(seed=101))
-        cc = complete_case_effect(data, grid, EstimatorConfig(seed=102))
+        mi = estimate_effect(bundle, grid, EstimatorConfig(seed=101), on_pair=assert_converged)
+        cc = complete_case_effect(data, grid, EstimatorConfig(seed=102), on_pair=assert_converged)
         oracle = oracle_ace(SCM, grid)
         path = tmp_path / "effects.csv"
         effect_to_csv(mi, cc, oracle, path)

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -21,7 +19,6 @@ from frontdoor_lab.mi_engine import (
 )
 from frontdoor_lab.runconfig import RunConfig
 from frontdoor_lab.scm_sim import ScmConfig, apply_missingness, generate_population
-from frontdoor_lab.spline_smooth import NoConvergenceWarning
 
 SCM = ScmConfig()
 
@@ -95,7 +92,8 @@ class TestPmmImpute:
         target = np.array([3.0] * 8 + [np.nan] * 2)
         observed = np.array([True] * 8 + [False] * 2)
         pred = np.linspace(0, 1, 10)
-        values = pmm_impute(target, observed, [pred], donors=3, seed=8)
+        values, converged = pmm_impute(target, observed, [pred], donors=3, seed=8)
+        assert converged
         assert np.all(values == 3.0)
 
     def test_single_donor_noise_free_linear(self):
@@ -104,7 +102,8 @@ class TestPmmImpute:
         target = 2.0 * pred
         observed = np.ones(10, dtype=bool)
         observed[[2, 5, 9]] = False
-        values = pmm_impute(target, observed, [pred], donors=1, seed=9)
+        values, converged = pmm_impute(target, observed, [pred], donors=1, seed=9)
+        assert converged
         # row 2 -> nearest observed predictor is 1 or 3; 5 -> 4 or 6; 9 -> 8
         assert values[0] in (2.0, 6.0)
         assert values[1] in (8.0, 12.0)
@@ -112,10 +111,11 @@ class TestPmmImpute:
 
     def test_imputed_values_in_observed_support(self):
         pop, data = make_incomplete(3000, seed=10)
-        values = pmm_impute(
+        values, converged = pmm_impute(
             data.z_star, data.m_z, [np.abs(pop.x), np.sign(pop.x), pop.y],
             donors=5, seed=11,
         )
+        assert converged
         support = set(data.z_star[data.m_z].tolist())
         assert all(v in support for v in values.tolist())
 
@@ -123,9 +123,10 @@ class TestPmmImpute:
         # the simulator keeps ground truth for masked cells
         pop, data = make_incomplete(20000, seed=12)
         magnitude, sign = np.abs(pop.x), np.sign(pop.x)
-        values = pmm_impute(
+        values, converged = pmm_impute(
             data.z_star, data.m_z, [magnitude, sign, pop.y], donors=5, seed=13
         )
+        assert converged
         truth = pop.z[~data.m_z]
         assert ks_2samp(values, truth).statistic < 0.08
 
@@ -151,7 +152,8 @@ class TestImputeSign:
         pred = rng.uniform(-1, 1, n + 10)
         sign01 = np.ones(n + 10)
         observed = np.array([True] * n + [False] * 10)
-        out = impute_sign(sign01, observed, [pred], seed=15)
+        out, converged = impute_sign(sign01, observed, [pred], seed=15)
+        assert converged
         assert np.all(out == 1.0)  # clamp keeps a 1% flip chance; seed draws none
 
     def test_symmetric_point_is_a_coin_flip(self):
@@ -167,7 +169,8 @@ class TestImputeSign:
         observed = np.concatenate([np.ones(len(pop.x), bool), np.zeros(n_extra, bool)])
         z = np.concatenate([pop.z, np.full(n_extra, z_point)])
         y = np.concatenate([pop.y, np.full(n_extra, y_point)])
-        out = impute_sign(sign01, observed, [z, y], seed=17)
+        out, converged = impute_sign(sign01, observed, [z, y], seed=17)
+        assert converged
         assert float(np.mean(out == 1.0)) == pytest.approx(0.5, abs=0.05)
 
     def test_separable_toy(self):
@@ -178,7 +181,8 @@ class TestImputeSign:
         z = np.concatenate([z_obs, z_miss])
         sign01 = np.concatenate([(z_obs > 0).astype(float), np.zeros(n_miss)])
         observed = np.concatenate([np.ones(n, bool), np.zeros(n_miss, bool)])
-        out = impute_sign(sign01, observed, [z], seed=19)
+        out, converged = impute_sign(sign01, observed, [z], seed=19)
+        assert converged
         expected = np.where(z_miss > 0, 1.0, -1.0)
         assert float(np.mean(out == expected)) >= 0.96
 
@@ -188,6 +192,7 @@ class TestRunMice:
         pop = generate_population(SCM, 400, seed=20)
         data = complete_dataset(pop.x, pop.z, pop.y)
         result = run_mice(data, ImputationConfig(m=3, cycles=2, seed=21))
+        assert result.nonconverged_fits == 0
         assert result.m == 3
         for copy in result.completed:
             assert np.array_equal(copy.x_star, data.x_star)
@@ -197,6 +202,7 @@ class TestRunMice:
     def test_observed_cells_untouched_and_support_respected(self):
         pop, data = make_incomplete(2500, seed=22)
         result = run_mice(data, ImputationConfig(m=2, cycles=3, seed=23))
+        assert result.nonconverged_fits == 0
         magnitude_pool = set(np.abs(data.x_star[data.m_x]).tolist())
         z_pool = set(data.z_star[data.m_z].tolist())
         for copy in result.completed:
@@ -208,6 +214,7 @@ class TestRunMice:
     def test_between_imputation_variance_positive(self):
         _, data = make_incomplete(2500, seed=24)
         result = run_mice(data, ImputationConfig(m=4, cycles=3, seed=25))
+        assert result.nonconverged_fits == 0
         means = [float(np.mean(c.x_star[~data.m_x])) for c in result.completed]
         assert float(np.var(means)) > 0
 
@@ -216,6 +223,7 @@ class TestRunMice:
         cfg = ImputationConfig(m=2, cycles=2, seed=27)
         a = run_mice(data, cfg)
         b = run_mice(data, cfg)
+        assert a.nonconverged_fits == b.nonconverged_fits == 0
         for ca, cb in zip(a.completed, b.completed):
             assert np.array_equal(ca.x_star, cb.x_star)
             assert np.array_equal(ca.z_star, cb.z_star)
@@ -224,6 +232,7 @@ class TestRunMice:
     def test_pooled_imputed_mediator_mean_close_to_truth(self):
         pop, data = make_incomplete(20000, seed=28)
         result = run_mice(data, ImputationConfig(m=4, cycles=6, seed=29))
+        assert result.nonconverged_fits == 0
         truth = float(np.mean(pop.z[~data.m_z]))
         pooled = float(
             np.mean([np.mean(c.z_star[~data.m_z]) for c in result.completed])
@@ -236,6 +245,7 @@ class TestRunMice:
         pop, data = make_incomplete(8000, seed=42)
         first = run_mice(data, ImputationConfig(m=4, cycles=4, seed=43))
         second = run_mice(data, ImputationConfig(m=4, cycles=4, seed=44))
+        assert first.nonconverged_fits == second.nonconverged_fits == 0
 
         def pooled_mean(result):
             return float(
@@ -252,6 +262,7 @@ class TestRunMice:
         _, data = make_incomplete(1000, seed=30)
         cfg = ImputationConfig(m=2, cycles=3, seed=31)
         result = run_mice(data, cfg)
+        assert result.nonconverged_fits == 0
         assert len(result.trace) == 2 * 3 * 2  # chains x cycles x variables
         assert {t.variable for t in result.trace} == {"x", "z"}
 
@@ -263,10 +274,9 @@ class TestRunMice:
             cfg.scm, cfg.n, mix_seed(cfg.seed, "population")
         )
         data = apply_missingness(cfg.scm, population, mix_seed(cfg.seed, "missingness"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NoConvergenceWarning)
-            result = run_mice(data, cfg.imputation_config())
+        result = run_mice(data, cfg.imputation_config())
         assert result.m == 2
+        assert result.nonconverged_fits == 0
 
     def test_config_validation(self):
         with pytest.raises(FrontdoorLabError):
@@ -298,11 +308,13 @@ class TestDiagnostics:
         pop = generate_population(SCM, 300, seed=35)
         data = complete_dataset(pop.x, pop.z, pop.y)
         result = run_mice(data, ImputationConfig(m=2, cycles=1, seed=36))
+        assert result.nonconverged_fits == 0
         assert imputation_diagnostics(result) == []
 
     def test_report_shape_on_default_run(self):
         _, data = make_incomplete(1500, seed=37)
         result = run_mice(data, ImputationConfig(m=3, cycles=2, seed=38))
+        assert result.nonconverged_fits == 0
         rows = imputation_diagnostics(result)
         groups = {(r.variable, r.dataset_index) for r in rows}
         assert len(groups) == 3 * 2  # m copies x 2 variables
@@ -330,6 +342,7 @@ class TestDiagnostics:
     def test_csv_emission(self, tmp_path):
         _, data = make_incomplete(800, seed=40)
         result = run_mice(data, ImputationConfig(m=2, cycles=1, seed=41))
+        assert result.nonconverged_fits == 0
         rows = imputation_diagnostics(result)
         path = tmp_path / "diag.csv"
         diagnostics_to_csv(rows, path)

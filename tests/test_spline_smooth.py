@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from frontdoor_lab.scm_sim import ScmConfig, generate_population, std_normal_cdf
 from frontdoor_lab.spline_smooth import (
     LAMBDA_GRID,
     AdditiveFit,
-    NoConvergenceWarning,
     PenalizedSplineFit,
     SplineBasis,
     build_basis,
@@ -304,15 +304,18 @@ class TestPredict:
 
     def test_scalar_point(self):
         x, y = make_xy(200, seed=18)
-        fit = select_lambda(y, x, 10)
-        out = predict(fit, 0.5)
-        assert out.shape == (1,)
+        additive = fit_additive(y, [x, x**2])
+        assert additive.converged
+        # a smooth takes one scalar, an additive fit one scalar per term
+        for fit, point in ((select_lambda(y, x, 10), 0.5), (additive, [0.5, 0.3])):
+            assert predict(fit, point).shape == (1,)
 
     @pytest.mark.parametrize("lengths", [[3, 1], [1, 2], [2, 3]], ids=["3_1", "1_2", "2_3"])
     def test_additive_columns_of_unequal_length_rejected(self, lengths):
         rng = np.random.default_rng(20)
         x1, x2 = rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200)
         fit = fit_additive(x1 + x2 + 0.1 * rng.standard_normal(200), [x1, x2])
+        assert fit.converged
         columns = [np.linspace(-1, 1, length) for length in lengths]
         with pytest.raises(FrontdoorLabError, match=re.escape(f"equal lengths, got {lengths}")):
             predict(fit, columns)
@@ -345,6 +348,7 @@ class TestFitAdditive:
         x2 = rng.uniform(-1, 1, 800)
         y = np.sin(3 * x1) + x2**2 + 0.05 * rng.standard_normal(800)
         fit = fit_additive(y, [x1, x2])
+        assert fit.converged
         from frontdoor_lab.spline_smooth import _spline_values
 
         for term, col in zip(fit.terms, (x1, x2)):
@@ -381,6 +385,7 @@ class TestFitAdditive:
     def test_single_covariate_matches_select_lambda(self):
         x, y = make_xy(600, seed=22)
         additive = fit_additive(y, [x])
+        assert additive.converged
         single = select_lambda(y, x, 20)
         assert np.allclose(
             predict(additive, [x]), predict(single, x), atol=1e-8
@@ -392,6 +397,7 @@ class TestFitAdditive:
         s = np.where(rng.random(500) < 0.5, -1.0, 1.0)
         y = 0.5 * s + np.sin(2 * x) + 0.05 * rng.standard_normal(500)
         fit = fit_additive(y, [x, s])
+        assert fit.converged
         assert fit.terms[1].basis.degree == 1
         from frontdoor_lab.spline_smooth import _spline_values
 
@@ -423,7 +429,7 @@ class TestFitAdditive:
             refit_vals = refit_vals - refit_vals.mean()
             assert float(np.max(np.abs(refit_vals - components[j]))) < 1e-5
 
-    def test_cycle_cap_warns(self, monkeypatch):
+    def test_cycle_cap_reported_by_the_flag(self, monkeypatch):
         rng = np.random.default_rng(25)
         x1 = rng.uniform(-1, 1, 400)
         x2 = x1 + 1e-3 * rng.standard_normal(400)  # nearly collinear smooths
@@ -431,7 +437,8 @@ class TestFitAdditive:
         # an unreachable tolerance forces the cycle cap
         monkeypatch.setattr(spline_smooth, "BACKFIT_MAX_CYCLES", 1)
         monkeypatch.setattr(spline_smooth, "BACKFIT_TOL", 0.0)
-        with pytest.warns(NoConvergenceWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the flag alone reports it
             fit = fit_additive(y, [x1, x2])
         assert fit.converged is False
 
@@ -463,6 +470,7 @@ class TestFitAdditive:
         monkeypatch.setattr(spline_smooth, "design_matrix", counting_design_matrix)
         first = fit_additive(y, columns)
         second = fit_additive(y, columns)
+        assert first.converged and second.converged
         assert len(built) == len(columns)
         assert first.intercept == second.intercept
         assert np.array_equal(first.residuals, second.residuals)
@@ -472,7 +480,7 @@ class TestFitAdditive:
             assert (a.lam, a.edf, a.gcv) == (b.lam, b.edf, b.gcv)
 
         for _ in range(spline_smooth._DESIGN_MEMO_SIZE + 2):
-            fit_additive(y, [rng.uniform(-1, 1, 300)])
+            assert fit_additive(y, [rng.uniform(-1, 1, 300)]).converged
         assert spline_smooth._design_for.cache_info().currsize <= spline_smooth._DESIGN_MEMO_SIZE
 
 
@@ -595,6 +603,7 @@ class TestSerialization:
         x2 = rng.uniform(-1, 1, 300)
         y = np.sin(2 * x1) + x2 + 0.1 * rng.standard_normal(300)
         fit = fit_additive(y, [x1, x2])
+        assert fit.converged
         text = fit_to_json(fit)
         back = fit_from_json(text)
         assert isinstance(back, AdditiveFit)
@@ -607,6 +616,28 @@ class TestSerialization:
         # the residuals are written once, not once per term
         assert text.count('"residuals"') == 1
         assert fit_to_json(back) == text
+
+    @pytest.mark.parametrize("source", ["fit_additive", "fit_from_json"])
+    def test_terms_hold_the_fits_read_only_residuals(self, source):
+        rng = np.random.default_rng(27)
+        x1, x2 = rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)
+        fit = fit_additive(np.sin(2 * x1) + x2 + 0.1 * rng.standard_normal(300), [x1, x2])
+        assert fit.converged
+        if source == "fit_from_json":
+            fit = fit_from_json(fit_to_json(fit))
+        assert all(term.residuals is fit.residuals for term in fit.terms)
+        assert not fit.residuals.flags.writeable
+        with pytest.raises(ValueError):
+            fit.residuals[0] = 0.0
+
+    def test_non_finite_field_refused_on_writing(self):
+        # as many rows as basis columns: the unpenalized fit has n - edf = 0
+        x = np.linspace(-1, 1, 12)
+        fit = fit_penalized(np.sin(x), x, build_basis(x, 10), 0.0)
+        assert fit.gcv == np.inf
+        message = "^fitted model: Out of range float values are not JSON compliant"
+        with pytest.raises(FrontdoorLabError, match=message):
+            fit_to_json(fit)
 
     @pytest.mark.parametrize(
         "case, message",
@@ -623,7 +654,9 @@ class TestSerialization:
     def test_malformed_text_raises_frontdoor_error(self, case, message):
         x, y = make_xy(120, seed=29)
         spline_text = fit_to_json(select_lambda(y, x, 8))
-        additive_text = fit_to_json(fit_additive(y, [x]))
+        additive = fit_additive(y, [x])
+        assert additive.converged
+        additive_text = fit_to_json(additive)
         text = {
             "additive_missing_field": additive_text.replace('"converged": true, ', ""),
             "spline_bad_degree": spline_text.replace('"degree": 3,', '"degree": 2.5,'),
