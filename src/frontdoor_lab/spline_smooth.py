@@ -29,6 +29,13 @@ Backfitting that reaches its cycle cap reports ``converged=False``.
 Prediction inside the knot span evaluates the B-spline; beyond the span the
 fit continues linearly with the end slope.  ``fit_to_json`` writes a fit as
 one JSON object and ``fit_from_json`` reads it back bit for bit.
+
+Design rows and spline values both come from ``_DeBoor``, one numpy form of
+de Boor's recursion (de Boor 1972, J. Approx. Theory 6) that repeats SciPy's
+``_find_interval`` and ``_deBoor_D`` operation for operation, so every basis
+value and every prediction has the bits of SciPy's ``BSpline``, which the
+program no longer imports.  A basis computes its padded knots, Greville sites
+and recursion tables once and keeps them.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import BSpline
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse import csr_array
 
@@ -80,21 +87,131 @@ class SplineBasis:
     def dim(self) -> int:
         return len(self.knots) + self.degree - 1
 
-    @property
+    @functools.cached_property
     def full_knots(self) -> np.ndarray:
-        """Knot vector padded with `degree` extra knots per side at mean spacing."""
+        """Knot vector padded with `degree` extra knots per side at mean spacing
+        (read-only)."""
         knots = self.knots
         spacing = (knots[-1] - knots[0]) / (len(knots) - 1)
         left = knots[0] - spacing * np.arange(self.degree, 0, -1)
         right = knots[-1] + spacing * np.arange(1, self.degree + 1)
-        return np.concatenate([left, knots, right])
+        full = np.concatenate([left, knots, right])
+        full.setflags(write=False)
+        return full
 
-    @property
+    @functools.cached_property
     def greville(self) -> np.ndarray:
         """Greville abscissae; affine coefficient sequences over these sites
-        represent exactly the affine functions of the covariate."""
+        represent exactly the affine functions of the covariate (read-only)."""
         t, d = self.full_knots, self.degree
-        return np.array([t[i + 1 : i + d + 1].mean() for i in range(self.dim)])
+        sites = np.array([t[i + 1 : i + d + 1].mean() for i in range(self.dim)])
+        sites.setflags(write=False)
+        return sites
+
+    @functools.cached_property
+    def _de_boor(self) -> "_DeBoor":
+        return _DeBoor(self.full_knots, self.degree)
+
+    @functools.cached_property
+    def _end_slope_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and values of the derivative's basis, degree - 1 on the
+        inner knots ``full_knots[1:-1]``, at the two ends of the span."""
+        return _DeBoor(self.full_knots[1:-1], self.degree - 1)(self.knots[[0, -1]])
+
+    def _end_slopes(self, coefficients: np.ndarray) -> np.ndarray:
+        """The spline's slopes at the two ends of the span, from the
+        derivative's coefficients by SciPy's ``splder`` formula."""
+        t, k = self.full_knots, self.degree
+        derivative = (coefficients[1:] - coefficients[:-1]) * k / (t[k + 1 : -1] - t[1 : -k - 1])
+        return _combine(derivative, *self._end_slope_basis)
+
+
+class _DeBoor:
+    """De Boor's recursion for the B-splines of degree ``k`` on the strictly
+    increasing knots ``t``.
+
+    Called on points of the span ``[t[k], t[len(t) - k - 1]]``, it finds each
+    point's knot interval, the ell with ``t[ell] <= x < t[ell + 1]`` clipped to
+    ``[k, len(t) - k - 2]``, as SciPy's ``_find_interval`` does, and runs SciPy's
+    ``_deBoor_D`` recursion for all points at once, operation for operation.
+    It returns each point's first nonzero basis column ``ell - k`` and the
+    ``(k + 1, len(x))`` nonzero basis values, each with SciPy's bits.
+
+    The interval search uses buckets rather than ``np.searchsorted``: a
+    point's bucket ``trunc((x - t[k]) * scale)`` is monotone in x, so every knot
+    of a lower bucket is ``<= x`` and every knot of a higher bucket is ``> x``.
+    Only the knots of the point's own bucket, however many, are compared, so
+    the search is exact for any knot layout.
+    """
+
+    def __init__(self, t: np.ndarray, k: int):
+        n = len(t) - k - 1
+        self.k = k
+        self._lo = float(t[k])
+        # four buckets per knot interval, so quantile knots rarely share one
+        self._n_buckets = 4 * (n - k)
+        self._scale = self._n_buckets / (float(t[n]) - self._lo)
+        inner = t[k + 1 : n]
+        bucket = self._buckets(inner)
+        counts = np.bincount(bucket, minlength=self._n_buckets)
+        # the number of inner knots below each bucket, then row d holds the
+        # (d + 1)-th knot within each bucket, +inf where there is none
+        self._below = np.searchsorted(bucket, np.arange(self._n_buckets))
+        self._within = np.full((counts.max(initial=0), self._n_buckets), np.inf)
+        for depth, row in enumerate(self._within):
+            held = counts > depth
+            row[held] = inner[self._below[held] + depth]
+        # per interval: the knots t[ell - k + 1], ..., t[ell + k], then the
+        # denominators t[ell + i] - t[ell + i - j] of steps j = 1..k, i = 1..j
+        ell = np.arange(k, n)
+        rows = [t[ell + offset] for offset in range(1 - k, k + 1)]
+        rows += [t[ell + i] - t[ell + i - j] for j in range(1, k + 1) for i in range(1, j + 1)]
+        self._table = np.array(rows).reshape(len(rows), n - k)  # no rows at degree 0
+
+    def _buckets(self, x: np.ndarray) -> np.ndarray:
+        scaled = np.subtract(x, self._lo)
+        scaled *= self._scale
+        # fmax and fmin, not clip: they send a NaN to bucket 0 without a warning
+        np.fmax(scaled, 0.0, out=scaled)
+        np.fmin(scaled, self._n_buckets - 1, out=scaled)
+        return scaled.astype(np.intp)
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bucket = self._buckets(x)
+        first = self._below[bucket]
+        for row in self._within:
+            first += row[bucket] <= x
+        k, steps = self.k, len(self._table)
+        work = np.empty((steps + k + 1, len(x)))
+        # with out=, the default mode would buffer the whole gather
+        np.take(self._table, first, axis=1, out=work[:steps], mode="clip")
+        left, right, denominators = work[:k], work[k : 2 * k], work[2 * k : steps]
+        np.subtract(x, left, out=left)  # x - t[ell + i - j]
+        right -= x  # t[ell + i] - x
+        h = work[steps:]
+        h[0] = 1.0
+        for j in range(1, k + 1):
+            w, denominators = denominators[:j], denominators[j:]
+            # w_i = h_i-1 / (t[ell + i] - t[ell + i - j]); h_i = w_i (x - t[ell + i - j]);
+            # h_i-1 += w_i (t[ell + i] - x) with h_0 starting at 0.0
+            np.divide(h[:j], w, out=w)
+            np.multiply(w, left[k - j :], out=h[1 : j + 1])
+            h[0] = 0.0
+            w *= right[:j]
+            h[:j] += w
+        return first, h
+
+
+def _combine(coefficients: np.ndarray, first: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """0.0 + sum of c[first + a] * values[a] over a = 0..k, in that order, as
+    SciPy sums it; the leading 0.0 turns a sum of -0.0 terms into 0.0."""
+    k = len(values) - 1
+    terms = np.take(sliding_window_view(coefficients, k + 1).T, first, axis=1)
+    terms *= values
+    total = np.zeros(len(first))
+    for row in terms:
+        total += row
+    return total
 
 
 def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
@@ -123,11 +240,14 @@ def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
 
 
 def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
-    """Dense basis evaluation matrix; all x must lie within the knot span."""
+    """Dense (len(x), dim) basis evaluation matrix, each row's degree + 1
+    nonzero values from ``_DeBoor`` at the point's knot interval.
+
+    All x must lie within the knot span, or FrontdoorLabError is raised.
+    """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise FrontdoorLabError("need at least one design point")
-    # checked here so scipy skips its own span check, a Python loop over x;
     # a NaN fails both comparisons
     lo, hi = float(basis.knots[0]), float(basis.knots[-1])
     x_lo, x_hi = float(x.min()), float(x.max())
@@ -136,9 +256,15 @@ def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
             f"design points must lie within the knot span [{lo!r}, {hi!r}], "
             f"got [{x_lo!r}, {x_hi!r}]"
         )
-    return BSpline.design_matrix(
-        x, basis.full_knots, basis.degree, extrapolate=True
-    ).toarray()
+    first, values = basis._de_boor(x)
+    design = np.zeros((len(x), basis.dim))
+    # row r's values go to its columns first[r], ..., first[r] + degree
+    starts = np.arange(0, design.size, basis.dim)
+    starts += first
+    flat = design.reshape(-1)
+    for a, row in enumerate(values):
+        flat[a:][starts] = row
+    return design
 
 
 def penalty_matrix(basis: SplineBasis) -> np.ndarray:
@@ -507,18 +633,20 @@ def fit_additive(
 
 
 def _spline_values(basis: SplineBasis, coefficients: np.ndarray, points) -> np.ndarray:
+    """The spline at ``points``, continued linearly beyond the span; a NaN
+    point gives NaN and an infinite one an infinite value."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
     lo, hi = float(basis.knots[0]), float(basis.knots[-1])
-    spline = BSpline(basis.full_knots, coefficients, basis.degree, extrapolate=False)
-    values = spline(np.clip(points, lo, hi))
+    values = _combine(coefficients, *basis._de_boor(np.clip(points, lo, hi).ravel()))
+    values = values.reshape(points.shape)
     below = points < lo
     above = points > hi
     if below.any() or above.any():
-        slope = spline.derivative()
+        slope_lo, slope_hi = basis._end_slopes(coefficients)
         if below.any():
-            values[below] += (points[below] - lo) * slope(lo)
+            values[below] += (points[below] - lo) * slope_lo
         if above.any():
-            values[above] += (points[above] - hi) * slope(hi)
+            values[above] += (points[above] - hi) * slope_hi
     return values
 
 

@@ -344,6 +344,36 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_stages_leave_scipy_interpolate_unloaded(self, tmp_path):
+        # B-splines come from the program's own de Boor kernel; scipy.interpolate
+        # would also load scipy.optimize and scipy.spatial, the bulk of start-up
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        config = tmp_path / "tiny.txt"
+        config.write_text(
+            f"seed = 3\nn = 400\nm = 2\ncycles = 1\ngrid = -1:1:3\nout = {tmp_path}\n"
+        )
+        probe = (
+            "import sys\n"
+            "from frontdoor_lab.cli import main\n"
+            "unused = ('scipy.interpolate', 'scipy.optimize', 'scipy.spatial')\n"
+            "def loaded(when):\n"
+            "    print(when, sorted(name for name in unused if name in sys.modules))\n"
+            "loaded('import:')\n"
+            "for stage in ('simulate', 'impute', 'estimate', 'plot'):\n"
+            "    assert main([stage, '--config', sys.argv[1]]) == 0, stage\n"
+            "loaded('stages:')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(config)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "import: []"
+        assert lines[-1] == "stages: []"
+
 
 class TestSimulate:
     def test_tiny_run_row_count(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from frontdoor_lab import spline_smooth
 from frontdoor_lab.errors import FrontdoorLabError, NumericError
@@ -16,6 +17,7 @@ from frontdoor_lab.spline_smooth import (
     AdditiveFit,
     PenalizedSplineFit,
     SplineBasis,
+    _spline_values,
     build_basis,
     design_matrix,
     fit_additive,
@@ -319,6 +321,93 @@ class TestPredict:
         columns = [np.linspace(-1, 1, length) for length in lengths]
         with pytest.raises(FrontdoorLabError, match=re.escape(f"equal lengths, got {lengths}")):
             predict(fit, columns)
+
+    def test_non_finite_points(self):
+        # the values SciPy's BSpline gave for this fit, with no warning: a NaN
+        # point gives NaN, an infinite one the end slope's infinity
+        x, y = make_xy(400, seed=0)
+        fit = select_lambda(y, x)
+        assert np.isnan(predict(fit, [np.nan])).all()
+        inside, missing = predict(fit, [0.1, np.nan])
+        assert inside.hex() == "0x1.8f4511bfef561p-3"
+        assert np.isnan(missing)
+        assert predict(fit, [np.inf]).tolist() == [-np.inf]
+        assert predict(fit, [-np.inf]).tolist() == [np.inf]
+
+    def test_basis_geometry_is_computed_once_and_read_only(self):
+        basis = build_basis(np.linspace(0, 1, 50), 8)
+        for name in ("full_knots", "greville"):
+            assert getattr(basis, name) is getattr(basis, name)
+            assert not getattr(basis, name).flags.writeable
+
+
+def scipy_spline_values(basis, coefficients, points):
+    """The spline of ``_spline_values`` evaluated by SciPy's ``BSpline``."""
+    lo, hi = basis.knots[0], basis.knots[-1]
+    spline = BSpline(basis.full_knots, coefficients, basis.degree, extrapolate=False)
+    values = spline(np.clip(points, lo, hi))
+    slope = spline.derivative()
+    below, above = points < lo, points > hi
+    values[below] += (points[below] - lo) * slope(lo)
+    values[above] += (points[above] - hi) * slope(hi)
+    return values
+
+
+def kernel_bases():
+    """Bases of degree 1 and 3 with 4 to 30 knots, quantile and uneven, and
+    one with two knots 1e-12 apart."""
+    rng = np.random.default_rng(21)
+    for degree in (1, 3):
+        for n_knots in range(4, 31):
+            quantiles = np.linspace(0, 1, n_knots)
+            yield SplineBasis(np.quantile(rng.standard_normal(2000), quantiles), degree)
+            yield SplineBasis(np.cumsum(rng.exponential(size=n_knots)), degree)
+        knots = np.linspace(-1.0, 1.0, 12)
+        yield SplineBasis(np.sort(np.append(knots, knots[5] + 1e-12)), degree)
+
+
+class TestDeBoorAgainstScipy:
+    """The de Boor kernel against SciPy's ``BSpline``, kept here as the reference:
+    design rows and spline values match it bit for bit."""
+
+    @staticmethod
+    def span_points(basis, rng):
+        lo, hi = basis.knots[0], basis.knots[-1]
+        ends = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)]
+        points = np.concatenate([rng.uniform(lo, hi, 300), basis.knots, ends])
+        rng.shuffle(points)
+        return points
+
+    def test_design_rows(self):
+        rng = np.random.default_rng(22)
+        for basis in kernel_bases():
+            x = self.span_points(basis, rng)
+            expected = BSpline.design_matrix(x, basis.full_knots, basis.degree).toarray()
+            assert design_matrix(basis, x).tobytes() == expected.tobytes(), basis
+
+    def test_spline_values_and_extrapolation(self):
+        rng = np.random.default_rng(23)
+        for basis in kernel_bases():
+            lo, hi = basis.knots[0], basis.knots[-1]
+            beyond = rng.exponential(size=20)
+            points = np.concatenate([self.span_points(basis, rng), lo - beyond, hi + beyond[::-1]])
+            coefficients = rng.standard_normal(basis.dim)
+            expected = scipy_spline_values(basis, coefficients, points)
+            values = _spline_values(basis, coefficients, points)
+            assert values.tobytes() == expected.tobytes(), basis
+
+    def test_negative_zero_coefficients_sum_to_positive_zero(self):
+        basis = SplineBasis(np.linspace(0.0, 1.0, 6), 3)
+        points = np.array([0.0, 0.3, 1.0])
+        coefficients = np.full(basis.dim, -0.0)
+        values = _spline_values(basis, coefficients, points)
+        assert values.tobytes() == scipy_spline_values(basis, coefficients, points).tobytes()
+        assert values.tobytes() == np.zeros(3).tobytes()
+
+    def test_close_knots_share_a_bucket(self):
+        # so the tests above reach the search's comparison of several knots in one bucket
+        *_, clustered = kernel_bases()
+        assert len(clustered._de_boor._within) >= 2
 
 
 class TestFitAdditive:
