@@ -6,10 +6,9 @@ output directory, so any run can be reproduced from that file alone; every
 stage derives its random streams from the single root seed.
 
 The config keys are the fields of :class:`RunConfig` and of its
-:class:`ScmConfig`, in declaration order; a pair field of ``ScmConfig`` has
-one key per half.  Each key is parsed and written by its declared type:
-ints with ``str``, floats with ``repr``, strings raw and tuples as
-``:``-separated parts.
+:class:`ScmConfig`, in declaration order.  Each key is parsed and written by
+its declared type: ints with ``str``, floats with ``repr``, strings raw and
+tuples as ``:``-separated parts.
 """
 
 from __future__ import annotations
@@ -74,14 +73,6 @@ class RunConfig:
         )
 
 
-# the two config keys of each ScmConfig field that holds a pair
-_PAIR_KEYS = {
-    "x_prime_range": ("x_prime_low", "x_prime_high"),
-    "miss_x_params": ("miss_x_a", "miss_x_b"),
-    "miss_z_params": ("miss_z_a", "miss_z_b"),
-}
-
-
 def _typed_fields(cls) -> list[tuple[str, type]]:
     hints = get_type_hints(cls)
     return [(f.name, hints[f.name]) for f in fields(cls)]
@@ -93,14 +84,9 @@ _SCM_FIELDS = _typed_fields(ScmConfig)
 
 def _entries(cfg: RunConfig) -> list[tuple[str, type, object]]:
     """Every config key with its type and its value in ``cfg``, in file order."""
-    entries = [(name, kind, getattr(cfg, name)) for name, kind in _RUN_FIELDS]
-    for name, kind in _SCM_FIELDS:
-        value = getattr(cfg.scm, name)
-        if name in _PAIR_KEYS:
-            entries += zip(_PAIR_KEYS[name], get_args(kind), value)
-        else:
-            entries.append((name, kind, value))
-    return entries
+    return [(name, kind, getattr(cfg, name)) for name, kind in _RUN_FIELDS] + [
+        (name, kind, getattr(cfg.scm, name)) for name, kind in _SCM_FIELDS
+    ]
 
 
 def _parse(kind, text: str):
@@ -133,11 +119,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             values[key] = _parse(kinds[key], value)
         except (ValueError, TypeError) as exc:
             raise FrontdoorLabError(f"line {lineno}: cannot parse {raw!r}") from exc
-    scm = {
-        name: tuple(values[k] for k in _PAIR_KEYS[name]) if name in _PAIR_KEYS else values[name]
-        for name, _ in _SCM_FIELDS
-    }
-    return RunConfig(**{name: values[name] for name, _ in _RUN_FIELDS}, scm=ScmConfig(**scm))
+    scm = ScmConfig(**{name: values[name] for name, _ in _SCM_FIELDS})
+    return RunConfig(**{name: values[name] for name, _ in _RUN_FIELDS}, scm=scm)
 
 
 def config_to_text(cfg: RunConfig) -> str:
@@ -146,9 +129,7 @@ def config_to_text(cfg: RunConfig) -> str:
 
 # the keys that the files ``simulate`` writes depend on: the seed, the sample
 # size and every ScmConfig key
-_SIMULATE_KEYS = {"seed", "n"} | {
-    key for name, _ in _SCM_FIELDS for key in _PAIR_KEYS.get(name, (name,))
-}
+_SIMULATE_KEYS = {"seed", "n"} | {name for name, _ in _SCM_FIELDS}
 
 
 def simulate_key_changes(cfg: RunConfig, recorded: RunConfig) -> list[str]:

@@ -4,7 +4,7 @@ The generative mechanism, with ``phi`` the standard normal density and all
 noise terms independent::
 
     U  ~ N(0, 1)
-    X' ~ Uniform(x_prime_range)
+    X' ~ Uniform(x_prime_low, x_prime_high)
     X  = X' + U
     Z  = z_amplitude * phi(X) + eps_Z,   eps_Z ~ N(0, sigma_z^2)
     Y  = phi(Z - y_shift) + y_linear * Z + u_coef * U
@@ -24,6 +24,7 @@ identical inputs reproduce identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -61,21 +62,27 @@ class ScmConfig:
     y_shift: float = 0.5
     y_linear: float = 0.3
     u_coef: float = -0.1
-    x_prime_range: tuple[float, float] = (-2.0, 2.0)
-    miss_x_params: tuple[float, float] = (2.0, -1.0)
-    miss_z_params: tuple[float, float] = (-1.0, 4.0)
+    x_prime_low: float = -2.0
+    x_prime_high: float = 2.0
+    miss_x_a: float = 2.0
+    miss_x_b: float = -1.0
+    miss_z_a: float = -1.0
+    miss_z_b: float = 4.0
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not np.all(np.isfinite(value)):
+            # not isinstance: True is an int
+            if type(value) not in (int, float):
+                raise FrontdoorLabError(f"{field.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise FrontdoorLabError(f"{field.name} must be finite, got {value}")
         if not self.sigma_z > 0:
             raise FrontdoorLabError("sigma_z must be positive")
-        low, high = self.x_prime_range
+        low, high = self.x_prime_low, self.x_prime_high
         # a width past the float range is what Generator.uniform cannot draw from
-        if not (low < high and np.isfinite(float(high) - float(low))):
-            raise FrontdoorLabError("x_prime_range must satisfy low < high with a finite width")
+        if not (low < high and math.isfinite(float(high) - float(low))):
+            raise FrontdoorLabError("x_prime_low must be below x_prime_high, with a finite width")
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ def generate_population(cfg: ScmConfig, n: int, seed: int) -> Population:
         raise FrontdoorLabError(f"population size must be >= 1, got {n}")
     rng = _rng(seed, _STREAM_POPULATION)
     u = rng.standard_normal(n)
-    x_prime = rng.uniform(cfg.x_prime_range[0], cfg.x_prime_range[1], n)
+    x_prime = rng.uniform(cfg.x_prime_low, cfg.x_prime_high, n)
     # z and y are checked below; a huge x is exact, its density underflows to 0
     with np.errstate(over="ignore", invalid="ignore"):
         eps_z = cfg.sigma_z * rng.standard_normal(n)
@@ -243,7 +250,7 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
     rng = _rng(seed, _STREAM_MISSINGNESS)
     y = population.y
     kept = []
-    for a, b in (cfg.miss_x_params, cfg.miss_z_params):
+    for a, b in ((cfg.miss_x_a, cfg.miss_x_b), (cfg.miss_z_a, cfg.miss_z_b)):
         with np.errstate(over="ignore", invalid="ignore"):
             index = a + b * y
         if not np.isfinite(index).all():

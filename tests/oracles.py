@@ -139,10 +139,11 @@ def missingness_rates_quadrature(
     """Exact missingness rates (x, z, both) implied by the masking equations.
 
     Re-derives Y from the documented mechanism (U ~ N(0, 1),
-    X' ~ Uniform(x_prime_range), X = X' + U, Z = z_amplitude phi(X) + eps_Z,
-    Y = phi(Z - y_shift) + y_linear Z + u_coef U) and integrates the hiding
-    probabilities 1 - Phi(a_x + b_x y), 1 - Phi(a_z + b_z y) and their
-    product over it: Gauss-Hermite in U and eps_Z, Gauss-Legendre in X'.
+    X' ~ Uniform(x_prime_low, x_prime_high), X = X' + U,
+    Z = z_amplitude phi(X) + eps_Z, Y = phi(Z - y_shift) + y_linear Z + u_coef U)
+    and integrates the hiding probabilities 1 - Phi(a_x + b_x y),
+    1 - Phi(a_z + b_z y) and their product over it: Gauss-Hermite in U and
+    eps_Z, Gauss-Legendre in X'.
     The joint rate is the product inside the integral, i.e. the two masks
     are independent given y.  Doubling the node counts moves the default
     config's rates by less than 1e-11.
@@ -153,12 +154,12 @@ def missingness_rates_quadrature(
     g, w_g = hermegauss(n_normal)
     w_g = w_g / w_g.sum()
     t, w_t = leggauss(n_uniform)
-    lo, hi = cfg.x_prime_range
+    lo, hi = cfg.x_prime_low, cfg.x_prime_high
     x_prime = lo + (hi - lo) * (t[:, None] + 1.0) / 2.0
     weights = (w_t / w_t.sum())[:, None] * w_g[None, :]
     eps_z = cfg.sigma_z * g[None, :]
-    ax, bx = cfg.miss_x_params
-    az, bz = cfg.miss_z_params
+    ax, bx = cfg.miss_x_a, cfg.miss_x_b
+    az, bz = cfg.miss_z_a, cfg.miss_z_b
 
     total = np.zeros(3)
     for u, w_u in zip(g, w_g):

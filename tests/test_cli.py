@@ -573,6 +573,7 @@ class TestErrorPaths:
             "cycles = 0",
             "donors = 0",
             "x_prime_low = -1e308\nx_prime_high = 1e308",
+            "x_prime_low = 3",
             "sigma_z = 1e308",
             "u_coef = 4e307",
             "out =",
@@ -581,7 +582,8 @@ class TestErrorPaths:
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
             "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
             "m_1", "cycles_0", "donors_0",
-            "x_prime_width_overflows", "sigma_z_overflows", "missingness_index_overflows",
+            "x_prime_width_overflows", "x_prime_low_above_high", "sigma_z_overflows",
+            "missingness_index_overflows",
             "out_empty",
         ],
     )
@@ -592,7 +594,10 @@ class TestErrorPaths:
         config = tmp_path / "config.txt"
         config.write_text(f"n = 600\nm = 2\nout = {out}\n{line}\n")
         assert main(["simulate", "--config", str(config)]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid-input:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        if line.startswith("x_prime"):  # the error names both bounds, either may be at fault
+            assert "x_prime_low must be below x_prime_high" in err
         assert [path.name for path in tmp_path.iterdir()] == ["config.txt"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -602,7 +607,9 @@ class TestErrorPaths:
         config = tmp_path / "config.txt"
         config.write_text(f"n = 600\nm = 2\nout = {out}\n{key} = {value}\n")
         assert main(["simulate", "--config", str(config)]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid-input:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert f"{key} must be finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

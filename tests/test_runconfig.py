@@ -20,7 +20,7 @@ class TestRunConfig:
     def test_scm_overrides(self):
         cfg = parse_config("sigma_z = 0.25\nmiss_z_b = 3.5\n")
         assert cfg.scm.sigma_z == 0.25
-        assert cfg.scm.miss_z_params == (-1.0, 3.5)
+        assert (cfg.scm.miss_z_a, cfg.scm.miss_z_b) == (-1.0, 3.5)
         assert cfg.scm.z_amplitude == 4.0  # untouched default
 
     def test_comments_and_blanks(self):
@@ -106,17 +106,15 @@ class TestConfigText:
         for name in ("seed", "n", "m", "grid", "out", "cycles", "donors", "n_knots",
                      "subsample"):
             assert getattr(cfg, name) != getattr(default, name), name
-        for name in ("sigma_z", "z_amplitude", "y_shift", "y_linear", "u_coef"):
+        for name in ("sigma_z", "z_amplitude", "y_shift", "y_linear", "u_coef", "x_prime_low",
+                     "x_prime_high", "miss_x_a", "miss_x_b", "miss_z_a", "miss_z_b"):
             assert getattr(cfg.scm, name) != getattr(default.scm, name), name
-        assert cfg.scm.x_prime_range == (-1.0, 3.0)
-        assert cfg.scm.miss_x_params == (1.5, -0.5)
-        assert cfg.scm.miss_z_params == (0.75, 2.0)
         assert config_to_text(cfg) == ALL_KEYS_TEXT
         assert parse_config(config_to_text(cfg)) == cfg
 
 
 class TestScmConfigText:
     def test_round_trip(self):
-        scm = ScmConfig(sigma_z=0.2, miss_x_params=(1.5, -0.5))
+        scm = ScmConfig(sigma_z=0.2, miss_x_a=1.5, miss_x_b=-0.5)
         cfg = parse_config(config_to_text(RunConfig(scm=scm)))
         assert cfg.scm == scm

@@ -283,8 +283,19 @@ class TestScmConfigValidation:
             ScmConfig(sigma_z=0.0)
 
     def test_range_ordering(self):
-        with pytest.raises(FrontdoorLabError):
-            ScmConfig(x_prime_range=(2.0, -2.0))
+        message = "^x_prime_low must be below x_prime_high, with a finite width$"
+        for low, high in [(2.0, -2.0), (1.0, 1.0), (-1e308, 1e308)]:
+            with pytest.raises(FrontdoorLabError, match=message):
+                ScmConfig(x_prime_low=low, x_prime_high=high)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sigma_z", "0.1"), ("sigma_z", None), ("sigma_z", True), ("y_shift", [0.5])],
+        ids=["str", "none", "bool", "list"],
+    )
+    def test_rejects_a_value_that_is_not_a_number(self, name, value):
+        with pytest.raises(FrontdoorLabError, match=f"^{name} must be a number, got "):
+            ScmConfig(**{name: value})
 
 
 class TestDataset:
