@@ -40,6 +40,8 @@ class RunConfig:
     scm: ScmConfig = field(default_factory=ScmConfig)
 
     def __post_init__(self):
+        for name, kind in _RUN_TYPES:
+            _check_type(name, kind, getattr(self, name))
         # rejected here, before any stage runs: no stage can use these values;
         # building the imputation config runs its own checks
         self.imputation_config()
@@ -78,7 +80,23 @@ def _typed_fields(cls) -> list[tuple[str, type]]:
     return [(f.name, hints[f.name]) for f in fields(cls)]
 
 
-_RUN_FIELDS = [(name, kind) for name, kind in _typed_fields(RunConfig) if kind is not ScmConfig]
+def _check_type(name: str, kind, value) -> None:
+    """FrontdoorLabError unless ``value`` has exactly the type ``kind``, part by
+    part for a tuple, so ``config_to_text`` writes text that ``parse_config``
+    reads back.  Not isinstance: True is an int, and numpy's float64 is a
+    float whose repr is ``np.float64(...)``."""
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        if type(value) is not tuple or len(value) != len(kinds):
+            raise FrontdoorLabError(f"{name} must be {kind}, got {value!r}")
+        for index, (part_kind, part) in enumerate(zip(kinds, value)):
+            _check_type(f"{name}[{index}]", part_kind, part)
+    elif type(value) is not kind:
+        raise FrontdoorLabError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+_RUN_TYPES = _typed_fields(RunConfig)
+_RUN_FIELDS = [(name, kind) for name, kind in _RUN_TYPES if kind is not ScmConfig]
 _SCM_FIELDS = _typed_fields(ScmConfig)
 
 

@@ -25,6 +25,7 @@ identical inputs reproduce identical outputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -75,8 +76,10 @@ class ScmConfig:
             # not isinstance: True is an int
             if type(value) not in (int, float):
                 raise FrontdoorLabError(f"{field.name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise FrontdoorLabError(f"{field.name} must be finite, got {value}")
+            # compared exactly: math.isfinite overflows on an int past the float range
+            if not abs(value) <= sys.float_info.max:
+                shown = value if type(value) is float else "an int past the float range"
+                raise FrontdoorLabError(f"{field.name} must be finite, got {shown}")
         if not self.sigma_z > 0:
             raise FrontdoorLabError("sigma_z must be positive")
         low, high = self.x_prime_low, self.x_prime_high

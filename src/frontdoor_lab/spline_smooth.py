@@ -18,12 +18,15 @@ only at the chosen weight.  Additive models start from the joint penalized
 solution, whose normal equations are assembled from per-term Gram blocks
 rather than from a stacked design, and then cycle penalized backfitting over
 the terms, reselecting the penalty for each term from its current partial
-residuals.  A term's design keeps its Gram matrix and column sums and stores
-the basis matrix sparse.  Every GCV fit, a single smooth or an additive term,
-takes its basis from ``build_basis``, the one rule for knots and degree, and
-its design from one cache of recent columns, so imputation builds each
-repeated column's design once and a mediator smooth shares its design with the
-outcome model's treatment term.
+residuals.  The matrix of those normal equations is cached for the two most
+recent tuples of designs, so fits that share their designs assemble it once.
+A term's design keeps its Gram matrix and column sums, taken from the dense
+basis matrix, and stores the basis matrix sparse, built straight from the
+kernel's rows, together with its transpose.  Every GCV fit, a single smooth
+or an additive term, takes its basis from ``build_basis``, the one rule for
+knots and degree, and its design from one cache of recent columns, so
+imputation builds each repeated column's design once and a mediator smooth
+shares its design with the outcome model's treatment term.
 
 Backfitting that reaches its cycle cap reports ``converged=False``.
 Prediction inside the knot span evaluates the B-spline; beyond the span the
@@ -314,8 +317,10 @@ class _PenalizedDesign:
     A design depends only on the covariate column and the grid, so GCV fits
     reuse it across calls (see ``_design_for``).  It keeps
     the Gram matrix ``B'B`` and the column sums of ``B`` for the joint start,
-    and stores ``B`` itself sparse: each row has at most ``degree + 1``
-    nonzeros.
+    both taken from the dense ``design_matrix``, and stores ``B`` itself
+    sparse: a CSR matrix built from the ``degree + 1`` values per row that
+    ``_DeBoor`` gives, without scanning the dense array, and its transpose,
+    formed once for the right-hand sides ``B'y``.
 
     The coefficients are split between the penalty null space (affine
     coefficient sequences, ``_Q1``) and its orthogonal complement (``_Q2``).
@@ -332,11 +337,19 @@ class _PenalizedDesign:
     def __init__(self, basis: SplineBasis, x: np.ndarray, lambdas: Sequence[float]):
         self.basis = basis
         self.lambdas = np.asarray(lambdas, dtype=float)
-        B = design_matrix(basis, x)
-        self.n = len(x)
-        self._BtB = BtB = B.T @ B
-        self._col_sums = B.sum(axis=0)
-        self.B = csr_array(B)
+        dense = design_matrix(basis, x)
+        self.n = n = len(x)
+        self._BtB = BtB = dense.T @ dense
+        self._col_sums = dense.sum(axis=0)
+        # the CSR rows are the kernel's rows, so a point on a knot keeps its
+        # explicit zero value; SciPy's products sum from +0.0, so a +-0.0 term
+        # leaves every sum, and so every bit, as a dropped zero would
+        first, values = basis._de_boor(x)
+        width = basis.degree + 1
+        columns = (first[:, None] + np.arange(width)).astype(np.int32)
+        indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
+        self.B = csr_array((values.T.ravel(), columns.ravel(), indptr), shape=(n, basis.dim))
+        self._Bt = self.B.T
 
         p = basis.dim
         # orthonormal null-space basis built by explicit Gram-Schmidt so the
@@ -374,7 +387,7 @@ class _PenalizedDesign:
     def select(self, y: np.ndarray, index: int | None = None):
         """(index, beta, fitted, gcv) at grid weight ``index``, or at the GCV
         minimizer when ``index`` is None, ties toward the larger weight."""
-        bty = self.B.T @ y
+        bty = self._Bt @ y
         delta = self._A_inv @ (self._Q1.T @ bty)
         beta_affine = self._Q1 @ delta
         residual_affine = y - self.B @ beta_affine
@@ -474,30 +487,41 @@ def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
     return _PenalizedDesign(build_basis(x, n_knots), x, LAMBDA_GRID)
 
 
-def _joint_normal_equations(y: np.ndarray, designs: list[_PenalizedDesign]):
+def _joint_normal_equations(y: np.ndarray, designs: Sequence[_PenalizedDesign]):
     """Unpenalized normal equations of the stacked design [1, B_1 T_1, ..., B_k T_k].
 
     ``T_j`` drops term j's constant direction (the intercept column carries
-    it).  The matrix is assembled from Gram blocks, ``T_i' B_i'B_j T_j``, and
-    the right-hand side from ``T_j' B_j'y``; the stacked design is never
-    formed.  Returns the matrix and the right-hand side.
+    it).  The right-hand side ``[sum y, T_1' B_1'y, ..., T_k' B_k'y]`` is formed
+    on every call; the matrix, which does not depend on ``y``, comes from
+    ``_joint_normal_matrix``.  Returns the read-only matrix and the right-hand
+    side.
     """
+    designs = tuple(designs)
+    rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
+    return _joint_normal_matrix(designs), rhs
+
+
+# The sign and magnitude fits of one chained-equation cycle share both designs,
+# so the second of them finds its matrix here.  The entries hold their designs
+# alive, and designs compare by identity, so an entry is never stale.
+@functools.lru_cache(maxsize=2)
+def _joint_normal_matrix(designs: tuple[_PenalizedDesign, ...]) -> np.ndarray:
+    """The read-only matrix of ``_joint_normal_equations``, assembled from Gram
+    blocks, ``T_i' B_i'B_j T_j``; the stacked design is never formed."""
     sizes = [1] + [d._T.shape[1] for d in designs]
     bounds = np.cumsum([0] + sizes)
     blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     M = np.empty((bounds[-1], bounds[-1]))
-    rhs = np.empty(bounds[-1])
-    M[0, 0] = len(y)
-    rhs[0] = np.sum(y)
+    M[0, 0] = designs[0].n
     for i, (design, block) in enumerate(zip(designs, blocks[1:])):
         M[0, block] = M[block, 0] = design._col_sums @ design._T
         M[block, block] = design._T.T @ design._BtB @ design._T
-        rhs[block] = design._T.T @ (design.B.T @ y)
         for other, other_block in zip(designs[i + 1 :], blocks[i + 2 :]):
-            cross = (design.B.T @ other.B).toarray()
+            cross = (design._Bt @ other.B).toarray()
             M[block, other_block] = design._T.T @ cross @ other._T
             M[other_block, block] = M[block, other_block].T
-    return M, rhs
+    M.setflags(write=False)
+    return M
 
 
 def _joint_fit(

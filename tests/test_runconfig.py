@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,26 @@ class TestRunConfig:
             parse_config("seed 3\n")
         with pytest.raises(FrontdoorLabError, match="^line 1: cannot parse 'grid = 1:2'$"):
             parse_config("grid = 1:2\n")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n": 2.5}, "n must be int, got 2.5"),
+            ({"m": True}, "m must be int, got True"),
+            ({"seed": "1"}, "seed must be int, got '1'"),
+            ({"out": 3}, "out must be str, got 3"),
+            ({"grid": (0.0, 1.0, 2.5)}, "grid[2] must be int, got 2.5"),
+            ({"grid": (0, 1.0, 3)}, "grid[0] must be float, got 0"),
+            ({"grid": (-1.0, np.float64(1.0), 3)}, "grid[1] must be float, got np.float64(1.0)"),
+            ({"grid": [-1.0, 1.0, 3]}, "grid must be tuple[float, float, int], got [-1.0, 1.0, 3]"),
+            ({"scm": None}, "scm must be ScmConfig, got None"),
+        ],
+        ids=["n_float", "m_bool", "seed_str", "out_int", "grid_count_float", "grid_lo_int",
+             "grid_hi_numpy", "grid_list", "scm_none"],
+    )
+    def test_rejects_a_value_of_another_type(self, fields, message):
+        with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
+            RunConfig(**fields)
 
     def test_derived_configs_share_root_seed(self):
         cfg = RunConfig(seed=11)

@@ -297,6 +297,16 @@ class TestScmConfigValidation:
         with pytest.raises(FrontdoorLabError, match=f"^{name} must be a number, got "):
             ScmConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(float("inf"), "inf"), (float("nan"), "nan"), (10**400, "an int past the float range"),
+         (-(10**5000), "an int past the float range")],
+        ids=["inf", "nan", "huge_int", "huge_negative_int"],
+    )
+    def test_rejects_a_value_that_is_not_finite(self, value, shown):
+        with pytest.raises(FrontdoorLabError, match=f"^sigma_z must be finite, got {shown}$"):
+            ScmConfig(sigma_z=value)
+
 
 class TestDataset:
     def test_masked_cell_returns_none(self):

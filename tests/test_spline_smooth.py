@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
+from scipy.sparse import csr_array
 
 from frontdoor_lab import spline_smooth
 from frontdoor_lab.errors import FrontdoorLabError, NumericError
@@ -571,6 +572,67 @@ class TestFitAdditive:
         for _ in range(spline_smooth._DESIGN_MEMO_SIZE + 2):
             assert fit_additive(y, [rng.uniform(-1, 1, 300)]).converged
         assert spline_smooth._design_for.cache_info().currsize <= spline_smooth._DESIGN_MEMO_SIZE
+
+
+class TestSparseDesign:
+    """The CSR matrix a design builds from the kernel's rows against the one
+    ``csr_array`` makes of the dense design, which drops explicit zeros."""
+
+    @staticmethod
+    def columns_and_designs():
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(500)
+        basis = build_basis(x, 20)
+        # every knot, both span ends and the points next to them
+        lo, hi = basis.knots[0], basis.knots[-1]
+        ends = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)]
+        cubic = np.concatenate([x, basis.knots, ends])
+        sign = np.where(rng.standard_normal(len(cubic)) >= 0, 1.0, -1.0)
+        columns = [cubic, sign]
+        designs = [
+            spline_smooth._PenalizedDesign(build_basis(c, 20), c, LAMBDA_GRID) for c in columns
+        ]
+        return columns, designs
+
+    def test_products_match_the_dense_conversion(self):
+        columns, designs = self.columns_and_designs()
+        assert [d.basis.degree for d in designs] == [3, 1]
+        rng = np.random.default_rng(32)
+        y = rng.standard_normal(len(columns[0]))
+        y[::7] = -0.0
+        references = []
+        for design, column in zip(designs, columns):
+            dense = design_matrix(design.basis, column)
+            reference = csr_array(dense)
+            references.append(reference)
+            # a point on a knot has one zero basis value, kept explicitly
+            assert np.any(design.B.data == 0.0)
+            assert design.B.nnz > reference.nnz
+            assert design.B.indices.dtype == reference.indices.dtype == np.int32
+            assert design.B.toarray().tobytes() == dense.tobytes()
+            for beta in (rng.standard_normal(design.basis.dim), np.full(design.basis.dim, -0.0)):
+                assert (design.B @ beta).tobytes() == (reference @ beta).tobytes()
+            assert (design.B.T @ y).tobytes() == (reference.T @ y).tobytes()
+            assert (design._Bt @ y).tobytes() == (reference.T @ y).tobytes()
+        for (a, b), (ref_a, ref_b) in [(designs, references), (designs[::-1], references[::-1])]:
+            cross = (a.B.T @ b.B).toarray()
+            assert cross.tobytes() == (ref_a.T @ ref_b).toarray().tobytes()
+
+    def test_joint_matrix_is_cached_and_read_only(self):
+        columns, designs = self.columns_and_designs()
+        y = np.random.default_rng(33).standard_normal(len(columns[0]))
+        spline_smooth._joint_normal_matrix.cache_clear()
+        M, rhs = spline_smooth._joint_normal_equations(y, designs)
+        again, rhs_again = spline_smooth._joint_normal_equations(2.0 * y, designs)
+        info = spline_smooth._joint_normal_matrix.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert again is M
+        assert not M.flags.writeable
+        assert M[0, 0] == len(y)
+        uncached = spline_smooth._joint_normal_matrix.__wrapped__(tuple(designs))
+        assert M.tobytes() == uncached.tobytes()
+        # the right-hand side follows y on every call
+        assert rhs_again.tobytes() == (2.0 * rhs).tobytes()
 
 
 class TestJointFit:
