@@ -8,10 +8,12 @@ residuals), which it prints as ``error: numeric-failure: <detail>`` and exits
 4.  A library user catches these two names.  ``read_utf8`` turns an input
 file that is not UTF-8 text into a :class:`FrontdoorLabError`.  An
 ``OSError`` is not wrapped: ``cli.main`` maps an absent path to exit 3 and
-any other OS failure, naming its path, to exit 2.
+any other OS failure, naming its path, to exit 2.  ``check_type`` rejects a
+setting whose type is not exactly the declared one where it enters.
 """
 
 from pathlib import Path
+from typing import get_args, get_origin
 
 
 class FrontdoorLabError(Exception):
@@ -32,3 +34,17 @@ def read_utf8(path) -> str:
         raise FrontdoorLabError(
             f"{path} line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text"
         ) from None
+
+
+def check_type(name: str, kind, value) -> None:
+    """FrontdoorLabError naming ``name`` unless ``value`` has exactly the type
+    ``kind``, part by part for a tuple.  Not isinstance: True is an int, and
+    numpy's float64 is a float whose repr is ``np.float64(...)``."""
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        if type(value) is not tuple or len(value) != len(kinds):
+            raise FrontdoorLabError(f"{name} must be {kind}, got {value!r}")
+        for index, (part_kind, part) in enumerate(zip(kinds, value)):
+            check_type(f"{name}[{index}]", part_kind, part)
+    elif type(value) is not kind:
+        raise FrontdoorLabError(f"{name} must be {kind.__name__}, got {value!r}")

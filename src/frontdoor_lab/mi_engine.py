@@ -24,7 +24,7 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _write_table
-from .errors import FrontdoorLabError
+from .errors import FrontdoorLabError, check_type
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
 SIGN_PROB_CLAMP = (0.01, 0.99)
@@ -39,6 +39,8 @@ class ImputationConfig:
     n_knots: int = DEFAULT_N_KNOTS
 
     def __post_init__(self):
+        for name in ("m", "cycles", "donors", "seed", "n_knots"):
+            check_type(name, int, getattr(self, name))
         if self.m < 2:
             raise FrontdoorLabError(f"need at least two imputations, got m = {self.m}")
         if self.cycles < 1 or self.donors < 1:
@@ -136,11 +138,17 @@ def _nearest_donor_values(
 
     Works on predictions sorted once; the nearest donors by predicted mean lie
     within `donors` positions of the insertion point, so a fixed window
-    suffices.
+    suffices.  The sort is the default one, and a stable sort replaces it only
+    when two sorted predictions are not strictly increasing: distinct values
+    have one sorted order, so the donors are those of a stable sort always.
     """
     donors = min(donors, len(obs_values))
-    order = np.argsort(obs_pred, kind="stable")
+    order = np.argsort(obs_pred)
     sorted_pred = obs_pred[order]
+    # a tie or a NaN fails the strict check, and only then may the orders differ
+    if not np.all(sorted_pred[1:] > sorted_pred[:-1]):
+        order = np.argsort(obs_pred, kind="stable")
+        sorted_pred = obs_pred[order]
     sorted_values = obs_values[order]
 
     pos = np.searchsorted(sorted_pred, miss_pred)
@@ -196,8 +204,11 @@ def pmm_impute(
     observed rows and imputes each missing row with the observed target value
     of one of the `donors` nearest rows by predicted mean, drawn uniformly.
     Returns one value per missing row, in row order, each from the observed
-    support, and whether the fit converged.
+    support, and whether the fit converged.  ``donors`` must be an int >= 1.
     """
+    check_type("donors", int, donors)
+    if donors < 1:
+        raise FrontdoorLabError(f"donors must be >= 1, got {donors}")
     fit, known, at_obs, at_miss = _observed_fit(target, observed, predictors, n_knots, "target")
     obs_pred = predict(fit, at_obs)
     miss_pred = predict(fit, at_miss)

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from ._seeds import mix_seed
-from .errors import FrontdoorLabError, read_utf8
+from .errors import FrontdoorLabError, check_type, read_utf8
 from .frontdoor_estimator import EstimatorConfig
 from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
@@ -40,8 +40,9 @@ class RunConfig:
     scm: ScmConfig = field(default_factory=ScmConfig)
 
     def __post_init__(self):
+        # exact types, so config_to_text writes text that parse_config reads back
         for name, kind in _RUN_TYPES:
-            _check_type(name, kind, getattr(self, name))
+            check_type(name, kind, getattr(self, name))
         # rejected here, before any stage runs: no stage can use these values;
         # building the imputation config runs its own checks
         self.imputation_config()
@@ -78,21 +79,6 @@ class RunConfig:
 def _typed_fields(cls) -> list[tuple[str, type]]:
     hints = get_type_hints(cls)
     return [(f.name, hints[f.name]) for f in fields(cls)]
-
-
-def _check_type(name: str, kind, value) -> None:
-    """FrontdoorLabError unless ``value`` has exactly the type ``kind``, part by
-    part for a tuple, so ``config_to_text`` writes text that ``parse_config``
-    reads back.  Not isinstance: True is an int, and numpy's float64 is a
-    float whose repr is ``np.float64(...)``."""
-    if get_origin(kind) is tuple:
-        kinds = get_args(kind)
-        if type(value) is not tuple or len(value) != len(kinds):
-            raise FrontdoorLabError(f"{name} must be {kind}, got {value!r}")
-        for index, (part_kind, part) in enumerate(zip(kinds, value)):
-            _check_type(f"{name}[{index}]", part_kind, part)
-    elif type(value) is not kind:
-        raise FrontdoorLabError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 _RUN_TYPES = _typed_fields(RunConfig)

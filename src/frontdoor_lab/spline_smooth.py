@@ -22,11 +22,14 @@ residuals.  The matrix of those normal equations is cached for the two most
 recent tuples of designs, so fits that share their designs assemble it once.
 A term's design keeps its Gram matrix and column sums, taken from the dense
 basis matrix, and stores the basis matrix sparse, built straight from the
-kernel's rows, together with its transpose.  Every GCV fit, a single smooth
-or an additive term, takes its basis from ``build_basis``, the one rule for
-knots and degree, and its design from one cache of recent columns, so
-imputation builds each repeated column's design once and a mediator smooth
-shares its design with the outcome model's treatment term.
+kernel's rows, together with its transpose.  The kernel runs once per
+design: the design records its column and rows on its basis, and the dense
+matrix, like any later prediction at that exact column, reads them back.
+Every GCV fit, a single smooth or an additive term, takes its basis from
+``build_basis``, the one rule for knots and degree, and its design from one
+cache of recent columns, so imputation builds each repeated column's design
+once and a mediator smooth shares its design with the outcome model's
+treatment term.
 
 Backfitting that reaches its cycle cap reports ``converged=False``.
 Prediction inside the knot span evaluates the B-spline; beyond the span the
@@ -54,7 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse import csr_array
 
-from .errors import FrontdoorLabError, NumericError
+from .errors import FrontdoorLabError, NumericError, check_type
 
 DEFAULT_N_KNOTS = 20
 DEFAULT_DEGREE = 3
@@ -74,6 +77,10 @@ class SplineBasis:
 
     knots: np.ndarray
     degree: int
+    # (column, first, values): one column's kernel rows, set by the last
+    # design built on this basis and read back by ``_rows``; the column must
+    # not change while the basis holds it
+    _recorded = None
 
     def __post_init__(self):
         if type(self.degree) is not int or self.degree < 1:
@@ -114,6 +121,18 @@ class SplineBasis:
     @functools.cached_property
     def _de_boor(self) -> "_DeBoor":
         return _DeBoor(self.full_knots, self.degree)
+
+    def _rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel's ``(first, values)`` at the float64 vector ``points``: the
+        recorded rows when ``points`` has the recorded column's bits, -0.0 and
+        0.0 differing, and a fresh kernel run otherwise."""
+        if self._recorded is not None:
+            column, first, values = self._recorded
+            # the lengths and first elements tell most other columns apart cheaply
+            bits, kept = points.view(np.int64), column.view(np.int64)
+            if bits.shape == kept.shape and bits[0] == kept[0] and np.array_equal(bits, kept):
+                return first, values
+        return self._de_boor(points)
 
     @functools.cached_property
     def _end_slope_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -228,6 +247,7 @@ def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
     binary indicator a plain linear term.  A constant covariate raises
     NumericError.
     """
+    check_type("n_knots", int, n_knots)
     if n_knots < 4:
         raise FrontdoorLabError(f"n_knots must be >= 4, got {n_knots}")
     x = np.asarray(x, dtype=float)
@@ -244,7 +264,8 @@ def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
 
 def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
     """Dense (len(x), dim) basis evaluation matrix, each row's degree + 1
-    nonzero values from ``_DeBoor`` at the point's knot interval.
+    nonzero values from ``_DeBoor`` at the point's knot interval, or the
+    basis's recorded rows when ``x`` is its recorded column.
 
     All x must lie within the knot span, or FrontdoorLabError is raised.
     """
@@ -259,7 +280,7 @@ def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
             f"design points must lie within the knot span [{lo!r}, {hi!r}], "
             f"got [{x_lo!r}, {x_hi!r}]"
         )
-    first, values = basis._de_boor(x)
+    first, values = basis._rows(x)
     design = np.zeros((len(x), basis.dim))
     # row r's values go to its columns first[r], ..., first[r] + degree
     starts = np.arange(0, design.size, basis.dim)
@@ -320,7 +341,10 @@ class _PenalizedDesign:
     both taken from the dense ``design_matrix``, and stores ``B`` itself
     sparse: a CSR matrix built from the ``degree + 1`` values per row that
     ``_DeBoor`` gives, without scanning the dense array, and its transpose,
-    formed once for the right-hand sides ``B'y``.
+    formed once for the right-hand sides ``B'y``.  The kernel runs once: the
+    CSR's rows, as views, are recorded on the basis with the column ``x``, so
+    ``design_matrix`` here and every prediction at ``x`` read them back
+    (``SplineBasis._rows``).
 
     The coefficients are split between the penalty null space (affine
     coefficient sequences, ``_Q1``) and its orthogonal complement (``_Q2``).
@@ -337,10 +361,7 @@ class _PenalizedDesign:
     def __init__(self, basis: SplineBasis, x: np.ndarray, lambdas: Sequence[float]):
         self.basis = basis
         self.lambdas = np.asarray(lambdas, dtype=float)
-        dense = design_matrix(basis, x)
         self.n = n = len(x)
-        self._BtB = BtB = dense.T @ dense
-        self._col_sums = dense.sum(axis=0)
         # the CSR rows are the kernel's rows, so a point on a knot keeps its
         # explicit zero value; SciPy's products sum from +0.0, so a +-0.0 term
         # leaves every sum, and so every bit, as a dropped zero would
@@ -350,6 +371,13 @@ class _PenalizedDesign:
         indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
         self.B = csr_array((values.T.ravel(), columns.ravel(), indptr), shape=(n, basis.dim))
         self._Bt = self.B.T
+        # the rows as views into the CSR, for design_matrix below and for
+        # predictions at x; the basis is frozen, so set past its __setattr__
+        rows = (self.B.indices[::width], self.B.data.reshape(n, width).T)
+        object.__setattr__(basis, "_recorded", (x, *rows))
+        dense = design_matrix(basis, x)
+        self._BtB = BtB = dense.T @ dense
+        self._col_sums = dense.sum(axis=0)
 
         p = basis.dim
         # orthonormal null-space basis built by explicit Gram-Schmidt so the
@@ -454,7 +482,8 @@ def fit_penalized(
             f"need at least {basis.dim} observations for a {basis.dim}-dim basis"
         )
     y, (x,) = _checked_inputs(y, [x])
-    return _PenalizedDesign(basis, x, [lam]).fit(y, 0)
+    # a copy: the basis keeps the column, which the caller may change later
+    return _PenalizedDesign(basis, x.copy(), [lam]).fit(y, 0)
 
 
 def select_lambda(
@@ -479,7 +508,8 @@ def select_lambda(
 _DESIGN_MEMO_SIZE = 5
 
 
-@functools.lru_cache(maxsize=_DESIGN_MEMO_SIZE)
+# typed, so n_knots = 4.0 misses the entry of n_knots = 4 and build_basis rejects it
+@functools.lru_cache(maxsize=_DESIGN_MEMO_SIZE, typed=True)
 def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
     """The GCV design of every fit on the float64 column with these bytes, reused
     while it is among the ``_DESIGN_MEMO_SIZE`` most recently used."""
@@ -661,7 +691,7 @@ def _spline_values(basis: SplineBasis, coefficients: np.ndarray, points) -> np.n
     point gives NaN and an infinite one an infinite value."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
     lo, hi = float(basis.knots[0]), float(basis.knots[-1])
-    values = _combine(coefficients, *basis._de_boor(np.clip(points, lo, hi).ravel()))
+    values = _combine(coefficients, *basis._rows(np.clip(points, lo, hi).ravel()))
     values = values.reshape(points.shape)
     below = points < lo
     above = points > hi

@@ -9,6 +9,7 @@ from frontdoor_lab.mi_engine import (
     CompletedDatasets,
     ImputationConfig,
     _ks_statistic,
+    _nearest_donor_values,
     decompose_x,
     diagnostics_to_csv,
     imputation_diagnostics,
@@ -87,6 +88,58 @@ class TestInitialize:
         assert np.array_equal(a.z_star, b.z_star)
 
 
+def stable_sort_donor_values(obs_values, obs_pred, miss_pred, donors, rng):
+    """The reference for ``_nearest_donor_values``: its form with one stable sort."""
+    donors = min(donors, len(obs_values))
+    order = np.argsort(obs_pred, kind="stable")
+    sorted_pred = obs_pred[order]
+    sorted_values = obs_values[order]
+    pos = np.searchsorted(sorted_pred, miss_pred)
+    window = np.arange(-donors, donors)
+    candidates = pos[:, None] + window[None, :]
+    out_of_range = (candidates < 0) | (candidates >= len(sorted_pred))
+    candidates = np.clip(candidates, 0, len(sorted_pred) - 1)
+    distance = np.abs(miss_pred[:, None] - sorted_pred[candidates])
+    distance[out_of_range] = np.inf
+    nearest = np.argsort(distance, axis=1, kind="stable")[:, :donors]
+    choice = rng.integers(0, donors, size=len(miss_pred))
+    rows = np.arange(len(miss_pred))
+    picked = candidates[rows, nearest[rows, choice]]
+    return sorted_values[picked]
+
+
+class TestNearestDonorValues:
+    """The default sort with a stable fallback picks the donors of one stable sort."""
+
+    @staticmethod
+    def predictions(case):
+        rng = np.random.default_rng(51)
+        obs_pred, miss_pred = rng.standard_normal(2000), rng.standard_normal(300)
+        if case == "rounded":
+            # many ties, which the default sort may order either way
+            obs_pred, miss_pred = np.round(obs_pred, 1), np.round(miss_pred, 1)
+        elif case == "straddling":
+            # runs of seven equal predictions, longer than the six-row window,
+            # with missing predictions on them and between them
+            obs_pred = rng.permutation(np.repeat(np.arange(286.0), 7)[:2000])
+            miss_pred = np.arange(0.0, 150.0, 0.5)
+        return obs_pred, miss_pred
+
+    @pytest.mark.parametrize("case", ["distinct", "rounded", "straddling"])
+    def test_matches_the_stable_sort(self, case):
+        obs_pred, miss_pred = self.predictions(case)
+        ties = np.count_nonzero(np.diff(np.sort(obs_pred)) == 0)
+        assert (ties == 0) == (case == "distinct")
+        obs_values = np.random.default_rng(52).permutation(len(obs_pred)).astype(float)
+        picked = _nearest_donor_values(
+            obs_values, obs_pred, miss_pred, 3, np.random.default_rng(53)
+        )
+        expected = stable_sort_donor_values(
+            obs_values, obs_pred, miss_pred, 3, np.random.default_rng(53)
+        )
+        assert picked.tobytes() == expected.tobytes()
+
+
 class TestPmmImpute:
     def test_constant_target(self):
         target = np.array([3.0] * 8 + [np.nan] * 2)
@@ -133,6 +186,18 @@ class TestPmmImpute:
     def test_nothing_to_impute(self):
         with pytest.raises(FrontdoorLabError, match="needs both observed and missing entries$"):
             pmm_impute(np.ones(5), np.ones(5, dtype=bool), [np.arange(5.0)], 3, 1)
+
+    @pytest.mark.parametrize(
+        "donors, message",
+        [(0, "donors must be >= 1, got 0"), (-2, "donors must be >= 1, got -2"),
+         (2.5, "donors must be int, got 2.5"), (True, "donors must be int, got True")],
+        ids=["zero", "negative", "float", "bool"],
+    )
+    def test_unusable_donor_count_rejected(self, donors, message):
+        target = np.array([1.0, 2.0, 3.0, 4.0, np.nan])
+        observed = np.array([True, True, True, True, False])
+        with pytest.raises(FrontdoorLabError, match=f"^{message}$"):
+            pmm_impute(target, observed, [np.arange(5.0)], donors=donors, seed=1)
 
     def test_incomplete_predictor_rejected(self):
         target = np.array([1.0, 0.0, np.nan])
@@ -285,6 +350,16 @@ class TestRunMice:
             ImputationConfig(donors=0)
         with pytest.raises(FrontdoorLabError, match="^n_knots must be >= 4, got 3$"):
             ImputationConfig(n_knots=3)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("m", 2.5), ("cycles", 1.5), ("donors", 2.5), ("n_knots", 20.0), ("m", True),
+         ("seed", 1.0), ("cycles", np.int64(2))],
+        ids=repr,
+    )
+    def test_non_int_setting_rejected(self, name, value):
+        with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
+            ImputationConfig(**{name: value})
 
 
 class TestCompletedDatasets:

@@ -86,6 +86,11 @@ class TestBuildBasis:
         with pytest.raises(FrontdoorLabError):
             build_basis(np.linspace(0, 1, 50), n_knots=3)
 
+    @pytest.mark.parametrize("n_knots", [4.5, 20.0, True, np.int64(20)], ids=repr)
+    def test_n_knots_must_be_an_int(self, n_knots):
+        with pytest.raises(FrontdoorLabError, match=r"^n_knots must be int, got "):
+            build_basis(np.linspace(0, 1, 50), n_knots)
+
     @pytest.mark.parametrize("degree", [0, -1, 2.5])
     def test_degree_must_be_a_positive_int(self, degree):
         with pytest.raises(FrontdoorLabError, match=f"^degree must be an int >= 1, got {degree}$"):
@@ -546,6 +551,19 @@ class TestFitAdditive:
         with pytest.raises(FrontdoorLabError, match="n_knots must be >= 4"):
             fits[entry]()
 
+    @pytest.mark.parametrize("entry", ["fit_additive", "select_lambda"])
+    @pytest.mark.parametrize("n_knots", [4.5, 5.5, 20.0])
+    def test_non_int_n_knots_rejected(self, entry, n_knots):
+        x, y = make_xy(200, seed=33)
+        fits = {
+            "fit_additive": lambda k: fit_additive(y, [x], n_knots=k),
+            "select_lambda": lambda k: select_lambda(y, x, k),
+        }
+        # the int's design is cached, and a float equal to it must not find it
+        fits[entry](int(n_knots))
+        with pytest.raises(FrontdoorLabError, match=f"^n_knots must be int, got {n_knots}$"):
+            fits[entry](n_knots)
+
     def test_repeated_columns_reuse_their_designs(self, monkeypatch):
         rng = np.random.default_rng(28)
         columns = [rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)]
@@ -633,6 +651,94 @@ class TestSparseDesign:
         assert M.tobytes() == uncached.tobytes()
         # the right-hand side follows y on every call
         assert rhs_again.tobytes() == (2.0 * rhs).tobytes()
+
+
+class TestRecordedRows:
+    """A design runs the kernel once and records its column's rows on its basis;
+    design rows and spline values read them back only for that column's bits."""
+
+    @staticmethod
+    def basis_and_column(degree):
+        rng = np.random.default_rng(41)
+        if degree == 1:
+            # a sign column: every point on a knot at one end of the span
+            x = np.where(rng.standard_normal(300) >= 0, 1.0, -1.0)
+        else:
+            x = np.append(rng.standard_normal(300), 0.0)
+        basis = build_basis(x, 20)
+        assert basis.degree == degree
+        # every knot, both span ends and the points next to them
+        lo, hi = basis.knots[0], basis.knots[-1]
+        ends = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)]
+        return basis, np.concatenate([x, basis.knots, ends])
+
+    @staticmethod
+    def count_kernel_runs(monkeypatch) -> list[int]:
+        runs = []
+        kernel = spline_smooth._DeBoor.__call__
+
+        def counting(self, x):
+            runs.append(len(x))
+            return kernel(self, x)
+
+        monkeypatch.setattr(spline_smooth._DeBoor, "__call__", counting)
+        return runs
+
+    @pytest.mark.parametrize("degree", [3, 1])
+    def test_recorded_rows_match_a_fresh_basis(self, degree):
+        basis, column = self.basis_and_column(degree)
+        spline_smooth._PenalizedDesign(basis, column, LAMBDA_GRID)
+        fresh = SplineBasis(basis.knots, basis.degree)
+        assert basis._recorded is not None and fresh._recorded is None
+        coefficients = np.random.default_rng(42).standard_normal(basis.dim)
+        assert design_matrix(basis, column).tobytes() == design_matrix(fresh, column).tobytes()
+        values = _spline_values(basis, coefficients, column)
+        assert values.tobytes() == _spline_values(fresh, coefficients, column).tobytes()
+
+    def test_kernel_runs_once_per_design_and_never_at_its_column(self, monkeypatch):
+        basis, column = self.basis_and_column(3)
+        runs = self.count_kernel_runs(monkeypatch)
+        design = spline_smooth._PenalizedDesign(basis, column, LAMBDA_GRID)
+        assert runs == [len(column)]
+        fit = design.fit(np.sin(column))
+        predict(fit, column.copy())
+        design_matrix(basis, column.copy())
+        assert runs == [len(column)]
+
+    def test_other_bits_of_the_same_length_run_the_kernel(self, monkeypatch):
+        basis, column = self.basis_and_column(3)
+        spline_smooth._PenalizedDesign(basis, column, LAMBDA_GRID)
+        coefficients = np.random.default_rng(43).standard_normal(basis.dim)
+        fresh = SplineBasis(basis.knots, basis.degree)
+        negative_zero = column.copy()
+        negative_zero[column == 0.0] = -0.0
+        last_differs = column.copy()
+        last_differs[-1] = column[-2]
+        others = [column[::-1].copy(), negative_zero, last_differs]
+        # equal values, other bits: only the sign of one zero differs
+        assert np.array_equal(negative_zero, column) and negative_zero[0] == column[0]
+        runs = self.count_kernel_runs(monkeypatch)
+        for other in others:
+            values = _spline_values(basis, coefficients, other)
+            assert values.tobytes() == _spline_values(fresh, coefficients, other).tobytes()
+        assert len(runs) == 2 * len(others)
+
+    def test_a_basis_reused_on_a_new_column_reads_only_that_column(self):
+        x, y = make_xy(200, seed=44)
+        basis = build_basis(x, 8)
+        first = fit_penalized(y, x, basis, 1.0)
+        other = np.sort(x)
+        fit_penalized(y, other, basis, 1.0)
+        x_fresh = fit_penalized(y, x, SplineBasis(basis.knots, basis.degree), 1.0)
+        assert predict(first, x).tobytes() == predict(x_fresh, x).tobytes()
+
+    def test_a_changed_caller_column_is_not_read_as_recorded(self):
+        x, y = make_xy(200, seed=45)
+        basis = build_basis(x, 8)
+        fit = fit_penalized(y, x, basis, 1.0)
+        fresh = SplineBasis(basis.knots, basis.degree)
+        x[:] = x[::-1].copy()
+        assert predict(fit, x).tobytes() == _spline_values(fresh, fit.coefficients, x).tobytes()
 
 
 class TestJointFit:
