@@ -12,7 +12,6 @@ line runs the whole pipeline and emits CSV and SVG artifacts.
 from .causal_graph import (
     Dag,
     bidirected_path_exists,
-    build_dag,
     d_separated,
     dag_from_text,
     dag_to_text,
@@ -86,7 +85,6 @@ __all__ = [
     "apply_missingness",
     "bidirected_path_exists",
     "build_basis",
-    "build_dag",
     "complete_case_effect",
     "d_separated",
     "dag_from_text",

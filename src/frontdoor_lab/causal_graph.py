@@ -1,9 +1,15 @@
 """Causal DAGs with explicit latent nodes and the graph queries of the pipeline.
 
-A ``Dag`` is immutable once built.  Queries cover d-separation (implemented as
-linear-time ball-bouncing reachability), the missing-at-random check for a
-(value, indicator) node pair, and the identifiability condition that forbids
-latent-touching paths between a treatment and any of its children.
+A graph has one constructor, ``Dag(nodes, edges)``: ``nodes`` holds
+``(name, kind)`` pairs with kind ``"observed"`` or ``"latent"``, and ``edges``
+holds ``(parent, child)`` pairs.  It checks its input and raises
+:class:`FrontdoorLabError` for an empty or repeated name, an unknown kind, an
+undeclared endpoint, a duplicate edge or a directed cycle, which its message
+spells out.  A ``Dag`` is immutable once built.  Queries cover d-separation
+(implemented as linear-time ball-bouncing reachability), the
+missing-at-random check for a (value, indicator) node pair, and the
+identifiability condition that forbids latent-touching paths between a
+treatment and any of its children.
 
 Graphs can be declared in a plain-text format, one declaration per line::
 
@@ -21,65 +27,72 @@ sampling indicators (``frontdoor_design_dag``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import FrontdoorLabError, read_utf8
+from .errors import FrontdoorLabError, parse_file
 
-
-class NodeKind(Enum):
-    OBSERVED = "observed"
-    LATENT = "latent"
-
-
-@dataclass(frozen=True)
-class Node:
-    name: str
-    kind: NodeKind
+_KINDS = ("observed", "latent")
 
 
 class Dag:
     """Directed acyclic graph over named nodes tagged observed or latent.
 
-    Use :func:`build_dag` or :func:`dag_from_text` to construct; both validate
-    node references, duplicate edges and acyclicity.  Instances are immutable
-    and safe to query concurrently.
+    ``Dag(nodes, edges)`` validates its input as the module docstring says.
+    Instances are immutable and safe to query concurrently.
     """
 
-    __slots__ = ("_nodes", "_parents", "_children")
+    __slots__ = ("_parents", "_children", "_latent")
 
-    def __init__(self, nodes: dict[str, Node], edges: Iterable[tuple[str, str]]):
-        self._nodes = dict(nodes)
-        self._parents: dict[str, frozenset[str]] = {}
-        self._children: dict[str, frozenset[str]] = {}
-        parents = {name: set() for name in self._nodes}
-        children = {name: set() for name in self._nodes}
+    def __init__(self, nodes: Iterable[tuple[str, str]], edges: Iterable[tuple[str, str]]):
+        # dicts as ordered sets: the cycle search sees the edges in input
+        # order, so the cycle a message names does not depend on hashing
+        parents: dict[str, dict[str, None]] = {}
+        latent = set()
+        for name, kind in nodes:
+            if not name:
+                raise FrontdoorLabError("node names must be nonempty")
+            if name in parents:
+                raise FrontdoorLabError(f"node declared twice: {name!r}")
+            if kind not in _KINDS:
+                raise FrontdoorLabError(
+                    f"node kind must be 'observed' or 'latent', got {kind!r} for {name!r}"
+                )
+            parents[name] = {}
+            if kind == "latent":
+                latent.add(name)
+
+        children: dict[str, set[str]] = {name: set() for name in parents}
         for parent, child in edges:
-            parents[child].add(parent)
+            for end in (parent, child):
+                if end not in parents:
+                    raise FrontdoorLabError(f"edge endpoint not declared: {end!r}")
+            if parent in parents[child]:
+                raise FrontdoorLabError(f"duplicate edge: {parent} -> {child}")
+            parents[child][parent] = None
             children[parent].add(child)
-        for name in self._nodes:
-            self._parents[name] = frozenset(parents[name])
-            self._children[name] = frozenset(children[name])
+
+        try:
+            TopologicalSorter(parents).prepare()
+        except CycleError as exc:
+            # in edge direction, first == last
+            raise FrontdoorLabError("cycle detected: " + " -> ".join(exc.args[1])) from None
+        self._parents = {name: frozenset(ps) for name, ps in parents.items()}
+        self._children = {name: frozenset(cs) for name, cs in children.items()}
+        self._latent = frozenset(latent)
 
     @property
     def node_names(self) -> frozenset[str]:
-        return frozenset(self._nodes)
+        return frozenset(self._parents)
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset(
-            (p, c) for c in self._nodes for p in self._parents[c]
-        )
-
-    def node(self, name: str) -> Node:
-        self._require(name)
-        return self._nodes[name]
+        return frozenset((p, c) for c, ps in self._parents.items() for p in ps)
 
     def is_latent(self, name: str) -> bool:
-        return self.node(name).kind is NodeKind.LATENT
+        self._require(name)
+        return name in self._latent
 
     def parents(self, name: str) -> frozenset[str]:
         self._require(name)
@@ -90,56 +103,16 @@ class Dag:
         return self._children[name]
 
     def _require(self, name: str) -> None:
-        if name not in self._nodes:
+        if name not in self._parents:
             raise FrontdoorLabError(f"unknown node: {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
-        return self._nodes == other._nodes and self.edges == other.edges
+        return self._parents == other._parents and self._latent == other._latent
 
     def __repr__(self) -> str:
-        return f"Dag(nodes={sorted(self._nodes)}, edges={sorted(self.edges)})"
-
-
-def build_dag(
-    nodes: Sequence[tuple[str, NodeKind | str]],
-    edges: Sequence[tuple[str, str]],
-) -> Dag:
-    """Validate and build a :class:`Dag`.
-
-    ``nodes`` is a list of (name, kind) pairs where kind is a
-    :class:`NodeKind` or one of the strings ``"observed"`` / ``"latent"``.
-    Raises :class:`FrontdoorLabError` for an undeclared endpoint, a duplicate
-    node or edge, or a directed cycle, which its message spells out.
-    """
-    table: dict[str, Node] = {}
-    for name, kind in nodes:
-        if not name:
-            raise FrontdoorLabError("node names must be nonempty")
-        if name in table:
-            raise FrontdoorLabError(f"node declared twice: {name!r}")
-        kind = NodeKind(kind) if not isinstance(kind, NodeKind) else kind
-        table[name] = Node(name, kind)
-
-    seen: set[tuple[str, str]] = set()
-    parents: dict[str, list[str]] = {name: [] for name in table}
-    for parent, child in edges:
-        if parent not in table:
-            raise FrontdoorLabError(f"edge endpoint not declared: {parent!r}")
-        if child not in table:
-            raise FrontdoorLabError(f"edge endpoint not declared: {child!r}")
-        if (parent, child) in seen:
-            raise FrontdoorLabError(f"duplicate edge: {parent} -> {child}")
-        seen.add((parent, child))
-        parents[child].append(parent)
-
-    try:
-        TopologicalSorter(parents).prepare()
-    except CycleError as exc:
-        # in edge direction, first == last
-        raise FrontdoorLabError("cycle detected: " + " -> ".join(exc.args[1])) from None
-    return Dag(table, seen)
+        return f"Dag(nodes={sorted(self._parents)}, edges={sorted(self.edges)})"
 
 
 # ------------------------------------------------------------- separation
@@ -280,25 +253,27 @@ def dag_from_text(text: str) -> Dag:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "node" and len(parts) == 3 and parts[2] in ("observed", "latent"):
+        if parts[0] == "node" and len(parts) == 3 and parts[2] in _KINDS:
             nodes.append((parts[1], parts[2]))
         elif parts[0] == "edge" and len(parts) == 3:
             edges.append((parts[1], parts[2]))
         else:
             raise FrontdoorLabError(f"line {lineno}: cannot parse {raw!r}")
-    return build_dag(nodes, edges)
+    return Dag(nodes, edges)
 
 
 def dag_to_text(g: Dag) -> str:
     lines = [
-        f"node {name} {g.node(name).kind.value}" for name in sorted(g.node_names)
+        f"node {name} {'latent' if g.is_latent(name) else 'observed'}"
+        for name in sorted(g.node_names)
     ]
     lines += [f"edge {p} {c}" for p, c in sorted(g.edges)]
     return "\n".join(lines) + "\n"
 
 
 def load_graph(path) -> Dag:
-    return dag_from_text(read_utf8(path))
+    """The graph in the file ``path``; an error names the file."""
+    return parse_file(path, dag_from_text)
 
 
 # ------------------------------------------------------------- built-ins

@@ -6,7 +6,8 @@ one subclass :class:`NumericError` (a fit or estimate that the data cannot
 support: a singular system, too few distinct values, complete rows or
 residuals), which it prints as ``error: numeric-failure: <detail>`` and exits
 4.  A library user catches these two names.  ``read_utf8`` turns an input
-file that is not UTF-8 text into a :class:`FrontdoorLabError`.  An
+file that is not UTF-8 text into a :class:`FrontdoorLabError`, and
+``parse_file`` makes every error of a file's parser name the file.  An
 ``OSError`` is not wrapped: ``cli.main`` maps an absent path to exit 3 and
 any other OS failure, naming its path, to exit 2.  ``check_type`` rejects a
 setting whose type is not exactly the declared one where it enters.
@@ -34,6 +35,18 @@ def read_utf8(path) -> str:
         raise FrontdoorLabError(
             f"{path} line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text"
         ) from None
+
+
+def parse_file(path, parse):
+    """``parse`` applied to the text of ``path``.  An error it raises names the
+    file: ``<path> line N: …`` for a line it cannot read and ``<path>: …`` for
+    content it cannot use."""
+    text = read_utf8(path)
+    try:
+        return parse(text)
+    except FrontdoorLabError as exc:
+        where = f"{path} " if str(exc).startswith("line ") else f"{path}: "
+        raise FrontdoorLabError(where + str(exc)) from None
 
 
 def check_type(name: str, kind, value) -> None:

@@ -23,6 +23,7 @@ MI_COLOR = "#1f6fb4"
 CC_COLOR = "#d1602a"
 POINT_COLOR = "#7a7a7a"
 CONDITIONAL_COLOR = "#2a8f4e"
+DRAWS_PER_X = 8  # controlled-treatment draws per value of the lower truth panel
 
 
 def _padded_limits(values: np.ndarray, pad: float = 0.06) -> tuple[float, float]:
@@ -80,10 +81,7 @@ def scatter_matrix_svg(data: Dataset, subsample: int, seed: int) -> str:
     return canvas.to_string()
 
 
-def truth_vs_conditional_svg(
-    cfg: ScmConfig, data: Dataset, subsample: int, seed: int,
-    draws_per_x: int = 8,
-) -> str:
+def truth_vs_conditional_svg(cfg: ScmConfig, data: Dataset, subsample: int, seed: int) -> str:
     """True mean response under intervention versus the observational trend.
 
     Upper panel: observed (x, y) subsample, the conditional-mean smooth and
@@ -104,8 +102,8 @@ def truth_vs_conditional_svg(
     exp_grid = np.linspace(-3.0, 3.0, 25)
     exp_x, exp_y = [], []
     for i, x in enumerate(exp_grid):
-        draws = intervene_generate(cfg, float(x), draws_per_x, seed=i * 7919 + seed)
-        exp_x.extend([float(x)] * draws_per_x)
+        draws = intervene_generate(cfg, float(x), DRAWS_PER_X, seed=i * 7919 + seed)
+        exp_x.extend([float(x)] * DRAWS_PER_X)
         exp_y.extend(draws.tolist())
     exp_x = np.array(exp_x)
     exp_y = np.array(exp_y)

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import FrontdoorLabError, NumericError
+from .errors import FrontdoorLabError, NumericError, check_type
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
     DEFAULT_N_KNOTS,
@@ -58,6 +58,12 @@ from .spline_smooth import (
 class EstimatorConfig:
     n_knots: int = DEFAULT_N_KNOTS
     seed: int = 0  # seeds the quantile bands' draws
+
+    def __post_init__(self):
+        for name in ("n_knots", "seed"):
+            check_type(name, int, getattr(self, name))
+        if self.n_knots < 4:
+            raise FrontdoorLabError(f"n_knots must be >= 4, got {self.n_knots}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,13 @@ class FittedPair:
         part += _spline_values(treatment.basis, treatment.coefficients, self.x_train)
         part.flags.writeable = False
         return part
+
+
+def _checked_target(x) -> float:
+    x = float(x)
+    if not np.isfinite(x):
+        raise FrontdoorLabError(f"target treatment value must be finite, got {x}")
+    return x
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -155,7 +168,7 @@ def ace_at(pair: FittedPair, x: float) -> float:
     treatment part plus the outcome's mediator term averaged over the
     prediction at x shifted by each residual of the mediator pool.
     """
-    center = float(predict(pair.mediator, float(x))[0])
+    center = float(predict(pair.mediator, _checked_target(x))[0])
     mediator_term = predict(pair.outcome.terms[1], center + pair.mediator.residuals)
     return float(np.mean(pair.treatment_part)) + float(np.mean(mediator_term))
 
@@ -170,12 +183,15 @@ def distribution_at(
     outcome residual; empirical quantiles of the result estimate the
     interventional quantiles.
     """
+    x = _checked_target(x)
+    check_type("n_draws", int, n_draws)
+    check_type("seed", int, seed)
     if n_draws < 1:
         raise FrontdoorLabError("draw count must be >= 1")
     mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
     rng = rng_from(seed, "distribution")
     rows = np.arange(n_draws) % len(pair.x_train)
-    center = float(predict(pair.mediator, float(x))[0])
+    center = float(predict(pair.mediator, x)[0])
     z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n_draws)]
     values = pair.treatment_part[rows] + predict(pair.outcome.terms[1], z_draws)
     return values + outcome_pool[rng.integers(0, len(outcome_pool), n_draws)]

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from ._seeds import mix_seed
-from .errors import FrontdoorLabError, check_type, read_utf8
+from .errors import FrontdoorLabError, check_type, parse_file
 from .frontdoor_estimator import EstimatorConfig
 from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
@@ -148,11 +148,6 @@ def simulate_key_changes(cfg: RunConfig, recorded: RunConfig) -> list[str]:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    """The config in the file ``path``; an error names it, as ``<path> line N: …``
-    for a line it cannot read and ``<path>: …`` for a value no stage can use."""
-    text = read_utf8(path)
-    try:
-        return parse_config(text, base)
-    except FrontdoorLabError as exc:
-        where = f"{path} " if str(exc).startswith("line ") else f"{path}: "
-        raise FrontdoorLabError(where + str(exc)) from None
+    """The config in the file ``path``; an error names the file
+    (:func:`~frontdoor_lab.errors.parse_file`)."""
+    return parse_file(path, lambda text: parse_config(text, base))

@@ -11,6 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 
+N_TICKS = 5  # per axis
+POINT_RADIUS = 2.0
+POINT_OPACITY = 0.5
+BAND_OPACITY = 0.25
+
+
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
@@ -60,13 +66,13 @@ class Axes:
         fy = (y - self.ylim[0]) / (self.ylim[1] - self.ylim[0])
         return self.x0 + fx * self.w, self.y0 + (1.0 - fy) * self.h
 
-    def frame(self, xlabel: str = "", ylabel: str = "", n_ticks: int = 5) -> None:
+    def frame(self, xlabel: str = "", ylabel: str = "") -> None:
         add = self.canvas.add
         add(
             f'<rect x="{_fmt(self.x0)}" y="{_fmt(self.y0)}" width="{_fmt(self.w)}" '
             f'height="{_fmt(self.h)}" fill="none" stroke="black" stroke-width="1"/>'
         )
-        for tick in np.linspace(self.xlim[0], self.xlim[1], n_ticks):
+        for tick in np.linspace(self.xlim[0], self.xlim[1], N_TICKS):
             px, py = self.px(tick, self.ylim[0])
             add(
                 f'<line x1="{_fmt(px)}" y1="{_fmt(py)}" x2="{_fmt(px)}" '
@@ -76,7 +82,7 @@ class Axes:
                 f'<text x="{_fmt(px)}" y="{_fmt(py + 16)}" font-family="sans-serif" '
                 f'font-size="10" text-anchor="middle">{_label(tick)}</text>'
             )
-        for tick in np.linspace(self.ylim[0], self.ylim[1], n_ticks):
+        for tick in np.linspace(self.ylim[0], self.ylim[1], N_TICKS):
             px, py = self.px(self.xlim[0], tick)
             add(
                 f'<line x1="{_fmt(px - 4)}" y1="{_fmt(py)}" x2="{_fmt(px)}" '
@@ -123,29 +129,27 @@ class Axes:
             f'stroke-width="{width}"{dash_attr}/>'
         )
 
-    def scatter(
-        self, xs, ys, fill: str, radius: float = 2.0, opacity: float = 0.5,
-        css_class: str = "",
-    ) -> None:
+    def scatter(self, xs, ys, fill: str, css_class: str = "") -> None:
         xs, ys, keep = self._clip(xs, ys)
         class_attr = f' class="{css_class}"' if css_class else ""
         group = [f"<g{class_attr}>"]
         for x, y in zip(xs[keep], ys[keep]):
             px, py = self.px(x, y)
             group.append(
-                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(radius)}" '
-                f'fill="{fill}" fill-opacity="{opacity}"/>'
+                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(POINT_RADIUS)}" '
+                f'fill="{fill}" fill-opacity="{POINT_OPACITY}"/>'
             )
         group.append("</g>")
         self.canvas.add("\n".join(group))
 
-    def band(self, xs, lower, upper, fill: str, opacity: float = 0.25) -> None:
+    def band(self, xs, lower, upper, fill: str) -> None:
         xs = np.asarray(xs, dtype=float)
         forward = [self.px(x, y) for x, y in zip(xs, np.asarray(lower, dtype=float))]
         backward = [self.px(x, y) for x, y in zip(xs[::-1], np.asarray(upper, dtype=float)[::-1])]
         points = " ".join(_fmt(px) + "," + _fmt(py) for px, py in forward + backward)
         self.canvas.add(
-            f'<polygon points="{points}" fill="{fill}" fill-opacity="{opacity}" stroke="none"/>'
+            f'<polygon points="{points}" fill="{fill}" '
+            f'fill-opacity="{BAND_OPACITY}" stroke="none"/>'
         )
 
     def legend(self, entries: list[tuple[str, str, str]]) -> None:

@@ -13,7 +13,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from frontdoor_lab.causal_graph import Dag, build_dag
+from frontdoor_lab.causal_graph import Dag
 
 
 def enumerate_trails(g: Dag, start: str, goal: str):
@@ -95,7 +95,7 @@ def random_dag(rng: np.random.Generator, n_nodes: int, p_edge: float, p_latent: 
         for j in range(i + 1, n_nodes):
             if rng.random() < p_edge:
                 edges.append((names[order[i]], names[order[j]]))
-    return build_dag(list(zip(names, kinds)), edges)
+    return Dag(list(zip(names, kinds)), edges)
 
 
 # ---------------------------------------------------------------- numeric

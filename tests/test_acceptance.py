@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from frontdoor_lab.causal_graph import (
-    build_dag,
+    Dag,
     frontdoor_dag,
     frontdoor_design_dag,
     frontdoor_identifiable,
@@ -212,7 +212,7 @@ def test_criterion_5_quantile_bands(desk_run):
 
 def test_criterion_6_identifiability_suite():
     base = frontdoor_dag()
-    confounded = build_dag(
+    confounded = Dag(
         [("U", "latent"), ("X", "observed"), ("Z", "observed"), ("Y", "observed")],
         [("U", "X"), ("U", "Y"), ("U", "Z"), ("X", "Z"), ("Z", "Y")],
     )

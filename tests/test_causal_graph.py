@@ -1,13 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from frontdoor_lab.causal_graph import (
     Dag,
-    NodeKind,
     bidirected_path_exists,
-    build_dag,
     d_separated,
     dag_from_text,
     dag_to_text,
@@ -32,6 +31,8 @@ def cycle_in(error: FrontdoorLabError) -> list[str]:
 
 
 class TestBuildDag:
+    """`Dag(nodes, edges)` and the checks it makes."""
+
     def test_confounded_mediation_graph_is_valid(self):
         g = frontdoor_dag()
         assert g.node_names == {"U", "X", "Z", "Y"}
@@ -40,19 +41,19 @@ class TestBuildDag:
         assert g.parents("Y") == {"U", "Z"}
 
     def test_empty_graph(self):
-        g = build_dag([], [])
+        g = Dag([], [])
         assert g.node_names == frozenset()
         assert g.edges == frozenset()
 
     def test_two_cycle_rejected(self):
         with pytest.raises(FrontdoorLabError, match="^cycle detected: ") as exc:
-            build_dag([("A", "observed"), ("B", "observed")], [("A", "B"), ("B", "A")])
+            Dag([("A", "observed"), ("B", "observed")], [("A", "B"), ("B", "A")])
         cycle = cycle_in(exc.value)
         assert cycle[0] == cycle[-1] and set(cycle) == {"A", "B"}
 
     def test_longer_cycle_reported(self):
         with pytest.raises(FrontdoorLabError, match="^cycle detected: ") as exc:
-            build_dag(
+            Dag(
                 [(n, "observed") for n in "ABCD"],
                 [("A", "B"), ("B", "C"), ("C", "D"), ("D", "B")],
             )
@@ -60,22 +61,43 @@ class TestBuildDag:
 
     def test_self_loop_rejected(self):
         with pytest.raises(FrontdoorLabError, match="^cycle detected: A -> A$"):
-            build_dag([("A", "observed")], [("A", "A")])
+            Dag([("A", "observed")], [("A", "A")])
 
     def test_unknown_endpoint(self):
         with pytest.raises(FrontdoorLabError, match="^edge endpoint not declared: 'B'$"):
-            build_dag([("A", "observed")], [("A", "B")])
+            Dag([("A", "observed")], [("A", "B")])
 
     def test_duplicate_edge(self):
         with pytest.raises(FrontdoorLabError, match="^duplicate edge: A -> B$"):
-            build_dag(
+            Dag(
                 [("A", "observed"), ("B", "observed")],
                 [("A", "B"), ("A", "B")],
             )
 
     def test_duplicate_node_name(self):
         with pytest.raises(FrontdoorLabError, match="^node declared twice: 'A'$"):
-            build_dag([("A", "observed"), ("A", "latent")], [])
+            Dag([("A", "observed"), ("A", "latent")], [])
+
+    def test_empty_node_name(self):
+        with pytest.raises(FrontdoorLabError, match="^node names must be nonempty$"):
+            Dag([("", "observed")], [])
+
+    @pytest.mark.parametrize("kind", ["hidden", "Latent", True], ids=repr)
+    def test_unknown_kind(self, kind):
+        message = f"node kind must be 'observed' or 'latent', got {kind!r} for 'U'"
+        with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
+            Dag([("U", kind)], [])
+
+    def test_unknown_parent_endpoint(self):
+        with pytest.raises(FrontdoorLabError, match="^edge endpoint not declared: 'B'$"):
+            Dag([("A", "observed")], [("B", "A")])
+
+    def test_equality_needs_the_same_kinds_and_edges(self):
+        nodes = [("A", "observed"), ("B", "observed")]
+        g = Dag(nodes, [("A", "B")])
+        assert g == Dag(list(reversed(nodes)), [("A", "B")])
+        assert g != Dag(nodes, [("B", "A")])
+        assert g != Dag([("A", "latent"), ("B", "observed")], [("A", "B")])
 
 
 class TestDSeparation:
@@ -91,11 +113,11 @@ class TestDSeparation:
         assert d_separated_bruteforce(g, {"Z"}, {"U"}, {"X"}) is True
 
     def test_edgeless_nodes_separated(self):
-        g = build_dag([("A", "observed"), ("B", "observed")], [])
+        g = Dag([("A", "observed"), ("B", "observed")], [])
         assert d_separated(g, {"A"}, {"B"}, set()) is True
 
     def test_collider_opens_when_conditioned(self):
-        g = build_dag(
+        g = Dag(
             [("A", "observed"), ("B", "observed"), ("C", "observed")],
             [("A", "C"), ("B", "C")],
         )
@@ -103,7 +125,7 @@ class TestDSeparation:
         assert d_separated(g, {"A"}, {"B"}, {"C"}) is False
 
     def test_collider_descendant_opens(self):
-        g = build_dag(
+        g = Dag(
             [(n, "observed") for n in "ABCD"],
             [("A", "C"), ("B", "C"), ("C", "D")],
         )
@@ -156,8 +178,9 @@ class TestDSeparationProperties:
         rng = np.random.default_rng(99)
         for _ in range(40):
             g = random_dag(rng, 5, 0.4, 0.25)
-            augmented = build_dag(
-                [(n, g.node(n).kind) for n in sorted(g.node_names)] + [("lonely", "observed")],
+            augmented = Dag(
+                [(n, "latent" if g.is_latent(n) else "observed") for n in sorted(g.node_names)]
+                + [("lonely", "observed")],
                 sorted(g.edges),
             )
             names = sorted(g.node_names)
@@ -201,7 +224,7 @@ class TestBidirectedPaths:
         assert bidirected_path_exists(g, "X", "Z") is False
 
     def test_isolated_nodes(self):
-        g = build_dag([("A", "observed"), ("B", "observed")], [])
+        g = Dag([("A", "observed"), ("B", "observed")], [])
         assert bidirected_path_exists(g, "A", "B") is False
 
     def test_latent_query_node_rejected(self):
@@ -226,7 +249,7 @@ class TestFrontdoorIdentifiable:
         assert frontdoor_identifiable(frontdoor_dag(), "X") is True
 
     def test_latent_edge_to_mediator_breaks_identifiability(self):
-        g = build_dag(
+        g = Dag(
             [("U", "latent"), ("X", "observed"), ("Z", "observed")],
             [("U", "X"), ("U", "Z"), ("X", "Z")],
         )
@@ -237,14 +260,14 @@ class TestFrontdoorIdentifiable:
         assert frontdoor_identifiable(g, "Y") is True
 
     def test_extra_confounder_edge_on_full_graph(self):
-        g = build_dag(
+        g = Dag(
             [("U", "latent"), ("X", "observed"), ("Z", "observed"), ("Y", "observed")],
             [("U", "X"), ("U", "Y"), ("U", "Z"), ("X", "Z"), ("Z", "Y")],
         )
         assert frontdoor_identifiable(g, "X") is False
 
     def test_latent_child_breaks_identifiability(self):
-        g = build_dag(
+        g = Dag(
             [("X", "observed"), ("L", "latent")],
             [("X", "L")],
         )
@@ -272,8 +295,8 @@ class TestFrontdoorIdentifiable:
 
 class TestTextFormat:
     def test_round_trip(self):
-        g = frontdoor_design_dag()
-        assert dag_from_text(dag_to_text(g)) == g
+        for g in (frontdoor_dag(), frontdoor_design_dag()):
+            assert dag_from_text(dag_to_text(g)) == g
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nnode A observed\nnode B latent\nedge B A\n"
@@ -293,3 +316,4 @@ class TestTextFormat:
         root = __import__("pathlib").Path(frontdoor_lab.__file__).parent / "graphs"
         assert load_graph(root / "frontdoor.graph") == frontdoor_dag()
         assert load_graph(root / "frontdoor_design.graph") == frontdoor_design_dag()
+

@@ -430,6 +430,20 @@ class TestIdentify:
         assert main(["identify", "--graph", str(graph)]) == 2
         assert "error: invalid-input:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("node A observed\nedge A\n", " line 2: cannot parse 'edge A'"),
+            ("node A observed\nedge A B\n", ": edge endpoint not declared: 'B'"),
+        ],
+        ids=["line", "graph"],
+    )
+    def test_graph_errors_name_the_file(self, tmp_path, capsys, text, detail):
+        graph = tmp_path / "bad.graph"
+        graph.write_text(text, encoding="utf-8")
+        assert main(["identify", "--graph", str(graph)]) == 2
+        assert capsys.readouterr().err == f"error: invalid-input: {graph}{detail}\n"
+
 
 class TestErrorPaths:
     def test_impute_without_observed(self, tmp_path, capsys):

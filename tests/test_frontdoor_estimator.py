@@ -60,6 +60,22 @@ def scm_pair():
     return fit_converged(data, EstimatorConfig(seed=51))
 
 
+class TestEstimatorConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_knots", "20"), ("n_knots", 20.0), ("n_knots", True), ("seed", 1.5),
+         ("seed", np.int64(1))],
+        ids=repr,
+    )
+    def test_non_int_setting_rejected(self, name, value):
+        with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
+            EstimatorConfig(**{name: value})
+
+    def test_too_few_knots_rejected(self):
+        with pytest.raises(FrontdoorLabError, match="^n_knots must be >= 4, got 3$"):
+            EstimatorConfig(n_knots=3)
+
+
 class TestFitPair:
     def test_noise_free_mediator_residuals(self):
         rng = np.random.default_rng(52)
@@ -333,6 +349,31 @@ class TestAceAt:
         a = ace_at(fit_converged(data), 1.0)
         b = ace_at(fit_converged(shuffled), 1.0)
         assert a == pytest.approx(b, rel=0, abs=1e-12)
+
+
+NON_FINITE = pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf], ids=repr)
+
+
+class TestTargetChecks:
+    @NON_FINITE
+    def test_ace_at_rejects_non_finite_target(self, scm_pair, target):
+        with pytest.raises(FrontdoorLabError, match="^target treatment value must be finite"):
+            ace_at(scm_pair, target)
+
+    @NON_FINITE
+    def test_distribution_at_rejects_non_finite_target(self, scm_pair, target):
+        with pytest.raises(FrontdoorLabError, match="^target treatment value must be finite"):
+            distribution_at(scm_pair, target, 10, seed=1)
+
+    @pytest.mark.parametrize(
+        "name, n_draws, seed",
+        [("n_draws", 2.5, 1), ("n_draws", True, 1), ("n_draws", 10.0, 1), ("seed", 10, 1.5),
+         ("seed", 10, "1")],
+        ids=repr,
+    )
+    def test_distribution_at_rejects_non_int_settings(self, scm_pair, name, n_draws, seed):
+        with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
+            distribution_at(scm_pair, 0.0, n_draws, seed)
 
 
 class TestDistributionAt:
