@@ -2,10 +2,11 @@
 
 A graph has one constructor, ``Dag(nodes, edges)``: ``nodes`` holds
 ``(name, kind)`` pairs with kind ``"observed"`` or ``"latent"``, and ``edges``
-holds ``(parent, child)`` pairs.  It checks its input and raises
-:class:`FrontdoorLabError` for an empty or repeated name, an unknown kind, an
-undeclared endpoint, a duplicate edge or a directed cycle, which its message
-spells out.  A ``Dag`` is immutable once built.  Queries cover d-separation
+holds ``(parent, child)`` pairs of names.  It checks its input and raises
+:class:`FrontdoorLabError` for an item that is not such a pair, a name that is
+not a ``str``, an empty or repeated name, an unknown kind, an undeclared
+endpoint, a duplicate edge or a directed cycle, which its message spells out.
+A ``Dag`` is immutable once built.  Queries cover d-separation
 (implemented as linear-time ball-bouncing reachability), the
 missing-at-random check for a (value, indicator) node pair, and the
 identifiability condition that forbids latent-touching paths between a
@@ -36,6 +37,10 @@ from .errors import FrontdoorLabError, parse_file
 _KINDS = ("observed", "latent")
 
 
+def _is_pair(item) -> bool:
+    return isinstance(item, (tuple, list)) and len(item) == 2
+
+
 class Dag:
     """Directed acyclic graph over named nodes tagged observed or latent.
 
@@ -50,7 +55,12 @@ class Dag:
         # order, so the cycle a message names does not depend on hashing
         parents: dict[str, dict[str, None]] = {}
         latent = set()
-        for name, kind in nodes:
+        for node in nodes:
+            if not _is_pair(node) or not isinstance(node[0], str):
+                raise FrontdoorLabError(
+                    f"node must be a (name, kind) pair with a str name, got {node!r}"
+                )
+            name, kind = node
             if not name:
                 raise FrontdoorLabError("node names must be nonempty")
             if name in parents:
@@ -64,8 +74,11 @@ class Dag:
                 latent.add(name)
 
         children: dict[str, set[str]] = {name: set() for name in parents}
-        for parent, child in edges:
-            for end in (parent, child):
+        for edge in edges:
+            if not _is_pair(edge) or not all(isinstance(end, str) for end in edge):
+                raise FrontdoorLabError(f"edge must be a pair of node names, got {edge!r}")
+            parent, child = edge
+            for end in edge:
                 if end not in parents:
                     raise FrontdoorLabError(f"edge endpoint not declared: {end!r}")
             if parent in parents[child]:

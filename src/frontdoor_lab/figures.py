@@ -16,7 +16,7 @@ from .dataset import Dataset
 from .frontdoor_estimator import EffectEstimate
 from .scm_sim import ScmConfig, intervene_generate, oracle_ace
 from .spline_smooth import predict, select_lambda
-from .svgfig import Axes, Canvas
+from .svgfig import Axes, Canvas, _text
 
 TRUTH_COLOR = "#222222"
 MI_COLOR = "#1f6fb4"
@@ -24,15 +24,19 @@ CC_COLOR = "#d1602a"
 POINT_COLOR = "#7a7a7a"
 CONDITIONAL_COLOR = "#2a8f4e"
 DRAWS_PER_X = 8  # controlled-treatment draws per value of the lower truth panel
+_PAD = 0.06  # share of the data span added on each side of an axis
+_TWO_PANEL_SIZE = (560, 580)  # the canvas of a figure with an upper and a lower panel
+_UPPER_RECT = (60, 40, 470, 200)
+_LOWER_RECT = (60, 300, 470, 200)
 
 
-def _padded_limits(values: np.ndarray, pad: float = 0.06) -> tuple[float, float]:
+def _padded_limits(values: np.ndarray) -> tuple[float, float]:
     if len(values) == 0:  # a subsample with no observed cell in the column
         values = np.array([-1.0, 1.0])
     lo = float(np.nanmin(values))
     hi = float(np.nanmax(values))
     span = (hi - lo) or 1.0
-    return lo - pad * span, hi + pad * span
+    return lo - _PAD * span, hi + _PAD * span
 
 
 def scatter_matrix_svg(data: Dataset, subsample: int, seed: int) -> str:
@@ -63,11 +67,7 @@ def scatter_matrix_svg(data: Dataset, subsample: int, seed: int) -> str:
             if i == j:
                 axes = Axes(canvas, rect, (0, 1), (0, 1))
                 axes.frame()
-                px, py = axes.px(0.5, 0.5)
-                canvas.add(
-                    f'<text x="{px:.2f}" y="{py:.2f}" font-family="sans-serif" '
-                    f'font-size="22" text-anchor="middle">{xname}</text>'
-                )
+                canvas.add(_text(*axes.px(0.5, 0.5), 22, xname))
                 continue
             axes = Axes(canvas, rect, limits[xname], limits[yname])
             axes.frame(xlabel=xname if i == 2 else "", ylabel=yname if j == 0 else "")
@@ -100,21 +100,17 @@ def truth_vs_conditional_svg(cfg: ScmConfig, data: Dataset, subsample: int, seed
     conditional = predict(cond_fit, grid)
 
     exp_grid = np.linspace(-3.0, 3.0, 25)
-    exp_x, exp_y = [], []
-    for i, x in enumerate(exp_grid):
-        draws = intervene_generate(cfg, float(x), DRAWS_PER_X, seed=i * 7919 + seed)
-        exp_x.extend([float(x)] * DRAWS_PER_X)
-        exp_y.extend(draws.tolist())
-    exp_x = np.array(exp_x)
-    exp_y = np.array(exp_y)
+    exp_x = np.repeat(exp_grid, DRAWS_PER_X)
+    exp_y = np.concatenate([
+        intervene_generate(cfg, float(x), DRAWS_PER_X, seed=i * 7919 + seed)
+        for i, x in enumerate(exp_grid)
+    ])
 
-    width, panel_h, margin = 560, 200, 60
-    canvas = Canvas(width, 2 * panel_h + 3 * margin)
+    canvas = Canvas(*_TWO_PANEL_SIZE)
     ylim = _padded_limits(np.concatenate([ys, exp_y, truth]))
     xlim = _padded_limits(np.concatenate([xs, exp_x]))
 
-    upper = Axes(canvas, (margin, 40, width - margin - 30, panel_h), xlim, ylim,
-                 title="observational data")
+    upper = Axes(canvas, _UPPER_RECT, xlim, ylim, title="observational data")
     upper.frame(xlabel="", ylabel="y")
     upper.scatter(xs, ys, fill=POINT_COLOR, css_class="scatter-points")
     upper.polyline(grid, conditional, stroke=CONDITIONAL_COLOR, dash="6,4")
@@ -127,10 +123,7 @@ def truth_vs_conditional_svg(cfg: ScmConfig, data: Dataset, subsample: int, seed
         ]
     )
 
-    lower = Axes(
-        canvas, (margin, 40 + panel_h + margin, width - margin - 30, panel_h),
-        xlim, ylim, title="controlled treatment draws",
-    )
+    lower = Axes(canvas, _LOWER_RECT, xlim, ylim, title="controlled treatment draws")
     lower.frame(xlabel="x", ylabel="y")
     lower.scatter(exp_x, exp_y, fill=POINT_COLOR, css_class="experiment-points")
     lower.polyline(grid, conditional, stroke=CONDITIONAL_COLOR, dash="6,4")
@@ -147,14 +140,13 @@ def effect_curves_svg(
 ) -> str:
     """Estimated mean curves and quantile bands against the ground truth."""
     grid = mi.grid
-    width, panel_h, margin = 560, 200, 60
-    canvas = Canvas(width, 2 * panel_h + 3 * margin)
+    canvas = Canvas(*_TWO_PANEL_SIZE)
     xlim = (float(grid[0]) - 0.1, float(grid[-1]) + 0.1)
 
     stacked = np.concatenate([mi.pooled_ace, cc.pooled_ace, oracle])
     upper = Axes(
-        canvas, (margin, 40, width - margin - 30, panel_h), xlim,
-        _padded_limits(stacked), title="mean response under intervention",
+        canvas, _UPPER_RECT, xlim, _padded_limits(stacked),
+        title="mean response under intervention",
     )
     upper.frame(xlabel="", ylabel="mean y")
     upper.polyline(grid, oracle, stroke=TRUTH_COLOR, width=2.0)
@@ -170,8 +162,8 @@ def effect_curves_svg(
 
     band_stack = np.concatenate([mi.q05, mi.q95, true_q05, true_q95])
     lower = Axes(
-        canvas, (margin, 40 + panel_h + margin, width - margin - 30, panel_h),
-        xlim, _padded_limits(band_stack), title="5 and 95 percent quantiles",
+        canvas, _LOWER_RECT, xlim, _padded_limits(band_stack),
+        title="5 and 95 percent quantiles",
     )
     lower.frame(xlabel="x", ylabel="y quantiles")
     lower.band(grid, mi.q05, mi.q95, fill=MI_COLOR)

@@ -105,10 +105,16 @@ class FittedPair:
 
 
 def _checked_target(x) -> float:
-    x = float(x)
-    if not np.isfinite(x):
-        raise FrontdoorLabError(f"target treatment value must be finite, got {x}")
-    return x
+    # a bool is refused although float(True) is 1.0; a numpy scalar or 0-d array is a number
+    try:
+        value = float(x) if np.ndim(x) == 0 and not isinstance(x, (bool, np.bool_)) else None
+    except (TypeError, ValueError):
+        value = None
+    if value is None:
+        raise FrontdoorLabError(f"target treatment value must be a number, got {x!r}")
+    if not np.isfinite(value):
+        raise FrontdoorLabError(f"target treatment value must be finite, got {value}")
+    return value
 
 
 def _checked_grid(grid) -> np.ndarray:

@@ -475,6 +475,8 @@ def fit_penalized(
     direction undetermined, as with fewer distinct covariate values than
     basis columns.
     """
+    if not _is_real(lam):
+        raise FrontdoorLabError(f"penalty weight must be a number, got {lam!r}")
     if not (np.isfinite(lam) and lam >= 0):
         raise FrontdoorLabError(f"penalty weight must be finite and nonnegative, got {lam}")
     if len(y) < basis.dim:
@@ -766,9 +768,14 @@ def fit_to_json(fit: PenalizedSplineFit | AdditiveFit) -> str:
         raise FrontdoorLabError(f"fitted model: {exc}") from None
 
 
+def _is_real(value) -> bool:
+    # a bool, such as a JSON true or false, is an int but not a number here;
+    # numpy's float64 is a float
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value) -> float:
-    # not isinstance: a JSON true or false is a bool, and so an int
-    if type(value) not in (int, float) or not math.isfinite(value):
+    if not _is_real(value) or not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 

@@ -88,6 +88,26 @@ class TestBuildDag:
         with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
             Dag([("U", kind)], [])
 
+    @pytest.mark.parametrize(
+        "nodes, edges, message",
+        [
+            ([("A",)], [], "node must be a (name, kind) pair with a str name, got ('A',)"),
+            ([("A", "observed")], [("A",)], "edge must be a pair of node names, got ('A',)"),
+            (
+                [(["A"], "observed")], [],
+                "node must be a (name, kind) pair with a str name, got (['A'], 'observed')",
+            ),
+            (
+                [(5, "observed")], [],
+                "node must be a (name, kind) pair with a str name, got (5, 'observed')",
+            ),
+        ],
+        ids=["short_node", "short_edge", "list_name", "int_name"],
+    )
+    def test_malformed_item_rejected(self, nodes, edges, message):
+        with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
+            Dag(nodes, edges)
+
     def test_unknown_parent_endpoint(self):
         with pytest.raises(FrontdoorLabError, match="^edge endpoint not declared: 'B'$"):
             Dag([("A", "observed")], [("B", "A")])

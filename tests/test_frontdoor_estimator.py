@@ -352,6 +352,10 @@ class TestAceAt:
 
 
 NON_FINITE = pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf], ids=repr)
+NOT_A_NUMBER = pytest.mark.parametrize(
+    "target", ["abc", None, np.zeros(2), True], ids=["str", "None", "vector", "bool"]
+)
+NOT_A_NUMBER_MESSAGE = "^target treatment value must be a number, got "
 
 
 class TestTargetChecks:
@@ -364,6 +368,25 @@ class TestTargetChecks:
     def test_distribution_at_rejects_non_finite_target(self, scm_pair, target):
         with pytest.raises(FrontdoorLabError, match="^target treatment value must be finite"):
             distribution_at(scm_pair, target, 10, seed=1)
+
+    @NOT_A_NUMBER
+    def test_ace_at_rejects_non_number_target(self, scm_pair, target):
+        with pytest.raises(FrontdoorLabError, match=NOT_A_NUMBER_MESSAGE):
+            ace_at(scm_pair, target)
+
+    @NOT_A_NUMBER
+    def test_distribution_at_rejects_non_number_target(self, scm_pair, target):
+        with pytest.raises(FrontdoorLabError, match=NOT_A_NUMBER_MESSAGE):
+            distribution_at(scm_pair, target, 10, seed=1)
+
+    def test_numpy_scalar_targets_accepted(self, scm_pair):
+        expected = ace_at(scm_pair, 0.5)
+        assert ace_at(scm_pair, np.float64(0.5)) == expected
+        assert ace_at(scm_pair, np.array(0.5)) == expected
+        assert np.array_equal(
+            distribution_at(scm_pair, np.array(0.5), 10, seed=1),
+            distribution_at(scm_pair, 0.5, 10, seed=1),
+        )
 
     @pytest.mark.parametrize(
         "name, n_draws, seed",

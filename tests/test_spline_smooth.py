@@ -210,6 +210,13 @@ class TestFitPenalized:
         with pytest.raises(FrontdoorLabError, match="penalty weight must be finite"):
             fit_penalized(y, x, build_basis(x, 8), lam)
 
+    @pytest.mark.parametrize("lam", ["1", None, True], ids=repr)
+    def test_non_number_penalty_weight_rejected(self, lam):
+        x, y = make_xy(100, seed=14)
+        message = f"^penalty weight must be a number, got {lam!r}$"
+        with pytest.raises(FrontdoorLabError, match=message):
+            fit_penalized(y, x, build_basis(x, 8), lam)
+
 
 class TestSelectLambda:
     def test_recovers_smooth_sine(self):
