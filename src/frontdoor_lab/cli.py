@@ -57,7 +57,7 @@ from .causal_graph import (
     load_graph,
     mar_holds,
 )
-from .dataset import _finite, _float_cells, _read_table, _write_table
+from .dataset import _datasets_to_csv, _finite, _float_cells, _read_table, _write_table
 from .dataset import dataset_from_csv, dataset_to_csv
 from .errors import FrontdoorLabError, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
@@ -224,8 +224,7 @@ def cmd_impute(args) -> int:
     # a rerun with a smaller m leaves no copy of the earlier run behind
     for path in out.glob("completed_*.csv"):
         path.unlink()
-    for path, completed in zip(_completed_paths(out, cfg.m), result.completed):
-        dataset_to_csv(completed, path)
+    _datasets_to_csv(result.completed, _completed_paths(out, cfg.m))
     diagnostics_to_csv(imputation_diagnostics(result), out / "imputation_diagnostics.csv")
     trace_to_csv(result.trace, out / "imputation_trace.csv")
     print(f"wrote {cfg.m} completed datasets to {out}")

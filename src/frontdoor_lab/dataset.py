@@ -9,7 +9,11 @@ stores NaN in its place, so a masked value cannot leak to a consumer.
 Serialization is CSV with header ``x,z,y`` and the literal token ``NA`` for a
 missing cell; the round trip is lossless.  Every stage artifact uses this
 table format (``_write_table`` / ``_read_table``): cells are the shortest
-round-trip float text, lines end in CRLF, text is UTF-8.
+round-trip float text, lines end in CRLF, text is UTF-8.  Several datasets
+that share most of their rows, such as the completed copies of one imputation
+run, are written together (``_datasets_to_csv``): the first one's row lines
+are held while the copies are written, and a later dataset formats only the
+rows whose bits differ from them.
 """
 
 from __future__ import annotations
@@ -79,8 +83,36 @@ def _observed(column: np.ndarray) -> np.ndarray:
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
-    x, z = _float_cells(data.x_star, data.m_x), _float_cells(data.z_star, data.m_z)
-    _write_table(path, DATASET_HEADER, [x, z, _float_cells(data.y_star)])
+    _datasets_to_csv([data], [path])
+
+
+def _datasets_to_csv(datasets, paths) -> None:
+    """Write each dataset to its path, formatting the first one's rows once.
+
+    A later dataset reuses the first one's text for every row whose x, z and
+    y bits all equal it; bits, not values, so -0.0 and 0.0 stay apart.
+    """
+    held_bits = held_lines = None
+    for data, path in zip(datasets, paths, strict=True):
+        bits = np.column_stack([data.x_star, data.z_star, data.y_star]).view(np.int64)
+        if held_lines is None:
+            held_bits, held_lines = bits, list(_dataset_lines(data, slice(None)))
+            lines = held_lines
+        else:
+            shared = min(len(bits), len(held_bits))
+            lines = held_lines[:shared]
+            changed = np.flatnonzero((bits[:shared] != held_bits[:shared]).any(axis=1))
+            for row, line in zip(changed.tolist(), _dataset_lines(data, changed)):
+                lines[row] = line
+            lines += _dataset_lines(data, slice(shared, None))
+        _write_lines(path, DATASET_HEADER, lines)
+
+
+def _dataset_lines(data: Dataset, rows) -> Iterator[str]:
+    """Row lines of the dataset's ``rows`` (a slice or an index array)."""
+    x = _float_cells(data.x_star[rows], data.m_x[rows])
+    z = _float_cells(data.z_star[rows], data.m_z[rows])
+    return _row_lines([x, z, _float_cells(data.y_star[rows])])
 
 
 def dataset_from_csv(path) -> Dataset:
@@ -104,7 +136,9 @@ def _finite(cell: str, na: str | None = None) -> float:
 
 def _float_cells(values, mask=None) -> Iterator[str]:
     """Shortest round-trip text of each value; ``NA`` where ``mask`` is False."""
-    # one Python float at a time: a whole column as a list would sit in memory
+    # one Python float at a time: a whole column as a list would sit in memory;
+    # ``_datasets_to_csv`` holds only the first dataset's row lines, while it
+    # writes the others
     cells = map(repr, map(float, np.asarray(values, dtype=float)))
     if mask is None:
         return cells
@@ -117,9 +151,17 @@ def _write_table(path, header: list[str], columns) -> None:
     Cells go unquoted: callers pass only ``repr`` floats, ints and fixed
     tokens, which never hold a comma, a quote or a line break.
     """
+    _write_lines(path, header, _row_lines(columns))
+
+
+def _row_lines(columns) -> Iterator[str]:
+    return (",".join(cells) + "\r\n" for cells in zip(*columns, strict=True))
+
+
+def _write_lines(path, header: list[str], lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(",".join(cells) + "\r\n" for cells in zip(*columns, strict=True))
+        handle.writelines(lines)
 
 
 def _read_table(path, kind: str, header_ok: Callable, parse: Callable, empty_ok=False) -> Iterator:

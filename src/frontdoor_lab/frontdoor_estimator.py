@@ -18,7 +18,9 @@ Because the outcome model is additive, the n x n sum splits into
 The quantile bands do draw: each row is paired with a mediator residual and
 an outcome residual resampled from their pools, and the empirical quantiles
 of those plug-in values estimate the quantiles of the interventional outcome
-distribution.
+distribution.  The draws are sorted before their quantiles are taken: a
+quantile depends only on the order statistics, so the bands are the same
+bits, and the selection inside ``np.quantile`` is cheaper on sorted input.
 
 Because the outcome model sees the observed x_i, its intercept plus treatment
 term at the training rows does not depend on the target x: each fitted pair
@@ -196,10 +198,10 @@ def distribution_at(
         raise FrontdoorLabError("draw count must be >= 1")
     mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
     rng = rng_from(seed, "distribution")
-    rows = np.arange(n_draws) % len(pair.x_train)
     center = float(predict(pair.mediator, x)[0])
     z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n_draws)]
-    values = pair.treatment_part[rows] + predict(pair.outcome.terms[1], z_draws)
+    # the rows' treatment parts, repeated cyclically to n_draws entries
+    values = np.resize(pair.treatment_part, n_draws) + predict(pair.outcome.terms[1], z_draws)
     return values + outcome_pool[rng.integers(0, len(outcome_pool), n_draws)]
 
 
@@ -214,6 +216,7 @@ def _curves_for_pair(
         draws = distribution_at(
             pair, float(x), len(pair.x_train), mix_seed(config.seed, label, "dist", j)
         )
+        draws.sort()  # the same quantiles, and a cheaper selection inside np.quantile
         q05[j], q95[j] = np.quantile(draws, [0.05, 0.95])
     return ace, q05, q95
 

@@ -4,8 +4,9 @@ A :class:`Canvas` accumulates SVG elements; an :class:`Axes` maps one data
 rectangle onto a pixel rectangle and offers the handful of layers the
 pipeline figures need (frame with ticks, polylines, scatter points, shaded
 bands, legends).  Every element is written by one writer, ``_element``, and
-its two shorthands ``_text`` and ``_line``.  Elements are drawn in the order
-they are added, so a later layer covers an earlier one.  Output is
+its two shorthands ``_text`` and ``_line``; it escapes text and attribute
+values, so a title or label may hold any character.  Elements are drawn in
+the order they are added, so a later layer covers an earlier one.  Output is
 deterministic for identical inputs.
 """
 
@@ -24,19 +25,30 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _element(tag: str, body: str | None = None, **attributes) -> str:
+def _escape(text: str, quote: bool = False) -> str:
+    """``text`` with ``&``, ``<`` and ``>``, and with ``quote`` also ``"``, as
+    XML entities (not ``xml.sax.saxutils``, whose import costs the command
+    line about 15 ms)."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace('"', "&quot;") if quote else text
+
+
+def _element(tag: str, body: str | list[str] | None = None, **attributes) -> str:
     """One SVG element, its attributes in the order given: a keyword's ``_`` is
-    written ``-`` and a None value is left out.  Without a body it closes itself."""
+    written ``-``, a None value is left out and a value is escaped.  A string
+    body is escaped text, a list body is child elements, one per line; without
+    a body the element closes itself."""
     attrs = "".join(
-        f' {key.replace("_", "-")}="{value}"'
+        f' {key.replace("_", "-")}="{_escape(str(value), quote=True)}"'
         for key, value in attributes.items()
         if value is not None
     )
-    return f"<{tag}{attrs}/>" if body is None else f"<{tag}{attrs}>{body}</{tag}>"
-
-
-def _children(elements: list[str]) -> str:
-    return "".join(f"\n{element}" for element in elements) + "\n"
+    if body is None:
+        return f"<{tag}{attrs}/>"
+    if isinstance(body, str):
+        return f"<{tag}{attrs}>{_escape(body)}</{tag}>"
+    children = "".join(f"\n{child}" for child in body)
+    return f"<{tag}{attrs}>{children}\n</{tag}>"
 
 
 def _text(x, y, size: int, body: str, anchor: str | None = "middle", **attributes) -> str:
@@ -69,7 +81,7 @@ class Canvas:
     def to_string(self) -> str:
         background = _element("rect", x=0, y=0, width=self.width, height=self.height, fill="white")
         return _element(
-            "svg", _children([background, *self._elements]),
+            "svg", [background, *self._elements],
             xmlns="http://www.w3.org/2000/svg", width=self.width, height=self.height,
             viewBox=f"0 0 {self.width} {self.height}",
         ) + "\n"
@@ -133,7 +145,7 @@ class Axes:
             _element("circle", cx=_fmt(px), cy=_fmt(py), **style)
             for px, py in zip(*self.px(xs[keep], ys[keep]))
         ]
-        self.canvas.add(_element("g", _children(circles), **{"class": css_class}))
+        self.canvas.add(_element("g", circles, **{"class": css_class}))
 
     def band(self, xs, lower, upper, fill: str) -> None:
         xs, upper = np.asarray(xs), np.asarray(upper)

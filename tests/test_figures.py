@@ -1,7 +1,15 @@
-"""The exact SVG markup of every drawing layer, pinned to the text it writes."""
+"""The exact SVG markup of every drawing layer, pinned to the text it writes,
+and the figures' argument checks."""
+
+import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
+from frontdoor_lab.dataset import Dataset
+from frontdoor_lab.errors import FrontdoorLabError
+from frontdoor_lab.figures import scatter_matrix_svg, truth_vs_conditional_svg
+from frontdoor_lab.scm_sim import ScmConfig
 from frontdoor_lab.svgfig import Axes, Canvas
 
 EXPECTED = """\
@@ -70,3 +78,35 @@ def test_every_layer_writes_its_exact_markup():
         [("truth", "black", "line"), ("estimate", "blue", "dash"), ("points", "gray", "dot")]
     )
     assert canvas.to_string() == EXPECTED
+
+
+def test_markup_characters_in_text_and_attributes_are_escaped():
+    canvas = Canvas(200, 160)
+    axes = Axes(canvas, (40, 20, 150, 100), (0.0, 1.0), (0.0, 1.0), title="a<b & c")
+    axes.legend([('x > "y"', "black", "line")])
+    axes.scatter([0.5], [0.5], fill="gray", css_class='say "&"')
+    root = ET.fromstring(canvas.to_string())
+    texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["a<b & c", 'x > "y"']
+    [group] = root.iter("{http://www.w3.org/2000/svg}g")
+    assert group.get("class") == 'say "&"'
+
+
+DATA = Dataset(
+    x_star=np.array([0.1, np.nan, 0.3, 0.4]),
+    z_star=np.array([0.2, 0.5, np.nan, 0.1]),
+    y_star=np.array([1.0, 2.0, 3.0, 4.0]),
+)
+FIGURES = {
+    "scatter_matrix": lambda subsample: scatter_matrix_svg(DATA, subsample, seed=1),
+    "truth_vs_conditional": lambda subsample: truth_vs_conditional_svg(
+        ScmConfig(), DATA, subsample, seed=1
+    ),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+@pytest.mark.parametrize("subsample", [-1, 0, 2.5, True], ids=["neg", "zero", "float", "bool"])
+def test_figures_refuse_a_subsample_that_is_not_a_positive_int(figure, subsample):
+    with pytest.raises(FrontdoorLabError, match="subsample"):
+        FIGURES[figure](subsample)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frontdoor_lab import frontdoor_estimator, spline_smooth
-from frontdoor_lab._seeds import rng_from
+from frontdoor_lab._seeds import mix_seed, rng_from
 from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import FrontdoorLabError, NumericError
 from frontdoor_lab.frontdoor_estimator import (
@@ -446,6 +446,40 @@ class TestDistributionAt:
         spread_wide = np.quantile(wide, 0.95) - np.quantile(wide, 0.05)
         spread_narrow = np.quantile(narrow, 0.95) - np.quantile(narrow, 0.05)
         assert spread_narrow < spread_wide
+
+
+class TestBandShortcuts:
+    """The bands' sorted draws and tiled treatment parts give the same bits as
+    the unsorted draws and the modulo gather."""
+
+    @staticmethod
+    def gathered_distribution_at(pair, x, n_draws, seed):
+        """``distribution_at`` with the treatment parts gathered row by row."""
+        mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
+        rng = rng_from(seed, "distribution")
+        rows = np.arange(n_draws) % len(pair.x_train)
+        center = float(predict(pair.mediator, x)[0])
+        z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n_draws)]
+        values = pair.treatment_part[rows] + predict(pair.outcome.terms[1], z_draws)
+        return values + outcome_pool[rng.integers(0, len(outcome_pool), n_draws)]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 301])
+    def test_distribution_tiles_rows_as_the_gather_did(self, small_pair, offset):
+        n_draws = len(small_pair.x_train) + offset
+        draws = distribution_at(small_pair, 0.4, n_draws, seed=88)
+        expected = self.gathered_distribution_at(small_pair, 0.4, n_draws, seed=88)
+        assert draws.tobytes() == expected.tobytes()
+
+    def test_band_quantiles_match_unsorted_draws(self, small_pair):
+        config = EstimatorConfig(seed=89)
+        grid = np.linspace(-2.0, 2.0, 7)
+        _, q05, q95 = frontdoor_estimator._curves_for_pair(small_pair, grid, config, "imp0")
+        n = len(small_pair.x_train)
+        for j, x in enumerate(grid):
+            seed = mix_seed(config.seed, "imp0", "dist", j)
+            draws = distribution_at(small_pair, float(x), n, seed)
+            expected = np.quantile(draws, [0.05, 0.95])
+            assert np.array([q05[j], q95[j]]).tobytes() == expected.tobytes()
 
 
 class TestEstimateEffect:

@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from frontdoor_lab.dataset import Dataset, dataset_from_csv, dataset_to_csv
+from frontdoor_lab.dataset import Dataset, _datasets_to_csv, dataset_from_csv, dataset_to_csv
 from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.frontdoor_estimator import EffectEstimate, effect_to_csv
 from frontdoor_lab.scm_sim import (
@@ -451,3 +451,60 @@ class TestCsvRoundTrips:
         assert (tmp_path / "effects.csv").read_bytes() == reference(
             header.split(","), [[cell(v) for v in row] for row in zip(*columns)]
         )
+
+
+class TestDatasetsToCsv:
+    """Datasets written together by ``_datasets_to_csv`` reuse the first one's
+    row text; each file must hold the bytes its dataset gives alone."""
+
+    FIRST = Dataset(
+        x_star=np.array([0.0, np.nan, 1.5, -2.25]),
+        z_star=np.array([1.0, 2.0, np.nan, 0.1 + 0.2]),
+        y_star=np.array([3.0, -0.0, 5e-324, 1e16]),
+    )
+
+    @staticmethod
+    def reference(data: Dataset) -> bytes:
+        """The table written cell by cell, as the csv module would."""
+        def cell(value):
+            return "NA" if np.isnan(value) else repr(float(value))
+
+        rows = zip(data.x_star, data.z_star, data.y_star)
+        body = "".join(",".join(map(cell, row)) + "\r\n" for row in rows)
+        return ("x,z,y\r\n" + body).encode()
+
+    def variants(self):
+        first = self.FIRST
+        x, z, y = (np.array(column) for column in (first.x_star, first.z_star, first.y_star))
+        signed_zero = Dataset(x_star=np.where(x == 0.0, -0.0, x), z_star=z, y_star=y)
+        y_zero = y.copy()
+        y_zero[1] = 0.0  # -0.0 in the first dataset
+        filled = Dataset(x_star=np.where(np.isnan(x), 0.5, x), z_star=z, y_star=y_zero)
+        moved_na = Dataset(x_star=x, z_star=np.where(np.isnan(z), 7.0, np.nan), y_star=y)
+        shorter = Dataset(x_star=x[:2], z_star=z[:2], y_star=y[:2])
+        longer = Dataset(
+            x_star=np.append(x, [np.nan, 4.0]),
+            z_star=np.append(z, [1.0, np.nan]),
+            y_star=np.append(y, [0.0, -0.0]),
+        )
+        return [first, signed_zero, filled, moved_na, shorter, longer, first]
+
+    def test_each_file_holds_its_datasets_own_bytes(self, tmp_path):
+        datasets = self.variants()
+        paths = [tmp_path / f"copy_{i}.csv" for i in range(len(datasets))]
+        _datasets_to_csv(datasets, paths)
+        for data, path in zip(datasets, paths):
+            dataset_to_csv(data, tmp_path / "alone.csv")
+            assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
+            assert path.read_bytes() == self.reference(data)
+
+    def test_signed_zero_row_is_reformatted(self, tmp_path):
+        datasets = self.variants()[:2]
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        _datasets_to_csv(datasets, paths)
+        assert paths[0].read_text().splitlines()[1] == "0.0,1.0,3.0"
+        assert paths[1].read_text().splitlines()[1] == "-0.0,1.0,3.0"
+
+    def test_single_dataset(self, tmp_path):
+        _datasets_to_csv([self.FIRST], [tmp_path / "one.csv"])
+        assert (tmp_path / "one.csv").read_bytes() == self.reference(self.FIRST)
