@@ -57,8 +57,8 @@ from .causal_graph import (
     load_graph,
     mar_holds,
 )
-from .dataset import _datasets_to_csv, _finite, _float_cells, _read_table, _write_table
-from .dataset import dataset_from_csv, dataset_to_csv
+from .dataset import _datasets_to_csv, _finite, _float_cells, _observed_cells_match, _read_table
+from .dataset import _write_table, dataset_from_csv, dataset_to_csv
 from .errors import FrontdoorLabError, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
@@ -324,11 +324,7 @@ def cmd_evaluate(args) -> int:
                 f"but {observed_path} holds {observed.n}"
             )
         # every kept cell is a copy of its population cell: y always, x and z when observed
-        kept = (observed.x_star, observed.z_star, observed.y_star)
-        if not all(
-            np.array_equal(cells, np.where(np.isnan(cells), np.nan, truth), equal_nan=True)
-            for cells, truth in zip(kept, (population.x, population.z, population.y))
-        ):
+        if not _observed_cells_match(observed, (population.x, population.z, population.y)):
             raise FrontdoorLabError(
                 f"{population_path} is not the population of {observed_path}: "
                 "an observed cell differs"

@@ -82,6 +82,15 @@ def _observed(column: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _observed_cells_match(data: Dataset, columns) -> bool:
+    """Whether each observed cell of ``data`` equals the cell in its place in
+    ``columns``, the x, z and y columns of an equally long table."""
+    return all(
+        np.array_equal(cells, np.where(np.isnan(cells), np.nan, other), equal_nan=True)
+        for cells, other in zip((data.x_star, data.z_star, data.y_star), columns, strict=True)
+    )
+
+
 def dataset_to_csv(data: Dataset, path) -> None:
     _datasets_to_csv([data], [path])
 

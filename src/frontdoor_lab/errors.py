@@ -10,7 +10,8 @@ file that is not UTF-8 text into a :class:`FrontdoorLabError`, and
 ``parse_file`` makes every error of a file's parser name the file.  An
 ``OSError`` is not wrapped: ``cli.main`` maps an absent path to exit 3 and
 any other OS failure, naming its path, to exit 2.  ``check_type`` rejects a
-setting whose type is not exactly the declared one where it enters.
+setting whose type is not exactly the declared one where it enters, and
+``check_int`` an int setting that is not an exact ``int`` at least its minimum.
 """
 
 from pathlib import Path
@@ -61,3 +62,11 @@ def check_type(name: str, kind, value) -> None:
             check_type(f"{name}[{index}]", part_kind, part)
     elif type(value) is not kind:
         raise FrontdoorLabError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """``check_type(name, int, value)``, then, when ``minimum`` is given, a
+    FrontdoorLabError ``<name> must be >= <minimum>, got <value>`` below it."""
+    check_type(name, int, value)
+    if minimum is not None and value < minimum:
+        raise FrontdoorLabError(f"{name} must be >= {minimum}, got {value}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._seeds import rng_from
 from .dataset import Dataset
-from .errors import FrontdoorLabError, check_type
+from .errors import check_int
 from .frontdoor_estimator import EffectEstimate
 from .scm_sim import ScmConfig, intervene_generate, oracle_ace
 from .spline_smooth import predict, select_lambda
@@ -40,15 +40,9 @@ def _padded_limits(values: np.ndarray) -> tuple[float, float]:
     return lo - _PAD * span, hi + _PAD * span
 
 
-def _check_subsample(subsample) -> None:
-    check_type("subsample", int, subsample)
-    if subsample < 1:
-        raise FrontdoorLabError(f"subsample must be >= 1, got {subsample}")
-
-
 def scatter_matrix_svg(data: Dataset, subsample: int, seed: int) -> str:
     """Pairwise scatterplots of the observed columns on one subsample."""
-    _check_subsample(subsample)
+    check_int("subsample", subsample, 1)
     rng = rng_from(seed, "scatter-subsample")
     rows = rng.choice(data.n, size=min(subsample, data.n), replace=False)
     columns = {
@@ -96,7 +90,7 @@ def truth_vs_conditional_svg(cfg: ScmConfig, data: Dataset, subsample: int, seed
     the true interventional mean.  Lower panel: the same curves over draws
     from controlled-treatment experiments at a grid of treatment values.
     """
-    _check_subsample(subsample)
+    check_int("subsample", subsample, 1)
     usable = np.flatnonzero(data.m_x)
     rng = rng_from(seed, "truth-panel")
     rows = rng.choice(usable, size=min(subsample, len(usable)), replace=False)

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import FrontdoorLabError, NumericError, check_type
+from .errors import FrontdoorLabError, NumericError, check_int
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
     DEFAULT_N_KNOTS,
@@ -62,10 +62,8 @@ class EstimatorConfig:
     seed: int = 0  # seeds the quantile bands' draws
 
     def __post_init__(self):
-        for name in ("n_knots", "seed"):
-            check_type(name, int, getattr(self, name))
-        if self.n_knots < 4:
-            raise FrontdoorLabError(f"n_knots must be >= 4, got {self.n_knots}")
+        check_int("n_knots", self.n_knots, 4)
+        check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -192,10 +190,8 @@ def distribution_at(
     interventional quantiles.
     """
     x = _checked_target(x)
-    check_type("n_draws", int, n_draws)
-    check_type("seed", int, seed)
-    if n_draws < 1:
-        raise FrontdoorLabError("draw count must be >= 1")
+    check_int("n_draws", n_draws, 1)
+    check_int("seed", seed)
     mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
     rng = rng_from(seed, "distribution")
     center = float(predict(pair.mediator, x)[0])

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from ._seeds import mix_seed, rng_from
-from .dataset import Dataset, _write_table
-from .errors import FrontdoorLabError, check_type
+from .dataset import Dataset, _observed_cells_match, _write_table
+from .errors import FrontdoorLabError, check_int
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
 SIGN_PROB_CLAMP = (0.01, 0.99)
@@ -39,16 +39,9 @@ class ImputationConfig:
     n_knots: int = DEFAULT_N_KNOTS
 
     def __post_init__(self):
-        for name in ("m", "cycles", "donors", "seed", "n_knots"):
-            check_type(name, int, getattr(self, name))
-        if self.m < 2:
-            raise FrontdoorLabError(f"need at least two imputations, got m = {self.m}")
-        if self.cycles < 1 or self.donors < 1:
-            raise FrontdoorLabError(
-                f"cycles and donors must be >= 1, got {self.cycles} and {self.donors}"
-            )
-        if self.n_knots < 4:
-            raise FrontdoorLabError(f"n_knots must be >= 4, got {self.n_knots}")
+        for name, minimum in (("m", 2), ("cycles", 1), ("donors", 1), ("seed", None),
+                              ("n_knots", 4)):
+            check_int(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True)
@@ -80,14 +73,7 @@ class CompletedDatasets:
                 raise FrontdoorLabError("completed copy has wrong length")
             if not copy.is_complete():
                 raise FrontdoorLabError("completed copy still has missing cells")
-            same_x = np.array_equal(
-                copy.x_star[self.source.m_x], self.source.x_star[self.source.m_x]
-            )
-            same_z = np.array_equal(
-                copy.z_star[self.source.m_z], self.source.z_star[self.source.m_z]
-            )
-            same_y = np.array_equal(copy.y_star, self.source.y_star)
-            if not (same_x and same_z and same_y):
+            if not _observed_cells_match(self.source, (copy.x_star, copy.z_star, copy.y_star)):
                 raise FrontdoorLabError("observed cells were modified by imputation")
 
     @property
@@ -206,9 +192,7 @@ def pmm_impute(
     Returns one value per missing row, in row order, each from the observed
     support, and whether the fit converged.  ``donors`` must be an int >= 1.
     """
-    check_type("donors", int, donors)
-    if donors < 1:
-        raise FrontdoorLabError(f"donors must be >= 1, got {donors}")
+    check_int("donors", donors, 1)
     fit, known, at_obs, at_miss = _observed_fit(target, observed, predictors, n_knots, "target")
     obs_pred = predict(fit, at_obs)
     miss_pred = predict(fit, at_miss)

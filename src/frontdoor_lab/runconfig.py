@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from ._seeds import mix_seed
-from .errors import FrontdoorLabError, check_type, parse_file
+from .errors import FrontdoorLabError, check_int, check_type, parse_file
 from .frontdoor_estimator import EstimatorConfig
 from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
@@ -47,12 +47,10 @@ class RunConfig:
         # building the imputation config runs its own checks
         self.imputation_config()
         lo, hi, count = self.grid
-        if count < 1:
-            raise FrontdoorLabError(f"grid count must be >= 1, got {count}")
+        check_int("grid count", count, 1)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise FrontdoorLabError(f"grid bounds must be finite with lo <= hi, got {lo}:{hi}")
-        if self.subsample < 1:
-            raise FrontdoorLabError(f"subsample must be >= 1, got {self.subsample}")
+        check_int("subsample", self.subsample, 1)
         if not self.out:  # Path("") is the working directory
             raise FrontdoorLabError("out must name a directory, got an empty value")
 

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
 from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import FrontdoorLabError
+from .errors import FrontdoorLabError, check_int
 
 _TWO_PI = 2.0 * np.pi
 
@@ -51,6 +51,7 @@ POPULATION_HEADER = ["u", "x", "z", "y"]
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    check_int("seed", seed)
     return np.random.default_rng([seed % 2**63, stream])
 
 
@@ -124,8 +125,7 @@ def generate_population(cfg: ScmConfig, n: int, seed: int) -> Population:
     Draw order is frozen: U, then X', then eps_Z, each as one block.  Raises
     FrontdoorLabError when the parameters push Z or Y past the float range.
     """
-    if n < 1:
-        raise FrontdoorLabError(f"population size must be >= 1, got {n}")
+    check_int("n", n, 1)
     rng = _rng(seed, _STREAM_POPULATION)
     u = rng.standard_normal(n)
     x_prime = rng.uniform(cfg.x_prime_low, cfg.x_prime_high, n)
@@ -147,8 +147,7 @@ def intervene_generate(cfg: ScmConfig, x: float, n: int, seed: int) -> np.ndarra
     mechanisms.  This is the sampling oracle for the interventional
     distribution of Y.
     """
-    if n < 1:
-        raise FrontdoorLabError(f"draw count must be >= 1, got {n}")
+    check_int("n", n, 1)
     rng = _rng(seed, _STREAM_INTERVENTION)
     u = rng.standard_normal(n)
     eps_z = cfg.sigma_z * rng.standard_normal(n)

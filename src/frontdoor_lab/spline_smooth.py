@@ -57,7 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse import csr_array
 
-from .errors import FrontdoorLabError, NumericError, check_type
+from .errors import FrontdoorLabError, NumericError, check_int
 
 DEFAULT_N_KNOTS = 20
 DEFAULT_DEGREE = 3
@@ -83,8 +83,7 @@ class SplineBasis:
     _recorded = None
 
     def __post_init__(self):
-        if type(self.degree) is not int or self.degree < 1:
-            raise FrontdoorLabError(f"degree must be an int >= 1, got {self.degree!r}")
+        check_int("degree", self.degree, 1)
         knots = np.asarray(self.knots, dtype=float)
         if knots.ndim != 1 or len(knots) < 2:
             raise FrontdoorLabError("need at least two knots")
@@ -247,9 +246,7 @@ def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
     binary indicator a plain linear term.  A constant covariate raises
     NumericError.
     """
-    check_type("n_knots", int, n_knots)
-    if n_knots < 4:
-        raise FrontdoorLabError(f"n_knots must be >= 4, got {n_knots}")
+    check_int("n_knots", n_knots, 4)
     x = np.asarray(x, dtype=float)
     distinct = np.unique(x[np.isfinite(x)])
     if len(distinct) < 2:

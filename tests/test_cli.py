@@ -726,7 +726,7 @@ class TestErrorPaths:
         config = tmp_path / "config.txt"
         config.write_text("seed = 3\nm = 1\n")
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
-        expected = f"error: invalid-input: {config}: need at least two imputations, got m = 1\n"
+        expected = f"error: invalid-input: {config}: m must be >= 2, got 1\n"
         assert capsys.readouterr().err == expected
         assert [path.name for path in tmp_path.iterdir()] == ["config.txt"]
 

@@ -398,6 +398,10 @@ class TestTargetChecks:
         with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
             distribution_at(scm_pair, 0.0, n_draws, seed)
 
+    def test_distribution_at_rejects_no_draws(self, scm_pair):
+        with pytest.raises(FrontdoorLabError, match="^n_draws must be >= 1, got 0$"):
+            distribution_at(scm_pair, 0.0, 0, 1)
+
 
 class TestDistributionAt:
     def test_degenerate_pools_and_constant_fit(self):

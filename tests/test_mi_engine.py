@@ -343,18 +343,20 @@ class TestRunMice:
         assert result.m == 2
         assert result.nonconverged_fits == 0
 
-    def test_config_validation(self):
-        with pytest.raises(FrontdoorLabError):
-            ImputationConfig(m=1)
-        with pytest.raises(FrontdoorLabError):
-            ImputationConfig(donors=0)
-        with pytest.raises(FrontdoorLabError, match="^n_knots must be >= 4, got 3$"):
-            ImputationConfig(n_knots=3)
+    @pytest.mark.parametrize(
+        "name, value, minimum",
+        [("m", 1, 2), ("m", -1, 2), ("cycles", 0, 1), ("donors", 0, 1), ("n_knots", 3, 4)],
+        ids=repr,
+    )
+    def test_setting_below_its_minimum_rejected(self, name, value, minimum):
+        with pytest.raises(FrontdoorLabError, match=f"^{name} must be >= {minimum}, got {value}$"):
+            ImputationConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "name, value",
         [("m", 2.5), ("cycles", 1.5), ("donors", 2.5), ("n_knots", 20.0), ("m", True),
-         ("seed", 1.0), ("cycles", np.int64(2))],
+         ("seed", 1.0), ("cycles", np.int64(2)), ("cycles", True), ("donors", False),
+         ("seed", True), ("n_knots", True)],
         ids=repr,
     )
     def test_non_int_setting_rejected(self, name, value):

@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import FrozenInstanceError
 from statistics import NormalDist
 
@@ -76,7 +77,7 @@ class TestDensities:
 
 class TestGeneratePopulation:
     def test_rejects_bad_count(self):
-        with pytest.raises(FrontdoorLabError, match="^population size must be >= 1, got 0$"):
+        with pytest.raises(FrontdoorLabError, match="^n must be >= 1, got 0$"):
             generate_population(CFG, 0, seed=1)
 
     def test_mediator_noise_within_six_sigma(self):
@@ -130,7 +131,7 @@ class TestIntervene:
             assert float(np.std(draws)) == pytest.approx(delta_sd, abs=0.005)
 
     def test_rejects_bad_count(self):
-        with pytest.raises(FrontdoorLabError, match="^draw count must be >= 1, got 0$"):
+        with pytest.raises(FrontdoorLabError, match="^n must be >= 1, got 0$"):
             intervene_generate(CFG, 0.0, 0, seed=1)
 
 
@@ -306,6 +307,38 @@ class TestScmConfigValidation:
     def test_rejects_a_value_that_is_not_finite(self, value, shown):
         with pytest.raises(FrontdoorLabError, match=f"^sigma_z must be finite, got {shown}$"):
             ScmConfig(sigma_z=value)
+
+
+class TestIntSettings:
+    # each simulator entry point, called with a population size and a seed
+    ENTRY_POINTS = {
+        "generate_population": lambda n, seed: generate_population(CFG, n, seed),
+        "apply_missingness": lambda n, seed: apply_missingness(
+            CFG, generate_population(CFG, n, 1), seed
+        ),
+        "intervene_generate": lambda n, seed: intervene_generate(CFG, 0.0, n, seed),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("seed", [1.5, np.int64(3), True], ids=["float", "int64", "bool"])
+    def test_seed_must_be_an_int(self, entry, seed):
+        message = re.escape(f"seed must be int, got {seed!r}")
+        with pytest.raises(FrontdoorLabError, match=f"^{message}$"):
+            self.ENTRY_POINTS[entry](10, seed)
+
+    @pytest.mark.parametrize("entry", ["generate_population", "intervene_generate"])
+    @pytest.mark.parametrize(
+        "n, message",
+        [(2.5, "n must be int, got 2.5"), (True, "n must be int, got True"),
+         (-3, "n must be >= 1, got -3")],
+        ids=["float", "bool", "negative"],
+    )
+    def test_count_must_be_a_positive_int(self, entry, n, message):
+        with pytest.raises(FrontdoorLabError, match=f"^{message}$"):
+            self.ENTRY_POINTS[entry](n, 1)
+
+    def test_negative_seed_is_accepted(self):
+        assert len(generate_population(CFG, 5, -7)) == 5
 
 
 class TestDataset:

@@ -91,9 +91,14 @@ class TestBuildBasis:
         with pytest.raises(FrontdoorLabError, match=r"^n_knots must be int, got "):
             build_basis(np.linspace(0, 1, 50), n_knots)
 
-    @pytest.mark.parametrize("degree", [0, -1, 2.5])
-    def test_degree_must_be_a_positive_int(self, degree):
-        with pytest.raises(FrontdoorLabError, match=f"^degree must be an int >= 1, got {degree}$"):
+    @pytest.mark.parametrize(
+        "degree, message",
+        [(0, "degree must be >= 1, got 0"), (-1, "degree must be >= 1, got -1"),
+         (2.5, "degree must be int, got 2.5"), (True, "degree must be int, got True")],
+        ids=["0", "-1", "2.5", "True"],
+    )
+    def test_degree_must_be_a_positive_int(self, degree, message):
+        with pytest.raises(FrontdoorLabError, match=f"^{message}$"):
             SplineBasis(np.linspace(-1, 1, 6), degree=degree)
 
 
@@ -907,7 +912,7 @@ class TestSerialization:
         "case, message",
         [
             ("additive_missing_field", "^fitted model: missing field 'converged'$"),
-            ("spline_bad_degree", "^fitted model: degree must be an int >= 1, got 2.5$"),
+            ("spline_bad_degree", "^fitted model: degree must be int, got 2.5$"),
             ("empty_terms", "^fitted model: 'terms' must be a non-empty list$"),
             ("bad_coefficients", "^fitted model: expected a finite number, got nan$"),
             ("deep_nesting", "^fitted model: maximum recursion depth exceeded"),
