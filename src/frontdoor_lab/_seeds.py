@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import check_int
+
 
 def mix_seed(*parts) -> int:
     """Stable 63-bit seed from a label path (ints and strings)."""
@@ -19,5 +21,9 @@ def mix_seed(*parts) -> int:
     return int.from_bytes(digest, "big") % 2**63
 
 
-def rng_from(*parts) -> np.random.Generator:
-    return np.random.default_rng(mix_seed(*parts))
+def rng_from(seed: int, *labels) -> np.random.Generator:
+    """The generator of the stream ``labels`` under the root ``seed``, which
+    must be an exact ``int``: ``mix_seed`` hashes its text, so 1.5, True or
+    "x" would seed a stream unrelated to any int seed."""
+    check_int("seed", seed)
+    return np.random.default_rng(mix_seed(seed, *labels))

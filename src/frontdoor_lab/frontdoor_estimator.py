@@ -191,7 +191,6 @@ def distribution_at(
     """
     x = _checked_target(x)
     check_int("n_draws", n_draws, 1)
-    check_int("seed", seed)
     mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
     rng = rng_from(seed, "distribution")
     center = float(predict(pair.mediator, x)[0])

@@ -193,10 +193,10 @@ def pmm_impute(
     support, and whether the fit converged.  ``donors`` must be an int >= 1.
     """
     check_int("donors", donors, 1)
+    rng = rng_from(seed, "pmm")
     fit, known, at_obs, at_miss = _observed_fit(target, observed, predictors, n_knots, "target")
     obs_pred = predict(fit, at_obs)
     miss_pred = predict(fit, at_miss)
-    rng = rng_from(seed, "pmm")
     return _nearest_donor_values(known, obs_pred, miss_pred, donors, rng), fit.converged
 
 
@@ -213,9 +213,9 @@ def impute_sign(
     predictions, clamped to [0.01, 0.99], are Bernoulli success probabilities.
     Returns the signs and whether the fit converged.
     """
+    rng = rng_from(seed, "sign")
     fit, _, _, at_miss = _observed_fit(sign01, observed, predictors, n_knots, "sign target")
     prob = np.clip(predict(fit, at_miss), SIGN_PROB_CLAMP[0], SIGN_PROB_CLAMP[1])
-    rng = rng_from(seed, "sign")
     return np.where(rng.random(len(prob)) < prob, 1.0, -1.0), fit.converged
 
 

@@ -14,17 +14,20 @@ term is solved for the whole grid from one generalized eigendecomposition (the
 Demmler-Reinsch form): the affine null-space block is profiled out, the
 remaining block is whitened by the penalty, and edf, RSS and GCV then follow
 in closed form for every weight.  Coefficients and fitted values are formed
-only at the chosen weight.  Additive models start from the joint penalized
-solution, whose normal equations are assembled from per-term Gram blocks
-rather than from a stacked design, and then cycle penalized backfitting over
-the terms, reselecting the penalty for each term from its current partial
-residuals.  The matrix of those normal equations is cached for the two most
-recent tuples of designs, so fits that share their designs assemble it once.
-A term's design keeps its Gram matrix and column sums, taken from the dense
-basis matrix, and stores the basis matrix sparse, built straight from the
-kernel's rows, together with its transpose.  The kernel runs once per
-design: the design records its column and rows on its basis, and the dense
-matrix, like any later prediction at that exact column, reads them back.
+only at the chosen weight, and not at all where only the choice is needed,
+as in the joint start of an additive fit.  Additive models start from the
+joint penalized solution, whose normal equations are assembled from per-term
+Gram blocks rather than from a stacked design, and then cycle penalized
+backfitting over the terms, reselecting the penalty for each term from its
+current partial residuals.  The matrix of those normal equations is cached
+for the two most recent tuples of designs, so fits that share their designs
+assemble it once.
+A term's design stores the basis matrix sparse, built straight from the
+kernel's rows, together with its transpose, which also gives its column
+sums.  The dense basis matrix is formed once per design, only for the Gram
+matrix, whose BLAS bits need it.  The kernel runs once per design: the
+design records its column and rows on its basis, and the dense matrix, like
+any later prediction at that exact column, reads them back.
 Every GCV fit, a single smooth or an additive term, takes its basis from
 ``build_basis``, the one rule for knots and degree, and its design from one
 cache of recent columns, so imputation builds each repeated column's design
@@ -267,6 +270,8 @@ def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
     All x must lie within the knot span, or FrontdoorLabError is raised.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise FrontdoorLabError(f"design points must be a vector, got shape {x.shape}")
     if x.size == 0:
         raise FrontdoorLabError("need at least one design point")
     # a NaN fails both comparisons
@@ -279,12 +284,12 @@ def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
         )
     first, values = basis._rows(x)
     design = np.zeros((len(x), basis.dim))
-    # row r's values go to its columns first[r], ..., first[r] + degree
+    # row r's values go to its columns first[r], ..., first[r] + degree: one
+    # window of the flat array per row, which stays inside that row
     starts = np.arange(0, design.size, basis.dim)
     starts += first
-    flat = design.reshape(-1)
-    for a, row in enumerate(values):
-        flat[a:][starts] = row
+    windows = sliding_window_view(design.reshape(-1), len(values), writeable=True)
+    windows[starts] = values.T
     return design
 
 
@@ -333,13 +338,13 @@ class _PenalizedDesign:
     """Design pieces for one smooth term over a fixed penalty grid.
 
     A design depends only on the covariate column and the grid, so GCV fits
-    reuse it across calls (see ``_design_for``).  It keeps
-    the Gram matrix ``B'B`` and the column sums of ``B`` for the joint start,
-    both taken from the dense ``design_matrix``, and stores ``B`` itself
-    sparse: a CSR matrix built from the ``degree + 1`` values per row that
-    ``_DeBoor`` gives, without scanning the dense array, and its transpose,
-    formed once for the right-hand sides ``B'y``.  The kernel runs once: the
-    CSR's rows, as views, are recorded on the basis with the column ``x``, so
+    reuse it across calls (see ``_design_for``).  It stores ``B`` sparse: a
+    CSR matrix built from the ``degree + 1`` values per row that ``_DeBoor``
+    gives, without scanning a dense array, and its transpose, formed once for
+    the right-hand sides ``B'y`` and the column sums of ``B`` that the joint
+    start needs.  The dense ``design_matrix`` is formed only for the Gram
+    matrix ``B'B``, whose BLAS bits need it.  The kernel runs once: the CSR's
+    rows, as views, are recorded on the basis with the column ``x``, so
     ``design_matrix`` here and every prediction at ``x`` read them back
     (``SplineBasis._rows``).
 
@@ -372,9 +377,11 @@ class _PenalizedDesign:
         # predictions at x; the basis is frozen, so set past its __setattr__
         rows = (self.B.indices[::width], self.B.data.reshape(n, width).T)
         object.__setattr__(basis, "_recorded", (x, *rows))
+        # column by column in row order from +0.0, the bits of dense.sum(axis=0)
+        self._col_sums = self._Bt @ np.ones(n)
+        # syrk's bits need the dense matrix
         dense = design_matrix(basis, x)
         self._BtB = BtB = dense.T @ dense
-        self._col_sums = dense.sum(axis=0)
 
         p = basis.dim
         # orthonormal null-space basis built by explicit Gram-Schmidt so the
@@ -409,9 +416,12 @@ class _PenalizedDesign:
             # RSS(lam) = RSS of the affine fit - sum_i c_i^2 * _rss_drop[i, lam]
             self._rss_drop = (mu + 2 * lam) / (mu + lam) ** 2
 
-    def select(self, y: np.ndarray, index: int | None = None):
-        """(index, beta, fitted, gcv) at grid weight ``index``, or at the GCV
-        minimizer when ``index`` is None, ties toward the larger weight."""
+    def _score(self, y: np.ndarray, index: int | None):
+        """(index, beta_affine, c, gcv): the grid index, ``index`` or the GCV
+        minimizer when it is None, ties toward the larger weight; the affine
+        fit's coefficients; the whitened right-hand side of the penalized
+        block; and GCV over the grid.  An index whose system is singular
+        raises NumericError."""
         bty = self._Bt @ y
         delta = self._A_inv @ (self._Q1.T @ bty)
         beta_affine = self._Q1 @ delta
@@ -430,6 +440,16 @@ class _PenalizedDesign:
             index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
         if self._singular[index]:
             raise NumericError("penalized normal equations are numerically singular")
+        return index, beta_affine, c, gcv
+
+    def pick(self, y: np.ndarray) -> int:
+        """The grid index ``select(y)`` chooses, without forming its fit."""
+        return self._score(y, None)[0]
+
+    def select(self, y: np.ndarray, index: int | None = None):
+        """(index, beta, fitted, gcv) at grid weight ``index``, or at the GCV
+        minimizer when ``index`` is None, ties toward the larger weight."""
+        index, beta_affine, c, gcv = self._score(y, index)
         gamma = self._W @ (c / (self._mu + self.lambdas[index]))
         beta = beta_affine - self._Q1 @ (self._A_inv @ (self._L.T @ gamma)) + self._Q2 @ gamma
         return index, beta, self.B @ beta, float(gcv[index])
@@ -637,14 +657,14 @@ def fit_additive(
     # joint start: joint solves until the per-term penalty picks stabilize
     intercept = float(np.mean(y))
     centered = y - intercept
-    chosen = [design.select(centered)[0] for design in designs]
+    chosen = [design.pick(centered) for design in designs]
     normal = _joint_normal_equations(y, designs)
     for _ in range(5):
         intercept, betas = _joint_fit(normal, designs, chosen)
         fitted = [d.B @ b for d, b in zip(designs, betas)]
         for j in range(n_terms):
             betas[j], fitted[j] = recentered(betas[j], fitted[j])
-        picks = [design.select(partial_residual(j))[0] for j, design in enumerate(designs)]
+        picks = [design.pick(partial_residual(j)) for j, design in enumerate(designs)]
         if picks == chosen:
             break
         chosen = picks

@@ -1,6 +1,7 @@
 """The exact SVG markup of every drawing layer, pinned to the text it writes,
 and the figures' argument checks."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -98,9 +99,9 @@ DATA = Dataset(
     y_star=np.array([1.0, 2.0, 3.0, 4.0]),
 )
 FIGURES = {
-    "scatter_matrix": lambda subsample: scatter_matrix_svg(DATA, subsample, seed=1),
-    "truth_vs_conditional": lambda subsample: truth_vs_conditional_svg(
-        ScmConfig(), DATA, subsample, seed=1
+    "scatter_matrix": lambda subsample, seed=1: scatter_matrix_svg(DATA, subsample, seed),
+    "truth_vs_conditional": lambda subsample, seed=1: truth_vs_conditional_svg(
+        ScmConfig(), DATA, subsample, seed
     ),
 }
 
@@ -110,3 +111,13 @@ FIGURES = {
 def test_figures_refuse_a_subsample_that_is_not_a_positive_int(figure, subsample):
     with pytest.raises(FrontdoorLabError, match="subsample"):
         FIGURES[figure](subsample)
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+@pytest.mark.parametrize(
+    "seed", [1.5, True, "x", np.int64(1)], ids=["float", "bool", "str", "numpy_int"]
+)
+def test_figures_refuse_a_seed_that_is_not_an_int(figure, seed):
+    message = f"^seed must be int, got {re.escape(repr(seed))}$"
+    with pytest.raises(FrontdoorLabError, match=message):
+        FIGURES[figure](2, seed)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -208,6 +210,24 @@ class TestPmmImpute:
                 pmm_impute(target, observed, [bad], donors=1, seed=1)
             with pytest.raises(FrontdoorLabError, match="predictors must be complete"):
                 impute_sign(target, observed, [bad], seed=1)
+
+
+@pytest.mark.parametrize(
+    "seed", [1.5, True, "x", np.int64(1)], ids=["float", "bool", "str", "numpy_int"]
+)
+@pytest.mark.parametrize("step", ["initialize", "pmm_impute", "impute_sign"])
+def test_seed_that_is_not_an_int_rejected(step, seed):
+    target = np.array([1.0, 0.0, 1.0, 0.0, np.nan])
+    observed = np.array([True, True, True, True, False])
+    predictors = [np.arange(5.0)]
+    run = {
+        "initialize": lambda: initialize(make_incomplete(300)[1], seed),
+        "pmm_impute": lambda: pmm_impute(target, observed, predictors, 1, seed),
+        "impute_sign": lambda: impute_sign(target, observed, predictors, seed),
+    }[step]
+    message = f"^seed must be int, got {re.escape(repr(seed))}$"
+    with pytest.raises(FrontdoorLabError, match=message):
+        run()
 
 
 class TestImputeSign:

@@ -110,13 +110,19 @@ class TestDesignMatrix:
         assert np.allclose(B.sum(axis=1), 1.0)
 
     @pytest.mark.parametrize(
-        "bad, message",
-        [(1.5, "within the knot span"), (np.nan, "within the knot span"), (None, "at least one")],
-        ids=["out_of_span", "nan", "empty"],
+        "points, message",
+        [
+            ([0.2, 1.5, 0.7], "within the knot span"),
+            ([0.2, np.nan, 0.7], "within the knot span"),
+            ([], "at least one"),
+            (np.zeros((2, 2)), r"^design points must be a vector, got shape \(2, 2\)$"),
+            ([[0.1]], r"^design points must be a vector, got shape \(1, 1\)$"),
+            (0.5, r"^design points must be a vector, got shape \(\)$"),
+        ],
+        ids=["out_of_span", "nan", "empty", "matrix", "nested", "scalar"],
     )
-    def test_unusable_points_raise_frontdoor_error(self, bad, message):
+    def test_unusable_points_raise_frontdoor_error(self, points, message):
         basis = build_basis(np.linspace(0, 1, 50), 8)
-        points = np.array([]) if bad is None else np.array([0.2, bad, 0.7])
         with pytest.raises(FrontdoorLabError, match=message):
             design_matrix(basis, points)
 
@@ -647,6 +653,40 @@ class TestSparseDesign:
         for (a, b), (ref_a, ref_b) in [(designs, references), (designs[::-1], references[::-1])]:
             cross = (a.B.T @ b.B).toarray()
             assert cross.tobytes() == (ref_a.T @ ref_b).toarray().tobytes()
+
+    def test_design_rows_match_a_per_row_reference(self):
+        columns, designs = self.columns_and_designs()
+        for design, column in zip(designs, columns):
+            basis = SplineBasis(design.basis.knots, design.basis.degree)
+            first, values = basis._de_boor(column)
+            reference = np.zeros((len(column), basis.dim))
+            for r, start in enumerate(first):
+                reference[r, start : start + len(values)] = values[:, r]
+            assert design_matrix(basis, column).tobytes() == reference.tobytes()
+            assert design_matrix(design.basis, column).tobytes() == reference.tobytes()
+
+    def test_column_sums_match_the_dense_sums(self):
+        columns, designs = self.columns_and_designs()
+        for design, column in zip(designs, columns):
+            dense = design_matrix(design.basis, column)
+            assert design._col_sums.tobytes() == dense.sum(axis=0).tobytes()
+
+    def test_pick_is_the_index_select_chooses(self):
+        columns, designs = self.columns_and_designs()
+        rng = np.random.default_rng(34)
+        for design, column in zip(designs, columns):
+            noise = rng.standard_normal(len(column))
+            signed_zeros = noise.copy()
+            signed_zeros[::5] = -0.0
+            for y in (noise, 0.5 - 2.0 * column, signed_zeros, np.full(len(column), -0.0)):
+                assert design.pick(y) == design.select(y)[0]
+
+    def test_pick_raises_as_select_does(self):
+        x, y, basis = four_valued_data()
+        design = spline_smooth._PenalizedDesign(basis, x, [0.0])
+        for choose in (design.pick, design.select):
+            with pytest.raises(NumericError, match="numerically singular"):
+                choose(y)
 
     def test_joint_matrix_is_cached_and_read_only(self):
         columns, designs = self.columns_and_designs()
