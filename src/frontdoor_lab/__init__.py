@@ -14,7 +14,6 @@ from .causal_graph import (
     bidirected_path_exists,
     d_separated,
     dag_from_text,
-    dag_to_text,
     frontdoor_dag,
     frontdoor_design_dag,
     frontdoor_identifiable,
@@ -88,7 +87,6 @@ __all__ = [
     "complete_case_effect",
     "d_separated",
     "dag_from_text",
-    "dag_to_text",
     "dataset_from_csv",
     "dataset_to_csv",
     "decompose_x",

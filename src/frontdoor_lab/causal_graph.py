@@ -275,15 +275,6 @@ def dag_from_text(text: str) -> Dag:
     return Dag(nodes, edges)
 
 
-def dag_to_text(g: Dag) -> str:
-    lines = [
-        f"node {name} {'latent' if g.is_latent(name) else 'observed'}"
-        for name in sorted(g.node_names)
-    ]
-    lines += [f"edge {p} {c}" for p, c in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
-
-
 def load_graph(path) -> Dag:
     """The graph in the file ``path``; an error names the file."""
     return parse_file(path, dag_from_text)

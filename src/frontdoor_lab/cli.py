@@ -28,9 +28,11 @@ directory, so stages can be rerun or inspected independently:
 
 Every CSV uses the table format of :mod:`frontdoor_lab.dataset`.  Exit codes:
 0 success, 2 usage or malformed input (a file that is not UTF-8, a config value
-no stage can use, a value that contradicts the recorded run, a path that exists
-but cannot be used), 3 absent input path, 4 numeric failure; :func:`main` alone
-maps a failure to its code and prints one machine-parsable line to stderr.
+no stage can use, a value that contradicts the recorded run, any operating-system
+failure but an absent path: a directory where a file should be, a path through a
+regular file, a permission denied), 3 absent input path, 4 numeric failure;
+:func:`main` alone maps a failure to its code and prints one machine-parsable
+line to stderr.
 Each stage writes all its files before its report, so a reader that closes
 standard output early (``| head``) cannot cut it short, and it exits 0.
 ``impute`` and ``estimate`` end their reports with ``nonconverged_fits=<K>``,
@@ -134,10 +136,7 @@ def cmd_simulate(args) -> int:
     # drawn first, so a mechanism that overflows leaves no directory behind
     population = generate_population(cfg.scm, cfg.n, mix_seed(cfg.seed, "population"))
     data = apply_missingness(cfg.scm, population, mix_seed(cfg.seed, "missingness"))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except NotADirectoryError as exc:  # a regular file on the path: not an absent input
-        raise FrontdoorLabError(f"{exc.strerror}: {exc.filename}") from None
+    out.mkdir(parents=True, exist_ok=True)
     population_to_csv(population, out / "population.csv")
     dataset_to_csv(data, out / "observed.csv")
     (out / "run_config.txt").write_text(config_to_text(cfg), encoding="utf-8")
@@ -443,10 +442,10 @@ def main(argv=None) -> int:
         # the reader closed stdout after the files were written; the rest goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (FileNotFoundError, NotADirectoryError) as exc:  # the path is absent
+    except FileNotFoundError as exc:  # the path is absent
         print(f"error: input-missing: {exc.filename}", file=sys.stderr)
         return 3
-    except OSError as exc:  # the path exists but cannot be used, say a directory
+    except OSError as exc:  # any other: a directory, a path through a file, no permission
         print(f"error: invalid-input: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     except NumericError as exc:

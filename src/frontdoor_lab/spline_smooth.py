@@ -456,13 +456,18 @@ class _PenalizedDesign:
 
     def fit(self, y: np.ndarray, index: int | None = None) -> PenalizedSplineFit:
         index, beta, fitted, gcv = self.select(y, index)
+        return self._term(index, beta, y - fitted, gcv)
+
+    def _term(self, index: int, coefficients, residuals, gcv) -> PenalizedSplineFit:
+        """The fitted smooth on this design's basis at grid weight ``index``,
+        with that weight's edf, the given coefficients, residuals and GCV."""
         return PenalizedSplineFit(
             basis=self.basis,
-            coefficients=beta,
+            coefficients=coefficients,
             lam=float(self.lambdas[index]),
             edf=float(self.edf[index]),
-            residuals=y - fitted,
-            gcv=gcv,
+            residuals=residuals,
+            gcv=float(gcv),
         )
 
 
@@ -536,66 +541,50 @@ def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
     return _PenalizedDesign(build_basis(x, n_knots), x, LAMBDA_GRID)
 
 
-def _joint_normal_equations(y: np.ndarray, designs: Sequence[_PenalizedDesign]):
-    """Unpenalized normal equations of the stacked design [1, B_1 T_1, ..., B_k T_k].
-
-    ``T_j`` drops term j's constant direction (the intercept column carries
-    it).  The right-hand side ``[sum y, T_1' B_1'y, ..., T_k' B_k'y]`` is formed
-    on every call; the matrix, which does not depend on ``y``, comes from
-    ``_joint_normal_matrix``.  Returns the read-only matrix and the right-hand
-    side.
-    """
-    designs = tuple(designs)
-    rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
-    return _joint_normal_matrix(designs), rhs
-
-
 # The sign and magnitude fits of one chained-equation cycle share both designs,
 # so the second of them finds its matrix here.  The entries hold their designs
 # alive, and designs compare by identity, so an entry is never stale.
 @functools.lru_cache(maxsize=2)
-def _joint_normal_matrix(designs: tuple[_PenalizedDesign, ...]) -> np.ndarray:
-    """The read-only matrix of ``_joint_normal_equations``, assembled from Gram
-    blocks, ``T_i' B_i'B_j T_j``; the stacked design is never formed."""
-    sizes = [1] + [d._T.shape[1] for d in designs]
-    bounds = np.cumsum([0] + sizes)
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _joint_normal_matrix(designs: tuple[_PenalizedDesign, ...]):
+    """(M, blocks): the read-only matrix of the unpenalized normal equations of
+    the stacked design [1, B_1 T_1, ..., B_k T_k], and each term's slice of it.
+
+    Row and column 0 are the intercept's.  The terms' blocks follow in their
+    order, each as wide as its ``T_j``, which drops term j's constant direction
+    (the intercept column carries it).  ``M`` is assembled from Gram blocks,
+    ``T_i' B_i'B_j T_j``; the stacked design is never formed.  It does not
+    depend on the response, whose right-hand side is formed by the caller.
+    """
+    bounds = np.cumsum([1] + [d._T.shape[1] for d in designs])
+    blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
     M = np.empty((bounds[-1], bounds[-1]))
     M[0, 0] = designs[0].n
-    for i, (design, block) in enumerate(zip(designs, blocks[1:])):
+    for i, (design, block) in enumerate(zip(designs, blocks)):
         M[0, block] = M[block, 0] = design._col_sums @ design._T
         M[block, block] = design._T.T @ design._BtB @ design._T
-        for other, other_block in zip(designs[i + 1 :], blocks[i + 2 :]):
+        for other, other_block in zip(designs[i + 1 :], blocks[i + 1 :]):
             cross = (design._Bt @ other.B).toarray()
             M[block, other_block] = design._T.T @ cross @ other._T
             M[other_block, block] = M[block, other_block].T
     M.setflags(write=False)
-    return M
+    return M, blocks
 
 
-def _joint_fit(
-    normal: tuple[np.ndarray, np.ndarray],
-    designs: list[_PenalizedDesign],
-    indices: list[int],
-):
+def _joint_fit(normal, rhs: np.ndarray, designs, indices: Sequence[int]):
     """Solve all terms at once for fixed per-term penalty weights.
 
-    ``normal`` holds the unpenalized normal equations from
-    ``_joint_normal_equations``; each term's penalty is added to its block.
-    Without their constant directions the penalized system is nonsingular.
-    Returns the intercept and the per-term coefficient vectors in the original
-    basis coordinates.
+    ``normal`` is ``_joint_normal_matrix(designs)`` and ``rhs`` the right-hand
+    side ``[sum y, T_1' B_1'y, ..., T_k' B_k'y]``.  Term j's penalty at its grid
+    weight ``indices[j]`` is added to its block past the block's first column,
+    the unpenalized slope.  Without their constant directions the penalized
+    system is nonsingular.  Returns the intercept and the per-term coefficient
+    vectors in the original basis coordinates.
     """
-    M, rhs = normal
+    M, blocks = normal
     M = M.copy()
-    offset = 1
-    for design, index in zip(designs, indices):
-        # the first column of T is the unpenalized slope
-        k = design._T.shape[1]
-        M[offset + 1 : offset + k, offset + 1 : offset + k] += (
-            design.lambdas[index] * design._S
-        )
-        offset += k
+    for design, index, block in zip(designs, indices, blocks):
+        penalized = slice(block.start + 1, block.stop)
+        M[penalized, penalized] += design.lambdas[index] * design._S
     try:
         factor = cho_factor(M)
     except LinAlgError:
@@ -604,14 +593,7 @@ def _joint_fit(
         except LinAlgError as exc:
             raise NumericError("joint additive system is singular") from exc
     coef = cho_solve(factor, rhs)
-    intercept = float(coef[0])
-    betas = []
-    offset = 1
-    for design in designs:
-        k = design._T.shape[1]
-        betas.append(design._T @ coef[offset : offset + k])
-        offset += k
-    return intercept, betas
+    return float(coef[0]), [d._T @ coef[block] for d, block in zip(designs, blocks)]
 
 
 def fit_additive(
@@ -638,7 +620,7 @@ def fit_additive(
     the per-term selections, usually in one cycle after the joint start.
     """
     y, columns = _checked_inputs(y, covariates)
-    designs = [_design_for(column.tobytes(), n_knots) for column in columns]
+    designs = tuple(_design_for(column.tobytes(), n_knots) for column in columns)
     n_terms = len(designs)
     gcvs = [np.inf] * n_terms
 
@@ -658,9 +640,10 @@ def fit_additive(
     intercept = float(np.mean(y))
     centered = y - intercept
     chosen = [design.pick(centered) for design in designs]
-    normal = _joint_normal_equations(y, designs)
+    normal = _joint_normal_matrix(designs)
+    rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
     for _ in range(5):
-        intercept, betas = _joint_fit(normal, designs, chosen)
+        intercept, betas = _joint_fit(normal, rhs, designs, chosen)
         fitted = [d.B @ b for d, b in zip(designs, betas)]
         for j in range(n_terms):
             betas[j], fitted[j] = recentered(betas[j], fitted[j])
@@ -686,17 +669,7 @@ def fit_additive(
 
     residuals = y - (intercept + sum(fitted))
     residuals.setflags(write=False)  # every term holds this one array
-    terms = tuple(
-        PenalizedSplineFit(
-            basis=design.basis,
-            coefficients=betas[j],
-            lam=float(design.lambdas[chosen[j]]),
-            edf=float(design.edf[chosen[j]]),
-            residuals=residuals,
-            gcv=float(gcvs[j]),
-        )
-        for j, design in enumerate(designs)
-    )
+    terms = tuple(d._term(i, b, residuals, g) for d, i, b, g in zip(designs, chosen, betas, gcvs))
     return AdditiveFit(
         terms=terms, intercept=intercept, residuals=residuals, converged=converged
     )

@@ -9,7 +9,6 @@ from frontdoor_lab.causal_graph import (
     bidirected_path_exists,
     d_separated,
     dag_from_text,
-    dag_to_text,
     frontdoor_dag,
     frontdoor_design_dag,
     frontdoor_identifiable,
@@ -314,10 +313,6 @@ class TestFrontdoorIdentifiable:
 
 
 class TestTextFormat:
-    def test_round_trip(self):
-        for g in (frontdoor_dag(), frontdoor_design_dag()):
-            assert dag_from_text(dag_to_text(g)) == g
-
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nnode A observed\nnode B latent\nedge B A\n"
         g = dag_from_text(text)

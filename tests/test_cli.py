@@ -464,21 +464,28 @@ class TestErrorPaths:
             ("estimate --save-models --out {t}/run", "run/models", "file", 2, "run/models"),
             ("evaluate --out {t}/run", "run/evaluation.csv", "dir", 2, "run/evaluation.csv"),
             ("plot --out {t}/run", "run/scatter_matrix.svg", "dir", 2, "run/scatter_matrix.svg"),
-            ("impute --out {t}/x", "x", "file", 3, "x/observed.csv"),
+            ("impute --out {t}/x", "x", "file", 2, "x/observed.csv"),
+            ("estimate --out {t}/x", "x", "file", 2, "x/observed.csv"),
+            ("evaluate --out {t}/x", "x", "file", 2, "x/effects.csv"),
+            ("plot --out {t}/x", "x", "file", 2, "x/observed.csv"),
+            ("simulate --config {t}/x/cfg --out {t}/run", "x", "file", 2, "x/cfg"),
+            ("impute --config {t}/x/cfg --out {t}/run", "x", "file", 2, "x/cfg"),
         ],
         ids=[
             "config_is_dir", "graph_is_dir", "simulate_out_is_file",
             "simulate_out_under_file", "record_is_dir",
             "observed_is_dir", "models_is_file", "evaluation_is_dir", "svg_is_dir",
-            "impute_out_is_file",
+            "impute_out_is_file", "estimate_out_is_file", "evaluate_out_is_file",
+            "plot_out_is_file", "simulate_config_under_file", "impute_config_under_file",
         ],
     )
     def test_os_failure_is_one_error_line(
         self, run_m3, tmp_path, capsys, argv, obstacle, kind, code, named
     ):
         # a path the stage cannot use ends in one error line that names it:
-        # an absent path (such as FILE/observed.csv) exits 3, any other OS
-        # failure 2, and no exception escapes main
+        # an absent path exits 3, any other OS failure 2, a path through a
+        # regular file (such as FILE/observed.csv) among them, and no
+        # exception escapes main
         shutil.copytree(run_m3, tmp_path / "run")
         path = tmp_path / obstacle
         if path.is_file():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_array
 
 from frontdoor_lab import spline_smooth
@@ -690,19 +691,28 @@ class TestSparseDesign:
 
     def test_joint_matrix_is_cached_and_read_only(self):
         columns, designs = self.columns_and_designs()
-        y = np.random.default_rng(33).standard_normal(len(columns[0]))
         spline_smooth._joint_normal_matrix.cache_clear()
-        M, rhs = spline_smooth._joint_normal_equations(y, designs)
-        again, rhs_again = spline_smooth._joint_normal_equations(2.0 * y, designs)
+        M, blocks = spline_smooth._joint_normal_matrix(tuple(designs))
+        again, blocks_again = spline_smooth._joint_normal_matrix(tuple(designs))
         info = spline_smooth._joint_normal_matrix.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        assert again is M
+        assert again is M and blocks_again is blocks
         assert not M.flags.writeable
-        assert M[0, 0] == len(y)
-        uncached = spline_smooth._joint_normal_matrix.__wrapped__(tuple(designs))
+        assert M[0, 0] == len(columns[0])
+        uncached, uncached_blocks = spline_smooth._joint_normal_matrix.__wrapped__(tuple(designs))
         assert M.tobytes() == uncached.tobytes()
-        # the right-hand side follows y on every call
-        assert rhs_again.tobytes() == (2.0 * rhs).tobytes()
+        assert uncached_blocks == blocks
+
+    def test_joint_blocks_tile_the_matrix_in_term_order(self):
+        columns, designs = self.columns_and_designs()
+        for terms in (designs, designs[::-1], designs[:1]):
+            M, blocks = spline_smooth._joint_normal_matrix(tuple(terms))
+            assert len(blocks) == len(terms)
+            # row and column 0 are the intercept's; the blocks follow without gaps
+            assert [b.start for b in blocks] == [1] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == len(M)
+            assert all(b.step is None for b in blocks)
+            assert [b.stop - b.start for b in blocks] == [d._T.shape[1] for d in terms]
 
 
 class TestRecordedRows:
@@ -797,6 +807,26 @@ class TestJointFit:
     """The Gram-block joint start against the stacked penalized system."""
 
     @staticmethod
+    def case(shape):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal(600)
+        if shape == "two_terms":
+            z = x + rng.standard_normal(600)
+            columns = [x, z]
+            y = np.sin(x) + 0.5 * z + 0.1 * rng.standard_normal(600)
+        else:
+            outcome = x + rng.standard_normal(600)
+            columns = [np.abs(x), np.where(x >= 0, 1.0, -1.0), outcome]
+            y = x + 0.3 * outcome + 0.1 * rng.standard_normal(600)
+        designs = tuple(
+            spline_smooth._PenalizedDesign(build_basis(c, 20), c, LAMBDA_GRID)
+            for c in columns
+        )
+        assert designs[1].basis.degree == (3 if shape == "two_terms" else 1)
+        rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
+        return y, columns, designs, rhs
+
+    @staticmethod
     def stacked_solution(y, columns, designs, indices):
         # [1, B_1 T_1, ..., B_k T_k] formed and solved directly
         blocks = [np.ones((len(y), 1))]
@@ -821,33 +851,52 @@ class TestJointFit:
             offset += T.shape[1]
         return float(coef[0]), betas
 
-    @pytest.mark.parametrize(
+    @staticmethod
+    def offset_solution(M, rhs, designs, indices):
+        # the unpenalized matrix penalized and its solution split with explicit
+        # offsets, term by term
+        M = M.copy()
+        offset = 1
+        for design, index in zip(designs, indices):
+            k = design._T.shape[1]
+            M[offset + 1 : offset + k, offset + 1 : offset + k] += (
+                design.lambdas[index] * design._S
+            )
+            offset += k
+        coef = cho_solve(cho_factor(M), rhs)
+        betas, offset = [], 1
+        for design in designs:
+            k = design._T.shape[1]
+            betas.append(design._T @ coef[offset : offset + k])
+            offset += k
+        return float(coef[0]), betas
+
+    cases = pytest.mark.parametrize(
         "shape, indices",
         [("two_terms", [8, 14]), ("mediator_block", [10, 12, 3])],
         ids=["two_terms", "mediator_block"],
     )
+
+    @cases
     def test_matches_stacked_system(self, shape, indices):
-        rng = np.random.default_rng(30)
-        x = rng.standard_normal(600)
-        if shape == "two_terms":
-            z = x + rng.standard_normal(600)
-            columns = [x, z]
-            y = np.sin(x) + 0.5 * z + 0.1 * rng.standard_normal(600)
-        else:
-            outcome = x + rng.standard_normal(600)
-            columns = [np.abs(x), np.where(x >= 0, 1.0, -1.0), outcome]
-            y = x + 0.3 * outcome + 0.1 * rng.standard_normal(600)
-        designs = [
-            spline_smooth._PenalizedDesign(build_basis(c, 20), c, LAMBDA_GRID)
-            for c in columns
-        ]
-        assert designs[1].basis.degree == (3 if shape == "two_terms" else 1)
-        normal = spline_smooth._joint_normal_equations(y, designs)
-        intercept, betas = spline_smooth._joint_fit(normal, designs, indices)
+        y, columns, designs, rhs = self.case(shape)
+        normal = spline_smooth._joint_normal_matrix(designs)
+        intercept, betas = spline_smooth._joint_fit(normal, rhs, designs, indices)
         ref_intercept, ref_betas = self.stacked_solution(y, columns, designs, indices)
         got = np.concatenate([[intercept], *betas])
         want = np.concatenate([[ref_intercept], *ref_betas])
         assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+    @cases
+    def test_blocks_give_the_bits_of_explicit_offsets(self, shape, indices):
+        _, _, designs, rhs = self.case(shape)
+        normal = spline_smooth._joint_normal_matrix(designs)
+        intercept, betas = spline_smooth._joint_fit(normal, rhs, designs, indices)
+        ref_intercept, ref_betas = self.offset_solution(normal[0], rhs, designs, indices)
+        assert np.float64(intercept).tobytes() == np.float64(ref_intercept).tobytes()
+        assert len(betas) == len(ref_betas) == len(designs)
+        for beta, ref_beta in zip(betas, ref_betas):
+            assert beta.tobytes() == ref_beta.tobytes()
 
 
 class TestNonFiniteInput:
