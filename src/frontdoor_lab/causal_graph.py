@@ -132,6 +132,9 @@ class Dag:
 
 
 def _as_name_set(g: Dag, nodes: Iterable[str], label: str) -> frozenset[str]:
+    # a str is an iterable of its characters, not a set of names
+    if isinstance(nodes, str):
+        raise FrontdoorLabError(f"{label} must be a set of node names, got {nodes!r}")
     out = frozenset(nodes)
     for name in out:
         if name not in g.node_names:

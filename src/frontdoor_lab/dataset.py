@@ -33,7 +33,7 @@ NA_TOKEN = "NA"
 DATASET_HEADER = ["x", "z", "y"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     x_star: np.ndarray
     z_star: np.ndarray

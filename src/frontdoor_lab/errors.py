@@ -10,10 +10,13 @@ file that is not UTF-8 text into a :class:`FrontdoorLabError`, and
 ``parse_file`` makes every error of a file's parser name the file.  An
 ``OSError`` is not wrapped: ``cli.main`` maps an absent path to exit 3 and
 any other OS failure, naming its path, to exit 2.  ``check_type`` rejects a
-setting whose type is not exactly the declared one where it enters, and
-``check_int`` an int setting that is not an exact ``int`` at least its minimum.
+setting whose type is not exactly the declared one where it enters,
+``check_int`` an int setting that is not an exact ``int`` at least its minimum,
+``check_real`` a value that is not a finite number and ``check_vector`` data
+that is not a vector of numbers; the last two import numpy when called.
 """
 
+import sys
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -70,3 +73,40 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
     check_type(name, int, value)
     if minimum is not None and value < minimum:
         raise FrontdoorLabError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float when it is a finite int, float, or numpy integer or
+    float scalar or 0-d array.  Otherwise a FrontdoorLabError: ``<name> must be
+    a number, got <repr>`` for a bool, str, bytes, None or other array, and
+    ``<name> must be finite, got <value>`` for NaN, an infinity or an int past
+    the float range."""
+    import numpy as np
+
+    # a numpy scalar or 0-d array as the Python value it holds; a long double stays one
+    scalar = isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0
+    number = value.item() if scalar else value
+    if isinstance(number, bool) or not isinstance(number, (int, float, np.floating)):
+        raise FrontdoorLabError(f"{name} must be a number, got {value!r}")
+    # compared exactly: float() overflows on an int past the float range
+    if not abs(number) <= sys.float_info.max:
+        shown = "an int past the float range" if isinstance(number, int) else number
+        raise FrontdoorLabError(f"{name} must be finite, got {shown}")
+    return float(number)
+
+
+def check_vector(name: str, values):
+    """``values`` as a float64 vector, the caller's own array when it is one;
+    a FrontdoorLabError naming ``name`` unless ``values`` is a 1-d sequence of
+    numbers, bools counting as 0 and 1."""
+    import numpy as np
+
+    try:
+        vector = np.asarray(values)
+    except ValueError:  # rows of unequal lengths
+        raise FrontdoorLabError(f"{name} must be a vector, got a ragged sequence") from None
+    if vector.ndim != 1:
+        raise FrontdoorLabError(f"{name} must be a vector, got shape {vector.shape}")
+    if vector.dtype.kind not in "biuf":
+        raise FrontdoorLabError(f"{name} must be a vector of numbers, got dtype {vector.dtype}")
+    return vector.astype(float, copy=False)

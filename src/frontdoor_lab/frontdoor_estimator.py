@@ -43,7 +43,7 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import FrontdoorLabError, NumericError, check_int
+from .errors import FrontdoorLabError, NumericError, check_int, check_real, check_vector
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
     DEFAULT_N_KNOTS,
@@ -66,7 +66,7 @@ class EstimatorConfig:
         check_int("seed", self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedPair:
     """Mediator and outcome regressions trained on one completed dataset."""
 
@@ -104,32 +104,14 @@ class FittedPair:
         return part
 
 
-def _checked_target(x) -> float:
-    # a bool is refused although float(True) is 1.0; a numpy scalar or 0-d array is a number
-    try:
-        value = float(x) if np.ndim(x) == 0 and not isinstance(x, (bool, np.bool_)) else None
-    except (TypeError, ValueError):
-        value = None
-    if value is None:
-        raise FrontdoorLabError(f"target treatment value must be a number, got {x!r}")
-    if not np.isfinite(value):
-        raise FrontdoorLabError(f"target treatment value must be finite, got {value}")
-    return value
-
-
 def _checked_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if (
-        grid.ndim != 1
-        or len(grid) == 0
-        or not np.all(np.isfinite(grid))
-        or np.any(np.diff(grid) < 0)
-    ):
+    grid = check_vector("grid", grid)
+    if len(grid) == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
         raise FrontdoorLabError("grid must be a nonempty sorted vector of finite values")
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectEstimate:
     """Estimated interventional mean curve and outcome quantile bands."""
 
@@ -174,7 +156,7 @@ def ace_at(pair: FittedPair, x: float) -> float:
     treatment part plus the outcome's mediator term averaged over the
     prediction at x shifted by each residual of the mediator pool.
     """
-    center = float(predict(pair.mediator, _checked_target(x))[0])
+    center = float(predict(pair.mediator, check_real("target treatment value", x))[0])
     mediator_term = predict(pair.outcome.terms[1], center + pair.mediator.residuals)
     return float(np.mean(pair.treatment_part)) + float(np.mean(mediator_term))
 
@@ -189,7 +171,7 @@ def distribution_at(
     outcome residual; empirical quantiles of the result estimate the
     interventional quantiles.
     """
-    x = _checked_target(x)
+    x = check_real("target treatment value", x)
     check_int("n_draws", n_draws, 1)
     mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
     rng = rng_from(seed, "distribution")

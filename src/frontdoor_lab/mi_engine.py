@@ -24,7 +24,7 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, _observed_cells_match, _write_table
-from .errors import FrontdoorLabError, check_int
+from .errors import FrontdoorLabError, check_int, check_vector
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
 SIGN_PROB_CLAMP = (0.01, 0.99)
@@ -56,7 +56,7 @@ class TraceRow:
     sd: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletedDatasets:
     """The m completed copies of an incomplete dataset, chain traces, non-converged fits."""
 
@@ -160,14 +160,17 @@ def _observed_fit(
 ):
     """The additive model of ``target`` on the predictors fitted over the observed
     rows, the observed target values, and the predictor columns at the observed
-    and at the missing rows.  Raises FrontdoorLabError unless ``name`` has both
-    observed and missing entries and every predictor is complete."""
+    and at the missing rows.  Raises FrontdoorLabError unless the target, mask and
+    predictors are vectors of one length, ``name`` has both observed and missing
+    entries and every predictor is complete."""
+    target = check_vector(name, target)
     observed = np.asarray(observed, dtype=bool)
-    target = np.asarray(target, dtype=float)
+    columns = [check_vector("predictor", p) for p in predictors]
+    if any(v.shape != target.shape for v in (observed, *columns)):
+        raise FrontdoorLabError(f"the mask and predictors must be vectors as long as the {name}")
     missing = ~observed
     if not missing.any() or not observed.any():
         raise FrontdoorLabError(f"{name} needs both observed and missing entries")
-    columns = [np.asarray(p, dtype=float) for p in predictors]
     if not all(np.all(np.isfinite(column)) for column in columns):
         raise FrontdoorLabError("predictors must be complete")
     known = target[observed]

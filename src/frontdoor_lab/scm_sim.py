@@ -25,7 +25,6 @@ identical inputs reproduce identical outputs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
 from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import FrontdoorLabError, check_int
+from .errors import FrontdoorLabError, check_int, check_real
 
 _TWO_PI = 2.0 * np.pi
 
@@ -77,10 +76,7 @@ class ScmConfig:
             # not isinstance: True is an int
             if type(value) not in (int, float):
                 raise FrontdoorLabError(f"{field.name} must be a number, got {value!r}")
-            # compared exactly: math.isfinite overflows on an int past the float range
-            if not abs(value) <= sys.float_info.max:
-                shown = value if type(value) is float else "an int past the float range"
-                raise FrontdoorLabError(f"{field.name} must be finite, got {shown}")
+            check_real(field.name, value)
         if not self.sigma_z > 0:
             raise FrontdoorLabError("sigma_z must be positive")
         low, high = self.x_prime_low, self.x_prime_high
@@ -89,7 +85,7 @@ class ScmConfig:
             raise FrontdoorLabError("x_prime_low must be below x_prime_high, with a finite width")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
     """Latent population draws (u, x, z, y), stored columnwise."""
 
@@ -145,13 +141,14 @@ def intervene_generate(cfg: ScmConfig, x: float, n: int, seed: int) -> np.ndarra
 
     Setting X severs its dependence on U and X'; Z and Y keep their own
     mechanisms.  This is the sampling oracle for the interventional
-    distribution of Y.
+    distribution of Y.  ``x`` must be a finite number (``check_real``).
     """
+    x = check_real("x", x)
     check_int("n", n, 1)
     rng = _rng(seed, _STREAM_INTERVENTION)
     u = rng.standard_normal(n)
     eps_z = cfg.sigma_z * rng.standard_normal(n)
-    z = cfg.z_amplitude * std_normal_pdf(float(x)) + eps_z
+    z = cfg.z_amplitude * std_normal_pdf(x) + eps_z
     return std_normal_pdf(z - cfg.y_shift) + cfg.y_linear * z + cfg.u_coef * u
 
 

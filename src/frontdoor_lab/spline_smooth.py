@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,7 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse import csr_array
 
-from .errors import FrontdoorLabError, NumericError, check_int
+from .errors import FrontdoorLabError, NumericError, check_int, check_real, check_vector
 
 DEFAULT_N_KNOTS = 20
 DEFAULT_DEGREE = 3
@@ -74,7 +73,7 @@ BACKFIT_MAX_CYCLES = 50
 BACKFIT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineBasis:
     """Cubic (or degraded low-order) B-spline basis on quantile knots."""
 
@@ -87,7 +86,7 @@ class SplineBasis:
 
     def __post_init__(self):
         check_int("degree", self.degree, 1)
-        knots = np.asarray(self.knots, dtype=float)
+        knots = np.array(self.knots, dtype=float)  # a copy, frozen below
         if knots.ndim != 1 or len(knots) < 2:
             raise FrontdoorLabError("need at least two knots")
         if not np.all(np.diff(knots) > 0):
@@ -250,7 +249,7 @@ def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
     NumericError.
     """
     check_int("n_knots", n_knots, 4)
-    x = np.asarray(x, dtype=float)
+    x = check_vector("covariate", x)
     distinct = np.unique(x[np.isfinite(x)])
     if len(distinct) < 2:
         raise NumericError(
@@ -269,9 +268,7 @@ def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
 
     All x must lie within the knot span, or FrontdoorLabError is raised.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise FrontdoorLabError(f"design points must be a vector, got shape {x.shape}")
+    x = check_vector("design points", x)
     if x.size == 0:
         raise FrontdoorLabError("need at least one design point")
     # a NaN fails both comparisons
@@ -304,7 +301,7 @@ def penalty_matrix(basis: SplineBasis) -> np.ndarray:
     return curvature.T @ curvature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenalizedSplineFit:
     """One fitted smooth: basis, coefficients, penalty weight and diagnostics.
 
@@ -324,7 +321,7 @@ class PenalizedSplineFit:
             raise FrontdoorLabError("coefficient length must equal basis dimension")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdditiveFit:
     """Backfitted additive model: intercept plus one centered smooth per term."""
 
@@ -472,14 +469,14 @@ class _PenalizedDesign:
 
 
 def _checked_inputs(y, covariates) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The response and covariates as float arrays; no covariate, a NaN or
-    infinite value or a length mismatch raises FrontdoorLabError."""
-    y = np.asarray(y, dtype=float)
+    """The response and covariates through ``check_vector``; no covariate, a
+    NaN or infinite value or a length mismatch raises FrontdoorLabError."""
+    y = check_vector("response", y)
     if not np.all(np.isfinite(y)):
         raise FrontdoorLabError("response values must be finite")
     if len(covariates) == 0:
         raise FrontdoorLabError("need at least one covariate")
-    columns = [np.asarray(c, dtype=float) for c in covariates]
+    columns = [check_vector("covariate", c) for c in covariates]
     for column in columns:
         if not np.all(np.isfinite(column)):
             raise FrontdoorLabError("covariate values must be finite")
@@ -497,15 +494,14 @@ def fit_penalized(
     direction undetermined, as with fewer distinct covariate values than
     basis columns.
     """
-    if not _is_real(lam):
-        raise FrontdoorLabError(f"penalty weight must be a number, got {lam!r}")
-    if not (np.isfinite(lam) and lam >= 0):
+    lam = check_real("penalty weight", lam)
+    if lam < 0:
         raise FrontdoorLabError(f"penalty weight must be finite and nonnegative, got {lam}")
+    y, (x,) = _checked_inputs(y, [x])
     if len(y) < basis.dim:
         raise FrontdoorLabError(
             f"need at least {basis.dim} observations for a {basis.dim}-dim basis"
         )
-    y, (x,) = _checked_inputs(y, [x])
     # a copy: the basis keeps the column, which the caller may change later
     return _PenalizedDesign(basis, x.copy(), [lam]).fit(y, 0)
 
@@ -758,16 +754,12 @@ def fit_to_json(fit: PenalizedSplineFit | AdditiveFit) -> str:
         raise FrontdoorLabError(f"fitted model: {exc}") from None
 
 
-def _is_real(value) -> bool:
-    # a bool, such as a JSON true or false, is an int but not a number here;
-    # numpy's float64 is a float
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(value) -> float:
-    if not _is_real(value) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+    # a JSON true or false is a bool, which check_real refuses
+    try:
+        return check_real("number", value)
+    except FrontdoorLabError:
+        raise ValueError(f"expected a finite number, got {value!r}") from None
 
 
 def _vector(values) -> np.ndarray:

@@ -166,6 +166,20 @@ class TestDSeparation:
         g = frontdoor_dag()
         assert d_separated(g, set(), {"Y"}, set()) is True
 
+    @pytest.mark.parametrize(
+        "sets, label",
+        [(("XZ", {"Y"}, ()), "first set"), (({"X"}, "Y", ()), "second set"),
+         (({"X"}, {"Y"}, "Z"), "conditioning set")],
+        ids=["first", "second", "conditioning"],
+    )
+    def test_a_bare_string_is_not_a_set_of_names(self, sets, label):
+        # a str iterates over its characters, which may happen to be node names
+        shown = next(s for s in sets if isinstance(s, str))
+        with pytest.raises(
+            FrontdoorLabError, match=f"^{label} must be a set of node names, got '{shown}'$"
+        ):
+            d_separated(frontdoor_dag(), *sets)
+
 
 class TestDSeparationProperties:
     """Seeded corpus comparisons against the path-enumeration oracle."""
@@ -216,6 +230,11 @@ class TestMarHolds:
         g = frontdoor_design_dag()
         assert mar_holds(g, "X", "M_X", {"Y"}) is True
         assert mar_holds(g, "Z", "M_Z", {"Y"}) is True
+
+    def test_bare_string_conditioning_set_rejected(self):
+        message = r"^conditioning set must be a set of node names, got 'Y\*'$"
+        with pytest.raises(FrontdoorLabError, match=message):
+            mar_holds(frontdoor_design_dag(), "X", "M_X", "Y*")
 
     def test_design_graph_not_mar_unconditionally(self):
         # M_X <- Y <- Z <- X stays open without conditioning

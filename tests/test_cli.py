@@ -331,6 +331,44 @@ class TestDeterminism:
 
 
 class TestStartup:
+    def test_package_root_imports_each_export_on_first_use(self):
+        # PEP 562: the root names each export once and imports its module only
+        # when the name is first read, so a bare import loads no numerical library
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "import frontdoor_lab\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+            "star = {}\n"
+            "exec('from frontdoor_lab import *', star)\n"
+            "del star['__builtins__']\n"
+            "print(sorted(star) == frontdoor_lab.__all__ == sorted(set(frontdoor_lab.__all__)))\n"
+            "print(len(frontdoor_lab.__all__), [name for name, value in star.items()\n"
+            "    if not value.__module__.startswith('frontdoor_lab.')\n"
+            "    or getattr(sys.modules[value.__module__], name) is not value\n"
+            "    or getattr(frontdoor_lab, name) is not value])\n"
+            "from frontdoor_lab import cli\n"
+            "print(cli is sys.modules['frontdoor_lab.cli'],\n"
+            "    set(frontdoor_lab.__all__) <= set(dir(frontdoor_lab)))\n"
+            "try:\n"
+            "    frontdoor_lab.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "[]",
+            "True",
+            "48 []",
+            "True True",
+            "module 'frontdoor_lab' has no attribute 'no_such_name'",
+        ]
+
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats is most of the import time of scipy, and the program
         # computes its one KS statistic with numpy; no timing is asserted

@@ -155,6 +155,8 @@ BAD_GRIDS = [
     pytest.param([0.0, np.inf], id="inf"),
     pytest.param([-np.inf, 0.0], id="-inf"),
     pytest.param([1.0, -1.0], id="unsorted"),
+    pytest.param([[0.0, 1.0]], id="matrix"),
+    pytest.param(["0", "1"], id="text"),
 ]
 
 
@@ -353,7 +355,9 @@ class TestAceAt:
 
 NON_FINITE = pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf], ids=repr)
 NOT_A_NUMBER = pytest.mark.parametrize(
-    "target", ["abc", None, np.zeros(2), True], ids=["str", "None", "vector", "bool"]
+    "target",
+    ["abc", "1.5", b"1.5", None, np.zeros(2), True],
+    ids=["str", "numeric_str", "bytes", "None", "vector", "bool"],
 )
 NOT_A_NUMBER_MESSAGE = "^target treatment value must be a number, got "
 
@@ -760,3 +764,29 @@ class TestEffectEstimateInvariants:
                 q05=np.array([0.0]),
                 q95=np.array([1.0]),
             )
+
+
+def test_array_holding_values_compare_and_hash_by_identity(small_pair):
+    # comparing fields would compare arrays, whose truth value is ambiguous
+    pop = generate_population(SCM, 300, seed=57)
+    data = complete_dataset(pop.x, pop.z, pop.y)
+    one = np.array([1.0])
+    estimate = EffectEstimate(
+        grid=np.array([0.0]), per_imputation_ace=np.array([[1.0]]), pooled_ace=one, q05=one,
+        q95=one,
+    )
+    values = [
+        data,
+        pop,
+        small_pair.mediator.basis,
+        small_pair.mediator,
+        small_pair.outcome,
+        small_pair,
+        estimate,
+        CompletedDatasets(data, (data,)),
+    ]
+    for value in values:
+        same_fields = dataclasses.replace(value)
+        assert value == value and not value != value, type(value).__name__
+        assert value != same_fields and not value == same_fields, type(value).__name__
+        assert len({value, same_fields, value}) == 2, type(value).__name__

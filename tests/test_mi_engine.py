@@ -212,6 +212,53 @@ class TestPmmImpute:
                 impute_sign(target, observed, [bad], seed=1)
 
 
+# (target, mask, predictors) from a valid five-row input, and the message; {name}
+# stands for the step's name of its target
+NOT_VECTORS_OF_ONE_LENGTH = {
+    "short_predictor": (
+        lambda t, m, p: (t, m, [p[:4]]),
+        "^the mask and predictors must be vectors as long as the {name}$",
+    ),
+    "short_mask": (
+        lambda t, m, p: (t, m[:4], [p]),
+        "^the mask and predictors must be vectors as long as the {name}$",
+    ),
+    "matrix_mask": (
+        lambda t, m, p: (t, m[:, None], [p]),
+        "^the mask and predictors must be vectors as long as the {name}$",
+    ),
+    "matrix_target": (
+        lambda t, m, p: (t[:, None], m, [p]),
+        r"^{name} must be a vector, got shape \(5, 1\)$",
+    ),
+    "matrix_predictor": (
+        lambda t, m, p: (t, m, [p[:, None]]),
+        r"^predictor must be a vector, got shape \(5, 1\)$",
+    ),
+    "text_predictor": (
+        lambda t, m, p: (t, m, [list("abcde")]),
+        "^predictor must be a vector of numbers, got dtype <U1$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_VECTORS_OF_ONE_LENGTH))
+@pytest.mark.parametrize("step, name", [("pmm_impute", "target"), ("impute_sign", "sign target")])
+def test_inputs_that_are_not_vectors_of_one_length_rejected(step, name, case):
+    inputs, message = NOT_VECTORS_OF_ONE_LENGTH[case]
+    target, observed, predictors = inputs(
+        np.array([1.0, 0.0, 1.0, 0.0, np.nan]),
+        np.array([True, True, True, True, False]),
+        np.arange(5.0),
+    )
+    run = {
+        "pmm_impute": lambda: pmm_impute(target, observed, predictors, 1, seed=1),
+        "impute_sign": lambda: impute_sign(target, observed, predictors, seed=1),
+    }[step]
+    with pytest.raises(FrontdoorLabError, match=message.format(name=name)):
+        run()
+
+
 @pytest.mark.parametrize(
     "seed", [1.5, True, "x", np.int64(1)], ids=["float", "bool", "str", "numpy_int"]
 )

@@ -134,6 +134,22 @@ class TestIntervene:
         with pytest.raises(FrontdoorLabError, match="^n must be >= 1, got 0$"):
             intervene_generate(CFG, 0.0, 0, seed=1)
 
+    @pytest.mark.parametrize("x", ["abc", "1.5", b"1.5", None, True, np.zeros(2)], ids=repr)
+    def test_rejects_a_target_that_is_not_a_number(self, x):
+        message = f"^x must be a number, got {re.escape(repr(x))}$"
+        with pytest.raises(FrontdoorLabError, match=message):
+            intervene_generate(CFG, x, 5, seed=1)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_rejects_a_target_that_is_not_finite(self, x):
+        with pytest.raises(FrontdoorLabError, match=f"^x must be finite, got {x}$"):
+            intervene_generate(CFG, x, 5, seed=1)
+
+    def test_numpy_scalar_targets_give_the_same_draws(self):
+        draws = intervene_generate(CFG, 0.5, 20, seed=4)
+        for x in (np.float64(0.5), np.array(0.5), np.float32(0.5)):
+            assert np.array_equal(intervene_generate(CFG, x, 20, seed=4), draws)
+
 
 class TestOracleAce:
     def test_frozen_values(self):

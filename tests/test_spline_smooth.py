@@ -102,6 +102,13 @@ class TestBuildBasis:
         with pytest.raises(FrontdoorLabError, match=f"^{message}$"):
             SplineBasis(np.linspace(-1, 1, 6), degree=degree)
 
+    def test_knots_are_a_copy(self):
+        knots = np.linspace(-1.0, 1.0, 6)
+        basis = SplineBasis(knots=knots, degree=3)
+        assert knots.flags.writeable and not basis.knots.flags.writeable
+        knots[0] = -2.0
+        assert basis.knots[0] == -1.0
+
 
 class TestDesignMatrix:
     def test_rows_sum_to_one_on_the_closed_span(self):
@@ -222,12 +229,19 @@ class TestFitPenalized:
         with pytest.raises(FrontdoorLabError, match="penalty weight must be finite"):
             fit_penalized(y, x, build_basis(x, 8), lam)
 
-    @pytest.mark.parametrize("lam", ["1", None, True], ids=repr)
+    @pytest.mark.parametrize("lam", ["1", b"1", None, True, np.zeros(1)], ids=repr)
     def test_non_number_penalty_weight_rejected(self, lam):
         x, y = make_xy(100, seed=14)
-        message = f"^penalty weight must be a number, got {lam!r}$"
+        message = f"^penalty weight must be a number, got {re.escape(repr(lam))}$"
         with pytest.raises(FrontdoorLabError, match=message):
             fit_penalized(y, x, build_basis(x, 8), lam)
+
+    def test_numpy_scalar_penalty_weight_gives_the_same_fit(self):
+        x, y = make_xy(100, seed=14)
+        basis = build_basis(x, 8)
+        fit = fit_penalized(y, x, basis, 1.0)
+        for lam in (1, np.float64(1.0), np.int64(1), np.array(1.0)):
+            assert_same_smooth(fit_penalized(y, x, basis, lam), fit)
 
 
 class TestSelectLambda:
@@ -930,6 +944,61 @@ class TestNonFiniteInput:
             fits[entry]()
 
 
+class TestVectorInput:
+    # one entry point, called with x, y and a basis on x, and the message it raises
+    CASES = {
+        "fit_additive-matrix_covariate": (
+            lambda x, y, basis: fit_additive(y, [x[:, None]]),
+            r"covariate must be a vector, got shape \(200, 1\)",
+        ),
+        "fit_additive-matrix_response": (
+            lambda x, y, basis: fit_additive(y[:, None], [x]),
+            r"response must be a vector, got shape \(200, 1\)",
+        ),
+        "fit_additive-ragged_covariate": (
+            lambda x, y, basis: fit_additive(y[:2], [[[1.0], [2.0, 3.0]]]),
+            "covariate must be a vector, got a ragged sequence",
+        ),
+        "select_lambda-matrix_covariate": (
+            lambda x, y, basis: select_lambda(y, x[:, None], 20),
+            r"covariate must be a vector, got shape \(200, 1\)",
+        ),
+        "select_lambda-text_cells": (
+            lambda x, y, basis: select_lambda([str(v) for v in y], x, 20),
+            r"response must be a vector of numbers, got dtype <U\d+",
+        ),
+        "fit_penalized-scalar_response": (
+            lambda x, y, basis: fit_penalized(1.0, x, basis, 1.0),
+            r"response must be a vector, got shape \(\)",
+        ),
+        "build_basis-matrix_covariate": (
+            lambda x, y, basis: build_basis(x.reshape(100, 2), 20),
+            r"covariate must be a vector, got shape \(100, 2\)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejected_with_frontdoor_error(self, case):
+        x, y = make_xy(200, seed=31)
+        run, message = self.CASES[case]
+        with pytest.raises(FrontdoorLabError, match=f"^{message}$"):
+            run(x, y, build_basis(x, 20))
+
+    def test_bool_response_counts_as_zero_and_one(self):
+        x, y = make_xy(200, seed=31)
+        flags = y > 0
+        assert_same_smooth(select_lambda(flags, x, 8), select_lambda(flags.astype(float), x, 8))
+
+    def test_float64_vector_is_the_callers_own_array(self):
+        # so the column bytes that key the design cache are the caller's
+        from frontdoor_lab.errors import check_vector
+
+        x = np.linspace(0.0, 1.0, 7)
+        assert check_vector("covariate", x) is x
+        every_other = x[::2]
+        assert check_vector("covariate", every_other) is every_other
+
+
 def assert_same_smooth(back: PenalizedSplineFit, fit: PenalizedSplineFit):
     """Every field of the two smooths equal bit for bit."""
     assert type(back.basis.degree) is int and back.basis.degree == fit.basis.degree
@@ -1004,10 +1073,12 @@ class TestSerialization:
             ("spline_bad_degree", "^fitted model: degree must be int, got 2.5$"),
             ("empty_terms", "^fitted model: 'terms' must be a non-empty list$"),
             ("bad_coefficients", "^fitted model: expected a finite number, got nan$"),
+            ("huge_int_coefficient", "^fitted model: expected a finite number, got 1000"),
+            ("bool_lambda", "^fitted model: expected a finite number, got True$"),
             ("deep_nesting", "^fitted model: maximum recursion depth exceeded"),
         ],
         ids=["additive_missing_field", "spline_bad_degree", "empty_terms", "bad_coefficients",
-             "deep_nesting"],
+             "huge_int_coefficient", "bool_lambda", "deep_nesting"],
     )
     def test_malformed_text_raises_frontdoor_error(self, case, message):
         x, y = make_xy(120, seed=29)
@@ -1020,6 +1091,10 @@ class TestSerialization:
             "spline_bad_degree": spline_text.replace('"degree": 3,', '"degree": 2.5,'),
             "empty_terms": re.sub(r'("terms": \[).*(\], "residuals")', r"\1\2", additive_text),
             "bad_coefficients": re.sub(r'("coefficients": \[)[^,]*', r"\1NaN", spline_text),
+            "huge_int_coefficient": re.sub(
+                r'("coefficients": \[)[^,]*', r"\g<1>1" + "0" * 400, spline_text
+            ),
+            "bool_lambda": re.sub(r'("lambda": )[^,]*', r"\1true", spline_text),
             "deep_nesting": "[" * 100000,
         }[case]
         assert text not in (spline_text, additive_text)
