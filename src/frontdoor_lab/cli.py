@@ -59,8 +59,7 @@ from .causal_graph import (
     load_graph,
     mar_holds,
 )
-from .dataset import _datasets_to_csv, _finite, _float_cells, _observed_cells_match, _read_table
-from .dataset import _write_table, dataset_from_csv, dataset_to_csv
+from .dataset import dataset_from_csv, dataset_to_csv, datasets_to_csv, write_table
 from .errors import FrontdoorLabError, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
@@ -70,8 +69,8 @@ from .frontdoor_estimator import (
     estimate_effect,
 )
 from .mi_engine import (
-    DIAGNOSTICS_HEADER,
     CompletedDatasets,
+    diagnostics_from_csv,
     diagnostics_to_csv,
     imputation_diagnostics,
     run_mice,
@@ -223,7 +222,7 @@ def cmd_impute(args) -> int:
     # a rerun with a smaller m leaves no copy of the earlier run behind
     for path in out.glob("completed_*.csv"):
         path.unlink()
-    _datasets_to_csv(result.completed, _completed_paths(out, cfg.m))
+    datasets_to_csv(result.completed, _completed_paths(out, cfg.m))
     diagnostics_to_csv(imputation_diagnostics(result), out / "imputation_diagnostics.csv")
     trace_to_csv(result.trace, out / "imputation_trace.csv")
     print(f"wrote {cfg.m} completed datasets to {out}")
@@ -276,22 +275,6 @@ def _error_summary(errors: np.ndarray) -> tuple[float, float, float]:
     return float(np.max(np.abs(errors))), float(np.mean(np.abs(errors))), float(np.mean(errors))
 
 
-def _imputed_z_means(path: Path, m: int) -> list[float]:
-    """Mean of the imputed mediator cells of copies 1..m, as ``impute`` recorded them."""
-    rows = _read_table(
-        path,
-        "imputation diagnostics",
-        lambda h: h == DIAGNOSTICS_HEADER,
-        lambda row: (row[0], int(row[1]), row[2], [_finite(v) for v in row[3:]]),
-        empty_ok=True,  # no row: nothing was imputed
-    )
-    return [
-        numbers[0]
-        for variable, index, side, numbers in rows
-        if variable == "z" and side == "imputed" and index <= m
-    ]
-
-
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
@@ -323,14 +306,19 @@ def cmd_evaluate(args) -> int:
                 f"but {observed_path} holds {observed.n}"
             )
         # every kept cell is a copy of its population cell: y always, x and z when observed
-        if not _observed_cells_match(observed, (population.x, population.z, population.y)):
+        if not observed.observed_cells_match(population.x, population.z, population.y):
             raise FrontdoorLabError(
                 f"{population_path} is not the population of {observed_path}: "
                 "an observed cell differs"
             )
         masked = ~observed.m_z
         if masked.any():
-            means = _imputed_z_means(diagnostics_path, mi.m)
+            # the mean of the imputed mediator cells of copies 1..m, as impute recorded it
+            means = [
+                row.mean
+                for row in diagnostics_from_csv(diagnostics_path)
+                if row.variable == "z" and row.side == "imputed" and row.dataset_index <= mi.m
+            ]
             if len(means) != mi.m:
                 raise FrontdoorLabError(
                     f"{diagnostics_path} holds imputed mediator means of {len(means)} "
@@ -355,10 +343,10 @@ def cmd_evaluate(args) -> int:
         mi.grid, truth, mi.pooled_ace, mi.pooled_ace - truth,
         cc.pooled_ace, cc.pooled_ace - truth, between_sd,
     )
-    _write_table(
+    write_table(
         out / "evaluation.csv",
         ["x", "oracle", "mi_pooled", "mi_error", "cc_pooled", "cc_error", "mi_between_sd"],
-        [_float_cells(column) for column in columns],
+        columns,
     )
     print("\n".join([*report, f"wrote {out / 'evaluation.csv'}"]))
     return 0

@@ -12,8 +12,9 @@ file that is not UTF-8 text into a :class:`FrontdoorLabError`, and
 any other OS failure, naming its path, to exit 2.  ``check_type`` rejects a
 setting whose type is not exactly the declared one where it enters,
 ``check_int`` an int setting that is not an exact ``int`` at least its minimum,
-``check_real`` a value that is not a finite number and ``check_vector`` data
-that is not a vector of numbers; the last two import numpy when called.
+``check_real`` a value that is not a finite number, ``check_numbers`` data that
+is not a number or an array of numbers, and ``check_vector`` data that is not
+a vector of numbers; the last three import numpy when called.
 """
 
 import sys
@@ -95,18 +96,25 @@ def check_real(name: str, value) -> float:
     return float(number)
 
 
-def check_vector(name: str, values):
-    """``values`` as a float64 vector, the caller's own array when it is one;
-    a FrontdoorLabError naming ``name`` unless ``values`` is a 1-d sequence of
-    numbers, bools counting as 0 and 1."""
+def check_numbers(name: str, values, shape: str = "a number or an array"):
+    """``values`` as a float64 array of any shape, the caller's own array when
+    it is one; a FrontdoorLabError naming ``name`` unless ``values`` is a
+    number or a (nested) sequence or array of numbers, bools counting as 0 and
+    1.  ``shape`` names what the caller asks for in the message."""
     import numpy as np
 
     try:
-        vector = np.asarray(values)
+        array = np.asarray(values)
     except ValueError:  # rows of unequal lengths
-        raise FrontdoorLabError(f"{name} must be a vector, got a ragged sequence") from None
+        raise FrontdoorLabError(f"{name} must be {shape}, got a ragged sequence") from None
+    if array.dtype.kind not in "biuf":
+        raise FrontdoorLabError(f"{name} must be {shape} of numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
+def check_vector(name: str, values):
+    """``check_numbers`` for a 1-d sequence of numbers."""
+    vector = check_numbers(name, values, "a vector")
     if vector.ndim != 1:
         raise FrontdoorLabError(f"{name} must be a vector, got shape {vector.shape}")
-    if vector.dtype.kind not in "biuf":
-        raise FrontdoorLabError(f"{name} must be a vector of numbers, got dtype {vector.dtype}")
-    return vector.astype(float, copy=False)
+    return vector

@@ -42,7 +42,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ._seeds import mix_seed, rng_from
-from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
+from .dataset import Dataset, read_table, write_table
 from .errors import FrontdoorLabError, NumericError, check_int, check_real, check_vector
 from .mi_engine import CompletedDatasets
 from .spline_smooth import (
@@ -288,22 +288,16 @@ def effect_to_csv(mi: EffectEstimate, cc: EffectEstimate, oracle: np.ndarray, pa
         raise FrontdoorLabError("oracle curve must match the grid")
     numbers = (mi.grid, oracle, mi.pooled_ace, *mi.per_imputation_ace, mi.q05, mi.q95)
     numbers += (cc.pooled_ace, cc.q05, cc.q95)
-    _write_table(path, _effect_header(mi.m), [_float_cells(column) for column in numbers])
+    write_table(path, _effect_header(mi.m), numbers)
 
 
 def effect_from_csv(path) -> tuple[EffectEstimate, EffectEstimate, np.ndarray]:
     """Read a curve table as ``(mi, cc, oracle)``; the header's width gives
     ``m``, and a non-finite number raises."""
-    table = _read_table(
-        path,
-        "effect-curve",
-        lambda h: h == _effect_header(len(h) - 8),
-        lambda row: [_finite(v) for v in row],
-    )
-    # one contiguous row per column, so ``per`` has the (m, grid) layout that
-    # makes the pooled-mean identity reproduce the writer's summation order
-    grid, oracle, pooled, *per, q05, q95, cc_ace, cc_q05, cc_q95 = np.ascontiguousarray(
-        np.array(list(table)).T
+    # ``per`` gets the (m, grid) layout that makes the pooled-mean identity
+    # reproduce the writer's summation order
+    grid, oracle, pooled, *per, q05, q95, cc_ace, cc_q05, cc_q95 = read_table(
+        path, "effect-curve", lambda h: h == _effect_header(len(h) - 8)
     )
     mi = EffectEstimate(grid, np.array(per), pooled, q05, q95)
     return mi, EffectEstimate(grid, cc_ace[None, :], cc_ace, cc_q05, cc_q95), oracle

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._seeds import mix_seed, rng_from
-from .dataset import Dataset, _observed_cells_match, _write_table
+from .dataset import Dataset, read_table, write_table
 from .errors import FrontdoorLabError, check_int, check_vector
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
@@ -73,7 +73,7 @@ class CompletedDatasets:
                 raise FrontdoorLabError("completed copy has wrong length")
             if not copy.is_complete():
                 raise FrontdoorLabError("completed copy still has missing cells")
-            if not _observed_cells_match(self.source, (copy.x_star, copy.z_star, copy.y_star)):
+            if not self.source.observed_cells_match(copy.x_star, copy.z_star, copy.y_star):
                 raise FrontdoorLabError("observed cells were modified by imputation")
 
     @property
@@ -364,20 +364,33 @@ DIAGNOSTICS_HEADER = ["variable", "dataset_index", "side", "mean", "sd", *_DECIL
 
 
 def diagnostics_to_csv(rows: Sequence[DiagnosticRow], path) -> None:
-    table = [
-        [row.variable, str(row.dataset_index), row.side]
-        + [repr(v) for v in (row.mean, row.sd, *row.deciles, row.ks)]
-        for row in rows
+    deciles = np.reshape([row.deciles for row in rows], (-1, len(_DECILES))).T
+    # the header's first five names are fields of DiagnosticRow
+    columns = [[getattr(row, name) for row in rows] for name in DIAGNOSTICS_HEADER[:5]]
+    write_table(path, DIAGNOSTICS_HEADER, [*columns, *deciles, [row.ks for row in rows]])
+
+
+def diagnostics_from_csv(path) -> list[DiagnosticRow]:
+    """The rows ``diagnostics_to_csv`` wrote, none when nothing was imputed; a
+    ``dataset_index`` that is not a whole number from 1 raises."""
+    variable, index, side, *numbers = read_table(
+        path, "imputation diagnostics", lambda h: h == DIAGNOSTICS_HEADER,
+        text=("variable", "side"), empty_ok=True,
+    )
+    if not all(k >= 1 and k.is_integer() for k in index.tolist()):
+        raise FrontdoorLabError(f"{path}: dataset_index must hold whole numbers from 1")
+    return [
+        DiagnosticRow(name, int(k), which, mean, sd, tuple(deciles), ks)
+        for name, k, which, (mean, sd, *deciles, ks) in zip(
+            variable, index.tolist(), side, np.column_stack(numbers).tolist()
+        )
     ]
-    _write_table(path, DIAGNOSTICS_HEADER, zip(*table))
 
 
 TRACE_HEADER = ["chain", "cycle", "variable", "mean", "sd"]
 
 
 def trace_to_csv(rows: Sequence[TraceRow], path) -> None:
-    table = [
-        [str(row.chain), str(row.cycle), row.variable, repr(row.mean), repr(row.sd)]
-        for row in rows
-    ]
-    _write_table(path, TRACE_HEADER, zip(*table))
+    # the header's names are the fields of TraceRow
+    columns = [[getattr(row, name) for row in rows] for name in TRACE_HEADER]
+    write_table(path, TRACE_HEADER, columns)

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
-from .dataset import Dataset, _finite, _float_cells, _read_table, _write_table
-from .errors import FrontdoorLabError, check_int, check_real
+from .dataset import Dataset, read_table, write_table
+from .errors import FrontdoorLabError, check_int, check_numbers, check_real
 
 _TWO_PI = 2.0 * np.pi
 
@@ -100,7 +99,7 @@ class Population:
 
 def std_normal_pdf(x):
     """Standard normal density (1/sqrt(2 pi)) exp(-x^2/2); accepts arrays."""
-    x = np.asarray(x, dtype=float)
+    x = check_numbers("x", x)
     out = np.exp(-0.5 * x * x) / np.sqrt(_TWO_PI)
     return float(out) if out.ndim == 0 else out
 
@@ -110,7 +109,7 @@ def std_normal_cdf(x):
     erf is evaluated by scipy's libm binding, accurate to a few ulp, well
     inside the 1e-7 absolute tolerance this module promises.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_numbers("x", x)
     out = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     return float(out) if out.ndim == 0 else out
 
@@ -162,7 +161,7 @@ def oracle_ace(cfg: ScmConfig, x):
         E(Y | do(x)) = exp(-(m - s)^2 / (2 v)) / sqrt(2 pi v) + y_linear * m
 
     with s = y_shift and v = 1 + sigma_z^2; the confounder term has mean
-    zero.  Accepts a scalar or an array of x values.
+    zero.  Accepts a number or an array of numbers (``check_numbers``).
     """
     m = cfg.z_amplitude * std_normal_pdf(x)
     v = 1.0 + cfg.sigma_z**2
@@ -189,13 +188,14 @@ def oracle_quantiles(cfg: ScmConfig, x, probs) -> np.ndarray:
     nearly a staircase and the error grows towards that gap (3e-4 at
     sigma_z = 2, u_coef = 1e-4).
 
-    Returns an array of shape ``shape(x) + shape(probs)``; each probability
-    must lie in (0, 1).
+    Returns an array of shape ``shape(x) + shape(probs)``; ``x`` and
+    ``probs`` are numbers or arrays of numbers (``check_numbers``), and each
+    probability must lie in (0, 1).
     """
-    probs = np.asarray(probs, dtype=float)
+    probs = check_numbers("probs", probs)
     if not np.all((probs > 0) & (probs < 1)):
         raise FrontdoorLabError(f"probabilities must lie in (0, 1), got {probs}")
-    xs = np.asarray(x, dtype=float)
+    xs = check_numbers("x", x)
     midpoints = (np.arange(_QUANTILE_STRATA) + 0.5) / _QUANTILE_STRATA
     noise = cfg.sigma_z * ndtri(midpoints)
     scale = abs(cfg.u_coef)
@@ -269,13 +269,8 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
 
 
 def population_to_csv(population: Population, path) -> None:
-    columns = [_float_cells(getattr(population, name)) for name in POPULATION_HEADER]
-    _write_table(path, POPULATION_HEADER, columns)
+    write_table(path, POPULATION_HEADER, [getattr(population, name) for name in POPULATION_HEADER])
 
 
 def population_from_csv(path) -> Population:
-    rows = _read_table(
-        path, "population", lambda h: h == POPULATION_HEADER, lambda row: list(map(_finite, row))
-    )
-    table = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, 4)
-    return Population(*np.ascontiguousarray(table.T))
+    return Population(*read_table(path, "population", lambda h: h == POPULATION_HEADER))

@@ -59,7 +59,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse import csr_array
 
-from .errors import FrontdoorLabError, NumericError, check_int, check_real, check_vector
+from .errors import (
+    FrontdoorLabError,
+    NumericError,
+    check_int,
+    check_numbers,
+    check_real,
+    check_vector,
+)
 
 DEFAULT_N_KNOTS = 20
 DEFAULT_DEGREE = 3
@@ -674,13 +681,11 @@ def fit_additive(
 # ------------------------------------------------------------- prediction
 
 
-def _spline_values(basis: SplineBasis, coefficients: np.ndarray, points) -> np.ndarray:
-    """The spline at ``points``, continued linearly beyond the span; a NaN
-    point gives NaN and an infinite one an infinite value."""
-    points = np.atleast_1d(np.asarray(points, dtype=float))
+def _spline_values(basis: SplineBasis, coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The spline at the float64 vector ``points``, continued linearly beyond
+    the span; a NaN point gives NaN and an infinite one an infinite value."""
     lo, hi = float(basis.knots[0]), float(basis.knots[-1])
-    values = _combine(coefficients, *basis._rows(np.clip(points, lo, hi).ravel()))
-    values = values.reshape(points.shape)
+    values = _combine(coefficients, *basis._rows(np.clip(points, lo, hi)))
     below = points < lo
     above = points > hi
     if below.any() or above.any():
@@ -697,16 +702,17 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
 
     For a single smooth, ``points`` is a vector of covariate values.  For an
     additive fit, ``points`` is an (n, k) array or a sequence of k column
-    vectors, one per term.  Beyond the knot span the prediction continues
-    linearly with the end slope.
+    vectors, one per term.  A number counts as a vector of one; anything but
+    a vector of numbers (``check_vector``), such as a 2-d array for a single
+    smooth, raises FrontdoorLabError.  Beyond the knot span the prediction
+    continues linearly with the end slope.
     """
     if isinstance(fit, PenalizedSplineFit):
-        return _spline_values(fit.basis, fit.coefficients, points)
+        return _spline_values(fit.basis, fit.coefficients, _point_vector("points", points))
     if isinstance(fit, AdditiveFit):
         if isinstance(points, np.ndarray) and points.ndim == 2:
-            columns = [points[:, j] for j in range(points.shape[1])]
-        else:
-            columns = [np.atleast_1d(np.asarray(c, dtype=float)) for c in points]
+            points = points.T
+        columns = [_point_vector("covariate column", c) for c in points]
         if len(columns) != len(fit.terms):
             raise FrontdoorLabError(
                 f"expected {len(fit.terms)} covariate columns, got {len(columns)}"
@@ -719,6 +725,11 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
             total += _spline_values(term.basis, term.coefficients, column)
         return total
     raise FrontdoorLabError(f"cannot predict from {type(fit).__name__}")
+
+
+def _point_vector(name: str, points) -> np.ndarray:
+    """``check_vector`` of ``points``, a number counting as a vector of one."""
+    return check_vector(name, np.atleast_1d(check_numbers(name, points, "a vector")))
 
 
 # ------------------------------------------------------------- serialization

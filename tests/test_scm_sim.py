@@ -6,7 +6,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from frontdoor_lab.dataset import Dataset, _datasets_to_csv, dataset_from_csv, dataset_to_csv
+from frontdoor_lab.dataset import Dataset, dataset_from_csv, dataset_to_csv, datasets_to_csv
 from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.frontdoor_estimator import EffectEstimate, effect_to_csv
 from frontdoor_lab.scm_sim import (
@@ -170,6 +170,25 @@ class TestOracleAce:
             m = 4 * std_normal_pdf(x)
             limit = std_normal_pdf(m - 0.5) + 1.2 * std_normal_pdf(x)
             assert oracle_ace(cfg, x) == pytest.approx(limit, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda x: oracle_ace(CFG, x),
+            std_normal_pdf,
+            std_normal_cdf,
+            lambda x: oracle_quantiles(CFG, x, [0.5]),
+            lambda x: oracle_quantiles(CFG, [0.5], x).ravel(),
+        ],
+        ids=["oracle_ace", "pdf", "cdf", "quantiles_x", "quantiles_probs"],
+    )
+    def test_rejects_input_that_is_not_numbers(self, oracle):
+        # numeric text is text: "1.5" is not read as 1.5
+        for value in ("1.5", "abc", [0.5, "abc"], None):
+            with pytest.raises(FrontdoorLabError, match="must be a number or an array of numbers"):
+                oracle(value)
+        with pytest.raises(FrontdoorLabError, match="must be a number or an array, got a ragged"):
+            oracle([[0.5], [0.5, 0.5]])
 
     def test_vectorized(self):
         xs = np.linspace(-2, 2, 5)
@@ -403,6 +422,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.x_star[0] = 9.0
 
+    @pytest.mark.parametrize("column", ["x_star", "z_star", "y_star"])
+    def test_text_cells_rejected(self, column):
+        columns = {name: [1.0] for name in ("x_star", "z_star", "y_star")}
+        columns[column] = ["a"]
+        message = f"^column {column} must be a vector of numbers, got dtype <U1$"
+        with pytest.raises(FrontdoorLabError, match=message):
+            Dataset(**columns)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(FrontdoorLabError):
             Dataset(
@@ -503,7 +530,7 @@ class TestCsvRoundTrips:
 
 
 class TestDatasetsToCsv:
-    """Datasets written together by ``_datasets_to_csv`` reuse the first one's
+    """Datasets written together by ``datasets_to_csv`` reuse the first one's
     row text; each file must hold the bytes its dataset gives alone."""
 
     FIRST = Dataset(
@@ -541,7 +568,7 @@ class TestDatasetsToCsv:
     def test_each_file_holds_its_datasets_own_bytes(self, tmp_path):
         datasets = self.variants()
         paths = [tmp_path / f"copy_{i}.csv" for i in range(len(datasets))]
-        _datasets_to_csv(datasets, paths)
+        datasets_to_csv(datasets, paths)
         for data, path in zip(datasets, paths):
             dataset_to_csv(data, tmp_path / "alone.csv")
             assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
@@ -550,10 +577,10 @@ class TestDatasetsToCsv:
     def test_signed_zero_row_is_reformatted(self, tmp_path):
         datasets = self.variants()[:2]
         paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
-        _datasets_to_csv(datasets, paths)
+        datasets_to_csv(datasets, paths)
         assert paths[0].read_text().splitlines()[1] == "0.0,1.0,3.0"
         assert paths[1].read_text().splitlines()[1] == "-0.0,1.0,3.0"
 
     def test_single_dataset(self, tmp_path):
-        _datasets_to_csv([self.FIRST], [tmp_path / "one.csv"])
+        datasets_to_csv([self.FIRST], [tmp_path / "one.csv"])
         assert (tmp_path / "one.csv").read_bytes() == self.reference(self.FIRST)

@@ -351,6 +351,27 @@ class TestPredict:
         for fit, point in ((select_lambda(y, x, 10), 0.5), (additive, [0.5, 0.3])):
             assert predict(fit, point).shape == (1,)
 
+    @pytest.mark.parametrize(
+        "additive, points, message",
+        [
+            (False, ["a"], "points must be a vector of numbers, got dtype <U1"),
+            (False, ["1.5"], "points must be a vector of numbers, got dtype <U3"),
+            (False, [[1.0], [2.0, 3.0]], "points must be a vector, got a ragged sequence"),
+            (False, np.zeros((2, 2)), r"points must be a vector, got shape \(2, 2\)"),
+            (True, [["a"]], "covariate column must be a vector of numbers, got dtype <U1"),
+            (True, [[0.5], ["0.3"]], "covariate column must be a vector of numbers, got dtype <U"),
+            (True, np.zeros((2, 2, 2)), r"covariate column must be a vector, got shape \(2, 2\)"),
+        ],
+        ids=["text", "numeric_text", "ragged", "matrix", "additive_text",
+             "additive_numeric_text", "additive_cube"],
+    )
+    def test_points_that_are_not_a_vector_of_numbers_rejected(self, additive, points, message):
+        # a single smooth refuses a 2-d array rather than returning a 2-d result
+        x, y = make_xy(200, seed=18)
+        fit = fit_additive(y, [x, x**2]) if additive else select_lambda(y, x, 10)
+        with pytest.raises(FrontdoorLabError, match=f"^{message}"):
+            predict(fit, points)
+
     @pytest.mark.parametrize("lengths", [[3, 1], [1, 2], [2, 3]], ids=["3_1", "1_2", "2_3"])
     def test_additive_columns_of_unequal_length_rejected(self, lengths):
         rng = np.random.default_rng(20)
