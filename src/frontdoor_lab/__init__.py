@@ -22,9 +22,7 @@ _EXPORTS = {
     "Dag": "causal_graph",
     "Dataset": "dataset",
     "EffectEstimate": "frontdoor_estimator",
-    "EstimatorConfig": "frontdoor_estimator",
     "FittedPair": "frontdoor_estimator",
-    "ImputationConfig": "mi_engine",
     "PenalizedSplineFit": "spline_smooth",
     "Population": "scm_sim",
     "RunConfig": "runconfig",

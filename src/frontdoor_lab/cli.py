@@ -218,7 +218,10 @@ def cmd_impute(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     data = dataset_from_csv(out / "observed.csv")
-    result = run_mice(data, cfg.imputation_config())
+    result = run_mice(
+        data, m=cfg.m, cycles=cfg.cycles, donors=cfg.donors,
+        seed=mix_seed(cfg.seed, "impute"), n_knots=cfg.n_knots,
+    )
     # a rerun with a smaller m leaves no copy of the earlier run behind
     for path in out.glob("completed_*.csv"):
         path.unlink()
@@ -260,8 +263,9 @@ def cmd_estimate(args) -> int:
             _save_models(pair, out / "models", len(converged) - 1)
 
     # first, so too few complete rows fail before any imputed copy is fitted
-    cc = complete_case_effect(data, grid, cfg.estimator_config("cc"), on_pair)
-    mi = estimate_effect(bundle, grid, cfg.estimator_config("mi"), on_pair)
+    settings = {"n_knots": cfg.n_knots, "on_pair": on_pair}
+    cc = complete_case_effect(data, grid, seed=mix_seed(cfg.seed, "estimate", "cc"), **settings)
+    mi = estimate_effect(bundle, grid, seed=mix_seed(cfg.seed, "estimate", "mi"), **settings)
     effect_to_csv(mi, cc, oracle, out / "effects.csv")
     print(f"wrote {out / 'effects.csv'}")
     print(f"nonconverged_fits={converged.count(False)}")

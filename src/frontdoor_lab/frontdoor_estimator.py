@@ -56,16 +56,6 @@ from .spline_smooth import (
 )
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    n_knots: int = DEFAULT_N_KNOTS
-    seed: int = 0  # seeds the quantile bands' draws
-
-    def __post_init__(self):
-        check_int("n_knots", self.n_knots, 4)
-        check_int("seed", self.seed)
-
-
 @dataclass(frozen=True, eq=False)
 class FittedPair:
     """Mediator and outcome regressions trained on one completed dataset."""
@@ -136,16 +126,15 @@ class EffectEstimate:
         return self.per_imputation_ace.shape[0]
 
 
-def fit_pair(data: Dataset, config: EstimatorConfig | None = None) -> FittedPair:
+def fit_pair(data: Dataset, n_knots: int = DEFAULT_N_KNOTS) -> FittedPair:
     """Fit the mediator smooth and the additive outcome model on complete data."""
-    config = config or EstimatorConfig()
     if not data.is_complete():
         raise FrontdoorLabError("fit_pair needs a fully observed dataset")
     x = np.array(data.x_star)
     z = np.array(data.z_star)
     y = np.array(data.y_star)
-    mediator = select_lambda(z, x, config.n_knots)
-    outcome = fit_additive(y, [x, z], config.n_knots)
+    mediator = select_lambda(z, x, n_knots)
+    outcome = fit_additive(y, [x, z], n_knots)
     return FittedPair(mediator=mediator, outcome=outcome, x_train=x)
 
 
@@ -183,7 +172,7 @@ def distribution_at(
 
 
 def _curves_for_pair(
-    pair: FittedPair, grid: np.ndarray, config: EstimatorConfig, label
+    pair: FittedPair, grid: np.ndarray, seed: int, label
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ace = np.empty(len(grid))
     q05 = np.empty(len(grid))
@@ -191,7 +180,7 @@ def _curves_for_pair(
     for j, x in enumerate(grid):
         ace[j] = ace_at(pair, float(x))
         draws = distribution_at(
-            pair, float(x), len(pair.x_train), mix_seed(config.seed, label, "dist", j)
+            pair, float(x), len(pair.x_train), mix_seed(seed, label, "dist", j)
         )
         draws.sort()  # the same quantiles, and a cheaper selection inside np.quantile
         q05[j], q95[j] = np.quantile(draws, [0.05, 0.95])
@@ -201,7 +190,8 @@ def _curves_for_pair(
 def _pooled_effect(
     copies: Iterable[tuple[Dataset, str]],
     grid: np.ndarray,
-    config: EstimatorConfig,
+    seed: int,
+    n_knots: int,
     on_pair: Callable[[FittedPair], object] | None,
 ) -> EffectEstimate:
     """Fit each (dataset, label), hand the pair to ``on_pair``, then compute
@@ -209,10 +199,10 @@ def _pooled_effect(
     grid = _checked_grid(grid)
     ace_rows, q05_rows, q95_rows = [], [], []
     for data, label in copies:
-        pair = fit_pair(data, config)
+        pair = fit_pair(data, n_knots)
         if on_pair is not None:
             on_pair(pair)
-        ace, q05, q95 = _curves_for_pair(pair, grid, config, label)
+        ace, q05, q95 = _curves_for_pair(pair, grid, seed, label)
         ace_rows.append(ace)
         q05_rows.append(q05)
         q95_rows.append(q95)
@@ -229,28 +219,37 @@ def _pooled_effect(
 def estimate_effect(
     datasets: CompletedDatasets,
     grid: np.ndarray,
-    config: EstimatorConfig | None = None,
+    *,
+    seed: int = 0,
+    n_knots: int = DEFAULT_N_KNOTS,
     on_pair: Callable[[FittedPair], object] | None = None,
 ) -> EffectEstimate:
     """Fit and estimate on every completed copy, pooling curves by averaging;
     ``on_pair`` gets each copy's :class:`FittedPair` in copy order, after its
-    fit and before its curves.  Only one pair is held at a time."""
-    config = config or EstimatorConfig()
+    fit and before its curves.  Only one pair is held at a time.  ``seed``
+    seeds the band draws and ``n_knots`` sizes each spline basis; both are
+    exact ints, and ``n_knots`` is at least 4."""
+    check_int("n_knots", n_knots, 4)
+    check_int("seed", seed)
     copies = ((completed, f"imp{i}") for i, completed in enumerate(datasets.completed))
-    return _pooled_effect(copies, grid, config, on_pair)
+    return _pooled_effect(copies, grid, seed, n_knots, on_pair)
 
 
 def complete_case_effect(
     data: Dataset,
     grid: np.ndarray,
-    config: EstimatorConfig | None = None,
+    *,
+    seed: int = 0,
+    n_knots: int = DEFAULT_N_KNOTS,
     on_pair: Callable[[FittedPair], object] | None = None,
 ) -> EffectEstimate:
     """Benchmark estimate using only the rows with no missing cells; ``on_pair``
-    gets its one pair after the fit and before the curves."""
-    config = config or EstimatorConfig()
+    gets its one pair after the fit and before the curves; ``seed`` and
+    ``n_knots`` as in :func:`estimate_effect`."""
+    check_int("n_knots", n_knots, 4)
+    check_int("seed", seed)
     keep = data.complete_mask()
-    basis_dim = config.n_knots + 2
+    basis_dim = n_knots + 2
     if int(keep.sum()) < 10 * basis_dim:
         raise NumericError(
             f"complete-case analysis needs >= {10 * basis_dim} complete rows, "
@@ -259,7 +258,7 @@ def complete_case_effect(
     complete = Dataset(
         x_star=data.x_star[keep], z_star=data.z_star[keep], y_star=data.y_star[keep]
     )
-    return _pooled_effect([(complete, "cc")], grid, config, on_pair)
+    return _pooled_effect([(complete, "cc")], grid, seed, n_knots, on_pair)
 
 
 # ----------------------------------------------------------------- CSV

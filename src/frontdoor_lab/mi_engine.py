@@ -31,20 +31,6 @@ SIGN_PROB_CLAMP = (0.01, 0.99)
 
 
 @dataclass(frozen=True)
-class ImputationConfig:
-    m: int = 10
-    cycles: int = 10
-    donors: int = 5
-    seed: int = 0
-    n_knots: int = DEFAULT_N_KNOTS
-
-    def __post_init__(self):
-        for name, minimum in (("m", 2), ("cycles", 1), ("donors", 1), ("seed", None),
-                              ("n_knots", 4)):
-            check_int(name, getattr(self, name), minimum)
-
-
-@dataclass(frozen=True)
 class TraceRow:
     """Mean and sd of one variable's imputed cells after one cycle of one
     chain; chain k (from 1) fills completed copy k, cycles count from 1."""
@@ -222,43 +208,51 @@ def impute_sign(
     return np.where(rng.random(len(prob)) < prob, 1.0, -1.0), fit.converged
 
 
-def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
-    """Run m independent chained-equation chains and collect the completions.
+def run_mice(
+    data: Dataset, *, m: int = 10, cycles: int = 10, donors: int = 5, seed: int = 0,
+    n_knots: int = DEFAULT_N_KNOTS,
+) -> CompletedDatasets:
+    """Run ``m`` independent chained-equation chains and collect the completions.
 
-    Each chain initializes from observed-value draws, then repeats for the
-    configured number of cycles: impute the treatment sign and magnitude from
-    (mediator, outcome) and reconstruct it, then impute the mediator from
-    (treatment magnitude, treatment sign, outcome).  Missingness masks come
-    from the source dataset; observed cells are never touched.
-    ``nonconverged_fits`` counts the fits that stopped at the backfitting cap.
+    Each chain initializes from observed-value draws, then repeats ``cycles``
+    times: impute the treatment sign and magnitude from (mediator, outcome)
+    and reconstruct it, then impute the mediator from (treatment magnitude,
+    treatment sign, outcome), each cell from one of its ``donors`` nearest
+    rows.  Missingness masks come from the source dataset; observed cells are
+    never touched.  ``nonconverged_fits`` counts the fits that stopped at the
+    backfitting cap.  Each setting is an exact ``int``; ``m`` is at least 2,
+    ``cycles`` and ``donors`` at least 1, and ``n_knots`` at least 4.
     """
+    for name, value, minimum in (("m", m, 2), ("cycles", cycles, 1), ("donors", donors, 1),
+                                 ("seed", seed, None), ("n_knots", n_knots, 4)):
+        check_int(name, value, minimum)
     miss_x = ~data.m_x
     miss_z = ~data.m_z
     y = np.array(data.y_star)
     completed = []
     trace: list[TraceRow] = []
     converged: list[bool] = []  # one flag per imputation fit
-    for chain in range(cfg.m):
-        start = initialize(data, mix_seed(cfg.seed, "chain", chain))
+    for chain in range(m):
+        start = initialize(data, mix_seed(seed, "chain", chain))
         x_work = np.array(start.x_star)
         z_work = np.array(start.z_star)
-        for cycle in range(cfg.cycles):
+        for cycle in range(cycles):
             if miss_x.any():
                 magnitude, sign = decompose_x(x_work)
                 signs, sign_converged = impute_sign(
                     (sign > 0).astype(float),
                     data.m_x,
                     [z_work, y],
-                    mix_seed(cfg.seed, chain, cycle, "sign"),
-                    cfg.n_knots,
+                    mix_seed(seed, chain, cycle, "sign"),
+                    n_knots,
                 )
                 magnitudes, magnitude_converged = pmm_impute(
                     magnitude,
                     data.m_x,
                     [z_work, y],
-                    cfg.donors,
-                    mix_seed(cfg.seed, chain, cycle, "magnitude"),
-                    cfg.n_knots,
+                    donors,
+                    mix_seed(seed, chain, cycle, "magnitude"),
+                    n_knots,
                 )
                 x_work[miss_x] = signs * magnitudes
                 converged += [sign_converged, magnitude_converged]
@@ -268,9 +262,9 @@ def run_mice(data: Dataset, cfg: ImputationConfig) -> CompletedDatasets:
                     z_work,
                     data.m_z,
                     [magnitude, sign, y],
-                    cfg.donors,
-                    mix_seed(cfg.seed, chain, cycle, "mediator"),
-                    cfg.n_knots,
+                    donors,
+                    mix_seed(seed, chain, cycle, "mediator"),
+                    n_knots,
                 )
                 converged.append(z_converged)
             for name, work, miss in (("x", x_work, miss_x), ("z", z_work, miss_z)):

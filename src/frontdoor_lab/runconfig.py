@@ -2,8 +2,9 @@
 
 A run is fully described by one flat key-value text file (``key = value`` per
 line, ``#`` comments).  The same resolved configuration is echoed into the
-output directory, so any run can be reproduced from that file alone; every
-stage derives its random streams from the single root seed.
+output directory, so any run can be reproduced from that file alone.
+:class:`RunConfig` checks its own values; the command line passes them to
+each stage as arguments, with a stage seed derived from the root seed.
 
 The config keys are the fields of :class:`RunConfig` and of its
 :class:`ScmConfig`, in declaration order.  Each key is parsed and written by
@@ -18,10 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ._seeds import mix_seed
 from .errors import FrontdoorLabError, check_int, check_type, parse_file
-from .frontdoor_estimator import EstimatorConfig
-from .mi_engine import ImputationConfig
 from .scm_sim import ScmConfig
 from .spline_smooth import DEFAULT_N_KNOTS
 
@@ -43,9 +41,9 @@ class RunConfig:
         # exact types, so config_to_text writes text that parse_config reads back
         for name, kind in _RUN_TYPES:
             check_type(name, kind, getattr(self, name))
-        # rejected here, before any stage runs: no stage can use these values;
-        # building the imputation config runs its own checks
-        self.imputation_config()
+        # rejected here, before any stage runs: no stage can use these values
+        for name, minimum in (("m", 2), ("cycles", 1), ("donors", 1), ("n_knots", 4)):
+            check_int(name, getattr(self, name), minimum)
         lo, hi, count = self.grid
         check_int("grid count", count, 1)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
@@ -57,21 +55,6 @@ class RunConfig:
     def grid_values(self) -> np.ndarray:
         lo, hi, count = self.grid
         return np.linspace(lo, hi, count)
-
-    def imputation_config(self) -> ImputationConfig:
-        return ImputationConfig(
-            m=self.m,
-            cycles=self.cycles,
-            donors=self.donors,
-            seed=mix_seed(self.seed, "impute"),
-            n_knots=self.n_knots,
-        )
-
-    def estimator_config(self, label: str) -> EstimatorConfig:
-        return EstimatorConfig(
-            n_knots=self.n_knots,
-            seed=mix_seed(self.seed, "estimate", label),
-        )
 
 
 def _typed_fields(cls) -> list[tuple[str, type]]:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
 from .dataset import Dataset, read_table, write_table
-from .errors import FrontdoorLabError, check_int, check_numbers, check_real
+from .errors import FrontdoorLabError, check_int, check_numbers, check_real, check_vector
 
 _TWO_PI = 2.0 * np.pi
 
@@ -92,6 +92,16 @@ class Population:
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        # what population_to_csv writes, population_from_csv reads back
+        for name in POPULATION_HEADER:
+            column = check_vector(f"column {name}", getattr(self, name))
+            if len(column) != len(self.u):
+                raise FrontdoorLabError(f"column {name} must be of length {len(self.u)}")
+            if not np.isfinite(column).all():
+                raise FrontdoorLabError(f"column {name} must hold only finite values")
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.u)

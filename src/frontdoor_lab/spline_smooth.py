@@ -702,16 +702,18 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
 
     For a single smooth, ``points`` is a vector of covariate values.  For an
     additive fit, ``points`` is an (n, k) array or a sequence of k column
-    vectors, one per term.  A number counts as a vector of one; anything but
-    a vector of numbers (``check_vector``), such as a 2-d array for a single
-    smooth, raises FrontdoorLabError.  Beyond the knot span the prediction
-    continues linearly with the end slope.
+    vectors, one per term.  A number counts as a vector of one, not as the
+    columns; anything but a vector of numbers (``check_vector``), such as a
+    2-d array for a single smooth, raises FrontdoorLabError.  Beyond the knot
+    span the prediction continues linearly with the end slope.
     """
     if isinstance(fit, PenalizedSplineFit):
         return _spline_values(fit.basis, fit.coefficients, _point_vector("points", points))
     if isinstance(fit, AdditiveFit):
         if isinstance(points, np.ndarray) and points.ndim == 2:
             points = points.T
+        if not np.iterable(points):  # a number or None is no sequence of columns
+            raise FrontdoorLabError(f"expected {len(fit.terms)} covariate columns, got {points!r}")
         columns = [_point_vector("covariate column", c) for c in points]
         if len(columns) != len(fit.terms):
             raise FrontdoorLabError(

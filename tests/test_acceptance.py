@@ -25,12 +25,8 @@ from frontdoor_lab.causal_graph import (
     frontdoor_identifiable,
     mar_holds,
 )
-from frontdoor_lab.frontdoor_estimator import (
-    EstimatorConfig,
-    complete_case_effect,
-    estimate_effect,
-)
-from frontdoor_lab.mi_engine import ImputationConfig, run_mice
+from frontdoor_lab.frontdoor_estimator import complete_case_effect, estimate_effect
+from frontdoor_lab.mi_engine import run_mice
 from frontdoor_lab.scm_sim import (
     ScmConfig,
     apply_missingness,
@@ -80,15 +76,15 @@ def desk_run(oracle_gate):
     grid = np.append(np.linspace(-2.0, 2.0, 21), 3.0)
     population = generate_population(SCM, DESK_N, seed=ROOT_SEED)
     data = apply_missingness(SCM, population, seed=ROOT_SEED)
-    completed = run_mice(data, ImputationConfig(m=DESK_M, cycles=10, donors=5, seed=ROOT_SEED))
+    completed = run_mice(data, m=DESK_M, cycles=10, donors=5, seed=ROOT_SEED)
     assert completed.nonconverged_fits == 0
     converged = []  # one flag per outcome fit, as estimate counts them
 
     def on_pair(pair):
         converged.append(pair.outcome.converged)
 
-    mi = estimate_effect(completed, grid, EstimatorConfig(seed=ROOT_SEED), on_pair)
-    cc = complete_case_effect(data, grid, EstimatorConfig(seed=ROOT_SEED), on_pair)
+    mi = estimate_effect(completed, grid, seed=ROOT_SEED, on_pair=on_pair)
+    cc = complete_case_effect(data, grid, seed=ROOT_SEED, on_pair=on_pair)
     assert converged.count(False) == 0
     return {
         "grid": grid,
@@ -271,9 +267,8 @@ def test_criterion_7_property_suites():
     #     untouched, bit-identical reruns
     population = generate_population(SCM, 2500, seed=79)
     data = apply_missingness(SCM, population, seed=79)
-    cfg = ImputationConfig(m=3, cycles=4, seed=80)
-    first = run_mice(data, cfg)
-    second = run_mice(data, cfg)
+    first = run_mice(data, m=3, cycles=4, seed=80)
+    second = run_mice(data, m=3, cycles=4, seed=80)
     assert first.nonconverged_fits == second.nonconverged_fits == 0
     magnitude_pool = set(np.abs(data.x_star[data.m_x]).tolist())
     z_pool = set(data.z_star[data.m_z].tolist())

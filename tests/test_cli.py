@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from frontdoor_lab import cli, frontdoor_estimator, spline_smooth
+from frontdoor_lab._seeds import mix_seed
 from frontdoor_lab.cli import main
 from frontdoor_lab.dataset import Dataset, dataset_from_csv
 from frontdoor_lab.figures import scatter_matrix_svg
@@ -329,6 +330,36 @@ class TestDeterminism:
         for name in names + figures:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
+    def test_stage_seeds_derive_from_the_run_seed(self, run_m3, tmp_path, monkeypatch):
+        # cli maps the run seed to each stage's seed: one per stage, and one
+        # per estimate, the same on every run
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        settings = {}
+
+        def recorded(name, function):
+            def wrapper(*args, **kwargs):
+                settings[name] = kwargs
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("run_mice", "complete_case_effect", "estimate_effect"):
+            monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        config = ["--config", str(run_m3 / "config.txt"), "--out", str(run)]
+        run_stage(["impute"] + config)
+        run_stage(["estimate"] + config)
+        seeds = {name: kwargs["seed"] for name, kwargs in settings.items()}
+        assert seeds == {
+            "run_mice": mix_seed(2, "impute"),
+            "complete_case_effect": mix_seed(2, "estimate", "cc"),
+            "estimate_effect": mix_seed(2, "estimate", "mi"),
+        }
+        assert len(set(seeds.values())) == 3
+        assert settings["run_mice"]["m"] == 3
+        for name in ("completed_01.csv", "completed_03.csv", "effects.csv"):
+            assert (run / name).read_bytes() == (run_m3 / name).read_bytes(), name
+
 
 class TestStartup:
     def test_package_root_imports_each_export_on_first_use(self):
@@ -364,10 +395,27 @@ class TestStartup:
         assert done.stdout.splitlines() == [
             "[]",
             "True",
-            "48 []",
+            "46 []",
             "True True",
             "module 'frontdoor_lab' has no attribute 'no_such_name'",
         ]
+
+    def test_run_config_loads_no_pipeline_module(self):
+        # RunConfig checks its own bounds and cli derives the stage seeds, so
+        # reading a config loads neither the imputation nor the estimation module
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, frontdoor_lab.runconfig\n"
+            "pipeline = ('frontdoor_lab.mi_engine', 'frontdoor_lab.frontdoor_estimator')\n"
+            "print([name for name in pipeline if name in sys.modules])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats is most of the import time of scipy, and the program

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import FrontdoorLabError, NumericError
 from frontdoor_lab.frontdoor_estimator import (
     EffectEstimate,
-    EstimatorConfig,
     FittedPair,
     ace_at,
     complete_case_effect,
@@ -29,7 +30,7 @@ from frontdoor_lab.scm_sim import (
     std_normal_cdf,
     std_normal_pdf,
 )
-from frontdoor_lab.spline_smooth import design_matrix, predict
+from frontdoor_lab.spline_smooth import DEFAULT_N_KNOTS, design_matrix, predict
 
 from oracles import mean_u_given_x_quadrature
 
@@ -45,9 +46,9 @@ def assert_converged(pair):
     assert pair.outcome.converged
 
 
-def fit_converged(data, config=None):
+def fit_converged(data, n_knots=DEFAULT_N_KNOTS):
     """``fit_pair`` whose outcome's backfitting converged."""
-    pair = fit_pair(data, config)
+    pair = fit_pair(data, n_knots)
     assert_converged(pair)
     return pair
 
@@ -57,23 +58,41 @@ def scm_pair():
     """One fitted pair on fully observed simulator output at desk scale."""
     pop = generate_population(SCM, 20000, seed=50)
     data = complete_dataset(pop.x, pop.z, pop.y)
-    return fit_converged(data, EstimatorConfig(seed=51))
+    return fit_converged(data)
 
 
 class TestEstimatorConfig:
+    """The estimator's settings, which both estimate entry points check
+    before any fit."""
+
+    @pytest.fixture
+    def entries(self, no_fitting):
+        data = complete_dataset(*np.zeros((3, 3)))
+        return [
+            functools.partial(estimate_effect, CompletedDatasets(data, (data,)), [0.0]),
+            functools.partial(complete_case_effect, data, [0.0]),
+        ]
+
     @pytest.mark.parametrize(
         "name, value",
         [("n_knots", "20"), ("n_knots", 20.0), ("n_knots", True), ("seed", 1.5),
          ("seed", np.int64(1))],
         ids=repr,
     )
-    def test_non_int_setting_rejected(self, name, value):
-        with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
-            EstimatorConfig(**{name: value})
+    def test_non_int_setting_rejected(self, entries, name, value):
+        for entry in entries:
+            with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
+                entry(**{name: value})
 
-    def test_too_few_knots_rejected(self):
-        with pytest.raises(FrontdoorLabError, match="^n_knots must be >= 4, got 3$"):
-            EstimatorConfig(n_knots=3)
+    def test_too_few_knots_rejected(self, entries):
+        for entry in entries:
+            with pytest.raises(FrontdoorLabError, match="^n_knots must be >= 4, got 3$"):
+                entry(n_knots=3)
+
+    def test_knots_checked_before_seed(self, entries):
+        for entry in entries:
+            with pytest.raises(FrontdoorLabError, match="^n_knots must be >= 4, got 3$"):
+                entry(n_knots=3, seed=1.5)
 
 
 class TestFitPair:
@@ -132,12 +151,23 @@ class TestFitPair:
         # one design for the treatment column, one for the mediator column
         assert built == [500, 500]
 
+    @pytest.mark.parametrize(
+        "n_knots, message",
+        [("20", "must be int, got '20'"), (20.0, "must be int, got 20.0"),
+         (True, "must be int, got True"), (3, "must be >= 4, got 3")],
+        ids=repr,
+    )
+    def test_bad_knot_count_rejected(self, n_knots, message):
+        x = np.linspace(-1.0, 1.0, 50)
+        with pytest.raises(FrontdoorLabError, match=f"^n_knots {re.escape(message)}$"):
+            fit_pair(complete_dataset(x, x, x), n_knots)
+
     def test_treatment_with_fewer_values_than_knots(self):
         rng = np.random.default_rng(55)
         x = rng.choice(np.linspace(-2, 2, 10), 600)
         z = 4 * std_normal_pdf(x) + 0.1 * rng.standard_normal(600)
         y = std_normal_pdf(z - 0.5) + 0.3 * z + 0.1 * rng.standard_normal(600)
-        pair = fit_converged(complete_dataset(x, z, y), EstimatorConfig(n_knots=20))
+        pair = fit_converged(complete_dataset(x, z, y), n_knots=20)
         assert np.allclose(pair.mediator.basis.knots, np.unique(x), rtol=0, atol=1e-12)
         assert np.array_equal(pair.mediator.basis.knots, pair.outcome.terms[0].basis.knots)
 
@@ -479,12 +509,11 @@ class TestBandShortcuts:
         assert draws.tobytes() == expected.tobytes()
 
     def test_band_quantiles_match_unsorted_draws(self, small_pair):
-        config = EstimatorConfig(seed=89)
         grid = np.linspace(-2.0, 2.0, 7)
-        _, q05, q95 = frontdoor_estimator._curves_for_pair(small_pair, grid, config, "imp0")
+        _, q05, q95 = frontdoor_estimator._curves_for_pair(small_pair, grid, 89, "imp0")
         n = len(small_pair.x_train)
         for j, x in enumerate(grid):
-            seed = mix_seed(config.seed, "imp0", "dist", j)
+            seed = mix_seed(89, "imp0", "dist", j)
             draws = distribution_at(small_pair, float(x), n, seed)
             expected = np.quantile(draws, [0.05, 0.95])
             assert np.array([q05[j], q95[j]]).tobytes() == expected.tobytes()
@@ -499,21 +528,21 @@ class TestEstimateEffect:
     def test_identical_copies_pool_tightly(self):
         bundle = self.make_bundle()
         grid = np.array([-1.0, 0.0, 1.0])
-        est = estimate_effect(bundle, grid, EstimatorConfig(seed=88), on_pair=assert_converged)
+        est = estimate_effect(bundle, grid, seed=88, on_pair=assert_converged)
         for i in range(est.m):
             assert np.max(np.abs(est.per_imputation_ace[i] - est.pooled_ace)) < 0.01
 
     def test_pooled_is_exact_mean(self):
         bundle = self.make_bundle(n=3000)
         est = estimate_effect(
-            bundle, np.array([0.0, 1.0]), EstimatorConfig(seed=89), on_pair=assert_converged
+            bundle, np.array([0.0, 1.0]), seed=89, on_pair=assert_converged
         )
         assert np.array_equal(est.pooled_ace, est.per_imputation_ace.mean(axis=0))
 
     def test_single_point_grid(self):
         bundle = self.make_bundle(n=3000, m=2)
         est = estimate_effect(
-            bundle, np.array([0.5]), EstimatorConfig(seed=90), on_pair=assert_converged
+            bundle, np.array([0.5]), seed=90, on_pair=assert_converged
         )
         assert est.pooled_ace.shape == (1,)
         assert est.q05.shape == (1,)
@@ -521,28 +550,28 @@ class TestEstimateEffect:
     def test_single_copy_pool_is_that_curve(self):
         bundle = self.make_bundle(n=3000, m=1)
         est = estimate_effect(
-            bundle, np.array([-1.0, 1.0]), EstimatorConfig(seed=91), on_pair=assert_converged
+            bundle, np.array([-1.0, 1.0]), seed=91, on_pair=assert_converged
         )
         assert np.array_equal(est.pooled_ace, est.per_imputation_ace[0])
 
     def test_seed_moves_only_the_quantile_bands(self):
         bundle = self.make_bundle(n=3000, m=2)
         grid = np.array([-1.0, 0.5])
-        a = estimate_effect(bundle, grid, EstimatorConfig(seed=1), on_pair=assert_converged)
-        b = estimate_effect(bundle, grid, EstimatorConfig(seed=2), on_pair=assert_converged)
+        a = estimate_effect(bundle, grid, seed=1, on_pair=assert_converged)
+        b = estimate_effect(bundle, grid, seed=2, on_pair=assert_converged)
         assert np.array_equal(a.per_imputation_ace, b.per_imputation_ace)
         assert not np.array_equal(a.q05, b.q05)
 
     def test_unsorted_grid_rejected(self):
         bundle = self.make_bundle(n=3000, m=2)
         with pytest.raises(FrontdoorLabError):
-            estimate_effect(bundle, np.array([1.0, -1.0]), EstimatorConfig(seed=92))
+            estimate_effect(bundle, np.array([1.0, -1.0]), seed=92)
 
     @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_bad_grid_rejected_before_fitting(self, grid, no_fitting):
         bundle = self.make_bundle(n=300, m=2)
         with pytest.raises(FrontdoorLabError, match="grid must be"):
-            estimate_effect(bundle, np.array(grid), EstimatorConfig(seed=92))
+            estimate_effect(bundle, np.array(grid), seed=92)
 
     def test_frontdoor_agrees_with_direct_regression_when_unconfounded(self):
         # without the latent confounder both routes estimate the same curve
@@ -551,7 +580,7 @@ class TestEstimateEffect:
         data = complete_dataset(pop.x, pop.z, pop.y)
         bundle = CompletedDatasets(source=data, completed=(data,))
         grid = np.linspace(-2, 2, 9)
-        est = estimate_effect(bundle, grid, EstimatorConfig(seed=94), on_pair=assert_converged)
+        est = estimate_effect(bundle, grid, seed=94, on_pair=assert_converged)
 
         from frontdoor_lab.spline_smooth import predict, select_lambda
 
@@ -565,11 +594,11 @@ class TestCompleteCase:
         pop = generate_population(SCM, 8000, seed=95)
         data = complete_dataset(pop.x, pop.z, pop.y)
         grid = np.array([-1.0, 0.0, 1.0])
-        cc = complete_case_effect(data, grid, EstimatorConfig(seed=96), on_pair=assert_converged)
+        cc = complete_case_effect(data, grid, seed=96, on_pair=assert_converged)
         mi = estimate_effect(
             CompletedDatasets(source=data, completed=(data,)),
             grid,
-            EstimatorConfig(seed=97),
+            seed=97,
             on_pair=assert_converged,
         )
         assert np.max(np.abs(cc.pooled_ace - mi.pooled_ace)) < 0.01
@@ -585,14 +614,14 @@ class TestCompleteCase:
         with pytest.raises(
             NumericError, match=r"^complete-case analysis needs >= 220 complete rows, got 100$"
         ):
-            complete_case_effect(data, np.array([0.0]), EstimatorConfig(seed=99))
+            complete_case_effect(data, np.array([0.0]), seed=99)
 
     @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_bad_grid_rejected_before_fitting(self, grid, no_fitting):
         pop = generate_population(SCM, 300, seed=95)
         data = complete_dataset(pop.x, pop.z, pop.y)
         with pytest.raises(FrontdoorLabError, match="grid must be"):
-            complete_case_effect(data, np.array(grid), EstimatorConfig(seed=96))
+            complete_case_effect(data, np.array(grid), seed=96)
 
 
 class TestOnPair:
@@ -615,8 +644,8 @@ class TestOnPair:
         """(dataset, pair) of every fit_pair call, in call order."""
         calls = []
 
-        def recording(data, config=None):
-            pair = fit_converged(data, config)
+        def recording(data, n_knots):
+            pair = fit_converged(data, n_knots)
             calls.append((data, pair))
             return pair
 
@@ -626,7 +655,7 @@ class TestOnPair:
     def test_sees_each_fitted_pair_once_in_copy_order(self, fitted):
         bundle = self.make_bundle()
         seen = []
-        estimate_effect(bundle, self.GRID, EstimatorConfig(seed=104), on_pair=seen.append)
+        estimate_effect(bundle, self.GRID, seed=104, on_pair=seen.append)
         assert len(fitted) == len(seen) == bundle.m == 3
         for copy, (data, pair), passed in zip(bundle.completed, fitted, seen):
             assert data is copy
@@ -635,19 +664,18 @@ class TestOnPair:
     def test_complete_case_calls_back_once(self, fitted):
         data = self.make_bundle(m=1).completed[0]
         seen = []
-        complete_case_effect(data, self.GRID, EstimatorConfig(seed=105), on_pair=seen.append)
+        complete_case_effect(data, self.GRID, seed=105, on_pair=seen.append)
         assert len(fitted) == len(seen) == 1
         assert seen[0] is fitted[0][1]
 
     @pytest.mark.parametrize("complete_case", [False, True], ids=["mi", "cc"])
     def test_estimate_unchanged_by_the_callback(self, complete_case):
         bundle = self.make_bundle(m=2)
-        config = EstimatorConfig(seed=106)
 
         def run(**on_pair):
             if complete_case:
-                return complete_case_effect(bundle.completed[0], self.GRID, config, **on_pair)
-            return estimate_effect(bundle, self.GRID, config, **on_pair)
+                return complete_case_effect(bundle.completed[0], self.GRID, seed=106, **on_pair)
+            return estimate_effect(bundle, self.GRID, seed=106, **on_pair)
 
         plain, called_back = run(), run(on_pair=assert_converged)
         for name in ("grid", "per_imputation_ace", "pooled_ace", "q05", "q95"):
@@ -671,7 +699,7 @@ class TestOnPair:
         estimate_effect(
             self.make_bundle(),
             self.GRID,
-            EstimatorConfig(seed=107),
+            seed=107,
             on_pair=lambda pair: events.append("pair"),
         )
         assert events == ["fit", "pair", "ace", "ace"] * 3
@@ -695,8 +723,8 @@ class TestEffectCsv:
         data = complete_dataset(pop.x, pop.z, pop.y)
         bundle = CompletedDatasets(source=data, completed=(data, data))
         grid = np.linspace(-1, 1, 5)
-        mi = estimate_effect(bundle, grid, EstimatorConfig(seed=101), on_pair=assert_converged)
-        cc = complete_case_effect(data, grid, EstimatorConfig(seed=102), on_pair=assert_converged)
+        mi = estimate_effect(bundle, grid, seed=101, on_pair=assert_converged)
+        cc = complete_case_effect(data, grid, seed=102, on_pair=assert_converged)
         oracle = oracle_ace(SCM, grid)
         path = tmp_path / "effects.csv"
         effect_to_csv(mi, cc, oracle, path)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from frontdoor_lab import mi_engine
 from frontdoor_lab._seeds import mix_seed
 from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.mi_engine import (
     CompletedDatasets,
-    ImputationConfig,
     _ks_statistic,
     _nearest_donor_values,
     decompose_x,
@@ -320,10 +320,20 @@ class TestImputeSign:
 
 
 class TestRunMice:
+    @pytest.fixture
+    def no_chains(self, monkeypatch):
+        """A dataset with missing cells, on which starting a chain fails the test."""
+
+        def refuse(*args):
+            raise AssertionError("a chain started")
+
+        monkeypatch.setattr(mi_engine, "initialize", refuse)
+        return make_incomplete(200, seed=45)[1]
+
     def test_no_missing_gives_identical_copies(self):
         pop = generate_population(SCM, 400, seed=20)
         data = complete_dataset(pop.x, pop.z, pop.y)
-        result = run_mice(data, ImputationConfig(m=3, cycles=2, seed=21))
+        result = run_mice(data, m=3, cycles=2, seed=21)
         assert result.nonconverged_fits == 0
         assert result.m == 3
         for copy in result.completed:
@@ -333,7 +343,7 @@ class TestRunMice:
 
     def test_observed_cells_untouched_and_support_respected(self):
         pop, data = make_incomplete(2500, seed=22)
-        result = run_mice(data, ImputationConfig(m=2, cycles=3, seed=23))
+        result = run_mice(data, m=2, cycles=3, seed=23)
         assert result.nonconverged_fits == 0
         magnitude_pool = set(np.abs(data.x_star[data.m_x]).tolist())
         z_pool = set(data.z_star[data.m_z].tolist())
@@ -345,16 +355,15 @@ class TestRunMice:
 
     def test_between_imputation_variance_positive(self):
         _, data = make_incomplete(2500, seed=24)
-        result = run_mice(data, ImputationConfig(m=4, cycles=3, seed=25))
+        result = run_mice(data, m=4, cycles=3, seed=25)
         assert result.nonconverged_fits == 0
         means = [float(np.mean(c.x_star[~data.m_x])) for c in result.completed]
         assert float(np.var(means)) > 0
 
     def test_deterministic(self):
         _, data = make_incomplete(1200, seed=26)
-        cfg = ImputationConfig(m=2, cycles=2, seed=27)
-        a = run_mice(data, cfg)
-        b = run_mice(data, cfg)
+        a = run_mice(data, m=2, cycles=2, seed=27)
+        b = run_mice(data, m=2, cycles=2, seed=27)
         assert a.nonconverged_fits == b.nonconverged_fits == 0
         for ca, cb in zip(a.completed, b.completed):
             assert np.array_equal(ca.x_star, cb.x_star)
@@ -363,7 +372,7 @@ class TestRunMice:
 
     def test_pooled_imputed_mediator_mean_close_to_truth(self):
         pop, data = make_incomplete(20000, seed=28)
-        result = run_mice(data, ImputationConfig(m=4, cycles=6, seed=29))
+        result = run_mice(data, m=4, cycles=6, seed=29)
         assert result.nonconverged_fits == 0
         truth = float(np.mean(pop.z[~data.m_z]))
         pooled = float(
@@ -375,8 +384,8 @@ class TestRunMice:
         # relabeling chains cannot move the pooled estimate, and independent
         # seedings agree within Monte Carlo tolerance
         pop, data = make_incomplete(8000, seed=42)
-        first = run_mice(data, ImputationConfig(m=4, cycles=4, seed=43))
-        second = run_mice(data, ImputationConfig(m=4, cycles=4, seed=44))
+        first = run_mice(data, m=4, cycles=4, seed=43)
+        second = run_mice(data, m=4, cycles=4, seed=44)
         assert first.nonconverged_fits == second.nonconverged_fits == 0
 
         def pooled_mean(result):
@@ -392,8 +401,7 @@ class TestRunMice:
 
     def test_trace_shape(self):
         _, data = make_incomplete(1000, seed=30)
-        cfg = ImputationConfig(m=2, cycles=3, seed=31)
-        result = run_mice(data, cfg)
+        result = run_mice(data, m=2, cycles=3, seed=31)
         assert result.nonconverged_fits == 0
         assert len(result.trace) == 2 * 3 * 2  # chains x cycles x variables
         assert {t.variable for t in result.trace} == {"x", "z"}
@@ -406,7 +414,10 @@ class TestRunMice:
             cfg.scm, cfg.n, mix_seed(cfg.seed, "population")
         )
         data = apply_missingness(cfg.scm, population, mix_seed(cfg.seed, "missingness"))
-        result = run_mice(data, cfg.imputation_config())
+        result = run_mice(
+            data, m=cfg.m, cycles=cfg.cycles, donors=cfg.donors,
+            seed=mix_seed(cfg.seed, "impute"), n_knots=cfg.n_knots,
+        )
         assert result.m == 2
         assert result.nonconverged_fits == 0
 
@@ -415,9 +426,9 @@ class TestRunMice:
         [("m", 1, 2), ("m", -1, 2), ("cycles", 0, 1), ("donors", 0, 1), ("n_knots", 3, 4)],
         ids=repr,
     )
-    def test_setting_below_its_minimum_rejected(self, name, value, minimum):
+    def test_setting_below_its_minimum_rejected(self, name, value, minimum, no_chains):
         with pytest.raises(FrontdoorLabError, match=f"^{name} must be >= {minimum}, got {value}$"):
-            ImputationConfig(**{name: value})
+            run_mice(no_chains, **{name: value})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -426,9 +437,13 @@ class TestRunMice:
          ("seed", True), ("n_knots", True)],
         ids=repr,
     )
-    def test_non_int_setting_rejected(self, name, value):
+    def test_non_int_setting_rejected(self, name, value, no_chains):
         with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
-            ImputationConfig(**{name: value})
+            run_mice(no_chains, **{name: value})
+
+    def test_settings_checked_in_order(self, no_chains):
+        with pytest.raises(FrontdoorLabError, match="^cycles must be >= 1, got 0$"):
+            run_mice(no_chains, cycles=0, donors=0, seed=1.5, n_knots=3)
 
 
 class TestCompletedDatasets:
@@ -451,13 +466,13 @@ class TestDiagnostics:
     def test_no_missing_gives_empty_report(self):
         pop = generate_population(SCM, 300, seed=35)
         data = complete_dataset(pop.x, pop.z, pop.y)
-        result = run_mice(data, ImputationConfig(m=2, cycles=1, seed=36))
+        result = run_mice(data, m=2, cycles=1, seed=36)
         assert result.nonconverged_fits == 0
         assert imputation_diagnostics(result) == []
 
     def test_report_shape_on_default_run(self):
         _, data = make_incomplete(1500, seed=37)
-        result = run_mice(data, ImputationConfig(m=3, cycles=2, seed=38))
+        result = run_mice(data, m=3, cycles=2, seed=38)
         assert result.nonconverged_fits == 0
         rows = imputation_diagnostics(result)
         groups = {(r.variable, r.dataset_index) for r in rows}
@@ -485,7 +500,7 @@ class TestDiagnostics:
 
     def test_csv_emission(self, tmp_path):
         _, data = make_incomplete(800, seed=40)
-        result = run_mice(data, ImputationConfig(m=2, cycles=1, seed=41))
+        result = run_mice(data, m=2, cycles=1, seed=41)
         assert result.nonconverged_fits == 0
         rows = imputation_diagnostics(result)
         path = tmp_path / "diag.csv"

@@ -61,14 +61,6 @@ class TestRunConfig:
         with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
             RunConfig(**fields)
 
-    def test_derived_configs_share_root_seed(self):
-        cfg = RunConfig(seed=11)
-        assert cfg.imputation_config().m == cfg.m
-        a = cfg.estimator_config("mi").seed
-        b = cfg.estimator_config("cc").seed
-        assert a != b
-        assert cfg.estimator_config("mi").seed == a  # deterministic derivation
-
 
 DEFAULT_TEXT = """\
 seed = 1

@@ -313,6 +313,28 @@ class TestApplyMissingness:
             apply_missingness(CFG, empty, seed=1)
 
 
+class TestPopulation:
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ({"x": ["a"]}, "column x must be a vector of numbers, got dtype <U1"),
+            ({"u": [np.inf]}, "column u must hold only finite values"),
+            ({"z": [np.nan]}, "column z must hold only finite values"),
+            ({"y": [0.0, 1.0]}, "column y must be of length 1"),
+        ],
+        ids=["text", "inf", "nan", "length"],
+    )
+    def test_column_its_reader_would_refuse_rejected(self, column, message):
+        columns = {"u": [0.0], "x": [0.0], "z": [0.0], "y": [0.0], **column}
+        with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
+            Population(**columns)
+
+    def test_float_columns_kept_without_a_copy(self):
+        columns = {name: np.arange(3.0) for name in ("u", "x", "z", "y")}
+        pop = Population(**columns)
+        assert all(getattr(pop, name) is column for name, column in columns.items())
+
+
 class TestScmConfigValidation:
     def test_sigma_positive(self):
         with pytest.raises(FrontdoorLabError):

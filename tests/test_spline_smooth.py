@@ -372,6 +372,14 @@ class TestPredict:
         with pytest.raises(FrontdoorLabError, match=f"^{message}"):
             predict(fit, points)
 
+    @pytest.mark.parametrize("points", [0.5, np.float64(0.5), np.array(0.5), None], ids=repr)
+    def test_additive_fit_refuses_a_bare_number(self, points):
+        # one number is no sequence of columns; a wrong column count raises alike
+        x, y = make_xy(200, seed=18)
+        fit = fit_additive(y, [x, x**2])
+        with pytest.raises(FrontdoorLabError, match="^expected 2 covariate columns, got "):
+            predict(fit, points)
+
     @pytest.mark.parametrize("lengths", [[3, 1], [1, 2], [2, 3]], ids=["3_1", "1_2", "2_3"])
     def test_additive_columns_of_unequal_length_rejected(self, lengths):
         rng = np.random.default_rng(20)
