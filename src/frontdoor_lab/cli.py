@@ -319,9 +319,9 @@ def cmd_evaluate(args) -> int:
         if masked.any():
             # the mean of the imputed mediator cells of copies 1..m, as impute recorded it
             means = [
-                row.mean
-                for row in diagnostics_from_csv(diagnostics_path)
-                if row.variable == "z" and row.side == "imputed" and row.dataset_index <= mi.m
+                mean
+                for variable, k, side, mean, *_ in diagnostics_from_csv(diagnostics_path)
+                if variable == "z" and side == "imputed" and k <= mi.m
             ]
             if len(means) != mi.m:
                 raise FrontdoorLabError(

@@ -103,7 +103,8 @@ def _checked_grid(grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EffectEstimate:
-    """Estimated interventional mean curve and outcome quantile bands."""
+    """Estimated interventional mean curve and outcome quantile bands; the
+    pooled curve and each band hold one value per grid point."""
 
     grid: np.ndarray
     per_imputation_ace: np.ndarray  # (m, len(grid))
@@ -116,6 +117,9 @@ class EffectEstimate:
         per = np.asarray(self.per_imputation_ace, dtype=float)
         if per.shape != (per.shape[0], len(grid)):
             raise FrontdoorLabError("per-imputation matrix shape mismatch")
+        for name in ("pooled_ace", "q05", "q95"):
+            if check_vector(name, getattr(self, name)).shape != grid.shape:
+                raise FrontdoorLabError(f"{name} must hold one value per grid point")
         if not np.array_equal(np.asarray(self.pooled_ace), per.mean(axis=0)):
             raise FrontdoorLabError("pooled curve must be the per-imputation mean")
         if np.any(np.asarray(self.q05) > np.asarray(self.q95)):

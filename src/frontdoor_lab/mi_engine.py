@@ -24,31 +24,23 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, read_table, write_table
-from .errors import FrontdoorLabError, check_int, check_vector
+from .errors import FrontdoorLabError, check_int, check_numbers, check_vector
 from .spline_smooth import DEFAULT_N_KNOTS, fit_additive, predict
 
 SIGN_PROB_CLAMP = (0.01, 0.99)
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """Mean and sd of one variable's imputed cells after one cycle of one
-    chain; chain k (from 1) fills completed copy k, cycles count from 1."""
-
-    chain: int
-    cycle: int
-    variable: str
-    mean: float
-    sd: float
-
-
 @dataclass(frozen=True, eq=False)
 class CompletedDatasets:
-    """The m completed copies of an incomplete dataset, chain traces, non-converged fits."""
+    """The m completed copies of an incomplete dataset, the chain trace and the
+    count of non-converged fits.  ``trace`` holds one tuple per imputed
+    variable, cycle and chain, its fields in ``TRACE_HEADER``'s order: the
+    chain and cycle (from 1; chain k fills copy k), the variable, and the mean
+    and sd of that variable's imputed cells after the cycle."""
 
     source: Dataset
     completed: tuple[Dataset, ...]
-    trace: tuple[TraceRow, ...] = ()
+    trace: tuple[tuple, ...] = ()
     nonconverged_fits: int = 0
 
     def __post_init__(self):
@@ -70,9 +62,10 @@ class CompletedDatasets:
 def decompose_x(x):
     """Split into (magnitude, sign) with sign(0) fixed as +1.
 
-    The product sign * magnitude recovers the input exactly.
+    The product sign * magnitude recovers the input exactly.  ``x`` is a
+    number or an array of numbers (``check_numbers``).
     """
-    x = np.asarray(x, dtype=float)
+    x = check_numbers("treatment", x)
     magnitude = np.abs(x)
     sign = np.where(x >= 0, 1.0, -1.0)
     if x.ndim == 0:
@@ -219,9 +212,11 @@ def run_mice(
     and reconstruct it, then impute the mediator from (treatment magnitude,
     treatment sign, outcome), each cell from one of its ``donors`` nearest
     rows.  Missingness masks come from the source dataset; observed cells are
-    never touched.  ``nonconverged_fits`` counts the fits that stopped at the
-    backfitting cap.  Each setting is an exact ``int``; ``m`` is at least 2,
-    ``cycles`` and ``donors`` at least 1, and ``n_knots`` at least 4.
+    never touched.  ``trace`` gets a row per chain, cycle and imputed variable,
+    in that nesting (see :class:`CompletedDatasets`), and ``nonconverged_fits``
+    counts the fits that stopped at the backfitting cap.  Each setting is an
+    exact ``int``; ``m`` is at least 2, ``cycles`` and ``donors`` at least 1,
+    and ``n_knots`` at least 4.
     """
     for name, value, minimum in (("m", m, 2), ("cycles", cycles, 1), ("donors", donors, 1),
                                  ("seed", seed, None), ("n_knots", n_knots, 4)):
@@ -230,7 +225,7 @@ def run_mice(
     miss_z = ~data.m_z
     y = np.array(data.y_star)
     completed = []
-    trace: list[TraceRow] = []
+    trace: list[tuple] = []
     converged: list[bool] = []  # one flag per imputation fit
     for chain in range(m):
         start = initialize(data, mix_seed(seed, "chain", chain))
@@ -269,15 +264,9 @@ def run_mice(
                 converged.append(z_converged)
             for name, work, miss in (("x", x_work, miss_x), ("z", z_work, miss_z)):
                 if miss.any():
-                    trace.append(
-                        TraceRow(
-                            chain=chain + 1,
-                            cycle=cycle + 1,
-                            variable=name,
-                            mean=float(np.mean(work[miss])),
-                            sd=float(np.std(work[miss])),
-                        )
-                    )
+                    imputed = work[miss]
+                    trace.append((chain + 1, cycle + 1, name, float(np.mean(imputed)),
+                                  float(np.std(imputed))))
         completed.append(Dataset(x_star=x_work, z_star=z_work, y_star=y))
     return CompletedDatasets(data, tuple(completed), tuple(trace), converged.count(False))
 
@@ -285,51 +274,40 @@ def run_mice(
 # ------------------------------------------------------------- diagnostics
 
 
-@dataclass(frozen=True)
-class DiagnosticRow:
-    variable: str
-    dataset_index: int
-    side: str
-    mean: float
-    sd: float
-    deciles: tuple[float, ...]
-    ks: float
+def imputation_diagnostics(result: CompletedDatasets) -> list[tuple]:
+    """Observed-versus-imputed summaries per completed copy and variable.
 
-
-def imputation_diagnostics(result: CompletedDatasets) -> list[DiagnosticRow]:
-    """Observed-versus-imputed summaries per variable and completed copy.
-
-    For every variable that had missing cells: mean, sd, the nine deciles and
-    the two-sample Kolmogorov-Smirnov statistic ``ks`` between observed and
-    imputed values, ``max_t |F_obs(t) - F_imp(t)|`` over the empirical CDFs,
-    rounded once from the exact rational (see :func:`_ks_statistic`).
-    Variables with nothing imputed produce no rows.
+    One row per copy, variable that had missing cells, and side (``observed``,
+    then ``imputed``), in that nesting, its fields in ``DIAGNOSTICS_HEADER``'s
+    order: the variable, the copy's ``dataset_index`` (from 1), the side, that
+    side's mean, sd and nine deciles, and the two-sample Kolmogorov-Smirnov
+    statistic ``ks`` between observed and imputed values, ``max_t |F_obs(t) -
+    F_imp(t)|`` over the empirical CDFs, rounded once from the exact rational
+    (see :func:`_ks_statistic`).  The observed cells are the source's in every
+    copy, so they are summarised once and every copy's ``observed`` row holds
+    that summary.  Variables with nothing imputed produce no rows.
     """
     source = result.source
-    rows: list[DiagnosticRow] = []
     probs = np.linspace(0.1, 0.9, 9)
+
+    def summary(sample: np.ndarray) -> tuple:
+        deciles = np.quantile(sample, probs).tolist()
+        return (float(np.mean(sample)), float(np.std(sample)), *deciles)
+
+    variables = []  # (name, missing rows, observed cells, their summary)
+    for name, values, mask in (("x", source.x_star, source.m_x), ("z", source.z_star, source.m_z)):
+        if mask.all():
+            continue
+        if not mask.any():
+            raise FrontdoorLabError(f"column {name} has no observed values")
+        variables.append((name, ~mask, values[mask], summary(values[mask])))
+    rows = []
     for k, copy in enumerate(result.completed, start=1):
-        for name, values, mask in (
-            ("x", copy.x_star, source.m_x),
-            ("z", copy.z_star, source.m_z),
-        ):
-            imputed = values[~mask]
-            if len(imputed) == 0:
-                continue
-            observed = values[mask]
+        for name, missing, observed, observed_summary in variables:
+            imputed = getattr(copy, f"{name}_star")[missing]
             ks = _ks_statistic(observed, imputed)
-            for side, sample in (("observed", observed), ("imputed", imputed)):
-                rows.append(
-                    DiagnosticRow(
-                        variable=name,
-                        dataset_index=k,
-                        side=side,
-                        mean=float(np.mean(sample)),
-                        sd=float(np.std(sample)),
-                        deciles=tuple(float(q) for q in np.quantile(sample, probs)),
-                        ks=ks,
-                    )
-                )
+            rows += [(name, k, "observed", *observed_summary, ks),
+                     (name, k, "imputed", *summary(imputed), ks)]
     return rows
 
 
@@ -355,18 +333,27 @@ def _ks_statistic(a, b) -> float:
 
 _DECILES = [f"d{i}" for i in range(1, 10)]
 DIAGNOSTICS_HEADER = ["variable", "dataset_index", "side", "mean", "sd", *_DECILES, "ks"]
+TRACE_HEADER = ["chain", "cycle", "variable", "mean", "sd"]
 
 
-def diagnostics_to_csv(rows: Sequence[DiagnosticRow], path) -> None:
-    deciles = np.reshape([row.deciles for row in rows], (-1, len(_DECILES))).T
-    # the header's first five names are fields of DiagnosticRow
-    columns = [[getattr(row, name) for row in rows] for name in DIAGNOSTICS_HEADER[:5]]
-    write_table(path, DIAGNOSTICS_HEADER, [*columns, *deciles, [row.ks for row in rows]])
+def _write_rows(path, header: list[str], rows: Sequence[tuple]) -> None:
+    """Write ``rows``, tuples in ``header``'s order, as the table's columns; a
+    row of another width raises before the file is opened."""
+    if any(len(row) != len(header) for row in rows):
+        raise FrontdoorLabError(f"{path}: each row must hold {len(header)} fields")
+    write_table(path, header, list(zip(*rows, strict=True)))
 
 
-def diagnostics_from_csv(path) -> list[DiagnosticRow]:
-    """The rows ``diagnostics_to_csv`` wrote, none when nothing was imputed; a
-    ``dataset_index`` that is not a whole number from 1 raises."""
+def diagnostics_to_csv(rows: Sequence[tuple], path) -> None:
+    """Write :func:`imputation_diagnostics` rows under ``DIAGNOSTICS_HEADER``;
+    no rows give a table of the header alone."""
+    _write_rows(path, DIAGNOSTICS_HEADER, rows)
+
+
+def diagnostics_from_csv(path) -> list[tuple]:
+    """The rows ``diagnostics_to_csv`` wrote, as tuples in ``DIAGNOSTICS_HEADER``'s
+    order with an ``int`` ``dataset_index`` and Python floats, none when nothing
+    was imputed; a ``dataset_index`` that is not a whole number from 1 raises."""
     variable, index, side, *numbers = read_table(
         path, "imputation diagnostics", lambda h: h == DIAGNOSTICS_HEADER,
         text=("variable", "side"), empty_ok=True,
@@ -374,17 +361,14 @@ def diagnostics_from_csv(path) -> list[DiagnosticRow]:
     if not all(k >= 1 and k.is_integer() for k in index.tolist()):
         raise FrontdoorLabError(f"{path}: dataset_index must hold whole numbers from 1")
     return [
-        DiagnosticRow(name, int(k), which, mean, sd, tuple(deciles), ks)
-        for name, k, which, (mean, sd, *deciles, ks) in zip(
+        (name, int(k), which, *values)
+        for name, k, which, values in zip(
             variable, index.tolist(), side, np.column_stack(numbers).tolist()
         )
     ]
 
 
-TRACE_HEADER = ["chain", "cycle", "variable", "mean", "sd"]
-
-
-def trace_to_csv(rows: Sequence[TraceRow], path) -> None:
-    # the header's names are the fields of TraceRow
-    columns = [[getattr(row, name) for row in rows] for name in TRACE_HEADER]
-    write_table(path, TRACE_HEADER, columns)
+def trace_to_csv(rows: Sequence[tuple], path) -> None:
+    """Write ``CompletedDatasets.trace`` rows under ``TRACE_HEADER``; no rows
+    give a table of the header alone."""
+    _write_rows(path, TRACE_HEADER, rows)

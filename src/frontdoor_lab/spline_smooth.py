@@ -93,9 +93,11 @@ class SplineBasis:
 
     def __post_init__(self):
         check_int("degree", self.degree, 1)
-        knots = np.array(self.knots, dtype=float)  # a copy, frozen below
-        if knots.ndim != 1 or len(knots) < 2:
+        knots = np.array(check_vector("knots", self.knots))  # a copy, frozen below
+        if len(knots) < 2:
             raise FrontdoorLabError("need at least two knots")
+        if not np.all(np.isfinite(knots)):
+            raise FrontdoorLabError("knots must be finite")
         if not np.all(np.diff(knots) > 0):
             raise FrontdoorLabError("knots must be strictly increasing")
         knots.setflags(write=False)
@@ -524,6 +526,7 @@ def select_lambda(
     winning weight.
     """
     y, (x,) = _checked_inputs(y, [x])
+    check_int("n_knots", n_knots, 4)
     return _design_for(x.tobytes(), n_knots).fit(y)
 
 
@@ -535,8 +538,8 @@ def select_lambda(
 _DESIGN_MEMO_SIZE = 5
 
 
-# typed, so n_knots = 4.0 misses the entry of n_knots = 4 and build_basis rejects it
-@functools.lru_cache(maxsize=_DESIGN_MEMO_SIZE, typed=True)
+# its callers check n_knots first, so only an exact int reaches the cache
+@functools.lru_cache(maxsize=_DESIGN_MEMO_SIZE)
 def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
     """The GCV design of every fit on the float64 column with these bytes, reused
     while it is among the ``_DESIGN_MEMO_SIZE`` most recently used."""
@@ -623,6 +626,7 @@ def fit_additive(
     the per-term selections, usually in one cycle after the joint start.
     """
     y, columns = _checked_inputs(y, covariates)
+    check_int("n_knots", n_knots, 4)
     designs = tuple(_design_for(column.tobytes(), n_knots) for column in columns)
     n_terms = len(designs)
     gcvs = [np.inf] * n_terms

@@ -154,7 +154,8 @@ class TestFitPair:
     @pytest.mark.parametrize(
         "n_knots, message",
         [("20", "must be int, got '20'"), (20.0, "must be int, got 20.0"),
-         (True, "must be int, got True"), (3, "must be >= 4, got 3")],
+         (True, "must be int, got True"), (3, "must be >= 4, got 3"),
+         ([4], "must be int, got [4]")],
         ids=repr,
     )
     def test_bad_knot_count_rejected(self, n_knots, message):
@@ -782,6 +783,24 @@ class TestEffectEstimateInvariants:
                 q05=np.array([2.0]),
                 q95=np.array([1.0]),
             )
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("pooled_ace", [1.0], "pooled_ace must hold one value per grid point"),
+         ("q05", [0.0], "q05 must hold one value per grid point"),
+         ("q95", [2.0], "q95 must hold one value per grid point"),
+         ("q95", [2.0, [3.0]], "q95 must be a vector, got a ragged sequence")],
+        ids=["pooled_ace", "q05", "q95", "ragged"],
+    )
+    def test_curve_that_does_not_match_the_grid_rejected(self, name, value, message, tmp_path):
+        grid = np.array([0.0, 1.0])
+        cc = EffectEstimate(grid, np.array([[1.0, 2.0]]), np.array([1.0, 2.0]), grid, grid + 2)
+        fields = {"grid": grid, "per_imputation_ace": np.array([[1.0, 2.0]]),
+                  "pooled_ace": np.array([1.0, 2.0]), "q05": grid, "q95": grid + 2, name: value}
+        path = tmp_path / "effects.csv"
+        with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
+            effect_to_csv(EffectEstimate(**fields), cc, grid, path)
+        assert not path.exists()
 
     def test_pooled_mismatch_rejected(self):
         with pytest.raises(FrontdoorLabError):

@@ -9,6 +9,7 @@ from frontdoor_lab._seeds import mix_seed
 from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.mi_engine import (
+    DIAGNOSTICS_HEADER,
     CompletedDatasets,
     _ks_statistic,
     _nearest_donor_values,
@@ -51,6 +52,11 @@ class TestDecompose:
         x = rng.standard_normal(1000)
         magnitude, sign = decompose_x(x)
         assert np.array_equal(sign * magnitude, x)
+
+    @pytest.mark.parametrize("x", ["a", ["a", "b"], None], ids=repr)
+    def test_non_numbers_rejected(self, x):
+        with pytest.raises(FrontdoorLabError, match="^treatment must be a number or an array"):
+            decompose_x(x)
 
 
 class TestInitialize:
@@ -404,7 +410,7 @@ class TestRunMice:
         result = run_mice(data, m=2, cycles=3, seed=31)
         assert result.nonconverged_fits == 0
         assert len(result.trace) == 2 * 3 * 2  # chains x cycles x variables
-        assert {t.variable for t in result.trace} == {"x", "z"}
+        assert {variable for _, _, variable, *_ in result.trace} == {"x", "z"}
 
     def test_small_run_backfitting_converges(self):
         # the 140-row fits of this run need the backfitting loop: joint
@@ -462,6 +468,25 @@ class TestCompletedDatasets:
             CompletedDatasets(source=data, completed=(data,))
 
 
+@pytest.fixture(scope="module")
+def three_copies():
+    """An m = 3 imputation with both variables missing and its diagnostics,
+    counting the ``np.quantile`` calls that the diagnostics make."""
+    _, data = make_incomplete(1500, seed=37)
+    result = run_mice(data, m=3, cycles=2, seed=38)
+    assert result.nonconverged_fits == 0
+    quantile, calls = np.quantile, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quantile(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mi_engine.np, "quantile", counted)
+        rows = imputation_diagnostics(result)
+    return result, rows, len(calls)
+
+
 class TestDiagnostics:
     def test_no_missing_gives_empty_report(self):
         pop = generate_population(SCM, 300, seed=35)
@@ -470,14 +495,44 @@ class TestDiagnostics:
         assert result.nonconverged_fits == 0
         assert imputation_diagnostics(result) == []
 
-    def test_report_shape_on_default_run(self):
-        _, data = make_incomplete(1500, seed=37)
-        result = run_mice(data, m=3, cycles=2, seed=38)
-        assert result.nonconverged_fits == 0
-        rows = imputation_diagnostics(result)
-        groups = {(r.variable, r.dataset_index) for r in rows}
+    def test_report_shape_on_default_run(self, three_copies):
+        _, rows, _ = three_copies
+        groups = {(variable, k) for variable, k, *_ in rows}
         assert len(groups) == 3 * 2  # m copies x 2 variables
         assert len(rows) == 3 * 2 * 2  # observed and imputed side each
+
+    def test_rows_come_copy_by_copy(self, three_copies):
+        _, rows, _ = three_copies
+        assert [row[:3] for row in rows] == [
+            (variable, k, side)
+            for k in (1, 2, 3)
+            for variable in ("x", "z")
+            for side in ("observed", "imputed")
+        ]
+        assert all(len(row) == len(DIAGNOSTICS_HEADER) for row in rows)
+        assert all(type(k) is int for _, k, *_ in rows)
+        assert all(type(value) is float for row in rows for value in row[3:])
+
+    def test_observed_side_is_the_source_summarised_once(self, three_copies):
+        result, rows, quantile_calls = three_copies
+        source = result.source
+        probs = np.linspace(0.1, 0.9, 9)
+        for variable, cells in (("x", source.x_star[source.m_x]),
+                                ("z", source.z_star[source.m_z])):
+            expected = (float(np.mean(cells)), float(np.std(cells)),
+                        *np.quantile(cells, probs).tolist())
+            observed = [row[3:-1] for row in rows if row[0] == variable and row[2] == "observed"]
+            assert observed == [expected] * 3
+        # once per variable for the observed side, once per copy and variable
+        # for the imputed side
+        assert quantile_calls == 2 + 3 * 2
+
+    def test_variable_without_observed_cells_rejected(self):
+        pop = generate_population(SCM, 200, seed=46)
+        source = complete_dataset(np.full(200, np.nan), pop.z, pop.y)
+        result = CompletedDatasets(source, (complete_dataset(pop.x, pop.z, pop.y),))
+        with pytest.raises(FrontdoorLabError, match="^column x has no observed values$"):
+            imputation_diagnostics(result)
 
     def test_mean_imputation_negative_control(self):
         # a broken imputer that writes the column mean everywhere should light
@@ -487,16 +542,15 @@ class TestDiagnostics:
         z_mean_filled = np.where(data.m_z, data.z_star, np.nanmean(data.z_star))
         broken = complete_dataset(x_mean_filled, z_mean_filled, np.array(data.y_star))
         result = CompletedDatasets(source=data, completed=(broken,))
-        rows = imputation_diagnostics(result)
+        sd_and_ks = {
+            (variable, side): (sd, ks)
+            for variable, _, side, _, sd, *_, ks in imputation_diagnostics(result)
+        }
         for variable in ("x", "z"):
-            observed = next(
-                r for r in rows if r.variable == variable and r.side == "observed"
-            )
-            imputed = next(
-                r for r in rows if r.variable == variable and r.side == "imputed"
-            )
-            assert imputed.sd < 0.2 * observed.sd
-            assert imputed.ks > 0.3
+            observed_sd, _ = sd_and_ks[variable, "observed"]
+            imputed_sd, imputed_ks = sd_and_ks[variable, "imputed"]
+            assert imputed_sd < 0.2 * observed_sd
+            assert imputed_ks > 0.3
 
     def test_csv_emission(self, tmp_path):
         _, data = make_incomplete(800, seed=40)

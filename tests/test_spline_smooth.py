@@ -102,6 +102,17 @@ class TestBuildBasis:
         with pytest.raises(FrontdoorLabError, match=f"^{message}$"):
             SplineBasis(np.linspace(-1, 1, 6), degree=degree)
 
+    @pytest.mark.parametrize(
+        "knots, message",
+        [(["a", "b"], "knots must be a vector of numbers, got dtype <U1"),
+         ([0.0, 1.0, np.inf], "knots must be finite"),
+         ([0.0, np.nan, 1.0], "knots must be finite")],
+        ids=["text", "inf", "nan"],
+    )
+    def test_unusable_knots_rejected(self, knots, message):
+        with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
+            SplineBasis(knots, 3)
+
     def test_knots_are_a_copy(self):
         knots = np.linspace(-1.0, 1.0, 6)
         basis = SplineBasis(knots=knots, degree=3)
@@ -614,16 +625,18 @@ class TestFitAdditive:
             fits[entry]()
 
     @pytest.mark.parametrize("entry", ["fit_additive", "select_lambda"])
-    @pytest.mark.parametrize("n_knots", [4.5, 5.5, 20.0])
+    @pytest.mark.parametrize("n_knots", [4.5, 5.5, 20.0, [4]])
     def test_non_int_n_knots_rejected(self, entry, n_knots):
         x, y = make_xy(200, seed=33)
         fits = {
             "fit_additive": lambda k: fit_additive(y, [x], n_knots=k),
             "select_lambda": lambda k: select_lambda(y, x, k),
         }
-        # the int's design is cached, and a float equal to it must not find it
-        fits[entry](int(n_knots))
-        with pytest.raises(FrontdoorLabError, match=f"^n_knots must be int, got {n_knots}$"):
+        # the int's design is cached, and a float equal to it must not find it;
+        # a list, which the cache cannot hash, is refused before the cache
+        fits[entry](int(np.sum(n_knots)))
+        message = f"n_knots must be int, got {n_knots}"
+        with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
             fits[entry](n_knots)
 
     def test_repeated_columns_reuse_their_designs(self, monkeypatch):

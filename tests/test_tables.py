@@ -21,8 +21,6 @@ from frontdoor_lab.frontdoor_estimator import EffectEstimate, effect_from_csv, e
 from frontdoor_lab.mi_engine import (
     DIAGNOSTICS_HEADER,
     TRACE_HEADER,
-    DiagnosticRow,
-    TraceRow,
     diagnostics_from_csv,
     diagnostics_to_csv,
     trace_to_csv,
@@ -89,20 +87,19 @@ def effects_trip(path):
 
 def diagnostics_trip(path):
     rows = [
-        DiagnosticRow("x", 1, "observed", EDGE[0], EDGE[1], tuple(EDGE[:3]) * 3, 0.25),
-        DiagnosticRow("z", 12, "imputed", EDGE[2], EDGE[3], tuple(EDGE[3:]) * 3, 1 / 3),
+        ("x", 1, "observed", EDGE[0], EDGE[1], *tuple(EDGE[:3]) * 3, 0.25),
+        ("z", 12, "imputed", EDGE[2], EDGE[3], *tuple(EDGE[3:]) * 3, 1 / 3),
     ]
     diagnostics_to_csv(rows, path)
     back = diagnostics_from_csv(path)
-    assert [(r.variable, r.dataset_index, r.side) for r in back] == [
-        (r.variable, r.dataset_index, r.side) for r in rows
-    ]
-    numbers = [[r.mean, r.sd, *r.deciles, r.ks] for r in rows]
-    return [(numbers, [[r.mean, r.sd, *r.deciles, r.ks] for r in back])]
+    assert [row[:3] for row in back] == [row[:3] for row in rows]
+    assert all(type(row[1]) is int for row in back)
+    assert all(type(value) is float for row in back for value in row[3:])
+    return [([row[3:] for row in rows], [row[3:] for row in back])]
 
 
 def trace_trip(path):
-    rows = [TraceRow(1, 1, "x", EDGE[0], EDGE[1]), TraceRow(10, 2, "z", EDGE[2], EDGE[5])]
+    rows = [(1, 1, "x", EDGE[0], EDGE[1]), (10, 2, "z", EDGE[2], EDGE[5])]
     trace_to_csv(rows, path)
     chain, cycle, variable, mean, sd = read_table(
         path, "trace", lambda h: h == TRACE_HEADER, text=("variable",)
@@ -171,6 +168,27 @@ def test_diagnostics_index_must_be_a_whole_number(tmp_path):
     message = f"{path}: dataset_index must hold whole numbers from 1"
     with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
         diagnostics_from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "writer, header",
+    [(diagnostics_to_csv, DIAGNOSTICS_HEADER), (trace_to_csv, TRACE_HEADER)],
+    ids=["diagnostics", "trace"],
+)
+@pytest.mark.parametrize("cuts", [(0, 1), (1, 1)], ids=["second", "both"])
+def test_writer_refuses_a_short_row(writer, header, cuts, tmp_path):
+    full = tuple(range(len(header)))
+    rows = [full[: len(full) - cut] for cut in cuts]
+    path = tmp_path / "table.csv"
+    message = f"{path}: each row must hold {len(header)} fields"
+    with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
+        writer(rows, path)
+    assert not path.exists()
+
+
+def test_trace_without_rows(tmp_path):
+    trace_to_csv([], tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (",".join(TRACE_HEADER) + "\r\n").encode()
 
 
 def test_diagnostics_without_rows(tmp_path):
