@@ -19,7 +19,9 @@ directory, so stages can be rerun or inspected independently:
 * ``evaluate``  compares both curves of ``effects.csv``, and the imputed
   mediator mean in ``imputation_diagnostics.csv`` when the mediator had
   missing cells, against the truth, and reports how far the imputed copies'
-  curves spread; writes ``evaluation.csv``.
+  curves spread; writes ``evaluation.csv``.  ``population.csv`` is its one
+  optional input: without it only the curves are compared, and with it
+  ``observed.csv`` and ``imputation_diagnostics.csv`` must be there too.
 * ``plot``      emits the three SVG figures.  The true 5 / 95 % bands of the
   effect figure are exact interventional quantiles from
   :func:`frontdoor_lab.scm_sim.oracle_quantiles` (quadrature over the
@@ -160,7 +162,6 @@ def _mar_report(graph: Dag) -> list[str]:
         name
         for name in names
         if f"{name}*" in names and f"M_{name}" not in names and not name.startswith("M_")
-        and name not in ("m_1", "m_Omega")
     )
     lines.append(f"mar conditioning set: {{{', '.join(fully_observed)}}}")
     for value in value_nodes:
@@ -287,21 +288,24 @@ def cmd_evaluate(args) -> int:
     if cfg.m != mi.m:
         raise FrontdoorLabError(f"m = {cfg.m}, but {effects} holds {mi.m} imputations")
     inner = (mi.grid >= -2.0 - 1e-9) & (mi.grid <= 2.0 + 1e-9)
-    report = []
+    report, summaries = [], {}
     for label, estimate in (("mi", mi), ("cc", cc)):
         errors = estimate.pooled_ace - truth
         for region, part in (("", errors), (" region=[-2,2]", errors[inner])):
-            max_abs, mean_abs, signed = _error_summary(part)
+            max_abs, mean_abs, signed = summaries[label, region] = _error_summary(part)
             report.append(
                 f"method={label}{region} max_abs_error={max_abs:.4f} "
                 f"mean_abs_error={mean_abs:.4f} mean_signed_error={signed:+.4f}"
             )
-    # the last summary is the complete-case error on [-2, 2]: nan with no grid point there
-    report.append(f"cc_overestimates={'nan' if np.isnan(signed) else str(signed > 0).lower()}")
+    # the complete-case mean signed error on [-2, 2]: nan with no grid point there
+    cc_signed = summaries["cc", " region=[-2,2]"][2]
+    report.append(
+        f"cc_overestimates={'nan' if np.isnan(cc_signed) else str(cc_signed > 0).lower()}"
+    )
 
     names = ("population.csv", "observed.csv", "imputation_diagnostics.csv")
     population_path, observed_path, diagnostics_path = (out / name for name in names)
-    if population_path.exists() and observed_path.exists() and diagnostics_path.exists():
+    if population_path.exists():  # the one optional input; the other two must be there
         population = population_from_csv(population_path)
         observed = dataset_from_csv(observed_path)
         if len(population) != observed.n:
@@ -315,18 +319,21 @@ def cmd_evaluate(args) -> int:
                 f"{population_path} is not the population of {observed_path}: "
                 "an observed cell differs"
             )
+        diagnostics = diagnostics_from_csv(diagnostics_path)
         masked = ~observed.m_z
         if masked.any():
-            # the mean of the imputed mediator cells of copies 1..m, as impute recorded it
-            means = [
-                mean
-                for variable, k, side, mean, *_ in diagnostics_from_csv(diagnostics_path)
+            # the mean of the imputed mediator cells of copies 1..m, as impute recorded
+            # it; a table of more copies (impute at a larger m) keeps its first m
+            rows = [
+                (k, mean)
+                for variable, k, side, mean, *_ in diagnostics
                 if variable == "z" and side == "imputed" and k <= mi.m
             ]
-            if len(means) != mi.m:
+            copies, means = zip(*rows) if rows else ((), ())
+            if copies != tuple(range(1, mi.m + 1)):
                 raise FrontdoorLabError(
-                    f"{diagnostics_path} holds imputed mediator means of {len(means)} "
-                    f"copies, but {effects} holds {mi.m} imputations"
+                    f"{diagnostics_path} holds imputed mediator means of copies "
+                    f"{list(copies)}, but {effects} holds imputations 1..{mi.m}"
                 )
             true_mean = float(np.mean(population.z[masked]))
             pooled = float(np.mean(means))

@@ -7,10 +7,11 @@ always-observed ``y_star``; a missing x or z cell is NaN.  The masks ``m_x`` /
 takes a mask: ``scm_sim.apply_missingness``, the only code that hides a value,
 stores NaN in its place, so a masked value cannot leak to a consumer.
 
-Every stage artifact goes through one writer, :func:`write_table`, and one
-reader, :func:`read_table`: a header line, then one row per line; a number
-cell is the shortest round-trip float text and a NaN the token ``NA``; lines
-end in CRLF, text is UTF-8.  The reader names the columns that admit ``NA``;
+Every stage artifact is read by :func:`read_table` and written by
+:func:`write_table`, or, for a dataset table, by :func:`datasets_to_csv`,
+which formats its cells by the same rule: a header line, then one row per
+line; a number cell is the shortest round-trip float text and a NaN the token
+``NA``; lines end in CRLF, text is UTF-8.  The reader names the columns that admit ``NA``;
 every other number cell must be a finite number.  Only ``x`` and ``z`` of a
 dataset table (header ``x,z,y``) admit it, for a masked cell; no column of the
 population, curve, evaluation, diagnostics or trace tables does.  The round

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erf, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .dataset import Dataset, read_table, write_table
 from .errors import FrontdoorLabError, check_int, check_numbers, check_real, check_vector
@@ -114,13 +114,13 @@ def std_normal_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 def std_normal_cdf(x):
-    """Standard normal CDF via the erf identity Phi(x) = (1 + erf(x/sqrt 2))/2.
+    """Standard normal CDF Phi(x), from SciPy's ``ndtr`` like every Phi here.
 
-    erf is evaluated by scipy's libm binding, accurate to a few ulp, well
-    inside the 1e-7 absolute tolerance this module promises.
+    ``ndtr`` is accurate to a few ulp, well inside the 1e-7 absolute
+    tolerance this module promises.
     """
     x = check_numbers("x", x)
-    out = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    out = ndtr(x)
     return float(out) if out.ndim == 0 else out
 
 

@@ -20,8 +20,8 @@ joint penalized solution, whose normal equations are assembled from per-term
 Gram blocks rather than from a stacked design, and then cycle penalized
 backfitting over the terms, reselecting the penalty for each term from its
 current partial residuals.  The matrix of those normal equations is cached
-for the two most recent tuples of designs, so fits that share their designs
-assemble it once.
+for the most recent tuple of designs, so consecutive fits that share their
+designs assemble it once.
 A term's design stores the basis matrix sparse, built straight from the
 kernel's rows, together with its transpose, which also gives its column
 sums.  The dense basis matrix is formed once per design, only for the Gram
@@ -422,12 +422,11 @@ class _PenalizedDesign:
             # RSS(lam) = RSS of the affine fit - sum_i c_i^2 * _rss_drop[i, lam]
             self._rss_drop = (mu + 2 * lam) / (mu + lam) ** 2
 
-    def _score(self, y: np.ndarray, index: int | None):
-        """(index, beta_affine, c, gcv): the grid index, ``index`` or the GCV
-        minimizer when it is None, ties toward the larger weight; the affine
-        fit's coefficients; the whitened right-hand side of the penalized
-        block; and GCV over the grid.  An index whose system is singular
-        raises NumericError."""
+    def _score(self, y: np.ndarray):
+        """(index, beta_affine, c, gcv): the grid index of the GCV minimizer,
+        ties toward the larger weight; the affine fit's coefficients; the
+        whitened right-hand side of the penalized block; and GCV over the
+        grid.  A minimizer whose system is singular raises NumericError."""
         bty = self._Bt @ y
         delta = self._A_inv @ (self._Q1.T @ bty)
         beta_affine = self._Q1 @ delta
@@ -442,26 +441,25 @@ class _PenalizedDesign:
         denom = self.n - self.edf
         ok = (denom > 1e-8 * max(self.n, 1)) & ~self._singular
         gcv[ok] = self.n * rss[ok] / denom[ok] ** 2
-        if index is None:
-            index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
+        index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
         if self._singular[index]:
             raise NumericError("penalized normal equations are numerically singular")
         return index, beta_affine, c, gcv
 
     def pick(self, y: np.ndarray) -> int:
         """The grid index ``select(y)`` chooses, without forming its fit."""
-        return self._score(y, None)[0]
+        return self._score(y)[0]
 
-    def select(self, y: np.ndarray, index: int | None = None):
-        """(index, beta, fitted, gcv) at grid weight ``index``, or at the GCV
-        minimizer when ``index`` is None, ties toward the larger weight."""
-        index, beta_affine, c, gcv = self._score(y, index)
+    def select(self, y: np.ndarray):
+        """(index, beta, fitted, gcv) at the GCV minimizer, ties toward the
+        larger weight."""
+        index, beta_affine, c, gcv = self._score(y)
         gamma = self._W @ (c / (self._mu + self.lambdas[index]))
         beta = beta_affine - self._Q1 @ (self._A_inv @ (self._L.T @ gamma)) + self._Q2 @ gamma
         return index, beta, self.B @ beta, float(gcv[index])
 
-    def fit(self, y: np.ndarray, index: int | None = None) -> PenalizedSplineFit:
-        index, beta, fitted, gcv = self.select(y, index)
+    def fit(self, y: np.ndarray) -> PenalizedSplineFit:
+        index, beta, fitted, gcv = self.select(y)
         return self._term(index, beta, y - fitted, gcv)
 
     def _term(self, index: int, coefficients, residuals, gcv) -> PenalizedSplineFit:
@@ -511,8 +509,8 @@ def fit_penalized(
         raise FrontdoorLabError(
             f"need at least {basis.dim} observations for a {basis.dim}-dim basis"
         )
-    # a copy: the basis keeps the column, which the caller may change later
-    return _PenalizedDesign(basis, x.copy(), [lam]).fit(y, 0)
+    # a grid of one weight, which GCV picks; a copy, as the basis keeps the column
+    return _PenalizedDesign(basis, x.copy(), [lam]).fit(y)
 
 
 def select_lambda(
@@ -547,10 +545,10 @@ def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
     return _PenalizedDesign(build_basis(x, n_knots), x, LAMBDA_GRID)
 
 
-# The sign and magnitude fits of one chained-equation cycle share both designs,
-# so the second of them finds its matrix here.  The entries hold their designs
-# alive, and designs compare by identity, so an entry is never stale.
-@functools.lru_cache(maxsize=2)
+# The sign and magnitude fits of one chained-equation cycle run back to back and
+# share both designs, so the second finds its matrix in this one entry.  The
+# entry holds its designs alive, and designs compare by identity: never stale.
+@functools.lru_cache(maxsize=1)
 def _joint_normal_matrix(designs: tuple[_PenalizedDesign, ...]):
     """(M, blocks): the read-only matrix of the unpenalized normal equations of
     the stacked design [1, B_1 T_1, ..., B_k T_k], and each term's slice of it.

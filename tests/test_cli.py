@@ -206,6 +206,9 @@ class TestEvaluateOutput:
         assert "method=mi" in out and "method=cc" in out
         assert re.search(r"cc_overestimates=(true|false)", out)
         assert "imputed_z_pooled_mean=" in out
+        # the verdict is the sign of the complete-case error on [-2, 2]
+        signed = re.search(r"method=cc region=\[-2,2\] .* mean_signed_error=(\S+)", out)
+        assert f"cc_overestimates={str(float(signed.group(1)) > 0).lower()}" in out
 
     def test_imputed_mean_from_diagnostics(self, pipeline_dir, tmp_path, capsys):
         # the line impute's diagnostics give must equal the mean over the
@@ -244,6 +247,45 @@ class TestEvaluateOutput:
         assert "method=mi" in out and "cc_overestimates=" in out
         assert "imputed_z_pooled_mean" not in out
         assert main(["plot", "--config", str(config)]) == 0
+
+    def test_without_population(self, run_m3, tmp_path, capsys):
+        # population.csv is the one optional input: without it only the curves are compared
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        (run / "population.csv").unlink()
+        assert main(["evaluate", "--out", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "cc_overestimates=" in out
+        assert "imputed_z_pooled_mean" not in out
+        assert (run / "evaluation.csv").exists()
+
+    @pytest.mark.parametrize("name", ["imputation_diagnostics.csv", "observed.csv"])
+    def test_population_without_another_input(self, run_m3, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        (run / name).unlink()
+        assert main(["evaluate", "--out", str(run)]) == 3
+        assert capsys.readouterr().err == f"error: input-missing: {run / name}\n"
+        assert not (run / "evaluation.csv").exists()
+
+    def test_population_checks_come_before_the_diagnostics(self, run_m3, tmp_path, capsys):
+        # a population.csv with one changed y cell is reported even when the
+        # diagnostics table is missing too
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        (run / "imputation_diagnostics.csv").unlink()
+        population = run / "population.csv"
+        lines = population.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = repr(float(cells[3]) + 1.0)  # the y cell, after u, x and z
+        lines[1] = ",".join(cells)
+        population.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--out", str(run)]) == 2
+        expected = (
+            f"error: invalid-input: {population} is not the population of "
+            f"{run / 'observed.csv'}: an observed cell differs\n"
+        )
+        assert capsys.readouterr().err == expected
 
     def test_no_grid_point_in_the_inner_region(self, run_m3, tmp_path, capsys):
         # with no grid point in [-2, 2] the region summaries are nan, and so
@@ -292,6 +334,23 @@ class TestRerunWithFewerImputations:
         assert main(["estimate", "--out", str(run), "--save-models"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: input-missing:") and "completed_03.csv" in err
+
+    def test_evaluate_pools_the_first_copies_of_a_larger_imputation(
+        self, run_m3, tmp_path, capsys
+    ):
+        # imputed at m = 3, then estimated and evaluated at m = 2: the
+        # diagnostics table's third copy is left out of the pooled mean
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        run_stage(["estimate", "--out", str(run), "--m", "2"])
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(run), "--m", "2"]) == 0
+        masked = ~dataset_from_csv(run / "observed.csv").m_z
+        pooled = float(np.mean([
+            np.mean(dataset_from_csv(run / f"completed_0{k}.csv").z_star[masked])
+            for k in (1, 2)
+        ]))
+        assert f"imputed_z_pooled_mean={pooled:.4f} " in capsys.readouterr().out
 
     def test_estimate_leaves_no_model_of_the_larger_run(self, run_m3, tmp_path):
         run = tmp_path / "run"
@@ -803,7 +862,28 @@ class TestErrorPaths:
         assert main(["evaluate", "--out", str(run)]) == 2
         expected = (
             f"error: invalid-input: {run / 'imputation_diagnostics.csv'} holds imputed "
-            f"mediator means of 2 copies, but {run / 'effects.csv'} holds 3 imputations\n"
+            f"mediator means of copies [1, 2], but {run / 'effects.csv'} holds "
+            "imputations 1..3\n"
+        )
+        assert capsys.readouterr().err == expected
+        assert not (run / "evaluation.csv").exists()
+
+    def test_evaluate_diagnostics_repeating_a_copy(self, run_m3, tmp_path, capsys):
+        # copy 2's imputed mediator row replaced by copy 1's: still three rows
+        run = tmp_path / "run"
+        shutil.copytree(run_m3, run)
+        path = run / "imputation_diagnostics.csv"
+        lines = path.read_bytes().decode().split("\r\n")
+        imputed_z = [
+            i for i, line in enumerate(lines) if line.startswith("z,") and ",imputed," in line
+        ]
+        assert [lines[i].split(",")[1] for i in imputed_z] == ["1", "2", "3"]
+        lines[imputed_z[1]] = lines[imputed_z[0]]
+        path.write_bytes("\r\n".join(lines).encode())
+        assert main(["evaluate", "--out", str(run)]) == 2
+        expected = (
+            f"error: invalid-input: {path} holds imputed mediator means of copies "
+            f"[1, 1, 3], but {run / 'effects.csv'} holds imputations 1..3\n"
         )
         assert capsys.readouterr().err == expected
         assert not (run / "evaluation.csv").exists()

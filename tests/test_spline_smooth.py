@@ -954,6 +954,32 @@ class TestJointFit:
         for beta, ref_beta in zip(betas, ref_betas):
             assert beta.tobytes() == ref_beta.tobytes()
 
+    def test_singular_system_retried_with_jitter(self, monkeypatch):
+        # b and 1 - b span the same direction beside the intercept, so the
+        # joint matrix is singular until the jittered retry; with 64 rows in
+        # each group the two terms' entries are exactly 64 and -64, and the
+        # elimination leaves an exact zero pivot however the factorization rounds
+        b = np.tile([0.0, 1.0], 64)
+        y = 1.0 + 2.0 * b + np.random.default_rng(31).standard_normal(len(b))
+        outcomes = []
+
+        def spy(M, *args, **kwargs):
+            try:
+                factor = cho_factor(M, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                outcomes.append("singular")
+                raise
+            outcomes.append("factored")
+            return factor
+
+        monkeypatch.setattr(spline_smooth, "cho_factor", spy)
+        fit = fit_additive(y, [b, 1 - b])
+        assert outcomes[:2] == ["singular", "factored"]
+        assert fit.converged
+        means = [np.mean(y[b == 0]), np.mean(y[b == 1])]
+        got = predict(fit, [np.array([0.0, 1.0]), np.array([1.0, 0.0])])
+        np.testing.assert_allclose(got, means, rtol=0, atol=1e-12)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
