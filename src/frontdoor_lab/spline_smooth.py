@@ -13,15 +13,22 @@ log-spaced over [1e-6, 1e6], with ties broken toward the smoother fit.  Each
 term is solved for the whole grid from one generalized eigendecomposition (the
 Demmler-Reinsch form): the affine null-space block is profiled out, the
 remaining block is whitened by the penalty, and edf, RSS and GCV then follow
-in closed form for every weight.  Coefficients and fitted values are formed
-only at the chosen weight, and not at all where only the choice is needed,
-as in the joint start of an additive fit.  Additive models start from the
-joint penalized solution, whose normal equations are assembled from per-term
-Gram blocks rather than from a stacked design, and then cycle penalized
-backfitting over the terms, reselecting the penalty for each term from its
-current partial residuals.  The matrix of those normal equations is cached
-for the most recent tuple of designs, so consecutive fits that share their
-designs assemble it once.
+in closed form for every weight.  One scorer gives them from two moments of
+the response r, the p-vector ``B'r`` and the number ``r'r``, so no score
+touches the n rows; ``select_lambda`` and ``fit_penalized`` score their
+response about its mean through it, as every additive term does.
+Coefficients and fitted values are formed only at the chosen weight, and not
+at all where only the choice is needed, as in the joint start of an additive
+fit.  Additive models start from the joint penalized solution, whose normal
+equations are assembled from per-term Gram blocks rather than from a stacked
+design, and then cycle penalized backfitting over the terms, reselecting the
+penalty for each term from its current partial residuals.  Backfitting runs
+in coefficient space: a partial residual's two moments follow from the raw
+Grams ``B_j'B_k`` and the products ``B_j'y``, formed once per fit with y
+taken about its mean, so only those products, each accepted term's fitted
+values and the final residuals touch the n rows.  The normal matrix and the
+raw Grams are cached together for the most recent tuple of designs, so
+consecutive fits that share their designs assemble them once.
 A term's design stores the basis matrix sparse, built straight from the
 kernel's rows, together with its transpose, which also gives its column
 sums.  The dense basis matrix is formed once per design, only for the Gram
@@ -364,6 +371,13 @@ class _PenalizedDesign:
     by the data-free penalty ``S`` rather than by ``K`` keeps the decomposition
     well posed when the design is rank-deficient.  An affine response leaves
     ``r`` at zero, so it is reproduced for any weight.
+
+    The scorer reads a response only through ``B'y`` and ``y'y``: the affine
+    fit's RSS is ``y'y - 2 beta_affine'B'y + beta_affine'B'B beta_affine``, so a
+    score costs O(p^2) whatever n is.  ``pick`` and ``select`` take those two
+    moments, which an additive fit forms from its Grams without the partial
+    residual; ``fit`` forms them from the response about its mean, for
+    ``select_lambda`` and ``fit_penalized``.
     """
 
     def __init__(self, basis: SplineBasis, x: np.ndarray, lambdas: Sequence[float]):
@@ -422,18 +436,17 @@ class _PenalizedDesign:
             # RSS(lam) = RSS of the affine fit - sum_i c_i^2 * _rss_drop[i, lam]
             self._rss_drop = (mu + 2 * lam) / (mu + lam) ** 2
 
-    def _score(self, y: np.ndarray):
-        """(index, beta_affine, c, gcv): the grid index of the GCV minimizer,
-        ties toward the larger weight; the affine fit's coefficients; the
-        whitened right-hand side of the penalized block; and GCV over the
-        grid.  A minimizer whose system is singular raises NumericError."""
-        bty = self._Bt @ y
+    def _score(self, bty: np.ndarray, yty: float):
+        """(index, beta_affine, c, gcv) for the response r given by ``B'r`` and
+        ``r'r``: the grid index of the GCV minimizer, ties toward the larger
+        weight; the affine fit's coefficients; the whitened right-hand side of
+        the penalized block; and GCV over the grid.  A minimizer whose system
+        is singular raises NumericError."""
         delta = self._A_inv @ (self._Q1.T @ bty)
         beta_affine = self._Q1 @ delta
-        residual_affine = y - self.B @ beta_affine
         c = self._W.T @ (self._Q2.T @ bty - self._L @ delta)
-        # not `@`: OpenBLAS threads a ddot over 10,000 rows, and its idle threads spin
-        rss_affine = np.einsum("i,i->", residual_affine, residual_affine)
+        # ||r - B beta_affine||^2 expanded, so r itself is never formed
+        rss_affine = yty - 2.0 * (beta_affine @ bty) + beta_affine @ self._BtB @ beta_affine
         rss = rss_affine - (c * c) @ self._rss_drop
         # rounding can push the RSS of an exact fit just below zero
         rss = np.maximum(rss, 0.0)
@@ -446,21 +459,27 @@ class _PenalizedDesign:
             raise NumericError("penalized normal equations are numerically singular")
         return index, beta_affine, c, gcv
 
-    def pick(self, y: np.ndarray) -> int:
-        """The grid index ``select(y)`` chooses, without forming its fit."""
-        return self._score(y)[0]
+    def pick(self, bty: np.ndarray, yty: float) -> int:
+        """The grid index ``select(bty, yty)`` chooses, without forming its fit."""
+        return self._score(bty, yty)[0]
 
-    def select(self, y: np.ndarray):
-        """(index, beta, fitted, gcv) at the GCV minimizer, ties toward the
-        larger weight."""
-        index, beta_affine, c, gcv = self._score(y)
+    def select(self, bty: np.ndarray, yty: float):
+        """(index, beta, gcv) at the GCV minimizer for the response r given by
+        ``B'r`` and ``r'r``, ties toward the larger weight."""
+        index, beta_affine, c, gcv = self._score(bty, yty)
         gamma = self._W @ (c / (self._mu + self.lambdas[index]))
         beta = beta_affine - self._Q1 @ (self._A_inv @ (self._L.T @ gamma)) + self._Q2 @ gamma
-        return index, beta, self.B @ beta, float(gcv[index])
+        return index, beta, float(gcv[index])
 
     def fit(self, y: np.ndarray) -> PenalizedSplineFit:
-        index, beta, fitted, gcv = self.select(y)
-        return self._term(index, beta, y - fitted, gcv)
+        """The GCV fit to ``y``, selected on ``y`` about its mean; the basis sums
+        to one, so the mean adds to every coefficient."""
+        mean = float(np.mean(y))
+        centered = y - mean
+        # not `@`: OpenBLAS threads a ddot over 10,000 rows, and its idle threads spin
+        index, beta, gcv = self.select(self._Bt @ centered, np.einsum("i,i->", centered, centered))
+        beta = beta + mean
+        return self._term(index, beta, y - self.B @ beta, gcv)
 
     def _term(self, index: int, coefficients, residuals, gcv) -> PenalizedSplineFit:
         """The fitted smooth on this design's basis at grid weight ``index``,
@@ -546,32 +565,44 @@ def _design_for(column: bytes, n_knots: int) -> _PenalizedDesign:
 
 
 # The sign and magnitude fits of one chained-equation cycle run back to back and
-# share both designs, so the second finds its matrix in this one entry.  The
+# share both designs, so the second finds its matrices in this one entry.  The
 # entry holds its designs alive, and designs compare by identity: never stale.
 @functools.lru_cache(maxsize=1)
 def _joint_normal_matrix(designs: tuple[_PenalizedDesign, ...]):
-    """(M, blocks): the read-only matrix of the unpenalized normal equations of
-    the stacked design [1, B_1 T_1, ..., B_k T_k], and each term's slice of it.
+    """(M, blocks, G, spans): the read-only matrix of the unpenalized normal
+    equations of the stacked design [1, B_1 T_1, ..., B_k T_k] and each term's
+    slice of it; and the read-only Gram of the raw stacked design
+    [1, B_1, ..., B_k] and each term's slice of that.
 
-    Row and column 0 are the intercept's.  The terms' blocks follow in their
-    order, each as wide as its ``T_j``, which drops term j's constant direction
-    (the intercept column carries it).  ``M`` is assembled from Gram blocks,
-    ``T_i' B_i'B_j T_j``; the stacked design is never formed.  It does not
-    depend on the response, whose right-hand side is formed by the caller.
+    Row and column 0 of both are the intercept's.  The terms' blocks follow in
+    their order, in ``M`` each as wide as its ``T_j``, which drops term j's
+    constant direction (the intercept column carries it), and in ``G`` as wide
+    as its basis.  ``G`` holds the column sums, each term's ``B_j'B_j`` and the
+    cross products ``B_i'B_j``; ``M`` is assembled from the same blocks as
+    ``T_i' B_i'B_j T_j``.  The stacked design is never formed, and neither
+    matrix depends on the response.
     """
     bounds = np.cumsum([1] + [d._T.shape[1] for d in designs])
     blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    raw_bounds = np.cumsum([1] + [d.basis.dim for d in designs])
+    spans = tuple(slice(lo, hi) for lo, hi in zip(raw_bounds[:-1], raw_bounds[1:]))
     M = np.empty((bounds[-1], bounds[-1]))
-    M[0, 0] = designs[0].n
-    for i, (design, block) in enumerate(zip(designs, blocks)):
+    G = np.empty((raw_bounds[-1], raw_bounds[-1]))
+    M[0, 0] = G[0, 0] = designs[0].n
+    for i, (design, block, span) in enumerate(zip(designs, blocks, spans)):
+        G[0, span] = G[span, 0] = design._col_sums
+        G[span, span] = design._BtB
         M[0, block] = M[block, 0] = design._col_sums @ design._T
         M[block, block] = design._T.T @ design._BtB @ design._T
-        for other, other_block in zip(designs[i + 1 :], blocks[i + 1 :]):
-            cross = (design._Bt @ other.B).toarray()
+        later = zip(designs[i + 1 :], blocks[i + 1 :], spans[i + 1 :])
+        for other, other_block, other_span in later:
+            G[span, other_span] = cross = (design._Bt @ other.B).toarray()
+            G[other_span, span] = cross.T
             M[block, other_block] = design._T.T @ cross @ other._T
             M[other_block, block] = M[block, other_block].T
     M.setflags(write=False)
-    return M, blocks
+    G.setflags(write=False)
+    return M, blocks, G, spans
 
 
 def _joint_fit(normal, rhs: np.ndarray, designs, indices: Sequence[int]):
@@ -584,7 +615,7 @@ def _joint_fit(normal, rhs: np.ndarray, designs, indices: Sequence[int]):
     system is nonsingular.  Returns the intercept and the per-term coefficient
     vectors in the original basis coordinates.
     """
-    M, blocks = normal
+    M, blocks, _, _ = normal
     M = M.copy()
     for design, index, block in zip(designs, indices, blocks):
         penalized = slice(block.start + 1, block.stop)
@@ -622,37 +653,61 @@ def fit_additive(
     two sets indefinitely (the known weak spot of performance iteration; Gu
     1992, JCGS).  Backfitting moves one term at a time and reaches a fixed point of
     the per-term selections, usually in one cycle after the joint start.
+
+    Every pick and selection works in coefficient space, as backfitting linear
+    smoothers is Gauss-Seidel on the stacked normal equations (Buja, Hastie and
+    Tibshirani 1989, Ann. Statist.): a term's partial residual enters its GCV
+    score only through ``B_j'r_j`` and ``r_j'r_j``, which follow from the Gram
+    of [1, B_1, ..., B_k] that the joint start caches and from the products
+    ``B_j'(y - mean)``, formed once per term; the sums are taken about the
+    mean so that ``r_j'r_j`` is not a small difference of squares of the
+    offset.  Only those products, each accepted term's values ``B_j beta_j``,
+    which the convergence check and the recentering read, and the final
+    residuals touch the n rows.
     """
     y, columns = _checked_inputs(y, covariates)
     check_int("n_knots", n_knots, 4)
     designs = tuple(_design_for(column.tobytes(), n_knots) for column in columns)
     n_terms = len(designs)
     gcvs = [np.inf] * n_terms
+    normal = _joint_normal_matrix(designs)
+    _, _, gram, spans = normal
+    # the response about its mean: its sum, each B_j'(y - mean) and its
+    # squared norm, which an einsum forms without a threaded BLAS ddot
+    mean = float(np.mean(y))
+    centered = y - mean
+    moments = np.concatenate([[np.sum(centered)], *(d._Bt @ centered for d in designs)])
+    yty = np.einsum("i,i->", centered, centered)
 
-    def partial_residual(j):
-        return y - intercept - sum(fitted[k] for k in range(n_terms) if k != j)
+    def partial_moments(j):
+        """(B_j'r_j, r_j'r_j) for term j's partial residual
+        r_j = y - intercept - sum_{k != j} B_k beta_k, from the Gram and the
+        moments above, without forming r_j."""
+        others = np.concatenate([[offset], *betas])
+        others[spans[j]] = 0.0
+        product = gram @ others
+        rtr = yty - 2.0 * (moments @ others) + others @ product
+        return moments[spans[j]] - product[spans[j]], rtr
 
     def recentered(beta, values):
         """The term moved to mean zero; its mean goes into the intercept."""
-        nonlocal intercept
+        nonlocal offset
         center = float(np.mean(values))
         # shifting every coefficient shifts the in-span fit by the same
         # constant (the basis sums to one), so centering is exact
-        intercept += center
+        offset += center
         return beta - center, values - center
 
-    # joint start: joint solves until the per-term penalty picks stabilize
-    intercept = float(np.mean(y))
-    centered = y - intercept
-    chosen = [design.pick(centered) for design in designs]
-    normal = _joint_normal_matrix(designs)
-    rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
+    # joint start: joint solves until the per-term penalty picks stabilize;
+    # they fit the centered response, so ``offset`` is the intercept less the mean
+    chosen = [design.pick(moments[span], yty) for design, span in zip(designs, spans)]
+    rhs = np.concatenate([moments[:1], *(d._T.T @ moments[s] for d, s in zip(designs, spans))])
     for _ in range(5):
-        intercept, betas = _joint_fit(normal, rhs, designs, chosen)
+        offset, betas = _joint_fit(normal, rhs, designs, chosen)
         fitted = [d.B @ b for d, b in zip(designs, betas)]
         for j in range(n_terms):
             betas[j], fitted[j] = recentered(betas[j], fitted[j])
-        picks = [design.pick(partial_residual(j)) for j, design in enumerate(designs)]
+        picks = [design.pick(*partial_moments(j)) for j, design in enumerate(designs)]
         if picks == chosen:
             break
         chosen = picks
@@ -661,8 +716,8 @@ def fit_additive(
     for _ in range(BACKFIT_MAX_CYCLES):
         max_change = 0.0
         for j, design in enumerate(designs):
-            index, beta, values, gcv = design.select(partial_residual(j))
-            beta, values = recentered(beta, values)
+            index, beta, gcv = design.select(*partial_moments(j))
+            beta, values = recentered(beta, design.B @ beta)
             max_change = max(max_change, float(np.max(np.abs(values - fitted[j]))))
             fitted[j] = values
             betas[j] = beta
@@ -672,6 +727,7 @@ def fit_additive(
             converged = True
             break
 
+    intercept = mean + offset
     residuals = y - (intercept + sum(fitted))
     residuals.setflags(write=False)  # every term holds this one array
     terms = tuple(d._term(i, b, residuals, g) for d, i, b, g in zip(designs, chosen, betas, gcvs))

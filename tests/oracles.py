@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: path enumeration instead of
-reachability, quadrature instead of closed forms.  Tests compare the
-production code against these oracles; the oracles never import the
-algorithms they are checking.
+reachability, quadrature instead of closed forms, GCV scores from n-long
+residuals instead of Gram matrices.  Tests compare the production code against
+these oracles; the oracles never import the algorithms they are checking.  The
+backfitting reference takes the package's spline designs and joint solve, which
+its own tests check, and replaces only the scoring on partial residuals.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 from frontdoor_lab.causal_graph import Dag
+from frontdoor_lab.errors import NumericError
+from frontdoor_lab.spline_smooth import (
+    BACKFIT_MAX_CYCLES,
+    BACKFIT_TOL,
+    _joint_fit,
+    _joint_normal_matrix,
+)
 
 
 def enumerate_trails(g: Dag, start: str, goal: str):
@@ -203,3 +212,77 @@ def interventional_quantile_bisection(cfg, x: float, p: float, n: int = 20001) -
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------- backfitting
+
+
+def score_on_residuals(design, y):
+    """(index, beta_affine, c, gcv) of a spline design's GCV score for the
+    n-vector y, formed on the n rows: ``B'y``, the affine fit's residual
+    ``y - B beta_affine`` and its sum of squares."""
+    bty = design._Bt @ y
+    delta = design._A_inv @ (design._Q1.T @ bty)
+    beta_affine = design._Q1 @ delta
+    residual_affine = y - design.B @ beta_affine
+    c = design._W.T @ (design._Q2.T @ bty - design._L @ delta)
+    rss_affine = np.einsum("i,i->", residual_affine, residual_affine)
+    rss = np.maximum(rss_affine - (c * c) @ design._rss_drop, 0.0)
+    gcv = np.full(len(design.lambdas), np.inf)
+    denom = design.n - design.edf
+    ok = (denom > 1e-8 * max(design.n, 1)) & ~design._singular
+    gcv[ok] = design.n * rss[ok] / denom[ok] ** 2
+    index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
+    if design._singular[index]:
+        raise NumericError("penalized normal equations are numerically singular")
+    return index, beta_affine, c, gcv
+
+
+def select_on_residuals(design, y):
+    """(index, beta, fitted, gcv) at the GCV minimizer of ``score_on_residuals``."""
+    index, beta_affine, c, gcv = score_on_residuals(design, y)
+    gamma = design._W @ (c / (design._mu + design.lambdas[index]))
+    beta = beta_affine - design._Q1 @ (design._A_inv @ (design._L.T @ gamma)) + design._Q2 @ gamma
+    return index, beta, design.B @ beta, float(gcv[index])
+
+
+def backfit_on_residuals(y, designs):
+    """(intercept, betas, picks, converged) of the additive fit of y on the
+    designs, each pick scored on its term's n-long partial residual: the joint
+    start's joint solves until the picks settle, at most five, then backfitting
+    cycles until no fitted component moves by ``BACKFIT_TOL``."""
+    n_terms = len(designs)
+
+    def partial_residual(j):
+        return y - intercept - sum(fitted[k] for k in range(n_terms) if k != j)
+
+    def recentered(beta, values):
+        nonlocal intercept
+        center = float(np.mean(values))
+        intercept += center
+        return beta - center, values - center
+
+    intercept = float(np.mean(y))
+    chosen = [score_on_residuals(design, y - intercept)[0] for design in designs]
+    normal = _joint_normal_matrix(tuple(designs))
+    rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
+    for _ in range(5):
+        intercept, betas = _joint_fit(normal, rhs, designs, chosen)
+        fitted = [d.B @ b for d, b in zip(designs, betas)]
+        for j in range(n_terms):
+            betas[j], fitted[j] = recentered(betas[j], fitted[j])
+        picks = [score_on_residuals(d, partial_residual(j))[0] for j, d in enumerate(designs)]
+        if picks == chosen:
+            break
+        chosen = picks
+
+    for _ in range(BACKFIT_MAX_CYCLES):
+        max_change = 0.0
+        for j, design in enumerate(designs):
+            index, beta, values, _ = select_on_residuals(design, partial_residual(j))
+            beta, values = recentered(beta, values)
+            max_change = max(max_change, float(np.max(np.abs(values - fitted[j]))))
+            fitted[j], betas[j], chosen[j] = values, beta, index
+        if max_change < BACKFIT_TOL:
+            return intercept, betas, chosen, True
+    return intercept, betas, chosen, False

@@ -30,6 +30,7 @@ from frontdoor_lab.spline_smooth import (
     predict,
     select_lambda,
 )
+from oracles import backfit_on_residuals, score_on_residuals, select_on_residuals
 
 
 def make_xy(n=400, seed=0, noise=0.1):
@@ -37,6 +38,11 @@ def make_xy(n=400, seed=0, noise=0.1):
     x = rng.uniform(-2, 2, n)
     y = np.sin(2 * x) + noise * rng.standard_normal(n)
     return x, y
+
+
+def response_moments(design, y):
+    """``B'y`` and ``y'y``, the two moments a design's GCV score reads."""
+    return design._Bt @ y, float(np.einsum("i,i->", y, y))
 
 
 def four_valued_data(seed=12):
@@ -728,47 +734,76 @@ class TestSparseDesign:
             dense = design_matrix(design.basis, column)
             assert design._col_sums.tobytes() == dense.sum(axis=0).tobytes()
 
+    @staticmethod
+    def responses(column, rng):
+        """Noise, an affine response, noise with signed zeros, and all -0.0."""
+        noise = rng.standard_normal(len(column))
+        signed_zeros = noise.copy()
+        signed_zeros[::5] = -0.0
+        return {
+            "noise": noise,
+            "affine": 0.5 - 2.0 * column,
+            "signed_zeros": signed_zeros,
+            "negative_zeros": np.full(len(column), -0.0),
+        }
+
     def test_pick_is_the_index_select_chooses(self):
         columns, designs = self.columns_and_designs()
         rng = np.random.default_rng(34)
         for design, column in zip(designs, columns):
-            noise = rng.standard_normal(len(column))
-            signed_zeros = noise.copy()
-            signed_zeros[::5] = -0.0
-            for y in (noise, 0.5 - 2.0 * column, signed_zeros, np.full(len(column), -0.0)):
-                assert design.pick(y) == design.select(y)[0]
+            for y in self.responses(column, rng).values():
+                bty, yty = response_moments(design, y)
+                assert design.pick(bty, yty) == design.select(bty, yty)[0]
 
     def test_pick_raises_as_select_does(self):
         x, y, basis = four_valued_data()
         design = spline_smooth._PenalizedDesign(basis, x, [0.0])
         for choose in (design.pick, design.select):
             with pytest.raises(NumericError, match="numerically singular"):
-                choose(y)
+                choose(*response_moments(design, y))
 
     def test_joint_matrix_is_cached_and_read_only(self):
         columns, designs = self.columns_and_designs()
         spline_smooth._joint_normal_matrix.cache_clear()
-        M, blocks = spline_smooth._joint_normal_matrix(tuple(designs))
-        again, blocks_again = spline_smooth._joint_normal_matrix(tuple(designs))
+        M, blocks, G, spans = spline_smooth._joint_normal_matrix(tuple(designs))
+        again, blocks_again, G_again, spans_again = (
+            spline_smooth._joint_normal_matrix(tuple(designs))
+        )
         info = spline_smooth._joint_normal_matrix.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         assert again is M and blocks_again is blocks
+        assert G_again is G and spans_again is spans
         assert not M.flags.writeable
-        assert M[0, 0] == len(columns[0])
-        uncached, uncached_blocks = spline_smooth._joint_normal_matrix.__wrapped__(tuple(designs))
+        assert not G.flags.writeable
+        assert M[0, 0] == G[0, 0] == len(columns[0])
+        uncached, uncached_blocks, uncached_G, uncached_spans = (
+            spline_smooth._joint_normal_matrix.__wrapped__(tuple(designs))
+        )
         assert M.tobytes() == uncached.tobytes()
         assert uncached_blocks == blocks
+        assert G.tobytes() == uncached_G.tobytes()
+        assert uncached_spans == spans
 
     def test_joint_blocks_tile_the_matrix_in_term_order(self):
         columns, designs = self.columns_and_designs()
         for terms in (designs, designs[::-1], designs[:1]):
-            M, blocks = spline_smooth._joint_normal_matrix(tuple(terms))
-            assert len(blocks) == len(terms)
+            M, blocks, G, spans = spline_smooth._joint_normal_matrix(tuple(terms))
+            assert len(blocks) == len(spans) == len(terms)
             # row and column 0 are the intercept's; the blocks follow without gaps
-            assert [b.start for b in blocks] == [1] + [b.stop for b in blocks[:-1]]
-            assert blocks[-1].stop == len(M)
-            assert all(b.step is None for b in blocks)
+            for matrix, slices in ((M, blocks), (G, spans)):
+                assert [b.start for b in slices] == [1] + [b.stop for b in slices[:-1]]
+                assert slices[-1].stop == len(matrix)
+                assert all(b.step is None for b in slices)
             assert [b.stop - b.start for b in blocks] == [d._T.shape[1] for d in terms]
+            assert [s.stop - s.start for s in spans] == [d.basis.dim for d in terms]
+            # the raw Gram's blocks: the column sums, each B'B and the cross products
+            for a, a_span in zip(terms, spans):
+                assert G[0, a_span].tobytes() == G[a_span, 0].tobytes() == a._col_sums.tobytes()
+                assert G[a_span, a_span].tobytes() == a._BtB.tobytes()
+                for b, b_span in zip(terms, spans):
+                    if b is not a:
+                        cross = (a.B.T @ b.B).toarray()
+                        assert G[a_span, b_span].tobytes() == cross.tobytes()
 
 
 class TestRecordedRows:
@@ -979,6 +1014,78 @@ class TestJointFit:
         means = [np.mean(y[b == 0]), np.mean(y[b == 1])]
         got = predict(fit, [np.array([0.0, 1.0]), np.array([1.0, 0.0])])
         np.testing.assert_allclose(got, means, rtol=0, atol=1e-12)
+
+
+class TestAgainstResidualReference:
+    """Coefficient-space scoring against the O(n) reference in ``oracles``, which
+    forms every partial residual, ``B'r``, ``B beta_affine`` and the RSS on the
+    n rows."""
+
+    def test_scores_match_the_reference(self):
+        columns, designs = TestSparseDesign.columns_and_designs()
+        rng = np.random.default_rng(34)
+        for design, column in zip(designs, columns):
+            for name, y in TestSparseDesign.responses(column, rng).items():
+                bty, yty = response_moments(design, y)
+                index, _, _, gcv = design._score(bty, yty)
+                ref_index, _, _, ref_gcv = score_on_residuals(design, y)
+                finite = np.isfinite(ref_gcv)
+                assert np.array_equal(np.isfinite(gcv), finite)
+                # relative to the entry or, for an exact fit, the response's
+                # mean square, the GCV of the zero fit
+                scale = np.maximum(np.abs(ref_gcv[finite]), yty / len(y))
+                assert np.all(np.abs(gcv[finite] - ref_gcv[finite]) <= 1e-12 * scale), name
+                if name == "affine" and design.basis.degree == 3:
+                    # every weight reproduces the response, so both curves are
+                    # zero to rounding: the reference's pick, where its RSS
+                    # leaves 0.0 for 5e-32, is rounding's, and this one is the
+                    # tie rule's largest weight; the fits agree
+                    assert np.all(ref_gcv <= 1e-12 * yty / len(y))
+                    assert index == len(design.lambdas) - 1
+                    beta = design.select(bty, yty)[1]
+                    ref_beta = select_on_residuals(design, y)[1]
+                    assert np.max(np.abs(beta - ref_beta)) <= 1e-12 * np.max(np.abs(ref_beta))
+                else:
+                    assert index == ref_index, name
+
+    @staticmethod
+    def mice_shaped_case():
+        # the mediator's imputation model: z on (|x|, sign of x, y)
+        pop = generate_population(ScmConfig(), 2000, seed=5)
+        columns = [np.abs(pop.x), np.where(pop.x >= 0, 1.0, -1.0), pop.y]
+        designs = tuple(
+            spline_smooth._PenalizedDesign(build_basis(c, 20), c, LAMBDA_GRID) for c in columns
+        )
+        return pop.z, columns, designs
+
+    @pytest.mark.parametrize("shape", ["two_terms", "mediator_block", "mice_shaped"])
+    def test_additive_fit_matches_the_reference_loop(self, shape):
+        if shape == "mice_shaped":
+            y, columns, designs = self.mice_shaped_case()
+        else:
+            y, columns, designs, _ = TestJointFit.case(shape)
+        fit = fit_additive(y, columns)
+        intercept, betas, picks, converged = backfit_on_residuals(y, designs)
+        assert [term.lam for term in fit.terms] == [LAMBDA_GRID[i] for i in picks]
+        assert fit.converged is converged is True
+        got = np.concatenate([[fit.intercept], *(term.coefficients for term in fit.terms)])
+        want = np.concatenate([[intercept], *betas])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_large_offset_leaves_the_scores(self):
+        # the moments are taken about the response's mean, so r'r never holds
+        # the offset's square, against which the RSS would be rounding noise
+        rng = np.random.default_rng(26)
+        x1, x2 = rng.uniform(-1, 1, 800), rng.uniform(-1, 1, 800)
+        y = np.sin(3 * x1) + x2**2 + 0.1 * rng.standard_normal(800)
+        for fit, shifted in (
+            (select_lambda(y, x1), select_lambda(y + 1e6, x1)),
+            (fit_additive(y, [x1, x2]), fit_additive(y + 1e6, [x1, x2])),
+        ):
+            pairs = zip(getattr(fit, "terms", [fit]), getattr(shifted, "terms", [shifted]))
+            for term, shifted_term in pairs:
+                assert shifted_term.lam == term.lam
+                assert shifted_term.gcv == pytest.approx(term.gcv, rel=1e-8)
 
 
 class TestNonFiniteInput:
