@@ -8,7 +8,8 @@ mean matching, and a frontdoor plug-in estimator of the average causal
 effect and causal-distribution quantiles.  The ``frontdoor-lab`` command
 line runs the whole pipeline and emits CSV and SVG artifacts.  Each name
 below is imported from its module on first use (PEP 562), so
-``import frontdoor_lab`` alone loads neither numpy nor SciPy.
+``import frontdoor_lab`` alone does not load numpy, the one run-time
+dependency.
 """
 
 from importlib import import_module

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .dataset import Dataset, read_table, write_table
 from .errors import FrontdoorLabError, check_int, check_numbers, check_real, check_vector
@@ -46,6 +46,34 @@ _QUANTILE_STRATA = 2048
 _NEWTON_MAX_STEPS = 100
 
 POPULATION_HEADER = ["u", "x", "z", "y"]
+
+# W. J. Cody's rational approximations (Math. Comp. 23, 1969), with the
+# coefficients of his CALERF: erf(z) = z P(z^2) / Q(z^2) for z <= 0.46875, and
+# erfc(z) = exp(-z^2) R(z) with R = P(z) / Q(z) up to z = 4 and
+# R = (1/sqrt(pi) - w P(w) / Q(w)) / z, w = 1/z^2, beyond.  Each holds P's
+# coefficients, then Q's, in Cody's order: the leading one last, the constant
+# term next to last.
+_CODY_ERF = (
+    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+     3.20937758913846947e03, 1.85777706184603153e-1),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03, 1.0),
+)
+_CODY_ERFC = (
+    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+     2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03, 1.0),
+)
+_CODY_ERFC_TAIL = (
+    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3, 1.0),
+)
+_STANDARD_NORMAL = NormalDist()
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -114,14 +142,66 @@ def std_normal_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 def std_normal_cdf(x):
-    """Standard normal CDF Phi(x), from SciPy's ``ndtr`` like every Phi here.
+    """Standard normal CDF Phi(x), from ``_normal_cdf`` like every Phi here.
 
-    ``ndtr`` is accurate to a few ulp, well inside the 1e-7 absolute
-    tolerance this module promises.
+    It is 0.0, 1.0 and NaN at -inf, +inf and NaN, and takes any finite input
+    without a warning.  The tests hold it to a reference normal CDF on a
+    dense grid over [-40, 40]: within 2.3e-16 absolute, and within 2.5e-13
+    relative wherever Phi exceeds 1e-300, the lower tail included.  That much
+    is the reference's own tail error, from rounding x^2 inside exp(-x^2/2);
+    against Phi in 40-digit arithmetic this one is within 6 ulp there.
     """
     x = check_numbers("x", x)
-    out = ndtr(x)
+    out = _normal_cdf(x)
     return float(out) if out.ndim == 0 else out
+
+
+def _cody(coefficients, t: np.ndarray) -> np.ndarray:
+    """The ratio of the two polynomials ``coefficients`` holds, at t, each
+    summed by Horner's rule in Cody's form."""
+    ratio = []
+    for *terms, constant, leading in coefficients:
+        value = leading * t
+        for term in terms:
+            value += term
+            value *= t
+        value += constant
+        ratio.append(value)
+    numerator, denominator = ratio
+    numerator /= denominator
+    return numerator
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi at every element of the float array x, from Cody's approximations
+    to erf and erfc; past |x| = 40, Phi is 0.0 or 1.0 in doubles.
+
+    Outside the central range, Phi(-|x|) = erfc(|x| / sqrt 2) / 2 is taken as
+    exp(-s^2/2) exp(-(|x| - s)(|x| + s)/2) R / 2 with s = |x| rounded down to a
+    sixteenth, so no rounded square of x reaches the exponent."""
+    a = np.abs(np.ravel(x))
+    np.minimum(a, 40.0, out=a)  # NaN stays NaN, and stays in the middle range
+    z = a * math.sqrt(0.5)
+    # the middle range's R everywhere, then the other ranges where they hold;
+    # a range with no element is skipped, as nearly every stratum of the
+    # oracle_quantiles Newton loop falls in the middle one
+    ratio = _cody(_CODY_ERFC, np.clip(z, 0.46875, 4.0))
+    far = z > 4.0
+    if far.any():
+        t = z[far]
+        w = 1.0 / (t * t)
+        ratio[far] = (1.0 / math.sqrt(math.pi) - w * _cody(_CODY_ERFC_TAIL, w)) / t
+    s = np.trunc(a * 16.0) / 16.0
+    lower = np.exp(-0.5 * s * s)  # Phi(-|x|) from here
+    lower *= np.exp(-0.5 * (a - s) * (a + s))
+    lower *= ratio
+    lower *= 0.5
+    central = z <= 0.46875
+    if central.any():
+        t = z[central]
+        lower[central] = 0.5 - 0.5 * t * _cody(_CODY_ERF, t * t)
+    lower = lower.reshape(np.shape(x))
+    return np.where(x > 0, 1.0 - lower, lower)
 
 
 def generate_population(cfg: ScmConfig, n: int, seed: int) -> Population:
@@ -187,16 +267,18 @@ def oracle_quantiles(cfg: ScmConfig, x, probs) -> np.ndarray:
     sd |u_coef|, so its CDF is F(y) = E Phi((y - h(Z)) / |u_coef|) with
     Z ~ N(z_amplitude * phi(x), sigma_z^2).  The expectation is a mean over
     equal-probability strata of Z, each represented by its midpoint
-    ndtri((k + 1/2) / K).  F(y) = p is solved by Newton steps kept inside the
-    bracket [min h, max h] + |u_coef| ndtri(p), starting from the quantile of
-    the moment-matched normal.  With u_coef = 0, F is a step function and the
+    Phi^-1((k + 1/2) / K), with Phi^-1 from ``statistics.NormalDist``.  F(y) = p
+    is solved by Newton steps kept inside the bracket
+    [min h, max h] + |u_coef| Phi^-1(p), starting from the quantile of the
+    moment-matched normal.  With u_coef = 0, F is a step function and the
     quantile interpolates the sorted h values between the strata midpoints.
 
-    At the default mechanism, at sigma_z = 0.5 and at u_coef = 0 the result
-    is within 2e-5 of the same rule with 16 times the strata.  When |u_coef|
-    is nonzero but far below the gap between neighbouring h values, F is
-    nearly a staircase and the error grows towards that gap (3e-4 at
-    sigma_z = 2, u_coef = 1e-4).
+    Over 161 points on [-3, 3] and the probabilities 0.05, 0.25, ..., 0.95,
+    the result is within 9.0e-6 of the same rule with 16 times the strata at
+    the default mechanism, 1.8e-5 at sigma_z = 0.5 and 8.7e-8 at u_coef = 0.
+    When |u_coef| is nonzero but far below the gap between neighbouring h
+    values, F is nearly a staircase and the error grows towards that gap
+    (3.3e-4 at sigma_z = 2, u_coef = 1e-4).
 
     Returns an array of shape ``shape(x) + shape(probs)``; ``x`` and
     ``probs`` are numbers or arrays of numbers (``check_numbers``), and each
@@ -207,7 +289,7 @@ def oracle_quantiles(cfg: ScmConfig, x, probs) -> np.ndarray:
         raise FrontdoorLabError(f"probabilities must lie in (0, 1), got {probs}")
     xs = check_numbers("x", x)
     midpoints = (np.arange(_QUANTILE_STRATA) + 0.5) / _QUANTILE_STRATA
-    noise = cfg.sigma_z * ndtri(midpoints)
+    noise = cfg.sigma_z * np.array([_STANDARD_NORMAL.inv_cdf(p) for p in midpoints.tolist()])
     scale = abs(cfg.u_coef)
     out = np.empty(xs.shape + probs.shape)
     for index in np.ndindex(xs.shape):
@@ -222,19 +304,20 @@ def oracle_quantiles(cfg: ScmConfig, x, probs) -> np.ndarray:
 
 def _normal_mixture_quantile(h: np.ndarray, scale: float, p: float) -> float:
     """The y with mean(Phi((y - h) / scale)) = p, for sorted h and scale > 0."""
-    shift = scale * ndtri(p)
+    quantile = _STANDARD_NORMAL.inv_cdf(p)
+    shift = scale * quantile
     lo, hi = h[0] + shift, h[-1] + shift  # F(lo) <= p <= F(hi)
-    y = min(max(np.mean(h) + np.sqrt(np.var(h) + scale**2) * ndtri(p), lo), hi)
+    y = min(max(np.mean(h) + np.sqrt(np.var(h) + scale**2) * quantile, lo), hi)
     for _ in range(_NEWTON_MAX_STEPS):
         t = (y - h) / scale
-        gap = np.mean(ndtr(t)) - p
+        gap = np.mean(_normal_cdf(t)) - p
         if gap == 0:
             return y
         if gap < 0:
             lo = y
         else:
             hi = y
-        slope = np.mean(std_normal_pdf(t)) / scale
+        slope = np.mean(np.exp(-0.5 * t * t) / np.sqrt(_TWO_PI)) / scale
         # the Newton step if it stays inside the bracket, else bisection
         if slope * (y - hi) < gap < slope * (y - lo):
             step = y - gap / slope
@@ -266,7 +349,7 @@ def apply_missingness(cfg: ScmConfig, population: Population, seed: int) -> Data
             raise FrontdoorLabError(
                 "missingness overflows the float range: a + b * y is not finite"
             )
-        kept.append(rng.random(len(y)) < std_normal_cdf(index))
+        kept.append(rng.random(len(y)) < _normal_cdf(index))
     m_x, m_z = kept
     return Dataset(
         x_star=np.where(m_x, population.x, np.nan),

@@ -29,12 +29,15 @@ taken about its mean, so only those products, each accepted term's fitted
 values and the final residuals touch the n rows.  The normal matrix and the
 raw Grams are cached together for the most recent tuple of designs, so
 consecutive fits that share their designs assemble them once.
-A term's design stores the basis matrix sparse, built straight from the
-kernel's rows, together with its transpose, which also gives its column
-sums.  The dense basis matrix is formed once per design, only for the Gram
-matrix, whose BLAS bits need it.  The kernel runs once per design: the
-design records its column and rows on its basis, and the dense matrix, like
-any later prediction at that exact column, reads them back.
+A term's design holds no basis matrix, only the kernel's rows: each row's
+first nonzero column and its ``degree + 1`` values.  The products ``B beta``
+go through ``_combine``, the sum that prediction uses, and ``B'v``, the
+column sums and the cross Grams of an additive fit through ``_gram``, one
+``np.bincount`` per pair of value rows.  The dense basis matrix is formed
+once per design, only for the Gram matrix, whose BLAS bits need it.  The
+kernel runs once per design: the design records its column and rows on its
+basis, and the dense matrix, like any later prediction at that exact column,
+reads them back.
 Every GCV fit, a single smooth or an additive term, takes its basis from
 ``build_basis``, the one rule for knots and degree, and its design from one
 cache of recent columns, so imputation builds each repeated column's design
@@ -63,8 +66,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
-from scipy.sparse import csr_array
 
 from .errors import (
     FrontdoorLabError,
@@ -243,14 +244,37 @@ class _DeBoor:
 
 def _combine(coefficients: np.ndarray, first: np.ndarray, values: np.ndarray) -> np.ndarray:
     """0.0 + sum of c[first + a] * values[a] over a = 0..k, in that order, as
-    SciPy sums it; the leading 0.0 turns a sum of -0.0 terms into 0.0."""
-    k = len(values) - 1
-    terms = np.take(sliding_window_view(coefficients, k + 1).T, first, axis=1)
-    terms *= values
-    total = np.zeros(len(first))
-    for row in terms:
-        total += row
+    SciPy's ``BSpline`` sums it; the 0.0, added after the first term, turns a
+    sum of -0.0 terms into 0.0."""
+    total = np.take(coefficients, first)
+    total *= values[0]
+    total += 0.0
+    term = np.empty(len(first))
+    for a in range(1, len(values)):
+        # with out=, the default mode would buffer the whole gather
+        np.take(coefficients[a:], first, out=term, mode="clip")
+        term *= values[a]
+        total += term
     return total
+
+
+def _gram(rows, other, shape: tuple[int, int]) -> np.ndarray:
+    """A'B of shape ``shape`` for n-row matrices A and B given as kernel rows
+    ``(first, values)``: row r holds ``values[a, r]`` in column ``first[r] + a``.
+    B's ``first`` may be the number 0, as for ``(0, v[None])``, the one column
+    v.  Entry (i, j) sums, for each pair (a, b) of value rows in turn, the
+    products over the rows with i = first[r] + a and j = other_first[r] + b,
+    each pair's sums taken by one ``np.bincount`` in row order."""
+    (first, values), (other_first, other_values) = rows, other
+    width = shape[1]
+    index = first * width + other_first
+    gram = np.zeros(shape[0] * width)
+    for a, left in enumerate(values):
+        for b, right in enumerate(other_values):
+            sums = np.bincount(index, weights=left * right)
+            start = a * width + b
+            gram[start : start + len(sums)] += sums
+    return gram.reshape(shape)
 
 
 def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
@@ -351,15 +375,14 @@ class _PenalizedDesign:
     """Design pieces for one smooth term over a fixed penalty grid.
 
     A design depends only on the covariate column and the grid, so GCV fits
-    reuse it across calls (see ``_design_for``).  It stores ``B`` sparse: a
-    CSR matrix built from the ``degree + 1`` values per row that ``_DeBoor``
-    gives, without scanning a dense array, and its transpose, formed once for
-    the right-hand sides ``B'y`` and the column sums of ``B`` that the joint
-    start needs.  The dense ``design_matrix`` is formed only for the Gram
-    matrix ``B'B``, whose BLAS bits need it.  The kernel runs once: the CSR's
-    rows, as views, are recorded on the basis with the column ``x``, so
-    ``design_matrix`` here and every prediction at ``x`` read them back
-    (``SplineBasis._rows``).
+    reuse it across calls (see ``_design_for``).  It holds ``B`` as the
+    kernel's rows ``(first, values)``, the ``degree + 1`` values per row that
+    ``_DeBoor`` gives, and no matrix: ``B beta`` is ``_combine`` of them and
+    ``B'v``, like the column sums the joint start needs, is ``_gram``'s
+    one-column case.  The dense ``design_matrix`` is formed only for the Gram
+    matrix ``B'B``, whose BLAS bits need it.  The kernel runs once: its rows
+    are recorded on the basis with the column ``x``, so ``design_matrix`` here
+    and every prediction at ``x`` read them back (``SplineBasis._rows``).
 
     The coefficients are split between the penalty null space (affine
     coefficient sequences, ``_Q1``) and its orthogonal complement (``_Q2``).
@@ -367,9 +390,11 @@ class _PenalizedDesign:
     for the penalized block, with ``K = C - L A^-1 L'``.  One generalized
     eigendecomposition ``K W = S W diag(mu)`` with ``W' S W = I`` diagonalizes
     that system for every weight at once (the Demmler-Reinsch form), so edf,
-    RSS and GCV over the whole grid are closed-form sums over ``mu``.  Whitening
-    by the data-free penalty ``S`` rather than by ``K`` keeps the decomposition
-    well posed when the design is rank-deficient.  An affine response leaves
+    RSS and GCV over the whole grid are closed-form sums over ``mu``.  It is
+    an ordinary one: with the Cholesky factor ``S = C C'``, the eigenvectors V
+    of ``C^-1 K C^-T`` give ``W = C^-T V``.  Whitening by the data-free penalty
+    ``S`` rather than by ``K`` keeps the decomposition well posed when the
+    design is rank-deficient.  An affine response leaves
     ``r`` at zero, so it is reproduced for any weight.
 
     The scorer reads a response only through ``B'y`` and ``y'y``: the affine
@@ -384,21 +409,13 @@ class _PenalizedDesign:
         self.basis = basis
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.n = n = len(x)
-        # the CSR rows are the kernel's rows, so a point on a knot keeps its
-        # explicit zero value; SciPy's products sum from +0.0, so a +-0.0 term
-        # leaves every sum, and so every bit, as a dropped zero would
         first, values = basis._de_boor(x)
-        width = basis.degree + 1
-        columns = (first[:, None] + np.arange(width)).astype(np.int32)
-        indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
-        self.B = csr_array((values.T.ravel(), columns.ravel(), indptr), shape=(n, basis.dim))
-        self._Bt = self.B.T
-        # the rows as views into the CSR, for design_matrix below and for
-        # predictions at x; the basis is frozen, so set past its __setattr__
-        rows = (self.B.indices[::width], self.B.data.reshape(n, width).T)
-        object.__setattr__(basis, "_recorded", (x, *rows))
-        # column by column in row order from +0.0, the bits of dense.sum(axis=0)
-        self._col_sums = self._Bt @ np.ones(n)
+        # a copy of the values frees the kernel's work array
+        self._rows = (first, values.copy())
+        # for design_matrix below and for predictions at x; the basis is
+        # frozen, so set past its __setattr__
+        object.__setattr__(basis, "_recorded", (x, *self._rows))
+        self._col_sums = self._Bt(np.ones(n))
         # syrk's bits need the dense matrix
         dense = design_matrix(basis, x)
         self._BtB = BtB = dense.T @ dense
@@ -425,7 +442,9 @@ class _PenalizedDesign:
             ) from exc
 
         K = self._Q2.T @ BtB @ self._Q2 - self._L @ self._A_inv @ self._L.T
-        mu, self._W = eigh(K, self._S)
+        whiten = np.linalg.inv(np.linalg.cholesky(self._S))
+        mu, V = np.linalg.eigh(whiten @ K @ whiten.T)
+        self._W = whiten.T @ V
         # a zero weight leaves the directions the data do not see undetermined
         zero_mu = mu.min(initial=np.inf) <= 1e-10 * mu.max(initial=0.0)
         self._singular = (self.lambdas == 0) & zero_mu
@@ -435,6 +454,10 @@ class _PenalizedDesign:
             self.edf = 2.0 + np.sum(mu / (mu + lam), axis=0)
             # RSS(lam) = RSS of the affine fit - sum_i c_i^2 * _rss_drop[i, lam]
             self._rss_drop = (mu + 2 * lam) / (mu + lam) ** 2
+
+    def _Bt(self, v: np.ndarray) -> np.ndarray:
+        """``B'v`` for the n-vector v."""
+        return _gram(self._rows, (0, v[None]), (self.basis.dim, 1))[:, 0]
 
     def _score(self, bty: np.ndarray, yty: float):
         """(index, beta_affine, c, gcv) for the response r given by ``B'r`` and
@@ -477,9 +500,9 @@ class _PenalizedDesign:
         mean = float(np.mean(y))
         centered = y - mean
         # not `@`: OpenBLAS threads a ddot over 10,000 rows, and its idle threads spin
-        index, beta, gcv = self.select(self._Bt @ centered, np.einsum("i,i->", centered, centered))
+        index, beta, gcv = self.select(self._Bt(centered), np.einsum("i,i->", centered, centered))
         beta = beta + mean
-        return self._term(index, beta, y - self.B @ beta, gcv)
+        return self._term(index, beta, y - _combine(beta, *self._rows), gcv)
 
     def _term(self, index: int, coefficients, residuals, gcv) -> PenalizedSplineFit:
         """The fitted smooth on this design's basis at grid weight ``index``,
@@ -596,7 +619,8 @@ def _joint_normal_matrix(designs: tuple[_PenalizedDesign, ...]):
         M[block, block] = design._T.T @ design._BtB @ design._T
         later = zip(designs[i + 1 :], blocks[i + 1 :], spans[i + 1 :])
         for other, other_block, other_span in later:
-            G[span, other_span] = cross = (design._Bt @ other.B).toarray()
+            shape = (design.basis.dim, other.basis.dim)
+            G[span, other_span] = cross = _gram(design._rows, other._rows, shape)
             G[other_span, span] = cross.T
             M[block, other_block] = design._T.T @ cross @ other._T
             M[other_block, block] = M[block, other_block].T
@@ -621,13 +645,13 @@ def _joint_fit(normal, rhs: np.ndarray, designs, indices: Sequence[int]):
         penalized = slice(block.start + 1, block.stop)
         M[penalized, penalized] += design.lambdas[index] * design._S
     try:
-        factor = cho_factor(M)
-    except LinAlgError:
+        lower = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
         try:
-            factor = cho_factor(M + 1e-10 * np.trace(M) * np.eye(len(M)))
-        except LinAlgError as exc:
+            lower = np.linalg.cholesky(M + 1e-10 * np.trace(M) * np.eye(len(M)))
+        except np.linalg.LinAlgError as exc:
             raise NumericError("joint additive system is singular") from exc
-    coef = cho_solve(factor, rhs)
+    coef = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     return float(coef[0]), [d._T @ coef[block] for d, block in zip(designs, blocks)]
 
 
@@ -676,7 +700,7 @@ def fit_additive(
     # squared norm, which an einsum forms without a threaded BLAS ddot
     mean = float(np.mean(y))
     centered = y - mean
-    moments = np.concatenate([[np.sum(centered)], *(d._Bt @ centered for d in designs)])
+    moments = np.concatenate([[np.sum(centered)], *(d._Bt(centered) for d in designs)])
     yty = np.einsum("i,i->", centered, centered)
 
     def partial_moments(j):
@@ -704,7 +728,7 @@ def fit_additive(
     rhs = np.concatenate([moments[:1], *(d._T.T @ moments[s] for d, s in zip(designs, spans))])
     for _ in range(5):
         offset, betas = _joint_fit(normal, rhs, designs, chosen)
-        fitted = [d.B @ b for d, b in zip(designs, betas)]
+        fitted = [_combine(b, *d._rows) for d, b in zip(designs, betas)]
         for j in range(n_terms):
             betas[j], fitted[j] = recentered(betas[j], fitted[j])
         picks = [design.pick(*partial_moments(j)) for j, design in enumerate(designs)]
@@ -717,7 +741,7 @@ def fit_additive(
         max_change = 0.0
         for j, design in enumerate(designs):
             index, beta, gcv = design.select(*partial_moments(j))
-            beta, values = recentered(beta, design.B @ beta)
+            beta, values = recentered(beta, _combine(beta, *design._rows))
             max_change = max(max_change, float(np.max(np.abs(values - fitted[j]))))
             fitted[j] = values
             betas[j] = beta

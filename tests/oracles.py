@@ -5,7 +5,9 @@ reachability, quadrature instead of closed forms, GCV scores from n-long
 residuals instead of Gram matrices.  Tests compare the production code against
 these oracles; the oracles never import the algorithms they are checking.  The
 backfitting reference takes the package's spline designs and joint solve, which
-its own tests check, and replaces only the scoring on partial residuals.
+its own tests check, and replaces only the scoring on partial residuals; its
+n-long products go through a SciPy CSR matrix built from a design's kernel
+rows (``kernel_csr``), not through the package's own products.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
+from scipy.sparse import csr_array
 from scipy.special import ndtr
 
 from frontdoor_lab.causal_graph import Dag
@@ -217,14 +220,28 @@ def interventional_quantile_bisection(cfg, x: float, p: float, n: int = 20001) -
 # ---------------------------------------------------------------- backfitting
 
 
+def kernel_csr(design) -> csr_array:
+    """A design's basis matrix as a SciPy CSR matrix, built from the kernel's
+    rows ``(first, values)`` that the design keeps; a point on a knot keeps its
+    explicit zero value, and SciPy's products sum each entry from +0.0."""
+    first, values = design._rows
+    width = len(values)
+    columns = first[:, None] + np.arange(width)
+    indptr = np.arange(0, len(first) * width + 1, width)
+    return csr_array(
+        (values.T.ravel(), columns.ravel(), indptr), shape=(len(first), design.basis.dim)
+    )
+
+
 def score_on_residuals(design, y):
     """(index, beta_affine, c, gcv) of a spline design's GCV score for the
     n-vector y, formed on the n rows: ``B'y``, the affine fit's residual
     ``y - B beta_affine`` and its sum of squares."""
-    bty = design._Bt @ y
+    B = kernel_csr(design)
+    bty = B.T @ y
     delta = design._A_inv @ (design._Q1.T @ bty)
     beta_affine = design._Q1 @ delta
-    residual_affine = y - design.B @ beta_affine
+    residual_affine = y - B @ beta_affine
     c = design._W.T @ (design._Q2.T @ bty - design._L @ delta)
     rss_affine = np.einsum("i,i->", residual_affine, residual_affine)
     rss = np.maximum(rss_affine - (c * c) @ design._rss_drop, 0.0)
@@ -243,7 +260,7 @@ def select_on_residuals(design, y):
     index, beta_affine, c, gcv = score_on_residuals(design, y)
     gamma = design._W @ (c / (design._mu + design.lambdas[index]))
     beta = beta_affine - design._Q1 @ (design._A_inv @ (design._L.T @ gamma)) + design._Q2 @ gamma
-    return index, beta, design.B @ beta, float(gcv[index])
+    return index, beta, kernel_csr(design) @ beta, float(gcv[index])
 
 
 def backfit_on_residuals(y, designs):
@@ -265,10 +282,11 @@ def backfit_on_residuals(y, designs):
     intercept = float(np.mean(y))
     chosen = [score_on_residuals(design, y - intercept)[0] for design in designs]
     normal = _joint_normal_matrix(tuple(designs))
-    rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
+    matrices = [kernel_csr(d) for d in designs]
+    rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (B.T @ y) for d, B in zip(designs, matrices))])
     for _ in range(5):
         intercept, betas = _joint_fit(normal, rhs, designs, chosen)
-        fitted = [d.B @ b for d, b in zip(designs, betas)]
+        fitted = [B @ b for B, b in zip(matrices, betas)]
         for j in range(n_terms):
             betas[j], fitted[j] = recentered(betas[j], fitted[j])
         picks = [score_on_residuals(d, partial_residual(j))[0] for j, d in enumerate(designs)]

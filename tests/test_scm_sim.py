@@ -1,10 +1,14 @@
 import csv
 import re
+import warnings
 from dataclasses import FrozenInstanceError
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
+
+from frontdoor_lab import scm_sim
 
 from frontdoor_lab.dataset import Dataset, dataset_from_csv, dataset_to_csv, datasets_to_csv
 from frontdoor_lab.errors import FrontdoorLabError
@@ -73,6 +77,30 @@ class TestDensities:
         xs = np.array([-1.0, 0.0, 2.0])
         assert std_normal_pdf(xs).shape == (3,)
         assert std_normal_cdf(xs).shape == (3,)
+
+    def test_cdf_matches_scipy_ndtr_on_a_dense_grid(self):
+        # SciPy's ndtr as the reference: within 2.3e-16 absolute everywhere,
+        # and within 2.5e-13 relative wherever Phi > 1e-300 (observed:
+        # 2.2e-16 and 2.4e-13, the second near x = -37, where ndtr's
+        # exp(-x^2/2) is the side that rounds; the deep tail is below 1e-300)
+        xs = np.linspace(-40.0, 40.0, 160001)
+        got, want = std_normal_cdf(xs), ndtr(xs)
+        assert np.max(np.abs(got - want)) <= 2.3e-16
+        normal = want > 1e-300
+        assert np.max(np.abs(got - want)[normal] / want[normal]) <= 2.5e-13
+
+    def test_cdf_at_infinities_and_nan(self):
+        got = std_normal_cdf([-np.inf, np.inf, np.nan])
+        assert got[0] == 0.0 and got[1] == 1.0 and np.isnan(got[2])
+        assert std_normal_cdf(-np.inf) == 0.0 and std_normal_cdf(np.inf) == 1.0
+        assert np.isnan(std_normal_cdf(np.nan))
+
+    def test_cdf_of_huge_finite_input_warns_nothing(self):
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = std_normal_cdf([-big, -1e300, -41.0, 41.0, 1e300, big])
+        assert got.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 class TestGeneratePopulation:
@@ -245,6 +273,31 @@ class TestOracleQuantiles:
         single = oracle_quantiles(CFG, 0.0, (0.05, 0.95))
         assert single.shape == (2,)
         assert np.array_equal(single, bands[2])
+
+    def test_strata_quantiles_match_scipy_ndtri(self):
+        # Phi^-1 at the strata midpoints from statistics.NormalDist, against
+        # SciPy's ndtri: within 1e-15 relative (observed: 6.8e-16)
+        k = scm_sim._QUANTILE_STRATA
+        midpoints = (np.arange(k) + 0.5) / k
+        got = np.array([scm_sim._STANDARD_NORMAL.inv_cdf(p) for p in midpoints.tolist()])
+        want = ndtri(midpoints)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("cfg", [CFG, ScmConfig(sigma_z=0.5)], ids=["default", "sigma_z_0.5"])
+    def test_matches_the_rule_with_scipy_normal_functions(self, cfg, monkeypatch):
+        # the same rule with SciPy's ndtr and ndtri for Phi and Phi^-1: within
+        # 1e-12 (observed: 2.2e-16)
+        xs, probs = np.linspace(-3.0, 3.0, 13), (0.05, 0.5, 0.95)
+        got = oracle_quantiles(cfg, xs, probs)
+
+        class ScipyNormal:
+            @staticmethod
+            def inv_cdf(p):
+                return float(ndtri(p))
+
+        monkeypatch.setattr(scm_sim, "_normal_cdf", ndtr)
+        monkeypatch.setattr(scm_sim, "_STANDARD_NORMAL", ScipyNormal)
+        assert np.max(np.abs(got - oracle_quantiles(cfg, xs, probs))) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, float("nan")])
     def test_rejects_probability_outside_unit_interval(self, p):

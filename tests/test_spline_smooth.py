@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse import csr_array
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from frontdoor_lab import spline_smooth
 from frontdoor_lab.errors import FrontdoorLabError, NumericError
@@ -19,6 +18,8 @@ from frontdoor_lab.spline_smooth import (
     AdditiveFit,
     PenalizedSplineFit,
     SplineBasis,
+    _combine,
+    _gram,
     _spline_values,
     build_basis,
     design_matrix,
@@ -30,7 +31,7 @@ from frontdoor_lab.spline_smooth import (
     predict,
     select_lambda,
 )
-from oracles import backfit_on_residuals, score_on_residuals, select_on_residuals
+from oracles import backfit_on_residuals, kernel_csr, score_on_residuals, select_on_residuals
 
 
 def make_xy(n=400, seed=0, noise=0.1):
@@ -42,7 +43,7 @@ def make_xy(n=400, seed=0, noise=0.1):
 
 def response_moments(design, y):
     """``B'y`` and ``y'y``, the two moments a design's GCV score reads."""
-    return design._Bt @ y, float(np.einsum("i,i->", y, y))
+    return design._Bt(y), float(np.einsum("i,i->", y, y))
 
 
 def four_valued_data(seed=12):
@@ -414,7 +415,7 @@ class TestPredict:
         fit = select_lambda(y, x)
         assert np.isnan(predict(fit, [np.nan])).all()
         inside, missing = predict(fit, [0.1, np.nan])
-        assert inside.hex() == "0x1.8f4511bfef561p-3"
+        assert inside.hex() == "0x1.8f4511bfef58dp-3"
         assert np.isnan(missing)
         assert predict(fit, [np.inf]).tolist() == [-np.inf]
         assert predict(fit, [-np.inf]).tolist() == [np.inf]
@@ -673,9 +674,15 @@ class TestFitAdditive:
         assert spline_smooth._design_for.cache_info().currsize <= spline_smooth._DESIGN_MEMO_SIZE
 
 
-class TestSparseDesign:
-    """The CSR matrix a design builds from the kernel's rows against the one
-    ``csr_array`` makes of the dense design, which drops explicit zeros."""
+class TestKernelRowProducts:
+    """A design's products from the kernel's rows against SciPy's CSR products
+    on a ``csr_array`` that the test builds from the same rows (``kernel_csr``).
+
+    ``B beta`` sums each row as the CSR product does, so it has its bits.  The
+    bincount sums of ``B'v``, the column sums and the cross Grams add each
+    pair of value rows in turn, so they round differently: each entry is
+    within 4e-15 of the CSR entry relative to the entry's sum of absolute
+    products (observed: at most 9e-16)."""
 
     @staticmethod
     def columns_and_designs():
@@ -693,29 +700,26 @@ class TestSparseDesign:
         ]
         return columns, designs
 
-    def test_products_match_the_dense_conversion(self):
+    TOLERANCE = 4e-15
+
+    def test_products_match_the_csr_products(self):
         columns, designs = self.columns_and_designs()
         assert [d.basis.degree for d in designs] == [3, 1]
         rng = np.random.default_rng(32)
         y = rng.standard_normal(len(columns[0]))
         y[::7] = -0.0
-        references = []
         for design, column in zip(designs, columns):
-            dense = design_matrix(design.basis, column)
-            reference = csr_array(dense)
-            references.append(reference)
-            # a point on a knot has one zero basis value, kept explicitly
-            assert np.any(design.B.data == 0.0)
-            assert design.B.nnz > reference.nnz
-            assert design.B.indices.dtype == reference.indices.dtype == np.int32
-            assert design.B.toarray().tobytes() == dense.tobytes()
+            reference = kernel_csr(design)
+            assert reference.toarray().tobytes() == design_matrix(design.basis, column).tobytes()
             for beta in (rng.standard_normal(design.basis.dim), np.full(design.basis.dim, -0.0)):
-                assert (design.B @ beta).tobytes() == (reference @ beta).tobytes()
-            assert (design.B.T @ y).tobytes() == (reference.T @ y).tobytes()
-            assert (design._Bt @ y).tobytes() == (reference.T @ y).tobytes()
-        for (a, b), (ref_a, ref_b) in [(designs, references), (designs[::-1], references[::-1])]:
-            cross = (a.B.T @ b.B).toarray()
-            assert cross.tobytes() == (ref_a.T @ ref_b).toarray().tobytes()
+                assert (_combine(beta, *design._rows)).tobytes() == (reference @ beta).tobytes()
+            scale = abs(reference).T @ np.abs(y)
+            assert np.all(np.abs(design._Bt(y) - reference.T @ y) <= self.TOLERANCE * scale)
+        for a, b in (designs, designs[::-1]):
+            cross = _gram(a._rows, b._rows, (a.basis.dim, b.basis.dim))
+            reference = (kernel_csr(a).T @ kernel_csr(b)).toarray()
+            scale = (abs(kernel_csr(a)).T @ abs(kernel_csr(b))).toarray()
+            assert np.all(np.abs(cross - reference) <= self.TOLERANCE * scale)
 
     def test_design_rows_match_a_per_row_reference(self):
         columns, designs = self.columns_and_designs()
@@ -729,10 +733,12 @@ class TestSparseDesign:
             assert design_matrix(design.basis, column).tobytes() == reference.tobytes()
 
     def test_column_sums_match_the_dense_sums(self):
+        # every basis value is >= 0, so each sum is its own sum of absolute values
         columns, designs = self.columns_and_designs()
         for design, column in zip(designs, columns):
             dense = design_matrix(design.basis, column)
-            assert design._col_sums.tobytes() == dense.sum(axis=0).tobytes()
+            for reference in (dense.sum(axis=0), kernel_csr(design).T @ np.ones(len(column))):
+                assert np.all(np.abs(design._col_sums - reference) <= self.TOLERANCE * reference)
 
     @staticmethod
     def responses(column, rng):
@@ -802,8 +808,26 @@ class TestSparseDesign:
                 assert G[a_span, a_span].tobytes() == a._BtB.tobytes()
                 for b, b_span in zip(terms, spans):
                     if b is not a:
-                        cross = (a.B.T @ b.B).toarray()
+                        cross = _gram(a._rows, b._rows, (a.basis.dim, b.basis.dim))
                         assert G[a_span, b_span].tobytes() == cross.tobytes()
+
+    def test_whitened_eigenvectors_match_the_generalized_eigh(self):
+        # against SciPy's eigh(K, S): the eigenvalues within 1e-12 of the
+        # largest, and the penalized inverse W diag(1 / (mu + lam)) W' that
+        # every fit reads within 1e-10 of its largest entry at each grid
+        # weight, which holds however close two eigenvalues are
+        # (observed: 6e-16 and 5e-13)
+        columns, designs = self.columns_and_designs()
+        x, _, basis = four_valued_data()
+        cubic = spline_smooth._PenalizedDesign(basis, x, [0.0])
+        for design in (*designs, cubic):
+            K = design._Q2.T @ design._BtB @ design._Q2 - design._L @ design._A_inv @ design._L.T
+            mu, W = eigh(K, design._S)
+            assert np.all(np.abs(design._mu - np.clip(mu, 0.0, None)) <= 1e-12 * np.max(mu, initial=1.0))
+            for lam in design.lambdas[design.lambdas > 0]:
+                inverse = (design._W / (design._mu + lam)) @ design._W.T
+                reference = (W / (np.clip(mu, 0.0, None) + lam)) @ W.T
+                assert np.all(np.abs(inverse - reference) <= 1e-10 * np.max(np.abs(reference), initial=1.0))
 
 
 class TestRecordedRows:
@@ -914,7 +938,7 @@ class TestJointFit:
             for c in columns
         )
         assert designs[1].basis.degree == (3 if shape == "two_terms" else 1)
-        rhs = np.concatenate([[np.sum(y)], *(d._T.T @ (d._Bt @ y) for d in designs)])
+        rhs = np.concatenate([[np.sum(y)], *(d._T.T @ d._Bt(y) for d in designs)])
         return y, columns, designs, rhs
 
     @staticmethod
@@ -943,9 +967,9 @@ class TestJointFit:
         return float(coef[0]), betas
 
     @staticmethod
-    def offset_solution(M, rhs, designs, indices):
+    def offset_solution(M, rhs, designs, indices, solve=None):
         # the unpenalized matrix penalized and its solution split with explicit
-        # offsets, term by term
+        # offsets, term by term; by default solved as _joint_fit solves
         M = M.copy()
         offset = 1
         for design, index in zip(designs, indices):
@@ -954,7 +978,11 @@ class TestJointFit:
                 design.lambdas[index] * design._S
             )
             offset += k
-        coef = cho_solve(cho_factor(M), rhs)
+        if solve is None:
+            lower = np.linalg.cholesky(M)
+            coef = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+        else:
+            coef = solve(M, rhs)
         betas, offset = [], 1
         for design in designs:
             k = design._T.shape[1]
@@ -989,6 +1017,19 @@ class TestJointFit:
         for beta, ref_beta in zip(betas, ref_betas):
             assert beta.tobytes() == ref_beta.tobytes()
 
+    @cases
+    def test_solve_matches_scipy_cho_solve(self, shape, indices):
+        # the numpy Cholesky solve against SciPy's cho_factor and cho_solve:
+        # within 1e-10 of the largest coefficient (observed: at most 4e-14)
+        _, _, designs, rhs = self.case(shape)
+        normal = spline_smooth._joint_normal_matrix(designs)
+        intercept, betas = spline_smooth._joint_fit(normal, rhs, designs, indices)
+        solve = lambda M, b: cho_solve(cho_factor(M), b)  # noqa: E731
+        ref_intercept, ref_betas = self.offset_solution(normal[0], rhs, designs, indices, solve)
+        got = np.concatenate([[intercept], *betas])
+        want = np.concatenate([[ref_intercept], *ref_betas])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_singular_system_retried_with_jitter(self, monkeypatch):
         # b and 1 - b span the same direction beside the intercept, so the
         # joint matrix is singular until the jittered retry; with 64 rows in
@@ -997,17 +1038,22 @@ class TestJointFit:
         b = np.tile([0.0, 1.0], 64)
         y = 1.0 + 2.0 * b + np.random.default_rng(31).standard_normal(len(b))
         outcomes = []
+        cholesky = np.linalg.cholesky
 
         def spy(M, *args, **kwargs):
             try:
-                factor = cho_factor(M, *args, **kwargs)
+                factor = cholesky(M, *args, **kwargs)
             except np.linalg.LinAlgError:
                 outcomes.append("singular")
                 raise
             outcomes.append("factored")
             return factor
 
-        monkeypatch.setattr(spline_smooth, "cho_factor", spy)
+        # the designs, which factor their penalties, are built and cached
+        # first, so the spy sees only the joint solves
+        for column in (b, 1 - b):
+            spline_smooth._design_for(column.tobytes(), spline_smooth.DEFAULT_N_KNOTS)
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
         fit = fit_additive(y, [b, 1 - b])
         assert outcomes[:2] == ["singular", "factored"]
         assert fit.converged
@@ -1022,10 +1068,10 @@ class TestAgainstResidualReference:
     n rows."""
 
     def test_scores_match_the_reference(self):
-        columns, designs = TestSparseDesign.columns_and_designs()
+        columns, designs = TestKernelRowProducts.columns_and_designs()
         rng = np.random.default_rng(34)
         for design, column in zip(designs, columns):
-            for name, y in TestSparseDesign.responses(column, rng).items():
+            for name, y in TestKernelRowProducts.responses(column, rng).items():
                 bty, yty = response_moments(design, y)
                 index, _, _, gcv = design._score(bty, yty)
                 ref_index, _, _, ref_gcv = score_on_residuals(design, y)
