@@ -154,25 +154,22 @@ def ace_at(pair: FittedPair, x: float) -> float:
     return float(np.mean(pair.treatment_part)) + float(np.mean(mediator_term))
 
 
-def distribution_at(
-    pair: FittedPair, x: float, n_draws: int, seed: int
-) -> np.ndarray:
+def distribution_at(pair: FittedPair, x: float, seed: int) -> np.ndarray:
     """Draws from the estimated interventional outcome distribution at x.
 
-    Cycles over the dataset rows, pairing each with a mediator draw (the
+    One draw per training row, pairing the row with a mediator draw (the
     prediction at x plus a resampled mediator residual) and a resampled
     outcome residual; empirical quantiles of the result estimate the
     interventional quantiles.
     """
     x = check_real("target treatment value", x)
-    check_int("n_draws", n_draws, 1)
     mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
+    n = len(pair.x_train)
     rng = rng_from(seed, "distribution")
     center = float(predict(pair.mediator, x)[0])
-    z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n_draws)]
-    # the rows' treatment parts, repeated cyclically to n_draws entries
-    values = np.resize(pair.treatment_part, n_draws) + predict(pair.outcome.terms[1], z_draws)
-    return values + outcome_pool[rng.integers(0, len(outcome_pool), n_draws)]
+    z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n)]
+    values = pair.treatment_part + predict(pair.outcome.terms[1], z_draws)
+    return values + outcome_pool[rng.integers(0, len(outcome_pool), n)]
 
 
 def _curves_for_pair(
@@ -183,9 +180,7 @@ def _curves_for_pair(
     q95 = np.empty(len(grid))
     for j, x in enumerate(grid):
         ace[j] = ace_at(pair, float(x))
-        draws = distribution_at(
-            pair, float(x), len(pair.x_train), mix_seed(seed, label, "dist", j)
-        )
+        draws = distribution_at(pair, float(x), mix_seed(seed, label, "dist", j))
         draws.sort()  # the same quantiles, and a cheaper selection inside np.quantile
         q05[j], q95[j] = np.quantile(draws, [0.05, 0.95])
     return ace, q05, q95

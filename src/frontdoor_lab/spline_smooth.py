@@ -434,20 +434,16 @@ class _PenalizedDesign:
         self._A = self._Q1.T @ BtB @ self._Q1
         self._L = self._Q2.T @ BtB @ self._Q1
         self._S = self._Q2.T @ penalty_matrix(basis) @ self._Q2
-        try:
-            self._A_inv = np.linalg.inv(self._A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                "penalized normal equations are numerically singular"
-            ) from exc
+        self._A_inv = np.linalg.inv(self._A)
 
         K = self._Q2.T @ BtB @ self._Q2 - self._L @ self._A_inv @ self._L.T
         whiten = np.linalg.inv(np.linalg.cholesky(self._S))
         mu, V = np.linalg.eigh(whiten @ K @ whiten.T)
         self._W = whiten.T @ V
-        # a zero weight leaves the directions the data do not see undetermined
-        zero_mu = mu.min(initial=np.inf) <= 1e-10 * mu.max(initial=0.0)
-        self._singular = (self.lambdas == 0) & zero_mu
+        # a zero weight, which only fit_penalized's one-weight grid can hold,
+        # leaves the directions the data do not see undetermined
+        if np.any(self.lambdas == 0) and mu.min(initial=np.inf) <= 1e-10 * mu.max(initial=0.0):
+            raise NumericError("penalized normal equations are numerically singular")
         self._mu = np.clip(mu, 0.0, None)
         mu, lam = self._mu[:, None], self.lambdas
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -463,8 +459,7 @@ class _PenalizedDesign:
         """(index, beta_affine, c, gcv) for the response r given by ``B'r`` and
         ``r'r``: the grid index of the GCV minimizer, ties toward the larger
         weight; the affine fit's coefficients; the whitened right-hand side of
-        the penalized block; and GCV over the grid.  A minimizer whose system
-        is singular raises NumericError."""
+        the penalized block; and GCV over the grid."""
         delta = self._A_inv @ (self._Q1.T @ bty)
         beta_affine = self._Q1 @ delta
         c = self._W.T @ (self._Q2.T @ bty - self._L @ delta)
@@ -475,11 +470,9 @@ class _PenalizedDesign:
         rss = np.maximum(rss, 0.0)
         gcv = np.full(len(self.lambdas), np.inf)
         denom = self.n - self.edf
-        ok = (denom > 1e-8 * max(self.n, 1)) & ~self._singular
+        ok = denom > 1e-8 * self.n
         gcv[ok] = self.n * rss[ok] / denom[ok] ** 2
         index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
-        if self._singular[index]:
-            raise NumericError("penalized normal equations are numerically singular")
         return index, beta_affine, c, gcv
 
     def pick(self, bty: np.ndarray, yty: float) -> int:
@@ -539,9 +532,9 @@ def fit_penalized(
 ) -> PenalizedSplineFit:
     """Minimize ||y - B beta||^2 + lam * beta' P beta for one penalty weight.
 
-    Raises NumericError for ``lam = 0`` when the data leave some basis
-    direction undetermined, as with fewer distinct covariate values than
-    basis columns.
+    Raises NumericError for a constant covariate, and for ``lam = 0`` when
+    the data leave some basis direction undetermined, as with fewer distinct
+    covariate values than basis columns.
     """
     lam = check_real("penalty weight", lam)
     if lam < 0:
@@ -551,6 +544,9 @@ def fit_penalized(
         raise FrontdoorLabError(
             f"need at least {basis.dim} observations for a {basis.dim}-dim basis"
         )
+    # a caller's basis skips build_basis's check; a basis has dim >= 2
+    if not x.min() < x.max():
+        raise NumericError("need >= 2 distinct covariate values, got 1")
     # a grid of one weight, which GCV picks; a copy, as the basis keeps the column
     return _PenalizedDesign(basis, x.copy(), [lam]).fit(y)
 

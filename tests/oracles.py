@@ -19,7 +19,6 @@ from scipy.sparse import csr_array
 from scipy.special import ndtr
 
 from frontdoor_lab.causal_graph import Dag
-from frontdoor_lab.errors import NumericError
 from frontdoor_lab.spline_smooth import (
     BACKFIT_MAX_CYCLES,
     BACKFIT_TOL,
@@ -247,11 +246,9 @@ def score_on_residuals(design, y):
     rss = np.maximum(rss_affine - (c * c) @ design._rss_drop, 0.0)
     gcv = np.full(len(design.lambdas), np.inf)
     denom = design.n - design.edf
-    ok = (denom > 1e-8 * max(design.n, 1)) & ~design._singular
+    ok = denom > 1e-8 * design.n
     gcv[ok] = design.n * rss[ok] / denom[ok] ** 2
     index = len(gcv) - 1 - int(np.argmin(gcv[::-1]))
-    if design._singular[index]:
-        raise NumericError("penalized normal equations are numerically singular")
     return index, beta_affine, c, gcv
 
 

@@ -213,7 +213,7 @@ class TestTreatmentPart:
         pair = FittedPair(scm_pair.mediator, scm_pair.outcome, scm_pair.x_train)
         for j, x in enumerate((-1.0, 0.0, 2.5)):
             ace_at(pair, x)
-            distribution_at(pair, x, 500, seed=j)
+            distribution_at(pair, x, seed=j)
         assert len(calls) == 1
         assert pair.treatment_part is pair.treatment_part
 
@@ -232,7 +232,7 @@ def small_pair():
     return fit_converged(complete_dataset(pop.x, pop.z, pop.y))
 
 
-def mediator_draws_of(pair, x, n_draws, seed, monkeypatch):
+def mediator_draws_of(pair, x, seed, monkeypatch):
     """The mediator values ``distribution_at`` feeds the outcome's mediator term."""
     seen = []
 
@@ -242,7 +242,7 @@ def mediator_draws_of(pair, x, n_draws, seed, monkeypatch):
         return predict(model, points)
 
     monkeypatch.setattr(frontdoor_estimator, "predict", recording)
-    distribution_at(pair, x, n_draws, seed)
+    distribution_at(pair, x, seed)
     [draws] = seen
     return draws
 
@@ -252,20 +252,13 @@ class TestFullOutcomeReference:
 
     ``ace_at`` is checked against the n x n front-door double sum over every
     (row, mediator residual) pair; ``distribution_at`` bit for bit against the
-    same random stream evaluated by ``predict(outcome, [x_train[rows], z_draws])``
-    in one call.
+    same random stream evaluated by ``predict(outcome, [x_train, z_draws])`` in
+    one call.
     """
 
     # 7.0 lies beyond the mediator's knots: the centre extrapolates, and so
     # does the outcome's mediator term at some of the shifted values
     TARGETS = (-3.5, 0.2, 7.0)
-
-    @staticmethod
-    def full_prediction(pair, x, rows, rng):
-        pool = pair.mediator.residuals
-        center = float(predict(pair.mediator, float(x))[0])
-        z_draws = center + pool[rng.integers(0, len(pool), len(rows))]
-        return predict(pair.outcome, [pair.x_train[rows], z_draws])
 
     @pytest.mark.parametrize("copies", [1, 3])
     def test_ace_at(self, small_pair, copies):
@@ -290,16 +283,30 @@ class TestFullOutcomeReference:
             expected = float(np.mean(predict(small_pair.outcome, points)))
             assert ace_at(replicated, x) == pytest.approx(expected, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("size", ["n", "n//3", "2n+7"])
-    def test_distribution_at(self, scm_pair, size):
-        n = len(scm_pair.x_train)
-        n_draws = {"n": n, "n//3": n // 3, "2n+7": 2 * n + 7}[size]
-        pool = scm_pair.outcome.residuals
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_distribution_at(self, scm_pair, copies):
+        # with the rows and both pools repeated, one draw per repeated row,
+        # each from the whole of its repeated pool
+        pair = FittedPair(
+            mediator=dataclasses.replace(
+                scm_pair.mediator,
+                residuals=np.tile(scm_pair.mediator.residuals, copies),
+            ),
+            outcome=dataclasses.replace(
+                scm_pair.outcome,
+                residuals=np.tile(scm_pair.outcome.residuals, copies),
+            ),
+            x_train=np.tile(scm_pair.x_train, copies),
+        )
+        n = len(pair.x_train)
+        mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
         for j, x in enumerate(self.TARGETS):
             rng = rng_from(j, "distribution")
-            values = self.full_prediction(scm_pair, x, np.arange(n_draws) % n, rng)
-            expected = values + pool[rng.integers(0, len(pool), n_draws)]
-            assert np.array_equal(distribution_at(scm_pair, x, n_draws, j), expected)
+            center = float(predict(pair.mediator, x)[0])
+            z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n)]
+            values = predict(pair.outcome, [pair.x_train, z_draws])
+            expected = values + outcome_pool[rng.integers(0, len(outcome_pool), n)]
+            assert np.array_equal(distribution_at(pair, x, j), expected)
 
 
 class TestDrawMediator:
@@ -321,19 +328,19 @@ class TestDrawMediator:
         mediator_term = float(predict(scm_pair.outcome.terms[1], center)[0])
         expected = float(np.mean(scm_pair.treatment_part)) + mediator_term
         assert ace_at(degenerate, 1.0) == pytest.approx(expected, rel=0, abs=1e-12)
-        draws = mediator_draws_of(degenerate, 1.0, 50, 54, monkeypatch)
-        assert np.array_equal(draws, np.full(50, center[0]))
+        draws = mediator_draws_of(degenerate, 1.0, 54, monkeypatch)
+        assert np.array_equal(draws, np.full(len(scm_pair.x_train), center[0]))
 
     def test_draw_mean_matches_prediction(self, scm_pair, monkeypatch):
-        draws = mediator_draws_of(scm_pair, 0.5, 40000, 55, monkeypatch)
+        draws = mediator_draws_of(scm_pair, 0.5, 55, monkeypatch)
         pool_sd = float(np.std(scm_pair.mediator.residuals))
         center = float(predict(scm_pair.mediator, 0.5)[0])
         assert float(np.mean(draws)) == pytest.approx(
-            center, abs=3 * pool_sd / np.sqrt(40000)
+            center, abs=3 * pool_sd / np.sqrt(len(draws))
         )
 
     def test_draw_spread_matches_mediator_noise(self, scm_pair, monkeypatch):
-        draws = mediator_draws_of(scm_pair, 1.0, 40000, 56, monkeypatch)
+        draws = mediator_draws_of(scm_pair, 1.0, 56, monkeypatch)
         assert float(np.std(draws)) == pytest.approx(SCM.sigma_z, abs=0.01)
 
     def test_empty_pool_rejected(self, scm_pair):
@@ -402,7 +409,7 @@ class TestTargetChecks:
     @NON_FINITE
     def test_distribution_at_rejects_non_finite_target(self, scm_pair, target):
         with pytest.raises(FrontdoorLabError, match="^target treatment value must be finite"):
-            distribution_at(scm_pair, target, 10, seed=1)
+            distribution_at(scm_pair, target, seed=1)
 
     @NOT_A_NUMBER
     def test_ace_at_rejects_non_number_target(self, scm_pair, target):
@@ -412,30 +419,21 @@ class TestTargetChecks:
     @NOT_A_NUMBER
     def test_distribution_at_rejects_non_number_target(self, scm_pair, target):
         with pytest.raises(FrontdoorLabError, match=NOT_A_NUMBER_MESSAGE):
-            distribution_at(scm_pair, target, 10, seed=1)
+            distribution_at(scm_pair, target, seed=1)
 
     def test_numpy_scalar_targets_accepted(self, scm_pair):
         expected = ace_at(scm_pair, 0.5)
         assert ace_at(scm_pair, np.float64(0.5)) == expected
         assert ace_at(scm_pair, np.array(0.5)) == expected
         assert np.array_equal(
-            distribution_at(scm_pair, np.array(0.5), 10, seed=1),
-            distribution_at(scm_pair, 0.5, 10, seed=1),
+            distribution_at(scm_pair, np.array(0.5), seed=1),
+            distribution_at(scm_pair, 0.5, seed=1),
         )
 
-    @pytest.mark.parametrize(
-        "name, n_draws, seed",
-        [("n_draws", 2.5, 1), ("n_draws", True, 1), ("n_draws", 10.0, 1), ("seed", 10, 1.5),
-         ("seed", 10, "1")],
-        ids=repr,
-    )
-    def test_distribution_at_rejects_non_int_settings(self, scm_pair, name, n_draws, seed):
-        with pytest.raises(FrontdoorLabError, match=f"^{name} must be int, got "):
-            distribution_at(scm_pair, 0.0, n_draws, seed)
-
-    def test_distribution_at_rejects_no_draws(self, scm_pair):
-        with pytest.raises(FrontdoorLabError, match="^n_draws must be >= 1, got 0$"):
-            distribution_at(scm_pair, 0.0, 0, 1)
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", True, None, np.int64(1)], ids=repr)
+    def test_distribution_at_rejects_non_int_seed(self, scm_pair, seed):
+        with pytest.raises(FrontdoorLabError, match="^seed must be int, got "):
+            distribution_at(scm_pair, 0.0, seed)
 
 
 class TestDistributionAt:
@@ -453,17 +451,22 @@ class TestDistributionAt:
             ),
             x_train=pair.x_train,
         )
-        draws = distribution_at(frozen, 0.3, 200, seed=82)
+        draws = distribution_at(frozen, 0.3, seed=82)
         assert np.allclose(draws, 1.5, atol=1e-7)
+
+    def test_seed_fixes_the_draws(self, small_pair):
+        draws = distribution_at(small_pair, 0.4, seed=90)
+        assert draws.tobytes() == distribution_at(small_pair, 0.4, seed=90).tobytes()
+        assert not np.array_equal(draws, distribution_at(small_pair, 0.4, seed=91))
 
     def test_quantile_monotonicity(self, scm_pair):
         for target in (-2.0, 0.0, 2.0):
-            draws = distribution_at(scm_pair, target, 20000, seed=83)
+            draws = distribution_at(scm_pair, target, seed=83)
             q05, q50, q95 = np.quantile(draws, [0.05, 0.5, 0.95])
             assert q05 <= q50 <= q95
 
     def test_quantiles_match_interventional_truth(self, scm_pair):
-        draws = distribution_at(scm_pair, 0.0, 50000, seed=84)
+        draws = distribution_at(scm_pair, 0.0, seed=84)
         truth = intervene_generate(SCM, 0.0, 10**6, seed=85)
         assert float(np.quantile(draws, 0.05)) == pytest.approx(
             float(np.quantile(truth, 0.05)), abs=0.05
@@ -480,42 +483,22 @@ class TestDistributionAt:
             ),
             x_train=scm_pair.x_train,
         )
-        wide = distribution_at(scm_pair, 0.0, 20000, seed=86)
-        narrow = distribution_at(narrowed, 0.0, 20000, seed=86)
+        wide = distribution_at(scm_pair, 0.0, seed=86)
+        narrow = distribution_at(narrowed, 0.0, seed=86)
         spread_wide = np.quantile(wide, 0.95) - np.quantile(wide, 0.05)
         spread_narrow = np.quantile(narrow, 0.95) - np.quantile(narrow, 0.05)
         assert spread_narrow < spread_wide
 
 
 class TestBandShortcuts:
-    """The bands' sorted draws and tiled treatment parts give the same bits as
-    the unsorted draws and the modulo gather."""
-
-    @staticmethod
-    def gathered_distribution_at(pair, x, n_draws, seed):
-        """``distribution_at`` with the treatment parts gathered row by row."""
-        mediator_pool, outcome_pool = pair.mediator.residuals, pair.outcome.residuals
-        rng = rng_from(seed, "distribution")
-        rows = np.arange(n_draws) % len(pair.x_train)
-        center = float(predict(pair.mediator, x)[0])
-        z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n_draws)]
-        values = pair.treatment_part[rows] + predict(pair.outcome.terms[1], z_draws)
-        return values + outcome_pool[rng.integers(0, len(outcome_pool), n_draws)]
-
-    @pytest.mark.parametrize("offset", [-1, 0, 1, 301])
-    def test_distribution_tiles_rows_as_the_gather_did(self, small_pair, offset):
-        n_draws = len(small_pair.x_train) + offset
-        draws = distribution_at(small_pair, 0.4, n_draws, seed=88)
-        expected = self.gathered_distribution_at(small_pair, 0.4, n_draws, seed=88)
-        assert draws.tobytes() == expected.tobytes()
+    """The bands' sorted draws give the same bits as the unsorted draws."""
 
     def test_band_quantiles_match_unsorted_draws(self, small_pair):
         grid = np.linspace(-2.0, 2.0, 7)
         _, q05, q95 = frontdoor_estimator._curves_for_pair(small_pair, grid, 89, "imp0")
-        n = len(small_pair.x_train)
         for j, x in enumerate(grid):
             seed = mix_seed(89, "imp0", "dist", j)
-            draws = distribution_at(small_pair, float(x), n, seed)
+            draws = distribution_at(small_pair, float(x), seed)
             expected = np.quantile(draws, [0.05, 0.95])
             assert np.array([q05[j], q95[j]]).tobytes() == expected.tobytes()
 

@@ -299,6 +299,23 @@ class TestOracleQuantiles:
         monkeypatch.setattr(scm_sim, "_STANDARD_NORMAL", ScipyNormal)
         assert np.max(np.abs(got - oracle_quantiles(cfg, xs, probs))) <= 1e-12
 
+    def test_bisection_steps_solve_the_rule(self):
+        # with |u_coef| far below the gaps between neighbouring h values the
+        # CDF is nearly a staircase, and Newton steps leave the bracket (here
+        # 1001 bisection steps); each quantile still solves the rule's own
+        # equation mean_k Phi((q - h_k) / |u_coef|) = p over the strata
+        # (observed: within 7.5e-16), with SciPy's ndtr as Phi
+        cfg = ScmConfig(sigma_z=2.0, u_coef=1e-4)
+        xs, probs = np.linspace(-3.0, 3.0, 41), np.array([0.05, 0.5, 0.95])
+        quantiles = oracle_quantiles(cfg, xs, probs)
+        k = scm_sim._QUANTILE_STRATA
+        noise = cfg.sigma_z * ndtri((np.arange(k) + 0.5) / k)
+        for x, q in zip(xs, quantiles):
+            z = cfg.z_amplitude * std_normal_pdf(x) + noise
+            h = std_normal_pdf(z - cfg.y_shift) + cfg.y_linear * z
+            cdf = np.mean(ndtr((q[:, None] - h) / abs(cfg.u_coef)), axis=1)
+            assert np.all(np.abs(cdf - probs) <= 1e-9)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, float("nan")])
     def test_rejects_probability_outside_unit_interval(self, p):
         with pytest.raises(FrontdoorLabError, match="probabilities"):

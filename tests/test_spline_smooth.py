@@ -235,6 +235,14 @@ class TestFitPenalized:
         ):
             fit_penalized(y, x, basis, 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_constant_covariate_rejected(self, lam):
+        # a caller's basis skips build_basis's check on the column
+        _, y = make_xy(50, seed=15)
+        basis = build_basis(np.linspace(0.0, 1.0, 50))
+        with pytest.raises(NumericError, match="^need >= 2 distinct covariate values, got 1$"):
+            fit_penalized(y, np.full(50, 0.5), basis, lam)
+
     def test_length_mismatch(self):
         x, y = make_xy(100, seed=10)
         basis = build_basis(x, 8)
@@ -761,12 +769,24 @@ class TestKernelRowProducts:
                 bty, yty = response_moments(design, y)
                 assert design.pick(bty, yty) == design.select(bty, yty)[0]
 
-    def test_pick_raises_as_select_does(self):
-        x, y, basis = four_valued_data()
-        design = spline_smooth._PenalizedDesign(basis, x, [0.0])
-        for choose in (design.pick, design.select):
-            with pytest.raises(NumericError, match="numerically singular"):
-                choose(*response_moments(design, y))
+    def test_zero_weight_on_a_rank_deficient_design_raises(self):
+        # when built, even beside a usable weight; fit_penalized's one-weight
+        # case is TestFitPenalized's
+        x, _, basis = four_valued_data()
+        with pytest.raises(
+            NumericError, match="^penalized normal equations are numerically singular$"
+        ):
+            spline_smooth._PenalizedDesign(basis, x, [0.0, 1.0])
+
+    @pytest.mark.parametrize("lambdas", [[0.0], [0.0, 1.0]], ids=["alone", "beside_one"])
+    def test_zero_weight_on_a_full_rank_design_builds(self, lambdas):
+        # the data determine every direction, so a zero weight leaves nothing
+        # undetermined: the check at build time lets it through
+        x, y = make_xy(300, seed=35)
+        design = spline_smooth._PenalizedDesign(build_basis(x, 8), x, lambdas)
+        assert design.edf[0] == pytest.approx(design.basis.dim, abs=1e-6)
+        bty, yty = response_moments(design, y - np.mean(y))
+        assert design.pick(bty, yty) == design.select(bty, yty)[0]
 
     def test_joint_matrix_is_cached_and_read_only(self):
         columns, designs = self.columns_and_designs()
@@ -819,7 +839,7 @@ class TestKernelRowProducts:
         # (observed: 6e-16 and 5e-13)
         columns, designs = self.columns_and_designs()
         x, _, basis = four_valued_data()
-        cubic = spline_smooth._PenalizedDesign(basis, x, [0.0])
+        cubic = spline_smooth._PenalizedDesign(basis, x, [1.0])
         for design in (*designs, cubic):
             K = design._Q2.T @ design._BtB @ design._Q2 - design._L @ design._A_inv @ design._L.T
             mu, W = eigh(K, design._S)
