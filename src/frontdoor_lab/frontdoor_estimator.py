@@ -113,17 +113,24 @@ class EffectEstimate:
     q95: np.ndarray
 
     def __post_init__(self):
-        grid = _checked_grid(self.grid)
-        per = np.asarray(self.per_imputation_ace, dtype=float)
+        # read-only copies, as Dataset keeps, so no later edit of the caller's
+        # arrays reaches what effect_to_csv writes
+        grid = np.array(_checked_grid(self.grid))
+        per = np.array(self.per_imputation_ace, dtype=float)
         if per.shape != (per.shape[0], len(grid)):
             raise FrontdoorLabError("per-imputation matrix shape mismatch")
+        arrays = {"grid": grid, "per_imputation_ace": per}
         for name in ("pooled_ace", "q05", "q95"):
-            if check_vector(name, getattr(self, name)).shape != grid.shape:
+            arrays[name] = np.array(check_vector(name, getattr(self, name)))
+            if arrays[name].shape != grid.shape:
                 raise FrontdoorLabError(f"{name} must hold one value per grid point")
-        if not np.array_equal(np.asarray(self.pooled_ace), per.mean(axis=0)):
+        if not np.array_equal(arrays["pooled_ace"], per.mean(axis=0)):
             raise FrontdoorLabError("pooled curve must be the per-imputation mean")
-        if np.any(np.asarray(self.q05) > np.asarray(self.q95)):
+        if np.any(arrays["q05"] > arrays["q95"]):
             raise FrontdoorLabError("lower quantile band exceeds upper band")
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def m(self) -> int:

@@ -16,7 +16,9 @@ always recorded.
 
 The module also provides the interventional ground truth used to benchmark
 the estimators: Monte Carlo draws of Y under do(X = x), the closed-form mean
-response and the quantiles of Y by quadrature over the mediator noise.
+response and the quantiles of Y by quadrature over the mediator noise.  Phi
+comes from the standard library's ``math.erfc`` and Phi^-1 from
+``statistics.NormalDist``.
 Generation is a pure function of (config, n, seed); normal variates come from
 numpy's Generator (ziggurat sampling) with the draw order frozen, so
 identical inputs reproduce identical outputs.
@@ -47,32 +49,6 @@ _NEWTON_MAX_STEPS = 100
 
 POPULATION_HEADER = ["u", "x", "z", "y"]
 
-# W. J. Cody's rational approximations (Math. Comp. 23, 1969), with the
-# coefficients of his CALERF: erf(z) = z P(z^2) / Q(z^2) for z <= 0.46875, and
-# erfc(z) = exp(-z^2) R(z) with R = P(z) / Q(z) up to z = 4 and
-# R = (1/sqrt(pi) - w P(w) / Q(w)) / z, w = 1/z^2, beyond.  Each holds P's
-# coefficients, then Q's, in Cody's order: the leading one last, the constant
-# term next to last.
-_CODY_ERF = (
-    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-     3.20937758913846947e03, 1.85777706184603153e-1),
-    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-     2.84423683343917062e03, 1.0),
-)
-_CODY_ERFC = (
-    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-     2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
-    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-     3.43936767414372164e03, 1.23033935480374942e03, 1.0),
-)
-_CODY_ERFC_TAIL = (
-    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-     1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
-    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-     6.05183413124413191e-2, 2.33520497626869185e-3, 1.0),
-)
 _STANDARD_NORMAL = NormalDist()
 
 
@@ -122,13 +98,16 @@ class Population:
     y: np.ndarray
 
     def __post_init__(self):
-        # what population_to_csv writes, population_from_csv reads back
+        # what population_to_csv writes, population_from_csv reads back; each
+        # column a read-only copy, so no later edit of the caller's array
+        # reaches the file
         for name in POPULATION_HEADER:
-            column = check_vector(f"column {name}", getattr(self, name))
+            column = np.array(check_vector(f"column {name}", getattr(self, name)))
             if len(column) != len(self.u):
                 raise FrontdoorLabError(f"column {name} must be of length {len(self.u)}")
             if not np.isfinite(column).all():
                 raise FrontdoorLabError(f"column {name} must hold only finite values")
+            column.setflags(write=False)
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -145,63 +124,24 @@ def std_normal_cdf(x):
     """Standard normal CDF Phi(x), from ``_normal_cdf`` like every Phi here.
 
     It is 0.0, 1.0 and NaN at -inf, +inf and NaN, and takes any finite input
-    without a warning.  The tests hold it to a reference normal CDF on a
-    dense grid over [-40, 40]: within 2.3e-16 absolute, and within 2.5e-13
-    relative wherever Phi exceeds 1e-300, the lower tail included.  That much
-    is the reference's own tail error, from rounding x^2 inside exp(-x^2/2);
-    against Phi in 40-digit arithmetic this one is within 6 ulp there.
+    without a warning.  The tests hold it to Phi correctly rounded from
+    decimal arithmetic over [-37.5, 8]: within 2.3e-16 absolute, and within
+    2.5e-13 relative wherever Phi exceeds 1e-300, the lower tail included.
+    The relative error grows with x^2, as erfc's exp(-x^2/2) amplifies the
+    rounding of x sqrt(1/2); it is largest near x = -37.
     """
     x = check_numbers("x", x)
     out = _normal_cdf(x)
     return float(out) if out.ndim == 0 else out
 
 
-def _cody(coefficients, t: np.ndarray) -> np.ndarray:
-    """The ratio of the two polynomials ``coefficients`` holds, at t, each
-    summed by Horner's rule in Cody's form."""
-    ratio = []
-    for *terms, constant, leading in coefficients:
-        value = leading * t
-        for term in terms:
-            value += term
-            value *= t
-        value += constant
-        ratio.append(value)
-    numerator, denominator = ratio
-    numerator /= denominator
-    return numerator
-
-
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi at every element of the float array x, from Cody's approximations
-    to erf and erfc; past |x| = 40, Phi is 0.0 or 1.0 in doubles.
-
-    Outside the central range, Phi(-|x|) = erfc(|x| / sqrt 2) / 2 is taken as
-    exp(-s^2/2) exp(-(|x| - s)(|x| + s)/2) R / 2 with s = |x| rounded down to a
-    sixteenth, so no rounded square of x reaches the exponent."""
-    a = np.abs(np.ravel(x))
-    np.minimum(a, 40.0, out=a)  # NaN stays NaN, and stays in the middle range
-    z = a * math.sqrt(0.5)
-    # the middle range's R everywhere, then the other ranges where they hold;
-    # a range with no element is skipped, as nearly every stratum of the
-    # oracle_quantiles Newton loop falls in the middle one
-    ratio = _cody(_CODY_ERFC, np.clip(z, 0.46875, 4.0))
-    far = z > 4.0
-    if far.any():
-        t = z[far]
-        w = 1.0 / (t * t)
-        ratio[far] = (1.0 / math.sqrt(math.pi) - w * _cody(_CODY_ERFC_TAIL, w)) / t
-    s = np.trunc(a * 16.0) / 16.0
-    lower = np.exp(-0.5 * s * s)  # Phi(-|x|) from here
-    lower *= np.exp(-0.5 * (a - s) * (a + s))
-    lower *= ratio
-    lower *= 0.5
-    central = z <= 0.46875
-    if central.any():
-        t = z[central]
-        lower[central] = 0.5 - 0.5 * t * _cody(_CODY_ERF, t * t)
-    lower = lower.reshape(np.shape(x))
-    return np.where(x > 0, 1.0 - lower, lower)
+    """Phi at every element of the float array x, as erfc(-x sqrt(1/2)) / 2
+    with the standard library's ``math.erfc``, one element at a time."""
+    t = np.ravel(x) * -math.sqrt(0.5)
+    out = np.fromiter(map(math.erfc, t.tolist()), float, t.size).reshape(np.shape(x))
+    out *= 0.5
+    return out
 
 
 def generate_population(cfg: ScmConfig, n: int, seed: int) -> Population:
@@ -267,11 +207,12 @@ def oracle_quantiles(cfg: ScmConfig, x, probs) -> np.ndarray:
     sd |u_coef|, so its CDF is F(y) = E Phi((y - h(Z)) / |u_coef|) with
     Z ~ N(z_amplitude * phi(x), sigma_z^2).  The expectation is a mean over
     equal-probability strata of Z, each represented by its midpoint
-    Phi^-1((k + 1/2) / K), with Phi^-1 from ``statistics.NormalDist``.  F(y) = p
-    is solved by Newton steps kept inside the bracket
-    [min h, max h] + |u_coef| Phi^-1(p), starting from the quantile of the
-    moment-matched normal.  With u_coef = 0, F is a step function and the
-    quantile interpolates the sorted h values between the strata midpoints.
+    Phi^-1((k + 1/2) / K), with Phi^-1 from ``statistics.NormalDist`` and Phi
+    from ``math.erfc`` (``_normal_cdf``).  F(y) = p is solved by Newton steps
+    kept inside the bracket [min h, max h] + |u_coef| Phi^-1(p), starting from
+    the quantile of the moment-matched normal.  With u_coef = 0, F is a step
+    function and the quantile interpolates the sorted h values between the
+    strata midpoints.
 
     Over 161 points on [-3, 3] and the probabilities 0.05, 0.25, ..., 0.95,
     the result is within 9.0e-6 of the same rule with 16 times the strata at

@@ -12,6 +12,8 @@ rows (``kernel_csr``), not through the package's own products.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
@@ -142,6 +144,48 @@ def normal_cdf_series(x: float, terms: int = 200) -> float:
         k += 1
         term *= -x * x * (2 * k - 1) / (2 * k * (2 * k + 1))
     return 0.5 + total / np.sqrt(2 * np.pi)
+
+
+_PI_DIGITS = "3.141592653589793238462643383279502884197169399375105820974944"
+
+
+def normal_cdf_exact(x: float, digits: int = 30) -> float:
+    """Phi(x) correctly rounded to a double, from ``decimal`` arithmetic at
+    ``digits`` significant digits.
+
+    For |x| <= 3 the series Phi(x) = 1/2 + phi(x) sum_n x^(2n+1) / (2n+1)!!
+    (it loses at most 3 digits to cancellation there); beyond, the lower
+    tail is phi(a) / (a + 1/(a + 2/(a + 3/(a + ...)))) with a = |x|, the
+    continued fraction summed by Lentz's method, and the upper tail one
+    minus it.
+    """
+    with localcontext() as context:
+        context.prec = digits + 10
+        tiny = Decimal(10) ** -(digits + 5)
+        a = abs(Decimal(x))  # exact: every double is a finite decimal
+        density = (-a * a / 2).exp() / (2 * Decimal(_PI_DIGITS)).sqrt()
+        if a <= 3:
+            total = term = Decimal(x)
+            k = 1
+            while abs(term) > tiny * abs(total):
+                term *= Decimal(x) * Decimal(x) / (2 * k + 1)
+                total += term
+                k += 1
+            return float(Decimal("0.5") + density * total)
+        # Lentz for f = a + 1/(a + 2/(a + ...)); no denominator can vanish,
+        # as every one is at least a
+        f = c = a
+        d = Decimal(0)
+        k = 1
+        while True:
+            d = 1 / (a + k * d)
+            c = a + k / c
+            f *= c * d
+            if abs(c * d - 1) < tiny:
+                break
+            k += 1
+        lower = density / f
+        return float(lower if x < 0 else 1 - lower)
 
 
 def missingness_rates_quadrature(

@@ -117,6 +117,12 @@ class TestBuildDag:
         assert g == Dag(list(reversed(nodes)), [("A", "B")])
         assert g != Dag(nodes, [("B", "A")])
         assert g != Dag([("A", "latent"), ("B", "observed")], [("A", "B")])
+        # another type is left to decide the comparison itself
+        assert g.__eq__(nodes) is NotImplemented and g != nodes
+
+    def test_repr_lists_sorted_nodes_and_edges(self):
+        g = Dag([("B", "latent"), ("A", "observed")], [("B", "A")])
+        assert repr(g) == "Dag(nodes=['A', 'B'], edges=[('B', 'A')])"
 
 
 class TestDSeparation:

@@ -558,6 +558,20 @@ class TestIdentify:
         assert main(["identify", "--graph", str(graph)]) == 0
         assert "identifiable: false" in capsys.readouterr().out
 
+    def test_treatment_the_graph_lacks(self, capsys):
+        assert main(["identify", "--treatment", "Q"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("treatment: Q\nidentifiable: n/a (treatment not in graph)\n") == 2
+
+    def test_latent_child_of_the_treatment(self, tmp_path, capsys):
+        graph = tmp_path / "latent_child.graph"
+        graph.write_text(
+            "node X observed\nnode L latent\nnode Y observed\nedge X L\nedge L Y\n"
+        )
+        assert main(["identify", "--graph", str(graph)]) == 0
+        out = capsys.readouterr().out
+        assert "children: L\nidentifiable: false\n  child L: latent, blocks identification\n" in out
+
     def test_missing_graph_file(self, tmp_path, capsys):
         code = main(["identify", "--graph", str(tmp_path / "nope.graph")])
         assert code == 3

@@ -785,6 +785,24 @@ class TestEffectEstimateInvariants:
             effect_to_csv(EffectEstimate(**fields), cc, grid, path)
         assert not path.exists()
 
+    def test_arrays_kept_as_read_only_copies(self, tmp_path):
+        # an edit of the caller's per-copy curves after construction must not
+        # reach the file, which effect_from_csv would refuse: its pooled curve
+        # would no longer be the per-imputation mean
+        grid = np.array([0.0, 1.0])
+        per = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fields = {"grid": grid, "per_imputation_ace": per, "pooled_ace": per.mean(axis=0),
+                  "q05": grid - 5.0, "q95": grid + 5.0}
+        mi = EffectEstimate(**fields)
+        per[0, 0] = 9.0
+        path = tmp_path / "effects.csv"
+        effect_to_csv(mi, curve(grid, [0.0, 0.0]), np.zeros(2), path)
+        back, _, _ = effect_from_csv(path)
+        assert np.array_equal(back.per_imputation_ace, [[1.0, 2.0], [3.0, 4.0]])
+        for name, array in fields.items():
+            kept = getattr(mi, name)
+            assert kept is not array and not kept.flags.writeable, name
+
     def test_pooled_mismatch_rejected(self):
         with pytest.raises(FrontdoorLabError):
             EffectEstimate(

@@ -30,6 +30,7 @@ from frontdoor_lab.scm_sim import (
 from oracles import (
     interventional_quantile_bisection,
     missingness_rates_quadrature,
+    normal_cdf_exact,
     normal_cdf_series,
     trapezoid_integral,
 )
@@ -81,13 +82,26 @@ class TestDensities:
     def test_cdf_matches_scipy_ndtr_on_a_dense_grid(self):
         # SciPy's ndtr as the reference: within 2.3e-16 absolute everywhere,
         # and within 2.5e-13 relative wherever Phi > 1e-300 (observed:
-        # 2.2e-16 and 2.4e-13, the second near x = -37, where ndtr's
-        # exp(-x^2/2) is the side that rounds; the deep tail is below 1e-300)
+        # 2.2e-16 and 5.7e-14, the second near x = -33; both take erfc at the
+        # same rounded x sqrt(1/2), so only the two erfc differ; the deep
+        # tail is below 1e-300)
         xs = np.linspace(-40.0, 40.0, 160001)
         got, want = std_normal_cdf(xs), ndtr(xs)
         assert np.max(np.abs(got - want)) <= 2.3e-16
         normal = want > 1e-300
         assert np.max(np.abs(got - want)[normal] / want[normal]) <= 2.5e-13
+
+    def test_cdf_matches_the_exact_oracle(self):
+        # Phi correctly rounded from decimal arithmetic: within 2.3e-16
+        # absolute, and within 2.5e-13 relative wherever Phi > 1e-300
+        # (observed: 1.1e-16, and 1.8e-13 near x = -36.4, where the rounding
+        # of x sqrt(1/2) is amplified by erfc's exp(-x^2 / 2))
+        xs = np.linspace(-37.5, 8.0, 4551)
+        want = np.array([normal_cdf_exact(x) for x in xs.tolist()])
+        error = np.abs(std_normal_cdf(xs) - want)
+        assert np.max(error) <= 2.3e-16
+        normal = want > 1e-300
+        assert np.max(error[normal] / want[normal]) <= 2.5e-13
 
     def test_cdf_at_infinities_and_nan(self):
         got = std_normal_cdf([-np.inf, np.inf, np.nan])
@@ -399,10 +413,17 @@ class TestPopulation:
         with pytest.raises(FrontdoorLabError, match=f"^{re.escape(message)}$"):
             Population(**columns)
 
-    def test_float_columns_kept_without_a_copy(self):
+    def test_columns_kept_as_read_only_copies(self, tmp_path):
+        # a NaN put into the caller's x after construction must not reach the
+        # file, which population_from_csv would refuse at line 2
         columns = {name: np.arange(3.0) for name in ("u", "x", "z", "y")}
         pop = Population(**columns)
-        assert all(getattr(pop, name) is column for name, column in columns.items())
+        columns["x"][0] = np.nan
+        path = tmp_path / "population.csv"
+        population_to_csv(pop, path)
+        assert np.array_equal(population_from_csv(path).x, np.arange(3.0))
+        for name, column in columns.items():
+            assert getattr(pop, name) is not column and not getattr(pop, name).flags.writeable
 
 
 class TestScmConfigValidation:
