@@ -9,10 +9,13 @@ directory, so stages can be rerun or inspected independently:
 * ``identify``  reports the identification and missing-at-random checks for
   a graph file (or the two bundled graphs).
 * ``impute``    reads ``observed.csv``; writes ``completed_XX.csv`` (replacing
-  every copy of an earlier run), ``imputation_diagnostics.csv`` and the chain
-  trace ``imputation_trace.csv``.
-* ``estimate``  reads the completed copies plus ``observed.csv``, runs
-  ``complete_case_effect`` and ``estimate_effect``, writes both curves with
+  every copy of an earlier run), each built from ``observed.csv`` and one
+  chain's imputed values as it is written, ``imputation_diagnostics.csv`` and
+  the chain trace ``imputation_trace.csv``.
+* ``estimate``  reads the completed copies plus ``observed.csv`` and refuses,
+  naming it, a copy that is not a completion of ``observed.csv``: another row
+  count, a missing cell left, or an observed cell changed.  Only then does it
+  run ``complete_case_effect`` and ``estimate_effect``, and write both curves with
   the true mean to the one table ``effects.csv``, and with ``--save-models``
   the fitted regressions as JSON to ``models/mediator_XX.json`` and
   ``models/outcome_XX.json``, replacing every model of an earlier run.
@@ -71,7 +74,6 @@ from .frontdoor_estimator import (
     estimate_effect,
 )
 from .mi_engine import (
-    CompletedDatasets,
     diagnostics_from_csv,
     diagnostics_to_csv,
     imputation_diagnostics,
@@ -226,7 +228,7 @@ def cmd_impute(args) -> int:
     # a rerun with a smaller m leaves no copy of the earlier run behind
     for path in out.glob("completed_*.csv"):
         path.unlink()
-    datasets_to_csv(result.completed, _completed_paths(out, cfg.m))
+    datasets_to_csv(result, _completed_paths(out, cfg.m))
     diagnostics_to_csv(imputation_diagnostics(result), out / "imputation_diagnostics.csv")
     trace_to_csv(result.trace, out / "imputation_trace.csv")
     print(f"wrote {cfg.m} completed datasets to {out}")
@@ -253,7 +255,14 @@ def cmd_estimate(args) -> int:
     out = Path(cfg.out)
     data = dataset_from_csv(out / "observed.csv")
     paths = _completed_paths(out, cfg.m)
-    bundle = CompletedDatasets(data, tuple(dataset_from_csv(p) for p in paths))
+    copies = [dataset_from_csv(path) for path in paths]
+    for path, copy in zip(paths, copies):
+        if copy.n != data.n:  # first: observed_cells_match needs equal lengths
+            raise FrontdoorLabError(f"{path} holds {copy.n} rows, but observed.csv holds {data.n}")
+        if not copy.is_complete():
+            raise FrontdoorLabError(f"{path} still has missing cells")
+        if not data.observed_cells_match(copy.x_star, copy.z_star, copy.y_star):
+            raise FrontdoorLabError(f"{path}: an observed cell differs from observed.csv")
     grid = cfg.grid_values()
     oracle = oracle_ace(cfg.scm, grid)
     converged = []  # one flag per outcome fit: the complete-case pair's, then copy 1..m's
@@ -266,7 +275,7 @@ def cmd_estimate(args) -> int:
     # first, so too few complete rows fail before any imputed copy is fitted
     settings = {"n_knots": cfg.n_knots, "on_pair": on_pair}
     cc = complete_case_effect(data, grid, seed=mix_seed(cfg.seed, "estimate", "cc"), **settings)
-    mi = estimate_effect(bundle, grid, seed=mix_seed(cfg.seed, "estimate", "mi"), **settings)
+    mi = estimate_effect(copies, grid, seed=mix_seed(cfg.seed, "estimate", "mi"), **settings)
     effect_to_csv(mi, cc, oracle, out / "effects.csv")
     print(f"wrote {out / 'effects.csv'}")
     print(f"nonconverged_fits={converged.count(False)}")

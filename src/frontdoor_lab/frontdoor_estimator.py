@@ -43,8 +43,9 @@ import numpy as np
 
 from ._seeds import mix_seed, rng_from
 from .dataset import Dataset, read_table, write_table
-from .errors import FrontdoorLabError, NumericError, check_int, check_real, check_vector
-from .mi_engine import CompletedDatasets
+from .errors import (
+    FrontdoorLabError, NumericError, check_int, check_numbers, check_real, check_vector,
+)
 from .spline_smooth import (
     DEFAULT_N_KNOTS,
     AdditiveFit,
@@ -116,9 +117,12 @@ class EffectEstimate:
         # read-only copies, as Dataset keeps, so no later edit of the caller's
         # arrays reaches what effect_to_csv writes
         grid = np.array(_checked_grid(self.grid))
-        per = np.array(self.per_imputation_ace, dtype=float)
-        if per.shape != (per.shape[0], len(grid)):
-            raise FrontdoorLabError("per-imputation matrix shape mismatch")
+        per = np.array(check_numbers("per_imputation_ace", self.per_imputation_ace, "a matrix"))
+        if per.ndim != 2 or per.shape[1] != len(grid) or len(per) == 0:
+            raise FrontdoorLabError(
+                f"per_imputation_ace must be an (m, {len(grid)}) matrix with m >= 1, "
+                f"got shape {per.shape}"
+            )
         arrays = {"grid": grid, "per_imputation_ace": per}
         for name in ("pooled_ace", "q05", "q95"):
             arrays[name] = np.array(check_vector(name, getattr(self, name)))
@@ -212,6 +216,8 @@ def _pooled_effect(
         ace_rows.append(ace)
         q05_rows.append(q05)
         q95_rows.append(q95)
+    if not ace_rows:
+        raise FrontdoorLabError("need at least one completed dataset")
     per_imputation = np.vstack(ace_rows)
     return EffectEstimate(
         grid=grid,
@@ -223,21 +229,21 @@ def _pooled_effect(
 
 
 def estimate_effect(
-    datasets: CompletedDatasets,
+    datasets: Iterable[Dataset],
     grid: np.ndarray,
     *,
     seed: int = 0,
     n_knots: int = DEFAULT_N_KNOTS,
     on_pair: Callable[[FittedPair], object] | None = None,
 ) -> EffectEstimate:
-    """Fit and estimate on every completed copy, pooling curves by averaging;
-    ``on_pair`` gets each copy's :class:`FittedPair` in copy order, after its
-    fit and before its curves.  Only one pair is held at a time.  ``seed``
-    seeds the band draws and ``n_knots`` sizes each spline basis; both are
-    exact ints, and ``n_knots`` is at least 4."""
+    """Fit and estimate on each complete copy in ``datasets``, pooling curves
+    by averaging; no copy at all raises.  ``on_pair`` gets each copy's
+    :class:`FittedPair` in copy order, after its fit and before its curves.
+    Only one pair is held at a time.  ``seed`` seeds the band draws and
+    ``n_knots`` sizes each spline basis; both are exact ints, ``n_knots`` >= 4."""
     check_int("n_knots", n_knots, 4)
     check_int("seed", seed)
-    copies = ((completed, f"imp{i}") for i, completed in enumerate(datasets.completed))
+    copies = ((completed, f"imp{i}") for i, completed in enumerate(datasets))
     return _pooled_effect(copies, grid, seed, n_knots, on_pair)
 
 

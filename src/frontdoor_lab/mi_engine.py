@@ -13,12 +13,19 @@ bimodal (the mediator is a symmetric function of the treatment), the
 treatment is imputed in a sign/magnitude reparameterization: a clamped
 linear-probability additive model draws the sign, predictive mean matching
 fills the magnitude, and the product reconstructs the value.
+
+The result keeps only what the chains imputed, as *mice*'s ``mids`` object
+does (van Buuren and Groothuis-Oudshoorn, JSS 45(3), 2011): per column, one
+row per chain and one value per missing cell.  A completed copy is built
+from the source when it is asked for, so no copy can differ from the source
+in an observed cell, and ``imputation_diagnostics`` reads the imputed values
+without building any copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,31 +39,38 @@ SIGN_PROB_CLAMP = (0.01, 0.99)
 
 @dataclass(frozen=True, eq=False)
 class CompletedDatasets:
-    """The m completed copies of an incomplete dataset, the chain trace and the
-    count of non-converged fits.  ``trace`` holds one tuple per imputed
-    variable, cycle and chain, its fields in ``TRACE_HEADER``'s order: the
-    chain and cycle (from 1; chain k fills copy k), the variable, and the mean
-    and sd of that variable's imputed cells after the cycle."""
+    """The m imputations of an incomplete dataset, kept as *mice* keeps them:
+    read-only (m, missing cells) arrays ``imputed_x`` and ``imputed_z``, a
+    column per missing cell of ``source`` in row order.  Iterating yields
+    copies 1..m, ``source`` with row k filled in.  ``trace`` has a tuple per
+    imputed variable, cycle and chain (from 1; chain k fills copy k) in
+    ``TRACE_HEADER``'s order, with the mean and sd of its cells after the cycle."""
 
     source: Dataset
-    completed: tuple[Dataset, ...]
+    imputed_x: np.ndarray
+    imputed_z: np.ndarray
     trace: tuple[tuple, ...] = ()
     nonconverged_fits: int = 0
 
     def __post_init__(self):
-        if len(self.completed) == 0:
-            raise FrontdoorLabError("need at least one completed dataset")
-        for copy in self.completed:
-            if copy.n != self.source.n:
-                raise FrontdoorLabError("completed copy has wrong length")
-            if not copy.is_complete():
-                raise FrontdoorLabError("completed copy still has missing cells")
-            if not self.source.observed_cells_match(copy.x_star, copy.z_star, copy.y_star):
-                raise FrontdoorLabError("observed cells were modified by imputation")
+        for name, mask in (("imputed_x", self.source.m_x), ("imputed_z", self.source.m_z)):
+            values = np.array(check_numbers(name, getattr(self, name)))
+            if values.shape[1:] != ((~mask).sum(),) or not np.isfinite(values).all():
+                raise FrontdoorLabError(f"{name} must be finite, of shape (m, {(~mask).sum()})")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        if not len(self.imputed_x) == len(self.imputed_z) >= 1:
+            raise FrontdoorLabError("imputed_x and imputed_z must hold the same m >= 1 rows")
 
     @property
     def m(self) -> int:
-        return len(self.completed)
+        return len(self.imputed_x)
+
+    def __iter__(self) -> Iterator[Dataset]:
+        for x_row, z_row in zip(self.imputed_x, self.imputed_z):
+            x, z = np.array(self.source.x_star), np.array(self.source.z_star)
+            x[~self.source.m_x], z[~self.source.m_z] = x_row, z_row
+            yield Dataset(x_star=x, z_star=z, y_star=self.source.y_star)
 
 
 def decompose_x(x):
@@ -143,7 +157,9 @@ def _observed_fit(
     predictors are vectors of one length, ``name`` has both observed and missing
     entries and every predictor is complete."""
     target = check_vector(name, target)
-    observed = np.asarray(observed, dtype=bool)
+    observed = check_numbers("observed mask", observed, "a vector") != 0
+    if not np.iterable(predictors):  # a number or None is no sequence of columns
+        raise FrontdoorLabError(f"predictors must be a sequence of vectors, got {predictors!r}")
     columns = [check_vector("predictor", p) for p in predictors]
     if any(v.shape != target.shape for v in (observed, *columns)):
         raise FrontdoorLabError(f"the mask and predictors must be vectors as long as the {name}")
@@ -224,7 +240,7 @@ def run_mice(
     miss_x = ~data.m_x
     miss_z = ~data.m_z
     y = np.array(data.y_star)
-    completed = []
+    imputed_x, imputed_z = [], []
     trace: list[tuple] = []
     converged: list[bool] = []  # one flag per imputation fit
     for chain in range(m):
@@ -267,8 +283,9 @@ def run_mice(
                     imputed = work[miss]
                     trace.append((chain + 1, cycle + 1, name, float(np.mean(imputed)),
                                   float(np.std(imputed))))
-        completed.append(Dataset(x_star=x_work, z_star=z_work, y_star=y))
-    return CompletedDatasets(data, tuple(completed), tuple(trace), converged.count(False))
+        imputed_x.append(x_work[miss_x])
+        imputed_z.append(z_work[miss_z])
+    return CompletedDatasets(data, imputed_x, imputed_z, tuple(trace), converged.count(False))
 
 
 # ------------------------------------------------------------- diagnostics
@@ -294,17 +311,17 @@ def imputation_diagnostics(result: CompletedDatasets) -> list[tuple]:
         deciles = np.quantile(sample, probs).tolist()
         return (float(np.mean(sample)), float(np.std(sample)), *deciles)
 
-    variables = []  # (name, missing rows, observed cells, their summary)
+    variables = []  # (name, observed cells, their summary)
     for name, values, mask in (("x", source.x_star, source.m_x), ("z", source.z_star, source.m_z)):
         if mask.all():
             continue
         if not mask.any():
             raise FrontdoorLabError(f"column {name} has no observed values")
-        variables.append((name, ~mask, values[mask], summary(values[mask])))
+        variables.append((name, values[mask], summary(values[mask])))
     rows = []
-    for k, copy in enumerate(result.completed, start=1):
-        for name, missing, observed, observed_summary in variables:
-            imputed = getattr(copy, f"{name}_star")[missing]
+    for k in range(1, result.m + 1):
+        for name, observed, observed_summary in variables:
+            imputed = getattr(result, f"imputed_{name}")[k - 1]
             ks = _ks_statistic(observed, imputed)
             rows += [(name, k, "observed", *observed_summary, ks),
                      (name, k, "imputed", *summary(imputed), ks)]

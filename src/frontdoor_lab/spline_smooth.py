@@ -511,14 +511,17 @@ class _PenalizedDesign:
 
 
 def _checked_inputs(y, covariates) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The response and covariates through ``check_vector``; no covariate, a
-    NaN or infinite value or a length mismatch raises FrontdoorLabError."""
+    """The response and covariates through ``check_vector``; covariates that
+    are not a sequence, no covariate, a NaN or infinite value or a length
+    mismatch raise FrontdoorLabError."""
     y = check_vector("response", y)
     if not np.all(np.isfinite(y)):
         raise FrontdoorLabError("response values must be finite")
-    if len(covariates) == 0:
-        raise FrontdoorLabError("need at least one covariate")
+    if not np.iterable(covariates):  # a number or None is no sequence of columns
+        raise FrontdoorLabError(f"covariates must be a sequence of vectors, got {covariates!r}")
     columns = [check_vector("covariate", c) for c in covariates]
+    if not columns:
+        raise FrontdoorLabError("need at least one covariate")
     for column in columns:
         if not np.all(np.isfinite(column)):
             raise FrontdoorLabError("covariate values must be finite")

@@ -272,7 +272,9 @@ def test_criterion_7_property_suites():
     assert first.nonconverged_fits == second.nonconverged_fits == 0
     magnitude_pool = set(np.abs(data.x_star[data.m_x]).tolist())
     z_pool = set(data.z_star[data.m_z].tolist())
-    for one, two in zip(first.completed, second.completed):
+    assert np.array_equal(first.imputed_x, second.imputed_x)
+    assert np.array_equal(first.imputed_z, second.imputed_z)
+    for one, two in zip(first, second, strict=True):
         assert np.array_equal(one.x_star, two.x_star)
         assert np.array_equal(one.z_star, two.z_star)
         assert np.array_equal(one.x_star[data.m_x], data.x_star[data.m_x])

@@ -66,6 +66,17 @@ def run_m3(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def imputed_run(tmp_path_factory):
+    """A small run through impute, with nothing estimated yet."""
+    out = tmp_path_factory.mktemp("imputed")
+    config = out / "config.txt"
+    config.write_text(f"seed = 5\nn = 600\nm = 2\ngrid = -1:1:3\nout = {out}\n")
+    for command in ("simulate", "impute"):
+        run_stage([command, "--config", str(config)])
+    return out
+
+
 class TestPipelineArtifacts:
     def test_all_files_present(self, pipeline_dir):
         expected = [
@@ -706,6 +717,38 @@ class TestErrorPaths:
         (tmp_path / "completed_02.csv").write_text("garbage,header\n1,2\n")
         assert main(["estimate", "--config", str(config)]) == 2
         assert "error: invalid-input:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, detail",
+        [
+            ("observed", ": an observed cell differs from observed.csv"),
+            ("dropped", " holds 599 rows, but observed.csv holds 600"),
+            ("imputed", " still has missing cells"),
+        ],
+        ids=["observed", "dropped", "imputed"],
+    )
+    def test_completed_copy_not_of_the_observed_data(self, imputed_run, tmp_path, capsys,
+                                                     change, detail):
+        # a copy edited after impute: one observed cell changed, its last row
+        # dropped, or one imputed cell set back to NA
+        run = tmp_path / "run"
+        shutil.copytree(imputed_run, run)
+        copy = run / "completed_02.csv"
+        observed = (run / "observed.csv").read_text().splitlines()
+        lines = copy.read_text().splitlines()
+        if change == "dropped":
+            del lines[-1]
+        else:
+            row = next(i for i, line in enumerate(observed) if i > 0
+                       and line.startswith("NA,") == (change == "imputed"))
+            cells = lines[row].split(",")
+            cells[0] = "NA" if change == "imputed" else repr(float(cells[0]) + 1.0)
+            lines[row] = ",".join(cells)
+        copy.write_text("\r\n".join(lines) + "\r\n")
+        assert main(["estimate", "--out", str(run), "--save-models"]) == 2
+        assert capsys.readouterr().err == f"error: invalid-input: {copy}{detail}\n"
+        assert not (run / "effects.csv").exists()
+        assert not (run / "models").exists()
 
     @pytest.mark.parametrize(
         "command, name, corrupt",

@@ -69,7 +69,7 @@ class TestEstimatorConfig:
     def entries(self, no_fitting):
         data = complete_dataset(*np.zeros((3, 3)))
         return [
-            functools.partial(estimate_effect, CompletedDatasets(data, (data,)), [0.0]),
+            functools.partial(estimate_effect, [data], [0.0]),
             functools.partial(complete_case_effect, data, [0.0]),
         ]
 
@@ -507,7 +507,7 @@ class TestEstimateEffect:
     def make_bundle(self, n=20000, m=3, seed=87):
         pop = generate_population(SCM, n, seed=seed)
         data = complete_dataset(pop.x, pop.z, pop.y)
-        return CompletedDatasets(source=data, completed=tuple([data] * m))
+        return [data] * m
 
     def test_identical_copies_pool_tightly(self):
         bundle = self.make_bundle()
@@ -546,6 +546,16 @@ class TestEstimateEffect:
         assert np.array_equal(a.per_imputation_ace, b.per_imputation_ace)
         assert not np.array_equal(a.q05, b.q05)
 
+    @pytest.mark.parametrize("copies", [[], iter(())], ids=["list", "iterator"])
+    def test_no_copy_rejected(self, copies):
+        with pytest.raises(FrontdoorLabError, match="^need at least one completed dataset$"):
+            estimate_effect(copies, np.array([0.0]), seed=92)
+
+    def test_incomplete_copy_rejected(self):
+        data = complete_dataset([0.0, np.nan, 1.0], [0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
+        with pytest.raises(FrontdoorLabError, match="^fit_pair needs a fully observed dataset$"):
+            estimate_effect([data], np.array([0.0]), seed=92)
+
     def test_unsorted_grid_rejected(self):
         bundle = self.make_bundle(n=3000, m=2)
         with pytest.raises(FrontdoorLabError):
@@ -562,9 +572,8 @@ class TestEstimateEffect:
         cfg_unconfounded = ScmConfig(u_coef=0.0)
         pop = generate_population(cfg_unconfounded, 20000, seed=93)
         data = complete_dataset(pop.x, pop.z, pop.y)
-        bundle = CompletedDatasets(source=data, completed=(data,))
         grid = np.linspace(-2, 2, 9)
-        est = estimate_effect(bundle, grid, seed=94, on_pair=assert_converged)
+        est = estimate_effect([data], grid, seed=94, on_pair=assert_converged)
 
         from frontdoor_lab.spline_smooth import predict, select_lambda
 
@@ -579,12 +588,7 @@ class TestCompleteCase:
         data = complete_dataset(pop.x, pop.z, pop.y)
         grid = np.array([-1.0, 0.0, 1.0])
         cc = complete_case_effect(data, grid, seed=96, on_pair=assert_converged)
-        mi = estimate_effect(
-            CompletedDatasets(source=data, completed=(data,)),
-            grid,
-            seed=97,
-            on_pair=assert_converged,
-        )
+        mi = estimate_effect([data], grid, seed=97, on_pair=assert_converged)
         assert np.max(np.abs(cc.pooled_ace - mi.pooled_ace)) < 0.01
 
     def test_too_few_complete_rows(self):
@@ -617,11 +621,8 @@ class TestOnPair:
         pop = generate_population(SCM, n, seed=100)
         masked = np.arange(n) % 4 == 0
         source = complete_dataset(pop.x, np.where(masked, np.nan, pop.z), pop.y)
-        copies = tuple(
-            complete_dataset(pop.x, np.where(masked, np.roll(pop.z, k), pop.z), pop.y)
-            for k in range(m)
-        )
-        return CompletedDatasets(source=source, completed=copies)
+        imputed_z = [np.roll(pop.z, k)[masked] for k in range(m)]
+        return CompletedDatasets(source, np.empty((m, 0)), imputed_z)
 
     @pytest.fixture
     def fitted(self, monkeypatch):
@@ -641,12 +642,21 @@ class TestOnPair:
         seen = []
         estimate_effect(bundle, self.GRID, seed=104, on_pair=seen.append)
         assert len(fitted) == len(seen) == bundle.m == 3
-        for copy, (data, pair), passed in zip(bundle.completed, fitted, seen):
-            assert data is copy
+        for copy, (data, pair), passed in zip(bundle, fitted, seen, strict=True):
+            for name in ("x_star", "z_star", "y_star"):
+                assert np.array_equal(getattr(data, name), getattr(copy, name))
             assert passed is pair
+        assert len({id(data) for data, _ in fitted}) == 3
+
+    def test_completed_datasets_give_the_estimate_of_their_copies(self):
+        bundle = self.make_bundle(m=2)
+        lazily = estimate_effect(bundle, self.GRID, seed=108)
+        listed = estimate_effect(list(bundle), self.GRID, seed=108)
+        for name in ("per_imputation_ace", "q05", "q95"):
+            assert np.array_equal(getattr(lazily, name), getattr(listed, name)), name
 
     def test_complete_case_calls_back_once(self, fitted):
-        data = self.make_bundle(m=1).completed[0]
+        data = next(iter(self.make_bundle(m=1)))
         seen = []
         complete_case_effect(data, self.GRID, seed=105, on_pair=seen.append)
         assert len(fitted) == len(seen) == 1
@@ -658,7 +668,7 @@ class TestOnPair:
 
         def run(**on_pair):
             if complete_case:
-                return complete_case_effect(bundle.completed[0], self.GRID, seed=106, **on_pair)
+                return complete_case_effect(next(iter(bundle)), self.GRID, seed=106, **on_pair)
             return estimate_effect(bundle, self.GRID, seed=106, **on_pair)
 
         plain, called_back = run(), run(on_pair=assert_converged)
@@ -705,9 +715,8 @@ class TestEffectCsv:
     def test_round_trip(self, tmp_path):
         pop = generate_population(SCM, 3000, seed=100)
         data = complete_dataset(pop.x, pop.z, pop.y)
-        bundle = CompletedDatasets(source=data, completed=(data, data))
         grid = np.linspace(-1, 1, 5)
-        mi = estimate_effect(bundle, grid, seed=101, on_pair=assert_converged)
+        mi = estimate_effect([data, data], grid, seed=101, on_pair=assert_converged)
         cc = complete_case_effect(data, grid, seed=102, on_pair=assert_converged)
         oracle = oracle_ace(SCM, grid)
         path = tmp_path / "effects.csv"
@@ -785,6 +794,21 @@ class TestEffectEstimateInvariants:
             effect_to_csv(EffectEstimate(**fields), cc, grid, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "per, message",
+        [(1.0, r"^per_imputation_ace must be an \(m, 2\) matrix with m >= 1, got shape \(\)$"),
+         ([1.0, 2.0], r"must be an \(m, 2\) matrix with m >= 1, got shape \(2,\)$"),
+         (np.empty((0, 2)), r"must be an \(m, 2\) matrix with m >= 1, got shape \(0, 2\)$"),
+         ([[1.0, 2.0, 3.0]], r"must be an \(m, 2\) matrix with m >= 1, got shape \(1, 3\)$"),
+         ([["a", "b"]], "^per_imputation_ace must be a matrix of numbers, got dtype <U1$"),
+         ([[1.0, 2.0], [3.0]], "^per_imputation_ace must be a matrix, got a ragged sequence$")],
+        ids=["number", "vector", "no_rows", "wide", "text", "ragged"],
+    )
+    def test_per_imputation_curves_not_a_matrix_rejected(self, per, message):
+        grid = np.array([0.0, 1.0])
+        with pytest.raises(FrontdoorLabError, match=message):
+            EffectEstimate(grid, per, np.array([1.0, 2.0]), grid, grid + 2)
+
     def test_arrays_kept_as_read_only_copies(self, tmp_path):
         # an edit of the caller's per-copy curves after construction must not
         # reach the file, which effect_from_csv would refuse: its pooled curve
@@ -831,7 +855,7 @@ def test_array_holding_values_compare_and_hash_by_identity(small_pair):
         small_pair.outcome,
         small_pair,
         estimate,
-        CompletedDatasets(data, (data,)),
+        CompletedDatasets(data, np.empty((1, 0)), np.empty((1, 0))),
     ]
     for value in values:
         same_fields = dataclasses.replace(value)

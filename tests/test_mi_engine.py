@@ -245,6 +245,22 @@ NOT_VECTORS_OF_ONE_LENGTH = {
         lambda t, m, p: (t, m, [list("abcde")]),
         "^predictor must be a vector of numbers, got dtype <U1$",
     ),
+    "number_predictors": (
+        lambda t, m, p: (t, m, 1.5),
+        "^predictors must be a sequence of vectors, got 1.5$",
+    ),
+    "none_predictors": (
+        lambda t, m, p: (t, m, None),
+        "^predictors must be a sequence of vectors, got None$",
+    ),
+    "ragged_mask": (
+        lambda t, m, p: (t, [m[:2], m[2:]], [p]),
+        "^observed mask must be a vector, got a ragged sequence$",
+    ),
+    "text_mask": (
+        lambda t, m, p: (t, ["yes"] * 5, [p]),
+        "^observed mask must be a vector of numbers, got dtype <U3$",
+    ),
 }
 
 
@@ -342,7 +358,7 @@ class TestRunMice:
         result = run_mice(data, m=3, cycles=2, seed=21)
         assert result.nonconverged_fits == 0
         assert result.m == 3
-        for copy in result.completed:
+        for copy in result:
             assert np.array_equal(copy.x_star, data.x_star)
             assert np.array_equal(copy.z_star, data.z_star)
         assert result.trace == ()
@@ -353,7 +369,7 @@ class TestRunMice:
         assert result.nonconverged_fits == 0
         magnitude_pool = set(np.abs(data.x_star[data.m_x]).tolist())
         z_pool = set(data.z_star[data.m_z].tolist())
-        for copy in result.completed:
+        for copy in result:
             assert np.array_equal(copy.x_star[data.m_x], data.x_star[data.m_x])
             assert np.array_equal(copy.z_star[data.m_z], data.z_star[data.m_z])
             assert all(abs(v) in magnitude_pool for v in copy.x_star[~data.m_x].tolist())
@@ -363,7 +379,7 @@ class TestRunMice:
         _, data = make_incomplete(2500, seed=24)
         result = run_mice(data, m=4, cycles=3, seed=25)
         assert result.nonconverged_fits == 0
-        means = [float(np.mean(c.x_star[~data.m_x])) for c in result.completed]
+        means = [float(np.mean(c.x_star[~data.m_x])) for c in result]
         assert float(np.var(means)) > 0
 
     def test_deterministic(self):
@@ -371,7 +387,7 @@ class TestRunMice:
         a = run_mice(data, m=2, cycles=2, seed=27)
         b = run_mice(data, m=2, cycles=2, seed=27)
         assert a.nonconverged_fits == b.nonconverged_fits == 0
-        for ca, cb in zip(a.completed, b.completed):
+        for ca, cb in zip(a, b, strict=True):
             assert np.array_equal(ca.x_star, cb.x_star)
             assert np.array_equal(ca.z_star, cb.z_star)
         assert a.trace == b.trace
@@ -382,7 +398,7 @@ class TestRunMice:
         assert result.nonconverged_fits == 0
         truth = float(np.mean(pop.z[~data.m_z]))
         pooled = float(
-            np.mean([np.mean(c.z_star[~data.m_z]) for c in result.completed])
+            np.mean([np.mean(c.z_star[~data.m_z]) for c in result])
         )
         assert pooled == pytest.approx(truth, abs=0.02)
 
@@ -396,11 +412,12 @@ class TestRunMice:
 
         def pooled_mean(result):
             return float(
-                np.mean([np.mean(c.z_star[~data.m_z]) for c in result.completed])
+                np.mean([np.mean(c.z_star[~data.m_z]) for c in result])
             )
 
         shuffled = CompletedDatasets(
-            source=first.source, completed=first.completed[::-1], trace=first.trace
+            source=first.source, imputed_x=first.imputed_x[::-1],
+            imputed_z=first.imputed_z[::-1], trace=first.trace,
         )
         assert pooled_mean(shuffled) == pytest.approx(pooled_mean(first), abs=1e-12)
         assert pooled_mean(second) == pytest.approx(pooled_mean(first), abs=0.03)
@@ -453,19 +470,82 @@ class TestRunMice:
 
 
 class TestCompletedDatasets:
-    def test_modified_observed_cell_rejected(self):
-        pop, data = make_incomplete(200, seed=32)
-        filled = initialize(data, seed=33)
-        tampered = np.array(filled.x_star)
-        tampered[np.argmax(data.m_x)] += 1.0
-        bad = complete_dataset(tampered, np.array(filled.z_star), np.array(filled.y_star))
-        with pytest.raises(FrontdoorLabError):
-            CompletedDatasets(source=data, completed=(bad,))
+    def make(self, n=200, seed=32):
+        """A source with both columns missing and one filled-in imputation."""
+        _, data = make_incomplete(n, seed=seed)
+        filled = initialize(data, seed=seed + 1)
+        return data, [filled.x_star[~data.m_x]], [filled.z_star[~data.m_z]]
 
-    def test_incomplete_copy_rejected(self):
-        _, data = make_incomplete(200, seed=34)
-        with pytest.raises(FrontdoorLabError):
-            CompletedDatasets(source=data, completed=(data,))
+    def test_copies_are_the_source_with_each_row_filled_in(self):
+        _, data = make_incomplete(300, seed=47)
+        rows_x = [np.arange(1.0, 1.0 + (~data.m_x).sum()) * k for k in (1, 2, 3)]
+        rows_z = [np.arange(0.5, 0.5 + (~data.m_z).sum()) * k for k in (1, 2, 3)]
+        result = CompletedDatasets(data, rows_x, rows_z)
+        copies = list(result)
+        assert result.m == len(copies) == 3
+        for copy, row_x, row_z in zip(copies, rows_x, rows_z):
+            assert copy.is_complete()
+            assert data.observed_cells_match(copy.x_star, copy.z_star, copy.y_star)
+            assert np.array_equal(copy.x_star[~data.m_x], row_x)
+            assert np.array_equal(copy.z_star[~data.m_z], row_z)
+        # each pass builds new copies, and the source is left as it was
+        assert list(result)[0] is not copies[0]
+        assert not data.is_complete()
+
+    def test_modified_observed_cell_rejected(self):
+        # a copy cannot differ from the source in an observed cell: the arrays
+        # hold only the missing cells, and a copy's arrays are read-only
+        data, rows_x, rows_z = self.make()
+        result = CompletedDatasets(source=data, imputed_x=rows_x, imputed_z=rows_z)
+        copy = next(iter(result))
+        with pytest.raises(ValueError, match="read-only"):
+            copy.x_star[np.argmax(data.m_x)] += 1.0
+        assert data.observed_cells_match(copy.x_star, copy.z_star, copy.y_star)
+
+    def test_arrays_are_read_only_copies(self):
+        data, rows_x, rows_z = self.make()
+        x = np.array(rows_x)
+        result = CompletedDatasets(data, x, rows_z)
+        kept = x[0, 0]
+        x[0, 0] += 1.0
+        assert result.imputed_x[0, 0] == kept
+        for name in ("imputed_x", "imputed_z"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(result, name)[0, 0] = 0.0
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_incomplete_copy_rejected(self, cell):
+        # a non-finite imputation would leave a copy incomplete or unwritable
+        data, rows_x, rows_z = self.make()
+        rows_z[0][0] = cell
+        with pytest.raises(FrontdoorLabError, match="^imputed_z must be finite, of shape"):
+            CompletedDatasets(source=data, imputed_x=rows_x, imputed_z=rows_z)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda x: x[0][:-1],  # a vector, not one row per imputation
+            lambda x: [x[0][:-1]],  # one cell short
+            lambda x: [np.append(x[0], 1.0)],  # one cell too many
+            lambda x: 1.5,
+            lambda x: None,
+            lambda x: [[x[0][0]], [x[0][0], x[0][0]]],  # ragged
+            lambda x: [["a"] * len(x[0])],
+            lambda x: np.array(x)[None],  # three dimensions
+        ],
+        ids=["vector", "short", "long", "number", "none", "ragged", "text", "3d"],
+    )
+    def test_malformed_imputations_rejected(self, change):
+        data, rows_x, rows_z = self.make()
+        with pytest.raises(FrontdoorLabError, match="^imputed_x must be"):
+            CompletedDatasets(data, change(rows_x), rows_z)
+
+    @pytest.mark.parametrize("m_x, m_z", [(0, 0), (1, 2), (2, 1)])
+    def test_imputation_counts_must_agree(self, m_x, m_z):
+        data, rows_x, rows_z = self.make()
+        with pytest.raises(FrontdoorLabError, match="the same m >= 1 rows$"):
+            CompletedDatasets(data, rows_x * m_x or np.empty((0, len(rows_x[0]))),
+                              rows_z * m_z or np.empty((0, len(rows_z[0]))))
 
 
 @pytest.fixture(scope="module")
@@ -530,7 +610,7 @@ class TestDiagnostics:
     def test_variable_without_observed_cells_rejected(self):
         pop = generate_population(SCM, 200, seed=46)
         source = complete_dataset(np.full(200, np.nan), pop.z, pop.y)
-        result = CompletedDatasets(source, (complete_dataset(pop.x, pop.z, pop.y),))
+        result = CompletedDatasets(source, [pop.x], np.empty((1, 0)))
         with pytest.raises(FrontdoorLabError, match="^column x has no observed values$"):
             imputation_diagnostics(result)
 
@@ -538,10 +618,9 @@ class TestDiagnostics:
         # a broken imputer that writes the column mean everywhere should light
         # up the diagnostics: tiny imputed sd, large KS distance
         pop, data = make_incomplete(2000, seed=39)
-        x_mean_filled = np.where(data.m_x, data.x_star, np.nanmean(data.x_star))
-        z_mean_filled = np.where(data.m_z, data.z_star, np.nanmean(data.z_star))
-        broken = complete_dataset(x_mean_filled, z_mean_filled, np.array(data.y_star))
-        result = CompletedDatasets(source=data, completed=(broken,))
+        x_means = np.full((1, (~data.m_x).sum()), np.nanmean(data.x_star))
+        z_means = np.full((1, (~data.m_z).sum()), np.nanmean(data.z_star))
+        result = CompletedDatasets(source=data, imputed_x=x_means, imputed_z=z_means)
         sd_and_ks = {
             (variable, side): (sd, ks)
             for variable, _, side, _, sd, *_, ks in imputation_diagnostics(result)

@@ -12,6 +12,7 @@ from frontdoor_lab.causal_graph import dag_from_text, load_graph
 from frontdoor_lab.dataset import dataset_from_csv
 from frontdoor_lab.errors import FrontdoorLabError
 from frontdoor_lab.frontdoor_estimator import effect_from_csv
+from frontdoor_lab.mi_engine import diagnostics_from_csv
 from frontdoor_lab.runconfig import load_config, parse_config
 from frontdoor_lab.scm_sim import population_from_csv
 from frontdoor_lab.spline_smooth import fit_from_json
@@ -31,6 +32,11 @@ VALID = {
         "-1.0,1.0,1.0,1.0,1.0,0.5,1.5,1.25,0.75,1.75\r\n"
         "1.0,2.0,2.0,2.0,2.0,1.5,2.5,2.25,1.75,2.75\r\n"
     ),
+    diagnostics_from_csv: (
+        "variable,dataset_index,side,mean,sd,d1,d2,d3,d4,d5,d6,d7,d8,d9,ks\r\n"
+        "z,1,observed,0.5,1.0,-1.0,-0.5,0.0,0.25,0.5,0.75,1.0,1.5,2.0,0.125\r\n"
+        "z,1,imputed,0.25,0.5,-1.0,-0.5,0.0,0.25,0.5,0.75,1.0,1.5,2.0,0.125\r\n"
+    ),
     load_config: CONFIG,
     parse_config: CONFIG,
     load_graph: GRAPH,
@@ -43,6 +49,7 @@ VALID = {
 # the readers' own vocabulary
 TOKENS = [
     "x,z,y", "u,x,z,y", "mi_ace_1", "mi_ace_3", "cc_ace",
+    "variable", "dataset_index", "side", "imputed", "ks",
     "NA", "nan", "inf", "-inf", "1e999", "0", "-0.0", "1.5", "-2", "3", "5e-324",
     ":", "=", ",", "#", "seed", "n", "m", "grid", "out", "sigma_z", "x_prime_low",
     "node", "edge", "observed", "latent", "X", "Z",
@@ -89,7 +96,10 @@ def _with_bad_byte(text: str, at: int, bad: bool) -> bytes:
     return raw[:at] + b"\xff" + raw[at:]
 
 
-FILE_READERS = [dataset_from_csv, population_from_csv, effect_from_csv, load_config, load_graph]
+FILE_READERS = [
+    dataset_from_csv, population_from_csv, effect_from_csv, diagnostics_from_csv, load_config,
+    load_graph,
+]
 TEXT_READERS = [parse_config, dag_from_text, fit_from_json]
 # derandomized, so a run checks the same inputs every time
 EXAMPLES = settings(max_examples=150, derandomize=True, database=None, deadline=None)

@@ -1200,6 +1200,18 @@ class TestVectorInput:
             lambda x, y, basis: fit_additive(y[:2], [[[1.0], [2.0, 3.0]]]),
             "covariate must be a vector, got a ragged sequence",
         ),
+        "fit_additive-number_covariates": (
+            lambda x, y, basis: fit_additive(y, 1.5),
+            "covariates must be a sequence of vectors, got 1.5",
+        ),
+        "fit_additive-none_covariates": (
+            lambda x, y, basis: fit_additive(y, None),
+            "covariates must be a sequence of vectors, got None",
+        ),
+        "fit_additive-no_covariate": (
+            lambda x, y, basis: fit_additive(y, iter(())),
+            "need at least one covariate",
+        ),
         "select_lambda-matrix_covariate": (
             lambda x, y, basis: select_lambda(y, x[:, None], 20),
             r"covariate must be a vector, got shape \(200, 1\)",
