@@ -12,10 +12,13 @@ directory, so stages can be rerun or inspected independently:
   every copy of an earlier run), each built from ``observed.csv`` and one
   chain's imputed values as it is written, ``imputation_diagnostics.csv`` and
   the chain trace ``imputation_trace.csv``.
-* ``estimate``  reads the completed copies plus ``observed.csv`` and refuses,
-  naming it, a copy that is not a completion of ``observed.csv``: another row
-  count, a missing cell left, or an observed cell changed.  Only then does it
-  run ``complete_case_effect`` and ``estimate_effect``, and write both curves with
+* ``estimate``  reads ``observed.csv`` and then the completed copies one at a
+  time, and refuses, naming it, a copy that is not a completion of
+  ``observed.csv``: another row count, a missing cell left, or an observed
+  cell changed.  Of each copy it keeps only the imputed cells, so the fits
+  rebuild copy k from ``observed.csv``, whose observed cells the check found
+  equal, and hold one copy at a time.  Only after every check does it run
+  ``complete_case_effect`` and ``estimate_effect``, and write both curves with
   the true mean to the one table ``effects.csv``, and with ``--save-models``
   the fitted regressions as JSON to ``models/mediator_XX.json`` and
   ``models/outcome_XX.json``, replacing every model of an earlier run.
@@ -64,7 +67,7 @@ from .causal_graph import (
     load_graph,
     mar_holds,
 )
-from .dataset import dataset_from_csv, dataset_to_csv, datasets_to_csv, write_table
+from .dataset import Dataset, dataset_from_csv, dataset_to_csv, datasets_to_csv, write_table
 from .errors import FrontdoorLabError, NumericError
 from .figures import effect_curves_svg, scatter_matrix_svg, truth_vs_conditional_svg
 from .frontdoor_estimator import (
@@ -74,6 +77,7 @@ from .frontdoor_estimator import (
     estimate_effect,
 )
 from .mi_engine import (
+    CompletedDatasets,
     diagnostics_from_csv,
     diagnostics_to_csv,
     imputation_diagnostics,
@@ -250,19 +254,31 @@ def _save_models(pair, models: Path, i: int) -> None:
         (models / f"{kind}_{i:02d}.json").write_text(fit_to_json(fit), encoding="utf-8")
 
 
+def _imputed_cells(data: Dataset, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z cells of the completed copy at ``path`` that ``data`` is
+    missing; raises, naming the file, if the copy is not a completion of
+    ``data``.  The copy itself is dropped on return."""
+    copy = dataset_from_csv(path)
+    if copy.n != data.n:  # first: observed_cells_match needs equal lengths
+        raise FrontdoorLabError(f"{path} holds {copy.n} rows, but observed.csv holds {data.n}")
+    if not copy.is_complete():
+        raise FrontdoorLabError(f"{path} still has missing cells")
+    if not data.observed_cells_match(copy.x_star, copy.z_star, copy.y_star):
+        raise FrontdoorLabError(f"{path}: an observed cell differs from observed.csv")
+    return copy.x_star[~data.m_x], copy.z_star[~data.m_z]
+
+
 def cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     data = dataset_from_csv(out / "observed.csv")
-    paths = _completed_paths(out, cfg.m)
-    copies = [dataset_from_csv(path) for path in paths]
-    for path, copy in zip(paths, copies):
-        if copy.n != data.n:  # first: observed_cells_match needs equal lengths
-            raise FrontdoorLabError(f"{path} holds {copy.n} rows, but observed.csv holds {data.n}")
-        if not copy.is_complete():
-            raise FrontdoorLabError(f"{path} still has missing cells")
-        if not data.observed_cells_match(copy.x_star, copy.z_star, copy.y_star):
-            raise FrontdoorLabError(f"{path}: an observed cell differs from observed.csv")
+    # only the imputed cells are kept, a row per copy; the fits rebuild the
+    # copies from observed.csv one at a time
+    imputed_x = np.empty((cfg.m, (~data.m_x).sum()))
+    imputed_z = np.empty((cfg.m, (~data.m_z).sum()))
+    for k, path in enumerate(_completed_paths(out, cfg.m)):
+        imputed_x[k], imputed_z[k] = _imputed_cells(data, path)
+    copies = CompletedDatasets(data, imputed_x, imputed_z)
     grid = cfg.grid_values()
     oracle = oracle_ace(cfg.scm, grid)
     converged = []  # one flag per outcome fit: the complete-case pair's, then copy 1..m's

@@ -145,9 +145,8 @@ def fit_pair(data: Dataset, n_knots: int = DEFAULT_N_KNOTS) -> FittedPair:
     """Fit the mediator smooth and the additive outcome model on complete data."""
     if not data.is_complete():
         raise FrontdoorLabError("fit_pair needs a fully observed dataset")
-    x = np.array(data.x_star)
-    z = np.array(data.z_star)
-    y = np.array(data.y_star)
+    # a Dataset's columns are read-only, so the fits share them uncopied
+    x, z, y = data.x_star, data.z_star, data.y_star
     mediator = select_lambda(z, x, n_knots)
     outcome = fit_additive(y, [x, z], n_knots)
     return FittedPair(mediator=mediator, outcome=outcome, x_train=x)
@@ -237,12 +236,15 @@ def estimate_effect(
     on_pair: Callable[[FittedPair], object] | None = None,
 ) -> EffectEstimate:
     """Fit and estimate on each complete copy in ``datasets``, pooling curves
-    by averaging; no copy at all raises.  ``on_pair`` gets each copy's
-    :class:`FittedPair` in copy order, after its fit and before its curves.
-    Only one pair is held at a time.  ``seed`` seeds the band draws and
-    ``n_knots`` sizes each spline basis; both are exact ints, ``n_knots`` >= 4."""
+    by averaging; no copy at all, or a number or None for ``datasets``,
+    raises.  ``on_pair`` gets each copy's :class:`FittedPair` in copy order,
+    after its fit and before its curves.  Only one pair is held at a time.
+    ``seed`` seeds the band draws and ``n_knots`` sizes each spline basis;
+    both are exact ints, ``n_knots`` >= 4."""
     check_int("n_knots", n_knots, 4)
     check_int("seed", seed)
+    if not np.iterable(datasets):  # a number or None is no sequence of copies
+        raise FrontdoorLabError(f"datasets must be an iterable of datasets, got {datasets!r}")
     copies = ((completed, f"imp{i}") for i, completed in enumerate(datasets))
     return _pooled_effect(copies, grid, seed, n_knots, on_pair)
 

@@ -410,8 +410,10 @@ class _PenalizedDesign:
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.n = n = len(x)
         first, values = basis._de_boor(x)
-        # a copy of the values frees the kernel's work array
+        # a copy of the values, with the view dropped, frees the kernel's work
+        # array before the dense design is built
         self._rows = (first, values.copy())
+        del values
         # for design_matrix below and for predictions at x; the basis is
         # frozen, so set past its __setattr__
         object.__setattr__(basis, "_recorded", (x, *self._rows))

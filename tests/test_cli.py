@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import os
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -153,6 +155,35 @@ class TestPipelineArtifacts:
         kinds = ("mediator", "outcome")
         assert saved == [f"{kind}_{i:02d}.json" for kind in kinds for i in (1, 2, 3)]
         assert (run / "effects.csv").read_bytes() == (run_m3 / "effects.csv").read_bytes()
+
+    def test_estimate_holds_one_completed_copy_at_a_time(self, tmp_path, monkeypatch):
+        # when copy k is read, every copy before k - 1 is gone; the copies the
+        # fits rebuild from observed.csv estimate as the files themselves do
+        config = tmp_path / "config.txt"
+        config.write_text(f"seed = 4\nn = 600\nm = 4\ngrid = -1:1:3\nout = {tmp_path}\n")
+        for command in ("simulate", "impute"):
+            run_stage([command, "--config", str(config)])
+        copies, alive = [], []
+
+        def tracked(path):
+            if Path(path).name.startswith("completed_"):
+                gc.collect()
+                alive.append([k for k, copy in enumerate(copies[:-1], 1) if copy() is not None])
+                data = dataset_from_csv(path)
+                copies.append(weakref.ref(data))
+                return data
+            return dataset_from_csv(path)
+
+        monkeypatch.setattr(cli, "dataset_from_csv", tracked)
+        run_stage(["estimate", "--config", str(config)])
+        assert alive == [[], [], [], []]
+        mi, _, _ = effect_from_csv(tmp_path / "effects.csv")
+        files = [dataset_from_csv(tmp_path / f"completed_{k:02d}.csv") for k in range(1, 5)]
+        expected = frontdoor_estimator.estimate_effect(
+            files, load_config(config).grid_values(), seed=mix_seed(4, "estimate", "mi")
+        )
+        for name in ("per_imputation_ace", "q05", "q95"):
+            assert np.array_equal(getattr(mi, name), getattr(expected, name)), name
 
     # with one cycle, the 3 copies' outcome fits and the complete-case one do not converge
     @pytest.mark.parametrize("cap, count", [(None, 0), (1, 3 + 1)], ids=["default", "one_cycle"])

@@ -551,6 +551,12 @@ class TestEstimateEffect:
         with pytest.raises(FrontdoorLabError, match="^need at least one completed dataset$"):
             estimate_effect(copies, np.array([0.0]), seed=92)
 
+    @pytest.mark.parametrize("copies", [5, None], ids=["number", "none"])
+    def test_non_iterable_rejected(self, copies):
+        with pytest.raises(FrontdoorLabError,
+                           match=f"^datasets must be an iterable of datasets, got {copies}$"):
+            estimate_effect(copies, np.array([0.0]), seed=92)
+
     def test_incomplete_copy_rejected(self):
         data = complete_dataset([0.0, np.nan, 1.0], [0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
         with pytest.raises(FrontdoorLabError, match="^fit_pair needs a fully observed dataset$"):
