@@ -88,9 +88,8 @@ class FittedPair:
         Summed in ``predict``'s order, so adding the mediator term gives the
         full outcome prediction bit for bit.
         """
-        treatment = self.outcome.terms[0]
         part = np.full(len(self.x_train), self.outcome.intercept)
-        part += _spline_values(treatment.basis, treatment.coefficients, self.x_train)
+        part += _spline_values(self.outcome.terms[0], self.x_train)
         part.flags.writeable = False
         return part
 

@@ -14,6 +14,7 @@ tuples as ``:``-separated parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -46,8 +47,11 @@ class RunConfig:
             check_int(name, getattr(self, name), minimum)
         lo, hi, count = self.grid
         check_int("grid count", count, 1)
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise FrontdoorLabError(f"grid bounds must be finite with lo <= hi, got {lo}:{hi}")
+        # a width hi - lo that overflows would reach linspace as inf
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise FrontdoorLabError(
+                f"grid bounds must be finite with lo <= hi and a finite width, got {lo}:{hi}"
+            )
         check_int("subsample", self.subsample, 1)
         if not self.out:  # Path("") is the working directory
             raise FrontdoorLabError("out must name a directory, got an empty value")

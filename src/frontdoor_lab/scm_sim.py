@@ -117,7 +117,9 @@ class Population:
 def std_normal_pdf(x):
     """Standard normal density (1/sqrt(2 pi)) exp(-x^2/2); accepts arrays."""
     x = check_numbers("x", x)
-    out = np.exp(-0.5 * x * x) / np.sqrt(_TWO_PI)
+    # past |x| ~ 1.3e154 the square overflows to inf, and exp gives the exact 0.0
+    with np.errstate(over="ignore"):
+        out = np.exp(-0.5 * x * x) / np.sqrt(_TWO_PI)
     return float(out) if out.ndim == 0 else out
 
 def std_normal_cdf(x):

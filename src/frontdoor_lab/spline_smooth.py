@@ -31,13 +31,12 @@ raw Grams are cached together for the most recent tuple of designs, so
 consecutive fits that share their designs assemble them once.
 A term's design holds no basis matrix, only the kernel's rows: each row's
 first nonzero column and its ``degree + 1`` values.  The products ``B beta``
-go through ``_combine``, the sum that prediction uses, and ``B'v``, the
-column sums and the cross Grams of an additive fit through ``_gram``, one
-``np.bincount`` per pair of value rows.  The dense basis matrix is formed
-once per design, only for the Gram matrix, whose BLAS bits need it.  The
-kernel runs once per design: the design records its column and rows on its
-basis, and the dense matrix, like any later prediction at that exact column,
-reads them back.
+go through ``_combine``, and ``B'v``, the column sums and the cross Grams of
+an additive fit through ``_gram``, one ``np.bincount`` per pair of value
+rows.  The dense basis matrix is formed once per design, only for the Gram
+matrix, whose BLAS bits need it.  The kernel runs once per design: the
+design records its column and rows on its basis, and the dense matrix reads
+them back.
 Every GCV fit, a single smooth or an additive term, takes its basis from
 ``build_basis``, the one rule for knots and degree, and its design from one
 cache of recent columns, so imputation builds each repeated column's design
@@ -45,22 +44,30 @@ once and a mediator smooth shares its design with the outcome model's
 treatment term.
 
 Backfitting that reaches its cycle cap reports ``converged=False``.
-Prediction inside the knot span evaluates the B-spline; beyond the span the
-fit continues linearly with the end slope.  ``fit_to_json`` writes a fit as
-one JSON object and ``fit_from_json`` reads it back bit for bit.
+Prediction evaluates a fitted smooth in its piecewise-polynomial form (de
+Boor, *A Practical Guide to Splines*, 2001, ch. VII-X; SciPy's
+``PPoly.from_spline`` makes the same conversion): each fit turns its
+coefficients once into the Taylor coefficients of its polynomial on every
+knot interval, and each point then costs one interval search and one Horner
+sum of ``degree + 1`` terms.  Beyond the span the fit continues linearly with
+the end slope.  ``fit_to_json`` writes a fit as one JSON object and
+``fit_from_json`` reads it back bit for bit.
 
-Design rows and spline values both come from ``_DeBoor``, one numpy form of
-de Boor's recursion (de Boor 1972, J. Approx. Theory 6) that repeats SciPy's
-``_find_interval`` and ``_deBoor_D`` operation for operation, so every basis
-value and every prediction has the bits of SciPy's ``BSpline``, which the
-program no longer imports.  A basis computes its padded knots, Greville sites
-and recursion tables once and keeps them.
+Design rows come from ``_DeBoor``, one numpy form of de Boor's recursion (de
+Boor 1972, J. Approx. Theory 6) that repeats SciPy's ``_find_interval`` and
+``_deBoor_D`` operation for operation, so every basis value has the bits of
+SciPy's ``BSpline``, which the program no longer imports.  Predictions share
+its interval search but not its rounding: the tests hold them within 128 eps
+of ``BSpline``, relative to the sum of ``|c_a B_a(x)|``.  A basis computes its
+padded knots, Greville sites and recursion tables once and keeps them, and a
+fit its piecewise-polynomial table.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,13 +97,18 @@ BACKFIT_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SplineBasis:
-    """Cubic (or degraded low-order) B-spline basis on quantile knots."""
+    """Cubic (or degraded low-order) B-spline basis on quantile knots.
+
+    It keeps its padded knots, Greville sites and de Boor kernel once they are
+    computed, and the kernel rows of the column its last design was built on,
+    which only that design's ``design_matrix`` call reads back.
+    """
 
     knots: np.ndarray
     degree: int
     # (column, first, values): one column's kernel rows, set by the last
-    # design built on this basis and read back by ``_rows``; the column must
-    # not change while the basis holds it
+    # design built on this basis and read back by ``_rows`` for
+    # ``design_matrix``; the column must not change while the basis holds it
     _recorded = None
 
     def __post_init__(self):
@@ -152,30 +164,20 @@ class SplineBasis:
                 return first, values
         return self._de_boor(points)
 
-    @functools.cached_property
-    def _end_slope_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns and values of the derivative's basis, degree - 1 on the
-        inner knots ``full_knots[1:-1]``, at the two ends of the span."""
-        return _DeBoor(self.full_knots[1:-1], self.degree - 1)(self.knots[[0, -1]])
-
-    def _end_slopes(self, coefficients: np.ndarray) -> np.ndarray:
-        """The spline's slopes at the two ends of the span, from the
-        derivative's coefficients by SciPy's ``splder`` formula."""
-        t, k = self.full_knots, self.degree
-        derivative = (coefficients[1:] - coefficients[:-1]) * k / (t[k + 1 : -1] - t[1 : -k - 1])
-        return _combine(derivative, *self._end_slope_basis)
-
 
 class _DeBoor:
     """De Boor's recursion for the B-splines of degree ``k`` on the strictly
     increasing knots ``t``.
 
     Called on points of the span ``[t[k], t[len(t) - k - 1]]``, it finds each
-    point's knot interval, the ell with ``t[ell] <= x < t[ell + 1]`` clipped to
-    ``[k, len(t) - k - 2]``, as SciPy's ``_find_interval`` does, and runs SciPy's
-    ``_deBoor_D`` recursion for all points at once, operation for operation.
-    It returns each point's first nonzero basis column ``ell - k`` and the
-    ``(k + 1, len(x))`` nonzero basis values, each with SciPy's bits.
+    point's knot interval by ``interval``, the ell with ``t[ell] <= x <
+    t[ell + 1]`` clipped to ``[k, len(t) - k - 2]``, as SciPy's
+    ``_find_interval`` does, and runs SciPy's ``_deBoor_D`` recursion for all
+    points at once, operation for operation.  It returns each point's first
+    nonzero basis column ``ell - k`` and the ``(k + 1, len(x))`` nonzero basis
+    values, each with SciPy's bits.  The recursion gives design rows, and the
+    derivatives at the knots from which a fit builds its piecewise-polynomial
+    table; predictions run only the search.
 
     The interval search uses buckets rather than ``np.searchsorted``: a
     point's bucket ``trunc((x - t[k]) * scale)`` is monotone in x, so every knot
@@ -216,11 +218,17 @@ class _DeBoor:
         np.fmin(scaled, self._n_buckets - 1, out=scaled)
         return scaled.astype(np.intp)
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def interval(self, x: np.ndarray) -> np.ndarray:
+        """Each point's knot interval ``ell - k``, which is also its first
+        nonzero basis column."""
         bucket = self._buckets(x)
         first = self._below[bucket]
         for row in self._within:
             first += row[bucket] <= x
+        return first
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first = self.interval(x)
         k, steps = self.k, len(self._table)
         work = np.empty((steps + k + 1, len(x)))
         # with out=, the default mode would buffer the whole gather
@@ -360,6 +368,31 @@ class PenalizedSplineFit:
         if len(self.coefficients) != self.basis.dim:
             raise FrontdoorLabError("coefficient length must equal basis dimension")
 
+    @functools.cached_property
+    def _taylor(self) -> np.ndarray:
+        """The spline's piecewise-polynomial form, ``(degree + 1, len(knots))``
+        and read-only: row r holds the r-th derivative over r! at each knot,
+        so column j holds the Taylor coefficients at ``knots[j]`` of the
+        polynomial on the interval that starts there.  The last column is the
+        limit from the left at the span's right end; of it only row 1, the
+        end slope, is read.
+
+        The r-th derivative's coefficients follow from the (r - 1)-th by SciPy's
+        ``splder`` formula, and ``_DeBoor`` of degree ``degree - r`` on the knots
+        ``full_knots[r : len - r]`` evaluates them."""
+        basis = self.basis
+        t, k = basis.full_knots, basis.degree
+        table = np.empty((k + 1, len(basis.knots)))
+        derivative = self.coefficients
+        for r in range(k + 1):
+            if r:
+                spans = t[k + 1 : len(t) - r] - t[r : len(t) - k - 1]
+                derivative = (derivative[1:] - derivative[:-1]) * (k - r + 1) / spans
+            rows = _DeBoor(t[r : len(t) - r], k - r)(basis.knots)
+            table[r] = _combine(derivative, *rows) / math.factorial(r)
+        table.setflags(write=False)
+        return table
+
 
 @dataclass(frozen=True, eq=False)
 class AdditiveFit:
@@ -382,7 +415,7 @@ class _PenalizedDesign:
     one-column case.  The dense ``design_matrix`` is formed only for the Gram
     matrix ``B'B``, whose BLAS bits need it.  The kernel runs once: its rows
     are recorded on the basis with the column ``x``, so ``design_matrix`` here
-    and every prediction at ``x`` read them back (``SplineBasis._rows``).
+    reads them back (``SplineBasis._rows``).
 
     The coefficients are split between the penalty null space (affine
     coefficient sequences, ``_Q1``) and its orthogonal complement (``_Q2``).
@@ -414,8 +447,8 @@ class _PenalizedDesign:
         # array before the dense design is built
         self._rows = (first, values.copy())
         del values
-        # for design_matrix below and for predictions at x; the basis is
-        # frozen, so set past its __setattr__
+        # for design_matrix below; the basis is frozen, so set past its
+        # __setattr__
         object.__setattr__(basis, "_recorded", (x, *self._rows))
         self._col_sums = self._Bt(np.ones(n))
         # syrk's bits need the dense matrix
@@ -764,19 +797,33 @@ def fit_additive(
 # ------------------------------------------------------------- prediction
 
 
-def _spline_values(basis: SplineBasis, coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The spline at the float64 vector ``points``, continued linearly beyond
-    the span; a NaN point gives NaN and an infinite one an infinite value."""
-    lo, hi = float(basis.knots[0]), float(basis.knots[-1])
-    values = _combine(coefficients, *basis._rows(np.clip(points, lo, hi)))
+def _spline_values(fit: PenalizedSplineFit, points: np.ndarray) -> np.ndarray:
+    """The fitted smooth at the float64 vector ``points``, by Horner's rule on
+    each point's interval of its piecewise-polynomial form and continued
+    linearly beyond the span; a NaN point gives NaN and an infinite or
+    overflowing one an infinite value."""
+    knots, taylor = fit.basis.knots, fit._taylor
+    lo, hi = float(knots[0]), float(knots[-1])
+    dx = np.clip(points, lo, hi)
+    interval = fit.basis._de_boor.interval(dx)
+    dx -= np.take(knots, interval)
+    values = np.take(taylor[-1], interval)
+    term = np.empty(len(points))
+    for row in taylor[-2::-1]:
+        values *= dx
+        # with out=, the default mode would buffer the whole gather
+        np.take(row, interval, out=term, mode="clip")
+        values += term
     below = points < lo
     above = points > hi
     if below.any() or above.any():
-        slope_lo, slope_hi = basis._end_slopes(coefficients)
-        if below.any():
-            values[below] += (points[below] - lo) * slope_lo
-        if above.any():
-            values[above] += (points[above] - hi) * slope_hi
+        slope_lo, slope_hi = taylor[1, [0, -1]]
+        # a huge finite point overflows to the infinity an infinite one gives
+        with np.errstate(over="ignore"):
+            if below.any():
+                values[below] += (points[below] - lo) * slope_lo
+            if above.any():
+                values[above] += (points[above] - hi) * slope_hi
     return values
 
 
@@ -791,7 +838,7 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
     span the prediction continues linearly with the end slope.
     """
     if isinstance(fit, PenalizedSplineFit):
-        return _spline_values(fit.basis, fit.coefficients, _point_vector("points", points))
+        return _spline_values(fit, _point_vector("points", points))
     if isinstance(fit, AdditiveFit):
         if isinstance(points, np.ndarray) and points.ndim == 2:
             points = points.T
@@ -807,7 +854,7 @@ def predict(fit: PenalizedSplineFit | AdditiveFit, points) -> np.ndarray:
             raise FrontdoorLabError(f"covariate columns must have equal lengths, got {lengths}")
         total = np.full(len(columns[0]), fit.intercept)
         for term, column in zip(fit.terms, columns):
-            total += _spline_values(term.basis, term.coefficients, column)
+            total += _spline_values(term, column)
         return total
     raise FrontdoorLabError(f"cannot predict from {type(fit).__name__}")
 

@@ -825,6 +825,7 @@ class TestErrorPaths:
             "grid = nan:1:5",
             "grid = -3:inf:5",
             "grid = 3:-3:5",
+            "grid = -1e308:1e308:3",
             "subsample = 0",
             "subsample = -1",
             "m = 1",
@@ -838,7 +839,7 @@ class TestErrorPaths:
         ],
         ids=[
             "n_knots_3", "grid_count_negative", "grid_count_zero", "grid_lo_nan",
-            "grid_hi_inf", "grid_lo_above_hi", "subsample_0", "subsample_negative",
+            "grid_hi_inf", "grid_lo_above_hi", "grid_width_overflows", "subsample_0", "subsample_negative",
             "m_1", "cycles_0", "donors_0",
             "x_prime_width_overflows", "x_prime_low_above_high", "sigma_z_overflows",
             "missingness_index_overflows",

@@ -49,6 +49,12 @@ class TestDensities:
     def test_pdf_symmetric(self):
         assert std_normal_pdf(-1.0) == std_normal_pdf(1.0)
 
+    def test_pdf_far_out_is_zero_without_a_warning(self):
+        # the square overflows there; pytest.ini makes a RuntimeWarning an error
+        far = [1e200, -1e200, np.finfo(float).max, -np.finfo(float).max]
+        assert std_normal_pdf(np.array(far)).tolist() == [0.0] * 4
+        assert [std_normal_pdf(x) for x in far] == [0.0] * 4
+
     def test_pdf_integrates_to_one(self):
         total = trapezoid_integral(std_normal_pdf, -10.0, 10.0)
         assert total == pytest.approx(1.0, abs=1e-6)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import BSpline
+from scipy.interpolate import BSpline, PPoly
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from frontdoor_lab import spline_smooth
@@ -417,16 +417,22 @@ class TestPredict:
             predict(fit, columns)
 
     def test_non_finite_points(self):
-        # the values SciPy's BSpline gave for this fit, with no warning: a NaN
-        # point gives NaN, an infinite one the end slope's infinity
+        # the values the piecewise-polynomial form gives for this fit, with no
+        # warning: a NaN point gives NaN, an infinite one the end slope's
+        # infinity, and so does a finite one far enough out to overflow
         x, y = make_xy(400, seed=0)
         fit = select_lambda(y, x)
         assert np.isnan(predict(fit, [np.nan])).all()
         inside, missing = predict(fit, [0.1, np.nan])
-        assert inside.hex() == "0x1.8f4511bfef58dp-3"
+        assert inside.hex() == "0x1.8f4511bfef58ep-3"
         assert np.isnan(missing)
-        assert predict(fit, [np.inf]).tolist() == [-np.inf]
-        assert predict(fit, [-np.inf]).tolist() == [np.inf]
+        for far in (np.inf, np.finfo(float).max):
+            assert predict(fit, [far]).tolist() == [-np.inf]
+            assert predict(fit, [-far]).tolist() == [np.inf]
+        # the end slopes are about -1.98 and -1.56: 1e308 below the span
+        # overflows, above it does not
+        low, high = predict(fit, [-1e308, 1e308])
+        assert low == np.inf and -1.6e308 < high < -1.5e308
 
     def test_basis_geometry_is_computed_once_and_read_only(self):
         basis = build_basis(np.linspace(0, 1, 50), 8)
@@ -434,17 +440,41 @@ class TestPredict:
             assert getattr(basis, name) is getattr(basis, name)
             assert not getattr(basis, name).flags.writeable
 
+    def test_pp_table_is_built_once_per_fit_and_read_only(self, monkeypatch):
+        x, y = make_xy(200, seed=19)
+        fit = select_lambda(y, x, 8)
+        runs = TestRecordedRows.count_kernel_runs(monkeypatch)
+        for points in (x, [0.5], np.linspace(-5.0, 5.0, 7)):
+            predict(fit, points)
+        # one kernel run per derivative order, each over the knots
+        assert runs == [len(fit.basis.knots)] * (fit.basis.degree + 1)
+        table = fit._taylor
+        assert table is fit._taylor and not table.flags.writeable
+        # another fit on the same basis builds its own table
+        other = PenalizedSplineFit(fit.basis, -fit.coefficients, fit.lam, fit.edf, fit.residuals, fit.gcv)
+        assert np.array_equal(other._taylor, -table)
+        assert len(runs) == 2 * (fit.basis.degree + 1)
 
-def scipy_spline_values(basis, coefficients, points):
-    """The spline of ``_spline_values`` evaluated by SciPy's ``BSpline``."""
+
+def spline_fit(basis, coefficients):
+    """A fitted smooth with these coefficients, as ``_spline_values`` takes it."""
+    return PenalizedSplineFit(basis, coefficients, lam=0.0, edf=0.0, residuals=np.zeros(1), gcv=0.0)
+
+
+def scipy_spline_parts(basis, coefficients, points, form=BSpline):
+    """The two parts of ``_spline_values``'s spline by SciPy: its values at the
+    points clipped to the span, by ``BSpline`` or by ``PPoly.from_spline`` of
+    it, and the linear continuation beyond the span with the ``BSpline``'s
+    end slopes, zero inside the span."""
     lo, hi = basis.knots[0], basis.knots[-1]
     spline = BSpline(basis.full_knots, coefficients, basis.degree, extrapolate=False)
-    values = spline(np.clip(points, lo, hi))
+    evaluate = PPoly.from_spline(spline, extrapolate=False) if form is PPoly else spline
     slope = spline.derivative()
+    continuation = np.zeros(len(points))
     below, above = points < lo, points > hi
-    values[below] += (points[below] - lo) * slope(lo)
-    values[above] += (points[above] - hi) * slope(hi)
-    return values
+    continuation[below] = (points[below] - lo) * slope(lo)
+    continuation[above] = (points[above] - hi) * slope(hi)
+    return evaluate(np.clip(points, lo, hi)), continuation
 
 
 def kernel_bases():
@@ -461,8 +491,9 @@ def kernel_bases():
 
 
 class TestDeBoorAgainstScipy:
-    """The de Boor kernel against SciPy's ``BSpline``, kept here as the reference:
-    design rows and spline values match it bit for bit."""
+    """The de Boor kernel and the piecewise-polynomial form against SciPy, kept
+    here as the reference: design rows match ``BSpline`` bit for bit, and
+    spline values both ``BSpline`` and ``PPoly.from_spline`` within a bound."""
 
     @staticmethod
     def span_points(basis, rng):
@@ -486,17 +517,24 @@ class TestDeBoorAgainstScipy:
             beyond = rng.exponential(size=20)
             points = np.concatenate([self.span_points(basis, rng), lo - beyond, hi + beyond[::-1]])
             coefficients = rng.standard_normal(basis.dim)
-            expected = scipy_spline_values(basis, coefficients, points)
-            values = _spline_values(basis, coefficients, points)
-            assert values.tobytes() == expected.tobytes(), basis
+            values = _spline_values(spline_fit(basis, coefficients), points)
+            # sum_a |c_a B_a(x)| at the clipped point
+            magnitude, _ = scipy_spline_parts(basis, np.abs(coefficients), points)
+            for form in (BSpline, PPoly):
+                inside, continuation = scipy_spline_parts(basis, coefficients, points, form)
+                # Horner's rule rounds otherwise than de Boor's recursion; on these
+                # bases it came within 62 eps of BSpline and 20 eps of PPoly
+                bound = 128 * np.finfo(float).eps * (magnitude + np.abs(continuation))
+                error = np.abs(values - (inside + continuation))
+                assert np.all(error <= bound), (basis, form, np.max(error / bound))
 
     def test_negative_zero_coefficients_sum_to_positive_zero(self):
         basis = SplineBasis(np.linspace(0.0, 1.0, 6), 3)
         points = np.array([0.0, 0.3, 1.0])
         coefficients = np.full(basis.dim, -0.0)
-        values = _spline_values(basis, coefficients, points)
-        assert values.tobytes() == scipy_spline_values(basis, coefficients, points).tobytes()
-        assert values.tobytes() == np.zeros(3).tobytes()
+        values = _spline_values(spline_fit(basis, coefficients), points)
+        inside, _ = scipy_spline_parts(basis, coefficients, points)
+        assert values.tobytes() == inside.tobytes() == np.zeros(3).tobytes()
 
     def test_close_knots_share_a_bucket(self):
         # so the tests above reach the search's comparison of several knots in one bucket
@@ -521,7 +559,7 @@ class TestFitAdditive:
 
         for term in fit.terms:
             grid = np.linspace(term.basis.knots[0], term.basis.knots[-1], 40)
-            vals = _spline_values(term.basis, term.coefficients, grid)
+            vals = _spline_values(term, grid)
             second = np.diff(vals, 2)
             assert np.max(np.abs(second)) < 1e-7
 
@@ -535,7 +573,7 @@ class TestFitAdditive:
         from frontdoor_lab.spline_smooth import _spline_values
 
         for term, col in zip(fit.terms, (x1, x2)):
-            component = _spline_values(term.basis, term.coefficients, col)
+            component = _spline_values(term, col)
             assert abs(float(np.mean(component))) < 1e-6
 
     def test_recovers_structural_decomposition(self):
@@ -555,13 +593,13 @@ class TestFitAdditive:
 
         xg = np.quantile(pop.x, np.linspace(0.01, 0.99, 120))
         truth_x = -0.1 * mean_u_given_x(xg)
-        est_x = _spline_values(fit.terms[0].basis, fit.terms[0].coefficients, xg)
+        est_x = _spline_values(fit.terms[0], xg)
         gap_x = (est_x - est_x.mean()) - (truth_x - truth_x.mean())
         assert float(np.sqrt(np.mean(gap_x**2))) < 0.02
 
         zg = np.quantile(pop.z, np.linspace(0.01, 0.99, 120))
         truth_z = std_normal_pdf(zg - 0.5) + 0.3 * zg
-        est_z = _spline_values(fit.terms[1].basis, fit.terms[1].coefficients, zg)
+        est_z = _spline_values(fit.terms[1], zg)
         gap_z = (est_z - est_z.mean()) - (truth_z - truth_z.mean())
         assert float(np.sqrt(np.mean(gap_z**2))) < 0.02
 
@@ -584,9 +622,9 @@ class TestFitAdditive:
         assert fit.terms[1].basis.degree == 1
         from frontdoor_lab.spline_smooth import _spline_values
 
-        gap = _spline_values(
-            fit.terms[1].basis, fit.terms[1].coefficients, np.array([1.0])
-        ) - _spline_values(fit.terms[1].basis, fit.terms[1].coefficients, np.array([-1.0]))
+        gap = _spline_values(fit.terms[1], np.array([1.0])) - _spline_values(
+            fit.terms[1], np.array([-1.0])
+        )
         assert float(gap[0]) == pytest.approx(1.0, abs=0.05)
 
     def test_backfitting_fixed_point(self):
@@ -600,7 +638,7 @@ class TestFitAdditive:
         from frontdoor_lab.spline_smooth import _spline_values
 
         components = [
-            _spline_values(t.basis, t.coefficients, c)
+            _spline_values(t, c)
             for t, c in zip(fit.terms, (x1, x2))
         ]
         for j, (term, col) in enumerate(zip(fit.terms, (x1, x2))):
@@ -852,7 +890,8 @@ class TestKernelRowProducts:
 
 class TestRecordedRows:
     """A design runs the kernel once and records its column's rows on its basis;
-    design rows and spline values read them back only for that column's bits."""
+    only ``design_matrix`` reads them back, and only for that column's bits.
+    Predictions never run the kernel over their points."""
 
     @staticmethod
     def basis_and_column(degree):
@@ -887,25 +926,24 @@ class TestRecordedRows:
         spline_smooth._PenalizedDesign(basis, column, LAMBDA_GRID)
         fresh = SplineBasis(basis.knots, basis.degree)
         assert basis._recorded is not None and fresh._recorded is None
-        coefficients = np.random.default_rng(42).standard_normal(basis.dim)
         assert design_matrix(basis, column).tobytes() == design_matrix(fresh, column).tobytes()
-        values = _spline_values(basis, coefficients, column)
-        assert values.tobytes() == _spline_values(fresh, coefficients, column).tobytes()
 
-    def test_kernel_runs_once_per_design_and_never_at_its_column(self, monkeypatch):
+    def test_kernel_runs_once_per_design_and_never_to_predict(self, monkeypatch):
         basis, column = self.basis_and_column(3)
         runs = self.count_kernel_runs(monkeypatch)
         design = spline_smooth._PenalizedDesign(basis, column, LAMBDA_GRID)
         assert runs == [len(column)]
         fit = design.fit(np.sin(column))
-        predict(fit, column.copy())
         design_matrix(basis, column.copy())
         assert runs == [len(column)]
+        for points in (column.copy(), column[::-1].copy(), np.linspace(-5.0, 5.0, 50)):
+            predict(fit, points)
+        # only the fit's pp table runs it, once per derivative order over the knots
+        assert runs == [len(column)] + [len(basis.knots)] * (basis.degree + 1)
 
     def test_other_bits_of_the_same_length_run_the_kernel(self, monkeypatch):
         basis, column = self.basis_and_column(3)
         spline_smooth._PenalizedDesign(basis, column, LAMBDA_GRID)
-        coefficients = np.random.default_rng(43).standard_normal(basis.dim)
         fresh = SplineBasis(basis.knots, basis.degree)
         negative_zero = column.copy()
         negative_zero[column == 0.0] = -0.0
@@ -916,8 +954,7 @@ class TestRecordedRows:
         assert np.array_equal(negative_zero, column) and negative_zero[0] == column[0]
         runs = self.count_kernel_runs(monkeypatch)
         for other in others:
-            values = _spline_values(basis, coefficients, other)
-            assert values.tobytes() == _spline_values(fresh, coefficients, other).tobytes()
+            assert design_matrix(basis, other).tobytes() == design_matrix(fresh, other).tobytes()
         assert len(runs) == 2 * len(others)
 
     def test_a_basis_reused_on_a_new_column_reads_only_that_column(self):
@@ -935,7 +972,7 @@ class TestRecordedRows:
         fit = fit_penalized(y, x, basis, 1.0)
         fresh = SplineBasis(basis.knots, basis.degree)
         x[:] = x[::-1].copy()
-        assert predict(fit, x).tobytes() == _spline_values(fresh, fit.coefficients, x).tobytes()
+        assert design_matrix(basis, x).tobytes() == design_matrix(fresh, x).tobytes()
 
 
 class TestJointFit:
