@@ -368,8 +368,13 @@ def cmd_evaluate(args) -> int:
             )
 
     # how far the imputations move the estimate: the between-copy sd of the
-    # ACE, and the standard error of the pooled mean it implies
-    between_sd = np.std(mi.per_imputation_ace, axis=0, ddof=1)
+    # ACE, and the standard error of the pooled mean it implies.  Each grid
+    # column is scaled by a power of two that brings it below 1 in magnitude
+    # and scaled back, which is exact and keeps huge curves from overflowing
+    # the squares
+    _, exponent = np.frexp(np.max(np.abs(mi.per_imputation_ace), axis=0))
+    scaled = np.ldexp(mi.per_imputation_ace, -exponent)
+    between_sd = np.ldexp(np.std(scaled, axis=0, ddof=1), exponent)
     sd_max = float(np.max(between_sd[inner])) if inner.any() else float("nan")
     report.append(
         f"mi_between_sd_max={sd_max:.4f} mi_pooled_se_max={sd_max / np.sqrt(mi.m):.4f}"

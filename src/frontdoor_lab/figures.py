@@ -31,13 +31,21 @@ _UPPER_RECT = (60, 40, 470, 200)
 _LOWER_RECT = (60, 300, 470, 200)
 
 
+def _widened(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """``(lo - pad, hi + pad)``, or, where rounding loses that pad and leaves a
+    zero-width axis, the range padded by ``_PAD`` of its larger magnitude."""
+    if lo - pad < hi + pad:
+        return lo - pad, hi + pad
+    pad = _PAD * max(abs(lo), abs(hi))
+    return lo - pad, hi + pad
+
+
 def _padded_limits(values: np.ndarray) -> tuple[float, float]:
     if len(values) == 0:  # a subsample with no observed cell in the column
         values = np.array([-1.0, 1.0])
     lo = float(np.nanmin(values))
     hi = float(np.nanmax(values))
-    span = (hi - lo) or 1.0
-    return lo - _PAD * span, hi + _PAD * span
+    return _widened(lo, hi, _PAD * ((hi - lo) or 1.0))
 
 
 def scatter_matrix_svg(data: Dataset, subsample: int, seed: int) -> str:
@@ -144,7 +152,7 @@ def effect_curves_svg(
     """Estimated mean curves and quantile bands against the ground truth."""
     grid = mi.grid
     canvas = Canvas(*_TWO_PANEL_SIZE)
-    xlim = (float(grid[0]) - 0.1, float(grid[-1]) + 0.1)
+    xlim = _widened(float(grid[0]), float(grid[-1]), 0.1)
 
     stacked = np.concatenate([mi.pooled_ace, cc.pooled_ace, oracle])
     upper = Axes(

@@ -18,14 +18,15 @@ Because the outcome model is additive, the n x n sum splits into
 The quantile bands do draw: each row is paired with a mediator residual and
 an outcome residual resampled from their pools, and the empirical quantiles
 of those plug-in values estimate the quantiles of the interventional outcome
-distribution.  The draws are sorted before their quantiles are taken: a
-quantile depends only on the order statistics, so the bands are the same
-bits, and the selection inside ``np.quantile`` is cheaper on sorted input.
+distribution.  The draws are sorted, and the two band values are read off
+the order statistics by numpy's default quantile rule (``_band``), with the
+bits ``np.quantile`` gives, without its selection.
 
 Because the outcome model sees the observed x_i, its intercept plus treatment
 term at the training rows does not depend on the target x: each fitted pair
-evaluates it once (``FittedPair.treatment_part``), and each grid point
-evaluates only the outcome's mediator term.
+evaluates it and its mean once (``FittedPair.treatment_part`` and
+``treatment_mean``), and each grid point evaluates only the outcome's
+mediator term.
 
 With multiply imputed data the procedure runs once per completed copy and the
 curves are pooled by averaging; a complete-case variant drops every row with
@@ -35,6 +36,7 @@ true mean go to one table per run (:func:`effect_to_csv`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -92,6 +94,11 @@ class FittedPair:
         part += _spline_values(self.outcome.terms[0], self.x_train)
         part.flags.writeable = False
         return part
+
+    @cached_property
+    def treatment_mean(self) -> float:
+        """The mean of ``treatment_part``, the rows' share of every ``ace_at``."""
+        return float(np.mean(self.treatment_part))
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -160,7 +167,7 @@ def ace_at(pair: FittedPair, x: float) -> float:
     """
     center = float(predict(pair.mediator, check_real("target treatment value", x))[0])
     mediator_term = predict(pair.outcome.terms[1], center + pair.mediator.residuals)
-    return float(np.mean(pair.treatment_part)) + float(np.mean(mediator_term))
+    return pair.treatment_mean + float(np.mean(mediator_term))
 
 
 def distribution_at(pair: FittedPair, x: float, seed: int) -> np.ndarray:
@@ -176,9 +183,42 @@ def distribution_at(pair: FittedPair, x: float, seed: int) -> np.ndarray:
     n = len(pair.x_train)
     rng = rng_from(seed, "distribution")
     center = float(predict(pair.mediator, x)[0])
-    z_draws = center + mediator_pool[rng.integers(0, len(mediator_pool), n)]
-    values = pair.treatment_part + predict(pair.outcome.terms[1], z_draws)
-    return values + outcome_pool[rng.integers(0, len(outcome_pool), n)]
+    z_draws = mediator_pool[rng.integers(0, len(mediator_pool), n)]
+    z_draws += center
+    # predict's fresh array takes both sums in place; addition commutes, so
+    # the bits are those of treatment_part + prediction + outcome residual
+    values = predict(pair.outcome.terms[1], z_draws)
+    values += pair.treatment_part
+    values += outcome_pool[rng.integers(0, len(outcome_pool), n)]
+    return values
+
+
+def _band(ordered: np.ndarray) -> tuple[float, float]:
+    """The 5 % and 95 % quantiles of the sorted, non-empty vector ``ordered``,
+    with the bits of ``np.quantile(ordered, [0.05, 0.95])``.
+
+    numpy's default rule (Hyndman & Fan type 7) takes the virtual index
+    ``(n - 1) q``; with ``gamma`` its fractional part and ``a``, ``b`` the
+    order statistics around it, the quantile is ``a + (b - a) gamma``, or
+    ``b - (b - a) (1 - gamma)`` where ``gamma >= 0.5``.  A NaN sorts last and
+    makes both values NaN, as in numpy.
+    """
+    last = len(ordered) - 1
+    if np.isnan(ordered[last]):
+        return math.nan, math.nan
+    band = []
+    for q in (0.05, 0.95):
+        virtual = last * q
+        if virtual < last:
+            lower = math.floor(virtual)
+            upper = lower + 1
+        else:  # only at n = 1: numpy's clamp to the last value, index -1
+            lower = upper = -1
+        gamma = virtual - lower
+        a, b = ordered[lower], ordered[upper]
+        step = b - a
+        band.append(b - step * (1 - gamma) if gamma >= 0.5 else a + step * gamma)
+    return band[0], band[1]
 
 
 def _curves_for_pair(
@@ -190,8 +230,8 @@ def _curves_for_pair(
     for j, x in enumerate(grid):
         ace[j] = ace_at(pair, float(x))
         draws = distribution_at(pair, float(x), mix_seed(seed, label, "dist", j))
-        draws.sort()  # the same quantiles, and a cheaper selection inside np.quantile
-        q05[j], q95[j] = np.quantile(draws, [0.05, 0.95])
+        draws.sort()
+        q05[j], q95[j] = _band(draws)
     return ace, q05, q95
 
 

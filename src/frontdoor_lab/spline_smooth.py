@@ -59,8 +59,8 @@ Boor 1972, J. Approx. Theory 6) that repeats SciPy's ``_find_interval`` and
 SciPy's ``BSpline``, which the program no longer imports.  Predictions share
 its interval search but not its rounding: the tests hold them within 128 eps
 of ``BSpline``, relative to the sum of ``|c_a B_a(x)|``.  A basis computes its
-padded knots, Greville sites and recursion tables once and keeps them, and a
-fit its piecewise-polynomial table.
+padded knots, Greville sites, recursion tables and kernel rows at the knots
+once and keeps them, and a fit its piecewise-polynomial table.
 """
 
 from __future__ import annotations
@@ -99,9 +99,10 @@ BACKFIT_TOL = 1e-6
 class SplineBasis:
     """Cubic (or degraded low-order) B-spline basis on quantile knots.
 
-    It keeps its padded knots, Greville sites and de Boor kernel once they are
-    computed, and the kernel rows of the column its last design was built on,
-    which only that design's ``design_matrix`` call reads back.
+    It keeps its padded knots, Greville sites, de Boor kernel and kernel rows
+    at its knots once they are computed, and the kernel rows of the column
+    its last design was built on, which only that design's ``design_matrix``
+    call reads back.
     """
 
     knots: np.ndarray
@@ -151,6 +152,20 @@ class SplineBasis:
     @functools.cached_property
     def _de_boor(self) -> "_DeBoor":
         return _DeBoor(self.full_knots, self.degree)
+
+    @functools.cached_property
+    def _knot_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Entry r holds the kernel's read-only ``(first, values)`` at the knots
+        for the splines of degree ``degree - r`` on ``full_knots[r : len - r]``,
+        which evaluate a fit's r-th derivative there; entry 0 comes from the
+        basis's own kernel."""
+        t, k = self.full_knots, self.degree
+        kernels = [self._de_boor] + [_DeBoor(t[r : len(t) - r], k - r) for r in range(1, k + 1)]
+        rows = tuple(kernel(self.knots) for kernel in kernels)
+        for first, values in rows:
+            first.setflags(write=False)
+            values.setflags(write=False)
+        return rows
 
     def _rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The kernel's ``(first, values)`` at the float64 vector ``points``: the
@@ -378,17 +393,16 @@ class PenalizedSplineFit:
         end slope, is read.
 
         The r-th derivative's coefficients follow from the (r - 1)-th by SciPy's
-        ``splder`` formula, and ``_DeBoor`` of degree ``degree - r`` on the knots
-        ``full_knots[r : len - r]`` evaluates them."""
+        ``splder`` formula, and the basis's kernel rows at the knots
+        (``SplineBasis._knot_rows``) evaluate them."""
         basis = self.basis
         t, k = basis.full_knots, basis.degree
         table = np.empty((k + 1, len(basis.knots)))
         derivative = self.coefficients
-        for r in range(k + 1):
+        for r, rows in enumerate(basis._knot_rows):
             if r:
                 spans = t[k + 1 : len(t) - r] - t[r : len(t) - k - 1]
                 derivative = (derivative[1:] - derivative[:-1]) * (k - r + 1) / spans
-            rows = _DeBoor(t[r : len(t) - r], k - r)(basis.knots)
             table[r] = _combine(derivative, *rows) / math.factorial(r)
         table.setflags(write=False)
         return table

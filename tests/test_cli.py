@@ -358,6 +358,26 @@ class TestEvaluateOutput:
         sd_max = float(np.max(between_sd))  # the whole grid lies in [-2, 2]
         expected = f"mi_between_sd_max={sd_max:.4f} mi_pooled_se_max={sd_max / np.sqrt(3):.4f}"
         assert lines[-2] == expected
+        # the power-of-two scaling that guards huge curves changes no bit
+        assert between_sd.tobytes() == np.std(per_copy, axis=0, ddof=1).tobytes()
+
+    def test_huge_curves(self, tmp_path, capsys):
+        # at x = 1e200 the curves are about 1e199: the between-copy sd must
+        # not overflow, and the effect figure's axes must keep a width
+        config = tmp_path / "config.txt"
+        config.write_text(f"n = 600\nm = 2\ncycles = 1\ngrid = 1e200:1e200:1\nout = {tmp_path}\n")
+        for command in ("simulate", "impute", "estimate", "evaluate", "plot"):
+            run_stage([command, "--config", str(config)])
+        assert capsys.readouterr().err == ""
+        header, *rows = (tmp_path / "evaluation.csv").read_text().splitlines()
+        assert len(rows) == 1
+        cells = np.array([float(cell) for cell in rows[0].split(",")])
+        assert np.all(np.isfinite(cells)), dict(zip(header.split(","), cells))
+        assert abs(float(effect_from_csv(tmp_path / "effects.csv")[0].pooled_ace[0])) > 1e100
+        for name in ("scatter_matrix", "true_vs_conditional", "estimated_effects"):
+            text = (tmp_path / f"{name}.svg").read_text()
+            ET.fromstring(text)
+            assert "nan" not in text.lower(), name
 
 
 class TestRerunWithFewerImputations:

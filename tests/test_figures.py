@@ -2,6 +2,7 @@
 and the figures' argument checks."""
 
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from frontdoor_lab.dataset import Dataset
 from frontdoor_lab.errors import FrontdoorLabError
-from frontdoor_lab.figures import scatter_matrix_svg, truth_vs_conditional_svg
+from frontdoor_lab.figures import (
+    _padded_limits,
+    effect_curves_svg,
+    scatter_matrix_svg,
+    truth_vs_conditional_svg,
+)
+from frontdoor_lab.frontdoor_estimator import EffectEstimate
 from frontdoor_lab.scm_sim import ScmConfig
 from frontdoor_lab.svgfig import Axes, Canvas
 
@@ -121,3 +128,24 @@ def test_figures_refuse_a_seed_that_is_not_an_int(figure, seed):
     message = f"^seed must be int, got {re.escape(repr(seed))}$"
     with pytest.raises(FrontdoorLabError, match=message):
         FIGURES[figure](2, seed)
+
+
+def test_padded_limits_keep_a_width():
+    # the pad is a share of the span, or of 1.0 for one value; where rounding
+    # loses that pad, a share of the value's magnitude
+    assert _padded_limits(np.array([0.0, 1.0])) == (0.0 - 0.06, 1.0 + 0.06)
+    assert _padded_limits(np.array([2.0])) == (2.0 - 0.06, 2.0 + 0.06)
+    assert _padded_limits(np.array([1e200])) == (1e200 - 6e198, 1e200 + 6e198)
+    assert _padded_limits(np.array([-1e200])) == (-1e200 - 6e198, -1e200 + 6e198)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e200], ids=["zero", "huge"])
+def test_effect_figure_on_one_grid_point(x):
+    def estimate(value):
+        return EffectEstimate([x], [[value]], [value], [value - 1.0], [value + 1.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = effect_curves_svg(estimate(x), estimate(2.0 * x), [x], [x - 1.0], [x + 1.0])
+    ET.fromstring(svg)
+    assert "nan" not in svg.lower()

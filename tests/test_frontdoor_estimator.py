@@ -224,6 +224,12 @@ class TestTreatmentPart:
         with pytest.raises(ValueError):
             part[0] = 0.0
 
+    def test_mean_cached_once(self, scm_pair):
+        pair = FittedPair(scm_pair.mediator, scm_pair.outcome, scm_pair.x_train)
+        assert pair.treatment_mean == float(np.mean(pair.treatment_part))
+        assert type(pair.treatment_mean) is float
+        assert pair.treatment_mean is pair.treatment_mean
+
 
 @pytest.fixture(scope="module")
 def small_pair():
@@ -454,6 +460,20 @@ class TestDistributionAt:
         draws = distribution_at(frozen, 0.3, seed=82)
         assert np.allclose(draws, 1.5, atol=1e-7)
 
+    def test_fresh_writable_array_leaves_its_inputs(self, small_pair):
+        inputs = (
+            small_pair.treatment_part,
+            small_pair.mediator.residuals,
+            small_pair.outcome.residuals,
+        )
+        before = [array.tobytes() for array in inputs]
+        draws = distribution_at(small_pair, 0.4, seed=92)
+        assert draws.flags.writeable and draws.flags.owndata
+        assert not any(np.shares_memory(draws, array) for array in inputs)
+        assert [array.tobytes() for array in inputs] == before
+        draws += 1.0  # the caller may sort or edit it in place
+        assert [array.tobytes() for array in inputs] == before
+
     def test_seed_fixes_the_draws(self, small_pair):
         draws = distribution_at(small_pair, 0.4, seed=90)
         assert draws.tobytes() == distribution_at(small_pair, 0.4, seed=90).tobytes()
@@ -501,6 +521,31 @@ class TestBandShortcuts:
             draws = distribution_at(small_pair, float(x), seed)
             expected = np.quantile(draws, [0.05, 0.95])
             assert np.array([q05[j], q95[j]]).tobytes() == expected.tobytes()
+
+    def test_band_is_numpys_default_quantile(self):
+        # _band restates numpy's default (type 7) rule on sorted draws; a
+        # numpy release that changes that rule fails here
+        rng = np.random.default_rng(93)
+        sizes = [*range(1, 301), 8000, 18423, 20000]
+        for n in sizes:
+            ordered = np.sort(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4))
+            expected = np.quantile(ordered, [0.05, 0.95])
+            got = np.array(frontdoor_estimator._band(ordered))
+            assert got.tobytes() == expected.tobytes(), (
+                f"numpy's quantile rule changed: n = {n}, {got} != {expected}"
+            )
+
+    @pytest.mark.parametrize(
+        "ordered",
+        [[-0.0], [-0.0, -0.0, -0.0], [1.0, 1.0], [1.0, 2.0, np.nan], [-np.inf, 0.0, 1.0]],
+        ids=repr,
+    )
+    def test_band_edge_values(self, ordered):
+        ordered = np.array(ordered)
+        with np.errstate(invalid="ignore"):
+            expected = np.quantile(ordered, [0.05, 0.95])
+            got = np.array(frontdoor_estimator._band(ordered))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestEstimateEffect:

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -450,10 +451,39 @@ class TestPredict:
         assert runs == [len(fit.basis.knots)] * (fit.basis.degree + 1)
         table = fit._taylor
         assert table is fit._taylor and not table.flags.writeable
-        # another fit on the same basis builds its own table
+        # another fit on the same basis builds its own table from the rows
+        # the basis kept, running no kernel
         other = PenalizedSplineFit(fit.basis, -fit.coefficients, fit.lam, fit.edf, fit.residuals, fit.gcv)
         assert np.array_equal(other._taylor, -table)
-        assert len(runs) == 2 * (fit.basis.degree + 1)
+        assert len(runs) == fit.basis.degree + 1
+
+    @pytest.mark.parametrize("degree", [3, 1])
+    def test_knot_rows_give_the_tables_of_a_kernel_per_order(self, degree):
+        # the table each fit built before the basis kept its rows: one fresh
+        # kernel of degree k - r on full_knots[r : len - r] per order r
+        rng = np.random.default_rng(94)
+        if degree == 3:
+            basis = build_basis(rng.standard_normal(500), 12)
+        else:
+            basis = build_basis(np.where(rng.standard_normal(500) >= 0, 1.0, -1.0))
+        assert basis.degree == degree
+        t, k = basis.full_knots, basis.degree
+        fresh = [spline_smooth._DeBoor(t[r : len(t) - r], k - r)(basis.knots) for r in range(k + 1)]
+        rows = basis._knot_rows
+        assert rows is basis._knot_rows and len(rows) == k + 1
+        for (first, values), (fresh_first, fresh_values) in zip(rows, fresh):
+            assert first.tobytes() == fresh_first.tobytes()
+            assert values.tobytes() == fresh_values.tobytes()
+            assert not first.flags.writeable and not values.flags.writeable
+        for coefficients in (rng.standard_normal(basis.dim), np.full(basis.dim, -0.0)):
+            table = np.empty((k + 1, len(basis.knots)))
+            derivative = coefficients
+            for r in range(k + 1):
+                if r:
+                    spans = t[k + 1 : len(t) - r] - t[r : len(t) - k - 1]
+                    derivative = (derivative[1:] - derivative[:-1]) * (k - r + 1) / spans
+                table[r] = _combine(derivative, *fresh[r]) / math.factorial(r)
+            assert spline_fit(basis, coefficients)._taylor.tobytes() == table.tobytes()
 
 
 def spline_fit(basis, coefficients):
