@@ -305,6 +305,13 @@ def _error_summary(errors: np.ndarray) -> tuple[float, float, float]:
     return float(np.max(np.abs(errors))), float(np.mean(np.abs(errors))), float(np.mean(errors))
 
 
+def _report_number(value: float, sign: str = "") -> str:
+    """``value`` as evaluate prints it: four decimals, in exponent form from a
+    magnitude of 1e6 on so a huge error does not print hundreds of digits;
+    ``sign="+"`` always shows the sign."""
+    return format(value, f"{sign}.4{'e' if abs(value) >= 1e6 else 'f'}")
+
+
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
@@ -319,8 +326,9 @@ def cmd_evaluate(args) -> int:
         for region, part in (("", errors), (" region=[-2,2]", errors[inner])):
             max_abs, mean_abs, signed = summaries[label, region] = _error_summary(part)
             report.append(
-                f"method={label}{region} max_abs_error={max_abs:.4f} "
-                f"mean_abs_error={mean_abs:.4f} mean_signed_error={signed:+.4f}"
+                f"method={label}{region} max_abs_error={_report_number(max_abs)} "
+                f"mean_abs_error={_report_number(mean_abs)} "
+                f"mean_signed_error={_report_number(signed, '+')}"
             )
     # the complete-case mean signed error on [-2, 2]: nan with no grid point there
     cc_signed = summaries["cc", " region=[-2,2]"][2]
@@ -363,8 +371,9 @@ def cmd_evaluate(args) -> int:
             true_mean = float(np.mean(population.z[masked]))
             pooled = float(np.mean(means))
             report.append(
-                f"imputed_z_pooled_mean={pooled:.4f} true_masked_z_mean={true_mean:.4f} "
-                f"gap={pooled - true_mean:+.4f}"
+                f"imputed_z_pooled_mean={_report_number(pooled)} "
+                f"true_masked_z_mean={_report_number(true_mean)} "
+                f"gap={_report_number(pooled - true_mean, '+')}"
             )
 
     # how far the imputations move the estimate: the between-copy sd of the
@@ -377,7 +386,8 @@ def cmd_evaluate(args) -> int:
     between_sd = np.ldexp(np.std(scaled, axis=0, ddof=1), exponent)
     sd_max = float(np.max(between_sd[inner])) if inner.any() else float("nan")
     report.append(
-        f"mi_between_sd_max={sd_max:.4f} mi_pooled_se_max={sd_max / np.sqrt(mi.m):.4f}"
+        f"mi_between_sd_max={_report_number(sd_max)} "
+        f"mi_pooled_se_max={_report_number(sd_max / np.sqrt(mi.m))}"
     )
 
     columns = (

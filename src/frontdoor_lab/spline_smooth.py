@@ -35,8 +35,7 @@ go through ``_combine``, and ``B'v``, the column sums and the cross Grams of
 an additive fit through ``_gram``, one ``np.bincount`` per pair of value
 rows.  The dense basis matrix is formed once per design, only for the Gram
 matrix, whose BLAS bits need it.  The kernel runs once per design: the
-design records its column and rows on its basis, and the dense matrix reads
-them back.
+design hands its rows to ``design_matrix``.
 Every GCV fit, a single smooth or an additive term, takes its basis from
 ``build_basis``, the one rule for knots and degree, and its design from one
 cache of recent columns, so imputation builds each repeated column's design
@@ -100,17 +99,11 @@ class SplineBasis:
     """Cubic (or degraded low-order) B-spline basis on quantile knots.
 
     It keeps its padded knots, Greville sites, de Boor kernel and kernel rows
-    at its knots once they are computed, and the kernel rows of the column
-    its last design was built on, which only that design's ``design_matrix``
-    call reads back.
+    at its knots once they are computed.
     """
 
     knots: np.ndarray
     degree: int
-    # (column, first, values): one column's kernel rows, set by the last
-    # design built on this basis and read back by ``_rows`` for
-    # ``design_matrix``; the column must not change while the basis holds it
-    _recorded = None
 
     def __post_init__(self):
         check_int("degree", self.degree, 1)
@@ -166,18 +159,6 @@ class SplineBasis:
             first.setflags(write=False)
             values.setflags(write=False)
         return rows
-
-    def _rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel's ``(first, values)`` at the float64 vector ``points``: the
-        recorded rows when ``points`` has the recorded column's bits, -0.0 and
-        0.0 differing, and a fresh kernel run otherwise."""
-        if self._recorded is not None:
-            column, first, values = self._recorded
-            # the lengths and first elements tell most other columns apart cheaply
-            bits, kept = points.view(np.int64), column.view(np.int64)
-            if bits.shape == kept.shape and bits[0] == kept[0] and np.array_equal(bits, kept):
-                return first, values
-        return self._de_boor(points)
 
 
 class _DeBoor:
@@ -324,10 +305,11 @@ def build_basis(x: np.ndarray, n_knots: int = DEFAULT_N_KNOTS) -> SplineBasis:
     return SplineBasis(knots=knots, degree=DEFAULT_DEGREE)
 
 
-def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
+def design_matrix(basis: SplineBasis, x: np.ndarray, *, rows=None) -> np.ndarray:
     """Dense (len(x), dim) basis evaluation matrix, each row's degree + 1
-    nonzero values from ``_DeBoor`` at the point's knot interval, or the
-    basis's recorded rows when ``x`` is its recorded column.
+    nonzero values from ``_DeBoor`` at the point's knot interval.  ``rows``,
+    which only a design passes, are the kernel's ``(first, values)`` at ``x``,
+    already computed.
 
     All x must lie within the knot span, or FrontdoorLabError is raised.
     """
@@ -342,7 +324,7 @@ def design_matrix(basis: SplineBasis, x: np.ndarray) -> np.ndarray:
             f"design points must lie within the knot span [{lo!r}, {hi!r}], "
             f"got [{x_lo!r}, {x_hi!r}]"
         )
-    first, values = basis._rows(x)
+    first, values = basis._de_boor(x) if rows is None else rows
     design = np.zeros((len(x), basis.dim))
     # row r's values go to its columns first[r], ..., first[r] + degree: one
     # window of the flat array per row, which stays inside that row
@@ -427,9 +409,8 @@ class _PenalizedDesign:
     ``_DeBoor`` gives, and no matrix: ``B beta`` is ``_combine`` of them and
     ``B'v``, like the column sums the joint start needs, is ``_gram``'s
     one-column case.  The dense ``design_matrix`` is formed only for the Gram
-    matrix ``B'B``, whose BLAS bits need it.  The kernel runs once: its rows
-    are recorded on the basis with the column ``x``, so ``design_matrix`` here
-    reads them back (``SplineBasis._rows``).
+    matrix ``B'B``, whose BLAS bits need it, from the rows already held, so
+    the kernel runs once.
 
     The coefficients are split between the penalty null space (affine
     coefficient sequences, ``_Q1``) and its orthogonal complement (``_Q2``).
@@ -461,12 +442,9 @@ class _PenalizedDesign:
         # array before the dense design is built
         self._rows = (first, values.copy())
         del values
-        # for design_matrix below; the basis is frozen, so set past its
-        # __setattr__
-        object.__setattr__(basis, "_recorded", (x, *self._rows))
         self._col_sums = self._Bt(np.ones(n))
         # syrk's bits need the dense matrix
-        dense = design_matrix(basis, x)
+        dense = design_matrix(basis, x, rows=self._rows)
         self._BtB = BtB = dense.T @ dense
 
         p = basis.dim
@@ -599,8 +577,8 @@ def fit_penalized(
     # a caller's basis skips build_basis's check; a basis has dim >= 2
     if not x.min() < x.max():
         raise NumericError("need >= 2 distinct covariate values, got 1")
-    # a grid of one weight, which GCV picks; a copy, as the basis keeps the column
-    return _PenalizedDesign(basis, x.copy(), [lam]).fit(y)
+    # a grid of one weight, which GCV picks
+    return _PenalizedDesign(basis, x, [lam]).fit(y)
 
 
 def select_lambda(

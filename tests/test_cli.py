@@ -368,6 +368,12 @@ class TestEvaluateOutput:
         config.write_text(f"n = 600\nm = 2\ncycles = 1\ngrid = 1e200:1e200:1\nout = {tmp_path}\n")
         for command in ("simulate", "impute", "estimate", "evaluate", "plot"):
             run_stage([command, "--config", str(config)])
+            if command == "evaluate":
+                # huge errors print in exponent form, not as 200-digit numbers
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                report = captured.out.splitlines()
+                assert report and all(len(line) < 200 for line in report), report
         assert capsys.readouterr().err == ""
         header, *rows = (tmp_path / "evaluation.csv").read_text().splitlines()
         assert len(rows) == 1

@@ -142,9 +142,9 @@ class TestFitPair:
         y = std_normal_pdf(z - 0.5) + 0.3 * z + 0.1 * rng.standard_normal(500)
         built = []
 
-        def counting_design_matrix(basis, points):
+        def counting_design_matrix(basis, points, *, rows=None):
             built.append(len(points))
-            return design_matrix(basis, points)
+            return design_matrix(basis, points, rows=rows)
 
         monkeypatch.setattr(spline_smooth, "design_matrix", counting_design_matrix)
         fit_converged(complete_dataset(x, z, y))
